@@ -291,13 +291,18 @@ def _decoder_forward(params: AutoencoderParams, z, record: bool = False):
     return h, ctxs
 
 
-def _stack_backward(ctxs, grad, need_param_grads: bool = True):
-    """Walk recorded contexts in reverse; returns (input_grad, param_grads)."""
+def _stack_backward(ctxs, grad, need_param_grads: bool = True,
+                    need_input_grad: bool = True):
+    """Walk recorded contexts in reverse; returns (input_grad, param_grads).
+
+    With ``need_input_grad=False`` a convolution at the bottom of the stack
+    skips its input gradient, and the returned input_grad is None.
+    """
     param_grads: dict[str, np.ndarray] = {}
     g = grad
-    for kind, i, ctx in reversed(ctxs):
+    for depth, (kind, i, ctx) in reversed(list(enumerate(ctxs))):
         if kind == "conv":
-            lg = nn.conv1d_backward(ctx, g)
+            lg = nn.conv1d_backward(ctx, g, need_input_grad=need_input_grad or depth > 0)
             if need_param_grads:
                 param_grads[f"enc{i}.kernels"] = lg.param_grads["kernels"]
                 param_grads[f"enc{i}.bias"] = lg.param_grads["bias"]
@@ -414,7 +419,7 @@ def pretrain(spec: AutoencoderSpec, dataset: ErpDataset, meta: list[TrialMeta], 
         order = train_idx[rng.permutation(len(train_idx))]
         se_sum = 0.0
         n_elem = 0
-        for batch in _batches(order, batch_size):
+        for b, batch in enumerate(_batches(order, batch_size)):
             xb = x_all[batch]
             z, enc_ctxs = _encoder_forward(params, xb, record=True)
             yb, dec_ctxs = _decoder_forward(params, z, record=True)
@@ -422,11 +427,12 @@ def pretrain(spec: AutoencoderSpec, dataset: ErpDataset, meta: list[TrialMeta], 
                 yb = yb + params.tensors["intercepts"][subj_rows[batch]][:, :, None]
             loss, gl = nn.mse_loss(yb, xb)
             if not np.isfinite(loss):
-                raise RuntimeError(f"pretraining loss diverged to NaN at epoch {epoch}")
+                raise RuntimeError(
+                    f"pretraining loss diverged to {loss} at epoch {epoch}, batch {b}")
             se_sum += loss * yb.size
             n_elem += yb.size
             gz, dec_grads = _stack_backward(dec_ctxs, gl)
-            _, enc_grads = _stack_backward(enc_ctxs, gz)
+            _, enc_grads = _stack_backward(enc_ctxs, gz, need_input_grad=False)
             grads = {**enc_grads, **dec_grads}
             if spec.intercepts:
                 gi = np.zeros_like(params.tensors["intercepts"])

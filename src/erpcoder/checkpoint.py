@@ -75,18 +75,29 @@ def load_checkpoint(basepath, expect_kind: str | None = None
     if not payload_path.exists():
         raise FileNotFoundError(str(payload_path))
     payload = payload_path.read_bytes()
-    tensors: dict[str, np.ndarray] = {}
+    entries = []
     for entry in manifest["tensors"]:
         shape = tuple(int(s) for s in entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        start = int(entry["offset"])
-        end = start + size * 8
-        if end > len(payload):
+        if any(s < 0 for s in shape):
             raise FormatError(
-                f"{payload_path}: tensor {entry['name']!r} needs bytes [{start}, {end}), "
-                f"payload has {len(payload)}"
-            )
-        tensors[entry["name"]] = (
-            np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()
-        )
+                f"{manifest_path}: tensor {entry['name']!r} has negative dimension in "
+                f"shape {list(shape)}")
+        start = int(entry["offset"])
+        end = start + (int(np.prod(shape)) if shape else 1) * 8
+        entries.append((start, end, entry["name"], shape))
+    # the tensors must tile the payload: no gap, no overlap, no missing or trailing bytes
+    covered = 0
+    for start, end, name, _ in sorted(entries):
+        if start != covered:
+            raise FormatError(
+                f"{payload_path}: tensor {name!r} starts at byte {start}, but the tensors "
+                f"before it end at byte {covered}")
+        covered = end
+    if covered != len(payload):
+        raise FormatError(
+            f"{payload_path}: tensors cover {covered} bytes, payload has {len(payload)}")
+    tensors = {
+        name: np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()
+        for start, end, name, shape in entries
+    }
     return manifest["kind"], manifest["meta"], tensors

@@ -226,6 +226,13 @@ def load_erp(basepath) -> tuple[ErpDataset, list[TrialMeta]]:
             f"found {len(payload)}"
         )
     data = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    finite = np.isfinite(data)
+    if not finite.all():
+        first = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise FormatError(
+            f"{payload_path}: {int(finite.size - finite.sum())} non-finite values "
+            f"(NaN or inf); first at (trial, channel, timepoint) {first}"
+        )
     dataset = ErpDataset(
         data,
         sampling_rate_hz=float(sidecar["sampling_rate_hz"]),

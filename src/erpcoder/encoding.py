@@ -248,12 +248,13 @@ def train(decoder: AutoencoderParams, dataset: ErpDataset, meta: list[TrialMeta]
         order = train_idx[rng.permutation(len(train_idx))]
         se_sum = 0.0
         n_elem = 0
-        for start in range(0, len(order), batch_size):
+        for b, start in enumerate(range(0, len(order), batch_size)):
             batch = order[start : start + batch_size]
             y, ctxs = forward_subset(batch, record=True)
             loss, gl = nn.mse_loss(y, x_all[batch])
             if not np.isfinite(loss):
-                raise RuntimeError(f"training loss diverged to NaN at epoch {epoch}")
+                raise RuntimeError(
+                    f"training loss diverged to {loss} at epoch {epoch}, batch {b}")
             se_sum += loss * y.size
             n_elem += y.size
             grads = _backward(params, gl, ctxs, tuner)

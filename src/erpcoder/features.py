@@ -63,8 +63,9 @@ class FeatureMatrix:
             raise ValueError(f"feature matrix must be 2-dim, got shape {self.values.shape}")
         if self.values.shape[1] != len(self.names):
             raise ValueError(f"{len(self.names)} names for {self.values.shape[1]} columns")
-        if np.isnan(self.values).any():
-            raise ValueError("feature matrix contains NaN after construction")
+        if not np.isfinite(self.values).all():
+            raise ValueError("feature matrix contains non-finite values (NaN or inf) "
+                             "after construction")
 
     @property
     def n_trials(self) -> int:

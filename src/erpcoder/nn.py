@@ -8,6 +8,29 @@ safe to call concurrently on disjoint data.
 Ops accept a single instance (``channels x time``, or a flat vector for
 ``dense``) or the same with a leading batch axis; the backward pass returns
 gradients in whichever convention the forward saw.
+
+Kernel layout. Activations are ``(N, C, T)`` with time contiguous.
+Convolutions run as one GEMM per kernel tap (Chellapilla, Puri & Simard,
+2006), batched over ``N`` by ``np.matmul``, so no window tensor is ever
+materialised:
+
+- ``conv1d_forward`` zero-pads the input once and starts ``y`` from the
+  bias; tap ``j`` adds ``kernels[:, :, j] @ padded[:, :, j : j+span : stride]``.
+- ``conv1d_backward`` forms each tap's kernel gradient as a batch of
+  ``g @ window.T`` products summed over ``N``. The input gradient is the
+  transposed convolution of ``g`` (:func:`_add_transposed_conv`); with
+  ``need_input_grad=False`` it is skipped.
+- ``convtranspose1d_forward`` starts a contiguous, already cropped output
+  from the bias; tap ``j`` adds ``kernels[:, :, j].T @ x`` straight into
+  the strided output positions it reaches.
+- ``convtranspose1d_backward`` splits ``g`` once by stride phase, so tap
+  ``j = a*stride + r`` reads the contiguous ``phases[:, :, r, a : a+T]``
+  rather than a strided slice of ``g``; the input and kernel gradients are
+  then per-tap GEMMs over the whole input.
+
+The in-range positions of each tap come from :func:`_tap_slices`, so
+strides larger than the kernel and padding that crops whole taps need no
+special case.
 """
 
 from __future__ import annotations
@@ -22,7 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 class LayerGrad:
     """Gradients from one backward pass: w.r.t. the input and each parameter."""
 
-    input_grad: np.ndarray
+    input_grad: np.ndarray | None  # None when the caller did not ask for it
     param_grads: dict[str, np.ndarray]
 
 
@@ -58,6 +81,39 @@ def conv_output_length(t: int, kernel: int, stride: int, padding: int) -> int:
 def convtranspose_output_length(t: int, kernel: int, stride: int, padding: int) -> int:
     """Output length of the adjoint (transposed) operator with the same geometry."""
     return (t - 1) * stride + kernel - 2 * padding
+
+
+def _tap_slices(j: int, narrow_len: int, wide_len: int, stride: int, padding: int):
+    """Slices one kernel tap connects, or None if padding crops the whole tap.
+
+    Narrow position ``i`` (a conv1d output, or a convtranspose1d input)
+    meets wide position ``i*stride + j - padding`` (the conv1d input it
+    reads, or the convtranspose1d output it writes). Returns the narrow
+    positions whose partner lies in ``[0, wide_len)`` and the matching
+    strided wide slice.
+    """
+    lo = max(0, -((j - padding) // stride))
+    hi = min(narrow_len, (wide_len - 1 + padding - j) // stride + 1)
+    if hi <= lo:
+        return None
+    start = lo * stride + j - padding
+    return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
+
+
+def _add_transposed_conv(wide: np.ndarray, narrow: np.ndarray, kernels: np.ndarray,
+                         stride: int, padding: int) -> np.ndarray:
+    """Add the transposed convolution of ``narrow`` into ``wide``, in place.
+
+    Tap ``j`` adds ``kernels[:, :, j].T @ narrow`` at the wide positions it
+    reaches. This is convtranspose1d's forward pass (kernels ``(C_in,
+    C_out, K)``) and conv1d's input gradient (kernels ``(C_out, C_in, K)``).
+    """
+    for j in range(kernels.shape[2]):
+        taps = _tap_slices(j, narrow.shape[2], wide.shape[2], stride, padding)
+        if taps is not None:
+            narrow_pos, wide_pos = taps
+            wide[:, :, wide_pos] += np.matmul(kernels[:, :, j].T, narrow[:, :, narrow_pos])
+    return wide
 
 
 # ---------------------------------------------------------------------------
@@ -111,31 +167,40 @@ def conv1d_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
     _check_conv_geometry(t, k, stride, padding)
 
     padded = np.pad(x3, ((0, 0), (0, 0), (padding, padding)))
-    windows = sliding_window_view(padded, k, axis=2)[:, :, ::stride, :]
-    y = np.einsum("nclk,ock->nol", windows, kernels, optimize=True)
-    y += bias[:, None]
+    l_out = conv_output_length(t, k, stride, padding)
+    span = (l_out - 1) * stride + 1
+    y = np.empty((x3.shape[0], c_out, l_out))
+    y[:] = bias[:, None]
+    for j in range(k):
+        y += np.matmul(kernels[:, :, j], padded[:, :, j : j + span : stride])
     ctx = Conv1dCtx(padded, kernels, stride, padding, t, y.shape, squeezed)
     return (y[0] if squeezed else y), ctx
 
 
-def conv1d_backward(ctx: Conv1dCtx, upstream_grad) -> LayerGrad:
-    """Gradients of a conv1d_forward call w.r.t. input, kernels and bias."""
+def conv1d_backward(ctx: Conv1dCtx, upstream_grad, need_input_grad: bool = True) -> LayerGrad:
+    """Gradients of a conv1d_forward call w.r.t. input, kernels and bias.
+
+    With ``need_input_grad=False`` the input gradient is not computed and
+    ``input_grad`` is None; the parameter gradients are unchanged.
+    """
     g = _match_grad(upstream_grad, ctx.out_shape, ctx.squeezed, "conv1d_backward")
-    k = ctx.kernels.shape[2]
+    n, _, l_out = g.shape
+    c_in, k = ctx.kernels.shape[1:]
     stride, padding = ctx.stride, ctx.padding
-    windows = sliding_window_view(ctx.padded, k, axis=2)[:, :, ::stride, :]
+    span = (l_out - 1) * stride + 1
 
     grad_bias = g.sum(axis=(0, 2))
-    grad_kernels = np.einsum("nclk,nol->ock", windows, g, optimize=True)
-
-    l_out = g.shape[2]
-    grad_padded = np.zeros_like(ctx.padded)
-    spread = np.einsum("nol,ock->nckl", g, ctx.kernels, optimize=True)
+    grad_kernels = np.empty_like(ctx.kernels)
     for j in range(k):
-        grad_padded[:, :, j : j + (l_out - 1) * stride + 1 : stride] += spread[:, :, j]
-    grad_x = grad_padded[:, :, padding : padding + ctx.in_len]
-    if ctx.squeezed:
-        grad_x = grad_x[0]
+        window = ctx.padded[:, :, j : j + span : stride]
+        grad_kernels[:, :, j] = np.matmul(g, window.transpose(0, 2, 1)).sum(axis=0)
+
+    grad_x = None
+    if need_input_grad:
+        grad_x = _add_transposed_conv(np.zeros((n, c_in, ctx.in_len)), g, ctx.kernels,
+                                      stride, padding)
+        if ctx.squeezed:
+            grad_x = grad_x[0]
     return LayerGrad(grad_x, {"kernels": grad_kernels, "bias": grad_bias})
 
 
@@ -183,19 +248,15 @@ def convtranspose1d_forward(x, kernels, bias, stride: int = 1, padding: int = 0)
     if padding < 0:
         raise ValueError(f"padding must be >= 0, got {padding}")
     n, _, t = x3.shape
-    t_full = (t - 1) * stride + k
-    t_out = t_full - 2 * padding
+    t_out = convtranspose_output_length(t, k, stride, padding)
     if t_out < 1:
         raise ValueError(
             f"convtranspose1d: output length ({t}-1)*{stride} + {k} - 2*{padding} = {t_out} < 1"
         )
 
-    spread = np.einsum("nit,iok->nokt", x3, kernels, optimize=True)
-    full = np.zeros((n, c_out, t_full))
-    for j in range(k):
-        full[:, :, j : j + (t - 1) * stride + 1 : stride] += spread[:, :, j]
-    y = full[:, :, padding : padding + t_out]
-    y += bias[:, None]
+    y = np.empty((n, c_out, t_out))
+    y[:] = bias[:, None]
+    _add_transposed_conv(y, x3, kernels, stride, padding)
     ctx = ConvTranspose1dCtx(x3, kernels, stride, padding, y.shape, squeezed)
     return (y[0] if squeezed else y), ctx
 
@@ -205,21 +266,32 @@ def convtranspose1d_backward(ctx: ConvTranspose1dCtx, upstream_grad,
     """Gradients of a convtranspose1d_forward call."""
     g = _match_grad(upstream_grad, ctx.out_shape, ctx.squeezed, "convtranspose1d_backward")
     k = ctx.kernels.shape[2]
-    stride, padding = ctx.stride, ctx.padding
-    n, _, t = ctx.x.shape
-    t_full = (t - 1) * stride + k
+    stride = ctx.stride
+    x = ctx.x
+    n, _, t = x.shape
+    c_out, t_out = g.shape[1:]
 
-    g_full = np.zeros((n, g.shape[1], t_full))
-    g_full[:, :, padding : padding + g.shape[2]] = g
-    windows = sliding_window_view(g_full, k, axis=2)[:, :, ::stride, :]
+    # Uncropped output position u*stride + r holds g (zero where padding
+    # cropped it). Split by phase r once, tap j = a*stride + r reads the
+    # contiguous phases[:, :, r, a : a+t] instead of a strided slice of g.
+    u_len = t + (k - 1) // stride
+    g_full = np.zeros((n, c_out, u_len * stride))
+    g_full[:, :, ctx.padding : ctx.padding + t_out] = g
+    phases = np.ascontiguousarray(
+        g_full.reshape(n, c_out, u_len, stride).transpose(0, 1, 3, 2))
 
-    grad_x = np.einsum("notk,iok->nit", windows, ctx.kernels, optimize=True)
-    if ctx.squeezed:
-        grad_x = grad_x[0]
+    grad_x = np.zeros(x.shape)
     param_grads: dict[str, np.ndarray] = {}
     if need_param_grads:
-        param_grads["kernels"] = np.einsum("nit,notk->iok", ctx.x, windows, optimize=True)
-        param_grads["bias"] = g.sum(axis=(0, 2))
+        param_grads = {"kernels": np.empty_like(ctx.kernels), "bias": g.sum(axis=(0, 2))}
+    for j in range(k):
+        a, r = divmod(j, stride)
+        g_tap = phases[:, :, r, a : a + t]
+        grad_x += np.matmul(ctx.kernels[:, :, j], g_tap)
+        if need_param_grads:
+            param_grads["kernels"][:, :, j] = np.matmul(x, g_tap.transpose(0, 2, 1)).sum(axis=0)
+    if ctx.squeezed:
+        grad_x = grad_x[0]
     return LayerGrad(grad_x, param_grads)
 
 
@@ -252,8 +324,8 @@ def maxpool1d_forward(x, window: int, stride: int):
         raise ValueError(f"maxpool1d: window {window} exceeds input length {t}")
 
     views = sliding_window_view(x3, window, axis=2)[:, :, ::stride, :]
-    y = views.max(axis=-1)
     rel = views.argmax(axis=-1)  # first occurrence wins ties
+    y = np.take_along_axis(views, rel[..., None], axis=-1)[..., 0]
     indices = rel + np.arange(y.shape[2]) * stride
     ctx = MaxPool1dCtx(x3.shape, indices, y.shape, squeezed)
     return (y[0] if squeezed else y), ctx

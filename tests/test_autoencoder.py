@@ -175,6 +175,24 @@ class TestPretrain:
         assert hist.best_epoch == int(np.argmin(hist.dev_mse))
         assert hist.restored_to_best
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_divergence_names_value_epoch_and_batch(self, rng, monkeypatch, bad):
+        # 108 training trials in batches of 32: 4 batch losses and one dev loss
+        # per epoch, so the 7th loss is epoch 1, batch 1
+        spec = ae.AutoencoderSpec("beta", False, 8, 50)
+        ds = lowrank_dataset(rng, spec, n=120)
+        mse_loss = nn.mse_loss
+        calls = []
+
+        def diverging_mse(pred, target):
+            calls.append(None)
+            loss, grad = mse_loss(pred, target)
+            return (bad if len(calls) == 7 else loss), grad
+
+        monkeypatch.setattr(nn, "mse_loss", diverging_mse)
+        with pytest.raises(RuntimeError, match=f"diverged to {bad} at epoch 1, batch 1$"):
+            ae.pretrain(spec, ds, meta_rows(120), epochs=3, batch_size=32, seed=3)
+
     def test_empty_dataset_rejected(self):
         spec = ae.AutoencoderSpec("beta", False, 8, 50)
         ds = ErpDataset(np.zeros((0, 8, 50)), 250.0, -100.0, 100.0)

@@ -3,9 +3,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from erpcoder import cli
+from erpcoder.data import ErpDataset, TrialMeta, save_erp
 
 
 SYNTH_CONFIG = {
@@ -157,6 +159,16 @@ class TestExitCodes:
         code = run(["pretrain", "--data", base, "--out", tmp_path / "o"])
         assert code == 4
         assert "error: FormatViolation:" in capsys.readouterr().err
+
+    def test_nan_payload_is_4(self, tmp_path, capsys):
+        rows = np.ones((2, 2, 10))
+        rows[1, 0, 4] = np.nan
+        meta = [TrialMeta("s1", 0, i + 1, "w", "content", "NN", False) for i in range(2)]
+        save_erp(tmp_path / "nan", ErpDataset(rows, 250.0, 0.0, 40.0), meta)
+        code = run(["pretrain", "--data", tmp_path / "nan", "--out", tmp_path / "o"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error: FormatViolation:" in err and "non-finite" in err
 
     def test_bad_sources_is_1(self, pipeline, capsys):
         code = run(["fit", "--decoder", pipeline / "m" / "autoencoder",

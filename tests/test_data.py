@@ -1,11 +1,13 @@
 """I/O round-trips, filtering, and fold-splitting tests."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erpcoder import data
+from erpcoder import checkpoint, data
 
 
 def make_meta(n, subjects=("s1", "s2"), words_per_sentence=5, artifact_every=None):
@@ -66,6 +68,48 @@ class TestErpRoundTrip:
     def test_missing_sidecar_is_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             data.load_erp(tmp_path / "nope")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, rng, tmp_path, bad):
+        ds = make_dataset(rng)
+        ds.data[3, 1, 7] = bad
+        ds.data[5, 0, 0] = bad
+        base = tmp_path / "set"
+        data.save_erp(base, ds, make_meta(10))
+        with pytest.raises(data.FormatError,
+                           match=r"2 non-finite values.*first at .* \(3, 1, 7\)"):
+            data.load_erp(base)
+
+
+class TestCheckpointFormat:
+    def _save(self, tmp_path, rng):
+        base = tmp_path / "ck"
+        checkpoint.save_checkpoint(
+            base, "test", {}, {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=4)})
+        return base
+
+    def test_round_trip(self, tmp_path, rng):
+        base = self._save(tmp_path, rng)
+        kind, _, tensors = checkpoint.load_checkpoint(base, expect_kind="test")
+        assert kind == "test"
+        assert {k: v.shape for k, v in tensors.items()} == {"a": (2, 3), "b": (4,)}
+
+    def test_negative_dimension_rejected(self, tmp_path, rng):
+        # np.prod([-1]) == -1 used to load a silently truncated tensor
+        base = self._save(tmp_path, rng)
+        manifest_path = tmp_path / "ck.ckpt.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["tensors"][1]["shape"] = [-1]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(data.FormatError, match=r"'b' has negative dimension in shape \[-1\]"):
+            checkpoint.load_checkpoint(base)
+
+    def test_trailing_payload_bytes_rejected(self, tmp_path, rng):
+        base = self._save(tmp_path, rng)
+        bin_path = tmp_path / "ck.ckpt.bin"
+        bin_path.write_bytes(bin_path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(data.FormatError, match="tensors cover 80 bytes, payload has 88"):
+            checkpoint.load_checkpoint(base)
 
 
 class TestFiltering:

@@ -140,6 +140,23 @@ class TestTraining:
         np.testing.assert_array_equal(replay.interface.weights, model.interface.weights)
         np.testing.assert_array_equal(replay.interface.bias, model.interface.bias)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_divergence_names_value_epoch_and_batch(self, small_synth, monkeypatch, bad):
+        sd, ds, meta = small_synth
+        n_batches = -(-(ds.n_trials - round(ds.n_trials * 0.1)) // 32)
+        mse_loss = nn.mse_loss
+        calls = []
+
+        def diverging_mse(pred, target):
+            calls.append(None)
+            loss, grad = mse_loss(pred, target)
+            # one dev loss follows each epoch's batches: fail epoch 1, batch 1
+            return (bad if len(calls) == n_batches + 3 else loss), grad
+
+        monkeypatch.setattr(nn, "mse_loss", diverging_mse)
+        with pytest.raises(RuntimeError, match=f"diverged to {bad} at epoch 1, batch 1$"):
+            quick_fit(sd, ds, meta, ("frequency",), epochs=3)
+
     def test_unfiltered_trials_rejected(self, small_synth):
         sd, _, _ = small_synth
         fm = assemble_for(sd, sd.meta[:4], ("frequency",))

@@ -244,6 +244,11 @@ class TestStandardizer:
         with pytest.raises(ValueError, match="NaN"):
             features.FeatureMatrix(np.array([[np.nan]]), ["x"])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_matrix_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            features.FeatureMatrix(np.array([[0.0, bad]]), ["x", "y"])
+
     def test_column_indices(self):
         fm = features.FeatureMatrix(
             np.zeros((2, 4)), ["frequency", "static_embedding.0", "static_embedding.1", "surprisal"])

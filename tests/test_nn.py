@@ -232,6 +232,130 @@ class TestConvTranspose1d:
             lambda b: (lambda r: (r[0], r[1].param_grads["bias"]))(fwd_loss(x0, w0, b)), b0) < 1e-5
 
 
+# (c_in, c_out, narrow length, kernel, stride, padding). The wide length
+# (narrow - 1)*stride + kernel - 2*padding makes conv1d map wide -> narrow
+# and convtranspose1d map narrow -> wide, so the two are exact adjoints.
+TAP_EDGE_GEOMETRIES = {
+    # stride > kernel: some wide positions meet no tap (output gaps)
+    "stride_exceeds_kernel": (2, 3, 4, 2, 3, 0),
+    "stride_exceeds_kernel_padded": (2, 3, 4, 2, 3, 1),
+    # taps 0 and 6 land entirely in the padding
+    "padding_crops_whole_taps": (1, 2, 2, 7, 2, 3),
+    # one position on each side; only the middle tap is in range
+    "single_position": (2, 2, 1, 5, 1, 2),
+}
+LAYOUTS = ("batched", "single", "strided")
+
+
+def _in_layout(a, layout):
+    """``a`` itself or, for the strided layout, an equal non-contiguous view."""
+    if layout != "strided":
+        return a
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+    wide[..., ::2] = a
+    return wide[..., ::2]
+
+
+def _per_instance(naive, x, *args):
+    return naive(x, *args) if x.ndim == 2 else np.stack([naive(xi, *args) for xi in x])
+
+
+def _edge_operands(rng, geometry, layout):
+    c_in, c_out, narrow, k, stride, pad = TAP_EDGE_GEOMETRIES[geometry]
+    wide = (narrow - 1) * stride + k - 2 * pad
+    batch = () if layout == "single" else (2,)
+    return {
+        "x": rng.normal(size=batch + (c_in, wide)),      # conv1d input
+        "y": rng.normal(size=batch + (c_out, narrow)),   # convtranspose1d input
+        "w": rng.normal(size=(c_out, c_in, k)),          # conv layout; (C_in, C_out, K) for convT
+        "b_out": rng.normal(size=c_out),
+        "b_in": rng.normal(size=c_in),
+        "stride": stride,
+        "pad": pad,
+    }
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("geometry", list(TAP_EDGE_GEOMETRIES))
+class TestTapEdgeGeometry:
+    """Oracle, finite-difference and adjointness checks where per-tap ranges are clipped."""
+
+    def test_conv1d_matches_naive(self, rng, geometry, layout):
+        o = _edge_operands(rng, geometry, layout)
+        out, _ = nn.conv1d_forward(_in_layout(o["x"], layout), _in_layout(o["w"], layout),
+                                   o["b_out"], stride=o["stride"], padding=o["pad"])
+        expected = _per_instance(conv1d_naive, o["x"], o["w"], o["b_out"], o["stride"], o["pad"])
+        np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    def test_convtranspose1d_matches_naive(self, rng, geometry, layout):
+        o = _edge_operands(rng, geometry, layout)
+        out, _ = nn.convtranspose1d_forward(_in_layout(o["y"], layout), _in_layout(o["w"], layout),
+                                            o["b_in"], stride=o["stride"], padding=o["pad"])
+        expected = _per_instance(convtranspose1d_naive, o["y"], o["w"], o["b_in"],
+                                 o["stride"], o["pad"])
+        np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    def test_adjoint_identity(self, rng, geometry, layout):
+        o = _edge_operands(rng, geometry, layout)
+        w = _in_layout(o["w"], layout)
+        cx, _ = nn.conv1d_forward(_in_layout(o["x"], layout), w, np.zeros(w.shape[0]),
+                                  stride=o["stride"], padding=o["pad"])
+        ty, _ = nn.convtranspose1d_forward(_in_layout(o["y"], layout), w, np.zeros(w.shape[1]),
+                                           stride=o["stride"], padding=o["pad"])
+        lhs = float((cx * o["y"]).sum())
+        rhs = float((o["x"] * ty).sum())
+        assert abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30) < 1e-10
+
+    def test_conv1d_gradients_match_finite_differences(self, rng, geometry, layout):
+        o = _edge_operands(rng, geometry, layout)
+        target = rng.normal(size=o["y"].shape)
+
+        def grads(x, w, b):
+            out, ctx = nn.conv1d_forward(_in_layout(x, layout), _in_layout(w, layout), b,
+                                         stride=o["stride"], padding=o["pad"])
+            loss, gl = nn.mse_loss(out, target)
+            return loss, nn.conv1d_backward(ctx, _in_layout(gl, layout))
+
+        x0, w0, b0 = o["x"], o["w"], o["b_out"]
+        assert nn.finite_difference_check(
+            lambda x: (lambda r: (r[0], r[1].input_grad))(grads(x, w0, b0)), x0) < 1e-5
+        assert nn.finite_difference_check(
+            lambda w: (lambda r: (r[0], r[1].param_grads["kernels"]))(grads(x0, w, b0)), w0) < 1e-5
+        assert nn.finite_difference_check(
+            lambda b: (lambda r: (r[0], r[1].param_grads["bias"]))(grads(x0, w0, b)), b0) < 1e-5
+
+    def test_convtranspose1d_gradients_match_finite_differences(self, rng, geometry, layout):
+        o = _edge_operands(rng, geometry, layout)
+        target = rng.normal(size=o["x"].shape)
+
+        def grads(y, w, b):
+            out, ctx = nn.convtranspose1d_forward(_in_layout(y, layout), _in_layout(w, layout), b,
+                                                  stride=o["stride"], padding=o["pad"])
+            loss, gl = nn.mse_loss(out, target)
+            return loss, nn.convtranspose1d_backward(ctx, _in_layout(gl, layout))
+
+        y0, w0, b0 = o["y"], o["w"], o["b_in"]
+        assert nn.finite_difference_check(
+            lambda y: (lambda r: (r[0], r[1].input_grad))(grads(y, w0, b0)), y0) < 1e-5
+        assert nn.finite_difference_check(
+            lambda w: (lambda r: (r[0], r[1].param_grads["kernels"]))(grads(y0, w, b0)), w0) < 1e-5
+        assert nn.finite_difference_check(
+            lambda b: (lambda r: (r[0], r[1].param_grads["bias"]))(grads(y0, w0, b)), b0) < 1e-5
+
+    def test_conv1d_skipping_input_grad_keeps_param_grads_bitwise(self, rng, geometry, layout):
+        o = _edge_operands(rng, geometry, layout)
+        _, ctx = nn.conv1d_forward(_in_layout(o["x"], layout), _in_layout(o["w"], layout),
+                                   o["b_out"], stride=o["stride"], padding=o["pad"])
+        g = _in_layout(o["y"], layout)
+        full = nn.conv1d_backward(ctx, g)
+        skipped = nn.conv1d_backward(ctx, g, need_input_grad=False)
+        assert skipped.input_grad is None
+        assert full.input_grad.shape == o["x"].shape
+        assert set(skipped.param_grads) == set(full.param_grads)
+        for name, grad in full.param_grads.items():
+            np.testing.assert_array_equal(skipped.param_grads[name], grad)
+
+
 class TestDenseTanh:
     def test_identity_weight(self, rng):
         x = rng.normal(size=5)
