@@ -15,7 +15,7 @@ fixed by the architecture names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -39,12 +39,7 @@ class AutoencoderSpec:
                 f"unknown architecture {self.architecture!r}; choose from {ARCHITECTURES}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "architecture": self.architecture,
-            "intercepts": self.intercepts,
-            "n_channels": self.n_channels,
-            "n_timepoints": self.n_timepoints,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "AutoencoderSpec":
@@ -254,41 +249,37 @@ def init_params(spec: AutoencoderSpec, seed, subjects=None) -> AutoencoderParams
 # ---------------------------------------------------------------------------
 
 
-def _encoder_forward(params: AutoencoderParams, x, record: bool = False):
+def _stack_forward(steps, tensors: dict[str, np.ndarray], prefix: str, h,
+                   record: bool):
+    """Run ``h`` through encoder or decoder steps.
+
+    With ``record``, returns each layer's (parameter prefix, context) for
+    :func:`_stack_backward`.
+    """
     ctxs = []
-    h = x
-    for i, step in enumerate(params.plan.encoder):
-        if isinstance(step, ConvStep):
-            h, ctx = nn.conv1d_forward(
-                h, params.tensors[f"enc{i}.kernels"], params.tensors[f"enc{i}.bias"],
-                stride=step.stride, padding=step.padding)
-            if record:
-                ctxs.append(("conv", i, ctx))
-            if step.activation:
-                h, tctx = nn.tanh_forward(h)
-                if record:
-                    ctxs.append(("tanh", i, tctx))
+    for i, step in enumerate(steps):
+        name = f"{prefix}{i}"
+        if isinstance(step, PoolStep):
+            h, ctx = nn.maxpool1d_forward(h, step.window, step.stride)
         else:
-            h, pctx = nn.maxpool1d_forward(h, step.window, step.stride)
+            conv = nn.conv1d_forward if isinstance(step, ConvStep) else nn.convtranspose1d_forward
+            h, ctx = conv(h, tensors[f"{name}.kernels"], tensors[f"{name}.bias"],
+                          stride=step.stride, padding=step.padding)
+        if record:
+            ctxs.append((name, ctx))
+        if not isinstance(step, PoolStep) and step.activation:
+            h, ctx = nn.tanh_forward(h)
             if record:
-                ctxs.append(("pool", i, pctx))
+                ctxs.append((name, ctx))
     return h, ctxs
+
+
+def _encoder_forward(params: AutoencoderParams, x, record: bool = False):
+    return _stack_forward(params.plan.encoder, params.tensors, "enc", x, record)
 
 
 def _decoder_forward(params: AutoencoderParams, z, record: bool = False):
-    ctxs = []
-    h = z
-    for i, step in enumerate(params.plan.decoder):
-        h, ctx = nn.convtranspose1d_forward(
-            h, params.tensors[f"dec{i}.kernels"], params.tensors[f"dec{i}.bias"],
-            stride=step.stride, padding=step.padding)
-        if record:
-            ctxs.append(("tconv", i, ctx))
-        if step.activation:
-            h, tctx = nn.tanh_forward(h)
-            if record:
-                ctxs.append(("tanh", i, tctx))
-    return h, ctxs
+    return _stack_forward(params.plan.decoder, params.tensors, "dec", z, record)
 
 
 def _stack_backward(ctxs, grad, need_param_grads: bool = True,
@@ -300,21 +291,17 @@ def _stack_backward(ctxs, grad, need_param_grads: bool = True,
     """
     param_grads: dict[str, np.ndarray] = {}
     g = grad
-    for depth, (kind, i, ctx) in reversed(list(enumerate(ctxs))):
-        if kind == "conv":
+    for depth, (name, ctx) in reversed(list(enumerate(ctxs))):
+        if isinstance(ctx, nn.Conv1dCtx):
             lg = nn.conv1d_backward(ctx, g, need_input_grad=need_input_grad or depth > 0)
-            if need_param_grads:
-                param_grads[f"enc{i}.kernels"] = lg.param_grads["kernels"]
-                param_grads[f"enc{i}.bias"] = lg.param_grads["bias"]
-        elif kind == "tconv":
+        elif isinstance(ctx, nn.ConvTranspose1dCtx):
             lg = nn.convtranspose1d_backward(ctx, g, need_param_grads=need_param_grads)
-            if need_param_grads:
-                param_grads[f"dec{i}.kernels"] = lg.param_grads["kernels"]
-                param_grads[f"dec{i}.bias"] = lg.param_grads["bias"]
-        elif kind == "tanh":
+        elif isinstance(ctx, nn.TanhCtx):
             lg = nn.tanh_backward(ctx, g)
         else:
             lg = nn.maxpool1d_backward(ctx, g)
+        if need_param_grads:
+            param_grads.update({f"{name}.{k}": v for k, v in lg.param_grads.items()})
         g = lg.input_grad
     return g, param_grads
 
@@ -329,6 +316,18 @@ def _subject_rows(params: AutoencoderParams, subject_ids) -> np.ndarray:
     return np.array(rows, dtype=int)
 
 
+def _add_intercepts(params: AutoencoderParams, y, subject_ids):
+    """Add subject/electrode intercepts to decoded (N,C,T) or (C,T) epochs, if enabled."""
+    if not params.spec.intercepts:
+        return y
+    if subject_ids is None:
+        raise ValueError("decoder has intercepts enabled; subject_ids required")
+    table = params.tensors["intercepts"]
+    if y.ndim == 2:
+        return y + table[_subject_rows(params, [subject_ids])[0]][:, None]
+    return y + table[_subject_rows(params, subject_ids)][:, :, None]
+
+
 def encode(params: AutoencoderParams, erp) -> np.ndarray:
     """Compress (N,C,T) or (C,T) epochs to the latent geometry."""
     z, _ = _encoder_forward(params, erp)
@@ -338,17 +337,7 @@ def encode(params: AutoencoderParams, erp) -> np.ndarray:
 def decode(params: AutoencoderParams, latent, subject_ids=None) -> np.ndarray:
     """Reconstruct epochs from latents, adding subject/electrode intercepts if enabled."""
     y, _ = _decoder_forward(params, latent)
-    if params.spec.intercepts:
-        if subject_ids is None:
-            raise ValueError("decoder has intercepts enabled; subject_ids required")
-        table = params.tensors["intercepts"]
-        if y.ndim == 2:
-            rows = _subject_rows(params, [subject_ids])
-            y = y + table[rows[0]][:, None]
-        else:
-            rows = _subject_rows(params, subject_ids)
-            y = y + table[rows][:, :, None]
-    return y
+    return _add_intercepts(params, y, subject_ids)
 
 
 def reconstruct(params: AutoencoderParams, erp, subject_ids=None) -> np.ndarray:
@@ -370,17 +359,53 @@ class TrainHistory:
     restored_to_best: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "train_mse": self.train_mse,
-            "dev_mse": self.dev_mse,
-            "best_epoch": self.best_epoch,
-            "restored_to_best": self.restored_to_best,
-        }
+        return asdict(self)
 
 
-def _batches(order: np.ndarray, batch_size: int):
-    for start in range(0, len(order), batch_size):
-        yield order[start : start + batch_size]
+def _fit_epochs(params: dict[str, np.ndarray], x_all: np.ndarray, train_idx: np.ndarray,
+                dev_idx: np.ndarray, rng: np.random.Generator, forward, backward, *,
+                epochs: int, batch_size: int, lr: float, weight_decay: float = 0.0
+                ) -> TrainHistory:
+    """Adam on MSE against ``x_all`` rows; restores ``params`` to the best dev epoch.
+
+    ``forward(idx, record)`` returns (predictions, contexts) for trials ``idx``
+    and ``backward(grad_y, contexts, idx)`` the gradients of ``params``. Each
+    epoch draws one permutation of ``train_idx`` from ``rng``. Without dev
+    trials the epoch's train MSE stands in for the dev MSE.
+    """
+    state = nn.adam_init(params, lr=lr)
+    history = TrainHistory()
+    best: tuple[float, int, dict | None] = (np.inf, -1, None)
+    for epoch in range(epochs):
+        order = train_idx[rng.permutation(len(train_idx))]
+        se_sum = 0.0
+        n_elem = 0
+        for b, start in enumerate(range(0, len(order), batch_size)):
+            batch = order[start : start + batch_size]
+            y, ctxs = forward(batch, True)
+            loss, gl = nn.mse_loss(y, x_all[batch])
+            if not np.isfinite(loss):
+                raise RuntimeError(
+                    f"training loss diverged to {loss} at epoch {epoch}, batch {b}")
+            se_sum += loss * y.size
+            n_elem += y.size
+            nn.adam_step(params, backward(gl, ctxs, batch), state, weight_decay=weight_decay)
+        history.train_mse.append(se_sum / n_elem)
+
+        if len(dev_idx):
+            yd, _ = forward(dev_idx, False)
+            dev_loss, _ = nn.mse_loss(yd, x_all[dev_idx])
+        else:
+            dev_loss = history.train_mse[-1]
+        history.dev_mse.append(dev_loss)
+        if dev_loss < best[0]:
+            best = (dev_loss, epoch, {k: v.copy() for k, v in params.items()})
+
+    if best[2] is not None:
+        params.update(best[2])
+        history.best_epoch = best[1]
+        history.restored_to_best = True
+    return history
 
 
 def pretrain(spec: AutoencoderSpec, dataset: ErpDataset, meta: list[TrialMeta], *,
@@ -404,59 +429,30 @@ def pretrain(spec: AutoencoderSpec, dataset: ErpDataset, meta: list[TrialMeta], 
     rng = np.random.default_rng(seed)
     subjects = tuple(sorted({m.subject_id for m in meta})) if spec.intercepts else None
     params = init_params(spec, rng, subjects)
-    subj_rows = (
-        _subject_rows(params, [m.subject_id for m in meta]) if spec.intercepts else None
-    )
+    subject_ids = np.array([m.subject_id for m in meta]) if spec.intercepts else None
     train_idx, dev_idx = train_dev_split(
         dataset.n_trials, dev_fraction, seed=int(rng.integers(2**63)))
-
-    state = nn.adam_init(params.tensors, lr=lr)
-    history = TrainHistory()
-    best = (np.inf, -1, None)
     x_all = dataset.data
 
-    for epoch in range(epochs):
-        order = train_idx[rng.permutation(len(train_idx))]
-        se_sum = 0.0
-        n_elem = 0
-        for b, batch in enumerate(_batches(order, batch_size)):
-            xb = x_all[batch]
-            z, enc_ctxs = _encoder_forward(params, xb, record=True)
-            yb, dec_ctxs = _decoder_forward(params, z, record=True)
-            if spec.intercepts:
-                yb = yb + params.tensors["intercepts"][subj_rows[batch]][:, :, None]
-            loss, gl = nn.mse_loss(yb, xb)
-            if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"pretraining loss diverged to {loss} at epoch {epoch}, batch {b}")
-            se_sum += loss * yb.size
-            n_elem += yb.size
-            gz, dec_grads = _stack_backward(dec_ctxs, gl)
-            _, enc_grads = _stack_backward(enc_ctxs, gz, need_input_grad=False)
-            grads = {**enc_grads, **dec_grads}
-            if spec.intercepts:
-                gi = np.zeros_like(params.tensors["intercepts"])
-                np.add.at(gi, subj_rows[batch], gl.sum(axis=-1))
-                grads["intercepts"] = gi
-            nn.adam_step(params.tensors, grads, state)
-        history.train_mse.append(se_sum / n_elem)
+    def forward(idx, record):
+        z, enc_ctxs = _encoder_forward(params, x_all[idx], record)
+        y, dec_ctxs = _decoder_forward(params, z, record)
+        subj = subject_ids[idx] if spec.intercepts else None
+        return _add_intercepts(params, y, subj), (enc_ctxs, dec_ctxs)
 
-        if len(dev_idx):
-            xd = x_all[dev_idx]
-            yd = reconstruct(
-                params, xd,
-                [meta[i].subject_id for i in dev_idx] if spec.intercepts else None)
-            dev_loss, _ = nn.mse_loss(yd, xd)
-        else:
-            dev_loss = history.train_mse[-1]
-        history.dev_mse.append(dev_loss)
-        if dev_loss < best[0]:
-            best = (dev_loss, epoch, {k: v.copy() for k, v in params.tensors.items()})
+    def backward(grad_y, ctxs, idx):
+        enc_ctxs, dec_ctxs = ctxs
+        gz, grads = _stack_backward(dec_ctxs, grad_y)
+        _, enc_grads = _stack_backward(enc_ctxs, gz, need_input_grad=False)
+        grads.update(enc_grads)
+        if spec.intercepts:
+            grads["intercepts"] = np.zeros_like(params.tensors["intercepts"])
+            np.add.at(grads["intercepts"], _subject_rows(params, subject_ids[idx]),
+                      grad_y.sum(axis=-1))
+        return grads
 
-    if best[2] is not None:
-        params.tensors.update({k: v.copy() for k, v in best[2].items()})
-        history.best_epoch = best[1]
-        history.restored_to_best = True
+    history = _fit_epochs(params.tensors, x_all, train_idx, dev_idx, rng, forward, backward,
+                          epochs=epochs, batch_size=batch_size, lr=lr)
     return params, history
 
 
@@ -486,14 +482,15 @@ def select_architecture(dataset: ErpDataset, meta: list[TrialMeta],
         ]
     if dataset.n_trials < k:
         raise ValueError(f"need at least k={k} trials, got {dataset.n_trials}")
+    candidates = list(candidates)
     folds = kfold_split(dataset.n_trials, k, seed)
     seed_rng = np.random.default_rng(seed)
+    seeds = [int(seed_rng.integers(2**63)) for _ in range(len(candidates) * k)]
     report: dict = {"folds": k, "fold_digest": folds.digest(), "candidates": {}}
-    for spec in candidates:
+    for c, spec in enumerate(candidates):
         name = spec.architecture + (":intercepts" if spec.intercepts else "")
         per_fold = []
-        for f in range(k):
-            run_seed = int(seed_rng.integers(2**63))
+        for f, run_seed in enumerate(seeds[c * k : (c + 1) * k]):
             tr = folds.train_indices(f)
             te = folds.test_indices(f)
             params, _ = pretrain(

@@ -17,8 +17,10 @@ import numpy as np
 from .data import FormatError
 
 
-def _sibling(base: Path, suffix: str) -> Path:
-    return base.parent / (base.name + suffix)
+def checkpoint_files(basepath) -> tuple[Path, Path]:
+    """The ``<base>.ckpt.json`` manifest and ``<base>.ckpt.bin`` payload of a checkpoint."""
+    base = Path(basepath)
+    return base.parent / (base.name + ".ckpt.json"), base.parent / (base.name + ".ckpt.bin")
 
 
 def tensor_dict_digest(tensors: dict[str, np.ndarray]) -> str:
@@ -39,8 +41,8 @@ def file_digest(path) -> str:
 def save_checkpoint(basepath, kind: str, meta: dict,
                     tensors: dict[str, np.ndarray]) -> None:
     """Write ``<base>.ckpt.json`` + ``<base>.ckpt.bin`` in insertion order."""
-    base = Path(basepath)
-    base.parent.mkdir(parents=True, exist_ok=True)
+    manifest_path, payload_path = checkpoint_files(basepath)
+    manifest_path.parent.mkdir(parents=True, exist_ok=True)
     entries = []
     payload = bytearray()
     for name, arr in tensors.items():
@@ -48,16 +50,14 @@ def save_checkpoint(basepath, kind: str, meta: dict,
         entries.append({"name": name, "offset": len(payload), "shape": list(arr.shape)})
         payload.extend(arr.tobytes())
     manifest = {"kind": kind, "meta": meta, "tensors": entries}
-    _sibling(base, ".ckpt.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    _sibling(base, ".ckpt.bin").write_bytes(bytes(payload))
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    payload_path.write_bytes(bytes(payload))
 
 
 def load_checkpoint(basepath, expect_kind: str | None = None
                     ) -> tuple[str, dict, dict[str, np.ndarray]]:
     """Read a checkpoint; returns (kind, meta, tensors)."""
-    base = Path(basepath)
-    manifest_path = _sibling(base, ".ckpt.json")
+    manifest_path, payload_path = checkpoint_files(basepath)
     if not manifest_path.exists():
         raise FileNotFoundError(str(manifest_path))
     try:
@@ -71,7 +71,6 @@ def load_checkpoint(basepath, expect_kind: str | None = None
         raise FormatError(
             f"{manifest_path}: checkpoint kind {manifest['kind']!r}, expected {expect_kind!r}"
         )
-    payload_path = _sibling(base, ".ckpt.bin")
     if not payload_path.exists():
         raise FileNotFoundError(str(payload_path))
     payload = payload_path.read_bytes()

@@ -19,8 +19,8 @@ import sys
 from pathlib import Path
 
 from . import __version__, autoencoder, encoding, metrics, synth
-from .checkpoint import file_digest
-from .data import (FormatError, filter_artifacts, load_counts, load_embeddings,
+from .checkpoint import checkpoint_files, file_digest
+from .data import (FormatError, erp_files, filter_artifacts, load_counts, load_embeddings,
                    load_erp, load_token_features)
 from .features import FeatureSpec, assemble, build_sentence_tokens
 
@@ -45,16 +45,6 @@ def _manifest(out_dir: Path, command: str, config: dict, inputs: dict[str, list]
         "inputs": hashed,
         "version": __version__,
     })
-
-
-def _erp_files(base) -> list[Path]:
-    base = Path(base)
-    return [base.parent / (base.name + s) for s in (".erp.json", ".erp.bin", ".meta.tsv")]
-
-
-def _ckpt_files(base) -> list[Path]:
-    base = Path(base)
-    return [base.parent / (base.name + s) for s in (".ckpt.json", ".ckpt.bin")]
 
 
 def _load_tables(args):
@@ -89,13 +79,18 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dev-fraction", type=float, default=None, dest="dev_fraction")
 
 
-def _hyper(args, defaults: dict) -> dict:
-    out = dict(defaults)
-    for key, attr in (("epochs", "epochs"), ("batch_size", "batch"),
+_TRAIN_DEFAULTS = {"epochs": 200, "batch_size": 128, "lr": 0.001, "dev_fraction": 0.1}
+
+
+def _hyper(args, config: dict | None = None) -> dict:
+    """Training hyperparameters: a flag overrides ``config`` (a suite config),
+    which overrides ``_TRAIN_DEFAULTS``."""
+    config = config or {}
+    out = {}
+    for key, name in (("epochs", "epochs"), ("batch_size", "batch"),
                       ("lr", "lr"), ("dev_fraction", "dev_fraction")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            out[key] = value
+        value = getattr(args, name, None)
+        out[key] = config.get(name, _TRAIN_DEFAULTS[key]) if value is None else value
     return out
 
 
@@ -123,8 +118,7 @@ def _cmd_pretrain(args) -> int:
     dataset, meta = filter_artifacts(dataset, meta, include_first_word=True)
     spec = autoencoder.AutoencoderSpec(
         args.arch, args.intercepts, dataset.n_channels, dataset.n_timepoints)
-    hyper = _hyper(args, {"epochs": 200, "batch_size": 128, "lr": 0.001,
-                          "dev_fraction": 0.1})
+    hyper = _hyper(args)
     _progress(f"pretraining {args.arch} autoencoder on {dataset.n_trials} trials")
     params, history = autoencoder.pretrain(spec, dataset, meta, seed=args.seed, **hyper)
     out = Path(args.out)
@@ -142,7 +136,7 @@ def _cmd_pretrain(args) -> int:
     })
     _manifest(out, "pretrain",
               {"arch": args.arch, "intercepts": args.intercepts, "seed": args.seed, **hyper},
-              {"data": _erp_files(args.data)})
+              {"data": erp_files(args.data)})
     _progress(f"best dev MSE {min(history.dev_mse):.6g} at epoch {history.best_epoch}")
     return 0
 
@@ -150,8 +144,7 @@ def _cmd_pretrain(args) -> int:
 def _cmd_select_arch(args) -> int:
     dataset, meta = load_erp(args.data)
     dataset, meta = filter_artifacts(dataset, meta, include_first_word=True)
-    hyper = _hyper(args, {"epochs": 200, "batch_size": 128, "lr": 0.001,
-                          "dev_fraction": 0.1})
+    hyper = _hyper(args)
     candidates = None
     if args.intercepts:
         # cross each architecture with and without subject/electrode intercepts
@@ -173,7 +166,7 @@ def _cmd_select_arch(args) -> int:
     _manifest(out, "select-arch",
               {"folds": args.folds, "seed": args.seed,
                "intercepts": args.intercepts, **hyper},
-              {"data": _erp_files(args.data)})
+              {"data": erp_files(args.data)})
     return 0
 
 
@@ -193,8 +186,7 @@ def _cmd_fit(args) -> int:
     fm = assemble(FeatureSpec(sources), meta, counts_table=counts,
                   token_features=token_features, embeddings=embeddings,
                   sentence_tokens=sentence_tokens)
-    hyper = _hyper(args, {"epochs": 200, "batch_size": 128, "lr": 0.001,
-                          "dev_fraction": 0.1})
+    hyper = _hyper(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -226,7 +218,7 @@ def _cmd_fit(args) -> int:
               {"sources": list(sources), "weight_decay": wd,
                "wd_search": bool(args.wd_search), "seed": args.seed,
                "folds": args.folds, **hyper},
-              {"decoder": _ckpt_files(args.decoder), "data": _erp_files(args.data),
+              {"decoder": checkpoint_files(args.decoder), "data": erp_files(args.data),
                **_table_inputs(args)})
     _progress(f"best dev MSE {min(history.dev_mse):.6g} at epoch {history.best_epoch}")
     return 0
@@ -248,10 +240,7 @@ def _cmd_suite(args) -> int:
     roster = None
     if config.get("roster"):
         roster = [(e["name"], tuple(e["sources"])) for e in config["roster"]]
-    hyper = _hyper(args, {"epochs": config.get("epochs", 200),
-                          "batch_size": config.get("batch", 128),
-                          "lr": config.get("lr", 0.001),
-                          "dev_fraction": config.get("dev_fraction", 0.1)})
+    hyper = _hyper(args, config)
     k = args.folds if args.folds is not None else config.get("folds", 5)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     wd = args.wd if args.wd is not None else config.get("weight_decay")
@@ -287,8 +276,8 @@ def _cmd_suite(args) -> int:
                     for n, e in result["entries"].items()},
         "skipped": result["skipped"],
     })
-    inputs = {"config": [args.config], "decoder": _ckpt_files(config["decoder"]),
-              "data": _erp_files(config["data"])}
+    inputs = {"config": [args.config], "decoder": checkpoint_files(config["decoder"]),
+              "data": erp_files(config["data"])}
     for key in ("counts", "embeddings", "token_features"):
         if config.get(key):
             inputs[key] = [config[key]]
@@ -333,10 +322,10 @@ def _cmd_evaluate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report.write(out / "report.json")
     _manifest(out, "evaluate", {"seed": args.seed},
-              {"autoencoder": _ckpt_files(args.autoencoder),
-               "model": _ckpt_files(args.model),
-               "intercept": _ckpt_files(args.intercept),
-               "data": _erp_files(args.data), **_table_inputs(args)})
+              {"autoencoder": checkpoint_files(args.autoencoder),
+               "model": checkpoint_files(args.model),
+               "intercept": checkpoint_files(args.intercept),
+               "data": erp_files(args.data), **_table_inputs(args)})
     _progress(f"r2_mod {report.r2_mod:.4f} "
               f"(model {mse_model:.6g}, intercept {mse_intercept:.6g}, "
               f"autoencoder {mse_ae:.6g})")
@@ -358,10 +347,10 @@ def _cmd_timecourse(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     metrics.write_timecourse_tsv(out / "timecourse.tsv", series, smoothed)
     _manifest(out, "timecourse", {"window": args.window, "seed": args.seed},
-              {"autoencoder": _ckpt_files(args.autoencoder),
-               "model": _ckpt_files(args.model),
-               "intercept": _ckpt_files(args.intercept),
-               "data": _erp_files(args.data), **_table_inputs(args)})
+              {"autoencoder": checkpoint_files(args.autoencoder),
+               "model": checkpoint_files(args.model),
+               "intercept": checkpoint_files(args.intercept),
+               "data": erp_files(args.data), **_table_inputs(args)})
     _progress(f"peak increase {smoothed.values.max():.4f} at {smoothed.peak_ms():.0f} ms")
     return 0
 
@@ -379,9 +368,9 @@ def _cmd_export_words(args) -> int:
     table.to_tsv(out / "words.tsv")
     _write_json(out / "word_class_summary.json", metrics.content_function_summary(table))
     _manifest(out, "export-words", {"seed": args.seed},
-              {"autoencoder": _ckpt_files(args.autoencoder),
-               "model": _ckpt_files(args.model),
-               "data": _erp_files(args.data), **_table_inputs(args)})
+              {"autoencoder": checkpoint_files(args.autoencoder),
+               "model": checkpoint_files(args.model),
+               "data": erp_files(args.data), **_table_inputs(args)})
     summary = metrics.content_function_summary(table)
     _progress(f"mean r: content {summary['content']['mean_r']:.4f}, "
               f"function {summary['function']['mean_r']:.4f}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -172,16 +173,19 @@ class FoldAssignment:
 # ---------------------------------------------------------------------------
 
 
-def _sibling(base: Path, suffix: str) -> Path:
-    return base.parent / (base.name + suffix)
+def erp_files(basepath) -> tuple[Path, Path, Path]:
+    """The ``<base>.erp.json``, ``<base>.erp.bin`` and ``<base>.meta.tsv`` of a dataset."""
+    base = Path(basepath)
+    return tuple(base.parent / (base.name + suffix)
+                 for suffix in (".erp.json", ".erp.bin", ".meta.tsv"))
 
 
 def save_erp(basepath, dataset: ErpDataset, meta: list[TrialMeta]) -> None:
     """Write ``<base>.erp.json``, ``<base>.erp.bin`` and ``<base>.meta.tsv``."""
     if len(meta) != dataset.n_trials:
         raise ValueError(f"{len(meta)} meta records for {dataset.n_trials} trials")
-    base = Path(basepath)
-    base.parent.mkdir(parents=True, exist_ok=True)
+    sidecar_path, payload_path, meta_path = erp_files(basepath)
+    sidecar_path.parent.mkdir(parents=True, exist_ok=True)
     sidecar = {
         "dtype": "f64le",
         "epoch_end_ms": dataset.epoch_end_ms,
@@ -189,17 +193,14 @@ def save_erp(basepath, dataset: ErpDataset, meta: list[TrialMeta]) -> None:
         "sampling_rate_hz": dataset.sampling_rate_hz,
         "shape": list(dataset.data.shape),
     }
-    _sibling(base, ".erp.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-    _sibling(base, ".erp.bin").write_bytes(
-        np.ascontiguousarray(dataset.data, dtype="<f8").tobytes()
-    )
-    save_meta(_sibling(base, ".meta.tsv"), meta)
+    sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    payload_path.write_bytes(np.ascontiguousarray(dataset.data, dtype="<f8").tobytes())
+    save_meta(meta_path, meta)
 
 
 def load_erp(basepath) -> tuple[ErpDataset, list[TrialMeta]]:
     """Read a dataset written by :func:`save_erp`. Round-trips bit-identically."""
-    base = Path(basepath)
-    sidecar_path = _sibling(base, ".erp.json")
+    sidecar_path, payload_path, meta_path = erp_files(basepath)
     if not sidecar_path.exists():
         raise FileNotFoundError(str(sidecar_path))
     try:
@@ -215,7 +216,6 @@ def load_erp(basepath) -> tuple[ErpDataset, list[TrialMeta]]:
     if len(shape) != 3 or any(s < 1 for s in shape):
         raise FormatError(f"{sidecar_path}: shape must be 3 positive ints, got {shape}")
 
-    payload_path = _sibling(base, ".erp.bin")
     if not payload_path.exists():
         raise FileNotFoundError(str(payload_path))
     payload = payload_path.read_bytes()
@@ -239,10 +239,10 @@ def load_erp(basepath) -> tuple[ErpDataset, list[TrialMeta]]:
         epoch_start_ms=float(sidecar["epoch_start_ms"]),
         epoch_end_ms=float(sidecar["epoch_end_ms"]),
     )
-    meta = load_meta(_sibling(base, ".meta.tsv"))
+    meta = load_meta(meta_path)
     if len(meta) != dataset.n_trials:
         raise FormatError(
-            f"{base}: {len(meta)} meta rows for {dataset.n_trials} trials in payload"
+            f"{Path(basepath)}: {len(meta)} meta rows for {dataset.n_trials} trials in payload"
         )
     return dataset, meta
 
@@ -354,6 +354,18 @@ def train_dev_split(n_items: int, dev_fraction: float, seed: int) -> tuple[np.nd
 # ---------------------------------------------------------------------------
 
 
+def _parse_floats(fields: list[str], path, line_no: int) -> list[float]:
+    """Parse one table row's values; NaN and infinities are format violations."""
+    try:
+        values = [float(v) for v in fields]
+    except ValueError as e:
+        raise FormatError(f"{path}: line {line_no}: {e}") from e
+    for text, value in zip(fields, values):
+        if not math.isfinite(value):
+            raise FormatError(f"{path}: line {line_no}: non-finite value {text!r}")
+    return values
+
+
 def load_embeddings(path) -> EmbeddingTable:
     """Read ``token v1 ... vD`` text; dimension fixed by the first row."""
     path = Path(path)
@@ -375,10 +387,7 @@ def load_embeddings(path) -> EmbeddingTable:
                 raise FormatError(
                     f"{path}: line {i}: expected {dimension} values, got {len(values)}"
                 )
-            try:
-                vec = np.array([float(v) for v in values])
-            except ValueError as e:
-                raise FormatError(f"{path}: line {i}: {e}") from e
+            vec = np.array(_parse_floats(values, path, i))
             if token in entries:
                 log.warning("%s: line %d: duplicate token %r, keeping last", path, i, token)
             entries[token] = vec
@@ -436,9 +445,9 @@ def load_token_features(path) -> TokenFeatureTable:
             raise FormatError(f"{path}: line {i}: expected {width} fields, got {len(parts)}")
         try:
             key = (int(parts[0]), int(parts[1]))
-            values = [float(v) for v in parts[2:]]
         except ValueError as e:
             raise FormatError(f"{path}: line {i}: {e}") from e
+        values = _parse_floats(parts[2:], path, i)
         if key in index:
             raise FormatError(f"{path}: line {i}: duplicate key {key}")
         index[key] = len(raw_rows)

@@ -15,13 +15,14 @@ and best-dev-epoch early stopping (weights are restored to the best epoch).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import nn
-from .autoencoder import (AutoencoderParams, TrainHistory, _decoder_forward,
-                          _stack_backward, reconstruction_mse)
+from .autoencoder import (AutoencoderParams, TrainHistory, _add_intercepts,
+                          _decoder_forward, _fit_epochs, _stack_backward,
+                          reconstruction_mse)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import ErpDataset, TrialMeta, kfold_split, train_dev_split
 from .features import (FeatureMatrix, FeatureSpec, Standardizer, apply_standardizer,
@@ -42,8 +43,7 @@ class TunerConfig:
         return self.output_size if self.output_size is not None else self.hidden_size
 
     def to_json_dict(self) -> dict:
-        return {"enabled": self.enabled, "hidden_size": self.hidden_size,
-                "output_size": self.output_size}
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TunerConfig":
@@ -76,7 +76,6 @@ class EncodingModel:
     scalar_cols: np.ndarray
     standardizer: Standardizer
     weight_decay: float
-    frozen: bool = True
 
 
 def _split_columns(matrix_names: list[str], sources) -> tuple[np.ndarray, np.ndarray]:
@@ -130,15 +129,8 @@ def _forward(params: dict[str, np.ndarray], decoder: AutoencoderParams,
         raise ValueError(
             f"interface expects width {w.shape[2]}, features provide {u.shape[1]}")
     z = np.einsum("ctd,nd->nct", w, u, optimize=True) + params["interface.bias"]
-    y, dec_ctxs = _decoder_forward(decoder, z, record=record)
-    if decoder.spec.intercepts:
-        if subject_ids is None:
-            raise ValueError("decoder has intercepts enabled; subject_ids required")
-        from .autoencoder import _subject_rows
-
-        rows = _subject_rows(decoder, subject_ids)
-        y = y + decoder.tensors["intercepts"][rows][:, :, None]
-    ctxs["decoder"] = dec_ctxs
+    y, ctxs["decoder"] = _decoder_forward(decoder, z, record=record)
+    y = _add_intercepts(decoder, y, subject_ids)
     ctxs["u"] = u
     ctxs["n_tuned"] = tuned.shape[1]
     return y, ctxs
@@ -234,46 +226,18 @@ def train(decoder: AutoencoderParams, dataset: ErpDataset, meta: list[TrialMeta]
                              decoder.plan.latent_timepoints, tuner)
 
     subject_ids = [m.subject_id for m in meta] if decoder.spec.intercepts else None
-    x_all = dataset.data
-    state = nn.adam_init(params, lr=lr)
-    history = TrainHistory()
-    best: tuple[float, int, dict | None] = (np.inf, -1, None)
 
-    def forward_subset(idx, record=False):
+    def forward(idx, record):
         subj = [subject_ids[i] for i in idx] if subject_ids is not None else None
         return _forward(params, decoder, f_std[idx], embed_cols, scalar_cols,
                         tuner, subj, record=record)
 
-    for epoch in range(epochs):
-        order = train_idx[rng.permutation(len(train_idx))]
-        se_sum = 0.0
-        n_elem = 0
-        for b, start in enumerate(range(0, len(order), batch_size)):
-            batch = order[start : start + batch_size]
-            y, ctxs = forward_subset(batch, record=True)
-            loss, gl = nn.mse_loss(y, x_all[batch])
-            if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"training loss diverged to {loss} at epoch {epoch}, batch {b}")
-            se_sum += loss * y.size
-            n_elem += y.size
-            grads = _backward(params, gl, ctxs, tuner)
-            nn.adam_step(params, grads, state, weight_decay=weight_decay)
-        history.train_mse.append(se_sum / n_elem)
+    def backward(grad_y, ctxs, idx):
+        return _backward(params, grad_y, ctxs, tuner)
 
-        if len(dev_idx):
-            yd, _ = forward_subset(dev_idx)
-            dev_loss, _ = nn.mse_loss(yd, x_all[dev_idx])
-        else:
-            dev_loss = history.train_mse[-1]
-        history.dev_mse.append(dev_loss)
-        if dev_loss < best[0]:
-            best = (dev_loss, epoch, {k: v.copy() for k, v in params.items()})
-
-    if best[2] is not None:
-        params = {k: v.copy() for k, v in best[2].items()}
-        history.best_epoch = best[1]
-        history.restored_to_best = True
+    history = _fit_epochs(params, dataset.data, train_idx, dev_idx, rng, forward, backward,
+                          epochs=epochs, batch_size=batch_size, lr=lr,
+                          weight_decay=weight_decay)
 
     if decoder.decoder_digest() != digest_before:
         raise RuntimeError("frozen decoder was mutated during training")
@@ -311,6 +275,35 @@ def model_mse(model: EncodingModel, dataset: ErpDataset, meta: list[TrialMeta],
 WEIGHT_DECAY_GRID = (1e-5, 1e-3, 1e-1)
 
 
+def _fold_mses(decoder: AutoencoderParams, dataset: ErpDataset, meta: list[TrialMeta],
+               features: FeatureMatrix, sources, folds, seeds, **train_kwargs
+               ) -> list[float]:
+    """Held-out MSE per fold of a model trained on the fold's complement.
+
+    Fold ``f`` trains with seed ``seeds[f]``; ``train_kwargs`` go to :func:`train`.
+    """
+    mses = []
+    for f, run_seed in enumerate(seeds):
+        tr = folds.train_indices(f)
+        model, _ = train(decoder, dataset.subset(tr), [meta[i] for i in tr],
+                         features.take(tr), sources, seed=run_seed, **train_kwargs)
+        mses.append(model_mse(model, dataset, meta, features, folds.test_indices(f)))
+    return mses
+
+
+def _grid_search(grid, fold_mses) -> tuple[float, list[dict], list[float]]:
+    """Pick the weight decay with the lowest mean of ``fold_mses(index, wd)``.
+
+    Ties break to the smaller weight decay. Returns (chosen_wd, table, the
+    chosen wd's per-fold MSEs), with one table row per (weight_decay, fold).
+    """
+    runs = [(wd, fold_mses(i, wd)) for i, wd in enumerate(grid)]
+    table = [{"weight_decay": wd, "fold": f, "mse": m}
+             for wd, mses in runs for f, m in enumerate(mses)]
+    chosen, mses = min(runs, key=lambda run: (float(np.mean(run[1])), run[0]))
+    return chosen, table, mses
+
+
 def weight_decay_search(decoder: AutoencoderParams, dataset: ErpDataset,
                         meta: list[TrialMeta], features: FeatureMatrix, sources, *,
                         grid=WEIGHT_DECAY_GRID, k: int = 5, seed: int = 0,
@@ -327,22 +320,11 @@ def weight_decay_search(decoder: AutoencoderParams, dataset: ErpDataset,
         raise ValueError("weight decay grid is empty")
     folds = kfold_split(dataset.n_trials, k, seed)
     seed_rng = np.random.default_rng(seed)
-    table: list[dict] = []
-    for wd in grid:
-        for f in range(k):
-            run_seed = int(seed_rng.integers(2**63))
-            tr = folds.train_indices(f)
-            te = folds.test_indices(f)
-            model, _ = train(
-                decoder, dataset.subset(tr), [meta[i] for i in tr], features.take(tr),
-                sources, tuner=tuner, epochs=epochs, batch_size=batch_size, lr=lr,
-                weight_decay=wd, seed=run_seed, dev_fraction=dev_fraction)
-            mse = model_mse(model, dataset, meta, features, te)
-            table.append({"weight_decay": wd, "fold": f, "mse": mse})
-    means = {wd: float(np.mean([row["mse"] for row in table if row["weight_decay"] == wd]))
-             for wd in grid}
-    best_mean = min(means.values())
-    chosen = min(wd for wd, m in means.items() if m == best_mean)
+    seeds = [int(seed_rng.integers(2**63)) for _ in range(len(grid) * k)]
+    chosen, table, _ = _grid_search(grid, lambda i, wd: _fold_mses(
+        decoder, dataset, meta, features, sources, folds, seeds[i * k : (i + 1) * k],
+        tuner=tuner, epochs=epochs, batch_size=batch_size, lr=lr, weight_decay=wd,
+        dev_fraction=dev_fraction))
     return chosen, table
 
 
@@ -396,17 +378,10 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
                         sentence_tokens=sentence_tokens)
 
     def fold_mses(features, sources, wd, entry_code: int, wd_code: int) -> list[float]:
-        mses = []
-        for f in range(k):
-            tr = folds.train_indices(f)
-            te = folds.test_indices(f)
-            model, _ = train(
-                decoder, dataset.subset(tr), [meta[i] for i in tr], features.take(tr),
-                sources, epochs=epochs, batch_size=batch_size, lr=lr,
-                weight_decay=wd, seed=derived_seed(entry_code, wd_code, f),
-                dev_fraction=dev_fraction)
-            mses.append(model_mse(model, dataset, meta, features, te))
-        return mses
+        return _fold_mses(
+            decoder, dataset, meta, features, sources, folds,
+            [derived_seed(entry_code, wd_code, f) for f in range(k)], epochs=epochs,
+            batch_size=batch_size, lr=lr, weight_decay=wd, dev_fraction=dev_fraction)
 
     # shared anchors: per-fold intercept model and autoencoder ceiling
     intercept_features = assemble_for(("constant",))
@@ -437,17 +412,8 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
             chosen_wd = weight_decay
             model_fold_mse = fold_mses(features, sources, weight_decay, entry_idx, 0)
         else:
-            wd_fold: dict[float, list[float]] = {}
-            wd_table = []
-            for wd_idx, wd in enumerate(wd_grid):
-                wd_fold[wd] = fold_mses(features, sources, wd, entry_idx, wd_idx)
-                wd_table.extend(
-                    {"weight_decay": wd, "fold": f, "mse": m}
-                    for f, m in enumerate(wd_fold[wd]))
-            means = {wd: float(np.mean(m)) for wd, m in wd_fold.items()}
-            best_mean = min(means.values())
-            chosen_wd = min(wd for wd, m in means.items() if m == best_mean)
-            model_fold_mse = wd_fold[chosen_wd]
+            chosen_wd, wd_table, model_fold_mse = _grid_search(
+                wd_grid, lambda wd_idx, wd: fold_mses(features, sources, wd, entry_idx, wd_idx))
         report = fold_report(name, model_fold_mse, intercept_mse, ae_mse,
                              fold_digest=fold_digest, n_boot=n_boot, seed=seed,
                              metadata={"sources": list(sources),
@@ -491,7 +457,7 @@ def save_encoding_model(basepath, model: EncodingModel) -> None:
     meta = {
         "decoder_digest": model.decoder_digest,
         "decoder_spec": model.decoder.spec.to_json_dict(),
-        "frozen": model.frozen,
+        "frozen": True,
         "sources": list(model.sources),
         "feature_names": model.feature_names,
         "tuner": model.tuner_config.to_json_dict(),
@@ -525,5 +491,4 @@ def load_encoding_model(basepath, decoder: AutoencoderParams) -> EncodingModel:
         standardizer=Standardizer(tensors["standardizer.mean"],
                                   tensors["standardizer.scale"], names),
         weight_decay=float(meta["weight_decay"]),
-        frozen=bool(meta["frozen"]),
     )

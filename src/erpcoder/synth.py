@@ -16,7 +16,7 @@ sentence-initial words are populated so filtering paths are exercised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,28 +76,7 @@ class SynthConfig:
         return self.drive_scales if self.drive_scales is not None else (1.0,) * len(self.driving)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_subjects": self.n_subjects,
-            "n_sentences": self.n_sentences,
-            "words_per_sentence": self.words_per_sentence,
-            "n_channels": self.n_channels,
-            "n_timepoints": self.n_timepoints,
-            "sampling_rate_hz": self.sampling_rate_hz,
-            "epoch_start_ms": self.epoch_start_ms,
-            "architecture": self.architecture,
-            "noise_sd": self.noise_sd,
-            "driving": list(self.driving),
-            "drive_scales": None if self.drive_scales is None else list(self.drive_scales),
-            "driven_latent_timepoints": (
-                None if self.driven_latent_timepoints is None
-                else list(self.driven_latent_timepoints)),
-            "vocab_size": self.vocab_size,
-            "static_dim": self.static_dim,
-            "contextual_dim": self.contextual_dim,
-            "artifact_rate": self.artifact_rate,
-            "latent_bias_sd": self.latent_bias_sd,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SynthConfig":

@@ -221,6 +221,15 @@ class TestSelectArchitecture:
             assert len(report["candidates"][name]["per_fold"]) == 3
         assert report["candidates"]["beta"]["mean_mse"] < report["candidates"]["alpha"]["mean_mse"]
 
+    def test_seeded_determinism(self, rng):
+        spec = ae.AutoencoderSpec("beta", True, 8, 40)
+        ds = lowrank_dataset(rng, spec, n=60)
+        candidates = [spec, ae.AutoencoderSpec("alpha", False, 8, 40)]
+        a = ae.select_architecture(ds, meta_rows(60), candidates, k=3, seed=6, epochs=2)
+        b = ae.select_architecture(ds, meta_rows(60), candidates, k=3, seed=6, epochs=2)
+        assert a == b
+        assert set(a["candidates"]) == {"beta:intercepts", "alpha"}
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path, rng):

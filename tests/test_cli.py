@@ -177,6 +177,20 @@ class TestExitCodes:
         assert code == 1
         assert "error: InvalidInput:" in capsys.readouterr().err
 
+    def test_non_finite_feature_is_4(self, pipeline, tmp_path, capsys):
+        table = (pipeline / "d" / "tokens.feat.tsv").read_text().splitlines()
+        row = table[1].split("\t")
+        row[2] = "inf"
+        bad = tmp_path / "bad.feat.tsv"
+        bad.write_text("\n".join([table[0], "\t".join(row)] + table[2:]) + "\n")
+        code = run(["fit", "--decoder", pipeline / "m" / "autoencoder",
+                    "--data", pipeline / "d" / "data", "--sources", "surprisal",
+                    "--features", bad, "--out", tmp_path / "o"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error: FormatViolation:" in err and "line 2: non-finite value 'inf'" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestInputImmutability:
     def test_fit_leaves_inputs_untouched(self, pipeline, tmp_path):

@@ -207,6 +207,13 @@ class TestEmbeddings:
         np.testing.assert_array_equal(table2.get("x"), table.get("x"))
         np.testing.assert_array_equal(table2.get("y"), table.get("y"))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected_with_line(self, tmp_path, bad):
+        p = tmp_path / "emb.txt"
+        p.write_text(f"a 1.0 0.0\nb 1.0 {bad}\n")
+        with pytest.raises(data.FormatError, match=f"emb.txt: line 2: non-finite value '{bad}'"):
+            data.load_embeddings(p)
+
 
 class TestTokenFeatures:
     def test_scalar_and_vector_columns(self, tmp_path):
@@ -245,6 +252,14 @@ class TestTokenFeatures:
         np.testing.assert_array_equal(t2.columns["surprisal"], cols["surprisal"])
         np.testing.assert_array_equal(t2.columns["ctx"], cols["ctx"])
         assert t2.index == index
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected_with_line(self, tmp_path, bad):
+        p = tmp_path / "t.feat.tsv"
+        p.write_text(f"sentence_id\tword_position\tsurprisal\n0\t1\t2.5\n0\t2\t{bad}\n")
+        with pytest.raises(data.FormatError,
+                           match=f"t.feat.tsv: line 3: non-finite value '{bad}'"):
+            data.load_token_features(p)
 
 
 class TestCounts:

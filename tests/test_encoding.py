@@ -259,6 +259,23 @@ class TestWeightDecaySearch:
                                          ("frequency",), k=2, seed=4, epochs=3, lr=0.005)
         assert a == b
 
+    def test_tie_breaks_to_smaller_weight_decay(self):
+        # 1e-3 and 1e-5 tie on the mean; the larger 1e-1 is worse
+        per_wd = {1e-1: [2.0, 2.5], 1e-3: [1.0, 3.0], 1e-5: [3.0, 1.0]}
+        calls = []
+
+        def fold_mses(index, wd):
+            calls.append((index, wd))
+            return per_wd[wd]
+
+        chosen, table, mses = encoding._grid_search((1e-1, 1e-3, 1e-5), fold_mses)
+        assert chosen == 1e-5
+        assert mses == [3.0, 1.0]
+        assert calls == [(0, 1e-1), (1, 1e-3), (2, 1e-5)]
+        assert table[:2] == [{"weight_decay": 1e-1, "fold": 0, "mse": 2.0},
+                             {"weight_decay": 1e-1, "fold": 1, "mse": 2.5}]
+        assert len(table) == 6
+
 
 class TestSuite:
     def test_roster_of_one(self, small_synth):
