@@ -15,13 +15,15 @@ fixed by the architecture names.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import nn
-from .checkpoint import load_checkpoint, save_checkpoint, tensor_dict_digest
-from .data import ErpDataset, TrialMeta, train_dev_split, kfold_split
+from .checkpoint import (checkpoint_files, load_checkpoint, save_checkpoint,
+                         tensor_dict_digest)
+from .data import ErpDataset, FormatError, TrialMeta, train_dev_split, kfold_split
 
 ARCHITECTURES = ("alpha", "beta")
 
@@ -83,40 +85,13 @@ class LayerPlan:
     latent_timepoints: int
 
     def to_json_dict(self) -> dict:
-        enc = []
-        for step in self.encoder:
-            if isinstance(step, ConvStep):
-                enc.append({"conv": [step.out_channels, step.kernel, step.stride,
-                                     step.padding, step.activation]})
-            else:
-                enc.append({"pool": [step.window, step.stride]})
-        dec = [{"tconv": [s.out_channels, s.kernel, s.stride, s.padding, s.activation]}
-               for s in self.decoder]
-        return {
-            "in_channels": self.in_channels,
-            "in_timepoints": self.in_timepoints,
-            "encoder": enc,
-            "decoder": dec,
-            "latent_channels": self.latent_channels,
-            "latent_timepoints": self.latent_timepoints,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LayerPlan":
-        encoder = []
-        for item in d["encoder"]:
-            if "conv" in item:
-                c, k, s, p, a = item["conv"]
-                encoder.append(ConvStep(int(c), int(k), int(s), int(p), bool(a)))
-            else:
-                w, s = item["pool"]
-                encoder.append(PoolStep(int(w), int(s)))
-        decoder = tuple(
-            TransposedConvStep(int(c), int(k), int(s), int(p), bool(a))
-            for c, k, s, p, a in (item["tconv"] for item in d["decoder"])
-        )
-        return cls(int(d["in_channels"]), int(d["in_timepoints"]), tuple(encoder),
-                   decoder, int(d["latent_channels"]), int(d["latent_timepoints"]))
+        def step(s):
+            if isinstance(s, PoolStep):
+                return {"pool": [s.window, s.stride]}
+            kind = "conv" if isinstance(s, ConvStep) else "tconv"
+            return {kind: [s.out_channels, s.kernel, s.stride, s.padding, s.activation]}
+        return {**asdict(self), "encoder": [step(s) for s in self.encoder],
+                "decoder": [step(s) for s in self.decoder]}
 
 
 _ENCODERS = {
@@ -137,9 +112,7 @@ _DECODERS = {
               TransposedConvStep(-1, kernel=8, stride=4, padding=2, activation=False)),
 }
 
-LATENT_CHANNELS = {"alpha": 5, "beta": 10}
-
-
+@functools.lru_cache(maxsize=32)
 def build_layer_plan(spec: AutoencoderSpec) -> LayerPlan:
     """Instantiate the named architecture at the requested input geometry."""
     encoder = _ENCODERS[spec.architecture]
@@ -181,9 +154,6 @@ def build_layer_plan(spec: AutoencoderSpec) -> LayerPlan:
             f"{spec.n_channels} x {spec.n_timepoints}; the architecture "
             f"{spec.architecture!r} needs an input length its pools tile exactly"
         )
-    if latent_channels != LATENT_CHANNELS[spec.architecture]:
-        raise ValueError(
-            f"latent channels {latent_channels} != {LATENT_CHANNELS[spec.architecture]}")
     return LayerPlan(spec.n_channels, spec.n_timepoints, encoder, decoder,
                      latent_channels, latent_timepoints)
 
@@ -196,9 +166,12 @@ def build_layer_plan(spec: AutoencoderSpec) -> LayerPlan:
 @dataclass
 class AutoencoderParams:
     spec: AutoencoderSpec
-    plan: LayerPlan
     tensors: dict[str, np.ndarray]
     subjects: tuple[str, ...] | None = None
+
+    @property
+    def plan(self) -> LayerPlan:
+        return build_layer_plan(self.spec)
 
     def decoder_tensors(self) -> dict[str, np.ndarray]:
         return {k: v for k, v in self.tensors.items() if k.startswith("dec")}
@@ -208,9 +181,7 @@ class AutoencoderParams:
 
     def copy(self) -> "AutoencoderParams":
         return AutoencoderParams(
-            self.spec, self.plan, {k: v.copy() for k, v in self.tensors.items()},
-            self.subjects,
-        )
+            self.spec, {k: v.copy() for k, v in self.tensors.items()}, self.subjects)
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -241,7 +212,7 @@ def init_params(spec: AutoencoderSpec, seed, subjects=None) -> AutoencoderParams
             raise ValueError("intercepts enabled but no subject list supplied")
         subject_order = tuple(subjects)
         tensors["intercepts"] = np.zeros((len(subject_order), spec.n_channels))
-    return AutoencoderParams(spec, plan, tensors, subject_order)
+    return AutoencoderParams(spec, tensors, subject_order)
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +495,18 @@ def save_autoencoder(basepath, params: AutoencoderParams) -> None:
     save_checkpoint(basepath, "autoencoder", meta, params.tensors)
 
 
+def checked_spec(spec_json: dict, plan_json, where) -> AutoencoderSpec:
+    """The spec a checkpoint stores; its stored plan must be the one the spec builds."""
+    spec = AutoencoderSpec.from_json_dict(spec_json)
+    if plan_json != build_layer_plan(spec).to_json_dict():
+        raise FormatError(
+            f"{where}: stored layer plan differs from the one the {spec.architecture!r} "
+            f"architecture builds at {spec.n_channels}x{spec.n_timepoints}")
+    return spec
+
+
 def load_autoencoder(basepath) -> AutoencoderParams:
     _, meta, tensors = load_checkpoint(basepath, expect_kind="autoencoder")
-    spec = AutoencoderSpec.from_json_dict(meta["spec"])
-    plan = LayerPlan.from_json_dict(meta["plan"])
+    spec = checked_spec(meta["spec"], meta.get("plan"), checkpoint_files(basepath)[0])
     subjects = tuple(meta["subjects"]) if meta.get("subjects") else None
-    return AutoencoderParams(spec, plan, tensors, subjects)
+    return AutoencoderParams(spec, tensors, subjects)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -64,9 +65,12 @@ def load_checkpoint(basepath, expect_kind: str | None = None
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as e:
         raise FormatError(f"{manifest_path}: invalid JSON: {e}") from e
-    for key in ("kind", "meta", "tensors"):
-        if key not in manifest:
-            raise FormatError(f"{manifest_path}: manifest missing {key!r}")
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path}: manifest is not a JSON object")
+    for key, kind, name in (("kind", str, "string"), ("meta", dict, "object"),
+                            ("tensors", list, "array")):
+        if not isinstance(manifest.get(key), kind):
+            raise FormatError(f"{manifest_path}: manifest {key!r} is missing or not a JSON {name}")
     if expect_kind is not None and manifest["kind"] != expect_kind:
         raise FormatError(
             f"{manifest_path}: checkpoint kind {manifest['kind']!r}, expected {expect_kind!r}"
@@ -76,14 +80,20 @@ def load_checkpoint(basepath, expect_kind: str | None = None
     payload = payload_path.read_bytes()
     entries = []
     for entry in manifest["tensors"]:
-        shape = tuple(int(s) for s in entry["shape"])
+        # type() rather than isinstance(): JSON true/false must not pass as integers
+        if not (isinstance(entry, dict) and type(entry.get("name")) is str
+                and type(entry.get("offset")) is int and type(entry.get("shape")) is list
+                and all(type(s) is int for s in entry["shape"])):
+            raise FormatError(f"{manifest_path}: tensor entry {entry!r:.80} needs a string "
+                              f"'name', an integer 'offset' and an integer list 'shape'")
+        name, start, shape = entry["name"], entry["offset"], tuple(entry["shape"])
         if any(s < 0 for s in shape):
             raise FormatError(
-                f"{manifest_path}: tensor {entry['name']!r} has negative dimension in "
+                f"{manifest_path}: tensor {name!r} has negative dimension in "
                 f"shape {list(shape)}")
-        start = int(entry["offset"])
-        end = start + (int(np.prod(shape)) if shape else 1) * 8
-        entries.append((start, end, entry["name"], shape))
+        entries.append((start, start + math.prod(shape) * 8, name, shape))
+    if len({name for _, _, name, _ in entries}) != len(entries):
+        raise FormatError(f"{manifest_path}: tensor names repeat")
     # the tensors must tile the payload: no gap, no overlap, no missing or trailing bytes
     covered = 0
     for start, end, name, _ in sorted(entries):

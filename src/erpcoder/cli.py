@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, autoencoder, encoding, metrics, synth
@@ -47,27 +48,30 @@ def _manifest(out_dir: Path, command: str, config: dict, inputs: dict[str, list]
     })
 
 
-def _load_tables(args):
-    """Optional feature tables shared by fit/suite/evaluate-style commands."""
-    counts = load_counts(args.counts) if args.counts else None
-    embeddings = load_embeddings(args.embeddings) if args.embeddings else None
-    token_features = load_token_features(args.features) if args.features else None
-    return counts, embeddings, token_features
+# feature table: path key (flag dest or suite config key), assemble keyword, loader
+_TABLES = (("counts", "counts_table", load_counts),
+           ("embeddings", "embeddings", load_embeddings),
+           ("token_features", "token_features", load_token_features))
 
 
-def _table_inputs(args) -> dict[str, list]:
-    inputs = {}
-    if args.counts:
-        inputs["counts"] = [args.counts]
-    if args.embeddings:
-        inputs["embeddings"] = [args.embeddings]
-    if args.features:
-        inputs["token_features"] = [args.features]
-    return inputs
+def _load_inputs(data, paths: dict):
+    """Load the ERP dataset at ``data`` and the tables ``paths`` (``vars(args)`` or a
+    suite config) names. Returns the dataset and meta without artifacts and
+    sentence-initial words, the table keywords of ``assemble``/``run_model_suite``
+    (``sentence_tokens`` built before filtering) and the manifest inputs."""
+    dataset, meta = load_erp(data)
+    tables = {"sentence_tokens": build_sentence_tokens(meta)}
+    dataset, meta = filter_artifacts(dataset, meta, include_first_word=False)
+    inputs = {"data": erp_files(data)}
+    for key, keyword, load in _TABLES:
+        if paths.get(key):
+            tables[keyword] = load(paths[key])
+            inputs[key] = [paths[key]]
+    return dataset, meta, tables, inputs
 
 
 def _add_table_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--features", help="token feature table (.feat.tsv)")
+    p.add_argument("--features", dest="token_features", help="token feature table (.feat.tsv)")
     p.add_argument("--counts", help="frequency counts TSV")
     p.add_argument("--embeddings", help="embedding text file")
 
@@ -100,10 +104,9 @@ def _hyper(args, config: dict | None = None) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    config_dict = json.loads(Path(args.config).read_text())
+    config = synth.SynthConfig.from_json_dict(json.loads(Path(args.config).read_text()))
     if args.seed is not None:
-        config_dict["seed"] = args.seed
-    config = synth.SynthConfig.from_json_dict(config_dict)
+        config = replace(config, seed=args.seed)
     _progress(f"generating synthetic dataset ({config.n_trials} trials, seed {config.seed})")
     data = synth.generate(config)
     out = Path(args.out)
@@ -177,15 +180,10 @@ def _parse_sources(text: str) -> tuple[str, ...]:
 
 
 def _cmd_fit(args) -> int:
-    decoder = autoencoder.load_autoencoder(args.decoder)
-    dataset, meta = load_erp(args.data)
-    sentence_tokens = build_sentence_tokens(meta)
-    dataset, meta = filter_artifacts(dataset, meta, include_first_word=False)
     sources = _parse_sources(args.sources)
-    counts, embeddings, token_features = _load_tables(args)
-    fm = assemble(FeatureSpec(sources), meta, counts_table=counts,
-                  token_features=token_features, embeddings=embeddings,
-                  sentence_tokens=sentence_tokens)
+    decoder = autoencoder.load_autoencoder(args.decoder)
+    dataset, meta, tables, inputs = _load_inputs(args.data, vars(args))
+    fm = assemble(FeatureSpec(sources), meta, **tables)
     hyper = _hyper(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -218,8 +216,7 @@ def _cmd_fit(args) -> int:
               {"sources": list(sources), "weight_decay": wd,
                "wd_search": bool(args.wd_search), "seed": args.seed,
                "folds": args.folds, **hyper},
-              {"decoder": checkpoint_files(args.decoder), "data": erp_files(args.data),
-               **_table_inputs(args)})
+              {"decoder": checkpoint_files(args.decoder), **inputs})
     _progress(f"best dev MSE {min(history.dev_mse):.6g} at epoch {history.best_epoch}")
     return 0
 
@@ -230,13 +227,7 @@ def _cmd_suite(args) -> int:
         if key not in config:
             raise FormatError(f"{args.config}: suite config missing {key!r}")
     decoder = autoencoder.load_autoencoder(config["decoder"])
-    dataset, meta = load_erp(config["data"])
-    sentence_tokens = build_sentence_tokens(meta)
-    dataset, meta = filter_artifacts(dataset, meta, include_first_word=False)
-    counts = load_counts(config["counts"]) if config.get("counts") else None
-    embeddings = load_embeddings(config["embeddings"]) if config.get("embeddings") else None
-    token_features = (load_token_features(config["token_features"])
-                      if config.get("token_features") else None)
+    dataset, meta, tables, inputs = _load_inputs(config["data"], config)
     roster = None
     if config.get("roster"):
         roster = [(e["name"], tuple(e["sources"])) for e in config["roster"]]
@@ -247,10 +238,8 @@ def _cmd_suite(args) -> int:
 
     _progress(f"running model suite on {dataset.n_trials} trials, {k} folds")
     result = encoding.run_model_suite(
-        decoder, dataset, meta, roster, counts_table=counts,
-        token_features=token_features, embeddings=embeddings,
-        sentence_tokens=sentence_tokens, k=k, seed=seed, weight_decay=wd,
-        ceiling_mse=config.get("ceiling_mse"), **hyper)
+        decoder, dataset, meta, roster, k=k, seed=seed, weight_decay=wd,
+        ceiling_mse=config.get("ceiling_mse"), **tables, **hyper)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -276,36 +265,36 @@ def _cmd_suite(args) -> int:
                     for n, e in result["entries"].items()},
         "skipped": result["skipped"],
     })
-    inputs = {"config": [args.config], "decoder": checkpoint_files(config["decoder"]),
-              "data": erp_files(config["data"])}
-    for key in ("counts", "embeddings", "token_features"):
-        if config.get(key):
-            inputs[key] = [config[key]]
     _manifest(out, "suite", {"folds": k, "seed": seed, "weight_decay": wd, **hyper},
-              inputs)
+              {"config": [args.config], "decoder": checkpoint_files(config["decoder"]),
+               **inputs})
     for row in rows:
         _progress(f"  {row['model']}: r2_mod {row['r2_mod']:.4f} "
                   f"[{row['ci_low']:.4f}, {row['ci_high']:.4f}]")
     return 0
 
 
-def _load_model_and_features(args, decoder):
-    dataset, meta = load_erp(args.data)
-    sentence_tokens = build_sentence_tokens(meta)
-    dataset, meta = filter_artifacts(dataset, meta, include_first_word=False)
-    model = encoding.load_encoding_model(args.model, decoder)
-    counts, embeddings, token_features = _load_tables(args)
-    fm = assemble(FeatureSpec(model.sources), meta, counts_table=counts,
-                  token_features=token_features, embeddings=embeddings,
-                  sentence_tokens=sentence_tokens)
-    return dataset, meta, model, fm
+def _load_analysis(args):
+    """Inputs of ``evaluate``, ``timecourse`` and ``export-words``: the autoencoder,
+    the filtered dataset and meta, (model, features) for ``--model`` and for
+    ``--intercept`` (None for a command without one), and the manifest inputs."""
+    ae_params = autoencoder.load_autoencoder(args.autoencoder)
+    dataset, meta, tables, inputs = _load_inputs(args.data, vars(args))
+    inputs["autoencoder"] = checkpoint_files(args.autoencoder)
+
+    def fitted(label, path):
+        model = encoding.load_encoding_model(path, ae_params)
+        inputs[label] = checkpoint_files(path)
+        return model, assemble(FeatureSpec(model.sources), meta, **tables)
+
+    model = fitted("model", args.model)
+    intercept = fitted("intercept", args.intercept) if hasattr(args, "intercept") else None
+    return ae_params, dataset, meta, model, intercept, inputs
 
 
 def _cmd_evaluate(args) -> int:
-    ae_params = autoencoder.load_autoencoder(args.autoencoder)
-    dataset, meta, model, fm = _load_model_and_features(args, ae_params)
-    intercept = encoding.load_encoding_model(args.intercept, ae_params)
-    fm_intercept = assemble(FeatureSpec(intercept.sources), meta)
+    (ae_params, dataset, meta, (model, fm), (intercept, fm_intercept),
+     inputs) = _load_analysis(args)
     mse_model = encoding.model_mse(model, dataset, meta, fm)
     mse_intercept = encoding.model_mse(intercept, dataset, meta, fm_intercept)
     mse_ae = autoencoder.reconstruction_mse(ae_params, dataset, meta)
@@ -321,11 +310,7 @@ def _cmd_evaluate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.write(out / "report.json")
-    _manifest(out, "evaluate", {"seed": args.seed},
-              {"autoencoder": checkpoint_files(args.autoencoder),
-               "model": checkpoint_files(args.model),
-               "intercept": checkpoint_files(args.intercept),
-               "data": erp_files(args.data), **_table_inputs(args)})
+    _manifest(out, "evaluate", {}, inputs)
     _progress(f"r2_mod {report.r2_mod:.4f} "
               f"(model {mse_model:.6g}, intercept {mse_intercept:.6g}, "
               f"autoencoder {mse_ae:.6g})")
@@ -333,10 +318,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_timecourse(args) -> int:
-    ae_params = autoencoder.load_autoencoder(args.autoencoder)
-    dataset, meta, model, fm = _load_model_and_features(args, ae_params)
-    intercept = encoding.load_encoding_model(args.intercept, ae_params)
-    fm_intercept = assemble(FeatureSpec(intercept.sources), meta)
+    (ae_params, dataset, meta, (model, fm), (intercept, fm_intercept),
+     inputs) = _load_analysis(args)
     subj = [m.subject_id for m in meta] if ae_params.spec.intercepts else None
     preds = encoding.predict_erp(model, fm, subj)
     preds_int = encoding.predict_erp(intercept, fm_intercept, subj)
@@ -346,18 +329,13 @@ def _cmd_timecourse(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics.write_timecourse_tsv(out / "timecourse.tsv", series, smoothed)
-    _manifest(out, "timecourse", {"window": args.window, "seed": args.seed},
-              {"autoencoder": checkpoint_files(args.autoencoder),
-               "model": checkpoint_files(args.model),
-               "intercept": checkpoint_files(args.intercept),
-               "data": erp_files(args.data), **_table_inputs(args)})
+    _manifest(out, "timecourse", {"window": args.window}, inputs)
     _progress(f"peak increase {smoothed.values.max():.4f} at {smoothed.peak_ms():.0f} ms")
     return 0
 
 
 def _cmd_export_words(args) -> int:
-    ae_params = autoencoder.load_autoencoder(args.autoencoder)
-    dataset, meta, model, fm = _load_model_and_features(args, ae_params)
+    ae_params, dataset, meta, (model, fm), _, inputs = _load_analysis(args)
     subj = [m.subject_id for m in meta] if ae_params.spec.intercepts else None
     preds = encoding.predict_erp(model, fm, subj)
     table = metrics.per_word_correlations(
@@ -366,12 +344,9 @@ def _cmd_export_words(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table.to_tsv(out / "words.tsv")
-    _write_json(out / "word_class_summary.json", metrics.content_function_summary(table))
-    _manifest(out, "export-words", {"seed": args.seed},
-              {"autoencoder": checkpoint_files(args.autoencoder),
-               "model": checkpoint_files(args.model),
-               "data": erp_files(args.data), **_table_inputs(args)})
     summary = metrics.content_function_summary(table)
+    _write_json(out / "word_class_summary.json", summary)
+    _manifest(out, "export-words", {}, inputs)
     _progress(f"mean r: content {summary['content']['mean_r']:.4f}, "
               f"function {summary['function']['mean_r']:.4f}")
     return 0
@@ -443,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--autoencoder", required=True)
     p.add_argument("--data", required=True)
     _add_table_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evaluate)
 
@@ -454,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     _add_table_flags(p)
     p.add_argument("--window", type=int, default=9)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_timecourse)
 
@@ -463,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--autoencoder", required=True)
     p.add_argument("--data", required=True)
     _add_table_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_export_words)
 

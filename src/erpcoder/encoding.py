@@ -58,10 +58,6 @@ class InterfaceMap:
     weights: np.ndarray  # (C_lat, T_lat, D_in)
     bias: np.ndarray  # (C_lat, T_lat)
 
-    @property
-    def parameter_count(self) -> int:
-        return self.weights.size + self.bias.size
-
 
 @dataclass
 class EncodingModel:

@@ -247,6 +247,42 @@ def contextual_embedding_feature(trials: list[TrialMeta], table: TokenFeatureTab
 # ---------------------------------------------------------------------------
 
 
+def source_block(source: str, trials: list[TrialMeta], *,
+                 counts_table: dict[str, int] | None = None,
+                 token_features: TokenFeatureTable | None = None,
+                 embeddings: EmbeddingTable | None = None,
+                 sentence_tokens: dict[int, dict[int, str]] | None = None,
+                 allow_first_word: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """One source's (trials x width) block and its imputation flags (None if it never imputes).
+
+    ``allow_first_word`` lets semantic distance impute sentence-initial words.
+    """
+    def need(value, what):
+        if value is None:
+            raise ValueError(f"feature source needs {what}, which was not supplied")
+        return value
+
+    if source == "constant":
+        return np.ones((len(trials), 1)), None
+    if source == "frequency":
+        col = frequency_feature([m.token for m in trials], need(counts_table, "a counts table"))
+        return col[:, None], None
+    if source == "surprisal":
+        col = surprisal_feature(trials, need(token_features, "a token feature table"))
+        return col[:, None], None
+    if source == "semantic_distance":
+        col, flags = semantic_distance(trials, need(embeddings, "an embedding table"),
+                                       need(sentence_tokens, "sentence token sequences"),
+                                       allow_first_word=allow_first_word)
+        return col[:, None], flags
+    if source == "static_embedding":
+        return static_embedding_feature(trials, need(embeddings, "an embedding table"))
+    if source == "contextual_embedding":
+        return contextual_embedding_feature(
+            trials, need(token_features, "a token feature table")), None
+    raise ValueError(f"unknown feature source {source!r}; known: {list(SOURCES)}")
+
+
 def assemble(spec: FeatureSpec, trials: list[TrialMeta], *,
              counts_table: dict[str, int] | None = None,
              token_features: TokenFeatureTable | None = None,
@@ -256,42 +292,15 @@ def assemble(spec: FeatureSpec, trials: list[TrialMeta], *,
     blocks: list[np.ndarray] = []
     names: list[str] = []
     imputed: dict[str, np.ndarray] = {}
-
-    def need(value, what):
-        if value is None:
-            raise ValueError(f"feature source needs {what}, which was not supplied")
-        return value
-
     for source in spec.sources:
-        if source == "constant":
-            blocks.append(np.ones((len(trials), 1)))
-            names.append("constant")
-        elif source == "frequency":
-            col = frequency_feature([m.token for m in trials], need(counts_table, "a counts table"))
-            blocks.append(col[:, None])
-            names.append("frequency")
-        elif source == "surprisal":
-            col = surprisal_feature(trials, need(token_features, "a token feature table"))
-            blocks.append(col[:, None])
-            names.append("surprisal")
-        elif source == "semantic_distance":
-            col, flags = semantic_distance(
-                trials,
-                need(embeddings, "an embedding table"),
-                need(sentence_tokens, "sentence token sequences"),
-            )
-            blocks.append(col[:, None])
-            names.append("semantic_distance")
-            imputed["semantic_distance"] = flags
-        elif source == "static_embedding":
-            block, flags = static_embedding_feature(trials, need(embeddings, "an embedding table"))
-            blocks.append(block)
-            names.extend(f"static_embedding.{i}" for i in range(block.shape[1]))
-            imputed["static_embedding"] = flags
-        elif source == "contextual_embedding":
-            block = contextual_embedding_feature(
-                trials, need(token_features, "a token feature table"))
-            blocks.append(block)
-            names.extend(f"contextual_embedding.{i}" for i in range(block.shape[1]))
-    values = np.hstack(blocks) if blocks else np.zeros((len(trials), 0))
-    return FeatureMatrix(values, names, imputed)
+        block, flags = source_block(
+            source, trials, counts_table=counts_table, token_features=token_features,
+            embeddings=embeddings, sentence_tokens=sentence_tokens)
+        blocks.append(block)
+        if source in EMBEDDING_SOURCES:
+            names.extend(f"{source}.{i}" for i in range(block.shape[1]))
+        else:
+            names.append(source)
+        if flags is not None:
+            imputed[source] = flags
+    return FeatureMatrix(np.hstack(blocks), names, imputed)

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import TrialMeta
+from .features import SOURCES
 
-MODEL_CODING_FAMILIES = ("frequency", "surprisal", "semantic_distance",
-                         "static_embedding", "contextual_embedding")
+MODEL_CODING_FAMILIES = tuple(s for s in SOURCES if s != "constant")
 
 
 def r2_mod(mse_model: float, mse_intercept: float, mse_autoencoder: float) -> float:
@@ -154,17 +154,12 @@ class WordLevelTable:
 
 def per_word_correlations(model_preds: np.ndarray, actual: np.ndarray,
                           meta: list[TrialMeta], *, model_name: str = "model",
-                          sources: tuple[str, ...] = (),
-                          timepoint_window: tuple[int, int] | None = None) -> WordLevelTable:
-    """Per-trial Pearson r over the flattened epoch (optionally a timepoint window)."""
+                          sources: tuple[str, ...] = ()) -> WordLevelTable:
+    """Per-trial Pearson r over the flattened epoch."""
     if model_preds.shape != actual.shape:
         raise ValueError(f"prediction shape {model_preds.shape} != actual {actual.shape}")
     if len(meta) != actual.shape[0]:
         raise ValueError(f"{len(meta)} meta records for {actual.shape[0]} trials")
-    if timepoint_window is not None:
-        lo, hi = timepoint_window
-        model_preds = model_preds[:, :, lo:hi]
-        actual = actual[:, :, lo:hi]
     coding = {fam: (1 if fam in sources else -1) for fam in MODEL_CODING_FAMILIES}
     rows = []
     for i, m in enumerate(meta):

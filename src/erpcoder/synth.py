@@ -16,18 +16,20 @@ sentence-initial words are populated so filtering paths are exercised.
 
 from __future__ import annotations
 
+import json
+import types
+import typing
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import AutoencoderParams, AutoencoderSpec, decode, init_params
-from .checkpoint import save_checkpoint, load_checkpoint
-from .data import (EmbeddingTable, ErpDataset, TokenFeatureTable, TrialMeta,
+from .autoencoder import (AutoencoderParams, AutoencoderSpec, checked_spec, decode,
+                          init_params)
+from .checkpoint import checkpoint_files, load_checkpoint, save_checkpoint
+from .data import (EmbeddingTable, ErpDataset, FormatError, TokenFeatureTable, TrialMeta,
                    save_counts, save_embeddings, save_erp, save_token_features)
-from .features import (contextual_embedding_feature, frequency_feature,
-                       semantic_distance, static_embedding_feature,
-                       surprisal_feature)
+from .features import SOURCES, source_block
 
 CONTENT_TAGS = ("NN", "VB", "JJ", "RB")
 FUNCTION_TAGS = ("DT", "IN", "PR", "CC")
@@ -63,6 +65,9 @@ class SynthConfig:
             raise ValueError("noise_sd must be >= 0")
         if self.drive_scales is not None and len(self.drive_scales) != len(self.driving):
             raise ValueError("drive_scales must align with driving sources")
+        drivers = [s for s in SOURCES if s != "constant"]
+        if not set(self.driving) <= set(drivers):
+            raise ValueError(f"driving sources {list(self.driving)} must be among {drivers}")
 
     @property
     def epoch_end_ms(self) -> float:
@@ -79,14 +84,32 @@ class SynthConfig:
         return asdict(self)
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "SynthConfig":
-        kwargs = dict(d)
-        kwargs["driving"] = tuple(kwargs.get("driving", ("frequency", "surprisal")))
-        if kwargs.get("drive_scales") is not None:
-            kwargs["drive_scales"] = tuple(kwargs["drive_scales"])
-        if kwargs.get("driven_latent_timepoints") is not None:
-            kwargs["driven_latent_timepoints"] = tuple(kwargs["driven_latent_timepoints"])
-        return cls(**kwargs)
+    def from_json_dict(cls, d) -> "SynthConfig":
+        """Config from parsed JSON. Anything but an object, an unknown key or a value
+        of the wrong JSON type raises :class:`FormatError` naming the key."""
+        if not isinstance(d, dict):
+            raise FormatError(f"synth config must be a JSON object, got {type(d).__name__}")
+        hints = typing.get_type_hints(cls)
+        for key, value in d.items():
+            if key not in hints:
+                raise FormatError(f"synth config has unknown key {key!r}")
+            if not _json_fits(value, hints[key]):
+                raise FormatError(f"synth config key {key!r} needs {cls.__annotations__[key]}, "
+                                  f"got {value!r}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+
+
+def _json_fits(value, hint) -> bool:
+    """Whether a parsed JSON value fits a field typed int, float, str, tuple[X, ...]
+    or X | None. Any JSON number fits float; true and false fit no number type."""
+    if value is None:
+        return type(None) in typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is tuple:
+        return (isinstance(value, (list, tuple))
+                and all(_json_fits(v, typing.get_args(hint)[0]) for v in value))
+    return type(value) in ((int, float) if hint is float else (hint,))
 
 
 @dataclass
@@ -114,9 +137,6 @@ class SynthData:
 
 
 def _standardize_columns(block: np.ndarray) -> np.ndarray:
-    block = np.asarray(block, dtype=np.float64)
-    if block.ndim == 1:
-        block = block[:, None]
     mean = block.mean(axis=0)
     sd = block.std(axis=0)
     sd = np.where(sd == 0.0, 1.0, sd)
@@ -187,22 +207,13 @@ def generate(config: SynthConfig) -> SynthData:
                 i += 1
 
     # driving columns, computed with the production feature code
-    driving_columns: dict[str, np.ndarray] = {}
-    for source in config.driving:
-        if source == "frequency":
-            col = frequency_feature([m.token for m in meta], counts)
-        elif source == "surprisal":
-            col = surprisal_feature(meta, token_features)
-        elif source == "semantic_distance":
-            col, _ = semantic_distance(meta, embeddings, sentence_tokens,
-                                       allow_first_word=True)
-        elif source == "static_embedding":
-            col, _ = static_embedding_feature(meta, embeddings)
-        elif source == "contextual_embedding":
-            col = contextual_embedding_feature(meta, token_features)
-        else:
-            raise ValueError(f"unknown driving source {source!r}")
-        driving_columns[source] = _standardize_columns(col)
+    driving_columns = {
+        source: _standardize_columns(source_block(
+            source, meta, counts_table=counts, token_features=token_features,
+            embeddings=embeddings, sentence_tokens=sentence_tokens,
+            allow_first_word=True)[0])
+        for source in config.driving
+    }
 
     # true decoder and interface
     spec = AutoencoderSpec(config.architecture, False, config.n_channels,
@@ -351,8 +362,6 @@ def write_dataset_dir(synth: SynthData, outdir, base: str = "data") -> None:
     save_counts(out / "counts.tsv", synth.counts)
     save_embeddings(out / "embeddings.txt", synth.embeddings)
     save_token_features(out / "tokens.feat.tsv", synth.token_features)
-    import json
-
     (out / "config.json").write_text(
         json.dumps(synth.config.to_json_dict(), indent=2, sort_keys=True) + "\n")
     truth = synth.ground_truth
@@ -378,16 +387,14 @@ def write_dataset_dir(synth: SynthData, outdir, base: str = "data") -> None:
 
 def load_ground_truth(basepath) -> GroundTruth:
     """Reload a ground-truth checkpoint written by :func:`write_dataset_dir`."""
-    from .autoencoder import LayerPlan
-
     _, meta, tensors = load_checkpoint(basepath, expect_kind="synth_truth")
-    spec = AutoencoderSpec.from_json_dict(meta["decoder_spec"])
-    plan = LayerPlan.from_json_dict(meta["decoder_plan"])
+    spec = checked_spec(meta["decoder_spec"], meta.get("decoder_plan"),
+                        checkpoint_files(basepath)[0])
     decoder_tensors = {
         name[len("decoder."):]: t for name, t in tensors.items()
         if name.startswith("decoder.")
     }
-    decoder = AutoencoderParams(spec, plan, decoder_tensors)
+    decoder = AutoencoderParams(spec, decoder_tensors)
     return GroundTruth(
         decoder=decoder,
         interface_weights={s: tensors[f"interface.{s}"] for s in meta["driving"]},

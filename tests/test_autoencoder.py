@@ -1,11 +1,13 @@
 """Architecture geometry, intercepts, pretraining and selection tests."""
 
+import json
+
 import numpy as np
 import pytest
 
 from erpcoder import autoencoder as ae
-from erpcoder import nn
-from erpcoder.data import ErpDataset, TrialMeta
+from erpcoder import cli, nn, synth
+from erpcoder.data import ErpDataset, FormatError, TrialMeta
 
 
 def meta_rows(n, subjects=("s1", "s2"), words=5):
@@ -52,9 +54,30 @@ class TestLayerPlans:
         with pytest.raises(ValueError, match=r"\(201 - 5\) % 5"):
             ae.build_layer_plan(ae.AutoencoderSpec("beta", False, 32, 201))
 
-    def test_plan_round_trips_through_json(self):
-        plan = ae.build_layer_plan(ae.AutoencoderSpec("alpha", False, 32, 200))
-        assert ae.LayerPlan.from_json_dict(plan.to_json_dict()) == plan
+    def test_edited_stored_plan_is_rejected(self, tmp_path):
+        # the plan a checkpoint stores must be the one its spec builds
+        config = synth.SynthConfig(n_subjects=1, n_sentences=6, words_per_sentence=3,
+                                   n_channels=4, n_timepoints=20, seed=3)
+        synth.write_dataset_dir(synth.generate(config), tmp_path)
+        ae.save_autoencoder(tmp_path / "ae",
+                            ae.init_params(ae.AutoencoderSpec("beta", False, 4, 20), seed=1))
+        ae.load_autoencoder(tmp_path / "ae")
+        synth.load_ground_truth(tmp_path / "truth")
+        for base, key in (("ae", "plan"), ("truth", "decoder_plan")):
+            path = tmp_path / f"{base}.ckpt.json"
+            manifest = json.loads(path.read_text())
+            tconv = manifest["meta"][key]["decoder"][0]["tconv"]
+            assert tconv[4] is True
+            tconv[4] = False  # drop dec0's tanh
+            path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="ae.ckpt.json: stored layer plan differs"):
+            ae.load_autoencoder(tmp_path / "ae")
+        with pytest.raises(FormatError, match="truth.ckpt.json: stored layer plan differs"):
+            synth.load_ground_truth(tmp_path / "truth")
+        assert cli.main(["fit", "--decoder", str(tmp_path / "ae"),
+                         "--data", str(tmp_path / "data"), "--sources", "constant",
+                         "--out", str(tmp_path / "o")]) == 4
+        assert not (tmp_path / "o").exists()
 
 
 class TestIntercepts:

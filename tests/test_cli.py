@@ -79,6 +79,10 @@ class TestPipeline:
         assert captured.out == ""  # results go to files, stdout stays clean
         report = json.loads((pipeline / "v" / "report.json").read_text())
         assert report["mse_intercept"] > report["mse_autoencoder"]
+        manifest = json.loads((pipeline / "v" / "manifest.json").read_text())
+        assert manifest["config"] == {}
+        assert set(manifest["inputs"]) == {"autoencoder", "model", "intercept", "data",
+                                           "token_features", "counts"}
         assert "r2_mod" in report
 
     def test_timecourse_and_words(self, pipeline):
@@ -169,6 +173,43 @@ class TestExitCodes:
         assert code == 4
         err = capsys.readouterr().err
         assert "error: FormatViolation:" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("config", [{"n_subject": 2}, {"n_subjects": "two"}, [1, 2]],
+                             ids=["unknown_key", "wrong_type", "not_object"])
+    def test_malformed_synth_config_is_4(self, tmp_path, capsys, config):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps(config))
+        assert run(["synth", "--config", path, "--out", tmp_path / "o"]) == 4
+        assert "error: FormatViolation: synth config" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.update(tensors=5),
+        lambda m: m.update(meta=[]),
+        lambda m: m["tensors"][0].update(shape="ab"),
+        lambda m: m["tensors"][0].pop("name"),
+    ], ids=["tensors_5", "meta_list", "shape_ab", "no_name"])
+    def test_malformed_decoder_manifest_is_4(self, pipeline, tmp_path, capsys, edit):
+        for suffix in (".ckpt.json", ".ckpt.bin"):
+            (tmp_path / f"ae{suffix}").write_bytes(
+                (pipeline / "m" / f"autoencoder{suffix}").read_bytes())
+        manifest = json.loads((tmp_path / "ae.ckpt.json").read_text())
+        edit(manifest)
+        (tmp_path / "ae.ckpt.json").write_text(json.dumps(manifest))
+        code = run(["fit", "--decoder", tmp_path / "ae", "--data", pipeline / "d" / "data",
+                    "--sources", "constant", "--out", tmp_path / "o"])
+        assert code == 4
+        assert "error: FormatViolation:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["evaluate", "--intercept", "i"],
+                                         ["timecourse", "--intercept", "i"],
+                                         ["export-words"]], ids=lambda c: c[0])
+    def test_analysis_commands_take_no_seed(self, tmp_path, capsys, command):
+        args = [*command, "--model", "m", "--autoencoder", "a", "--data", "d",
+                "--out", tmp_path]
+        assert run([*args, "--seed", 0]) == 2
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+        assert run(args) == 3  # the same command without --seed parses
 
     def test_bad_sources_is_1(self, pipeline, capsys):
         code = run(["fit", "--decoder", pipeline / "m" / "autoencoder",

@@ -9,6 +9,13 @@ from hypothesis import strategies as st
 
 from erpcoder import checkpoint, data
 
+_DELETE = object()
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
 
 def make_meta(n, subjects=("s1", "s2"), words_per_sentence=5, artifact_every=None):
     meta = []
@@ -110,6 +117,60 @@ class TestCheckpointFormat:
         bin_path.write_bytes(bin_path.read_bytes() + b"\x00" * 8)
         with pytest.raises(data.FormatError, match="tensors cover 80 bytes, payload has 88"):
             checkpoint.load_checkpoint(base)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.update(tensors=5), "manifest 'tensors' is missing or not a JSON array"),
+        (lambda m: m.update(meta=[]), "manifest 'meta' is missing or not a JSON object"),
+        (lambda m: m.pop("kind"), "manifest 'kind' is missing"),
+        (lambda m: m["tensors"][0].update(shape="ab"), "an integer list 'shape'"),
+        (lambda m: m["tensors"][0].update(shape=[2, 3.0]), "an integer list 'shape'"),
+        (lambda m: m["tensors"][0].pop("name"), "needs a string 'name'"),
+        (lambda m: m["tensors"][1].update(offset=True), "an integer 'offset'"),
+        (lambda m: m["tensors"][1].update(name="a"), "tensor names repeat"),
+    ], ids=["tensors_not_list", "meta_not_object", "no_kind", "shape_string",
+            "shape_float", "no_name", "offset_bool", "repeated_name"])
+    def test_malformed_manifest_rejected(self, tmp_path, rng, edit, message):
+        base = self._save(tmp_path, rng)
+        manifest_path = tmp_path / "ck.ckpt.json"
+        manifest = json.loads(manifest_path.read_text())
+        edit(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(data.FormatError, match=message):
+            checkpoint.load_checkpoint(base)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_manifest_fails_only_as_format_error(self, tmp_path_factory, draw):
+        # any one edit of a valid manifest either loads or raises FormatError
+        base = tmp_path_factory.mktemp("ck") / "ck"
+        checkpoint.save_checkpoint(base, "test", {"spec": {"n": 1}},
+                                   {"a": np.zeros((2, 3)), "b": np.ones(4)})
+        manifest_path = checkpoint.checkpoint_files(base)[0]
+        manifest = json.loads(manifest_path.read_text())
+        paths, stack = [], [((), manifest)]
+        while stack:
+            path, node = stack.pop()
+            paths.append(path)
+            children = node.items() if isinstance(node, dict) else (
+                enumerate(node) if isinstance(node, list) else ())
+            stack.extend((path + (k,), v) for k, v in children)
+        path = draw.draw(st.sampled_from(sorted(paths, key=repr)))
+        value = draw.draw(st.one_of(st.just(_DELETE), _JSON))
+        if not path:
+            manifest = None if value is _DELETE else value
+        else:
+            parent = manifest
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        manifest_path.write_text(json.dumps(manifest))
+        try:
+            checkpoint.load_checkpoint(base, expect_kind="test")
+        except (data.FormatError, FileNotFoundError):
+            pass
 
 
 class TestFiltering:

@@ -1,11 +1,14 @@
 """Synthetic generator and oracle-bound tests."""
 
+import json
+
 import numpy as np
 import pytest
 
-from erpcoder import synth
+from erpcoder import features, synth
 from erpcoder.autoencoder import decode
-from erpcoder.data import (load_counts, load_embeddings, load_erp, load_token_features)
+from erpcoder.data import (FormatError, load_counts, load_embeddings, load_erp,
+                           load_token_features)
 
 
 def small_config(**kw):
@@ -70,6 +73,59 @@ class TestGenerate:
     def test_bad_driven_timepoint_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             synth.generate(small_config(driven_latent_timepoints=(99,)))
+
+    @pytest.mark.parametrize("source", ["semantic_distance", "static_embedding",
+                                        "contextual_embedding"])
+    def test_driving_columns_are_standardized_source_blocks(self, source):
+        sd = synth.generate(small_config(driving=("frequency", source)))
+        block, _ = features.source_block(
+            source, sd.meta, counts_table=sd.counts, token_features=sd.token_features,
+            embeddings=sd.embeddings, sentence_tokens=sd.sentence_tokens,
+            allow_first_word=True)
+        width = {"semantic_distance": 1, "static_embedding": sd.config.static_dim,
+                 "contextual_embedding": sd.config.contextual_dim}
+        assert block.shape == (len(sd.meta), width[source])
+        sd_cols = block.std(axis=0)
+        expected = (block - block.mean(axis=0)) / np.where(sd_cols == 0.0, 1.0, sd_cols)
+        np.testing.assert_array_equal(sd.ground_truth.driving_columns[source], expected)
+        assert np.abs(expected.mean(axis=0)).max() < 1e-12
+
+
+class TestConfig:
+    def test_json_round_trip(self):
+        config = small_config(driving=("surprisal", "static_embedding"),
+                              drive_scales=(1.0, 2.5), driven_latent_timepoints=(0, 1))
+        text = json.dumps(config.to_json_dict())
+        assert synth.SynthConfig.from_json_dict(json.loads(text)) == config
+        assert synth.SynthConfig.from_json_dict(config.to_json_dict()) == config
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"n_subject": 2}, "unknown key 'n_subject'"),
+        ({"n_subjects": "two"}, "key 'n_subjects' needs int, got 'two'"),
+        ({"n_subjects": True}, "key 'n_subjects' needs int"),
+        ({"vocab_size": 2.5}, "key 'vocab_size' needs int"),
+        ({"noise_sd": "1"}, "key 'noise_sd' needs float"),
+        ({"driving": "frequency"}, "key 'driving' needs tuple"),
+        ({"drive_scales": [1.0, None]}, "key 'drive_scales' needs tuple"),
+        ({"driven_latent_timepoints": [0.5]}, "key 'driven_latent_timepoints' needs tuple"),
+        ([{"n_subjects": 2}], "must be a JSON object, got list"),
+        ("beta", "must be a JSON object, got str"),
+    ], ids=["unknown_key", "int_as_string", "int_as_bool", "int_as_float", "float_as_string",
+            "tuple_as_string", "tuple_with_null", "int_tuple_with_float", "list",
+            "string"])
+    def test_from_json_rejects_malformed_config(self, payload, message):
+        with pytest.raises(FormatError, match=message):
+            synth.SynthConfig.from_json_dict(payload)
+
+    def test_json_numbers_and_nulls_accepted(self):
+        config = synth.SynthConfig.from_json_dict(
+            {"noise_sd": 1, "drive_scales": [1, 0.5], "driven_latent_timepoints": None})
+        assert config.noise_sd == 1 and config.drive_scales == (1, 0.5)
+
+    @pytest.mark.parametrize("driving", [("constant",), ("frequency", "bogus")])
+    def test_non_driving_sources_rejected(self, driving):
+        with pytest.raises(ValueError, match="driving sources"):
+            small_config(driving=driving)
 
 
 class TestOracleBounds:
