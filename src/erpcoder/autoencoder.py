@@ -16,6 +16,7 @@ fixed by the architecture names.
 from __future__ import annotations
 
 import functools
+import typing
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -23,7 +24,8 @@ import numpy as np
 from . import nn
 from .checkpoint import (checkpoint_files, load_checkpoint, save_checkpoint,
                          tensor_dict_digest)
-from .data import ErpDataset, FormatError, TrialMeta, train_dev_split, kfold_split
+from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_split,
+                   train_dev_split)
 
 ARCHITECTURES = ("alpha", "beta")
 
@@ -44,9 +46,10 @@ class AutoencoderSpec:
         return asdict(self)
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "AutoencoderSpec":
-        return cls(d["architecture"], bool(d["intercepts"]),
-                   int(d["n_channels"]), int(d["n_timepoints"]))
+    def from_json_dict(cls, d, where: str) -> "AutoencoderSpec":
+        """Spec from parsed JSON; a missing field or one of the wrong JSON type
+        raises :class:`FormatError` naming ``where`` and the field."""
+        return cls(**checked_fields(d, typing.get_type_hints(cls), where))
 
 
 @dataclass(frozen=True)
@@ -495,10 +498,11 @@ def save_autoencoder(basepath, params: AutoencoderParams) -> None:
     save_checkpoint(basepath, "autoencoder", meta, params.tensors)
 
 
-def checked_spec(spec_json: dict, plan_json, where) -> AutoencoderSpec:
-    """The spec a checkpoint stores; its stored plan must be the one the spec builds."""
-    spec = AutoencoderSpec.from_json_dict(spec_json)
-    if plan_json != build_layer_plan(spec).to_json_dict():
+def checked_spec(meta: dict, spec_key: str, plan_key: str, where) -> AutoencoderSpec:
+    """The spec ``meta[spec_key]`` of the checkpoint manifest ``where``; the plan
+    ``meta[plan_key]`` it stores must be the one the spec builds."""
+    spec = AutoencoderSpec.from_json_dict(meta[spec_key], f"{where}: meta {spec_key!r}")
+    if meta[plan_key] != build_layer_plan(spec).to_json_dict():
         raise FormatError(
             f"{where}: stored layer plan differs from the one the {spec.architecture!r} "
             f"architecture builds at {spec.n_channels}x{spec.n_timepoints}")
@@ -507,6 +511,9 @@ def checked_spec(spec_json: dict, plan_json, where) -> AutoencoderSpec:
 
 def load_autoencoder(basepath) -> AutoencoderParams:
     _, meta, tensors = load_checkpoint(basepath, expect_kind="autoencoder")
-    spec = checked_spec(meta["spec"], meta.get("plan"), checkpoint_files(basepath)[0])
-    subjects = tuple(meta["subjects"]) if meta.get("subjects") else None
+    where = checkpoint_files(basepath)[0]
+    meta = checked_fields(meta, {"spec": dict, "plan": dict, "subjects": tuple[str, ...] | None},
+                          f"{where}: meta")
+    spec = checked_spec(meta, "spec", "plan", where)
+    subjects = tuple(meta["subjects"]) if meta["subjects"] else None
     return AutoencoderParams(spec, tensors, subjects)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FormatError
+from .data import FormatError, read_json
 
 
 def checkpoint_files(basepath) -> tuple[Path, Path]:
@@ -61,10 +61,7 @@ def load_checkpoint(basepath, expect_kind: str | None = None
     manifest_path, payload_path = checkpoint_files(basepath)
     if not manifest_path.exists():
         raise FileNotFoundError(str(manifest_path))
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{manifest_path}: invalid JSON: {e}") from e
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise FormatError(f"{manifest_path}: manifest is not a JSON object")
     for key, kind, name in (("kind", str, "string"), ("meta", dict, "object"),

@@ -21,8 +21,8 @@ from pathlib import Path
 
 from . import __version__, autoencoder, encoding, metrics, synth
 from .checkpoint import checkpoint_files, file_digest
-from .data import (FormatError, erp_files, filter_artifacts, load_counts, load_embeddings,
-                   load_erp, load_token_features)
+from .data import (FormatError, checked_fields, erp_files, filter_artifacts, load_counts,
+                   load_embeddings, load_erp, load_token_features, read_json)
 from .features import FeatureSpec, assemble, build_sentence_tokens
 
 
@@ -104,7 +104,7 @@ def _hyper(args, config: dict | None = None) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    config = synth.SynthConfig.from_json_dict(json.loads(Path(args.config).read_text()))
+    config = synth.SynthConfig.from_json_dict(read_json(args.config))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     _progress(f"generating synthetic dataset ({config.n_trials} trials, seed {config.seed})")
@@ -222,15 +222,18 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    config = json.loads(Path(args.config).read_text())
-    for key in ("data", "decoder"):
-        if key not in config:
-            raise FormatError(f"{args.config}: suite config missing {key!r}")
-    decoder = autoencoder.load_autoencoder(config["decoder"])
-    dataset, meta, tables, inputs = _load_inputs(config["data"], config)
+    config = read_json(args.config)
+    where = f"{args.config}: suite config"
+    checked_fields(config, {"data": str, "decoder": str}, where)
     roster = None
     if config.get("roster"):
-        roster = [(e["name"], tuple(e["sources"])) for e in config["roster"]]
+        roster = []
+        for i, entry in enumerate(checked_fields(config, {"roster": list}, where)["roster"]):
+            entry = checked_fields(entry, {"name": str, "sources": tuple[str, ...]},
+                                   f"{where} roster entry {i}")
+            roster.append((entry["name"], tuple(entry["sources"])))
+    decoder = autoencoder.load_autoencoder(config["decoder"])
+    dataset, meta, tables, inputs = _load_inputs(config["data"], config)
     hyper = _hyper(args, config)
     k = args.folds if args.folds is not None else config.get("folds", 5)
     seed = args.seed if args.seed is not None else config.get("seed", 0)

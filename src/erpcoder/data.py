@@ -23,6 +23,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+import types
+import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -35,6 +37,46 @@ WORD_CLASSES = ("content", "function")
 
 class FormatError(ValueError):
     """A file violated one of the documented on-disk formats."""
+
+
+def read_json(path):
+    """The parsed JSON content of ``path``; :class:`FormatError` if it is not JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise FormatError(f"{path}: invalid JSON: {e}") from e
+
+
+def json_fits(value, hint) -> bool:
+    """Whether a parsed JSON value fits a type hint: bool, int, float, str, dict, list,
+    tuple[X, ...] or X | None. Any JSON number fits float; true and false fit no
+    number type."""
+    if value is None:
+        return type(None) in typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is tuple:
+        return (isinstance(value, (list, tuple))
+                and all(json_fits(v, typing.get_args(hint)[0]) for v in value))
+    return type(value) in ((int, float) if hint is float else (hint,))
+
+
+def checked_fields(obj, fields: dict, where) -> dict:
+    """The ``fields`` (key: type hint) of the parsed JSON object ``obj``.
+
+    Raises :class:`FormatError` naming ``where`` and the key unless ``obj``
+    is an object holding every key with a value that :func:`json_fits` its
+    hint. Other keys are ignored.
+    """
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where} is not a JSON object, got {type(obj).__name__}")
+    for key, hint in fields.items():
+        if key not in obj:
+            raise FormatError(f"{where} is missing {key!r}")
+        if not json_fits(obj[key], hint):
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise FormatError(f"{where}: {key!r} needs {name}, got {obj[key]!r:.80}")
+    return {key: obj[key] for key in fields}
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +245,12 @@ def load_erp(basepath) -> tuple[ErpDataset, list[TrialMeta]]:
     sidecar_path, payload_path, meta_path = erp_files(basepath)
     if not sidecar_path.exists():
         raise FileNotFoundError(str(sidecar_path))
-    try:
-        sidecar = json.loads(sidecar_path.read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{sidecar_path}: invalid JSON sidecar: {e}") from e
-    for key in ("dtype", "shape", "sampling_rate_hz", "epoch_start_ms", "epoch_end_ms"):
-        if key not in sidecar:
-            raise FormatError(f"{sidecar_path}: sidecar missing {key!r}")
+    sidecar = checked_fields(read_json(sidecar_path), {
+        "dtype": str, "shape": tuple[int, ...], "sampling_rate_hz": float,
+        "epoch_start_ms": float, "epoch_end_ms": float}, f"{sidecar_path}: sidecar")
     if sidecar["dtype"] != "f64le":
         raise FormatError(f"{sidecar_path}: unsupported dtype tag {sidecar['dtype']!r}")
-    shape = tuple(int(s) for s in sidecar["shape"])
+    shape = tuple(sidecar["shape"])
     if len(shape) != 3 or any(s < 1 for s in shape):
         raise FormatError(f"{sidecar_path}: shape must be 3 positive ints, got {shape}")
 

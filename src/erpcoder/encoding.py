@@ -14,6 +14,7 @@ and best-dev-epoch early stopping (weights are restored to the best epoch).
 
 from __future__ import annotations
 
+import typing
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -23,8 +24,8 @@ from . import nn
 from .autoencoder import (AutoencoderParams, TrainHistory, _add_intercepts,
                           _decoder_forward, _fit_epochs, _stack_backward,
                           reconstruction_mse)
-from .checkpoint import load_checkpoint, save_checkpoint
-from .data import ErpDataset, TrialMeta, kfold_split, train_dev_split
+from .checkpoint import checkpoint_files, load_checkpoint, save_checkpoint
+from .data import ErpDataset, TrialMeta, checked_fields, kfold_split, train_dev_split
 from .features import (FeatureMatrix, FeatureSpec, Standardizer, apply_standardizer,
                        assemble, fit_standardizer)
 from .metrics import EvalReport, fold_report
@@ -46,9 +47,10 @@ class TunerConfig:
         return asdict(self)
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "TunerConfig":
-        return cls(bool(d["enabled"]), int(d["hidden_size"]),
-                   None if d["output_size"] is None else int(d["output_size"]))
+    def from_json_dict(cls, d, where: str) -> "TunerConfig":
+        """Config from parsed JSON; a missing field or one of the wrong JSON type
+        raises :class:`FormatError` naming ``where`` and the field."""
+        return cls(**checked_fields(d, typing.get_type_hints(cls), where))
 
 
 @dataclass
@@ -465,6 +467,10 @@ def save_encoding_model(basepath, model: EncodingModel) -> None:
 def load_encoding_model(basepath, decoder: AutoencoderParams) -> EncodingModel:
     """Load a fitted model, verifying it references this exact frozen decoder."""
     _, meta, tensors = load_checkpoint(basepath, expect_kind="encoding_model")
+    where = checkpoint_files(basepath)[0]
+    meta = checked_fields(meta, {
+        "decoder_digest": str, "sources": tuple[str, ...], "feature_names": tuple[str, ...],
+        "tuner": dict, "weight_decay": float}, f"{where}: meta")
     digest = decoder.decoder_digest()
     if digest != meta["decoder_digest"]:
         raise ValueError(
@@ -478,7 +484,7 @@ def load_encoding_model(basepath, decoder: AutoencoderParams) -> EncodingModel:
         decoder=decoder,
         decoder_digest=meta["decoder_digest"],
         interface=InterfaceMap(tensors["interface.weights"], tensors["interface.bias"]),
-        tuner_config=TunerConfig.from_json_dict(meta["tuner"]),
+        tuner_config=TunerConfig.from_json_dict(meta["tuner"], f"{where}: meta 'tuner'"),
         tuner=tuner_tensors or None,
         feature_names=names,
         sources=sources,

@@ -12,25 +12,24 @@ gradients in whichever convention the forward saw.
 Kernel layout. Activations are ``(N, C, T)`` with time contiguous.
 Convolutions run as one GEMM per kernel tap (Chellapilla, Puri & Simard,
 2006), batched over ``N`` by ``np.matmul``, so no window tensor is ever
-materialised:
+materialised. Each of three helpers holds one per-tap GEMM pattern:
+:func:`_add_conv` (strided cross-correlation of a padded input),
+:func:`_add_transposed_conv` (its adjoint) and :func:`_kernel_grads`
+(per-tap kernel gradients summed over ``N``). The four ops are built
+from them:
 
-- ``conv1d_forward`` zero-pads the input once and starts ``y`` from the
-  bias; tap ``j`` adds ``kernels[:, :, j] @ padded[:, :, j : j+span : stride]``.
-- ``conv1d_backward`` forms each tap's kernel gradient as a batch of
-  ``g @ window.T`` products summed over ``N``. The input gradient is the
-  transposed convolution of ``g`` (:func:`_add_transposed_conv`); with
-  ``need_input_grad=False`` it is skipped.
-- ``convtranspose1d_forward`` starts a contiguous, already cropped output
-  from the bias; tap ``j`` adds ``kernels[:, :, j].T @ x`` straight into
-  the strided output positions it reaches.
-- ``convtranspose1d_backward`` splits ``g`` once by stride phase, so tap
-  ``j = a*stride + r`` reads the contiguous ``phases[:, :, r, a : a+T]``
-  rather than a strided slice of ``g``; the input and kernel gradients are
-  then per-tap GEMMs over the whole input.
+- ``conv1d_forward``: ``_add_conv`` of the zero-padded input, from the bias.
+- ``conv1d_backward``: ``_kernel_grads`` of ``g`` against the padded input;
+  the input gradient, unless skipped, is ``_add_transposed_conv`` of ``g``.
+- ``convtranspose1d_forward``: ``_add_transposed_conv`` into a contiguous,
+  already cropped output, from the bias.
+- ``convtranspose1d_backward``: the forward convolution of the zero-padded
+  ``g`` (Dumoulin & Visin, 2016). ``_add_conv`` of it is the input gradient;
+  ``_kernel_grads`` of the saved input against it is the kernel gradient.
 
-The in-range positions of each tap come from :func:`_tap_slices`, so
-strides larger than the kernel and padding that crops whole taps need no
-special case.
+:func:`_tap_slices` gives each transposed-convolution tap's in-range
+positions, so strides larger than the kernel and padding that crops whole
+taps need no special case.
 """
 
 from __future__ import annotations
@@ -100,6 +99,18 @@ def _tap_slices(j: int, narrow_len: int, wide_len: int, stride: int, padding: in
     return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
 
 
+def _add_conv(out: np.ndarray, padded: np.ndarray, kernels: np.ndarray,
+              stride: int) -> np.ndarray:
+    """Add the strided cross-correlation of ``padded`` into ``out``, in place.
+
+    Tap ``j`` adds ``kernels[:, :, j] @ padded[:, :, j : j+span : stride]``.
+    """
+    span = (out.shape[2] - 1) * stride + 1
+    for j in range(kernels.shape[2]):
+        out += np.matmul(kernels[:, :, j], padded[:, :, j : j + span : stride])
+    return out
+
+
 def _add_transposed_conv(wide: np.ndarray, narrow: np.ndarray, kernels: np.ndarray,
                          stride: int, padding: int) -> np.ndarray:
     """Add the transposed convolution of ``narrow`` into ``wide``, in place.
@@ -116,6 +127,25 @@ def _add_transposed_conv(wide: np.ndarray, narrow: np.ndarray, kernels: np.ndarr
     return wide
 
 
+def _kernel_grads(narrow: np.ndarray, padded: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Kernel gradients ``(narrow.shape[1], padded.shape[1], k)``: tap ``j`` is
+    ``narrow @ window.T`` summed over the batch, ``window`` being the slice of
+    ``padded`` that :func:`_add_conv` reads for that tap."""
+    span = (narrow.shape[2] - 1) * stride + 1
+    grads = np.empty((narrow.shape[1], padded.shape[1], k))
+    for j in range(k):
+        window = padded[:, :, j : j + span : stride]
+        grads[:, :, j] = np.matmul(narrow, window.transpose(0, 2, 1)).sum(axis=0)
+    return grads
+
+
+def _check_stride_padding(stride: int, padding: int) -> None:
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ValueError(f"padding must be >= 0, got {padding}")
+
+
 # ---------------------------------------------------------------------------
 # 1D convolution (cross-correlation)
 # ---------------------------------------------------------------------------
@@ -130,17 +160,6 @@ class Conv1dCtx:
     in_len: int
     out_shape: tuple[int, ...]
     squeezed: bool
-
-
-def _check_conv_geometry(t: int, kernel: int, stride: int, padding: int) -> None:
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ValueError(f"padding must be >= 0, got {padding}")
-    if kernel > t + 2 * padding:
-        raise ValueError(
-            f"kernel length {kernel} exceeds padded input length {t} + 2*{padding}"
-        )
 
 
 def conv1d_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
@@ -164,15 +183,14 @@ def conv1d_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
     if bias.shape != (c_out,):
         raise ValueError(f"conv1d: bias shape {bias.shape} != ({c_out},)")
     t = x3.shape[2]
-    _check_conv_geometry(t, k, stride, padding)
+    _check_stride_padding(stride, padding)
+    if k > t + 2 * padding:
+        raise ValueError(f"kernel length {k} exceeds padded input length {t} + 2*{padding}")
 
     padded = np.pad(x3, ((0, 0), (0, 0), (padding, padding)))
-    l_out = conv_output_length(t, k, stride, padding)
-    span = (l_out - 1) * stride + 1
-    y = np.empty((x3.shape[0], c_out, l_out))
+    y = np.empty((x3.shape[0], c_out, conv_output_length(t, k, stride, padding)))
     y[:] = bias[:, None]
-    for j in range(k):
-        y += np.matmul(kernels[:, :, j], padded[:, :, j : j + span : stride])
+    _add_conv(y, padded, kernels, stride)
     ctx = Conv1dCtx(padded, kernels, stride, padding, t, y.shape, squeezed)
     return (y[0] if squeezed else y), ctx
 
@@ -184,21 +202,13 @@ def conv1d_backward(ctx: Conv1dCtx, upstream_grad, need_input_grad: bool = True)
     ``input_grad`` is None; the parameter gradients are unchanged.
     """
     g = _match_grad(upstream_grad, ctx.out_shape, ctx.squeezed, "conv1d_backward")
-    n, _, l_out = g.shape
-    c_in, k = ctx.kernels.shape[1:]
-    stride, padding = ctx.stride, ctx.padding
-    span = (l_out - 1) * stride + 1
-
     grad_bias = g.sum(axis=(0, 2))
-    grad_kernels = np.empty_like(ctx.kernels)
-    for j in range(k):
-        window = ctx.padded[:, :, j : j + span : stride]
-        grad_kernels[:, :, j] = np.matmul(g, window.transpose(0, 2, 1)).sum(axis=0)
+    grad_kernels = _kernel_grads(g, ctx.padded, ctx.kernels.shape[2], ctx.stride)
 
     grad_x = None
     if need_input_grad:
-        grad_x = _add_transposed_conv(np.zeros((n, c_in, ctx.in_len)), g, ctx.kernels,
-                                      stride, padding)
+        grad_x = _add_transposed_conv(np.zeros(ctx.padded.shape[:2] + (ctx.in_len,)), g,
+                                      ctx.kernels, ctx.stride, ctx.padding)
         if ctx.squeezed:
             grad_x = grad_x[0]
     return LayerGrad(grad_x, {"kernels": grad_kernels, "bias": grad_bias})
@@ -243,10 +253,7 @@ def convtranspose1d_forward(x, kernels, bias, stride: int = 1, padding: int = 0)
     _, c_out, k = kernels.shape
     if bias.shape != (c_out,):
         raise ValueError(f"convtranspose1d: bias shape {bias.shape} != ({c_out},)")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ValueError(f"padding must be >= 0, got {padding}")
+    _check_stride_padding(stride, padding)
     n, _, t = x3.shape
     t_out = convtranspose_output_length(t, k, stride, padding)
     if t_out < 1:
@@ -263,33 +270,18 @@ def convtranspose1d_forward(x, kernels, bias, stride: int = 1, padding: int = 0)
 
 def convtranspose1d_backward(ctx: ConvTranspose1dCtx, upstream_grad,
                              need_param_grads: bool = True) -> LayerGrad:
-    """Gradients of a convtranspose1d_forward call."""
+    """Gradients of a convtranspose1d_forward call.
+
+    With ``need_param_grads=False`` only the input gradient is computed and
+    ``param_grads`` is empty.
+    """
     g = _match_grad(upstream_grad, ctx.out_shape, ctx.squeezed, "convtranspose1d_backward")
-    k = ctx.kernels.shape[2]
-    stride = ctx.stride
-    x = ctx.x
-    n, _, t = x.shape
-    c_out, t_out = g.shape[1:]
-
-    # Uncropped output position u*stride + r holds g (zero where padding
-    # cropped it). Split by phase r once, tap j = a*stride + r reads the
-    # contiguous phases[:, :, r, a : a+t] instead of a strided slice of g.
-    u_len = t + (k - 1) // stride
-    g_full = np.zeros((n, c_out, u_len * stride))
-    g_full[:, :, ctx.padding : ctx.padding + t_out] = g
-    phases = np.ascontiguousarray(
-        g_full.reshape(n, c_out, u_len, stride).transpose(0, 1, 3, 2))
-
-    grad_x = np.zeros(x.shape)
+    padded = np.pad(g, ((0, 0), (0, 0), (ctx.padding, ctx.padding)))
+    grad_x = _add_conv(np.zeros(ctx.x.shape), padded, ctx.kernels, ctx.stride)
     param_grads: dict[str, np.ndarray] = {}
     if need_param_grads:
-        param_grads = {"kernels": np.empty_like(ctx.kernels), "bias": g.sum(axis=(0, 2))}
-    for j in range(k):
-        a, r = divmod(j, stride)
-        g_tap = phases[:, :, r, a : a + t]
-        grad_x += np.matmul(ctx.kernels[:, :, j], g_tap)
-        if need_param_grads:
-            param_grads["kernels"][:, :, j] = np.matmul(x, g_tap.transpose(0, 2, 1)).sum(axis=0)
+        param_grads = {"kernels": _kernel_grads(ctx.x, padded, ctx.kernels.shape[2], ctx.stride),
+                       "bias": g.sum(axis=(0, 2))}
     if ctx.squeezed:
         grad_x = grad_x[0]
     return LayerGrad(grad_x, param_grads)
@@ -426,26 +418,25 @@ def mse_loss(pred, target) -> tuple[float, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+# Decay rates of the moment estimates and the denominator guard, after the
+# framework convention; only the learning rate varies between callers.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus hyperparameters.
-
-    Defaults follow the framework convention: lr 0.001, beta1 0.9,
-    beta2 0.999, epsilon 1e-8.
-    """
+    """Per-parameter first/second moments plus the learning rate (default 0.001)."""
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_init(params: dict[str, np.ndarray], lr: float = 0.001, beta1: float = 0.9,
-              beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+def adam_init(params: dict[str, np.ndarray], lr: float = 0.001) -> AdamState:
+    state = AdamState(lr=lr)
     for name, p in params.items():
         state.first_moment[name] = np.zeros_like(p)
         state.second_moment[name] = np.zeros_like(p)
@@ -465,7 +456,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         )
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     for name, p in params.items():
@@ -482,7 +473,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
     return params, state
 
 

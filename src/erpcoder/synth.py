@@ -17,7 +17,6 @@ sentence-initial words are populated so filtering paths are exercised.
 from __future__ import annotations
 
 import json
-import types
 import typing
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -28,7 +27,8 @@ from .autoencoder import (AutoencoderParams, AutoencoderSpec, checked_spec, deco
                           init_params)
 from .checkpoint import checkpoint_files, load_checkpoint, save_checkpoint
 from .data import (EmbeddingTable, ErpDataset, FormatError, TokenFeatureTable, TrialMeta,
-                   save_counts, save_embeddings, save_erp, save_token_features)
+                   checked_fields, json_fits, save_counts, save_embeddings, save_erp,
+                   save_token_features)
 from .features import SOURCES, source_block
 
 CONTENT_TAGS = ("NN", "VB", "JJ", "RB")
@@ -93,23 +93,10 @@ class SynthConfig:
         for key, value in d.items():
             if key not in hints:
                 raise FormatError(f"synth config has unknown key {key!r}")
-            if not _json_fits(value, hints[key]):
+            if not json_fits(value, hints[key]):
                 raise FormatError(f"synth config key {key!r} needs {cls.__annotations__[key]}, "
                                   f"got {value!r}")
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
-
-
-def _json_fits(value, hint) -> bool:
-    """Whether a parsed JSON value fits a field typed int, float, str, tuple[X, ...]
-    or X | None. Any JSON number fits float; true and false fit no number type."""
-    if value is None:
-        return type(None) in typing.get_args(hint)
-    if isinstance(hint, types.UnionType):
-        hint = typing.get_args(hint)[0]
-    if typing.get_origin(hint) is tuple:
-        return (isinstance(value, (list, tuple))
-                and all(_json_fits(v, typing.get_args(hint)[0]) for v in value))
-    return type(value) in ((int, float) if hint is float else (hint,))
 
 
 @dataclass
@@ -388,8 +375,12 @@ def write_dataset_dir(synth: SynthData, outdir, base: str = "data") -> None:
 def load_ground_truth(basepath) -> GroundTruth:
     """Reload a ground-truth checkpoint written by :func:`write_dataset_dir`."""
     _, meta, tensors = load_checkpoint(basepath, expect_kind="synth_truth")
-    spec = checked_spec(meta["decoder_spec"], meta.get("decoder_plan"),
-                        checkpoint_files(basepath)[0])
+    where = checkpoint_files(basepath)[0]
+    meta = checked_fields(meta, {
+        "decoder_spec": dict, "decoder_plan": dict, "driving": tuple[str, ...],
+        "noise_sd": float, "mse_floor": float,
+        "driven_latent_timepoints": tuple[int, ...] | None}, f"{where}: meta")
+    spec = checked_spec(meta, "decoder_spec", "decoder_plan", where)
     decoder_tensors = {
         name[len("decoder."):]: t for name, t in tensors.items()
         if name.startswith("decoder.")

@@ -48,6 +48,28 @@ def convtranspose1d_naive(x, kernels, bias, stride=1, padding=0):
     return y + bias[:, None]
 
 
+def convtranspose1d_kernel_grad_naive(x, g, k, stride=1, padding=0):
+    """Kernel gradient of a transposed convolution by direct summation.
+
+    x: (C_in, T) its input, g: (C_out, T_out) the upstream gradient. Input
+    position i meets output position i*stride + kk - padding through tap kk;
+    partners that padding cropped contribute nothing.
+    """
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(g, dtype=float)
+    c_in, t = x.shape
+    c_out, t_out = g.shape
+    grad = np.zeros((c_in, c_out, k))
+    for c in range(c_in):
+        for o in range(c_out):
+            for kk in range(k):
+                for i in range(t):
+                    pos = i * stride + kk - padding
+                    if 0 <= pos < t_out:
+                        grad[c, o, kk] += x[c, i] * g[o, pos]
+    return grad
+
+
 def maxpool1d_naive(x, window, stride):
     x = np.asarray(x, dtype=float)
     c, t = x.shape

@@ -201,6 +201,102 @@ class TestExitCodes:
         assert code == 4
         assert "error: FormatViolation:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c.update(roster=[1]), "roster entry 0 is not a JSON object"),
+        (lambda c: c["roster"][1].pop("sources"), "roster entry 1 is missing 'sources'"),
+        (lambda c: c["roster"][0].update(sources="constant"), "roster entry 0: 'sources' needs"),
+        (lambda c: c["roster"][0].update(name=7), "roster entry 0: 'name' needs str"),
+        (lambda c: c.update(roster={"name": "x"}), "suite config: 'roster' needs list"),
+        (lambda c: c.update(data=5), "suite config: 'data' needs str"),
+        (lambda c: c.pop("decoder"), "suite config is missing 'decoder'"),
+    ], ids=["roster_int", "no_sources", "sources_string", "name_int", "roster_object",
+            "data_int", "no_decoder"])
+    def test_malformed_suite_config_is_4(self, pipeline, tmp_path, capsys, edit, message):
+        config = {"data": str(pipeline / "d" / "data"),
+                  "decoder": str(pipeline / "m" / "autoencoder"),
+                  "roster": [{"name": "intercept", "sources": ["constant"]},
+                             {"name": "frequency", "sources": ["frequency"]}]}
+        edit(config)
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(config))
+        assert run(["suite", "--config", path, "--out", tmp_path / "o"]) == 4
+        err = capsys.readouterr().err
+        assert f"error: FormatViolation: {path}: suite config" in err and message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "suite"])
+    def test_invalid_json_config_is_4(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_text("{bad")
+        assert run([command, "--config", path, "--out", tmp_path / "o"]) == 4
+        assert f"error: FormatViolation: {path}: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.pop("spec"), "meta is missing 'spec'"),
+        (lambda m: m["spec"].update(n_channels="six"), "meta 'spec': 'n_channels' needs int"),
+        (lambda m: m["spec"].update(intercepts=0), "meta 'spec': 'intercepts' needs bool"),
+        (lambda m: m["spec"].pop("architecture"), "meta 'spec' is missing 'architecture'"),
+        (lambda m: m.update(subjects=5), "meta: 'subjects' needs tuple[str, ...] | None"),
+        (lambda m: m.pop("plan"), "meta is missing 'plan'"),
+    ], ids=["no_spec", "n_channels_string", "intercepts_int", "no_architecture",
+            "subjects_int", "no_plan"])
+    def test_malformed_decoder_meta_is_4(self, pipeline, tmp_path, capsys, edit, message):
+        manifest = self._copy_checkpoint(pipeline / "m" / "autoencoder", tmp_path / "ae")
+        edit(manifest["meta"])
+        (tmp_path / "ae.ckpt.json").write_text(json.dumps(manifest))
+        code = run(["fit", "--decoder", tmp_path / "ae", "--data", pipeline / "d" / "data",
+                    "--sources", "constant", "--out", tmp_path / "o"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"error: FormatViolation: {tmp_path / 'ae.ckpt.json'}: {message}" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.pop("weight_decay"), "meta is missing 'weight_decay'"),
+        (lambda m: m.update(sources="constant"), "meta: 'sources' needs tuple[str, ...]"),
+        (lambda m: m.update(decoder_digest=None), "meta: 'decoder_digest' needs str"),
+        (lambda m: m["tuner"].update(hidden_size="64"), "meta 'tuner': 'hidden_size' needs int"),
+        (lambda m: m["tuner"].update(output_size=1.5),
+         "meta 'tuner': 'output_size' needs int | None"),
+    ], ids=["no_weight_decay", "sources_string", "digest_null", "hidden_size_string",
+            "output_size_float"])
+    def test_malformed_model_meta_is_4(self, pipeline, tmp_path, capsys, edit, message):
+        manifest = self._copy_checkpoint(pipeline / "e0" / "model", tmp_path / "model")
+        edit(manifest["meta"])
+        (tmp_path / "model.ckpt.json").write_text(json.dumps(manifest))
+        code = run(["export-words", "--model", tmp_path / "model",
+                    "--autoencoder", pipeline / "m" / "autoencoder",
+                    "--data", pipeline / "d" / "data", "--out", tmp_path / "o"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"error: FormatViolation: {tmp_path / 'model.ckpt.json'}: {message}" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s.update(shape=5), "sidecar: 'shape' needs tuple[int, ...], got 5"),
+        (lambda s: s.update(shape=[2, 2.0, 10]), "sidecar: 'shape' needs tuple[int, ...]"),
+        (lambda s: s.update(sampling_rate_hz="250"), "sidecar: 'sampling_rate_hz' needs float"),
+        (lambda s: s.update(dtype=None), "sidecar: 'dtype' needs str"),
+        (lambda s: s.pop("epoch_end_ms"), "sidecar is missing 'epoch_end_ms'"),
+        (lambda s: s.clear() or s.update(a=[1]), "sidecar is missing 'dtype'"),
+    ], ids=["shape_int", "shape_float", "rate_string", "dtype_null", "no_epoch_end",
+            "other_keys"])
+    def test_malformed_sidecar_is_4(self, tmp_path, capsys, edit, message):
+        meta = [TrialMeta("s1", 0, i + 1, "w", "content", "NN", False) for i in range(2)]
+        save_erp(tmp_path / "set", ErpDataset(np.ones((2, 2, 10)), 250.0, 0.0, 40.0), meta)
+        sidecar_path = tmp_path / "set.erp.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        edit(sidecar)
+        sidecar_path.write_text(json.dumps(sidecar))
+        assert run(["pretrain", "--data", tmp_path / "set", "--out", tmp_path / "o"]) == 4
+        assert f"error: FormatViolation: {sidecar_path}: {message}" in capsys.readouterr().err
+
+    @staticmethod
+    def _copy_checkpoint(source: Path, dest: Path) -> dict:
+        """Copy a checkpoint's two files to ``dest``; returns its parsed manifest."""
+        for suffix in (".ckpt.json", ".ckpt.bin"):
+            dest.with_name(dest.name + suffix).write_bytes(
+                source.with_name(source.name + suffix).read_bytes())
+        return json.loads(source.with_name(source.name + ".ckpt.json").read_text())
+
     @pytest.mark.parametrize("command", [["evaluate", "--intercept", "i"],
                                          ["timecourse", "--intercept", "i"],
                                          ["export-words"]], ids=lambda c: c[0])

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erpcoder import nn
-from oracles import adam_first_step_naive, conv1d_naive, convtranspose1d_naive, maxpool1d_naive
+from oracles import (adam_first_step_naive, conv1d_naive, convtranspose1d_kernel_grad_naive,
+                     convtranspose1d_naive, maxpool1d_naive)
 
 
 def _loss_closure(forward, backward, extract):
@@ -354,6 +355,36 @@ class TestTapEdgeGeometry:
         assert set(skipped.param_grads) == set(full.param_grads)
         for name, grad in full.param_grads.items():
             np.testing.assert_array_equal(skipped.param_grads[name], grad)
+
+    def test_convtranspose1d_backward_matches_loop_oracles(self, rng, geometry, layout):
+        # the input gradient is the forward convolution of g with the same kernels
+        o = _edge_operands(rng, geometry, layout)
+        _, ctx = nn.convtranspose1d_forward(_in_layout(o["y"], layout), _in_layout(o["w"], layout),
+                                            o["b_in"], stride=o["stride"], padding=o["pad"])
+        g = rng.normal(size=o["x"].shape)
+        lg = nn.convtranspose1d_backward(ctx, _in_layout(g, layout))
+        expected_x = _per_instance(conv1d_naive, g, o["w"], np.zeros(o["w"].shape[0]),
+                                   o["stride"], o["pad"])
+        np.testing.assert_allclose(lg.input_grad, expected_x, rtol=0, atol=1e-12)
+        instances = [(o["y"], g)] if layout == "single" else list(zip(o["y"], g))
+        expected_w = sum(convtranspose1d_kernel_grad_naive(yi, gi, o["w"].shape[2], o["stride"],
+                                                           o["pad"]) for yi, gi in instances)
+        np.testing.assert_allclose(lg.param_grads["kernels"], expected_w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lg.param_grads["bias"],
+                                   sum(gi.sum(axis=1) for _, gi in instances), rtol=0, atol=1e-12)
+
+    def test_convtranspose1d_skipping_param_grads_keeps_input_grad_bitwise(
+            self, rng, geometry, layout):
+        o = _edge_operands(rng, geometry, layout)
+        _, ctx = nn.convtranspose1d_forward(_in_layout(o["y"], layout), _in_layout(o["w"], layout),
+                                            o["b_in"], stride=o["stride"], padding=o["pad"])
+        g = _in_layout(rng.normal(size=o["x"].shape), layout)
+        full = nn.convtranspose1d_backward(ctx, g)
+        skipped = nn.convtranspose1d_backward(ctx, g, need_param_grads=False)
+        assert skipped.param_grads == {}
+        assert set(full.param_grads) == {"kernels", "bias"}
+        assert skipped.input_grad.shape == o["y"].shape
+        np.testing.assert_array_equal(skipped.input_grad, full.input_grad)
 
 
 class TestDenseTanh:

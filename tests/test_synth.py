@@ -195,3 +195,23 @@ class TestDiskRoundTrip:
         decoded = decode(truth.decoder, truth.latents)
         np.testing.assert_array_equal(decoded, decode(sd.ground_truth.decoder,
                                                       sd.ground_truth.latents))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.pop("noise_sd"), "meta is missing 'noise_sd'"),
+        (lambda m: m.update(mse_floor="0.1"), "meta: 'mse_floor' needs float"),
+        (lambda m: m.update(driving="frequency"), "meta: 'driving' needs tuple[str, ...]"),
+        (lambda m: m.update(driven_latent_timepoints=[0.5]),
+         "meta: 'driven_latent_timepoints' needs tuple[int, ...] | None"),
+        (lambda m: m["decoder_spec"].update(n_timepoints="30"),
+         "meta 'decoder_spec': 'n_timepoints' needs int"),
+    ], ids=["no_noise_sd", "floor_string", "driving_string", "timepoints_float",
+            "spec_length_string"])
+    def test_malformed_truth_meta_rejected(self, tmp_path, edit, message):
+        synth.write_dataset_dir(synth.generate(small_config()), tmp_path)
+        path = tmp_path / "truth.ckpt.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest["meta"])
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError) as err:
+            synth.load_ground_truth(tmp_path / "truth")
+        assert str(err.value).startswith(f"{path}: {message}")
