@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import nn
-from .checkpoint import (checkpoint_files, load_checkpoint, save_checkpoint,
-                         tensor_dict_digest)
+from .checkpoint import (checkpoint_files, load_checkpoint, require_tensors,
+                         save_checkpoint, tensor_dict_digest)
 from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_split,
                    train_dev_split)
 
@@ -47,9 +47,13 @@ class AutoencoderSpec:
 
     @classmethod
     def from_json_dict(cls, d, where: str) -> "AutoencoderSpec":
-        """Spec from parsed JSON; a missing field or one of the wrong JSON type
-        raises :class:`FormatError` naming ``where`` and the field."""
-        return cls(**checked_fields(d, typing.get_type_hints(cls), where))
+        """Spec from parsed JSON; a missing field, one of the wrong JSON type or an
+        unknown architecture raises :class:`FormatError` naming ``where`` and the field."""
+        fields = checked_fields(d, typing.get_type_hints(cls), where)
+        if fields["architecture"] not in ARCHITECTURES:
+            raise FormatError(f"{where}: unknown architecture {fields['architecture']!r}; "
+                              f"choose from {ARCHITECTURES}")
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -336,16 +340,18 @@ class TrainHistory:
         return asdict(self)
 
 
-def _fit_epochs(params: dict[str, np.ndarray], x_all: np.ndarray, train_idx: np.ndarray,
+def _fit_epochs(params: dict[str, np.ndarray], loss, train_idx: np.ndarray,
                 dev_idx: np.ndarray, rng: np.random.Generator, forward, backward, *,
                 epochs: int, batch_size: int, lr: float, weight_decay: float = 0.0
                 ) -> TrainHistory:
-    """Adam on MSE against ``x_all`` rows; restores ``params`` to the best dev epoch.
+    """Adam on an MSE; restores ``params`` to the best dev epoch.
 
-    ``forward(idx, record)`` returns (predictions, contexts) for trials ``idx``
-    and ``backward(grad_y, contexts, idx)`` the gradients of ``params``. Each
-    epoch draws one permutation of ``train_idx`` from ``rng``. Without dev
-    trials the epoch's train MSE stands in for the dev MSE.
+    ``forward(idx, record)`` returns (outputs, contexts) for trials ``idx``,
+    ``loss(outputs, idx)`` their MSE and its gradient w.r.t. the outputs, and
+    ``backward(grad, contexts, idx)`` the gradients of ``params``. An epoch's
+    train MSE weights each batch by its number of outputs. Each epoch draws
+    one permutation of ``train_idx`` from ``rng``. Without dev trials the
+    epoch's train MSE stands in for the dev MSE.
     """
     state = nn.adam_init(params, lr=lr)
     history = TrainHistory()
@@ -357,18 +363,18 @@ def _fit_epochs(params: dict[str, np.ndarray], x_all: np.ndarray, train_idx: np.
         for b, start in enumerate(range(0, len(order), batch_size)):
             batch = order[start : start + batch_size]
             y, ctxs = forward(batch, True)
-            loss, gl = nn.mse_loss(y, x_all[batch])
-            if not np.isfinite(loss):
+            batch_loss, gl = loss(y, batch)
+            if not np.isfinite(batch_loss):
                 raise RuntimeError(
-                    f"training loss diverged to {loss} at epoch {epoch}, batch {b}")
-            se_sum += loss * y.size
+                    f"training loss diverged to {batch_loss} at epoch {epoch}, batch {b}")
+            se_sum += batch_loss * y.size
             n_elem += y.size
             nn.adam_step(params, backward(gl, ctxs, batch), state, weight_decay=weight_decay)
         history.train_mse.append(se_sum / n_elem)
 
         if len(dev_idx):
             yd, _ = forward(dev_idx, False)
-            dev_loss, _ = nn.mse_loss(yd, x_all[dev_idx])
+            dev_loss, _ = loss(yd, dev_idx)
         else:
             dev_loss = history.train_mse[-1]
         history.dev_mse.append(dev_loss)
@@ -425,7 +431,8 @@ def pretrain(spec: AutoencoderSpec, dataset: ErpDataset, meta: list[TrialMeta], 
                       grad_y.sum(axis=-1))
         return grads
 
-    history = _fit_epochs(params.tensors, x_all, train_idx, dev_idx, rng, forward, backward,
+    history = _fit_epochs(params.tensors, lambda y, idx: nn.mse_loss(y, x_all[idx]),
+                          train_idx, dev_idx, rng, forward, backward,
                           epochs=epochs, batch_size=batch_size, lr=lr)
     return params, history
 
@@ -509,11 +516,21 @@ def checked_spec(meta: dict, spec_key: str, plan_key: str, where) -> Autoencoder
     return spec
 
 
+def tensor_names(spec: AutoencoderSpec) -> list[str]:
+    """Names of the tensors the layer plan of ``spec`` needs."""
+    plan = build_layer_plan(spec)
+    layers = [f"enc{i}" for i, step in enumerate(plan.encoder) if isinstance(step, ConvStep)]
+    layers += [f"dec{i}" for i in range(len(plan.decoder))]
+    names = [f"{layer}.{kind}" for layer in layers for kind in ("kernels", "bias")]
+    return names + (["intercepts"] if spec.intercepts else [])
+
+
 def load_autoencoder(basepath) -> AutoencoderParams:
     _, meta, tensors = load_checkpoint(basepath, expect_kind="autoencoder")
     where = checkpoint_files(basepath)[0]
     meta = checked_fields(meta, {"spec": dict, "plan": dict, "subjects": tuple[str, ...] | None},
                           f"{where}: meta")
     spec = checked_spec(meta, "spec", "plan", where)
+    require_tensors(tensors, tensor_names(spec), where)
     subjects = tuple(meta["subjects"]) if meta["subjects"] else None
     return AutoencoderParams(spec, tensors, subjects)

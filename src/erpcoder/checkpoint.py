@@ -107,3 +107,11 @@ def load_checkpoint(basepath, expect_kind: str | None = None
         for start, end, name, shape in entries
     }
     return manifest["kind"], manifest["meta"], tensors
+
+
+def require_tensors(tensors: dict[str, np.ndarray], names, where) -> None:
+    """Raise :class:`FormatError` naming the checkpoint manifest ``where`` and
+    the first of ``names`` missing from ``tensors``."""
+    for name in names:
+        if name not in tensors:
+            raise FormatError(f"{where}: checkpoint has no tensor {name!r}")

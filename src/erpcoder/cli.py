@@ -54,14 +54,15 @@ _TABLES = (("counts", "counts_table", load_counts),
            ("token_features", "token_features", load_token_features))
 
 
-def _load_inputs(data, paths: dict):
+def _load_inputs(data, paths: dict, include_first_word: bool = False):
     """Load the ERP dataset at ``data`` and the tables ``paths`` (``vars(args)`` or a
-    suite config) names. Returns the dataset and meta without artifacts and
-    sentence-initial words, the table keywords of ``assemble``/``run_model_suite``
-    (``sentence_tokens`` built before filtering) and the manifest inputs."""
+    suite config) names. Returns the dataset and meta without artifacts (and
+    without sentence-initial words unless ``include_first_word``), the table
+    keywords of ``assemble``/``run_model_suite`` (``sentence_tokens`` built
+    before filtering) and the manifest inputs."""
     dataset, meta = load_erp(data)
     tables = {"sentence_tokens": build_sentence_tokens(meta)}
-    dataset, meta = filter_artifacts(dataset, meta, include_first_word=False)
+    dataset, meta = filter_artifacts(dataset, meta, include_first_word=include_first_word)
     inputs = {"data": erp_files(data)}
     for key, keyword, load in _TABLES:
         if paths.get(key):
@@ -117,8 +118,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    dataset, meta = load_erp(args.data)
-    dataset, meta = filter_artifacts(dataset, meta, include_first_word=True)
+    # autoencoders reconstruct every clean epoch, sentence-initial words included
+    dataset, meta, _, inputs = _load_inputs(args.data, {}, include_first_word=True)
     spec = autoencoder.AutoencoderSpec(
         args.arch, args.intercepts, dataset.n_channels, dataset.n_timepoints)
     hyper = _hyper(args)
@@ -139,14 +140,13 @@ def _cmd_pretrain(args) -> int:
     })
     _manifest(out, "pretrain",
               {"arch": args.arch, "intercepts": args.intercepts, "seed": args.seed, **hyper},
-              {"data": erp_files(args.data)})
+              inputs)
     _progress(f"best dev MSE {min(history.dev_mse):.6g} at epoch {history.best_epoch}")
     return 0
 
 
 def _cmd_select_arch(args) -> int:
-    dataset, meta = load_erp(args.data)
-    dataset, meta = filter_artifacts(dataset, meta, include_first_word=True)
+    dataset, meta, _, inputs = _load_inputs(args.data, {}, include_first_word=True)
     hyper = _hyper(args)
     candidates = None
     if args.intercepts:
@@ -169,7 +169,7 @@ def _cmd_select_arch(args) -> int:
     _manifest(out, "select-arch",
               {"folds": args.folds, "seed": args.seed,
                "intercepts": args.intercepts, **hyper},
-              {"data": erp_files(args.data)})
+              inputs)
     return 0
 
 
@@ -184,6 +184,7 @@ def _cmd_fit(args) -> int:
     decoder = autoencoder.load_autoencoder(args.decoder)
     dataset, meta, tables, inputs = _load_inputs(args.data, vars(args))
     fm = assemble(FeatureSpec(sources), meta, **tables)
+    readout = encoding.build_readout(decoder, dataset, meta)
     hyper = _hyper(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -192,14 +193,14 @@ def _cmd_fit(args) -> int:
     if args.wd_search:
         _progress("searching weight decay over the default grid")
         wd, wd_table = encoding.weight_decay_search(
-            decoder, dataset, meta, fm, sources, k=args.folds, seed=args.seed, **hyper)
+            decoder, readout, meta, fm, sources, k=args.folds, seed=args.seed, **hyper)
         _progress(f"chosen weight decay: {wd:g}")
     else:
         wd = args.wd if args.wd is not None else 0.0
 
     _progress(f"fitting encoding model ({'+'.join(sources)}) on {dataset.n_trials} trials")
     model, history = encoding.train(
-        decoder, dataset, meta, fm, sources, weight_decay=wd, seed=args.seed, **hyper)
+        decoder, readout, meta, fm, sources, weight_decay=wd, seed=args.seed, **hyper)
     encoding.save_encoding_model(out / "model", model)
     _write_json(out / "history.json", history.to_json_dict())
     report = {
@@ -207,7 +208,7 @@ def _cmd_fit(args) -> int:
         "weight_decay": wd,
         "best_epoch": history.best_epoch,
         "best_dev_mse": min(history.dev_mse),
-        "train_mse": encoding.model_mse(model, dataset, meta, fm),
+        "train_mse": encoding.model_mse(model, readout, meta, fm),
     }
     if wd_table is not None:
         report["wd_table"] = wd_table
@@ -298,8 +299,9 @@ def _load_analysis(args):
 def _cmd_evaluate(args) -> int:
     (ae_params, dataset, meta, (model, fm), (intercept, fm_intercept),
      inputs) = _load_analysis(args)
-    mse_model = encoding.model_mse(model, dataset, meta, fm)
-    mse_intercept = encoding.model_mse(intercept, dataset, meta, fm_intercept)
+    readout = encoding.build_readout(ae_params, dataset, meta)
+    mse_model = encoding.model_mse(model, readout, meta, fm)
+    mse_intercept = encoding.model_mse(intercept, readout, meta, fm_intercept)
     mse_ae = autoencoder.reconstruction_mse(ae_params, dataset, meta)
     report = metrics.EvalReport(
         model_name="+".join(model.sources),

@@ -7,6 +7,7 @@ import pytest
 
 from erpcoder import autoencoder as ae
 from erpcoder import cli, nn, synth
+from erpcoder.checkpoint import load_checkpoint, save_checkpoint
 from erpcoder.data import ErpDataset, FormatError, TrialMeta
 
 
@@ -266,6 +267,19 @@ class TestCheckpoint:
         assert loaded.subjects == ("s1", "s2")
         for k in params.tensors:
             np.testing.assert_array_equal(loaded.tensors[k], params.tensors[k])
+
+    @pytest.mark.parametrize("tensor", ["enc0.kernels", "enc2.bias", "dec1.kernels",
+                                        "intercepts"])
+    def test_missing_tensor_rejected(self, tmp_path, tensor):
+        params = ae.init_params(ae.AutoencoderSpec("beta", True, 8, 50), seed=1,
+                                subjects=("s1",))
+        ae.save_autoencoder(tmp_path / "model", params)
+        kind, meta, tensors = load_checkpoint(tmp_path / "model")
+        del tensors[tensor]
+        save_checkpoint(tmp_path / "model", kind, meta, tensors)
+        with pytest.raises(FormatError,
+                           match=f"model.ckpt.json: checkpoint has no tensor '{tensor}'"):
+            ae.load_autoencoder(tmp_path / "model")
 
     def test_decoder_digest_stable(self, tmp_path):
         params = ae.init_params(ae.AutoencoderSpec("beta", False, 8, 50), seed=1)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from erpcoder import cli
+from erpcoder.checkpoint import load_checkpoint, save_checkpoint
 from erpcoder.data import ErpDataset, TrialMeta, save_erp
 
 
@@ -238,8 +239,10 @@ class TestExitCodes:
         (lambda m: m["spec"].pop("architecture"), "meta 'spec' is missing 'architecture'"),
         (lambda m: m.update(subjects=5), "meta: 'subjects' needs tuple[str, ...] | None"),
         (lambda m: m.pop("plan"), "meta is missing 'plan'"),
+        (lambda m: m["spec"].update(architecture="gamma"),
+         "meta 'spec': unknown architecture 'gamma'"),
     ], ids=["no_spec", "n_channels_string", "intercepts_int", "no_architecture",
-            "subjects_int", "no_plan"])
+            "subjects_int", "no_plan", "unknown_architecture"])
     def test_malformed_decoder_meta_is_4(self, pipeline, tmp_path, capsys, edit, message):
         manifest = self._copy_checkpoint(pipeline / "m" / "autoencoder", tmp_path / "ae")
         edit(manifest["meta"])
@@ -257,8 +260,10 @@ class TestExitCodes:
         (lambda m: m["tuner"].update(hidden_size="64"), "meta 'tuner': 'hidden_size' needs int"),
         (lambda m: m["tuner"].update(output_size=1.5),
          "meta 'tuner': 'output_size' needs int | None"),
+        (lambda m: m.update(sources=["bogus"]),
+         "meta 'sources': unknown feature sources ['bogus']"),
     ], ids=["no_weight_decay", "sources_string", "digest_null", "hidden_size_string",
-            "output_size_float"])
+            "output_size_float", "unknown_source"])
     def test_malformed_model_meta_is_4(self, pipeline, tmp_path, capsys, edit, message):
         manifest = self._copy_checkpoint(pipeline / "e0" / "model", tmp_path / "model")
         edit(manifest["meta"])
@@ -269,6 +274,19 @@ class TestExitCodes:
         assert code == 4
         err = capsys.readouterr().err
         assert f"error: FormatViolation: {tmp_path / 'model.ckpt.json'}: {message}" in err
+
+    def test_missing_model_tensor_is_4(self, pipeline, tmp_path, capsys):
+        self._copy_checkpoint(pipeline / "e0" / "model", tmp_path / "model")
+        kind, meta, tensors = load_checkpoint(tmp_path / "model")
+        del tensors["standardizer.scale"]
+        save_checkpoint(tmp_path / "model", kind, meta, tensors)
+        code = run(["export-words", "--model", tmp_path / "model",
+                    "--autoencoder", pipeline / "m" / "autoencoder",
+                    "--data", pipeline / "d" / "data", "--out", tmp_path / "o"])
+        assert code == 4
+        assert (f"error: FormatViolation: {tmp_path / 'model.ckpt.json'}: checkpoint has no "
+                f"tensor 'standardizer.scale'") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda s: s.update(shape=5), "sidecar: 'shape' needs tuple[int, ...], got 5"),

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from erpcoder import encoding, features, metrics, nn, synth
-from erpcoder.autoencoder import AutoencoderSpec, decode, init_params
-from erpcoder.data import filter_artifacts, keep_mask
+from erpcoder.autoencoder import AutoencoderSpec, _stack_forward, decode, init_params
+from erpcoder.checkpoint import load_checkpoint, save_checkpoint
+from erpcoder.data import ErpDataset, FormatError, TrialMeta, filter_artifacts, keep_mask
 
 
 @pytest.fixture(scope="module")
@@ -144,16 +145,16 @@ class TestTraining:
     def test_divergence_names_value_epoch_and_batch(self, small_synth, monkeypatch, bad):
         sd, ds, meta = small_synth
         n_batches = -(-(ds.n_trials - round(ds.n_trials * 0.1)) // 32)
-        mse_loss = nn.mse_loss
+        mse = encoding.Readout.mse
         calls = []
 
-        def diverging_mse(pred, target):
+        def diverging_mse(readout, h, rows):
             calls.append(None)
-            loss, grad = mse_loss(pred, target)
+            loss, grad = mse(readout, h, rows)
             # one dev loss follows each epoch's batches: fail epoch 1, batch 1
             return (bad if len(calls) == n_batches + 3 else loss), grad
 
-        monkeypatch.setattr(nn, "mse_loss", diverging_mse)
+        monkeypatch.setattr(encoding.Readout, "mse", diverging_mse)
         with pytest.raises(RuntimeError, match=f"diverged to {bad} at epoch 1, batch 1$"):
             quick_fit(sd, ds, meta, ("frequency",), epochs=3)
 
@@ -215,6 +216,133 @@ class TestTraining:
         for name in params:
             err = nn.finite_difference_check(loss_for(name), params[name].copy())
             assert err < 1e-4, f"{name}: rel err {err}"
+
+
+def paper_geometry_set(rng, arch, intercepts, n=150):
+    """A random decoder at 32x200 (random intercepts if enabled) and n random epochs."""
+    subjects = ("s0", "s1", "s2")
+    decoder = init_params(AutoencoderSpec(arch, intercepts, 32, 200), seed=4,
+                          subjects=subjects if intercepts else None)
+    if intercepts:
+        decoder.tensors["intercepts"][:] = rng.normal(size=(3, 32))
+    meta = [TrialMeta(subjects[i % 3], i, 2, "w", "content", "NN", False) for i in range(n)]
+    dataset = ErpDataset(rng.normal(size=(n, 32, 200)), 250.0, -100.0, 700.0)
+    return decoder, dataset, meta
+
+
+def hidden(decoder, z):
+    """The decoder's last hidden activation for latents z."""
+    h, _ = _stack_forward(decoder.plan.decoder[:-1], decoder.tensors, "dec", z, False)
+    return h
+
+
+GRAM_SETTINGS = [("alpha", False), ("alpha", True), ("beta", False), ("beta", True)]
+GRAM_IDS = ["alpha", "alpha-intercepts", "beta", "beta-intercepts"]
+
+
+class TestGramReadout:
+    """The Gram-form output layer against the full decoder's convtranspose1d_forward,
+    intercepts, mse_loss and convtranspose1d_backward."""
+
+    @pytest.mark.parametrize("arch, intercepts", GRAM_SETTINGS, ids=GRAM_IDS)
+    def test_loss_and_gradient_match_full_decoder(self, rng, arch, intercepts):
+        decoder, ds, meta = paper_geometry_set(rng, arch, intercepts)
+        readout = encoding.build_readout(decoder, ds, meta)  # 150 trials: a ragged pass
+        plan = decoder.plan
+        last = len(plan.decoder) - 1
+        step = plan.decoder[last]
+        z = rng.normal(size=(ds.n_trials, plan.latent_channels, plan.latent_timepoints))
+        h = hidden(decoder, z)
+        order = rng.permutation(ds.n_trials)
+        for rows in (order[:64], order[64:128], order[128:]):  # the last batch is ragged
+            loss, grad = readout.mse(h[rows], rows)
+            y, ctx = nn.convtranspose1d_forward(
+                h[rows], decoder.tensors[f"dec{last}.kernels"],
+                decoder.tensors[f"dec{last}.bias"], step.stride, step.padding)
+            if intercepts:
+                y = y + decoder.tensors["intercepts"][rows % 3][:, :, None]
+            full_loss, grad_y = nn.mse_loss(y, ds.data[rows])
+            full_grad = nn.convtranspose1d_backward(ctx, grad_y, need_param_grads=False)
+            assert loss == pytest.approx(full_loss, rel=1e-12, abs=0)
+            assert np.abs(grad - full_grad.input_grad).max() <= \
+                1e-12 * np.abs(full_grad.input_grad).max()
+
+    @pytest.mark.parametrize("arch, intercepts", GRAM_SETTINGS, ids=GRAM_IDS)
+    def test_model_mse_matches_full_decoder(self, rng, arch, intercepts):
+        decoder, ds, meta = paper_geometry_set(rng, arch, intercepts)
+        fm = features.FeatureMatrix(rng.normal(size=(ds.n_trials, 1)), ["frequency"])
+        model, _ = encoding.train(decoder, ds, meta, fm, ("frequency",), epochs=2,
+                                  batch_size=32, lr=0.01, seed=2)
+        subj = np.array([m.subject_id for m in meta])
+        full, _ = nn.mse_loss(
+            encoding.predict_erp(model, fm, list(subj) if intercepts else None), ds.data)
+        rows = np.arange(5, 140)
+        full_rows, _ = nn.mse_loss(
+            encoding.predict_erp(model, fm.take(rows), list(subj[rows]) if intercepts else None),
+            ds.data[rows])
+        readout = encoding.build_readout(decoder, ds, meta)
+        assert encoding.model_mse(model, ds, meta, fm) == pytest.approx(full, rel=1e-12, abs=0)
+        assert encoding.model_mse(model, readout, meta, fm, rows) == \
+            pytest.approx(full_rows, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("arch", ["alpha", "beta"])
+    def test_near_noiseless_cancellation_error_bounded(self, arch):
+        # hᵀGh - 2hᵀr + c cancels to the residual, so the absolute error scales
+        # with the mean squared epoch value c/n_out, not with the residual; at
+        # noise_sd 1e-6 it measured at most 2 eps c/n_out (4 seeds, both
+        # architectures), a relative error up to ~6e-6 of the 1e-12 residual
+        config = synth.SynthConfig(n_subjects=2, n_sentences=8, words_per_sentence=5,
+                                   architecture=arch, noise_sd=1e-6, seed=1)
+        sd = synth.generate(config)
+        decoder, ds = sd.ground_truth.decoder, sd.dataset
+        readout = encoding.build_readout(decoder, ds, sd.meta)
+        rows = np.arange(ds.n_trials)
+        loss, _ = readout.mse(hidden(decoder, sd.ground_truth.latents), rows)
+        full, _ = nn.mse_loss(decode(decoder, sd.ground_truth.latents), ds.data)
+        assert full == pytest.approx(1e-12, rel=0.05)
+        scale = readout.c.mean() / readout.n_out
+        assert abs(loss - full) <= 8 * np.finfo(float).eps * scale
+
+    def test_training_gradient_matches_finite_differences(self, rng):
+        # tuner -> interface -> hidden decoder layers -> Gram-form MSE, as train runs it
+        decoder = init_params(AutoencoderSpec("beta", False, 4, 20), seed=8)
+        tuner = encoding.TunerConfig(enabled=True, hidden_size=5, output_size=4)
+        f = rng.normal(size=(3, 4))
+        meta = [TrialMeta("s0", i, 2, "w", "content", "NN", False) for i in range(3)]
+        readout = encoding.build_readout(
+            decoder, ErpDataset(rng.normal(size=(3, 4, 20)), 250.0, -100.0, -20.0), meta)
+        params = encoding._init_trainable(np.random.default_rng(0), 3, 1,
+                                          decoder.plan.latent_channels,
+                                          decoder.plan.latent_timepoints, tuner)
+        rows = np.arange(3)
+
+        def loss_for(name):
+            def fn(x):
+                trial = {k: (x if k == name else v) for k, v in params.items()}
+                h, ctxs = encoding._forward(trial, decoder, f, np.arange(3), np.array([3]),
+                                            tuner, record=True, hidden=True)
+                loss, grad_h = readout.mse(h, rows)
+                return loss, encoding._backward(trial, grad_h, ctxs, tuner)[name]
+            return fn
+
+        for name in params:
+            err = nn.finite_difference_check(loss_for(name), params[name].copy())
+            assert err < 1e-4, f"{name}: rel err {err}"
+
+    def test_readout_of_another_decoder_rejected(self, small_synth):
+        sd, ds, meta = small_synth
+        other = init_params(AutoencoderSpec("beta", False, 6, 30), seed=12345)
+        readout = encoding.build_readout(other, ds, meta)
+        fm = assemble_for(sd, meta, ("frequency",))
+        with pytest.raises(ValueError, match="readout built for decoder"):
+            encoding.train(sd.ground_truth.decoder, readout, meta, fm, ("frequency",),
+                           epochs=1)
+
+    def test_geometry_mismatch_rejected(self, small_synth):
+        sd, ds, meta = small_synth
+        other = init_params(AutoencoderSpec("beta", False, 6, 40), seed=1)
+        with pytest.raises(ValueError, match="decoder geometry 6x40 != dataset 6x30"):
+            encoding.build_readout(other, ds, meta)
 
 
 class TestWeightDecaySearch:
@@ -356,6 +484,18 @@ class TestCheckpoint:
             encoding.predict_erp(loaded, fm), encoding.predict_erp(model, fm))
         assert loaded.sources == model.sources
         assert loaded.tuner_config == model.tuner_config
+
+    @pytest.mark.parametrize("tensor", ["interface.weights", "standardizer.scale"])
+    def test_missing_tensor_rejected(self, small_synth, tmp_path, tensor):
+        sd, ds, meta = small_synth
+        model, _, _ = quick_fit(sd, ds, meta, ("frequency",), epochs=2)
+        encoding.save_encoding_model(tmp_path / "m", model)
+        kind, ckpt_meta, tensors = load_checkpoint(tmp_path / "m")
+        del tensors[tensor]
+        save_checkpoint(tmp_path / "m", kind, ckpt_meta, tensors)
+        with pytest.raises(FormatError,
+                           match=f"m.ckpt.json: checkpoint has no tensor '{tensor}'"):
+            encoding.load_encoding_model(tmp_path / "m", sd.ground_truth.decoder)
 
     def test_wrong_decoder_rejected(self, small_synth, tmp_path):
         sd, ds, meta = small_synth

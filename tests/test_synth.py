@@ -7,6 +7,7 @@ import pytest
 
 from erpcoder import features, synth
 from erpcoder.autoencoder import decode
+from erpcoder.checkpoint import load_checkpoint, save_checkpoint
 from erpcoder.data import (FormatError, load_counts, load_embeddings, load_erp,
                            load_token_features)
 
@@ -195,6 +196,17 @@ class TestDiskRoundTrip:
         decoded = decode(truth.decoder, truth.latents)
         np.testing.assert_array_equal(decoded, decode(sd.ground_truth.decoder,
                                                       sd.ground_truth.latents))
+
+    @pytest.mark.parametrize("tensor", ["decoder.dec1.bias", "interface.frequency",
+                                        "columns.frequency", "latent_bias", "latents"])
+    def test_missing_truth_tensor_rejected(self, tmp_path, tensor):
+        synth.write_dataset_dir(synth.generate(small_config()), tmp_path)
+        kind, meta, tensors = load_checkpoint(tmp_path / "truth")
+        del tensors[tensor]
+        save_checkpoint(tmp_path / "truth", kind, meta, tensors)
+        with pytest.raises(FormatError,
+                           match=f"truth.ckpt.json: checkpoint has no tensor '{tensor}'"):
+            synth.load_ground_truth(tmp_path / "truth")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m.pop("noise_sd"), "meta is missing 'noise_sd'"),

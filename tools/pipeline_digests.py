@@ -16,8 +16,16 @@ compare with ``diff``::
     diff base.txt head.txt
 
 ``--src`` names the directory that holds the ``erpcoder`` package to run
-(default: this checkout's ``src``). A command that fails stops the script
-with a message naming it and exit status 1.
+(default: this checkout's ``src``). ``--compare BASE_SRC`` runs the package
+in ``BASE_SRC`` too and prints, instead of the digests, a Markdown table
+of the artifacts that differ between the two runs with the largest
+relative difference of their numbers: JSON values, TSV fields, and the
+float64 tensors of a ``.ckpt.bin`` payload::
+
+    python tools/pipeline_digests.py --src src --compare ../base/src
+
+A command that fails stops the script with a message naming it and exit
+status 1.
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SYNTH_CONFIG = {
     "n_subjects": 2, "n_sentences": 16, "words_per_sentence": 4, "n_channels": 6,
@@ -72,10 +82,17 @@ COMMANDS = [
 
 
 def run_pipeline(src: Path, root: Path) -> dict[str, str]:
-    """Run every command under ``root``; returns {relative path: sha256}."""
+    """Run every command of the package in ``src`` under ``root``; returns
+    {relative path: sha256}."""
+    for name in [n for n in sys.modules if n.split(".")[0] == "erpcoder"]:
+        del sys.modules[name]
     sys.path.insert(0, str(src.resolve()))
-    from erpcoder import cli
+    try:
+        from erpcoder import cli
+    finally:
+        sys.path.pop(0)
 
+    root.mkdir()
     (root / "synth.json").write_text(json.dumps(SYNTH_CONFIG))
     (root / "suite.json").write_text(json.dumps(SUITE_CONFIG))
     cwd = os.getcwd()
@@ -92,14 +109,75 @@ def run_pipeline(src: Path, root: Path) -> dict[str, str]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def numbers(path: Path) -> list[float] | None:
+    """The numbers in a JSON, TSV or ``.ckpt.bin`` artifact, in file order; None
+    for any other file."""
+    if path.name.endswith(".ckpt.bin"):
+        return np.frombuffer(path.read_bytes(), dtype="<f8").tolist()
+    if path.suffix == ".json":
+        found: list[float] = []
+
+        def walk(value):
+            if isinstance(value, dict):
+                for v in value.values():
+                    walk(v)
+            elif isinstance(value, list):
+                for v in value:
+                    walk(v)
+            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                found.append(float(value))
+
+        walk(json.loads(path.read_text()))
+        return found
+    if path.suffix == ".tsv":
+        found = []
+        for field in path.read_text().replace("\n", "\t").split("\t"):
+            with contextlib.suppress(ValueError):
+                found.append(float(field))
+        return found
+    return None
+
+
+def largest_relative_difference(a: Path, b: Path) -> str:
+    """max |x - y| / max(|x|, |y|) over the numbers of two versions of an artifact."""
+    x, y = numbers(a), numbers(b)
+    if x is None:
+        return "not a JSON, TSV or checkpoint payload"
+    if len(x) != len(y):
+        return f"{len(x)} numbers against {len(y)}"
+    x, y = np.array(x), np.array(y)
+    scale = np.maximum(np.abs(x), np.abs(y))
+    diff = np.abs(x - y)
+    rel = np.divide(diff, scale, out=np.where(diff > 0, np.inf, 0.0), where=scale > 0)
+    if not rel.any():
+        return "0: the numbers agree, other text differs"
+    return f"{rel.max():.3g}"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                         help="directory holding the erpcoder package")
+    parser.add_argument("--compare", type=Path, metavar="BASE_SRC",
+                        help="also run the package in BASE_SRC; print the artifacts that "
+                             "differ and the largest relative difference of their numbers")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        for path, digest in run_pipeline(args.src, Path(tmp)).items():
-            print(f"{digest}  {path}")
+        head = run_pipeline(args.src, Path(tmp) / "head")
+        if args.compare is None:
+            for path, digest in head.items():
+                print(f"{digest}  {path}")
+            return
+        base = run_pipeline(args.compare, Path(tmp) / "base")
+        print("| artifact | largest relative difference |")
+        print("|---|---|")
+        for path in sorted(set(head) | set(base)):
+            if path not in head or path not in base:
+                print(f"| {path} | only in {'head' if path in head else 'base'} |")
+            elif head[path] != base[path]:
+                diff = largest_relative_difference(Path(tmp) / "base" / path,
+                                                   Path(tmp) / "head" / path)
+                print(f"| {path} | {diff} |")
 
 
 if __name__ == "__main__":
