@@ -196,29 +196,40 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-scale, scale, size=shape)
 
 
-def init_params(spec: AutoencoderSpec, seed, subjects=None) -> AutoencoderParams:
-    """Seeded centered-uniform init with scale 1/sqrt(fan_in)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+def tensor_shapes(spec: AutoencoderSpec, n_subjects: int = 0) -> dict[str, tuple[int, ...]]:
+    """Shape of each tensor the layer plan of ``spec`` needs, in initialisation
+    order; the intercept table, if enabled, has one row per subject."""
     plan = build_layer_plan(spec)
-    tensors: dict[str, np.ndarray] = {}
+    shapes: dict[str, tuple[int, ...]] = {}
     in_ch = plan.in_channels
     for i, step in enumerate(plan.encoder):
         if isinstance(step, ConvStep):
-            fan_in = in_ch * step.kernel
-            tensors[f"enc{i}.kernels"] = _uniform(rng, (step.out_channels, in_ch, step.kernel), fan_in)
-            tensors[f"enc{i}.bias"] = _uniform(rng, (step.out_channels,), fan_in)
+            shapes[f"enc{i}.kernels"] = (step.out_channels, in_ch, step.kernel)
+            shapes[f"enc{i}.bias"] = (step.out_channels,)
             in_ch = step.out_channels
     for i, step in enumerate(plan.decoder):
-        fan_in = in_ch * step.kernel
-        tensors[f"dec{i}.kernels"] = _uniform(rng, (in_ch, step.out_channels, step.kernel), fan_in)
-        tensors[f"dec{i}.bias"] = _uniform(rng, (step.out_channels,), fan_in)
+        shapes[f"dec{i}.kernels"] = (in_ch, step.out_channels, step.kernel)
+        shapes[f"dec{i}.bias"] = (step.out_channels,)
         in_ch = step.out_channels
-    subject_order = None
     if spec.intercepts:
-        if subjects is None:
-            raise ValueError("intercepts enabled but no subject list supplied")
-        subject_order = tuple(subjects)
-        tensors["intercepts"] = np.zeros((len(subject_order), spec.n_channels))
+        shapes["intercepts"] = (n_subjects, spec.n_channels)
+    return shapes
+
+
+def init_params(spec: AutoencoderSpec, seed, subjects=None) -> AutoencoderParams:
+    """Seeded centered-uniform init with scale 1/sqrt(fan_in); intercepts start at zero."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    if spec.intercepts and subjects is None:
+        raise ValueError("intercepts enabled but no subject list supplied")
+    subject_order = tuple(subjects) if spec.intercepts else None
+    tensors: dict[str, np.ndarray] = {}
+    for name, shape in tensor_shapes(spec, len(subject_order or ())).items():
+        if name == "intercepts":
+            tensors[name] = np.zeros(shape)
+            continue
+        if name.endswith(".kernels"):  # encoder (C_out, C_in, K), decoder (C_in, C_out, K)
+            fan_in = shape[1 if name.startswith("enc") else 0] * shape[2]
+        tensors[name] = _uniform(rng, shape, fan_in)
     return AutoencoderParams(spec, tensors, subject_order)
 
 
@@ -516,21 +527,12 @@ def checked_spec(meta: dict, spec_key: str, plan_key: str, where) -> Autoencoder
     return spec
 
 
-def tensor_names(spec: AutoencoderSpec) -> list[str]:
-    """Names of the tensors the layer plan of ``spec`` needs."""
-    plan = build_layer_plan(spec)
-    layers = [f"enc{i}" for i, step in enumerate(plan.encoder) if isinstance(step, ConvStep)]
-    layers += [f"dec{i}" for i in range(len(plan.decoder))]
-    names = [f"{layer}.{kind}" for layer in layers for kind in ("kernels", "bias")]
-    return names + (["intercepts"] if spec.intercepts else [])
-
-
 def load_autoencoder(basepath) -> AutoencoderParams:
     _, meta, tensors = load_checkpoint(basepath, expect_kind="autoencoder")
     where = checkpoint_files(basepath)[0]
     meta = checked_fields(meta, {"spec": dict, "plan": dict, "subjects": tuple[str, ...] | None},
                           f"{where}: meta")
     spec = checked_spec(meta, "spec", "plan", where)
-    require_tensors(tensors, tensor_names(spec), where)
     subjects = tuple(meta["subjects"]) if meta["subjects"] else None
+    require_tensors(tensors, tensor_shapes(spec, len(subjects or ())), where)
     return AutoencoderParams(spec, tensors, subjects)

@@ -109,9 +109,16 @@ def load_checkpoint(basepath, expect_kind: str | None = None
     return manifest["kind"], manifest["meta"], tensors
 
 
-def require_tensors(tensors: dict[str, np.ndarray], names, where) -> None:
-    """Raise :class:`FormatError` naming the checkpoint manifest ``where`` and
-    the first of ``names`` missing from ``tensors``."""
-    for name in names:
+def require_tensors(tensors: dict[str, np.ndarray], shapes: dict, where) -> None:
+    """Check ``tensors`` against ``shapes``, a map from tensor name to its
+    expected shape (None: any shape).
+
+    Raises :class:`FormatError` naming the checkpoint manifest ``where`` and
+    the first tensor that is missing or whose shape differs, with both shapes.
+    """
+    for name, shape in shapes.items():
         if name not in tensors:
             raise FormatError(f"{where}: checkpoint has no tensor {name!r}")
+        if shape is not None and tensors[name].shape != tuple(shape):
+            raise FormatError(f"{where}: tensor {name!r} has shape "
+                              f"{list(tensors[name].shape)}, expected {list(shape)}")

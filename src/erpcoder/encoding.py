@@ -26,6 +26,16 @@ form. The tests hold its loss and gradient to the full decoder's within
 the mean of ``c`` per epoch value, which on near-noiseless data (residual
 MSE 1e-12) is a relative error up to ~6e-6. :func:`predict_erp`, and so
 ``timecourse`` and ``export-words``, still decode full epochs.
+
+``G`` is stored as a block band in time, not as a dense ``H x H`` matrix.
+Hidden positions more than ``w = ceil(K/s) - 1`` steps apart (output kernel
+``K``, stride ``s``) write no common output value, so their block of ``G``
+is zero; ``w`` is 1 for both decoders (``beta`` 9/5, ``alpha`` 8/4). The
+readout keeps ``2w+1`` blocks per hidden time step, ``(T_hid, C_hid,
+(2w+1)·C_hid)``, sliced from the dense ``G`` it builds once, after checking
+that every block outside the band is exactly zero. ``Gh`` is one matmul
+batched over time (:func:`nn.gram_band_matmul`), with 1/13 (``beta``) and
+1/17 (``alpha``) of the dense product's multiply-adds.
 """
 
 from __future__ import annotations
@@ -101,7 +111,7 @@ class Readout:
     """
 
     decoder_digest: str
-    gram: np.ndarray  # (H, H): AᵀA
+    band: np.ndarray  # (T_hid, C_hid, (2w+1)·C_hid): AᵀA as a block band in time
     r: np.ndarray  # (N, H): Aᵀ(y - b - intercept)
     c: np.ndarray  # (N,): ||y - b - intercept||²
     n_out: int
@@ -111,14 +121,14 @@ class Readout:
         return len(self.c)
 
     def take(self, rows) -> "Readout":
-        return Readout(self.decoder_digest, self.gram, self.r[rows], self.c[rows], self.n_out)
+        return Readout(self.decoder_digest, self.band, self.r[rows], self.c[rows], self.n_out)
 
     def mse(self, h: np.ndarray, rows) -> tuple[float, np.ndarray]:
         """MSE of the epochs decoded from ``h`` against trials ``rows``, and its
         gradient w.r.t. ``h``."""
         hf = h.reshape(len(rows), -1)
         r = self.r[rows]
-        gh = hf @ self.gram
+        gh = nn.gram_band_matmul(self.band, h).reshape(hf.shape)
         n = hf.shape[0] * self.n_out
         loss = float((np.vdot(hf, gh - 2.0 * r) + self.c[rows].sum()) / n)
         return loss, ((2.0 / n) * (gh - r)).reshape(h.shape)
@@ -128,9 +138,10 @@ def build_readout(decoder: AutoencoderParams, dataset: ErpDataset,
                   meta: list[TrialMeta]) -> Readout:
     """The :class:`Readout` of ``decoder`` against every trial of ``dataset``.
 
-    Built a batch of rows at a time through the output layer's own kernels:
-    ``A`` is its transposed convolution and ``Aᵀ`` the convolution with the
-    same kernels, so neither the dense ``A`` nor a full-size residual forms.
+    ``AᵀA`` comes from :func:`nn.transposed_conv_gram_band`. ``r`` and ``c``
+    are built a batch of rows at a time through the output layer's own
+    kernels: ``Aᵀ`` is the convolution with the same kernels, so neither the
+    dense ``A`` nor a full-size residual forms.
     """
     if len(meta) != dataset.n_trials:
         raise ValueError(f"{len(meta)} meta records for {dataset.n_trials} trials")
@@ -147,32 +158,21 @@ def build_readout(decoder: AutoencoderParams, dataset: ErpDataset,
     bias = decoder.tensors[f"dec{last}.bias"]
     c_hid = kernels.shape[0]
     t_hid = nn.conv_output_length(dataset.n_timepoints, step.kernel, step.stride, step.padding)
-    n_hid = c_hid * t_hid
-
-    def adjoint(e):
-        y, _ = nn.conv1d_forward(e, kernels, np.zeros(c_hid), step.stride, step.padding)
-        return y.reshape(len(e), n_hid)
-
-    gram = np.empty((n_hid, n_hid))
-    eye = np.eye(n_hid)
-    chunk = 128  # rows per pass: one batch of epochs, 6.5 MB at 32x200
-    for start in range(0, n_hid, chunk):
-        basis = eye[start : start + chunk].reshape(-1, c_hid, t_hid)
-        cols, _ = nn.convtranspose1d_forward(basis, kernels, np.zeros_like(bias),
-                                             step.stride, step.padding)
-        gram[start : start + chunk] = adjoint(cols)
+    band = nn.transposed_conv_gram_band(kernels, step.stride, step.padding, t_hid)
 
     subject_ids = [m.subject_id for m in meta] if spec.intercepts else None
-    r = np.empty((dataset.n_trials, n_hid))
+    r = np.empty((dataset.n_trials, c_hid * t_hid))
     c = np.empty(dataset.n_trials)
+    chunk = 128  # rows per pass: one batch of epochs, 6.5 MB at 32x200
     for start in range(0, dataset.n_trials, chunk):
         rows = slice(start, start + chunk)
         y = dataset.data[rows]
         subj = subject_ids[rows] if spec.intercepts else None
         e = y - _add_intercepts(decoder, np.broadcast_to(bias[:, None], y.shape), subj)
-        r[rows] = adjoint(e)
+        adjoint, _ = nn.conv1d_forward(e, kernels, np.zeros(c_hid), step.stride, step.padding)
+        r[rows] = adjoint.reshape(len(e), -1)
         c[rows] = np.einsum("nct,nct->n", e, e)
-    return Readout(decoder.decoder_digest(), 0.5 * (gram + gram.T), r, c,
+    return Readout(decoder.decoder_digest(), band, r, c,
                    dataset.n_channels * dataset.n_timepoints)
 
 
@@ -198,23 +198,36 @@ def _split_columns(matrix_names: list[str], sources) -> tuple[np.ndarray, np.nda
     return np.array(embed, dtype=int), np.array(scalar, dtype=int)
 
 
+def _trainable_shapes(n_embed: int, n_scalar: int, latent_channels: int,
+                      latent_timepoints: int, tuner_config: TunerConfig
+                      ) -> dict[str, tuple[int, ...]]:
+    """Shape of each trainable tensor, in initialisation order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    if tuner_config.enabled:
+        h, o = tuner_config.hidden_size, tuner_config.out_dim
+        shapes.update({"tuner.w1": (h, n_embed), "tuner.b1": (h,),
+                       "tuner.w2": (o, h), "tuner.b2": (o,)})
+    d_in = n_scalar + (tuner_config.out_dim if tuner_config.enabled else n_embed)
+    shapes["interface.weights"] = (latent_channels, latent_timepoints, d_in)
+    shapes["interface.bias"] = (latent_channels, latent_timepoints)
+    return shapes
+
+
 def _init_trainable(rng: np.random.Generator, n_embed: int, n_scalar: int,
                     latent_channels: int, latent_timepoints: int,
                     tuner_config: TunerConfig) -> dict[str, np.ndarray]:
+    """Centered-uniform weights with scale 1/sqrt(fan_in), the fan-in being a
+    weight's last axis; each tuner bias takes its weight's scale, and the
+    interface bias starts at zero."""
     params: dict[str, np.ndarray] = {}
-    d_in = n_scalar + (tuner_config.out_dim if tuner_config.enabled else n_embed)
-    if tuner_config.enabled:
-        h, o = tuner_config.hidden_size, tuner_config.out_dim
-        s1 = 1.0 / np.sqrt(max(n_embed, 1))
-        params["tuner.w1"] = rng.uniform(-s1, s1, size=(h, n_embed))
-        params["tuner.b1"] = rng.uniform(-s1, s1, size=h)
-        s2 = 1.0 / np.sqrt(h)
-        params["tuner.w2"] = rng.uniform(-s2, s2, size=(o, h))
-        params["tuner.b2"] = rng.uniform(-s2, s2, size=o)
-    si = 1.0 / np.sqrt(max(d_in, 1))
-    params["interface.weights"] = rng.uniform(
-        -si, si, size=(latent_channels, latent_timepoints, d_in))
-    params["interface.bias"] = np.zeros((latent_channels, latent_timepoints))
+    for name, shape in _trainable_shapes(n_embed, n_scalar, latent_channels,
+                                         latent_timepoints, tuner_config).items():
+        if name == "interface.bias":
+            params[name] = np.zeros(shape)
+            continue
+        if not name.startswith("tuner.b"):
+            scale = 1.0 / np.sqrt(max(shape[-1], 1))
+        params[name] = rng.uniform(-scale, scale, size=shape)
     return params
 
 
@@ -242,7 +255,7 @@ def _forward(params: dict[str, np.ndarray], decoder: AutoencoderParams,
     if u.shape[1] != w.shape[2]:
         raise ValueError(
             f"interface expects width {w.shape[2]}, features provide {u.shape[1]}")
-    z = np.einsum("ctd,nd->nct", w, u, optimize=True) + params["interface.bias"]
+    z = (u @ w.reshape(-1, w.shape[2]).T).reshape(len(u), *w.shape[:2]) + params["interface.bias"]
     steps = decoder.plan.decoder[:-1] if hidden else decoder.plan.decoder
     y, ctxs["decoder"] = _stack_forward(steps, decoder.tensors, "dec", z, record)
     if not hidden:
@@ -259,12 +272,13 @@ def _backward(params: dict[str, np.ndarray], grad_y: np.ndarray, ctxs: dict,
     gz, _ = _stack_backward(ctxs["decoder"], grad_y, need_param_grads=False)
     u = ctxs["u"]
     w = params["interface.weights"]
+    gz_flat = gz.reshape(len(u), -1)
     grads = {
-        "interface.weights": np.einsum("nct,nd->ctd", gz, u, optimize=True),
+        "interface.weights": (gz_flat.T @ u).reshape(w.shape),
         "interface.bias": gz.sum(axis=0),
     }
     if tuner_config.enabled:
-        du = np.einsum("ctd,nct->nd", w, gz, optimize=True)
+        du = gz_flat @ w.reshape(-1, w.shape[2])
         de = du[:, : ctxs["n_tuned"]]
         c1, ct, c2 = ctxs["tuner"]
         lg2 = nn.dense_backward(c2, de)
@@ -614,9 +628,11 @@ def load_encoding_model(basepath, decoder: AutoencoderParams) -> EncodingModel:
     except ValueError as e:
         raise FormatError(f"{where}: meta 'sources': {e}") from None
     tuner_config = TunerConfig.from_json_dict(meta["tuner"], f"{where}: meta 'tuner'")
-    require_tensors(tensors, [
-        "interface.weights", "interface.bias", "standardizer.mean", "standardizer.scale",
-        *(f"tuner.{p}" for p in ("w1", "b1", "w2", "b2") if tuner_config.enabled)], where)
+    plan = decoder.plan
+    require_tensors(tensors, {
+        **_trainable_shapes(len(embed_cols), len(scalar_cols), plan.latent_channels,
+                            plan.latent_timepoints, tuner_config),
+        "standardizer.mean": (len(names),), "standardizer.scale": (len(names),)}, where)
     tuner_tensors = {k: v for k, v in tensors.items() if k.startswith("tuner.")}
     return EncodingModel(
         decoder=decoder,

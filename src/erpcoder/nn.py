@@ -30,6 +30,12 @@ from them:
 :func:`_tap_slices` gives each transposed-convolution tap's in-range
 positions, so strides larger than the kernel and padding that crops whole
 taps need no special case.
+
+Gram band. For a transposed convolution ``A`` with kernel ``K`` and stride
+``s``, inputs more than ``w = ceil(K/s) - 1`` time steps apart write no
+common output, so ``G = AᵀA`` is block-banded in time.
+:func:`transposed_conv_gram_band` stores its ``2w+1`` block diagonals and
+:func:`gram_band_matmul` applies them as one matmul batched over time.
 """
 
 from __future__ import annotations
@@ -288,6 +294,79 @@ def convtranspose1d_backward(ctx: ConvTranspose1dCtx, upstream_grad,
 
 
 # ---------------------------------------------------------------------------
+# Gram matrix of a transposed convolution, as a block band in time
+# ---------------------------------------------------------------------------
+
+
+def gram_bandwidth(kernel: int, stride: int) -> int:
+    """How many time steps apart two inputs of a transposed convolution can be
+    and still write a common output: ``ceil(kernel / stride) - 1``."""
+    return (kernel - 1) // stride
+
+
+def transposed_conv_gram_band(kernels, stride: int, padding: int, length: int) -> np.ndarray:
+    """``G = AᵀA`` for the transposed convolution ``A`` of ``(C_in, length)``
+    inputs, as a block band.
+
+    kernels: (C_in, C_out, K). With ``w`` the :func:`gram_bandwidth`, returns
+    ``band`` of shape ``(length, C_in, (2w+1)*C_in)`` where ``band[t, c,
+    d*C_in + c']`` is ``G[(c, t), (c', t+d-w)]``, zero where ``t+d-w`` is out
+    of range. ``G`` is built densely from basis columns, a chunk at a time,
+    through :func:`convtranspose1d_forward` and its adjoint
+    :func:`conv1d_forward`, then symmetrised; every block outside the band
+    must be exactly zero.
+    """
+    kernels = _as_f64(kernels)
+    if kernels.ndim != 3:
+        raise ValueError(f"transposed_conv_gram_band: kernels must be (C_in, C_out, K), "
+                         f"got shape {kernels.shape}")
+    c_in, c_out, k = kernels.shape
+    w = gram_bandwidth(k, stride)
+    n = c_in * length
+    gram = np.empty((n, n))
+    eye = np.eye(n)
+    chunk = 128  # basis columns per pass
+    for start in range(0, n, chunk):
+        basis = eye[start : start + chunk].reshape(-1, c_in, length)
+        cols, _ = convtranspose1d_forward(basis, kernels, np.zeros(c_out), stride, padding)
+        back, _ = conv1d_forward(cols, kernels, np.zeros(c_in), stride, padding)
+        gram[start : start + chunk] = back.reshape(-1, n)
+    gram = (0.5 * (gram + gram.T)).reshape(c_in, length, c_in, length)
+
+    t = np.arange(length)
+    if np.any(gram.transpose(1, 3, 0, 2)[np.abs(t[:, None] - t[None, :]) > w]):
+        raise ValueError(f"transposed_conv_gram_band: G has nonzero blocks more than {w} "
+                         f"time steps off the diagonal (kernel {k}, stride {stride})")
+    band = np.zeros((length, c_in, 2 * w + 1, c_in))
+    for d in range(2 * w + 1):
+        lo = max(0, w - d)
+        diag = np.diagonal(gram, offset=d - w, axis1=1, axis2=3)  # (C_in, C_in, length-|d-w|)
+        band[lo : lo + diag.shape[2], :, d, :] = diag.transpose(2, 0, 1)
+    return band.reshape(length, c_in, (2 * w + 1) * c_in)
+
+
+def gram_band_matmul(band, x) -> np.ndarray:
+    """``G x`` for a ``band`` from :func:`transposed_conv_gram_band`.
+
+    x: (N, C_in, T). Time step ``t`` of the result is ``band[t]`` times the
+    ``2w+1`` input columns ``t-w .. t+w`` of a zero-padded ``(T+2w, C_in,
+    N)`` copy of ``x``, stacked along channels: one matmul batched over time.
+    """
+    x = _as_f64(x)
+    n, c, t = x.shape
+    width = band.shape[2] // c
+    if band.shape[:2] != (t, c) or width % 2 != 1 or band.shape[2] != width * c:
+        raise ValueError(f"gram_band_matmul: band shape {band.shape} does not fit input "
+                         f"shape {x.shape}")
+    w = width // 2
+    padded = np.zeros((t + 2 * w, c, n))
+    padded[w : w + t] = x.transpose(2, 1, 0)
+    shifts = np.stack([padded[d : d + t] for d in range(width)], axis=1)
+    y = np.matmul(band, shifts.reshape(t, width * c, n))  # (T, C_in, N)
+    return np.ascontiguousarray(y.transpose(2, 1, 0))
+
+
+# ---------------------------------------------------------------------------
 # 1D max pooling
 # ---------------------------------------------------------------------------
 
@@ -298,6 +377,7 @@ class MaxPool1dCtx:
     indices: np.ndarray  # (N, C, T_out), absolute winning positions
     out_shape: tuple[int, ...]
     squeezed: bool
+    overlapping: bool  # window > stride: one position can win several windows
 
 
 def maxpool1d_forward(x, window: int, stride: int):
@@ -319,18 +399,24 @@ def maxpool1d_forward(x, window: int, stride: int):
     rel = views.argmax(axis=-1)  # first occurrence wins ties
     y = np.take_along_axis(views, rel[..., None], axis=-1)[..., 0]
     indices = rel + np.arange(y.shape[2]) * stride
-    ctx = MaxPool1dCtx(x3.shape, indices, y.shape, squeezed)
+    ctx = MaxPool1dCtx(x3.shape, indices, y.shape, squeezed, window > stride)
     return (y[0] if squeezed else y), ctx
 
 
 def maxpool1d_backward(ctx: MaxPool1dCtx, upstream_grad) -> LayerGrad:
-    """Route upstream gradient to the argmax positions."""
+    """Route upstream gradient to the argmax positions.
+
+    Windows no longer than the stride have distinct winners, so the gradient
+    is assigned; overlapping windows accumulate it.
+    """
     g = _match_grad(upstream_grad, ctx.out_shape, ctx.squeezed, "maxpool1d_backward")
     grad_x = np.zeros(ctx.in_shape)
-    n, c, l_out = ctx.out_shape
-    n_idx = np.arange(n)[:, None, None]
-    c_idx = np.arange(c)[None, :, None]
-    np.add.at(grad_x, (n_idx, c_idx, ctx.indices), g)
+    if ctx.overlapping:
+        n, c, _ = ctx.out_shape
+        np.add.at(grad_x, (np.arange(n)[:, None, None], np.arange(c)[None, :, None],
+                           ctx.indices), g)
+    else:
+        np.put_along_axis(grad_x, ctx.indices, g, axis=2)
     if ctx.squeezed:
         grad_x = grad_x[0]
     return LayerGrad(grad_x, {})

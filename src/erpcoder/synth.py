@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .autoencoder import (AutoencoderParams, AutoencoderSpec, checked_spec, decode,
-                          init_params, tensor_names)
+                          init_params, tensor_shapes)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
 from .data import (EmbeddingTable, ErpDataset, FormatError, TokenFeatureTable, TrialMeta,
                    checked_fields, json_fits, save_counts, save_embeddings, save_erp,
@@ -381,10 +381,11 @@ def load_ground_truth(basepath) -> GroundTruth:
         "noise_sd": float, "mse_floor": float,
         "driven_latent_timepoints": tuple[int, ...] | None}, f"{where}: meta")
     spec = checked_spec(meta, "decoder_spec", "decoder_plan", where)
-    require_tensors(tensors, [
-        *(f"decoder.{n}" for n in tensor_names(spec) if n.startswith("dec")),
-        *(f"{kind}.{s}" for s in meta["driving"] for kind in ("interface", "columns")),
-        "latent_bias", "latents"], where)
+    require_tensors(tensors, {
+        **{f"decoder.{n}": shape for n, shape in tensor_shapes(spec).items()
+           if n.startswith("dec")},
+        **{f"{kind}.{s}": None for s in meta["driving"] for kind in ("interface", "columns")},
+        "latent_bias": None, "latents": None}, where)
     decoder_tensors = {
         name[len("decoder."):]: t for name, t in tensors.items()
         if name.startswith("decoder.")

@@ -88,6 +88,37 @@ def maxpool1d_naive(x, window, stride):
     return y, idx
 
 
+def maxpool1d_backward_naive(x, window, stride, g):
+    """Gradient of max pooling w.r.t. x (C, T): each window's upstream value
+    goes to its first maximum, summed where windows overlap."""
+    x = np.asarray(x, dtype=float)
+    c, t = x.shape
+    grad = np.zeros((c, t))
+    for ch in range(c):
+        for j in range((t - window) // stride + 1):
+            best = j * stride
+            for pos in range(j * stride + 1, j * stride + window):
+                if x[ch, pos] > x[ch, best]:
+                    best = pos
+            grad[ch, best] += g[ch, j]
+    return grad
+
+
+def transposed_conv_matrix_naive(kernels, stride, padding, length):
+    """The dense matrix of a transposed convolution of (C_in, length) inputs:
+    column ``c*length + t`` is the output of a unit input at channel c, time t,
+    flattened channel-major."""
+    c_in, _, _ = np.asarray(kernels).shape
+    cols = []
+    for c in range(c_in):
+        for t in range(length):
+            unit = np.zeros((c_in, length))
+            unit[c, t] = 1.0
+            cols.append(convtranspose1d_naive(unit, kernels, np.zeros(kernels.shape[1]),
+                                              stride, padding).ravel())
+    return np.array(cols).T
+
+
 def adam_first_step_naive(param, grad, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
     """Closed-form first Adam step for a scalar parameter."""
     m = (1 - beta1) * grad

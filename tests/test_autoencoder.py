@@ -1,6 +1,7 @@
 """Architecture geometry, intercepts, pretraining and selection tests."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -280,6 +281,27 @@ class TestCheckpoint:
         with pytest.raises(FormatError,
                            match=f"model.ckpt.json: checkpoint has no tensor '{tensor}'"):
             ae.load_autoencoder(tmp_path / "model")
+
+    @pytest.mark.parametrize("tensor, stored, expected", [
+        ("dec1.kernels", [32, 16, 9], [16, 32, 9]),  # same byte count, axes swapped
+        ("enc0.bias", [16, 1], [16]),
+        ("intercepts", [1, 32], [2, 32]),
+    ])
+    def test_wrong_tensor_shape_rejected(self, tmp_path, tensor, stored, expected):
+        params = ae.init_params(ae.AutoencoderSpec("beta", True, 32, 200), seed=1,
+                                subjects=("s1", "s2"))
+        ae.save_autoencoder(tmp_path / "model", params)
+        kind, meta, tensors = load_checkpoint(tmp_path / "model")
+        tensors[tensor] = np.resize(tensors[tensor].ravel(), stored)
+        save_checkpoint(tmp_path / "model", kind, meta, tensors)
+        with pytest.raises(FormatError, match=re.escape(
+                f"model.ckpt.json: tensor '{tensor}' has shape {stored}, expected {expected}")):
+            ae.load_autoencoder(tmp_path / "model")
+
+    def test_init_builds_the_loader_shapes(self):
+        spec = ae.AutoencoderSpec("alpha", True, 32, 200)
+        params = ae.init_params(spec, seed=1, subjects=("a", "b", "c"))
+        assert {k: v.shape for k, v in params.tensors.items()} == ae.tensor_shapes(spec, 3)
 
     def test_decoder_digest_stable(self, tmp_path):
         params = ae.init_params(ae.AutoencoderSpec("beta", False, 8, 50), seed=1)

@@ -288,6 +288,19 @@ class TestExitCodes:
                 f"tensor 'standardizer.scale'") in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_wrongly_shaped_decoder_tensor_is_4(self, pipeline, tmp_path, capsys):
+        # [16, 6, 9] stored as [6, 16, 9]: the payload still tiles, the kernels do not fit
+        self._copy_checkpoint(pipeline / "m" / "autoencoder", tmp_path / "ae")
+        kind, meta, tensors = load_checkpoint(tmp_path / "ae")
+        tensors["dec1.kernels"] = tensors["dec1.kernels"].reshape(6, 16, 9)
+        save_checkpoint(tmp_path / "ae", kind, meta, tensors)
+        code = run(["fit", "--decoder", tmp_path / "ae", "--data", pipeline / "d" / "data",
+                    "--sources", "constant", "--out", tmp_path / "o"])
+        assert code == 4
+        assert (f"error: FormatViolation: {tmp_path / 'ae.ckpt.json'}: tensor 'dec1.kernels' "
+                f"has shape [6, 16, 9], expected [16, 6, 9]") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("edit, message", [
         (lambda s: s.update(shape=5), "sidecar: 'shape' needs tuple[int, ...], got 5"),
         (lambda s: s.update(shape=[2, 2.0, 10]), "sidecar: 'shape' needs tuple[int, ...]"),

@@ -1,5 +1,7 @@
 """Frozen-decoder encoding model tests: composition, training, search, suite."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,31 @@ class TestGramReadout:
                 1e-12 * np.abs(full_grad.input_grad).max()
 
     @pytest.mark.parametrize("arch, intercepts", GRAM_SETTINGS, ids=GRAM_IDS)
+    def test_dense_gram_is_zero_outside_kept_band(self, rng, arch, intercepts):
+        decoder, ds, meta = paper_geometry_set(rng, arch, intercepts, n=4)
+        readout = encoding.build_readout(decoder, ds, meta)
+        last = len(decoder.plan.decoder) - 1
+        step = decoder.plan.decoder[last]
+        kernels = decoder.tensors[f"dec{last}.kernels"]
+        c_hid = kernels.shape[0]
+        t_hid = readout.r.shape[1] // c_hid
+        w = nn.gram_bandwidth(step.kernel, step.stride)
+        assert w == 1
+        assert readout.band.shape == (t_hid, c_hid, 3 * c_hid)  # no dense (H, H) matrix
+        cols, _ = nn.convtranspose1d_forward(np.eye(c_hid * t_hid).reshape(-1, c_hid, t_hid),
+                                             kernels, np.zeros(kernels.shape[1]),
+                                             step.stride, step.padding)
+        a = cols.reshape(c_hid * t_hid, -1).T
+        gram = (a.T @ a).reshape(c_hid, t_hid, c_hid, t_hid).transpose(1, 3, 0, 2)
+        t = np.arange(t_hid)
+        assert not np.any(gram[np.abs(t[:, None] - t[None, :]) > w])
+        kept = readout.band.reshape(t_hid, c_hid, 3, c_hid)
+        for d in range(3):
+            tt = t[(t + d - 1 >= 0) & (t + d - 1 < t_hid)]
+            np.testing.assert_allclose(kept[tt, :, d, :], gram[tt, tt + d - 1],
+                                       rtol=0, atol=1e-12 * np.abs(gram).max())
+
+    @pytest.mark.parametrize("arch, intercepts", GRAM_SETTINGS, ids=GRAM_IDS)
     def test_model_mse_matches_full_decoder(self, rng, arch, intercepts):
         decoder, ds, meta = paper_geometry_set(rng, arch, intercepts)
         fm = features.FeatureMatrix(rng.normal(size=(ds.n_trials, 1)), ["frequency"])
@@ -495,6 +522,23 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "m", kind, ckpt_meta, tensors)
         with pytest.raises(FormatError,
                            match=f"m.ckpt.json: checkpoint has no tensor '{tensor}'"):
+            encoding.load_encoding_model(tmp_path / "m", sd.ground_truth.decoder)
+
+    @pytest.mark.parametrize("tensor, stored, expected", [
+        ("interface.weights", [3, 10, 2], [10, 3, 2]),  # axes swapped, same byte count
+        ("interface.bias", [10, 2], [10, 3]),  # not the decoder's latent geometry
+        ("standardizer.mean", [3], [2]),  # not the feature count
+    ])
+    def test_wrong_tensor_shape_rejected(self, small_synth, tmp_path, tensor, stored,
+                                         expected):
+        sd, ds, meta = small_synth
+        model, _, _ = quick_fit(sd, ds, meta, ("frequency", "surprisal"), epochs=2)
+        encoding.save_encoding_model(tmp_path / "m", model)
+        kind, ckpt_meta, tensors = load_checkpoint(tmp_path / "m")
+        tensors[tensor] = np.resize(tensors[tensor].ravel(), stored)
+        save_checkpoint(tmp_path / "m", kind, ckpt_meta, tensors)
+        with pytest.raises(FormatError, match=re.escape(
+                f"m.ckpt.json: tensor '{tensor}' has shape {stored}, expected {expected}")):
             encoding.load_encoding_model(tmp_path / "m", sd.ground_truth.decoder)
 
     def test_wrong_decoder_rejected(self, small_synth, tmp_path):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from erpcoder import nn
 from oracles import (adam_first_step_naive, conv1d_naive, convtranspose1d_kernel_grad_naive,
-                     convtranspose1d_naive, maxpool1d_naive)
+                     convtranspose1d_naive, maxpool1d_backward_naive, maxpool1d_naive,
+                     transposed_conv_matrix_naive)
 
 
 def _loss_closure(forward, backward, extract):
@@ -153,6 +154,23 @@ class TestMaxPool1d:
         _, ctx = nn.maxpool1d_forward(x, window=2, stride=1)
         lg = nn.maxpool1d_backward(ctx, np.array([[1.0, 1.0]]))
         np.testing.assert_array_equal(lg.input_grad, [[0.0, 2.0, 0.0]])
+
+    @pytest.mark.parametrize("t, window, stride, ties", [
+        (20, 5, 5, False), (17, 2, 3, False), (12, 4, 4, True),  # distinct winners: assigned
+        (11, 3, 1, False), (13, 5, 2, True), (9, 3, 2, True),  # overlapping: accumulated
+    ])
+    def test_backward_matches_naive(self, rng, t, window, stride, ties):
+        # with ties (rounded values) overlapping windows share winners, so sums happen
+        x = rng.normal(size=(3, 4, t))
+        if ties:
+            x = np.round(x)
+        y, ctx = nn.maxpool1d_forward(x, window, stride)
+        assert ctx.overlapping == (window > stride)
+        g = rng.normal(size=y.shape)
+        grad = nn.maxpool1d_backward(ctx, g).input_grad
+        for i in range(len(x)):
+            np.testing.assert_array_equal(grad[i],
+                                          maxpool1d_backward_naive(x[i], window, stride, g[i]))
 
 
 class TestConvTranspose1d:
@@ -385,6 +403,58 @@ class TestTapEdgeGeometry:
         assert set(full.param_grads) == {"kernels", "bias"}
         assert skipped.input_grad.shape == o["y"].shape
         np.testing.assert_array_equal(skipped.input_grad, full.input_grad)
+
+
+# (C_in, C_out, K, stride, padding, length), bandwidth w = ceil(K/stride) - 1
+GRAM_BAND_GEOMETRIES = {
+    "w0-k<stride": (3, 2, 3, 4, 0, 5),
+    "w0-k=stride": (2, 3, 4, 4, 1, 6),
+    "w1-beta-output": (4, 3, 9, 5, 2, 8),
+    "w2-k>2stride": (3, 2, 7, 3, 1, 6),
+    "w3-stride1": (2, 2, 4, 1, 1, 9),
+}
+
+
+@pytest.mark.parametrize("geometry", list(GRAM_BAND_GEOMETRIES))
+class TestGramBand:
+    """The block band of AᵀA against the dense product from the loop oracle."""
+
+    def test_bandwidth_formula(self, geometry):
+        _, _, k, stride, _, _ = GRAM_BAND_GEOMETRIES[geometry]
+        assert nn.gram_bandwidth(k, stride) == int(np.ceil(k / stride)) - 1
+
+    def test_matmul_matches_dense_gram(self, rng, geometry):
+        c_in, c_out, k, stride, pad, length = GRAM_BAND_GEOMETRIES[geometry]
+        kernels = rng.normal(size=(c_in, c_out, k))
+        a = transposed_conv_matrix_naive(kernels, stride, pad, length)
+        band = nn.transposed_conv_gram_band(kernels, stride, pad, length)
+        w = nn.gram_bandwidth(k, stride)
+        assert band.shape == (length, c_in, (2 * w + 1) * c_in)
+        x = rng.normal(size=(5, c_in, length))
+        expected = (x.reshape(5, -1) @ (a.T @ a)).reshape(x.shape)
+        got = nn.gram_band_matmul(band, x)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_dense_gram_is_zero_outside_band(self, rng, geometry):
+        c_in, c_out, k, stride, pad, length = GRAM_BAND_GEOMETRIES[geometry]
+        a = transposed_conv_matrix_naive(rng.normal(size=(c_in, c_out, k)), stride, pad, length)
+        gram = (a.T @ a).reshape(c_in, length, c_in, length)
+        t = np.arange(length)
+        far = np.abs(t[:, None] - t[None, :]) > nn.gram_bandwidth(k, stride)
+        assert not np.any(gram.transpose(1, 3, 0, 2)[far])
+
+
+class TestGramBandInput:
+    def test_mismatched_input_rejected(self, rng):
+        band = nn.transposed_conv_gram_band(rng.normal(size=(3, 2, 9)), 5, 2, 8)
+        with pytest.raises(ValueError, match=r"band shape \(8, 3, 9\) does not fit input"):
+            nn.gram_band_matmul(band, np.zeros((4, 2, 8)))
+
+    def test_bandwidth_too_narrow_for_kernel_rejected(self, rng, monkeypatch):
+        # a bandwidth formula that undercounts must trip the zero check, not truncate G
+        monkeypatch.setattr(nn, "gram_bandwidth", lambda kernel, stride: 0)
+        with pytest.raises(ValueError, match="nonzero blocks more than 0 time steps"):
+            nn.transposed_conv_gram_band(rng.normal(size=(3, 2, 9)), 5, 2, 8)
 
 
 class TestDenseTanh:
