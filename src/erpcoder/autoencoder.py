@@ -16,7 +16,9 @@ fixed by the architecture names.
 from __future__ import annotations
 
 import functools
+import os
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -399,6 +401,34 @@ def _fit_epochs(params: dict[str, np.ndarray], loss, train_idx: np.ndarray,
     return history
 
 
+def _worker_count(n_jobs: int) -> int:
+    """Threads for ``n_jobs`` independent jobs: one per CPU this process may
+    run on (its affinity mask, so ``taskset`` limits it), at most one per job."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_jobs)
+
+
+def _run_jobs(fn, jobs) -> list:
+    """``[fn(*job) for job in jobs]``, with the jobs run on a thread pool.
+
+    Results come back in job order. The jobs must be independent: each one
+    derives its randomness from its own seed, and shared arrays are only
+    read. The first job in job order that raises re-raises here, and jobs
+    not yet started are cancelled. ``nn`` ops hold no shared state, and BLAS
+    calls and large ufunc loops release the GIL, so fits overlap; the
+    results are bit-identical to a serial run (one worker runs serially).
+    """
+    jobs = list(jobs)
+    workers = _worker_count(len(jobs))
+    if workers <= 1:
+        return [fn(*job) for job in jobs]
+    with ThreadPoolExecutor(workers, thread_name_prefix="erpcoder-fit") as pool:
+        return list(pool.map(lambda job: fn(*job), jobs))
+
+
 def pretrain(spec: AutoencoderSpec, dataset: ErpDataset, meta: list[TrialMeta], *,
              epochs: int = 200, batch_size: int = 128, lr: float = 0.001,
              seed: int = 0, dev_fraction: float = 0.1
@@ -478,20 +508,24 @@ def select_architecture(dataset: ErpDataset, meta: list[TrialMeta],
     folds = kfold_split(dataset.n_trials, k, seed)
     seed_rng = np.random.default_rng(seed)
     seeds = [int(seed_rng.integers(2**63)) for _ in range(len(candidates) * k)]
+
+    def fold_result(spec: AutoencoderSpec, f: int, run_seed: int) -> dict:
+        tr = folds.train_indices(f)
+        te = folds.test_indices(f)
+        params, _ = pretrain(
+            spec, dataset.subset(tr), [meta[i] for i in tr],
+            epochs=epochs, batch_size=batch_size, lr=lr, seed=run_seed,
+            dev_fraction=dev_fraction)
+        mse = reconstruction_mse(params, dataset, meta, te)
+        var = float(dataset.data[te].var())
+        return {"fold": f, "mse": mse, "r2": 1.0 - mse / var}
+
+    results = _run_jobs(fold_result, [(spec, f, seeds[c * k + f])
+                                      for c, spec in enumerate(candidates) for f in range(k)])
     report: dict = {"folds": k, "fold_digest": folds.digest(), "candidates": {}}
     for c, spec in enumerate(candidates):
         name = spec.architecture + (":intercepts" if spec.intercepts else "")
-        per_fold = []
-        for f, run_seed in enumerate(seeds[c * k : (c + 1) * k]):
-            tr = folds.train_indices(f)
-            te = folds.test_indices(f)
-            params, _ = pretrain(
-                spec, dataset.subset(tr), [meta[i] for i in tr],
-                epochs=epochs, batch_size=batch_size, lr=lr, seed=run_seed,
-                dev_fraction=dev_fraction)
-            mse = reconstruction_mse(params, dataset, meta, te)
-            var = float(dataset.data[te].var())
-            per_fold.append({"fold": f, "mse": mse, "r2": 1.0 - mse / var})
+        per_fold = results[c * k : (c + 1) * k]
         report["candidates"][name] = {
             "per_fold": per_fold,
             "mean_mse": float(np.mean([p["mse"] for p in per_fold])),

@@ -305,7 +305,7 @@ def load_meta(path) -> list[TrialMeta]:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    lines = path.read_text().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty metadata file")
     header = tuple(lines[0].split("\t"))
@@ -392,6 +392,24 @@ def train_dev_split(n_items: int, dev_fraction: float, seed: int) -> tuple[np.nd
 # ---------------------------------------------------------------------------
 
 
+def _text_lines(path: Path):
+    """``(line_no, line)`` for each line of text file ``path``, counting from 1;
+    bytes that do not decode raise :class:`FormatError`."""
+    with path.open() as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: not a text file: {e}") from None
+
+
+def _read_lines(path: Path) -> list[str]:
+    """The lines of text file ``path``; bytes that do not decode raise :class:`FormatError`."""
+    try:
+        return path.read_text().splitlines()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not a text file: {e}") from None
+
+
 def _parse_floats(fields: list[str], path, line_no: int) -> list[float]:
     """Parse one table row's values; NaN and infinities are format violations."""
     try:
@@ -411,24 +429,23 @@ def load_embeddings(path) -> EmbeddingTable:
         raise FileNotFoundError(str(path))
     entries: dict[str, np.ndarray] = {}
     dimension = None
-    with path.open() as fh:
-        for i, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if dimension is None:
-                dimension = len(values)
-                if dimension == 0:
-                    raise FormatError(f"{path}: line {i}: no vector values")
-            elif len(values) != dimension:
-                raise FormatError(
-                    f"{path}: line {i}: expected {dimension} values, got {len(values)}"
-                )
-            vec = np.array(_parse_floats(values, path, i))
-            if token in entries:
-                log.warning("%s: line %d: duplicate token %r, keeping last", path, i, token)
-            entries[token] = vec
+    for i, line in _text_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        token, values = parts[0], parts[1:]
+        if dimension is None:
+            dimension = len(values)
+            if dimension == 0:
+                raise FormatError(f"{path}: line {i}: no vector values")
+        elif len(values) != dimension:
+            raise FormatError(
+                f"{path}: line {i}: expected {dimension} values, got {len(values)}"
+            )
+        vec = np.array(_parse_floats(values, path, i))
+        if token in entries:
+            log.warning("%s: line %d: duplicate token %r, keeping last", path, i, token)
+        entries[token] = vec
     if dimension is None:
         raise FormatError(f"{path}: empty embedding file")
     return EmbeddingTable(dimension=dimension, entries=entries)
@@ -439,7 +456,7 @@ def _group_feature_columns(names: list[str], path) -> list[tuple[str, list[str]]
     groups: list[tuple[str, list[str]]] = []
     for name in names:
         base, dot, idx = name.rpartition(".")
-        if dot and idx.isdigit():
+        if dot and idx.isascii() and idx.isdigit():
             if groups and groups[-1][0] == base:
                 expected = len(groups[-1][1])
                 if int(idx) != expected:
@@ -462,7 +479,7 @@ def load_token_features(path) -> TokenFeatureTable:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    lines = path.read_text().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty feature table")
     header = lines[0].split("\t")
@@ -525,18 +542,17 @@ def load_counts(path) -> dict[str, int]:
     if not path.exists():
         raise FileNotFoundError(str(path))
     counts: dict[str, int] = {}
-    with path.open() as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}: line {i}: expected token<TAB>count")
-            try:
-                counts[parts[0]] = int(parts[1])
-            except ValueError as e:
-                raise FormatError(f"{path}: line {i}: {e}") from e
+    for i, line in _text_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise FormatError(f"{path}: line {i}: expected token<TAB>count")
+        try:
+            counts[parts[0]] = int(parts[1])
+        except ValueError as e:
+            raise FormatError(f"{path}: line {i}: {e}") from e
     return counts
 
 

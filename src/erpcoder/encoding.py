@@ -36,6 +36,20 @@ readout keeps ``2w+1`` blocks per hidden time step, ``(T_hid, C_hid,
 that every block outside the band is exactly zero. ``Gh`` is one matmul
 batched over time (:func:`nn.gram_band_matmul`), with 1/13 (``beta``) and
 1/17 (``alpha``) of the dense product's multiply-adds.
+
+Parallel fits. :func:`weight_decay_search` (so CLI ``fit --wd-search``) and
+:func:`run_model_suite` (CLI ``suite``; its intercept anchor and every
+entry's fits in one list) build one list of independent (entry, weight
+decay, fold) fits and run it on a thread pool, as
+:func:`autoencoder.select_architecture` does for its pretraining folds. The
+pool has one thread per CPU in the process's affinity mask (``taskset``
+limits it), at most one per fit. Each fit's seed is fixed before any fit
+runs, the decoder, readout and features are only read, and results come
+back in list order, so they are bit-identical to a serial run; the first
+fit in list order that raises re-raises, and fits not yet started are
+cancelled. :func:`train`, :func:`model_mse` and :func:`predict_erp` run on
+the calling thread. Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``), or
+pool threads and BLAS threads compete for the same CPUs.
 """
 
 from __future__ import annotations
@@ -48,7 +62,7 @@ import numpy as np
 
 from . import nn
 from .autoencoder import (AutoencoderParams, TrainHistory, _add_intercepts, _fit_epochs,
-                          _stack_backward, _stack_forward, reconstruction_mse)
+                          _run_jobs, _stack_backward, _stack_forward, reconstruction_mse)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
 from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_split,
                    train_dev_split)
@@ -416,19 +430,26 @@ WEIGHT_DECAY_GRID = (1e-5, 1e-3, 1e-1)
 
 
 def _fold_mses(decoder: AutoencoderParams, readout: Readout, meta: list[TrialMeta],
-               features: FeatureMatrix, sources, folds, seeds, **train_kwargs
-               ) -> list[float]:
-    """Held-out MSE per fold of a model trained on the fold's complement.
+               folds, groups, **train_kwargs) -> list[list[float]]:
+    """Held-out MSE per fold of models trained on each fold's complement.
 
-    Fold ``f`` trains with seed ``seeds[f]``; ``train_kwargs`` go to :func:`train`.
+    ``groups`` is a list of (features, sources, weight_decay, seeds), one
+    seed per fold; fold ``f`` of a group trains with seed ``seeds[f]``, and
+    ``train_kwargs`` go to :func:`train`. Every fold of every group is one job
+    of one :func:`_run_jobs` call, groups in order and folds within them.
+    Returns the per-fold MSEs of each group.
     """
-    mses = []
-    for f, run_seed in enumerate(seeds):
+    def fold_mse(features, sources, weight_decay, f, run_seed) -> float:
         tr = folds.train_indices(f)
         model, _ = train(decoder, readout.take(tr), [meta[i] for i in tr],
-                         features.take(tr), sources, seed=run_seed, **train_kwargs)
-        mses.append(model_mse(model, readout, meta, features, folds.test_indices(f)))
-    return mses
+                         features.take(tr), sources, weight_decay=weight_decay,
+                         seed=run_seed, **train_kwargs)
+        return model_mse(model, readout, meta, features, folds.test_indices(f))
+
+    mses = _run_jobs(fold_mse, [(features, sources, wd, f, run_seed)
+                                for features, sources, wd, seeds in groups
+                                for f, run_seed in enumerate(seeds)])
+    return [mses[g * folds.k : (g + 1) * folds.k] for g in range(len(groups))]
 
 
 def _grid_search(grid, fold_mses) -> tuple[float, list[dict], list[float]]:
@@ -463,10 +484,11 @@ def weight_decay_search(decoder: AutoencoderParams, dataset: ErpDataset | Readou
     folds = kfold_split(readout.n_trials, k, seed)
     seed_rng = np.random.default_rng(seed)
     seeds = [int(seed_rng.integers(2**63)) for _ in range(len(grid) * k)]
-    chosen, table, _ = _grid_search(grid, lambda i, wd: _fold_mses(
-        decoder, readout, meta, features, sources, folds, seeds[i * k : (i + 1) * k],
-        tuner=tuner, epochs=epochs, batch_size=batch_size, lr=lr, weight_decay=wd,
-        dev_fraction=dev_fraction))
+    per_wd = _fold_mses(
+        decoder, readout, meta, folds,
+        [(features, sources, wd, seeds[i * k : (i + 1) * k]) for i, wd in enumerate(grid)],
+        tuner=tuner, epochs=epochs, batch_size=batch_size, lr=lr, dev_fraction=dev_fraction)
+    chosen, table, _ = _grid_search(grid, lambda i, wd: per_wd[i])
     return chosen, table
 
 
@@ -512,7 +534,7 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
     fold_digest = folds.digest()
 
     def derived_seed(*parts: int) -> int:
-        # entry-local seeding: results stay identical if entries run in parallel
+        # job-local seeding: results do not depend on the order fits run in
         return int(np.random.default_rng((seed, *parts)).integers(2**63))
 
     def assemble_for(sources) -> FeatureMatrix:
@@ -520,15 +542,11 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
                         token_features=token_features, embeddings=embeddings,
                         sentence_tokens=sentence_tokens)
 
-    def fold_mses(features, sources, wd, entry_code: int, wd_code: int) -> list[float]:
-        return _fold_mses(
-            decoder, readout, meta, features, sources, folds,
-            [derived_seed(entry_code, wd_code, f) for f in range(k)], epochs=epochs,
-            batch_size=batch_size, lr=lr, weight_decay=wd, dev_fraction=dev_fraction)
+    def group(features, sources, wd, entry_code: int, wd_code: int) -> tuple:
+        return features, sources, wd, [derived_seed(entry_code, wd_code, f) for f in range(k)]
 
-    # shared anchors: per-fold intercept model and autoencoder ceiling
-    intercept_features = assemble_for(("constant",))
-    intercept_mse = fold_mses(intercept_features, ("constant",), 0.0, 0, 0)
+    # shared anchors: per-fold intercept model (group 0) and autoencoder ceiling
+    groups = [group(assemble_for(("constant",)), ("constant",), 0.0, 0, 0)]
     if ceiling_mse is None:
         ae_mse = [reconstruction_mse(decoder, dataset, meta, folds.test_indices(f))
                   for f in range(k)]
@@ -540,6 +558,7 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
             raise ValueError(f"ceiling_mse needs {k} fold values, got {len(ae_mse)}")
 
     result: dict = {"fold_digest": fold_digest, "k": k, "entries": {}, "skipped": []}
+    kept = []  # (name, sources, index of the entry's first group)
     for entry_idx, (name, sources) in enumerate(roster, start=1):
         try:
             features = assemble_for(sources)
@@ -547,16 +566,29 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
             warnings.warn(f"suite entry {name!r} skipped: {e}", stacklevel=2)
             result["skipped"].append({"name": name, "reason": str(e)})
             continue
+        kept.append((name, sources, len(groups)))
+        if sources == ("constant",):
+            continue
+        if weight_decay is not None:
+            groups.append(group(features, sources, weight_decay, entry_idx, 0))
+        else:
+            groups += [group(features, sources, wd, entry_idx, wd_idx)
+                       for wd_idx, wd in enumerate(wd_grid)]
+
+    mses = _fold_mses(decoder, readout, meta, folds, groups, epochs=epochs,
+                      batch_size=batch_size, lr=lr, dev_fraction=dev_fraction)
+    intercept_mse = mses[0]
+    for name, sources, first in kept:
         wd_table = None
         if sources == ("constant",):
             chosen_wd = 0.0
             model_fold_mse = intercept_mse
         elif weight_decay is not None:
             chosen_wd = weight_decay
-            model_fold_mse = fold_mses(features, sources, weight_decay, entry_idx, 0)
+            model_fold_mse = mses[first]
         else:
             chosen_wd, wd_table, model_fold_mse = _grid_search(
-                wd_grid, lambda wd_idx, wd: fold_mses(features, sources, wd, entry_idx, wd_idx))
+                wd_grid, lambda wd_idx, wd: mses[first + wd_idx])
         report = fold_report(name, model_fold_mse, intercept_mse, ae_mse,
                              fold_digest=fold_digest, n_boot=n_boot, seed=seed,
                              metadata={"sources": list(sources),

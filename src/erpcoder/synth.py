@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import (AutoencoderParams, AutoencoderSpec, checked_spec, decode,
-                          init_params, tensor_shapes)
+from .autoencoder import (AutoencoderParams, AutoencoderSpec, build_layer_plan, checked_spec,
+                          decode, init_params, tensor_shapes)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
 from .data import (EmbeddingTable, ErpDataset, FormatError, TokenFeatureTable, TrialMeta,
                    checked_fields, json_fits, save_counts, save_embeddings, save_erp,
@@ -271,6 +271,9 @@ def _subset_key(subset: tuple[str, ...]) -> str:
     return "+".join(subset) if subset else "intercept"
 
 
+_SCORE_ROWS = 128  # eval rows decoded per pass: 6.5 MB of epochs at 32x200
+
+
 def oracle_bounds(truth: GroundTruth, dataset: ErpDataset, subsets=None,
                   fit_rows=None, eval_rows=None) -> dict:
     """Best achievable MSE and r2 per nested driving-feature subset.
@@ -290,11 +293,19 @@ def oracle_bounds(truth: GroundTruth, dataset: ErpDataset, subsets=None,
         subsets = nested_subsets(tuple(truth.driving_columns))
 
     z_flat = truth.latents.reshape(n, -1)
-    x_eval = dataset.data[eval_rows]
     c_lat, t_lat = truth.latents.shape[1], truth.latents.shape[2]
 
-    floor_pred = decode(truth.decoder, truth.latents[eval_rows])
-    mse_floor = float(((floor_pred - x_eval) ** 2).mean())
+    def decoded_mse(latents: np.ndarray) -> float:
+        # decoded and scored a batch of eval rows at a time: no full-size
+        # prediction or residual forms
+        se = 0.0
+        for start in range(0, len(eval_rows), _SCORE_ROWS):
+            rows = slice(start, start + _SCORE_ROWS)
+            pred = decode(truth.decoder, latents[rows])
+            se += float(np.sum((pred - dataset.data[eval_rows[rows]]) ** 2))
+        return se / (len(eval_rows) * dataset.n_channels * dataset.n_timepoints)
+
+    mse_floor = decoded_mse(truth.latents[eval_rows])
 
     result: dict = {
         "mse_floor": mse_floor,
@@ -319,8 +330,7 @@ def oracle_bounds(truth: GroundTruth, dataset: ErpDataset, subsets=None,
             beta = np.linalg.solve(a + 1e-8 * np.eye(a.shape[0]), b)
             result["ridge_fallback"] = True
         z_hat = (f[eval_rows] @ beta).reshape(len(eval_rows), c_lat, t_lat)
-        pred = decode(truth.decoder, z_hat)
-        raw.append((_subset_key(subset), float(((pred - x_eval) ** 2).mean())))
+        raw.append((_subset_key(subset), decoded_mse(z_hat)))
 
     running = np.inf
     for key, mse in raw:
@@ -381,11 +391,21 @@ def load_ground_truth(basepath) -> GroundTruth:
         "noise_sd": float, "mse_floor": float,
         "driven_latent_timepoints": tuple[int, ...] | None}, f"{where}: meta")
     spec = checked_spec(meta, "decoder_spec", "decoder_plan", where)
+    plan = build_layer_plan(spec)
+    lat = (plan.latent_channels, plan.latent_timepoints)
     require_tensors(tensors, {
         **{f"decoder.{n}": shape for n, shape in tensor_shapes(spec).items()
            if n.startswith("dec")},
         **{f"{kind}.{s}": None for s in meta["driving"] for kind in ("interface", "columns")},
-        "latent_bias": None, "latents": None}, where)
+        "latent_bias": lat, "latents": None}, where)
+    # the trial count comes from `latents`, each source's width from its interface
+    n = tensors["latents"].shape[0] if tensors["latents"].ndim else 0
+    shapes = {"latents": (n, *lat)}
+    for s in meta["driving"]:
+        interface = tensors[f"interface.{s}"]
+        d = interface.shape[-1] if interface.ndim else 0
+        shapes.update({f"interface.{s}": (*lat, d), f"columns.{s}": (n, d)})
+    require_tensors(tensors, shapes, where)
     decoder_tensors = {
         name[len("decoder."):]: t for name, t in tensors.items()
         if name.startswith("decoder.")

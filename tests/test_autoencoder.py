@@ -1,7 +1,10 @@
 """Architecture geometry, intercepts, pretraining and selection tests."""
 
 import json
+import os
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -254,6 +257,55 @@ class TestSelectArchitecture:
         b = ae.select_architecture(ds, meta_rows(60), candidates, k=3, seed=6, epochs=2)
         assert a == b
         assert set(a["candidates"]) == {"beta:intercepts", "alpha"}
+
+
+class TestParallelFits:
+    """Independent fits run on a thread pool with the serial run's results."""
+
+    def test_select_architecture_identical_serial_and_parallel(self, rng, monkeypatch):
+        spec = ae.AutoencoderSpec("beta", True, 8, 40)
+        ds = lowrank_dataset(rng, spec, n=60)
+        candidates = [spec, ae.AutoencoderSpec("alpha", False, 8, 40)]
+        reports = []
+        for n in (1, 3):
+            monkeypatch.setattr(ae, "_worker_count", lambda n_jobs, n=n: min(n, n_jobs))
+            reports.append(json.dumps(ae.select_architecture(
+                ds, meta_rows(60), candidates, k=3, seed=6, epochs=2)))
+        assert reports[0] == reports[1]
+
+    def test_worker_count_follows_affinity_and_job_count(self):
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+        assert ae._worker_count(10**6) == cpus
+        assert ae._worker_count(1) == 1
+
+    def test_results_in_job_order(self, monkeypatch):
+        monkeypatch.setattr(ae, "_worker_count", lambda n_jobs: 3)
+
+        def job(i):
+            time.sleep(0.002 * (i % 4))
+            return i * i, threading.current_thread().name
+
+        results = ae._run_jobs(job, [(i,) for i in range(12)])
+        assert [r for r, _ in results] == [i * i for i in range(12)]
+        assert all(name.startswith("erpcoder-fit") for _, name in results)
+
+    def test_first_failure_in_job_order_raises_and_cancels_the_rest(self, monkeypatch):
+        monkeypatch.setattr(ae, "_worker_count", lambda n_jobs: 3)
+        ran = []
+
+        def job(i):
+            ran.append(i)
+            if i == 0:
+                time.sleep(0.1)  # job 1 fails first in time, job 0 first in order
+                raise RuntimeError("job 0 failed")
+            if i == 1:
+                raise RuntimeError("job 1 failed")
+            time.sleep(0.02)
+
+        with pytest.raises(RuntimeError, match="^job 0 failed$"):
+            ae._run_jobs(job, [(i,) for i in range(40)])
+        assert len(ran) < 40
 
 
 class TestCheckpoint:

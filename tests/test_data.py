@@ -334,3 +334,50 @@ class TestCounts:
         p.write_text("the\tlots\n")
         with pytest.raises(data.FormatError, match="line 1"):
             data.load_counts(p)
+
+
+# Valid files of each table format; the fuzz tests splice noise into them.
+_VALID_TABLES = {
+    "load_embeddings": "the 0.5 -1.25 3\ndog 1e-3 2 0\n",
+    "load_token_features": ("sentence_id\tword_position\tsurprisal\tvec.0\tvec.1\n"
+                            "0\t1\t2.5\t0.1\t-0.2\n0\t2\t1.5\t0.3\t0.4\n"),
+    "load_counts": "the\t100\ndog\t7\n",
+}
+_TABLE_PIECES = st.sampled_from([
+    "\t", " ", "\n", "\r", "\x0c", "\x85", " ", "0", "1", "9", "-", "+", ".", "e", "_",
+    "a", "vec", ".0", ".1", ".²", "²", "٣", "nan", "inf", "1e999", "9" * 5000,
+    "sentence_id\tword_position", "\U0001F600"])
+
+
+class TestTableLoaderFuzz:
+    """Any file handed to a table loader loads or fails as a format error."""
+
+    @pytest.mark.parametrize("loader", sorted(_VALID_TABLES))
+    def test_undecodable_bytes_are_format_error(self, tmp_path, loader):
+        path = tmp_path / "table.txt"
+        path.write_bytes(_VALID_TABLES[loader].encode() + b"\xff\n")
+        with pytest.raises(data.FormatError, match=f"^{path}: not a text file"):
+            getattr(data, loader)(path)
+
+    def test_non_ascii_digit_suffix_is_a_scalar_column(self, tmp_path):
+        path = tmp_path / "tokens.feat.tsv"
+        path.write_text("sentence_id\tword_position\tvec.²\n0\t1\t2.5\n")
+        table = data.load_token_features(path)
+        np.testing.assert_array_equal(table.columns["vec.²"], [2.5])
+
+    @pytest.mark.parametrize("loader", sorted(_VALID_TABLES))
+    @settings(max_examples=300, deadline=None)
+    @given(draw=st.data())
+    def test_spliced_table_fails_only_as_format_error(self, tmp_path_factory, loader, draw):
+        valid = _VALID_TABLES[loader].encode()
+        cut = draw.draw(st.integers(0, len(valid)))
+        drop = draw.draw(st.integers(0, len(valid) - cut))
+        noise = draw.draw(st.one_of(
+            st.lists(_TABLE_PIECES, max_size=12).map(lambda p: "".join(p).encode()),
+            st.binary(max_size=12)))
+        path = tmp_path_factory.mktemp("table") / "table.txt"
+        path.write_bytes(valid[:cut] + noise + valid[cut + drop:])
+        try:
+            getattr(data, loader)(path)
+        except (data.FormatError, FileNotFoundError):
+            pass

@@ -1,11 +1,13 @@
 """Frozen-decoder encoding model tests: composition, training, search, suite."""
 
+import json
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from erpcoder import encoding, features, metrics, nn, synth
+from erpcoder import autoencoder, encoding, features, metrics, nn, synth
 from erpcoder.autoencoder import AutoencoderSpec, _stack_forward, decode, init_params
 from erpcoder.checkpoint import load_checkpoint, save_checkpoint
 from erpcoder.data import ErpDataset, FormatError, TrialMeta, filter_artifacts, keep_mask
@@ -498,6 +500,68 @@ class TestSuite:
         r2 = {name: e["report"].r2_mod for name, e in result["entries"].items()}
         assert r2["freq+surp"] > r2["freq"]
         assert r2["freq+surp"] > r2["surp"]
+
+
+class TestParallelFits:
+    """The fits of a search or suite give the same bits on one thread or three."""
+
+    @staticmethod
+    def with_workers(monkeypatch, n, fn, *args, **kwargs):
+        # threads switch as often as the interpreter allows, so that a write
+        # to shared state would show in the results
+        monkeypatch.setattr(autoencoder, "_worker_count", lambda n_jobs: min(n, n_jobs))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def suite_json(result) -> str:
+        return json.dumps({name: {**e, "report": e["report"].to_json_dict()}
+                           for name, e in result["entries"].items()})
+
+    @pytest.mark.parametrize("weight_decay", [None, 1e-3])
+    def test_suite_identical_serial_and_parallel(self, small_synth, monkeypatch,
+                                                 weight_decay):
+        sd, ds, meta = small_synth
+        roster = [("intercept", ("constant",)), ("frequency", ("frequency",)),
+                  ("freq+surp", ("frequency", "surprisal"))]
+        runs = [self.with_workers(
+            monkeypatch, n, encoding.run_model_suite, sd.ground_truth.decoder, ds, meta,
+            roster, counts_table=sd.counts, token_features=sd.token_features,
+            embeddings=sd.embeddings, sentence_tokens=sd.sentence_tokens, k=3, seed=2,
+            weight_decay=weight_decay, epochs=4, batch_size=32, lr=0.005, n_boot=200,
+            ceiling_mse=sd.ground_truth.mse_floor) for n in (1, 3)]
+        serial, parallel = (self.suite_json(r) for r in runs)
+        assert serial == parallel
+        n_tables = 0 if weight_decay is not None else 2
+        assert sum(e["wd_table"] is not None for e in runs[1]["entries"].values()) == n_tables
+
+    def test_weight_decay_search_identical_serial_and_parallel(self, small_synth,
+                                                               monkeypatch):
+        sd, ds, meta = small_synth
+        fm = assemble_for(sd, meta, ("frequency", "surprisal"))
+        serial, parallel = (self.with_workers(
+            monkeypatch, n, encoding.weight_decay_search, sd.ground_truth.decoder, ds, meta,
+            fm, ("frequency", "surprisal"), k=3, seed=4, epochs=4, batch_size=32, lr=0.005)
+            for n in (1, 3))
+        assert json.dumps(serial) == json.dumps(parallel)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_divergence_raises_the_serial_runs_error(self, small_synth, monkeypatch):
+        sd, ds, meta = small_synth
+        fm = assemble_for(sd, meta, ("frequency",))
+        messages = []
+        for n in (1, 3):
+            with pytest.raises(RuntimeError, match="training loss diverged") as err:
+                self.with_workers(monkeypatch, n, encoding.weight_decay_search,
+                                  sd.ground_truth.decoder, ds, meta, fm, ("frequency",),
+                                  k=3, seed=4, epochs=3, batch_size=32, lr=1e200)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 class TestCheckpoint:

@@ -208,6 +208,25 @@ class TestDiskRoundTrip:
                            match=f"truth.ckpt.json: checkpoint has no tensor '{tensor}'"):
             synth.load_ground_truth(tmp_path / "truth")
 
+    @pytest.mark.parametrize("tensor, edit", [
+        ("latent_bias", lambda t: t[:, :-1]),
+        ("latents", lambda t: t[:, :-1]),
+        ("interface.frequency", lambda t: t[:-1]),
+        ("columns.frequency", lambda t: t[:-1]),  # trial count differs from `latents`
+        ("columns.surprisal", lambda t: np.hstack([t, t])),  # width differs from interface
+    ], ids=["latent_bias", "latents", "interface", "columns_rows", "columns_width"])
+    def test_wrong_truth_tensor_shape_rejected(self, tmp_path, tensor, edit):
+        synth.write_dataset_dir(synth.generate(small_config()), tmp_path)
+        kind, meta, tensors = load_checkpoint(tmp_path / "truth")
+        expected = tensors[tensor].shape
+        tensors[tensor] = edit(tensors[tensor])
+        save_checkpoint(tmp_path / "truth", kind, meta, tensors)
+        with pytest.raises(FormatError) as err:
+            synth.load_ground_truth(tmp_path / "truth")
+        assert str(err.value) == (
+            f"{tmp_path / 'truth.ckpt.json'}: tensor {tensor!r} has shape "
+            f"{list(tensors[tensor].shape)}, expected {list(expected)}")
+
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m.pop("noise_sd"), "meta is missing 'noise_sd'"),
         (lambda m: m.update(mse_floor="0.1"), "meta: 'mse_floor' needs float"),
