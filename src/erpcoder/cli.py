@@ -222,10 +222,18 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+# the optional keys of a suite config and their JSON types
+_SUITE_KEYS = {"folds": int, "seed": int, "epochs": int, "batch": int, "lr": float,
+               "dev_fraction": float, "weight_decay": float | None,
+               "ceiling_mse": float | tuple[float, ...] | None,
+               "counts": str, "embeddings": str, "token_features": str}
+
+
 def _cmd_suite(args) -> int:
     config = read_json(args.config)
     where = f"{args.config}: suite config"
     checked_fields(config, {"data": str, "decoder": str}, where)
+    checked_fields(config, {k: hint for k, hint in _SUITE_KEYS.items() if k in config}, where)
     roster = None
     if config.get("roster"):
         roster = []

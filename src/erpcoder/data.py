@@ -49,12 +49,10 @@ def read_json(path):
 
 def json_fits(value, hint) -> bool:
     """Whether a parsed JSON value fits a type hint: bool, int, float, str, dict, list,
-    tuple[X, ...] or X | None. Any JSON number fits float; true and false fit no
-    number type."""
-    if value is None:
-        return type(None) in typing.get_args(hint)
+    tuple[X, ...], None or a union of these (X | Y). Any JSON number fits float;
+    true and false fit no number type."""
     if isinstance(hint, types.UnionType):
-        hint = typing.get_args(hint)[0]
+        return any(json_fits(value, h) for h in typing.get_args(hint))
     if typing.get_origin(hint) is tuple:
         return (isinstance(value, (list, tuple))
                 and all(json_fits(v, typing.get_args(hint)[0]) for v in value))
@@ -166,14 +164,8 @@ class TokenFeatureTable:
     index: dict[tuple[int, int], int]
     columns: dict[str, np.ndarray]
 
-    def __len__(self) -> int:
-        return len(self.index)
-
     def has_column(self, name: str) -> bool:
         return name in self.columns
-
-    def lookup(self, name: str, key: tuple[int, int]) -> np.ndarray | float:
-        return self.columns[name][self.index[key]]
 
     def rows_for(self, name: str, keys: list[tuple[int, int]]) -> np.ndarray:
         missing = [k for k in keys if k not in self.index]
@@ -305,14 +297,15 @@ def load_meta(path) -> list[TrialMeta]:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    lines = _read_lines(path)
-    if not lines:
+    lines = _text_lines(path)
+    _, first = next(lines, (0, None))
+    if first is None:
         raise FormatError(f"{path}: empty metadata file")
-    header = tuple(lines[0].split("\t"))
+    header = tuple(first.split("\t"))
     if header != META_COLUMNS:
         raise FormatError(f"{path}: header {header} != expected {META_COLUMNS}")
     meta = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in lines:
         if not line:
             continue
         parts = line.split("\t")
@@ -393,21 +386,16 @@ def train_dev_split(n_items: int, dev_fraction: float, seed: int) -> tuple[np.nd
 
 
 def _text_lines(path: Path):
-    """``(line_no, line)`` for each line of text file ``path``, counting from 1;
-    bytes that do not decode raise :class:`FormatError`."""
+    r"""``(line_no, line)`` for each line of text file ``path``, counting from 1,
+    without its line break. Lines break at ``\n``, ``\r`` and ``\r\n`` only, not
+    at U+2028, a form feed or the other breaks of ``str.splitlines``; bytes
+    that do not decode raise :class:`FormatError`."""
     with path.open() as fh:
         try:
-            yield from enumerate(fh, start=1)
+            for i, line in enumerate(fh, start=1):
+                yield i, line.rstrip("\n")
         except UnicodeDecodeError as e:
             raise FormatError(f"{path}: not a text file: {e}") from None
-
-
-def _read_lines(path: Path) -> list[str]:
-    """The lines of text file ``path``; bytes that do not decode raise :class:`FormatError`."""
-    try:
-        return path.read_text().splitlines()
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: not a text file: {e}") from None
 
 
 def _parse_floats(fields: list[str], path, line_no: int) -> list[float]:
@@ -479,10 +467,11 @@ def load_token_features(path) -> TokenFeatureTable:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    lines = _read_lines(path)
-    if not lines:
+    lines = _text_lines(path)
+    _, first = next(lines, (0, None))
+    if first is None:
         raise FormatError(f"{path}: empty feature table")
-    header = lines[0].split("\t")
+    header = first.split("\t")
     if header[:2] != ["sentence_id", "word_position"]:
         raise FormatError(
             f"{path}: first two columns must be sentence_id, word_position, got {header[:2]}"
@@ -492,7 +481,7 @@ def load_token_features(path) -> TokenFeatureTable:
 
     index: dict[tuple[int, int], int] = {}
     raw_rows: list[list[float]] = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in lines:
         if not line:
             continue
         parts = line.split("\t")
@@ -543,7 +532,6 @@ def load_counts(path) -> dict[str, int]:
         raise FileNotFoundError(str(path))
     counts: dict[str, int] = {}
     for i, line in _text_lines(path):
-        line = line.rstrip("\n")
         if not line:
             continue
         parts = line.split("\t")

@@ -94,24 +94,22 @@ class TunerConfig:
 
 
 @dataclass
-class InterfaceMap:
-    """Per-latent-channel linear maps: z[c, t] = weights[c, t, :] . f + bias[c, t]."""
-
-    weights: np.ndarray  # (C_lat, T_lat, D_in)
-    bias: np.ndarray  # (C_lat, T_lat)
-
-
-@dataclass
 class EncodingModel:
+    """A fitted encoding model: the frozen decoder it drives and the tensors
+    training fit.
+
+    ``params`` holds ``interface.weights`` (C_lat, T_lat, D_in) and
+    ``interface.bias`` (C_lat, T_lat), so that z[c, t] = weights[c, t, :] . u +
+    bias[c, t] for the interface input ``u``, plus ``tuner.w1``, ``tuner.b1``,
+    ``tuner.w2`` and ``tuner.b2`` when the tuner is enabled.
+    """
+
     decoder: AutoencoderParams
     decoder_digest: str
-    interface: InterfaceMap
+    params: dict[str, np.ndarray]
     tuner_config: TunerConfig
-    tuner: dict[str, np.ndarray] | None
     feature_names: list[str]
     sources: tuple[str, ...]
-    embed_cols: np.ndarray
-    scalar_cols: np.ndarray
     standardizer: Standardizer
     weight_decay: float
 
@@ -305,14 +303,6 @@ def _backward(params: dict[str, np.ndarray], grad_y: np.ndarray, ctxs: dict,
     return grads
 
 
-def _model_params(model: EncodingModel) -> dict[str, np.ndarray]:
-    params = {"interface.weights": model.interface.weights,
-              "interface.bias": model.interface.bias}
-    if model.tuner is not None:
-        params.update(model.tuner)
-    return params
-
-
 def _model_forward(model: EncodingModel, features: FeatureMatrix, subject_ids=None,
                    hidden: bool = False) -> np.ndarray:
     """:func:`_forward` of the model on raw (unstandardized) features with matching columns."""
@@ -323,8 +313,9 @@ def _model_forward(model: EncodingModel, features: FeatureMatrix, subject_ids=No
             f"feature columns {features.names} do not match the model's "
             f"{model.feature_names}")
     f_std = apply_standardizer(features, model.standardizer).values
-    y, _ = _forward(_model_params(model), model.decoder, f_std, model.embed_cols,
-                    model.scalar_cols, model.tuner_config, subject_ids, hidden=hidden)
+    embed_cols, scalar_cols = _split_columns(model.feature_names, model.sources)
+    y, _ = _forward(model.params, model.decoder, f_std, embed_cols, scalar_cols,
+                    model.tuner_config, subject_ids, hidden=hidden)
     return y
 
 
@@ -396,13 +387,10 @@ def train(decoder: AutoencoderParams, dataset: ErpDataset | Readout, meta: list[
     model = EncodingModel(
         decoder=decoder,
         decoder_digest=digest_before,
-        interface=InterfaceMap(params["interface.weights"], params["interface.bias"]),
+        params=params,
         tuner_config=tuner,
-        tuner={k: v for k, v in params.items() if k.startswith("tuner.")} or None,
         feature_names=list(features.names),
         sources=sources,
-        embed_cols=embed_cols,
-        scalar_cols=scalar_cols,
         standardizer=standardizer,
         weight_decay=weight_decay,
     )
@@ -452,13 +440,14 @@ def _fold_mses(decoder: AutoencoderParams, readout: Readout, meta: list[TrialMet
     return [mses[g * folds.k : (g + 1) * folds.k] for g in range(len(groups))]
 
 
-def _grid_search(grid, fold_mses) -> tuple[float, list[dict], list[float]]:
-    """Pick the weight decay with the lowest mean of ``fold_mses(index, wd)``.
+def _grid_search(grid, per_wd) -> tuple[float, list[dict], list[float]]:
+    """Pick the weight decay of ``grid`` with the lowest mean fold MSE, ``per_wd``
+    holding one list of fold MSEs per weight decay, in grid order.
 
     Ties break to the smaller weight decay. Returns (chosen_wd, table, the
     chosen wd's per-fold MSEs), with one table row per (weight_decay, fold).
     """
-    runs = [(wd, fold_mses(i, wd)) for i, wd in enumerate(grid)]
+    runs = list(zip(grid, per_wd))
     table = [{"weight_decay": wd, "fold": f, "mse": m}
              for wd, mses in runs for f, m in enumerate(mses)]
     chosen, mses = min(runs, key=lambda run: (float(np.mean(run[1])), run[0]))
@@ -488,7 +477,7 @@ def weight_decay_search(decoder: AutoencoderParams, dataset: ErpDataset | Readou
         decoder, readout, meta, folds,
         [(features, sources, wd, seeds[i * k : (i + 1) * k]) for i, wd in enumerate(grid)],
         tuner=tuner, epochs=epochs, batch_size=batch_size, lr=lr, dev_fraction=dev_fraction)
-    chosen, table, _ = _grid_search(grid, lambda i, wd: per_wd[i])
+    chosen, table, _ = _grid_search(grid, per_wd)
     return chosen, table
 
 
@@ -529,6 +518,9 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
     """
     if roster is None:
         roster = standard_roster()
+    wd_grid = tuple(wd_grid)
+    if weight_decay is None and not wd_grid:
+        raise ValueError("weight decay grid is empty")
     readout = build_readout(decoder, dataset, meta)
     folds = kfold_split(dataset.n_trials, k, seed)
     fold_digest = folds.digest()
@@ -588,7 +580,7 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
             model_fold_mse = mses[first]
         else:
             chosen_wd, wd_table, model_fold_mse = _grid_search(
-                wd_grid, lambda wd_idx, wd: mses[first + wd_idx])
+                wd_grid, mses[first : first + len(wd_grid)])
         report = fold_report(name, model_fold_mse, intercept_mse, ae_mse,
                              fold_digest=fold_digest, n_boot=n_boot, seed=seed,
                              metadata={"sources": list(sources),
@@ -626,7 +618,9 @@ def suite_summary_rows(result: dict) -> list[dict]:
 
 
 def save_encoding_model(basepath, model: EncodingModel) -> None:
-    tensors = dict(_model_params(model))
+    # interface.* before tuner.*, whatever order training built them in
+    tensors = dict(sorted(model.params.items(),
+                          key=lambda item: not item[0].startswith("interface.")))
     tensors["standardizer.mean"] = model.standardizer.mean
     tensors["standardizer.scale"] = model.standardizer.scale
     meta = {
@@ -661,21 +655,17 @@ def load_encoding_model(basepath, decoder: AutoencoderParams) -> EncodingModel:
         raise FormatError(f"{where}: meta 'sources': {e}") from None
     tuner_config = TunerConfig.from_json_dict(meta["tuner"], f"{where}: meta 'tuner'")
     plan = decoder.plan
-    require_tensors(tensors, {
-        **_trainable_shapes(len(embed_cols), len(scalar_cols), plan.latent_channels,
-                            plan.latent_timepoints, tuner_config),
-        "standardizer.mean": (len(names),), "standardizer.scale": (len(names),)}, where)
-    tuner_tensors = {k: v for k, v in tensors.items() if k.startswith("tuner.")}
+    trainable = _trainable_shapes(len(embed_cols), len(scalar_cols), plan.latent_channels,
+                                  plan.latent_timepoints, tuner_config)
+    require_tensors(tensors, {**trainable, "standardizer.mean": (len(names),),
+                              "standardizer.scale": (len(names),)}, where)
     return EncodingModel(
         decoder=decoder,
         decoder_digest=meta["decoder_digest"],
-        interface=InterfaceMap(tensors["interface.weights"], tensors["interface.bias"]),
+        params={name: tensors[name] for name in trainable},
         tuner_config=tuner_config,
-        tuner=tuner_tensors or None,
         feature_names=names,
         sources=sources,
-        embed_cols=embed_cols,
-        scalar_cols=scalar_cols,
         standardizer=Standardizer(tensors["standardizer.mean"],
                                   tensors["standardizer.scale"], names),
         weight_decay=float(meta["weight_decay"]),

@@ -15,7 +15,7 @@ protocols cannot leak dev/test statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,11 +50,11 @@ class FeatureSpec:
 
 @dataclass
 class FeatureMatrix:
-    """Trials x D named feature columns plus imputation flags per source."""
+    """Trials x D feature values, one name per column; ``standardized`` marks a
+    matrix that :func:`apply_standardizer` produced."""
 
     values: np.ndarray
     names: list[str]
-    imputed: dict[str, np.ndarray] = field(default_factory=dict)
     standardized: bool = False
 
     def __post_init__(self):
@@ -71,26 +71,8 @@ class FeatureMatrix:
     def n_trials(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    def column_indices(self, prefix: str) -> np.ndarray:
-        """Indices of columns named ``prefix`` or ``prefix.<i>``."""
-        return np.array(
-            [i for i, n in enumerate(self.names)
-             if n == prefix or n.startswith(prefix + ".")],
-            dtype=int,
-        )
-
     def take(self, rows) -> "FeatureMatrix":
-        rows = np.asarray(rows)
-        return FeatureMatrix(
-            self.values[rows],
-            list(self.names),
-            {k: v[rows] for k, v in self.imputed.items()},
-            self.standardized,
-        )
+        return FeatureMatrix(self.values[np.asarray(rows)], list(self.names), self.standardized)
 
 
 @dataclass
@@ -121,7 +103,7 @@ def apply_standardizer(matrix: FeatureMatrix, std: Standardizer) -> FeatureMatri
             f"standardizer columns {std.names} do not match matrix columns {matrix.names}"
         )
     values = (matrix.values - std.mean) / std.scale
-    return FeatureMatrix(values, list(matrix.names), dict(matrix.imputed), standardized=True)
+    return FeatureMatrix(values, list(matrix.names), standardized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +157,12 @@ def _embedding_or_none(table: EmbeddingTable, token: str) -> np.ndarray | None:
 
 def semantic_distance(trials: list[TrialMeta], embeddings: EmbeddingTable,
                       sentence_tokens: dict[int, dict[int, str]],
-                      allow_first_word: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                      allow_first_word: bool = False) -> np.ndarray:
     """Cosine distance between each word and the mean of its preceding words.
 
     Out-of-vocabulary context words are skipped in the average; when the
     target word or the entire context is OOV the value is imputed with the
-    mean distance over the non-imputed trials. Returns (distances, imputed).
+    mean distance over the non-imputed trials (1.0 if every trial is imputed).
     """
     raw = np.full(len(trials), np.nan)
     imputed = np.zeros(len(trials), dtype=bool)
@@ -213,21 +195,17 @@ def semantic_distance(trials: list[TrialMeta], embeddings: EmbeddingTable,
     valid = raw[~imputed]
     fill = float(valid.mean()) if valid.size else 1.0
     raw[imputed] = fill
-    return np.clip(raw, 0.0, 2.0), imputed
+    return np.clip(raw, 0.0, 2.0)
 
 
-def static_embedding_feature(trials: list[TrialMeta],
-                             embeddings: EmbeddingTable) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial embedding lookup; OOV tokens get a zero vector and a flag."""
+def static_embedding_feature(trials: list[TrialMeta], embeddings: EmbeddingTable) -> np.ndarray:
+    """Per-trial embedding lookup; OOV tokens get a zero vector."""
     block = np.zeros((len(trials), embeddings.dimension))
-    imputed = np.zeros(len(trials), dtype=bool)
     for i, m in enumerate(trials):
         vec = embeddings.get(m.token)
-        if vec is None:
-            imputed[i] = True
-        else:
+        if vec is not None:
             block[i] = vec
-    return block, imputed
+    return block
 
 
 def contextual_embedding_feature(trials: list[TrialMeta], table: TokenFeatureTable,
@@ -252,8 +230,8 @@ def source_block(source: str, trials: list[TrialMeta], *,
                  token_features: TokenFeatureTable | None = None,
                  embeddings: EmbeddingTable | None = None,
                  sentence_tokens: dict[int, dict[int, str]] | None = None,
-                 allow_first_word: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """One source's (trials x width) block and its imputation flags (None if it never imputes).
+                 allow_first_word: bool = False) -> np.ndarray:
+    """One source's (trials x width) block.
 
     ``allow_first_word`` lets semantic distance impute sentence-initial words.
     """
@@ -263,23 +241,21 @@ def source_block(source: str, trials: list[TrialMeta], *,
         return value
 
     if source == "constant":
-        return np.ones((len(trials), 1)), None
+        return np.ones((len(trials), 1))
     if source == "frequency":
         col = frequency_feature([m.token for m in trials], need(counts_table, "a counts table"))
-        return col[:, None], None
+        return col[:, None]
     if source == "surprisal":
-        col = surprisal_feature(trials, need(token_features, "a token feature table"))
-        return col[:, None], None
+        return surprisal_feature(trials, need(token_features, "a token feature table"))[:, None]
     if source == "semantic_distance":
-        col, flags = semantic_distance(trials, need(embeddings, "an embedding table"),
-                                       need(sentence_tokens, "sentence token sequences"),
-                                       allow_first_word=allow_first_word)
-        return col[:, None], flags
+        col = semantic_distance(trials, need(embeddings, "an embedding table"),
+                                need(sentence_tokens, "sentence token sequences"),
+                                allow_first_word=allow_first_word)
+        return col[:, None]
     if source == "static_embedding":
         return static_embedding_feature(trials, need(embeddings, "an embedding table"))
     if source == "contextual_embedding":
-        return contextual_embedding_feature(
-            trials, need(token_features, "a token feature table")), None
+        return contextual_embedding_feature(trials, need(token_features, "a token feature table"))
     raise ValueError(f"unknown feature source {source!r}; known: {list(SOURCES)}")
 
 
@@ -291,9 +267,8 @@ def assemble(spec: FeatureSpec, trials: list[TrialMeta], *,
     """Build the feature matrix for ``spec``, columns in source order."""
     blocks: list[np.ndarray] = []
     names: list[str] = []
-    imputed: dict[str, np.ndarray] = {}
     for source in spec.sources:
-        block, flags = source_block(
+        block = source_block(
             source, trials, counts_table=counts_table, token_features=token_features,
             embeddings=embeddings, sentence_tokens=sentence_tokens)
         blocks.append(block)
@@ -301,6 +276,4 @@ def assemble(spec: FeatureSpec, trials: list[TrialMeta], *,
             names.extend(f"{source}.{i}" for i in range(block.shape[1]))
         else:
             names.append(source)
-        if flags is not None:
-            imputed[source] = flags
-    return FeatureMatrix(np.hstack(blocks), names, imputed)
+    return FeatureMatrix(np.hstack(blocks), names)

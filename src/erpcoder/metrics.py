@@ -50,12 +50,13 @@ def _pearson_flagged(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
 
 @dataclass
 class TimecourseSeries:
-    """Per-timepoint correlation increase over the intercept model."""
+    """Per-timepoint correlation increase over the intercept model, smoothed
+    with a centered window of ``smoothing_window`` samples, and each
+    timepoint's millisecond offset (``ms_axis``) when known."""
 
     values: np.ndarray
     smoothing_window: int = 1
     ms_axis: np.ndarray | None = None
-    degenerate: np.ndarray | None = None  # timepoints where some r was zero-variance
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -74,26 +75,22 @@ class TimecourseSeries:
         return float(self.ms_axis[int(np.argmax(self.values))])
 
 
-def pooled_timepoint_correlation(preds: np.ndarray, actual: np.ndarray
-                                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pearson r at each timepoint, pooled over trials x channels."""
+def pooled_timepoint_correlation(preds: np.ndarray, actual: np.ndarray) -> np.ndarray:
+    """Pearson r at each timepoint, pooled over trials x channels; 0.0 at a
+    timepoint where either side has zero variance."""
     if preds.shape != actual.shape:
         raise ValueError(f"prediction shape {preds.shape} != actual {actual.shape}")
-    n_t = preds.shape[2]
-    r = np.zeros(n_t)
-    flagged = np.zeros(n_t, dtype=bool)
-    for t in range(n_t):
-        r[t], flagged[t] = _pearson_flagged(preds[:, :, t].ravel(), actual[:, :, t].ravel())
-    return r, flagged
+    return np.array([_pearson_flagged(preds[:, :, t].ravel(), actual[:, :, t].ravel())[0]
+                     for t in range(preds.shape[2])])
 
 
 def timepoint_correlation_increase(model_preds: np.ndarray, intercept_preds: np.ndarray,
                                    actual: np.ndarray,
                                    ms_axis: np.ndarray | None = None) -> TimecourseSeries:
     """Per-timepoint pooled r of the model minus that of the intercept model."""
-    r_model, f1 = pooled_timepoint_correlation(model_preds, actual)
-    r_intercept, f2 = pooled_timepoint_correlation(intercept_preds, actual)
-    return TimecourseSeries(r_model - r_intercept, 1, ms_axis, f1 | f2)
+    r_model = pooled_timepoint_correlation(model_preds, actual)
+    r_intercept = pooled_timepoint_correlation(intercept_preds, actual)
+    return TimecourseSeries(r_model - r_intercept, 1, ms_axis)
 
 
 def moving_average_smooth(series, window: int):
@@ -102,7 +99,7 @@ def moving_average_smooth(series, window: int):
         raise ValueError(f"smoothing window must be odd and >= 1, got {window}")
     if isinstance(series, TimecourseSeries):
         smoothed = moving_average_smooth(series.values, window)
-        return TimecourseSeries(smoothed, window, series.ms_axis, series.degenerate)
+        return TimecourseSeries(smoothed, window, series.ms_axis)
     v = np.asarray(series, dtype=np.float64)
     half = window // 2
     out = np.empty_like(v)
@@ -135,7 +132,6 @@ class WordLevelTable:
 
     rows: list[dict]
     model_name: str
-    sources: tuple[str, ...]
 
     def to_tsv(self, path) -> None:
         columns = ["trial", "subject_id", "sentence_id", "word_position", "token",
@@ -180,7 +176,7 @@ def per_word_correlations(model_preds: np.ndarray, actual: np.ndarray,
             row[f"has_{fam}"] = code
         row["_r"] = r
         rows.append(row)
-    return WordLevelTable(rows, model_name, tuple(sources))
+    return WordLevelTable(rows, model_name)
 
 
 def content_function_summary(table: WordLevelTable) -> dict:

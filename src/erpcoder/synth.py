@@ -198,7 +198,7 @@ def generate(config: SynthConfig) -> SynthData:
         source: _standardize_columns(source_block(
             source, meta, counts_table=counts, token_features=token_features,
             embeddings=embeddings, sentence_tokens=sentence_tokens,
-            allow_first_word=True)[0])
+            allow_first_word=True))
         for source in config.driving
     }
 

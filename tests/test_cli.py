@@ -225,6 +225,27 @@ class TestExitCodes:
         assert f"error: FormatViolation: {path}: suite config" in err and message in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("folds", "5"), ("folds", True), ("seed", 1.5), ("epochs", "3"), ("batch", 32.0),
+        ("lr", "0.01"), ("dev_fraction", None), ("weight_decay", "x"),
+        ("ceiling_mse", "abc"), ("ceiling_mse", [0.1, "a"]), ("counts", 5),
+        ("embeddings", ["e.txt"]), ("token_features", None),
+    ])
+    def test_suite_config_value_of_wrong_type_is_4(self, pipeline, tmp_path, capsys, key, value):
+        config = {"data": str(pipeline / "d" / "data"),
+                  "decoder": str(pipeline / "m" / "autoencoder"),
+                  "roster": [{"name": "intercept", "sources": ["constant"]},
+                             {"name": "frequency", "sources": ["frequency"]}],
+                  "folds": 2, "epochs": 1, "counts": str(pipeline / "d" / "counts.tsv"),
+                  key: value}
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(config))
+        assert run(["suite", "--config", path, "--out", tmp_path / "o"]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: FormatViolation: {path}: suite config: {key!r} needs ")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["synth", "suite"])
     def test_invalid_json_config_is_4(self, tmp_path, capsys, command):
         path = tmp_path / "config.json"

@@ -50,6 +50,17 @@ class TestErpRoundTrip:
         assert ds2.sampling_rate_hz == ds.sampling_rate_hz
         assert meta2 == meta
 
+    @pytest.mark.parametrize("char", ["\u2028", "\x85", "\x1c", "\x0c", "\x0b"])
+    def test_meta_tokens_with_unicode_line_separators_round_trip(self, tmp_path, char):
+        # tables break lines only at \n, \r and \r\n; any other character is data
+        meta = make_meta(4)
+        meta[1] = data.TrialMeta("s1", 0, 2, f"a{char}b", "content", "NN", False)
+        meta[2] = data.TrialMeta("s2", 0, 3, char, "function", f"D{char}T", True)
+        data.save_meta(tmp_path / "set.meta.tsv", meta)
+        assert data.load_meta(tmp_path / "set.meta.tsv") == meta
+        data.save_counts(tmp_path / "counts.tsv", {f"a{char}b": 3})
+        assert data.load_counts(tmp_path / "counts.tsv") == {f"a{char}b": 3}
+
     def test_truncated_payload_rejected(self, rng, tmp_path):
         ds = make_dataset(rng)
         base = tmp_path / "set"
@@ -286,7 +297,7 @@ class TestTokenFeatures:
         )
         t = data.load_token_features(p)
         assert t.has_column("surprisal") and t.has_column("emb")
-        assert t.lookup("surprisal", (0, 2)) == 1.5
+        np.testing.assert_array_equal(t.rows_for("surprisal", [(0, 2)]), [1.5])
         np.testing.assert_array_equal(t.rows_for("emb", [(0, 2), (0, 1)]),
                                       [[0.3, 0.4], [0.1, 0.2]])
 

@@ -51,7 +51,8 @@ class TestPrediction:
         model, _, fm = quick_fit(sd, ds, meta, ("frequency",), epochs=3)
         preds = encoding.predict_erp(model, fm)
         f_std = features.apply_standardizer(fm, model.standardizer).values
-        z = np.einsum("ctd,nd->nct", model.interface.weights, f_std) + model.interface.bias
+        z = (np.einsum("ctd,nd->nct", model.params["interface.weights"], f_std)
+             + model.params["interface.bias"])
         manual = decode(model.decoder, z)
         np.testing.assert_array_equal(preds, manual)
 
@@ -59,8 +60,8 @@ class TestPrediction:
         sd, ds, meta = small_synth
         model, _, fm = quick_fit(sd, ds, meta, ("frequency",), epochs=2,
                                  decoder=sd.ground_truth.decoder.copy())
-        model.interface.weights[:] = 0.0
-        model.interface.bias[:] = 0.0
+        for t in model.params.values():
+            t[:] = 0.0
         for t in model.decoder.tensors.values():
             t[:] = 0.0
         np.testing.assert_array_equal(
@@ -142,8 +143,9 @@ class TestTraining:
         assert hist.dev_mse[hist.best_epoch] == min(hist.dev_mse)
         replay, hist2, _ = quick_fit(sd, ds, meta, ("frequency",),
                                      epochs=hist.best_epoch + 1)
-        np.testing.assert_array_equal(replay.interface.weights, model.interface.weights)
-        np.testing.assert_array_equal(replay.interface.bias, model.interface.bias)
+        assert list(replay.params) == list(model.params)
+        for name, tensor in model.params.items():
+            np.testing.assert_array_equal(replay.params[name], tensor)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_divergence_names_value_epoch_and_batch(self, small_synth, monkeypatch, bad):
@@ -418,17 +420,10 @@ class TestWeightDecaySearch:
 
     def test_tie_breaks_to_smaller_weight_decay(self):
         # 1e-3 and 1e-5 tie on the mean; the larger 1e-1 is worse
-        per_wd = {1e-1: [2.0, 2.5], 1e-3: [1.0, 3.0], 1e-5: [3.0, 1.0]}
-        calls = []
-
-        def fold_mses(index, wd):
-            calls.append((index, wd))
-            return per_wd[wd]
-
-        chosen, table, mses = encoding._grid_search((1e-1, 1e-3, 1e-5), fold_mses)
+        per_wd = [[2.0, 2.5], [1.0, 3.0], [3.0, 1.0]]
+        chosen, table, mses = encoding._grid_search((1e-1, 1e-3, 1e-5), per_wd)
         assert chosen == 1e-5
         assert mses == [3.0, 1.0]
-        assert calls == [(0, 1e-1), (1, 1e-3), (2, 1e-5)]
         assert table[:2] == [{"weight_decay": 1e-1, "fold": 0, "mse": 2.0},
                              {"weight_decay": 1e-1, "fold": 1, "mse": 2.5}]
         assert len(table) == 6
@@ -446,6 +441,17 @@ class TestSuite:
         assert list(result["entries"]) == ["frequency"]
         report = result["entries"]["frequency"]["report"]
         assert report.fold_digest == result["fold_digest"]
+
+    def test_empty_grid_rejected_before_any_fit(self, small_synth, monkeypatch):
+        sd, ds, meta = small_synth
+        fits = []
+        monkeypatch.setattr(encoding, "train", lambda *a, **kw: fits.append(a))
+        with pytest.raises(ValueError, match="^weight decay grid is empty$"):
+            encoding.run_model_suite(
+                sd.ground_truth.decoder, ds, meta, [("frequency", ("frequency",))],
+                counts_table=sd.counts, k=2, seed=1, weight_decay=None, wd_grid=(),
+                epochs=2, ceiling_mse=sd.ground_truth.mse_floor)
+        assert fits == []
 
     def test_standard_roster_has_nine_entries(self):
         roster = encoding.standard_roster()
@@ -575,6 +581,21 @@ class TestCheckpoint:
             encoding.predict_erp(loaded, fm), encoding.predict_erp(model, fm))
         assert loaded.sources == model.sources
         assert loaded.tuner_config == model.tuner_config
+
+    def test_tensor_order_interface_tuner_standardizer(self, small_synth, tmp_path):
+        sd, ds, meta = small_synth
+        model, _, _ = quick_fit(sd, ds, meta, ("frequency", "static_embedding"), epochs=2)
+        assert model.tuner_config.enabled
+        encoding.save_encoding_model(tmp_path / "m", model)
+        manifest = json.loads((tmp_path / "m.ckpt.json").read_text())
+        assert [t["name"] for t in manifest["tensors"]] == [
+            "interface.weights", "interface.bias", "tuner.w1", "tuner.b1", "tuner.w2",
+            "tuner.b2", "standardizer.mean", "standardizer.scale"]
+        loaded = encoding.load_encoding_model(tmp_path / "m", sd.ground_truth.decoder)
+        encoding.save_encoding_model(tmp_path / "again", loaded)
+        for suffix in (".ckpt.json", ".ckpt.bin"):
+            assert ((tmp_path / f"again{suffix}").read_bytes()
+                    == (tmp_path / f"m{suffix}").read_bytes())
 
     @pytest.mark.parametrize("tensor", ["interface.weights", "standardizer.scale"])
     def test_missing_tensor_rejected(self, small_synth, tmp_path, tensor):

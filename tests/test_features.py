@@ -80,35 +80,36 @@ class TestSemanticDistance:
         # context [1,0] and [0,1] average to [.5,.5]; target [1,1] is parallel
         table = emb_table(a=[1.0, 0.0], b=[0.0, 1.0], c=[1.0, 1.0])
         tokens = {0: {1: "a", 2: "b", 3: "c"}}
-        col, imputed = features.semantic_distance([trial(0, 3, "c")], table, tokens)
-        assert col[0] == pytest.approx(0.0, abs=1e-12)
-        assert not imputed[0]
+        col = features.semantic_distance([trial(0, 3, "c")], table, tokens)
+        assert col[0] == pytest.approx(0.0, abs=1e-12)  # an imputed lone trial reads 1.0
 
     def test_orthogonal_target(self):
         table = emb_table(a=[1.0, 0.0], b=[0.0, 1.0])
         tokens = {0: {1: "a", 2: "b"}}
-        col, _ = features.semantic_distance([trial(0, 2, "b")], table, tokens)
+        col = features.semantic_distance([trial(0, 2, "b")], table, tokens)
         assert col[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_vectors_zero(self):
         table = emb_table(a=[0.3, 0.4])
         tokens = {0: {1: "a", 2: "a"}}
-        col, _ = features.semantic_distance([trial(0, 2, "a")], table, tokens)
+        col = features.semantic_distance([trial(0, 2, "a")], table, tokens)
         assert col[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_oov_target_imputed_with_mean(self):
-        table = emb_table(a=[1.0, 0.0], b=[0.0, 1.0])
+        table = emb_table(a=[1.0, 0.0], b=[1.0, 1.0])
         tokens = {0: {1: "a", 2: "b", 3: "zz"}}
         trials = [trial(0, 2, "b"), trial(0, 3, "zz")]
-        col, imputed = features.semantic_distance(trials, table, tokens)
-        assert imputed.tolist() == [False, True]
+        col = features.semantic_distance(trials, table, tokens)
+        assert col[0] == pytest.approx(1.0 - np.sqrt(0.5), abs=1e-12)
         assert col[1] == col[0]  # mean of the single valid distance
 
     def test_zero_norm_vector_is_oov(self):
-        table = emb_table(a=[0.0, 0.0], b=[1.0, 0.0])
-        tokens = {0: {1: "a", 2: "b"}}
-        _, imputed = features.semantic_distance([trial(0, 2, "b")], table, tokens)
-        assert imputed[0]  # whole context OOV
+        table = emb_table(a=[0.0, 0.0], b=[1.0, 0.0], c=[1.0, 1.0])
+        tokens = {0: {1: "a", 2: "b"}, 1: {1: "b", 2: "c"}}
+        col = features.semantic_distance([trial(0, 2, "b"), trial(1, 2, "c")], table, tokens)
+        # trial 0's whole context is OOV: it takes trial 1's distance, the mean
+        assert col[1] == pytest.approx(1.0 - np.sqrt(0.5), abs=1e-12)
+        assert col[0] == col[1]
 
     def test_first_word_rejected_by_default(self):
         table = emb_table(a=[1.0, 0.0])
@@ -122,16 +123,15 @@ class TestSemanticDistance:
         vecs = {f"w{i}": r.normal(size=dim) for i in range(n_ctx + 1)}
         table = emb_table(dim, **vecs)
         tokens = {0: {p + 1: f"w{p}" for p in range(n_ctx + 1)}}
-        col, imputed = features.semantic_distance(
-            [trial(0, n_ctx + 1, f"w{n_ctx}")], table, tokens)
+        col = features.semantic_distance([trial(0, n_ctx + 1, f"w{n_ctx}")], table, tokens)
         assert 0.0 <= col[0] <= 2.0
 
     def test_zero_iff_positive_multiple_of_context(self, rng):
         ctx = rng.normal(size=4)
         table = emb_table(4, a=ctx, pos=2.5 * ctx, neg=-ctx)
         tokens = {0: {1: "a", 2: "pos"}, 1: {1: "a", 2: "neg"}}
-        col_pos, _ = features.semantic_distance([trial(0, 2, "pos")], table, tokens)
-        col_neg, _ = features.semantic_distance([trial(1, 2, "neg")], table, tokens)
+        col_pos = features.semantic_distance([trial(0, 2, "pos")], table, tokens)
+        col_neg = features.semantic_distance([trial(1, 2, "neg")], table, tokens)
         assert col_pos[0] == pytest.approx(0.0, abs=1e-12)
         assert col_neg[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -139,16 +139,13 @@ class TestSemanticDistance:
 class TestEmbeddingBlocks:
     def test_present_token_raw_vector(self, rng):
         v = rng.normal(size=3)
-        block, imputed = features.static_embedding_feature(
-            [trial(0, 2, "tok")], emb_table(3, tok=v))
+        block = features.static_embedding_feature([trial(0, 2, "tok")], emb_table(3, tok=v))
         np.testing.assert_array_equal(block[0], v)
-        assert not imputed[0]
 
-    def test_oov_zero_vector_flagged(self):
-        block, imputed = features.static_embedding_feature(
-            [trial(0, 2, "nope")], emb_table(3, tok=[1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(block[0], np.zeros(3))
-        assert imputed[0]
+    def test_oov_zero_vector(self):
+        block = features.static_embedding_feature(
+            [trial(0, 2, "nope"), trial(0, 3, "tok")], emb_table(3, tok=[1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(block, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
 
     def test_contextual_shape_audit(self, rng):
         n, d = 12, 5
@@ -187,7 +184,7 @@ class TestAssemble:
             spec, [trial(0, 1, "a"), trial(0, 2, "b")],
             counts_table={"a": 3, "b": 4}, token_features=table)
         assert fm.names == ["frequency", "surprisal"]
-        assert fm.width == 2
+        assert fm.values.shape == (2, 2)
 
     def test_missing_input_named(self):
         spec = features.FeatureSpec(("frequency",))
@@ -248,9 +245,3 @@ class TestStandardizer:
     def test_infinite_matrix_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             features.FeatureMatrix(np.array([[0.0, bad]]), ["x", "y"])
-
-    def test_column_indices(self):
-        fm = features.FeatureMatrix(
-            np.zeros((2, 4)), ["frequency", "static_embedding.0", "static_embedding.1", "surprisal"])
-        np.testing.assert_array_equal(fm.column_indices("static_embedding"), [1, 2])
-        np.testing.assert_array_equal(fm.column_indices("frequency"), [0])

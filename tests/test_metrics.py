@@ -40,13 +40,13 @@ class TestTimecourse:
         actual = rng.normal(size=(6, 3, 10))
         intercept = np.broadcast_to(actual.mean(axis=0), actual.shape).copy()
         series = metrics.timepoint_correlation_increase(actual.copy(), intercept, actual)
-        r_int, _ = metrics.pooled_timepoint_correlation(intercept, actual)
+        r_int = metrics.pooled_timepoint_correlation(intercept, actual)
         np.testing.assert_allclose(series.values, 1.0 - r_int, atol=1e-12)
 
     def test_pooled_r_matches_bruteforce_flat_vector(self, rng):
         preds = rng.normal(size=(7, 4, 5))
         actual = rng.normal(size=(7, 4, 5))
-        r, _ = metrics.pooled_timepoint_correlation(preds, actual)
+        r = metrics.pooled_timepoint_correlation(preds, actual)
         t = 2
         assert r[t] == pytest.approx(
             pearson_naive(preds[:, :, t].ravel(), actual[:, :, t].ravel()), abs=1e-12)
@@ -55,20 +55,22 @@ class TestTimecourse:
         preds = rng.normal(size=(5, 2, 4))
         preds[:, :, 1] = 3.14  # constant at t=1
         actual = rng.normal(size=(5, 2, 4))
-        r, flagged = metrics.pooled_timepoint_correlation(preds, actual)
-        assert r[1] == 0.0 and flagged[1]
-        assert not flagged[0]
+        r = metrics.pooled_timepoint_correlation(preds, actual)
+        assert r[1] == 0.0
+        assert r[0] == pytest.approx(
+            pearson_naive(preds[:, :, 0].ravel(), actual[:, :, 0].ravel()), abs=1e-12)
+        assert r[0] != 0.0
 
     def test_affine_invariance_of_pooled_r(self, rng):
         preds = rng.normal(size=(6, 3, 8))
         actual = rng.normal(size=(6, 3, 8))
-        r1, _ = metrics.pooled_timepoint_correlation(preds, actual)
-        r2, _ = metrics.pooled_timepoint_correlation(2.5 * preds + 7.0, actual)
+        r1 = metrics.pooled_timepoint_correlation(preds, actual)
+        r2 = metrics.pooled_timepoint_correlation(2.5 * preds + 7.0, actual)
         np.testing.assert_allclose(r1, r2, atol=1e-12)
 
     def test_self_correlation_is_one(self, rng):
         actual = rng.normal(size=(6, 3, 8))
-        r, _ = metrics.pooled_timepoint_correlation(actual.copy(), actual)
+        r = metrics.pooled_timepoint_correlation(actual.copy(), actual)
         np.testing.assert_allclose(r, np.ones(8), atol=1e-12)
 
 

@@ -79,7 +79,7 @@ class TestGenerate:
                                         "contextual_embedding"])
     def test_driving_columns_are_standardized_source_blocks(self, source):
         sd = synth.generate(small_config(driving=("frequency", source)))
-        block, _ = features.source_block(
+        block = features.source_block(
             source, sd.meta, counts_table=sd.counts, token_features=sd.token_features,
             embeddings=sd.embeddings, sentence_tokens=sd.sentence_tokens,
             allow_first_word=True)
