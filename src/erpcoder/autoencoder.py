@@ -188,10 +188,6 @@ class AutoencoderParams:
     def decoder_digest(self) -> str:
         return tensor_dict_digest(self.decoder_tensors())
 
-    def copy(self) -> "AutoencoderParams":
-        return AutoencoderParams(
-            self.spec, {k: v.copy() for k, v in self.tensors.items()}, self.subjects)
-
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     scale = 1.0 / np.sqrt(fan_in)
@@ -554,7 +550,11 @@ def checked_spec(meta: dict, spec_key: str, plan_key: str, where) -> Autoencoder
     """The spec ``meta[spec_key]`` of the checkpoint manifest ``where``; the plan
     ``meta[plan_key]`` it stores must be the one the spec builds."""
     spec = AutoencoderSpec.from_json_dict(meta[spec_key], f"{where}: meta {spec_key!r}")
-    if meta[plan_key] != build_layer_plan(spec).to_json_dict():
+    try:
+        plan = build_layer_plan(spec)
+    except ValueError as e:
+        raise FormatError(f"{where}: meta {spec_key!r}: {e}") from None
+    if meta[plan_key] != plan.to_json_dict():
         raise FormatError(
             f"{where}: stored layer plan differs from the one the {spec.architecture!r} "
             f"architecture builds at {spec.n_channels}x{spec.n_timepoints}")
@@ -568,5 +568,11 @@ def load_autoencoder(basepath) -> AutoencoderParams:
                           f"{where}: meta")
     spec = checked_spec(meta, "spec", "plan", where)
     subjects = tuple(meta["subjects"]) if meta["subjects"] else None
+    if spec.intercepts and subjects is None:
+        raise FormatError(f"{where}: meta 'subjects' must list the subjects of the "
+                          f"intercept table, got {meta['subjects']!r}")
+    if subjects is not None and len(set(subjects)) != len(subjects):
+        repeated = sorted({s for s in subjects if subjects.count(s) > 1})
+        raise FormatError(f"{where}: meta 'subjects' repeats {repeated}")
     require_tensors(tensors, tensor_shapes(spec, len(subjects or ())), where)
     return AutoencoderParams(spec, tensors, subjects)

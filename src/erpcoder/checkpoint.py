@@ -9,13 +9,12 @@ checkpoints from identical runs are byte-identical and diff cleanly.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from pathlib import Path
 
 import numpy as np
 
-from .data import FormatError, read_json
+from .data import FormatError, checked_fields, read_json, write_json
 
 
 def checkpoint_files(basepath) -> tuple[Path, Path]:
@@ -51,7 +50,7 @@ def save_checkpoint(basepath, kind: str, meta: dict,
         entries.append({"name": name, "offset": len(payload), "shape": list(arr.shape)})
         payload.extend(arr.tobytes())
     manifest = {"kind": kind, "meta": meta, "tensors": entries}
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(manifest_path, manifest)
     payload_path.write_bytes(bytes(payload))
 
 
@@ -61,13 +60,9 @@ def load_checkpoint(basepath, expect_kind: str | None = None
     manifest_path, payload_path = checkpoint_files(basepath)
     if not manifest_path.exists():
         raise FileNotFoundError(str(manifest_path))
-    manifest = read_json(manifest_path)
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{manifest_path}: manifest is not a JSON object")
-    for key, kind, name in (("kind", str, "string"), ("meta", dict, "object"),
-                            ("tensors", list, "array")):
-        if not isinstance(manifest.get(key), kind):
-            raise FormatError(f"{manifest_path}: manifest {key!r} is missing or not a JSON {name}")
+    manifest = checked_fields(read_json(manifest_path),
+                              {"kind": str, "meta": dict, "tensors": list},
+                              f"{manifest_path}: manifest")
     if expect_kind is not None and manifest["kind"] != expect_kind:
         raise FormatError(
             f"{manifest_path}: checkpoint kind {manifest['kind']!r}, expected {expect_kind!r}"
@@ -76,13 +71,9 @@ def load_checkpoint(basepath, expect_kind: str | None = None
         raise FileNotFoundError(str(payload_path))
     payload = payload_path.read_bytes()
     entries = []
-    for entry in manifest["tensors"]:
-        # type() rather than isinstance(): JSON true/false must not pass as integers
-        if not (isinstance(entry, dict) and type(entry.get("name")) is str
-                and type(entry.get("offset")) is int and type(entry.get("shape")) is list
-                and all(type(s) is int for s in entry["shape"])):
-            raise FormatError(f"{manifest_path}: tensor entry {entry!r:.80} needs a string "
-                              f"'name', an integer 'offset' and an integer list 'shape'")
+    for i, entry in enumerate(manifest["tensors"]):
+        entry = checked_fields(entry, {"name": str, "offset": int, "shape": tuple[int, ...]},
+                               f"{manifest_path}: tensor entry {i}")
         name, start, shape = entry["name"], entry["offset"], tuple(entry["shape"])
         if any(s < 0 for s in shape):
             raise FormatError(

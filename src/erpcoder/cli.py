@@ -14,7 +14,6 @@ violation, 1 anything else. Failures print one line:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,16 +21,12 @@ from pathlib import Path
 from . import __version__, autoencoder, encoding, metrics, synth
 from .checkpoint import checkpoint_files, file_digest
 from .data import (FormatError, checked_fields, erp_files, filter_artifacts, load_counts,
-                   load_embeddings, load_erp, load_token_features, read_json)
+                   load_embeddings, load_erp, load_token_features, read_json, write_json)
 from .features import FeatureSpec, assemble, build_sentence_tokens
 
 
 def _progress(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _manifest(out_dir: Path, command: str, config: dict, inputs: dict[str, list]) -> None:
@@ -40,7 +35,7 @@ def _manifest(out_dir: Path, command: str, config: dict, inputs: dict[str, list]
         hashed[label] = [
             {"path": str(p), "sha256": file_digest(p)} for p in paths
         ]
-    _write_json(out_dir / "manifest.json", {
+    write_json(out_dir / "manifest.json", {
         "command": command,
         "config": config,
         "inputs": hashed,
@@ -128,9 +123,9 @@ def _cmd_pretrain(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     autoencoder.save_autoencoder(out / "autoencoder", params)
-    _write_json(out / "history.json", history.to_json_dict())
+    write_json(out / "history.json", history.to_json_dict())
     recon_mse = autoencoder.reconstruction_mse(params, dataset, meta)
-    _write_json(out / "pretrain_report.json", {
+    write_json(out / "pretrain_report.json", {
         "architecture": args.arch,
         "intercepts": args.intercepts,
         "best_epoch": history.best_epoch,
@@ -161,7 +156,7 @@ def _cmd_select_arch(args) -> int:
         dataset, meta, candidates, k=args.folds, seed=args.seed, **hyper)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", report)
+    write_json(out / "report.json", report)
     for name, entry in report["candidates"].items():
         _progress(f"  {name}: mean MSE {entry['mean_mse']:.6g}, "
                   f"mean R2 {entry['mean_r2']:.4f}")
@@ -202,7 +197,7 @@ def _cmd_fit(args) -> int:
     model, history = encoding.train(
         decoder, readout, meta, fm, sources, weight_decay=wd, seed=args.seed, **hyper)
     encoding.save_encoding_model(out / "model", model)
-    _write_json(out / "history.json", history.to_json_dict())
+    write_json(out / "history.json", history.to_json_dict())
     report = {
         "sources": list(sources),
         "weight_decay": wd,
@@ -212,7 +207,7 @@ def _cmd_fit(args) -> int:
     }
     if wd_table is not None:
         report["wd_table"] = wd_table
-    _write_json(out / "fit_report.json", report)
+    write_json(out / "fit_report.json", report)
     _manifest(out, "fit",
               {"sources": list(sources), "weight_decay": wd,
                "wd_search": bool(args.wd_search), "seed": args.seed,
@@ -226,18 +221,17 @@ def _cmd_fit(args) -> int:
 _SUITE_KEYS = {"folds": int, "seed": int, "epochs": int, "batch": int, "lr": float,
                "dev_fraction": float, "weight_decay": float | None,
                "ceiling_mse": float | tuple[float, ...] | None,
-               "counts": str, "embeddings": str, "token_features": str}
+               "counts": str, "embeddings": str, "token_features": str, "roster": list | None}
 
 
 def _cmd_suite(args) -> int:
-    config = read_json(args.config)
     where = f"{args.config}: suite config"
-    checked_fields(config, {"data": str, "decoder": str}, where)
-    checked_fields(config, {k: hint for k, hint in _SUITE_KEYS.items() if k in config}, where)
+    config = checked_fields(read_json(args.config), {"data": str, "decoder": str}, where,
+                            optional=_SUITE_KEYS)
     roster = None
     if config.get("roster"):
         roster = []
-        for i, entry in enumerate(checked_fields(config, {"roster": list}, where)["roster"]):
+        for i, entry in enumerate(config["roster"]):
             entry = checked_fields(entry, {"name": str, "sources": tuple[str, ...]},
                                    f"{where} roster entry {i}")
             roster.append((entry["name"], tuple(entry["sources"])))
@@ -269,7 +263,7 @@ def _cmd_suite(args) -> int:
     for name, entry in result["entries"].items():
         safe = name.replace("+", "_")
         entry["report"].write(out / f"report_{safe}.json")
-    _write_json(out / "suite.json", {
+    write_json(out / "suite.json", {
         "fold_digest": result["fold_digest"],
         "k": result["k"],
         "entries": {n: {"sources": e["sources"], "weight_decay": e["weight_decay"],
@@ -358,10 +352,11 @@ def _cmd_export_words(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     table.to_tsv(out / "words.tsv")
     summary = metrics.content_function_summary(table)
-    _write_json(out / "word_class_summary.json", summary)
+    write_json(out / "word_class_summary.json", summary)
     _manifest(out, "export-words", {}, inputs)
-    _progress(f"mean r: content {summary['content']['mean_r']:.4f}, "
-              f"function {summary['function']['mean_r']:.4f}")
+    means = {cls: "n/a" if s["mean_r"] is None else f"{s['mean_r']:.4f}"
+             for cls, s in summary.items()}
+    _progress(f"mean r: content {means['content']}, function {means['function']}")
     return 0
 
 

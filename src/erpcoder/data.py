@@ -39,12 +39,32 @@ class FormatError(ValueError):
     """A file violated one of the documented on-disk formats."""
 
 
+def _finite(parse):
+    """A number hook of ``json.loads``: ``parse(text)``, or ValueError unless the
+    literal is a finite float, so that ``NaN``, ``Infinity``, ``-Infinity`` and
+    literals that overflow (``1e400``, or an integer of 400 digits) fail."""
+    def hook(text: str):
+        if not math.isfinite(float(text)):
+            raise ValueError(f"non-finite number {text:.40}")
+        return parse(text)
+    return hook
+
+
 def read_json(path):
-    """The parsed JSON content of ``path``; :class:`FormatError` if it is not JSON."""
+    """The parsed JSON content of ``path``; :class:`FormatError` if it is not JSON
+    or holds a number that is not finite."""
     try:
-        return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        return json.loads(Path(path).read_text(), parse_float=_finite(float),
+                          parse_int=_finite(int), parse_constant=_finite(float))
+    except (ValueError, RecursionError) as e:
         raise FormatError(f"{path}: invalid JSON: {e}") from e
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as JSON with sorted keys, a two-space indent and a trailing
+    newline; a non-finite number raises ValueError, since :func:`read_json`
+    would reject the file."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def json_fits(value, hint) -> bool:
@@ -59,22 +79,31 @@ def json_fits(value, hint) -> bool:
     return type(value) in ((int, float) if hint is float else (hint,))
 
 
-def checked_fields(obj, fields: dict, where) -> dict:
-    """The ``fields`` (key: type hint) of the parsed JSON object ``obj``.
+def checked_fields(obj, fields: dict, where, optional: dict | None = None) -> dict:
+    """The ``fields`` (key: type hint) of the parsed JSON object ``obj``, and
+    the keys of ``optional`` it holds.
 
     Raises :class:`FormatError` naming ``where`` and the key unless ``obj``
-    is an object holding every key with a value that :func:`json_fits` its
-    hint. Other keys are ignored.
+    is an object holding every key of ``fields``, with each value of a key
+    of ``fields`` or ``optional`` fitting its hint (:func:`json_fits`).
+    Other keys are ignored, unless ``optional`` is given (a config): then
+    any other key is an error too.
     """
     if not isinstance(obj, dict):
         raise FormatError(f"{where} is not a JSON object, got {type(obj).__name__}")
-    for key, hint in fields.items():
+    hints = {**fields, **(optional or {})}
+    if optional is not None:
+        for key in obj:
+            if key not in hints:
+                raise FormatError(f"{where} has unknown key {key!r}")
+    for key, hint in hints.items():
         if key not in obj:
-            raise FormatError(f"{where} is missing {key!r}")
-        if not json_fits(obj[key], hint):
+            if key in fields:
+                raise FormatError(f"{where} is missing {key!r}")
+        elif not json_fits(obj[key], hint):
             name = hint.__name__ if isinstance(hint, type) else hint
             raise FormatError(f"{where}: {key!r} needs {name}, got {obj[key]!r:.80}")
-    return {key: obj[key] for key in fields}
+    return {key: obj[key] for key in hints if key in obj}
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +124,11 @@ class ErpDataset:
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 3:
             raise ValueError(f"ERP data must be 3-dim, got shape {self.data.shape}")
-        expected = round(
-            (self.epoch_end_ms - self.epoch_start_ms) / 1000.0 * self.sampling_rate_hz
-        )
-        if expected != self.n_timepoints:
+        expected = (self.epoch_end_ms - self.epoch_start_ms) / 1000.0 * self.sampling_rate_hz
+        if not (math.isfinite(expected) and round(expected) == self.n_timepoints):
             raise ValueError(
                 f"epoch {self.epoch_start_ms}..{self.epoch_end_ms} ms at "
-                f"{self.sampling_rate_hz} Hz implies {expected} timepoints, "
+                f"{self.sampling_rate_hz} Hz implies {expected:.6g} timepoints, "
                 f"data has {self.n_timepoints}"
             )
 
@@ -227,7 +254,7 @@ def save_erp(basepath, dataset: ErpDataset, meta: list[TrialMeta]) -> None:
         "sampling_rate_hz": dataset.sampling_rate_hz,
         "shape": list(dataset.data.shape),
     }
-    sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(sidecar_path, sidecar)
     payload_path.write_bytes(np.ascontiguousarray(dataset.data, dtype="<f8").tobytes())
     save_meta(meta_path, meta)
 
@@ -249,7 +276,7 @@ def load_erp(basepath) -> tuple[ErpDataset, list[TrialMeta]]:
     if not payload_path.exists():
         raise FileNotFoundError(str(payload_path))
     payload = payload_path.read_bytes()
-    expected_bytes = int(np.prod(shape)) * 8
+    expected_bytes = math.prod(shape) * 8
     if len(payload) != expected_bytes:
         raise FormatError(
             f"{payload_path}: expected {expected_bytes} bytes for shape {shape}, "
@@ -263,12 +290,11 @@ def load_erp(basepath) -> tuple[ErpDataset, list[TrialMeta]]:
             f"{payload_path}: {int(finite.size - finite.sum())} non-finite values "
             f"(NaN or inf); first at (trial, channel, timepoint) {first}"
         )
-    dataset = ErpDataset(
-        data,
-        sampling_rate_hz=float(sidecar["sampling_rate_hz"]),
-        epoch_start_ms=float(sidecar["epoch_start_ms"]),
-        epoch_end_ms=float(sidecar["epoch_end_ms"]),
-    )
+    try:
+        dataset = ErpDataset(data, float(sidecar["sampling_rate_hz"]),
+                             float(sidecar["epoch_start_ms"]), float(sidecar["epoch_end_ms"]))
+    except ValueError as e:
+        raise FormatError(f"{sidecar_path}: {e}") from None
     meta = load_meta(meta_path)
     if len(meta) != dataset.n_trials:
         raise FormatError(
@@ -445,16 +471,17 @@ def _group_feature_columns(names: list[str], path) -> list[tuple[str, list[str]]
     for name in names:
         base, dot, idx = name.rpartition(".")
         if dot and idx.isascii() and idx.isdigit():
+            component = idx.lstrip("0") or "0"  # int(idx) in text, free of its digit limit
             if groups and groups[-1][0] == base:
                 expected = len(groups[-1][1])
-                if int(idx) != expected:
+                if component != str(expected):
                     raise FormatError(
                         f"{path}: vector column {base!r} has component {idx} where "
                         f"{expected} was expected"
                     )
                 groups[-1][1].append(name)
                 continue
-            if int(idx) != 0:
+            if component != "0":
                 raise FormatError(f"{path}: vector column {base!r} must start at {base}.0")
             groups.append((base, [name]))
         else:

@@ -644,8 +644,8 @@ def load_encoding_model(basepath, decoder: AutoencoderParams) -> EncodingModel:
         "tuner": dict, "weight_decay": float}, f"{where}: meta")
     digest = decoder.decoder_digest()
     if digest != meta["decoder_digest"]:
-        raise ValueError(
-            f"decoder hash {digest[:12]}... does not match the checkpoint's "
+        raise FormatError(
+            f"{where}: decoder hash {digest[:12]}... does not match the checkpoint's "
             f"{meta['decoder_digest'][:12]}...")
     sources = tuple(meta["sources"])
     names = list(meta["feature_names"])

@@ -11,13 +11,13 @@ coding so external mixed-effects software can consume them directly.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import TrialMeta
+from .data import TrialMeta, write_json
 from .features import SOURCES
 
 MODEL_CODING_FAMILIES = tuple(s for s in SOURCES if s != "constant")
@@ -168,23 +168,22 @@ def per_word_correlations(model_preds: np.ndarray, actual: np.ndarray,
             "token": m.token,
             "word_class": m.word_class,
             "pos_tag": m.pos_tag,
-            "pearson_r": repr(r),
+            "pearson_r": r,
             "zero_variance": int(flagged),
             "word_type": 1 if m.word_class == "content" else -1,
         }
         for fam, code in coding.items():
             row[f"has_{fam}"] = code
-        row["_r"] = r
         rows.append(row)
     return WordLevelTable(rows, model_name)
 
 
 def content_function_summary(table: WordLevelTable) -> dict:
-    """Mean per-word r by word class."""
+    """Mean per-word r by word class (None for a class with no words)."""
     out = {}
     for cls in ("content", "function"):
-        rs = [row["_r"] for row in table.rows if row["word_class"] == cls]
-        out[cls] = {"n": len(rs), "mean_r": float(np.mean(rs)) if rs else float("nan")}
+        rs = [row["pearson_r"] for row in table.rows if row["word_class"] == cls]
+        out[cls] = {"n": len(rs), "mean_r": float(np.mean(rs)) if rs else None}
     return out
 
 
@@ -209,21 +208,15 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "model_name": self.model_name,
-            "mse_model": self.mse_model,
-            "mse_intercept": self.mse_intercept,
-            "mse_autoencoder": self.mse_autoencoder,
-            "r2_mod": self.r2_mod,
-            "per_fold": self.per_fold,
-            "ci_low": self.ci_low if np.isfinite(self.ci_low) else None,
-            "ci_high": self.ci_high if np.isfinite(self.ci_high) else None,
-            "fold_digest": self.fold_digest,
-            "metadata": self.metadata,
-        }
+        """The report's fields; a CI bound that is not finite becomes null."""
+        out = asdict(self)
+        for bound in ("ci_low", "ci_high"):
+            if not math.isfinite(out[bound]):
+                out[bound] = None
+        return out
 
     def write(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_json_dict())
 
 
 def fold_report(model_name: str, mse_model: list[float], mse_intercept: list[float],

@@ -16,7 +16,6 @@ sentence-initial words are populated so filtering paths are exercised.
 
 from __future__ import annotations
 
-import json
 import typing
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -26,9 +25,8 @@ import numpy as np
 from .autoencoder import (AutoencoderParams, AutoencoderSpec, build_layer_plan, checked_spec,
                           decode, init_params, tensor_shapes)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
-from .data import (EmbeddingTable, ErpDataset, FormatError, TokenFeatureTable, TrialMeta,
-                   checked_fields, json_fits, save_counts, save_embeddings, save_erp,
-                   save_token_features)
+from .data import (EmbeddingTable, ErpDataset, TokenFeatureTable, TrialMeta, checked_fields,
+                   save_counts, save_embeddings, save_erp, save_token_features, write_json)
 from .features import SOURCES, source_block
 
 CONTENT_TAGS = ("NN", "VB", "JJ", "RB")
@@ -87,16 +85,8 @@ class SynthConfig:
     def from_json_dict(cls, d) -> "SynthConfig":
         """Config from parsed JSON. Anything but an object, an unknown key or a value
         of the wrong JSON type raises :class:`FormatError` naming the key."""
-        if not isinstance(d, dict):
-            raise FormatError(f"synth config must be a JSON object, got {type(d).__name__}")
-        hints = typing.get_type_hints(cls)
-        for key, value in d.items():
-            if key not in hints:
-                raise FormatError(f"synth config has unknown key {key!r}")
-            if not json_fits(value, hints[key]):
-                raise FormatError(f"synth config key {key!r} needs {cls.__annotations__[key]}, "
-                                  f"got {value!r}")
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+        fields = checked_fields(d, {}, "synth config", optional=typing.get_type_hints(cls))
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
 
 
 @dataclass
@@ -283,8 +273,7 @@ def oracle_bounds(truth: GroundTruth, dataset: ErpDataset, subsets=None,
     decoder, and scored on ``eval_rows``. Because the decoder is mildly
     nonlinear, raw projections can violate nesting by a hair; bounds are
     therefore the running minimum along the nested chain (any superset can
-    realize a subset's map by zeroing the extra weights), and a flag records
-    whether that correction fired.
+    realize a subset's map by zeroing the extra weights).
     """
     n = truth.latents.shape[0]
     fit_rows = np.arange(n) if fit_rows is None else np.asarray(fit_rows)
@@ -312,9 +301,8 @@ def oracle_bounds(truth: GroundTruth, dataset: ErpDataset, subsets=None,
         "mse": {},
         "best_possible_r2_mod": {},
         "ridge_fallback": False,
-        "monotonic_enforced": False,
     }
-    raw: list[tuple[str, float]] = []
+    running = np.inf
     for subset in subsets:
         blocks = [np.ones((n, 1))]
         blocks += [truth.driving_columns[s] for s in subset]
@@ -330,14 +318,8 @@ def oracle_bounds(truth: GroundTruth, dataset: ErpDataset, subsets=None,
             beta = np.linalg.solve(a + 1e-8 * np.eye(a.shape[0]), b)
             result["ridge_fallback"] = True
         z_hat = (f[eval_rows] @ beta).reshape(len(eval_rows), c_lat, t_lat)
-        raw.append((_subset_key(subset), decoded_mse(z_hat)))
-
-    running = np.inf
-    for key, mse in raw:
-        if mse > running:
-            result["monotonic_enforced"] = True
-        running = min(running, mse)
-        result["mse"][key] = running
+        running = min(running, decoded_mse(z_hat))
+        result["mse"][_subset_key(subset)] = running
     mse_empty = result["mse"][_subset_key(subsets[0])]
     denom = mse_empty - mse_floor
     for key, mse in result["mse"].items():
@@ -359,8 +341,7 @@ def write_dataset_dir(synth: SynthData, outdir, base: str = "data") -> None:
     save_counts(out / "counts.tsv", synth.counts)
     save_embeddings(out / "embeddings.txt", synth.embeddings)
     save_token_features(out / "tokens.feat.tsv", synth.token_features)
-    (out / "config.json").write_text(
-        json.dumps(synth.config.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(out / "config.json", synth.config.to_json_dict())
     truth = synth.ground_truth
     tensors: dict[str, np.ndarray] = {"latent_bias": truth.latent_bias,
                                       "latents": truth.latents}

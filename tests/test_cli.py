@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from erpcoder import cli
+from erpcoder.autoencoder import AutoencoderSpec, init_params, save_autoencoder
 from erpcoder.checkpoint import load_checkpoint, save_checkpoint
 from erpcoder.data import ErpDataset, TrialMeta, save_erp
 
@@ -340,6 +341,111 @@ class TestExitCodes:
         sidecar_path.write_text(json.dumps(sidecar))
         assert run(["pretrain", "--data", tmp_path / "set", "--out", tmp_path / "o"]) == 4
         assert f"error: FormatViolation: {sidecar_path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        # 8 * (2**61 + 5) wraps to 40 in int64, the payload's value count
+        (lambda s: s.update(shape=[8, 2**61 + 5, 1]),
+         f"set.erp.bin: expected {64 * (2**61 + 5)} bytes for shape (8, {2**61 + 5}, 1), "
+         f"found 320"),
+        (lambda s: s.update(sampling_rate_hz=0),
+         "set.erp.json: epoch 0.0..40.0 ms at 0.0 Hz implies 0 timepoints, data has 10"),
+        (lambda s: s.update(epoch_start_ms=-1e308, epoch_end_ms=1e308),
+         "set.erp.json: epoch -1e+308..1e+308 ms at 250.0 Hz implies inf timepoints"),
+    ], ids=["shape_wraps_in_int64", "rate_zero", "span_overflows"])
+    def test_sidecar_geometry_mismatch_is_4(self, tmp_path, capsys, edit, message):
+        meta = [TrialMeta("s1", 0, i + 1, "w", "content", "NN", False) for i in range(2)]
+        save_erp(tmp_path / "set", ErpDataset(np.ones((2, 2, 10)), 250.0, 0.0, 40.0), meta)
+        sidecar_path = tmp_path / "set.erp.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        edit(sidecar)
+        sidecar_path.write_text(json.dumps(sidecar))
+        assert run(["pretrain", "--data", tmp_path / "set", "--out", tmp_path / "o"]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            f"error: FormatViolation: {tmp_path / message}")
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("file", ["synth_config", "suite_config", "sidecar", "manifest"])
+    def test_non_finite_json_number_is_4(self, pipeline, tmp_path, capsys, file, literal):
+        # json.loads reads each literal as a float (1e400 as inf) unless told not to;
+        # "@" marks the number the literal replaces
+        if file == "synth_config":
+            path, doc = tmp_path / "synth.json", {**SYNTH_CONFIG, "noise_sd": "@"}
+            args = ["synth", "--config", path]
+        elif file == "suite_config":
+            path = tmp_path / "suite.json"
+            doc = {"data": str(pipeline / "d" / "data"),
+                   "decoder": str(pipeline / "m" / "autoencoder"), "folds": 2, "epochs": 1,
+                   "roster": [{"name": "intercept", "sources": ["constant"]}], "lr": "@"}
+            args = ["suite", "--config", path]
+        elif file == "sidecar":
+            meta = [TrialMeta("s1", 0, i + 1, "w", "content", "NN", False) for i in range(2)]
+            save_erp(tmp_path / "set", ErpDataset(np.ones((2, 2, 10)), 250.0, 0.0, 40.0), meta)
+            path = tmp_path / "set.erp.json"
+            doc = {**json.loads(path.read_text()), "sampling_rate_hz": "@"}
+            args = ["pretrain", "--data", tmp_path / "set"]
+        else:
+            doc = self._copy_checkpoint(pipeline / "e0" / "model", tmp_path / "model")
+            doc["meta"]["weight_decay"] = "@"
+            path = tmp_path / "model.ckpt.json"
+            args = ["export-words", "--model", tmp_path / "model",
+                    "--autoencoder", pipeline / "m" / "autoencoder",
+                    "--data", pipeline / "d" / "data"]
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        assert run([*args, "--out", tmp_path / "o"]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: FormatViolation: {path}: invalid JSON: non-finite number {literal}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_suite_config_unknown_key_is_4(self, pipeline, tmp_path, capsys):
+        # a misspelt "epochs" used to be ignored, and the suite ran the 200-epoch default
+        config = {"data": str(pipeline / "d" / "data"),
+                  "decoder": str(pipeline / "m" / "autoencoder"), "folds": 2,
+                  "roster": [{"name": "intercept", "sources": ["constant"]}], "epoch": 1}
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(config))
+        assert run(["suite", "--config", path, "--out", tmp_path / "o"]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: FormatViolation: {path}: suite config has unknown key 'epoch'"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subjects, message", [
+        (None, "must list the subjects of the intercept table, got None"),
+        ([], "must list the subjects of the intercept table, got []"),
+        (["s00", "s00"], "repeats ['s00']"),
+    ], ids=["null", "empty", "repeated"])
+    def test_intercept_checkpoint_subjects_checked(self, pipeline, tmp_path, capsys, subjects,
+                                                   message):
+        spec = AutoencoderSpec("beta", True, 6, 40)
+        save_autoencoder(tmp_path / "ae", init_params(spec, seed=0, subjects=subjects or ()))
+        kind, meta, tensors = load_checkpoint(tmp_path / "ae")
+        save_checkpoint(tmp_path / "ae", kind, {**meta, "subjects": subjects}, tensors)
+        code = run(["fit", "--decoder", tmp_path / "ae", "--data", pipeline / "d" / "data",
+                    "--sources", "constant", "--epochs", 1, "--out", tmp_path / "o"])
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: FormatViolation: {tmp_path / 'ae.ckpt.json'}: meta 'subjects' {message}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_spec_whose_plan_does_not_build_is_4(self, pipeline, tmp_path, capsys):
+        manifest = self._copy_checkpoint(pipeline / "m" / "autoencoder", tmp_path / "ae")
+        manifest["meta"]["spec"]["n_timepoints"] = 7  # the first pool does not tile it
+        (tmp_path / "ae.ckpt.json").write_text(json.dumps(manifest))
+        code = run(["fit", "--decoder", tmp_path / "ae", "--data", pipeline / "d" / "data",
+                    "--sources", "constant", "--out", tmp_path / "o"])
+        assert code == 4
+        assert (f"error: FormatViolation: {tmp_path / 'ae.ckpt.json'}: meta 'spec': encoder "
+                f"step 1: (7 - 5) % 5 = 2, pooling does not tile") in capsys.readouterr().err
+
+    def test_model_of_another_decoder_is_4(self, pipeline, tmp_path, capsys):
+        save_autoencoder(tmp_path / "ae", init_params(AutoencoderSpec("beta", False, 6, 40), 9))
+        code = run(["export-words", "--model", pipeline / "e0" / "model",
+                    "--autoencoder", tmp_path / "ae", "--data", pipeline / "d" / "data",
+                    "--out", tmp_path / "o"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert (f"error: FormatViolation: {pipeline / 'e0' / 'model.ckpt.json'}: decoder hash "
+                in err and "does not match" in err)
 
     @staticmethod
     def _copy_checkpoint(source: Path, dest: Path) -> dict:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erpcoder import checkpoint, data
+from erpcoder import autoencoder, checkpoint, data, encoding, features, synth
 
 _DELETE = object()
 _JSON = st.recursive(
@@ -37,6 +37,24 @@ def make_meta(n, subjects=("s1", "s2"), words_per_sentence=5, artifact_every=Non
 def make_dataset(rng, n=10, c=4, t=20, rate=250.0, start=-40.0):
     end = start + t / rate * 1000.0
     return data.ErpDataset(rng.normal(size=(n, c, t)), rate, start, end)
+
+
+class TestReadJson:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                                         "1" + "0" * 400])
+    def test_non_finite_number_rejected(self, tmp_path, literal):
+        path = tmp_path / "f.json"
+        path.write_text(f'{{"a": [1, {literal}]}}')
+        with pytest.raises(data.FormatError,
+                           match=f"^{path}: invalid JSON: non-finite number {literal:.40}$"):
+            data.read_json(path)
+
+    def test_finite_numbers_keep_their_type(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"a": [1, -2.5, 1e308, 12345678901234567890]}')
+        value = data.read_json(path)["a"]
+        assert value == [1, -2.5, 1e308, 12345678901234567890]
+        assert [type(v) for v in value] == [int, float, float, int]
 
 
 class TestErpRoundTrip:
@@ -130,13 +148,16 @@ class TestCheckpointFormat:
             checkpoint.load_checkpoint(base)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda m: m.update(tensors=5), "manifest 'tensors' is missing or not a JSON array"),
-        (lambda m: m.update(meta=[]), "manifest 'meta' is missing or not a JSON object"),
-        (lambda m: m.pop("kind"), "manifest 'kind' is missing"),
-        (lambda m: m["tensors"][0].update(shape="ab"), "an integer list 'shape'"),
-        (lambda m: m["tensors"][0].update(shape=[2, 3.0]), "an integer list 'shape'"),
-        (lambda m: m["tensors"][0].pop("name"), "needs a string 'name'"),
-        (lambda m: m["tensors"][1].update(offset=True), "an integer 'offset'"),
+        (lambda m: m.update(tensors=5), r"ck\.ckpt\.json: manifest: 'tensors' needs list"),
+        (lambda m: m.update(meta=[]), r"ck\.ckpt\.json: manifest: 'meta' needs dict"),
+        (lambda m: m.pop("kind"), r"ck\.ckpt\.json: manifest is missing 'kind'"),
+        (lambda m: m["tensors"][0].update(shape="ab"),
+         r"ck\.ckpt\.json: tensor entry 0: 'shape' needs tuple\[int, \.\.\.\]"),
+        (lambda m: m["tensors"][0].update(shape=[2, 3.0]),
+         r"ck\.ckpt\.json: tensor entry 0: 'shape' needs tuple\[int, \.\.\.\]"),
+        (lambda m: m["tensors"][0].pop("name"), r"ck\.ckpt\.json: tensor entry 0 is missing 'name'"),
+        (lambda m: m["tensors"][1].update(offset=True),
+         r"ck\.ckpt\.json: tensor entry 1: 'offset' needs int"),
         (lambda m: m["tensors"][1].update(name="a"), "tensor names repeat"),
     ], ids=["tensors_not_list", "meta_not_object", "no_kind", "shape_string",
             "shape_float", "no_name", "offset_bool", "repeated_name"])
@@ -353,6 +374,8 @@ _VALID_TABLES = {
     "load_token_features": ("sentence_id\tword_position\tsurprisal\tvec.0\tvec.1\n"
                             "0\t1\t2.5\t0.1\t-0.2\n0\t2\t1.5\t0.3\t0.4\n"),
     "load_counts": "the\t100\ndog\t7\n",
+    "load_meta": ("subject_id\tsentence_id\tword_position\ttoken\tword_class\tpos_tag\t"
+                  "artifact\ns1\t0\t1\tthe\tfunction\tDT\t0\ns1\t0\t2\tdog\tcontent\tNN\t1\n"),
 }
 _TABLE_PIECES = st.sampled_from([
     "\t", " ", "\n", "\r", "\x0c", "\x85", " ", "0", "1", "9", "-", "+", ".", "e", "_",
@@ -376,6 +399,14 @@ class TestTableLoaderFuzz:
         table = data.load_token_features(path)
         np.testing.assert_array_equal(table.columns["vec.²"], [2.5])
 
+    def test_overlong_component_number_is_format_error(self, tmp_path):
+        # int() refuses strings of more than 4300 digits with a plain ValueError
+        path = tmp_path / "tokens.feat.tsv"
+        path.write_text(f"sentence_id\tword_position\tvec.0\tvec.{'9' * 5000}\n0\t1\t1\t2\n")
+        with pytest.raises(data.FormatError, match="vector column 'vec' has component 9+ "
+                                                   "where 1 was expected"):
+            data.load_token_features(path)
+
     @pytest.mark.parametrize("loader", sorted(_VALID_TABLES))
     @settings(max_examples=300, deadline=None)
     @given(draw=st.data())
@@ -390,5 +421,108 @@ class TestTableLoaderFuzz:
         path.write_bytes(valid[:cut] + noise + valid[cut + drop:])
         try:
             getattr(data, loader)(path)
+        except (data.FormatError, FileNotFoundError):
+            pass
+
+
+class _Literal(str):
+    """A number written into JSON text as it is, e.g. one json.dumps cannot write."""
+
+
+_RAW = "\x00literal\x00"
+_LITERALS = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                             "1" + "0" * 400]).map(_Literal)
+
+
+def _draw_mutated_json(draw, doc, under=(), extra=st.nothing()) -> str:
+    """``doc`` as JSON text with one node at or below the path ``under`` deleted or
+    replaced by a drawn value: any JSON (NaN and infinities included), a
+    non-finite or overflowing number literal, or one of ``extra``. The node is
+    found by a walk down from ``under`` that stops at each level with
+    probability 1/4, so that shallow fields are hit about as often as the
+    many leaves of a deep one."""
+    path, node = tuple(under), doc
+    for key in under:
+        node = node[key]
+    while isinstance(node, (dict, list)) and node and draw.draw(st.integers(0, 3)):
+        key = draw.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        path, node = path + (key,), node[key]
+    value = draw.draw(st.one_of(st.just(_DELETE), _JSON, _LITERALS, extra))
+    literal = value if isinstance(value, _Literal) else None
+    value = _RAW if literal else value
+    if not path:
+        doc = None if value is _DELETE else value
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    text = json.dumps(doc)
+    return text.replace(json.dumps(_RAW), literal) if literal else text
+
+
+class TestJsonFileFuzz:
+    """Any edit of an ERP sidecar or of a checkpoint's ``meta`` loads or fails as
+    a format error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(draw=st.data())
+    def test_mutated_sidecar_fails_only_as_format_error(self, tmp_path_factory, draw):
+        base = tmp_path_factory.mktemp("erp") / "set"
+        rng = np.random.default_rng(0)
+        data.save_erp(base, make_dataset(rng, n=2, c=2, t=5), make_meta(2))
+        sidecar_path = data.erp_files(base)[0]
+        # shapes whose product wraps in int64
+        overflowing = st.lists(st.integers(2**21, 2**62), min_size=3, max_size=3)
+        sidecar_path.write_text(_draw_mutated_json(
+            draw, json.loads(sidecar_path.read_text()), extra=overflowing))
+        try:
+            data.load_erp(base)
+        except (data.FormatError, FileNotFoundError):
+            pass
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        """An autoencoder with intercepts, an encoding model with a tuner and a
+        ground truth, each saved once: kind -> (base path, loader)."""
+        root = tmp_path_factory.mktemp("checkpoints")
+        sources = ("frequency", "static_embedding")
+        sd = synth.generate(synth.SynthConfig(
+            n_subjects=2, n_sentences=6, words_per_sentence=3, n_channels=4,
+            n_timepoints=30, vocab_size=10, static_dim=3, contextual_dim=3, driving=sources))
+        synth.write_dataset_dir(sd, root)
+        decoder = sd.ground_truth.decoder
+        spec = autoencoder.AutoencoderSpec("beta", True, 4, 30)
+        autoencoder.save_autoencoder(
+            root / "ae", autoencoder.init_params(spec, seed=0, subjects=("s00", "s01")))
+        dataset, meta = data.filter_artifacts(sd.dataset, sd.meta, include_first_word=False)
+        fm = features.assemble(features.FeatureSpec(sources), meta, counts_table=sd.counts,
+                               embeddings=sd.embeddings, sentence_tokens=sd.sentence_tokens)
+        model, _ = encoding.train(decoder, dataset, meta, fm, sources, epochs=1)
+        assert model.tuner_config.enabled
+        encoding.save_encoding_model(root / "model", model)
+        return {"autoencoder": (root / "ae", autoencoder.load_autoencoder),
+                "encoding_model": (root / "model",
+                                   lambda base: encoding.load_encoding_model(base, decoder)),
+                "synth_truth": (root / "truth", synth.load_ground_truth)}
+
+    @pytest.mark.parametrize("kind", ["autoencoder", "encoding_model", "synth_truth"])
+    @settings(max_examples=200, deadline=None)
+    @given(draw=st.data())
+    def test_mutated_meta_fails_only_as_format_error(self, saved, tmp_path_factory, kind,
+                                                     draw):
+        source, load = saved[kind]
+        base = tmp_path_factory.mktemp("ck") / "ck"
+        manifest_path, payload_path = checkpoint.checkpoint_files(base)
+        source_manifest, source_payload = checkpoint.checkpoint_files(source)
+        payload_path.write_bytes(source_payload.read_bytes())
+        manifest_path.write_text(_draw_mutated_json(
+            draw, json.loads(source_manifest.read_text()), under=("meta",)))
+        try:
+            load(base)
         except (data.FormatError, FileNotFoundError):
             pass

@@ -1,5 +1,6 @@
 """Frozen-decoder encoding model tests: composition, training, search, suite."""
 
+import copy
 import json
 import re
 import sys
@@ -59,7 +60,7 @@ class TestPrediction:
     def test_zero_parameters_give_zero_prediction(self, small_synth):
         sd, ds, meta = small_synth
         model, _, fm = quick_fit(sd, ds, meta, ("frequency",), epochs=2,
-                                 decoder=sd.ground_truth.decoder.copy())
+                                 decoder=copy.deepcopy(sd.ground_truth.decoder))
         for t in model.params.values():
             t[:] = 0.0
         for t in model.decoder.tensors.values():

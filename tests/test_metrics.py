@@ -139,7 +139,7 @@ class TestPerWordCorrelations:
         preds = actual.copy()
         preds[1] = -actual[1]
         table = metrics.per_word_correlations(preds, actual, word_meta(3))
-        rs = [row["_r"] for row in table.rows]
+        rs = [row["pearson_r"] for row in table.rows]
         assert rs[0] == pytest.approx(1.0, abs=1e-12)
         assert rs[1] == pytest.approx(-1.0, abs=1e-12)
 
@@ -149,7 +149,7 @@ class TestPerWordCorrelations:
         preds[0] = 7.0
         table = metrics.per_word_correlations(preds, actual, word_meta(2))
         assert table.rows[0]["zero_variance"] == 1
-        assert table.rows[0]["_r"] == 0.0
+        assert table.rows[0]["pearson_r"] == 0.0
 
     def test_affine_invariance_per_word(self, rng):
         actual = rng.normal(size=(4, 3, 6))
@@ -157,7 +157,7 @@ class TestPerWordCorrelations:
         t1 = metrics.per_word_correlations(preds, actual, word_meta(4))
         t2 = metrics.per_word_correlations(0.3 * preds + 2.0, actual, word_meta(4))
         for a, b in zip(t1.rows, t2.rows):
-            assert a["_r"] == pytest.approx(b["_r"], abs=1e-12)
+            assert a["pearson_r"] == pytest.approx(b["pearson_r"], abs=1e-12)
 
     def test_coding_scheme(self, tmp_path, rng):
         actual = rng.normal(size=(2, 3, 5))

@@ -102,15 +102,16 @@ class TestConfig:
 
     @pytest.mark.parametrize("payload, message", [
         ({"n_subject": 2}, "unknown key 'n_subject'"),
-        ({"n_subjects": "two"}, "key 'n_subjects' needs int, got 'two'"),
-        ({"n_subjects": True}, "key 'n_subjects' needs int"),
-        ({"vocab_size": 2.5}, "key 'vocab_size' needs int"),
-        ({"noise_sd": "1"}, "key 'noise_sd' needs float"),
-        ({"driving": "frequency"}, "key 'driving' needs tuple"),
-        ({"drive_scales": [1.0, None]}, "key 'drive_scales' needs tuple"),
-        ({"driven_latent_timepoints": [0.5]}, "key 'driven_latent_timepoints' needs tuple"),
-        ([{"n_subjects": 2}], "must be a JSON object, got list"),
-        ("beta", "must be a JSON object, got str"),
+        ({"n_subjects": "two"}, "synth config: 'n_subjects' needs int, got 'two'"),
+        ({"n_subjects": True}, "synth config: 'n_subjects' needs int"),
+        ({"vocab_size": 2.5}, "synth config: 'vocab_size' needs int"),
+        ({"noise_sd": "1"}, "synth config: 'noise_sd' needs float"),
+        ({"driving": "frequency"}, "synth config: 'driving' needs tuple"),
+        ({"drive_scales": [1.0, None]}, "synth config: 'drive_scales' needs tuple"),
+        ({"driven_latent_timepoints": [0.5]},
+         "synth config: 'driven_latent_timepoints' needs tuple"),
+        ([{"n_subjects": 2}], "synth config is not a JSON object, got list"),
+        ("beta", "synth config is not a JSON object, got str"),
     ], ids=["unknown_key", "int_as_string", "int_as_bool", "int_as_float", "float_as_string",
             "tuple_as_string", "tuple_with_null", "int_tuple_with_float", "list",
             "string"])
