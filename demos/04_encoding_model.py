@@ -4,8 +4,9 @@
 The decoder stays bitwise frozen; only the per-latent-channel interface map
 (and, for embedding features, the tanh tuner) is trained. On synthetic data
 the recovered variance explained should approach the closed-form bound.
-Training scores the decoder's linear output layer in Gram form: one readout
-of the epochs, built once, serves every fit and score.
+Training scores the decoder's linear output layer in Gram form: the decoder
+is frozen against the epochs once, and that one frozen decoder serves every
+fit and score.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ bounds = synth.oracle_bounds(data.ground_truth, data.dataset,
                              fit_rows=kept, eval_rows=kept)
 decoder = data.ground_truth.decoder
 digest = decoder.decoder_digest()
-readout = encoding.build_readout(decoder, dataset, meta)
+frozen = encoding.freeze(decoder, dataset, meta)
 
 
 def fit(sources):
@@ -35,9 +36,9 @@ def fit(sources):
                            token_features=data.token_features,
                            embeddings=data.embeddings,
                            sentence_tokens=data.sentence_tokens)
-    model, history = encoding.train(decoder, readout, meta, fm, sources,
-                                    epochs=200, lr=0.005, weight_decay=1e-5, seed=5)
-    return encoding.model_mse(model, readout, meta, fm), history
+    model, history = encoding.train(frozen, fm, sources, epochs=200, lr=0.005,
+                                    weight_decay=1e-5, seed=5)
+    return encoding.model_mse(model, frozen, fm), history
 
 
 mse_intercept, _ = fit(("constant",))

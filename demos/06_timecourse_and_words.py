@@ -18,6 +18,7 @@ config = synth.SynthConfig(n_subjects=2, n_sentences=40, words_per_sentence=4,
 config = synth.calibrate_noise(config, target_snr=2.0)
 data = synth.generate(config)
 dataset, meta = filter_artifacts(data.dataset, data.meta, include_first_word=False)
+frozen = encoding.freeze(data.ground_truth.decoder, dataset, meta)
 
 
 def fit(sources, epochs):
@@ -26,9 +27,8 @@ def fit(sources, epochs):
                            token_features=data.token_features,
                            embeddings=data.embeddings,
                            sentence_tokens=data.sentence_tokens)
-    model, _ = encoding.train(data.ground_truth.decoder, dataset, meta, fm,
-                              sources, epochs=epochs, batch_size=32, lr=0.005,
-                              weight_decay=1e-5, seed=5)
+    model, _ = encoding.train(frozen, fm, sources, epochs=epochs, batch_size=32,
+                              lr=0.005, weight_decay=1e-5, seed=5)
     return model, fm
 
 

@@ -31,9 +31,9 @@ from .autoencoder import (AutoencoderParams, AutoencoderSpec, build_layer_plan, 
 from .data import (EmbeddingTable, ErpDataset, FoldAssignment, TokenFeatureTable,  # noqa: E402
                    TrialMeta, filter_artifacts, kfold_split, load_erp, save_erp,
                    train_dev_split)
-from .encoding import (EncodingModel, TunerConfig, load_encoding_model, predict_erp,  # noqa: E402
-                       run_model_suite, save_encoding_model, standard_roster, train,
-                       weight_decay_search)
+from .encoding import (EncodingModel, FrozenDecoder, TunerConfig, freeze,  # noqa: E402
+                       load_encoding_model, predict_erp, run_model_suite,
+                       save_encoding_model, standard_roster, train, weight_decay_search)
 from .features import (FeatureMatrix, FeatureSpec, apply_standardizer, assemble,  # noqa: E402
                        fit_standardizer)
 from .metrics import (EvalReport, TimecourseSeries, WordLevelTable, bootstrap_ci,  # noqa: E402
@@ -48,8 +48,8 @@ __all__ = [
     "EmbeddingTable", "ErpDataset", "FoldAssignment", "TokenFeatureTable",
     "TrialMeta", "filter_artifacts", "kfold_split", "load_erp", "save_erp",
     "train_dev_split",
-    "EncodingModel", "TunerConfig", "load_encoding_model", "predict_erp",
-    "run_model_suite", "save_encoding_model", "standard_roster", "train",
+    "EncodingModel", "FrozenDecoder", "TunerConfig", "freeze", "load_encoding_model",
+    "predict_erp", "run_model_suite", "save_encoding_model", "standard_roster", "train",
     "weight_decay_search",
     "FeatureMatrix", "FeatureSpec", "apply_standardizer", "assemble",
     "fit_standardizer",

@@ -56,7 +56,8 @@ def save_checkpoint(basepath, kind: str, meta: dict,
 
 def load_checkpoint(basepath, expect_kind: str | None = None
                     ) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """Read a checkpoint; returns (kind, meta, tensors)."""
+    """Read a checkpoint; returns (kind, meta, tensors). A manifest or payload that is
+    malformed, or a tensor value that is NaN or infinite, raises :class:`FormatError`."""
     manifest_path, payload_path = checkpoint_files(basepath)
     if not manifest_path.exists():
         raise FileNotFoundError(str(manifest_path))
@@ -97,6 +98,12 @@ def load_checkpoint(basepath, expect_kind: str | None = None
         name: np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()
         for start, end, name, shape in entries
     }
+    for name, arr in tensors.items():
+        bad = np.argwhere(~np.isfinite(arr))
+        if len(bad):
+            raise FormatError(
+                f"{payload_path}: tensor {name!r} has {len(bad)} non-finite values (NaN or "
+                f"inf); first at index {tuple(int(i) for i in bad[0])}")
     return manifest["kind"], manifest["meta"], tensors
 
 

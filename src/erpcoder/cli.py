@@ -179,7 +179,7 @@ def _cmd_fit(args) -> int:
     decoder = autoencoder.load_autoencoder(args.decoder)
     dataset, meta, tables, inputs = _load_inputs(args.data, vars(args))
     fm = assemble(FeatureSpec(sources), meta, **tables)
-    readout = encoding.build_readout(decoder, dataset, meta)
+    frozen = encoding.freeze(decoder, dataset, meta)
     hyper = _hyper(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -188,14 +188,14 @@ def _cmd_fit(args) -> int:
     if args.wd_search:
         _progress("searching weight decay over the default grid")
         wd, wd_table = encoding.weight_decay_search(
-            decoder, readout, meta, fm, sources, k=args.folds, seed=args.seed, **hyper)
+            frozen, fm, sources, k=args.folds, seed=args.seed, **hyper)
         _progress(f"chosen weight decay: {wd:g}")
     else:
         wd = args.wd if args.wd is not None else 0.0
 
     _progress(f"fitting encoding model ({'+'.join(sources)}) on {dataset.n_trials} trials")
     model, history = encoding.train(
-        decoder, readout, meta, fm, sources, weight_decay=wd, seed=args.seed, **hyper)
+        frozen, fm, sources, weight_decay=wd, seed=args.seed, **hyper)
     encoding.save_encoding_model(out / "model", model)
     write_json(out / "history.json", history.to_json_dict())
     report = {
@@ -203,7 +203,7 @@ def _cmd_fit(args) -> int:
         "weight_decay": wd,
         "best_epoch": history.best_epoch,
         "best_dev_mse": min(history.dev_mse),
-        "train_mse": encoding.model_mse(model, readout, meta, fm),
+        "train_mse": encoding.model_mse(model, frozen, fm),
     }
     if wd_table is not None:
         report["wd_table"] = wd_table
@@ -301,9 +301,9 @@ def _load_analysis(args):
 def _cmd_evaluate(args) -> int:
     (ae_params, dataset, meta, (model, fm), (intercept, fm_intercept),
      inputs) = _load_analysis(args)
-    readout = encoding.build_readout(ae_params, dataset, meta)
-    mse_model = encoding.model_mse(model, readout, meta, fm)
-    mse_intercept = encoding.model_mse(intercept, readout, meta, fm_intercept)
+    frozen = encoding.freeze(ae_params, dataset, meta)
+    mse_model = encoding.model_mse(model, frozen, fm)
+    mse_intercept = encoding.model_mse(intercept, frozen, fm_intercept)
     mse_ae = autoencoder.reconstruction_mse(ae_params, dataset, meta)
     report = metrics.EvalReport(
         model_name="+".join(model.sources),

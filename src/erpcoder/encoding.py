@@ -15,23 +15,25 @@ Gram form. Both decoders end in a transposed convolution with no
 activation, so with the decoder frozen a prediction is ``A h + b`` (plus
 the subject intercept): ``h`` is the decoder's last hidden activation (640
 values for ``beta``, 600 for ``alpha`` at 32x200) and ``A`` a fixed linear
-map. A :class:`Readout` holds ``G = AᵀA`` and, per trial, ``r = Aᵀ(y - b -
-intercept)`` and ``c = ||y - b - intercept||²``. A trial's squared error is
-then ``hᵀGh - 2hᵀr + c`` and its gradient ``2(Gh - r)``, so no epoch is
-decoded. Training, its dev MSE and :func:`model_mse` (and so the CLI
-``fit``, ``suite`` and ``evaluate``) minimise and report the MSE in this
-form. The tests hold its loss and gradient to the full decoder's within
-1e-12 relative; about 5e-16 is measured. Its absolute error scales with
-``c``, not with the residual: it measured at most 2 x machine epsilon x
-the mean of ``c`` per epoch value, which on near-noiseless data (residual
-MSE 1e-12) is a relative error up to ~6e-6. :func:`predict_erp`, and so
-``timecourse`` and ``export-words``, still decode full epochs.
+map. :func:`freeze` pairs the decoder with a set of epochs once, as a
+:class:`FrozenDecoder` that holds ``G = AᵀA`` and, per trial, ``r = Aᵀ(y -
+b - intercept)`` and ``c = ||y - b - intercept||²``. A trial's squared
+error is then ``hᵀGh - 2hᵀr + c`` and its gradient ``2(Gh - r)``, so no
+epoch is decoded. Training, its dev MSE and :func:`model_mse` (and so the
+CLI ``fit``, ``suite`` and ``evaluate``) take a frozen decoder and
+minimise and report the MSE in this form. The tests hold its loss and
+gradient to the full decoder's within 1e-12 relative; about 5e-16 is
+measured. Its absolute error scales with ``c``, not with the residual: it
+measured at most 2 x machine epsilon x the mean of ``c`` per epoch value,
+which on near-noiseless data (residual MSE 1e-12) is a relative error up
+to ~6e-6. :func:`predict_erp`, and so ``timecourse`` and ``export-words``,
+still decode full epochs.
 
 ``G`` is stored as a block band in time, not as a dense ``H x H`` matrix.
 Hidden positions more than ``w = ceil(K/s) - 1`` steps apart (output kernel
 ``K``, stride ``s``) write no common output value, so their block of ``G``
 is zero; ``w`` is 1 for both decoders (``beta`` 9/5, ``alpha`` 8/4). The
-readout keeps ``2w+1`` blocks per hidden time step, ``(T_hid, C_hid,
+frozen decoder keeps ``2w+1`` blocks per hidden time step, ``(T_hid, C_hid,
 (2w+1)·C_hid)``, sliced from the dense ``G`` it builds once, after checking
 that every block outside the band is exactly zero. ``Gh`` is one matmul
 batched over time (:func:`nn.gram_band_matmul`), with 1/13 (``beta``) and
@@ -40,29 +42,31 @@ batched over time (:func:`nn.gram_band_matmul`), with 1/13 (``beta``) and
 Parallel fits. :func:`weight_decay_search` (so CLI ``fit --wd-search``) and
 :func:`run_model_suite` (CLI ``suite``; its intercept anchor and every
 entry's fits in one list) build one list of independent (entry, weight
-decay, fold) fits and run it on a thread pool, as
-:func:`autoencoder.select_architecture` does for its pretraining folds. The
-pool has one thread per CPU in the process's affinity mask (``taskset``
-limits it), at most one per fit. Each fit's seed is fixed before any fit
-runs, the decoder, readout and features are only read, and results come
-back in list order, so they are bit-identical to a serial run; the first
-fit in list order that raises re-raises, and fits not yet started are
-cancelled. :func:`train`, :func:`model_mse` and :func:`predict_erp` run on
-the calling thread. Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``), or
-pool threads and BLAS threads compete for the same CPUs.
+decay, fold) fits against one frozen decoder and run it on a thread pool,
+as :func:`autoencoder.select_architecture` does for its pretraining folds.
+The pool has one thread per CPU in the process's affinity mask
+(``taskset`` limits it), at most one per fit. Each fit's seed is fixed
+before any fit runs, the frozen decoder and the features are only read,
+and results come back in list order, so they are bit-identical to a
+serial run; the first fit in list order that raises re-raises, and fits
+not yet started are cancelled. :func:`train`, :func:`model_mse` and
+:func:`predict_erp` run on the calling thread. Pin BLAS to one thread
+(``OPENBLAS_NUM_THREADS=1``), or pool threads and BLAS threads compete for
+the same CPUs.
 """
 
 from __future__ import annotations
 
 import typing
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import nn
 from .autoencoder import (AutoencoderParams, TrainHistory, _add_intercepts, _fit_epochs,
-                          _run_jobs, _stack_backward, _stack_forward, reconstruction_mse)
+                          _run_jobs, _stack_backward, _stack_forward, decode,
+                          reconstruction_mse)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
 from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_split,
                    train_dev_split)
@@ -115,14 +119,18 @@ class EncodingModel:
 
 
 @dataclass
-class Readout:
-    """The frozen decoder's output layer in Gram form against a set of epochs.
+class FrozenDecoder:
+    """A pre-trained decoder, frozen, against a set of epochs: its output layer
+    in Gram form.
 
-    Row ``i`` of ``r`` and ``c`` belongs to trial ``i`` of the epochs it was
-    built from; ``n_out`` is the number of values in one epoch.
+    ``digest`` is the decoder's content hash when :func:`freeze` built this.
+    Row ``i`` of ``meta``, ``r`` and ``c`` belongs to trial ``i`` of the
+    epochs; ``n_out`` is the number of values in one epoch.
     """
 
-    decoder_digest: str
+    decoder: AutoencoderParams
+    digest: str
+    meta: list[TrialMeta]
     band: np.ndarray  # (T_hid, C_hid, (2w+1)·C_hid): AᵀA as a block band in time
     r: np.ndarray  # (N, H): Aᵀ(y - b - intercept)
     c: np.ndarray  # (N,): ||y - b - intercept||²
@@ -132,8 +140,14 @@ class Readout:
     def n_trials(self) -> int:
         return len(self.c)
 
-    def take(self, rows) -> "Readout":
-        return Readout(self.decoder_digest, self.band, self.r[rows], self.c[rows], self.n_out)
+    def take(self, rows) -> "FrozenDecoder":
+        return replace(self, meta=[self.meta[i] for i in rows], r=self.r[rows], c=self.c[rows])
+
+    def hidden(self, z: np.ndarray, record: bool = False):
+        """Latents -> the last hidden activation ``h``: every decoder step but the
+        output layer, with their contexts for :func:`_stack_backward`."""
+        return _stack_forward(self.decoder.plan.decoder[:-1], self.decoder.tensors, "dec", z,
+                              record)
 
     def mse(self, h: np.ndarray, rows) -> tuple[float, np.ndarray]:
         """MSE of the epochs decoded from ``h`` against trials ``rows``, and its
@@ -146,9 +160,9 @@ class Readout:
         return loss, ((2.0 / n) * (gh - r)).reshape(h.shape)
 
 
-def build_readout(decoder: AutoencoderParams, dataset: ErpDataset,
-                  meta: list[TrialMeta]) -> Readout:
-    """The :class:`Readout` of ``decoder`` against every trial of ``dataset``.
+def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
+           meta: list[TrialMeta]) -> FrozenDecoder:
+    """``decoder`` frozen against every trial of ``dataset``, described by ``meta``.
 
     ``AᵀA`` comes from :func:`nn.transposed_conv_gram_band`. ``r`` and ``c``
     are built a batch of rows at a time through the output layer's own
@@ -184,19 +198,8 @@ def build_readout(decoder: AutoencoderParams, dataset: ErpDataset,
         adjoint, _ = nn.conv1d_forward(e, kernels, np.zeros(c_hid), step.stride, step.padding)
         r[rows] = adjoint.reshape(len(e), -1)
         c[rows] = np.einsum("nct,nct->n", e, e)
-    return Readout(decoder.decoder_digest(), band, r, c,
-                   dataset.n_channels * dataset.n_timepoints)
-
-
-def _readout(decoder: AutoencoderParams, data, meta: list[TrialMeta], digest: str) -> Readout:
-    """``data`` itself if it is a :class:`Readout` of the decoder with content
-    hash ``digest``, else the readout of the dataset ``data``."""
-    if not isinstance(data, Readout):
-        return build_readout(decoder, data, meta)
-    if data.decoder_digest != digest:
-        raise ValueError(
-            f"readout built for decoder {data.decoder_digest[:12]}..., not {digest[:12]}...")
-    return data
+    return FrozenDecoder(decoder, decoder.decoder_digest(), list(meta), band, r, c,
+                         dataset.n_channels * dataset.n_timepoints)
 
 
 def _split_columns(matrix_names: list[str], sources) -> tuple[np.ndarray, np.ndarray]:
@@ -243,15 +246,9 @@ def _init_trainable(rng: np.random.Generator, n_embed: int, n_scalar: int,
     return params
 
 
-def _forward(params: dict[str, np.ndarray], decoder: AutoencoderParams,
-             f_std: np.ndarray, embed_cols: np.ndarray, scalar_cols: np.ndarray,
-             tuner_config: TunerConfig, subject_ids=None, record: bool = False,
-             hidden: bool = False):
-    """Features (already standardized) -> predicted epochs, with backward contexts.
-
-    With ``hidden`` the decoder stops before its output layer, returning the
-    last hidden activation ``h`` that a :class:`Readout` scores.
-    """
+def _forward(params: dict[str, np.ndarray], f_std: np.ndarray, embed_cols: np.ndarray,
+             scalar_cols: np.ndarray, tuner_config: TunerConfig):
+    """Features (already standardized) -> latents, with backward contexts."""
     femb = f_std[:, embed_cols]
     fscal = f_std[:, scalar_cols]
     ctxs: dict = {}
@@ -268,20 +265,14 @@ def _forward(params: dict[str, np.ndarray], decoder: AutoencoderParams,
         raise ValueError(
             f"interface expects width {w.shape[2]}, features provide {u.shape[1]}")
     z = (u @ w.reshape(-1, w.shape[2]).T).reshape(len(u), *w.shape[:2]) + params["interface.bias"]
-    steps = decoder.plan.decoder[:-1] if hidden else decoder.plan.decoder
-    y, ctxs["decoder"] = _stack_forward(steps, decoder.tensors, "dec", z, record)
-    if not hidden:
-        y = _add_intercepts(decoder, y, subject_ids)
     ctxs["u"] = u
     ctxs["n_tuned"] = tuned.shape[1]
-    return y, ctxs
+    return z, ctxs
 
 
-def _backward(params: dict[str, np.ndarray], grad_y: np.ndarray, ctxs: dict,
+def _backward(params: dict[str, np.ndarray], gz: np.ndarray, ctxs: dict,
               tuner_config: TunerConfig) -> dict[str, np.ndarray]:
-    """Gradients for interface and tuner from those of :func:`_forward`'s output;
-    the decoder is frozen."""
-    gz, _ = _stack_backward(ctxs["decoder"], grad_y, need_param_grads=False)
+    """Gradients for interface and tuner from those of :func:`_forward`'s latents."""
     u = ctxs["u"]
     w = params["interface.weights"]
     gz_flat = gz.reshape(len(u), -1)
@@ -303,9 +294,8 @@ def _backward(params: dict[str, np.ndarray], grad_y: np.ndarray, ctxs: dict,
     return grads
 
 
-def _model_forward(model: EncodingModel, features: FeatureMatrix, subject_ids=None,
-                   hidden: bool = False) -> np.ndarray:
-    """:func:`_forward` of the model on raw (unstandardized) features with matching columns."""
+def _latents(model: EncodingModel, features: FeatureMatrix) -> np.ndarray:
+    """The model's latents for raw (unstandardized) features with matching columns."""
     if features.standardized:
         raise ValueError("pass raw features; the model applies its own standardizer")
     if features.names != model.feature_names:
@@ -314,15 +304,14 @@ def _model_forward(model: EncodingModel, features: FeatureMatrix, subject_ids=No
             f"{model.feature_names}")
     f_std = apply_standardizer(features, model.standardizer).values
     embed_cols, scalar_cols = _split_columns(model.feature_names, model.sources)
-    y, _ = _forward(model.params, model.decoder, f_std, embed_cols, scalar_cols,
-                    model.tuner_config, subject_ids, hidden=hidden)
-    return y
+    z, _ = _forward(model.params, f_std, embed_cols, scalar_cols, model.tuner_config)
+    return z
 
 
 def predict_erp(model: EncodingModel, features: FeatureMatrix,
                 subject_ids=None) -> np.ndarray:
     """Predicted epochs for raw (unstandardized) features with matching columns."""
-    return _model_forward(model, features, subject_ids)
+    return decode(model.decoder, _latents(model, features), subject_ids)
 
 
 def _check_filtered(meta: list[TrialMeta]) -> None:
@@ -332,61 +321,59 @@ def _check_filtered(meta: list[TrialMeta]) -> None:
         raise ValueError("training trials must exclude sentence-initial words")
 
 
-def train(decoder: AutoencoderParams, dataset: ErpDataset | Readout, meta: list[TrialMeta],
-          features: FeatureMatrix, sources, *, tuner: TunerConfig | None = None,
-          epochs: int = 200, batch_size: int = 128, lr: float = 0.001,
-          weight_decay: float = 0.0, seed: int = 0, dev_fraction: float = 0.1
-          ) -> tuple[EncodingModel, TrainHistory]:
-    """Fit interface (and tuner) to predict epochs from features.
+def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
+          tuner: TunerConfig | None = None, epochs: int = 200, batch_size: int = 128,
+          lr: float = 0.001, weight_decay: float = 0.0, seed: int = 0,
+          dev_fraction: float = 0.1) -> tuple[EncodingModel, TrainHistory]:
+    """Fit interface (and tuner) to predict the epochs of ``frozen`` from features.
 
-    ``dataset`` is the trials' epochs or their :class:`Readout` against
-    ``decoder``; the MSE is minimised in Gram form either way. The decoder
-    is frozen: its parameter hash is checked before and after.
+    The MSE is minimised in Gram form. The decoder stays frozen: its content
+    hash is checked against ``frozen.digest`` before and after.
     Deterministic given the seed; ``history.best_epoch`` is a 0-based epoch
     index, and retraining with ``epochs = best_epoch + 1`` reproduces the
     restored parameters exactly.
     """
     sources = tuple(sources)
-    if features.n_trials != dataset.n_trials or len(meta) != dataset.n_trials:
-        raise ValueError(
-            f"got {dataset.n_trials} trials, {len(meta)} meta rows, "
-            f"{features.n_trials} feature rows")
-    _check_filtered(meta)
+    if features.n_trials != frozen.n_trials:
+        raise ValueError(f"got {frozen.n_trials} trials, {features.n_trials} feature rows")
+    _check_filtered(frozen.meta)
     spec = FeatureSpec(sources)
     embed_cols, scalar_cols = _split_columns(features.names, sources)
     if tuner is None:
         tuner = TunerConfig(enabled=bool(spec.embedding_sources))
     if tuner.enabled and not spec.embedding_sources:
         raise ValueError("tuner enabled but the feature spec has no embedding source")
+    if frozen.decoder.decoder_digest() != frozen.digest:
+        raise RuntimeError("frozen decoder was mutated after freeze")
 
-    digest_before = decoder.decoder_digest()
-    readout = _readout(decoder, dataset, meta, digest_before)
     rng = np.random.default_rng(seed)
     train_idx, dev_idx = train_dev_split(
-        dataset.n_trials, dev_fraction, seed=int(rng.integers(2**63)))
+        frozen.n_trials, dev_fraction, seed=int(rng.integers(2**63)))
     standardizer = fit_standardizer(features, train_idx)
     f_std = apply_standardizer(features, standardizer).values
-    params = _init_trainable(rng, len(embed_cols), len(scalar_cols),
-                             decoder.plan.latent_channels,
-                             decoder.plan.latent_timepoints, tuner)
+    plan = frozen.decoder.plan
+    params = _init_trainable(rng, len(embed_cols), len(scalar_cols), plan.latent_channels,
+                             plan.latent_timepoints, tuner)
 
     def forward(idx, record):
-        return _forward(params, decoder, f_std[idx], embed_cols, scalar_cols, tuner,
-                        record=record, hidden=True)
+        z, ctxs = _forward(params, f_std[idx], embed_cols, scalar_cols, tuner)
+        h, ctxs["decoder"] = frozen.hidden(z, record)
+        return h, ctxs
 
     def backward(grad_h, ctxs, idx):
-        return _backward(params, grad_h, ctxs, tuner)
+        gz, _ = _stack_backward(ctxs["decoder"], grad_h, need_param_grads=False)
+        return _backward(params, gz, ctxs, tuner)
 
-    history = _fit_epochs(params, readout.mse, train_idx, dev_idx, rng, forward, backward,
+    history = _fit_epochs(params, frozen.mse, train_idx, dev_idx, rng, forward, backward,
                           epochs=epochs, batch_size=batch_size, lr=lr,
                           weight_decay=weight_decay)
 
-    if decoder.decoder_digest() != digest_before:
+    if frozen.decoder.decoder_digest() != frozen.digest:
         raise RuntimeError("frozen decoder was mutated during training")
 
     model = EncodingModel(
-        decoder=decoder,
-        decoder_digest=digest_before,
+        decoder=frozen.decoder,
+        decoder_digest=frozen.digest,
         params=params,
         tuner_config=tuner,
         feature_names=list(features.names),
@@ -397,16 +384,15 @@ def train(decoder: AutoencoderParams, dataset: ErpDataset | Readout, meta: list[
     return model, history
 
 
-def model_mse(model: EncodingModel, dataset: ErpDataset | Readout, meta: list[TrialMeta],
-              features: FeatureMatrix, indices=None) -> float:
-    """MSE of the model's predictions over the given trials, in Gram form.
-
-    ``dataset`` is the epochs or their :class:`Readout` against the model's decoder.
-    """
-    readout = _readout(model.decoder, dataset, meta, model.decoder_digest)
-    idx = np.arange(readout.n_trials) if indices is None else np.asarray(indices)
-    h = _model_forward(model, features.take(idx), hidden=True)
-    loss, _ = readout.mse(h, idx)
+def model_mse(model: EncodingModel, frozen: FrozenDecoder, features: FeatureMatrix,
+              indices=None) -> float:
+    """MSE of the model's predictions over the given trials of ``frozen``, in Gram form."""
+    if model.decoder_digest != frozen.digest:
+        raise ValueError(f"model fit against decoder {model.decoder_digest[:12]}..., "
+                         f"not the frozen {frozen.digest[:12]}...")
+    idx = np.arange(frozen.n_trials) if indices is None else np.asarray(indices)
+    h, _ = frozen.hidden(_latents(model, features.take(idx)))
+    loss, _ = frozen.mse(h, idx)
     return loss
 
 
@@ -417,8 +403,7 @@ def model_mse(model: EncodingModel, dataset: ErpDataset | Readout, meta: list[Tr
 WEIGHT_DECAY_GRID = (1e-5, 1e-3, 1e-1)
 
 
-def _fold_mses(decoder: AutoencoderParams, readout: Readout, meta: list[TrialMeta],
-               folds, groups, **train_kwargs) -> list[list[float]]:
+def _fold_mses(frozen: FrozenDecoder, folds, groups, **train_kwargs) -> list[list[float]]:
     """Held-out MSE per fold of models trained on each fold's complement.
 
     ``groups`` is a list of (features, sources, weight_decay, seeds), one
@@ -429,10 +414,9 @@ def _fold_mses(decoder: AutoencoderParams, readout: Readout, meta: list[TrialMet
     """
     def fold_mse(features, sources, weight_decay, f, run_seed) -> float:
         tr = folds.train_indices(f)
-        model, _ = train(decoder, readout.take(tr), [meta[i] for i in tr],
-                         features.take(tr), sources, weight_decay=weight_decay,
-                         seed=run_seed, **train_kwargs)
-        return model_mse(model, readout, meta, features, folds.test_indices(f))
+        model, _ = train(frozen.take(tr), features.take(tr), sources,
+                         weight_decay=weight_decay, seed=run_seed, **train_kwargs)
+        return model_mse(model, frozen, features, folds.test_indices(f))
 
     mses = _run_jobs(fold_mse, [(features, sources, wd, f, run_seed)
                                 for features, sources, wd, seeds in groups
@@ -454,27 +438,24 @@ def _grid_search(grid, per_wd) -> tuple[float, list[dict], list[float]]:
     return chosen, table, mses
 
 
-def weight_decay_search(decoder: AutoencoderParams, dataset: ErpDataset | Readout,
-                        meta: list[TrialMeta], features: FeatureMatrix, sources, *,
+def weight_decay_search(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
                         grid=WEIGHT_DECAY_GRID, k: int = 5, seed: int = 0,
                         tuner: TunerConfig | None = None, epochs: int = 200,
                         batch_size: int = 128, lr: float = 0.001,
                         dev_fraction: float = 0.1) -> tuple[float, list[dict]]:
     """Choose the weight decay with the best mean held-out MSE over k folds.
 
-    ``dataset`` is the epochs or their :class:`Readout` against ``decoder``.
     Deterministic given the seed; ties break to the smaller weight decay.
     Returns (chosen_wd, table) with one row per (weight_decay, fold).
     """
     grid = tuple(grid)
     if not grid:
         raise ValueError("weight decay grid is empty")
-    readout = _readout(decoder, dataset, meta, decoder.decoder_digest())
-    folds = kfold_split(readout.n_trials, k, seed)
+    folds = kfold_split(frozen.n_trials, k, seed)
     seed_rng = np.random.default_rng(seed)
     seeds = [int(seed_rng.integers(2**63)) for _ in range(len(grid) * k)]
     per_wd = _fold_mses(
-        decoder, readout, meta, folds,
+        frozen, folds,
         [(features, sources, wd, seeds[i * k : (i + 1) * k]) for i, wd in enumerate(grid)],
         tuner=tuner, epochs=epochs, batch_size=batch_size, lr=lr, dev_fraction=dev_fraction)
     chosen, table, _ = _grid_search(grid, per_wd)
@@ -521,7 +502,7 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
     wd_grid = tuple(wd_grid)
     if weight_decay is None and not wd_grid:
         raise ValueError("weight decay grid is empty")
-    readout = build_readout(decoder, dataset, meta)
+    frozen = freeze(decoder, dataset, meta)
     folds = kfold_split(dataset.n_trials, k, seed)
     fold_digest = folds.digest()
 
@@ -567,7 +548,7 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
             groups += [group(features, sources, wd, entry_idx, wd_idx)
                        for wd_idx, wd in enumerate(wd_grid)]
 
-    mses = _fold_mses(decoder, readout, meta, folds, groups, epochs=epochs,
+    mses = _fold_mses(frozen, folds, groups, epochs=epochs,
                       batch_size=batch_size, lr=lr, dev_fraction=dev_fraction)
     intercept_mse = mses[0]
     for name, sources, first in kept:

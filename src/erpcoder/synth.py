@@ -59,6 +59,12 @@ class SynthConfig:
                      "n_channels", "n_timepoints", "vocab_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        floats = {name: getattr(self, name) for name in (
+            "sampling_rate_hz", "epoch_start_ms", "noise_sd", "latent_bias_sd", "artifact_rate")}
+        floats.update((f"drive_scales[{i}]", v) for i, v in enumerate(self.drive_scales or ()))
+        for name, value in floats.items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be >= 0")
         if self.drive_scales is not None and len(self.drive_scales) != len(self.driving):

@@ -215,7 +215,7 @@ def test_criterion_4_frozen_decoder(tmp_path):
 
     fm = features.assemble(features.FeatureSpec(("frequency",)), meta,
                            counts_table=sd.counts)
-    model, _ = encoding.train(decoder, ds, meta, fm, ("frequency",),
+    model, _ = encoding.train(encoding.freeze(decoder, ds, meta), fm, ("frequency",),
                               epochs=30, batch_size=32, lr=0.005, seed=3)
 
     ae.save_autoencoder(tmp_path / "decoder_after", decoder)
@@ -252,10 +252,10 @@ def test_criterion_5_synthetic_recovery():
                                token_features=sd.token_features,
                                embeddings=sd.embeddings,
                                sentence_tokens=sd.sentence_tokens)
-        model, _ = encoding.train(decoder, ds, meta, fm, sources, epochs=200,
+        model, _ = encoding.train(encoding.freeze(decoder, ds, meta), fm, sources, epochs=200,
                                   batch_size=128, lr=0.005, weight_decay=1e-5,
                                   seed=5)
-        return encoding.model_mse(model, ds, meta, fm)
+        return encoding.model_mse(model, encoding.freeze(decoder, ds, meta), fm)
 
     mse_intercept = fit(("constant",))
     floor = bounds["mse_floor"]
@@ -304,7 +304,7 @@ def test_criterion_6_weight_decay_protocol(protocol_synth):
                            counts_table=sd.counts)
     runs = [
         encoding.weight_decay_search(
-            sd.ground_truth.decoder, ds, meta, fm, ("frequency",),
+            encoding.freeze(sd.ground_truth.decoder, ds, meta), fm, ("frequency",),
             seed=9, epochs=8, batch_size=64, lr=0.005)
         for _ in range(2)
     ]
@@ -353,7 +353,7 @@ def test_criterion_7_timecourse_peak():
                                token_features=sd.token_features,
                                embeddings=sd.embeddings,
                                sentence_tokens=sd.sentence_tokens)
-        model, _ = encoding.train(sd.ground_truth.decoder, ds, meta, fm, sources,
+        model, _ = encoding.train(encoding.freeze(sd.ground_truth.decoder, ds, meta), fm, sources,
                                   epochs=epochs, batch_size=32, lr=0.005,
                                   weight_decay=1e-5, seed=5)
         return encoding.predict_erp(model, fm)

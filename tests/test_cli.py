@@ -310,6 +310,37 @@ class TestExitCodes:
                 f"tensor 'standardizer.scale'") in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_nan_decoder_tensor_is_4(self, pipeline, tmp_path, capsys):
+        self._copy_checkpoint(pipeline / "m" / "autoencoder", tmp_path / "ae")
+        kind, meta, tensors = load_checkpoint(tmp_path / "ae")
+        tensors["dec1.kernels"][2, 3, 4] = np.nan
+        save_checkpoint(tmp_path / "ae", kind, meta, tensors)
+        code = run(["fit", "--decoder", tmp_path / "ae", "--data", pipeline / "d" / "data",
+                    "--sources", "constant", "--out", tmp_path / "o"])
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: FormatViolation: {tmp_path / 'ae.ckpt.bin'}: tensor 'dec1.kernels' has 1 "
+            f"non-finite values (NaN or inf); first at index (2, 3, 4)"]
+        assert not (tmp_path / "o").exists()
+
+    def test_inf_model_tensor_is_4(self, pipeline, tmp_path, capsys):
+        self._copy_checkpoint(pipeline / "e1" / "model", tmp_path / "model")
+        kind, meta, tensors = load_checkpoint(tmp_path / "model")
+        tensors["interface.weights"][0, 1, 1] = np.inf
+        tensors["interface.weights"][3, 0, 0] = -np.inf
+        save_checkpoint(tmp_path / "model", kind, meta, tensors)
+        code = run(["evaluate", "--model", tmp_path / "model",
+                    "--intercept", pipeline / "e0" / "model",
+                    "--autoencoder", pipeline / "m" / "autoencoder",
+                    "--data", pipeline / "d" / "data",
+                    "--features", pipeline / "d" / "tokens.feat.tsv",
+                    "--counts", pipeline / "d" / "counts.tsv", "--out", tmp_path / "o"])
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: FormatViolation: {tmp_path / 'model.ckpt.bin'}: tensor 'interface.weights' "
+            f"has 2 non-finite values (NaN or inf); first at index (0, 1, 1)"]
+        assert not (tmp_path / "o").exists()
+
     def test_wrongly_shaped_decoder_tensor_is_4(self, pipeline, tmp_path, capsys):
         # [16, 6, 9] stored as [6, 16, 9]: the payload still tiles, the kernels do not fit
         self._copy_checkpoint(pipeline / "m" / "autoencoder", tmp_path / "ae")

@@ -502,7 +502,7 @@ class TestJsonFileFuzz:
         dataset, meta = data.filter_artifacts(sd.dataset, sd.meta, include_first_word=False)
         fm = features.assemble(features.FeatureSpec(sources), meta, counts_table=sd.counts,
                                embeddings=sd.embeddings, sentence_tokens=sd.sentence_tokens)
-        model, _ = encoding.train(decoder, dataset, meta, fm, sources, epochs=1)
+        model, _ = encoding.train(encoding.freeze(decoder, dataset, meta), fm, sources, epochs=1)
         assert model.tuner_config.enabled
         encoding.save_encoding_model(root / "model", model)
         return {"autoencoder": (root / "ae", autoencoder.load_autoencoder),

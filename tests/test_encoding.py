@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from erpcoder import autoencoder, encoding, features, metrics, nn, synth
-from erpcoder.autoencoder import AutoencoderSpec, _stack_forward, decode, init_params
+from erpcoder.autoencoder import (AutoencoderSpec, _decoder_forward, _stack_backward, decode,
+                                  init_params)
 from erpcoder.checkpoint import load_checkpoint, save_checkpoint
 from erpcoder.data import ErpDataset, FormatError, TrialMeta, filter_artifacts, keep_mask
 
@@ -42,7 +43,7 @@ def quick_fit(sd, ds, meta, sources, decoder=None, **kw):
     if decoder is None:
         decoder = sd.ground_truth.decoder
     fm = assemble_for(sd, meta, sources)
-    model, hist = encoding.train(decoder, ds, meta, fm, sources, **kw)
+    model, hist = encoding.train(encoding.freeze(decoder, ds, meta), fm, sources, **kw)
     return model, hist, fm
 
 
@@ -105,9 +106,10 @@ class TestTraining:
         bounds = synth.oracle_bounds(sd.ground_truth, sd.dataset,
                                      fit_rows=kept, eval_rows=kept)
         model_i, _, fm_i = quick_fit(sd, ds, meta, ("constant",))
-        mse_i = encoding.model_mse(model_i, ds, meta, fm_i)
+        frozen = encoding.freeze(sd.ground_truth.decoder, ds, meta)
+        mse_i = encoding.model_mse(model_i, frozen, fm_i)
         model, _, fm = quick_fit(sd, ds, meta, ("frequency", "surprisal"))
-        mse = encoding.model_mse(model, ds, meta, fm)
+        mse = encoding.model_mse(model, frozen, fm)
         r2 = metrics.r2_mod(mse, mse_i, bounds["mse_floor"])
         assert r2 >= 0.9
 
@@ -117,12 +119,13 @@ class TestTraining:
         bounds = synth.oracle_bounds(sd.ground_truth, sd.dataset,
                                      fit_rows=kept, eval_rows=kept)
         model_i, _, fm_i = quick_fit(sd, ds, meta, ("constant",))
-        mse_i = encoding.model_mse(model_i, ds, meta, fm_i)
+        frozen = encoding.freeze(sd.ground_truth.decoder, ds, meta)
+        mse_i = encoding.model_mse(model_i, frozen, fm_i)
         r2 = {}
         for sources in [("frequency",), ("surprisal",), ("frequency", "surprisal")]:
             model, _, fm = quick_fit(sd, ds, meta, sources)
             r2[sources] = metrics.r2_mod(
-                encoding.model_mse(model, ds, meta, fm), mse_i, bounds["mse_floor"])
+                encoding.model_mse(model, frozen, fm), mse_i, bounds["mse_floor"])
         full = r2[("frequency", "surprisal")]
         assert full >= r2[("frequency",)] - 0.01
         assert full >= r2[("surprisal",)] - 0.01
@@ -132,7 +135,7 @@ class TestTraining:
     def test_intercept_model_hits_constant_predictor_optimum(self, small_synth):
         sd, ds, meta = small_synth
         model, _, fm = quick_fit(sd, ds, meta, ("constant",), epochs=200)
-        mse = encoding.model_mse(model, ds, meta, fm)
+        mse = encoding.model_mse(model, encoding.freeze(sd.ground_truth.decoder, ds, meta), fm)
         residual_var = float(((ds.data - ds.data.mean(axis=0)) ** 2).mean())
         assert mse == pytest.approx(residual_var, rel=0.02)
 
@@ -152,16 +155,16 @@ class TestTraining:
     def test_divergence_names_value_epoch_and_batch(self, small_synth, monkeypatch, bad):
         sd, ds, meta = small_synth
         n_batches = -(-(ds.n_trials - round(ds.n_trials * 0.1)) // 32)
-        mse = encoding.Readout.mse
+        mse = encoding.FrozenDecoder.mse
         calls = []
 
-        def diverging_mse(readout, h, rows):
+        def diverging_mse(frozen, h, rows):
             calls.append(None)
-            loss, grad = mse(readout, h, rows)
+            loss, grad = mse(frozen, h, rows)
             # one dev loss follows each epoch's batches: fail epoch 1, batch 1
             return (bad if len(calls) == n_batches + 3 else loss), grad
 
-        monkeypatch.setattr(encoding.Readout, "mse", diverging_mse)
+        monkeypatch.setattr(encoding.FrozenDecoder, "mse", diverging_mse)
         with pytest.raises(RuntimeError, match=f"diverged to {bad} at epoch 1, batch 1$"):
             quick_fit(sd, ds, meta, ("frequency",), epochs=3)
 
@@ -169,15 +172,24 @@ class TestTraining:
         sd, _, _ = small_synth
         fm = assemble_for(sd, sd.meta[:4], ("frequency",))
         with pytest.raises(ValueError, match="sentence-initial|artifact"):
-            encoding.train(sd.ground_truth.decoder, sd.dataset.subset(range(4)),
-                           sd.meta[:4], fm, ("frequency",), epochs=1)
+            encoding.train(encoding.freeze(sd.ground_truth.decoder, sd.dataset.subset(range(4)),
+                                           sd.meta[:4]), fm, ("frequency",), epochs=1)
 
     def test_tuner_requires_embedding_source(self, small_synth):
         sd, ds, meta = small_synth
         fm = assemble_for(sd, meta, ("frequency",))
         with pytest.raises(ValueError, match="no embedding source"):
-            encoding.train(sd.ground_truth.decoder, ds, meta, fm, ("frequency",),
-                           tuner=encoding.TunerConfig(enabled=True), epochs=1)
+            encoding.train(encoding.freeze(sd.ground_truth.decoder, ds, meta), fm,
+                           ("frequency",), tuner=encoding.TunerConfig(enabled=True), epochs=1)
+
+    def test_decoder_mutated_after_freeze_rejected(self, small_synth):
+        sd, ds, meta = small_synth
+        decoder = copy.deepcopy(sd.ground_truth.decoder)
+        frozen = encoding.freeze(decoder, ds, meta)
+        decoder.tensors["dec0.bias"][0] += 1e-12
+        fm = assemble_for(sd, meta, ("frequency",))
+        with pytest.raises(RuntimeError, match="^frozen decoder was mutated after freeze$"):
+            encoding.train(frozen, fm, ("frequency",), epochs=1)
 
     def test_subject_intercepts_route_through_decode(self, small_synth, rng):
         sd, ds, meta = small_synth
@@ -185,7 +197,7 @@ class TestTraining:
         decoder = init_params(spec, seed=7, subjects=("s00", "s01"))
         decoder.tensors["intercepts"][:] = rng.normal(size=(2, 6))
         fm = assemble_for(sd, meta, ("frequency",))
-        model, _ = encoding.train(decoder, ds, meta, fm, ("frequency",),
+        model, _ = encoding.train(encoding.freeze(decoder, ds, meta), fm, ("frequency",),
                                   epochs=3, batch_size=32, lr=0.005, seed=1)
         subj = [m.subject_id for m in meta]
         preds = encoding.predict_erp(model, fm, subj)
@@ -213,10 +225,11 @@ class TestTraining:
         def loss_for(name):
             def fn(x):
                 trial = {k: (x if k == name else v) for k, v in params.items()}
-                y, ctxs = encoding._forward(trial, decoder, f, embed_cols,
-                                            scalar_cols, tuner, record=True)
+                z, ctxs = encoding._forward(trial, f, embed_cols, scalar_cols, tuner)
+                y, dec_ctxs = _decoder_forward(decoder, z, record=True)
                 loss, gl = nn.mse_loss(y, target)
-                grads = encoding._backward(trial, gl, ctxs, tuner)
+                gz, _ = _stack_backward(dec_ctxs, gl, need_param_grads=False)
+                grads = encoding._backward(trial, gz, ctxs, tuner)
                 return loss, grads[name]
             return fn
 
@@ -237,12 +250,6 @@ def paper_geometry_set(rng, arch, intercepts, n=150):
     return decoder, dataset, meta
 
 
-def hidden(decoder, z):
-    """The decoder's last hidden activation for latents z."""
-    h, _ = _stack_forward(decoder.plan.decoder[:-1], decoder.tensors, "dec", z, False)
-    return h
-
-
 GRAM_SETTINGS = [("alpha", False), ("alpha", True), ("beta", False), ("beta", True)]
 GRAM_IDS = ["alpha", "alpha-intercepts", "beta", "beta-intercepts"]
 
@@ -254,15 +261,15 @@ class TestGramReadout:
     @pytest.mark.parametrize("arch, intercepts", GRAM_SETTINGS, ids=GRAM_IDS)
     def test_loss_and_gradient_match_full_decoder(self, rng, arch, intercepts):
         decoder, ds, meta = paper_geometry_set(rng, arch, intercepts)
-        readout = encoding.build_readout(decoder, ds, meta)  # 150 trials: a ragged pass
+        frozen = encoding.freeze(decoder, ds, meta)  # 150 trials: a ragged pass
         plan = decoder.plan
         last = len(plan.decoder) - 1
         step = plan.decoder[last]
         z = rng.normal(size=(ds.n_trials, plan.latent_channels, plan.latent_timepoints))
-        h = hidden(decoder, z)
+        h, _ = frozen.hidden(z)
         order = rng.permutation(ds.n_trials)
         for rows in (order[:64], order[64:128], order[128:]):  # the last batch is ragged
-            loss, grad = readout.mse(h[rows], rows)
+            loss, grad = frozen.mse(h[rows], rows)
             y, ctx = nn.convtranspose1d_forward(
                 h[rows], decoder.tensors[f"dec{last}.kernels"],
                 decoder.tensors[f"dec{last}.bias"], step.stride, step.padding)
@@ -277,15 +284,15 @@ class TestGramReadout:
     @pytest.mark.parametrize("arch, intercepts", GRAM_SETTINGS, ids=GRAM_IDS)
     def test_dense_gram_is_zero_outside_kept_band(self, rng, arch, intercepts):
         decoder, ds, meta = paper_geometry_set(rng, arch, intercepts, n=4)
-        readout = encoding.build_readout(decoder, ds, meta)
+        frozen = encoding.freeze(decoder, ds, meta)
         last = len(decoder.plan.decoder) - 1
         step = decoder.plan.decoder[last]
         kernels = decoder.tensors[f"dec{last}.kernels"]
         c_hid = kernels.shape[0]
-        t_hid = readout.r.shape[1] // c_hid
+        t_hid = frozen.r.shape[1] // c_hid
         w = nn.gram_bandwidth(step.kernel, step.stride)
         assert w == 1
-        assert readout.band.shape == (t_hid, c_hid, 3 * c_hid)  # no dense (H, H) matrix
+        assert frozen.band.shape == (t_hid, c_hid, 3 * c_hid)  # no dense (H, H) matrix
         cols, _ = nn.convtranspose1d_forward(np.eye(c_hid * t_hid).reshape(-1, c_hid, t_hid),
                                              kernels, np.zeros(kernels.shape[1]),
                                              step.stride, step.padding)
@@ -293,7 +300,7 @@ class TestGramReadout:
         gram = (a.T @ a).reshape(c_hid, t_hid, c_hid, t_hid).transpose(1, 3, 0, 2)
         t = np.arange(t_hid)
         assert not np.any(gram[np.abs(t[:, None] - t[None, :]) > w])
-        kept = readout.band.reshape(t_hid, c_hid, 3, c_hid)
+        kept = frozen.band.reshape(t_hid, c_hid, 3, c_hid)
         for d in range(3):
             tt = t[(t + d - 1 >= 0) & (t + d - 1 < t_hid)]
             np.testing.assert_allclose(kept[tt, :, d, :], gram[tt, tt + d - 1],
@@ -303,8 +310,9 @@ class TestGramReadout:
     def test_model_mse_matches_full_decoder(self, rng, arch, intercepts):
         decoder, ds, meta = paper_geometry_set(rng, arch, intercepts)
         fm = features.FeatureMatrix(rng.normal(size=(ds.n_trials, 1)), ["frequency"])
-        model, _ = encoding.train(decoder, ds, meta, fm, ("frequency",), epochs=2,
-                                  batch_size=32, lr=0.01, seed=2)
+        frozen = encoding.freeze(decoder, ds, meta)
+        model, _ = encoding.train(frozen, fm, ("frequency",), epochs=2, batch_size=32, lr=0.01,
+                                  seed=2)
         subj = np.array([m.subject_id for m in meta])
         full, _ = nn.mse_loss(
             encoding.predict_erp(model, fm, list(subj) if intercepts else None), ds.data)
@@ -312,9 +320,8 @@ class TestGramReadout:
         full_rows, _ = nn.mse_loss(
             encoding.predict_erp(model, fm.take(rows), list(subj[rows]) if intercepts else None),
             ds.data[rows])
-        readout = encoding.build_readout(decoder, ds, meta)
-        assert encoding.model_mse(model, ds, meta, fm) == pytest.approx(full, rel=1e-12, abs=0)
-        assert encoding.model_mse(model, readout, meta, fm, rows) == \
+        assert encoding.model_mse(model, frozen, fm) == pytest.approx(full, rel=1e-12, abs=0)
+        assert encoding.model_mse(model, frozen, fm, rows) == \
             pytest.approx(full_rows, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("arch", ["alpha", "beta"])
@@ -327,12 +334,12 @@ class TestGramReadout:
                                    architecture=arch, noise_sd=1e-6, seed=1)
         sd = synth.generate(config)
         decoder, ds = sd.ground_truth.decoder, sd.dataset
-        readout = encoding.build_readout(decoder, ds, sd.meta)
+        frozen = encoding.freeze(decoder, ds, sd.meta)
         rows = np.arange(ds.n_trials)
-        loss, _ = readout.mse(hidden(decoder, sd.ground_truth.latents), rows)
+        loss, _ = frozen.mse(frozen.hidden(sd.ground_truth.latents)[0], rows)
         full, _ = nn.mse_loss(decode(decoder, sd.ground_truth.latents), ds.data)
         assert full == pytest.approx(1e-12, rel=0.05)
-        scale = readout.c.mean() / readout.n_out
+        scale = frozen.c.mean() / frozen.n_out
         assert abs(loss - full) <= 8 * np.finfo(float).eps * scale
 
     def test_training_gradient_matches_finite_differences(self, rng):
@@ -341,7 +348,7 @@ class TestGramReadout:
         tuner = encoding.TunerConfig(enabled=True, hidden_size=5, output_size=4)
         f = rng.normal(size=(3, 4))
         meta = [TrialMeta("s0", i, 2, "w", "content", "NN", False) for i in range(3)]
-        readout = encoding.build_readout(
+        frozen = encoding.freeze(
             decoder, ErpDataset(rng.normal(size=(3, 4, 20)), 250.0, -100.0, -20.0), meta)
         params = encoding._init_trainable(np.random.default_rng(0), 3, 1,
                                           decoder.plan.latent_channels,
@@ -351,30 +358,29 @@ class TestGramReadout:
         def loss_for(name):
             def fn(x):
                 trial = {k: (x if k == name else v) for k, v in params.items()}
-                h, ctxs = encoding._forward(trial, decoder, f, np.arange(3), np.array([3]),
-                                            tuner, record=True, hidden=True)
-                loss, grad_h = readout.mse(h, rows)
-                return loss, encoding._backward(trial, grad_h, ctxs, tuner)[name]
+                z, ctxs = encoding._forward(trial, f, np.arange(3), np.array([3]), tuner)
+                h, hidden_ctxs = frozen.hidden(z, record=True)
+                loss, grad_h = frozen.mse(h, rows)
+                gz, _ = _stack_backward(hidden_ctxs, grad_h, need_param_grads=False)
+                return loss, encoding._backward(trial, gz, ctxs, tuner)[name]
             return fn
 
         for name in params:
             err = nn.finite_difference_check(loss_for(name), params[name].copy())
             assert err < 1e-4, f"{name}: rel err {err}"
 
-    def test_readout_of_another_decoder_rejected(self, small_synth):
+    def test_model_of_another_decoder_rejected(self, small_synth):
         sd, ds, meta = small_synth
+        model, _, fm = quick_fit(sd, ds, meta, ("frequency",), epochs=1)
         other = init_params(AutoencoderSpec("beta", False, 6, 30), seed=12345)
-        readout = encoding.build_readout(other, ds, meta)
-        fm = assemble_for(sd, meta, ("frequency",))
-        with pytest.raises(ValueError, match="readout built for decoder"):
-            encoding.train(sd.ground_truth.decoder, readout, meta, fm, ("frequency",),
-                           epochs=1)
+        with pytest.raises(ValueError, match="^model fit against decoder .*, not the frozen "):
+            encoding.model_mse(model, encoding.freeze(other, ds, meta), fm)
 
     def test_geometry_mismatch_rejected(self, small_synth):
         sd, ds, meta = small_synth
         other = init_params(AutoencoderSpec("beta", False, 6, 40), seed=1)
         with pytest.raises(ValueError, match="decoder geometry 6x40 != dataset 6x30"):
-            encoding.build_readout(other, ds, meta)
+            encoding.freeze(other, ds, meta)
 
 
 class TestWeightDecaySearch:
@@ -391,7 +397,7 @@ class TestWeightDecaySearch:
         sd, ds, meta = small_synth
         fm = assemble_for(sd, meta, ("frequency",))
         chosen, table = encoding.weight_decay_search(
-            sd.ground_truth.decoder, ds, meta, fm, ("frequency",),
+            encoding.freeze(sd.ground_truth.decoder, ds, meta), fm, ("frequency",),
             grid=(1e-3,), k=2, seed=1, epochs=3, lr=0.005)
         assert chosen == 1e-3
         assert len(table) == 2
@@ -405,7 +411,7 @@ class TestWeightDecaySearch:
         ds, meta = filter_artifacts(sd.dataset, sd.meta, include_first_word=False)
         fm = assemble_for(sd, meta, ("frequency",))
         chosen, table = encoding.weight_decay_search(
-            sd.ground_truth.decoder, ds, meta, fm, ("frequency",),
+            encoding.freeze(sd.ground_truth.decoder, ds, meta), fm, ("frequency",),
             k=3, seed=2, epochs=40, lr=0.005)
         assert chosen == 1e-5
         assert len(table) == 3 * 3  # |grid| x k
@@ -413,10 +419,11 @@ class TestWeightDecaySearch:
     def test_deterministic(self, small_synth):
         sd, ds, meta = small_synth
         fm = assemble_for(sd, meta, ("frequency",))
-        a = encoding.weight_decay_search(sd.ground_truth.decoder, ds, meta, fm,
-                                         ("frequency",), k=2, seed=4, epochs=3, lr=0.005)
-        b = encoding.weight_decay_search(sd.ground_truth.decoder, ds, meta, fm,
-                                         ("frequency",), k=2, seed=4, epochs=3, lr=0.005)
+        frozen = encoding.freeze(sd.ground_truth.decoder, ds, meta)
+        a = encoding.weight_decay_search(frozen, fm, ("frequency",), k=2, seed=4, epochs=3,
+                                         lr=0.005)
+        b = encoding.weight_decay_search(frozen, fm, ("frequency",), k=2, seed=4, epochs=3,
+                                         lr=0.005)
         assert a == b
 
     def test_tie_breaks_to_smaller_weight_decay(self):
@@ -551,8 +558,9 @@ class TestParallelFits:
         sd, ds, meta = small_synth
         fm = assemble_for(sd, meta, ("frequency", "surprisal"))
         serial, parallel = (self.with_workers(
-            monkeypatch, n, encoding.weight_decay_search, sd.ground_truth.decoder, ds, meta,
-            fm, ("frequency", "surprisal"), k=3, seed=4, epochs=4, batch_size=32, lr=0.005)
+            monkeypatch, n, encoding.weight_decay_search,
+            encoding.freeze(sd.ground_truth.decoder, ds, meta), fm, ("frequency", "surprisal"),
+            k=3, seed=4, epochs=4, batch_size=32, lr=0.005)
             for n in (1, 3))
         assert json.dumps(serial) == json.dumps(parallel)
 
@@ -565,8 +573,9 @@ class TestParallelFits:
         for n in (1, 3):
             with pytest.raises(RuntimeError, match="training loss diverged") as err:
                 self.with_workers(monkeypatch, n, encoding.weight_decay_search,
-                                  sd.ground_truth.decoder, ds, meta, fm, ("frequency",),
-                                  k=3, seed=4, epochs=3, batch_size=32, lr=1e200)
+                                  encoding.freeze(sd.ground_truth.decoder, ds, meta), fm,
+                                  ("frequency",), k=3, seed=4, epochs=3, batch_size=32,
+                                  lr=1e200)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 

@@ -1,6 +1,7 @@
 """Synthetic generator and oracle-bound tests."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,14 @@ class TestConfig:
     def test_non_driving_sources_rejected(self, driving):
         with pytest.raises(ValueError, match="driving sources"):
             small_config(driving=driving)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["sampling_rate_hz", "epoch_start_ms", "noise_sd",
+                                       "latent_bias_sd", "artifact_rate", "drive_scales[1]"])
+    def test_non_finite_float_rejected(self, field, bad):
+        kw = {"drive_scales": (1.0, bad)} if field == "drive_scales[1]" else {field: bad}
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be finite, got {bad}$"):
+            small_config(**kw)
 
 
 class TestOracleBounds:

@@ -1,13 +1,15 @@
 """Run the erpcoder CLI pipeline on a small synthetic set; print artifact digests.
 
-Eleven commands run in a fresh directory, with paths relative to it so that
-the manifests do not depend on where the run happens: ``synth``,
+Thirteen commands run in a fresh directory, with paths relative to it so
+that the manifests do not depend on where the run happens: ``synth``,
 ``pretrain`` (beta), ``pretrain --intercepts`` (alpha),
-``select-arch --intercepts``, three ``fit`` runs (constant; frequency and
-surprisal from the tables; ``--wd-search`` with a contextual embedding), a
-three-entry ``suite`` (semantic distance and a static embedding in its
-last entry), ``evaluate``, ``timecourse`` and ``export-words``. All five
-feature sources drive the synthetic set. The output is one
+``select-arch --intercepts``, three ``fit`` runs on the beta decoder
+(constant; frequency and surprisal from the tables; ``--wd-search`` with a
+contextual embedding), a three-entry ``suite`` (semantic distance and a
+static embedding in its last entry), ``evaluate``, ``timecourse`` and
+``export-words``, then a ``fit --wd-search`` with a static embedding on the
+alpha decoder with subject intercepts and ``export-words`` of that model.
+All five feature sources drive the synthetic set. The output is one
 ``<sha256>  <path>`` line per artifact, sorted by path, so two checkouts
 compare with ``diff``::
 
@@ -78,6 +80,11 @@ COMMANDS = [
     ["evaluate", *ANALYSIS, "--intercept", "e0/model", "--out", "v"],
     ["timecourse", *ANALYSIS, "--intercept", "e0/model", "--window", "5", "--out", "t"],
     ["export-words", *ANALYSIS, "--out", "w"],
+    ["fit", "--decoder", "mi/autoencoder", "--data", "d/data", *TRAIN, "--seed", "2",
+     "--sources", "frequency,static_embedding", *TABLES, "--wd-search", "--folds", "2",
+     "--out", "e3"],
+    ["export-words", "--model", "e3/model", "--autoencoder", "mi/autoencoder",
+     "--data", "d/data", *TABLES, "--out", "w3"],
 ]
 
 
