@@ -31,6 +31,11 @@ from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_spl
 
 ARCHITECTURES = ("alpha", "beta")
 
+# Epochs per pass when a whole dataset is scored or paired with a decoder
+# (reconstruction_mse, encoding.freeze, synth.oracle_bounds): 6.5 MB of
+# epochs at 32x200, so no full-size prediction or residual forms.
+CHUNK_ROWS = 128
+
 
 @dataclass(frozen=True)
 class AutoencoderSpec:
@@ -476,12 +481,19 @@ def pretrain(spec: AutoencoderSpec, dataset: ErpDataset, meta: list[TrialMeta], 
 
 def reconstruction_mse(params: AutoencoderParams, dataset: ErpDataset,
                        meta: list[TrialMeta], indices=None) -> float:
-    """Mean squared reconstruction error over the given trials."""
+    """Mean squared reconstruction error over the given trials, scored
+    :data:`CHUNK_ROWS` trials at a time."""
     idx = np.arange(dataset.n_trials) if indices is None else np.asarray(indices)
-    x = dataset.data[idx]
-    subject_ids = [meta[i].subject_id for i in idx] if params.spec.intercepts else None
-    loss, _ = nn.mse_loss(reconstruct(params, x, subject_ids), x)
-    return loss
+    if len(idx) == 0:
+        raise ValueError("no trials to score")
+    se = 0.0
+    for start in range(0, len(idx), CHUNK_ROWS):
+        rows = idx[start : start + CHUNK_ROWS]
+        x = dataset.data[rows]
+        subject_ids = [meta[i].subject_id for i in rows] if params.spec.intercepts else None
+        diff = reconstruct(params, x, subject_ids) - x
+        se += float(np.vdot(diff, diff))
+    return se / (len(idx) * dataset.n_channels * dataset.n_timepoints)
 
 
 def select_architecture(dataset: ErpDataset, meta: list[TrialMeta],

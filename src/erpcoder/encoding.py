@@ -35,9 +35,22 @@ Hidden positions more than ``w = ceil(K/s) - 1`` steps apart (output kernel
 is zero; ``w`` is 1 for both decoders (``beta`` 9/5, ``alpha`` 8/4). The
 frozen decoder keeps ``2w+1`` blocks per hidden time step, ``(T_hid, C_hid,
 (2w+1)·C_hid)``, sliced from the dense ``G`` it builds once, after checking
-that every block outside the band is exactly zero. ``Gh`` is one matmul
-batched over time (:func:`nn.gram_band_matmul`), with 1/13 (``beta``) and
-1/17 (``alpha``) of the dense product's multiply-adds.
+that every block outside the band is exactly zero. ``Gh`` is ``2w+1``
+matmuls batched over time (:func:`nn.gram_band_matmul`), with 1/13
+(``beta``) and 1/17 (``alpha``) of the dense product's multiply-adds.
+
+Time-major fits. A fit runs in one layout from the interface map to the
+loss: latents, hidden activations and every gradient between them are
+``(T, C, N)``, the trials in the last axis. The interface map writes the
+latents directly as one 2-D product ``Wᵗ uᵀ`` (``Wᵗ`` is ``(T_lat·C_lat,
+D)``), the hidden transposed convolutions are
+:func:`nn.convtranspose1d_time_major_forward` and its backward pass, and
+``G`` applies to time-shifted views, so no step transposes or pads a copy.
+``r`` keeps one row per trial, time-major within it: a batch is gathered
+as whole rows, which measured several times faster than gathering columns
+of a ``(T, C, N_trials)`` array, and is read through a transposed view.
+:func:`predict_erp` transposes its latents once and decodes in the ``(N,
+C, T)`` layout of :func:`autoencoder.decode`.
 
 Parallel fits. :func:`weight_decay_search` (so CLI ``fit --wd-search``) and
 :func:`run_model_suite` (CLI ``suite``; its intercept anchor and every
@@ -64,9 +77,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import nn
-from .autoencoder import (AutoencoderParams, TrainHistory, _add_intercepts, _fit_epochs,
-                          _run_jobs, _stack_backward, _stack_forward, decode,
-                          reconstruction_mse)
+from .autoencoder import (CHUNK_ROWS, AutoencoderParams, TrainHistory, _add_intercepts,
+                          _fit_epochs, _run_jobs, decode, reconstruction_mse)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
 from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_split,
                    train_dev_split)
@@ -125,14 +137,16 @@ class FrozenDecoder:
 
     ``digest`` is the decoder's content hash when :func:`freeze` built this.
     Row ``i`` of ``meta``, ``r`` and ``c`` belongs to trial ``i`` of the
-    epochs; ``n_out`` is the number of values in one epoch.
+    epochs; ``n_out`` is the number of values in one epoch. Latents, hidden
+    activations and their gradients are time-major, ``(T, C, N)`` with the
+    trials in the last axis.
     """
 
     decoder: AutoencoderParams
     digest: str
     meta: list[TrialMeta]
     band: np.ndarray  # (T_hid, C_hid, (2w+1)·C_hid): AᵀA as a block band in time
-    r: np.ndarray  # (N, H): Aᵀ(y - b - intercept)
+    r: np.ndarray  # (N, T_hid, C_hid): Aᵀ(y - b - intercept)
     c: np.ndarray  # (N,): ||y - b - intercept||²
     n_out: int
 
@@ -143,21 +157,45 @@ class FrozenDecoder:
     def take(self, rows) -> "FrozenDecoder":
         return replace(self, meta=[self.meta[i] for i in rows], r=self.r[rows], c=self.c[rows])
 
-    def hidden(self, z: np.ndarray, record: bool = False):
-        """Latents -> the last hidden activation ``h``: every decoder step but the
-        output layer, with their contexts for :func:`_stack_backward`."""
-        return _stack_forward(self.decoder.plan.decoder[:-1], self.decoder.tensors, "dec", z,
-                              record)
+    def hidden(self, z: np.ndarray):
+        """Latents ``(T_lat, C_lat, N)`` -> the last hidden activation ``h``
+        ``(T_hid, C_hid, N)``: every decoder step but the output layer, with
+        their contexts for :meth:`latent_grad`."""
+        ctxs = []
+        for i, step in enumerate(self.decoder.plan.decoder[:-1]):
+            z, ctx = nn.convtranspose1d_time_major_forward(
+                z, self.decoder.tensors[f"dec{i}.kernels"], self.decoder.tensors[f"dec{i}.bias"],
+                step.stride, step.padding)
+            ctxs.append(ctx)
+            if step.activation:
+                z, ctx = nn.tanh_forward(z)
+                ctxs.append(ctx)
+        return z, ctxs
+
+    def latent_grad(self, ctxs, grad_h: np.ndarray) -> np.ndarray:
+        """The gradient w.r.t. the latents from one w.r.t. :meth:`hidden`'s ``h``."""
+        g = grad_h
+        for ctx in reversed(ctxs):
+            if isinstance(ctx, nn.TanhCtx):
+                g = nn.tanh_backward(ctx, g).input_grad
+            else:
+                g = nn.convtranspose1d_time_major_backward(ctx, g)
+        return g
 
     def mse(self, h: np.ndarray, rows) -> tuple[float, np.ndarray]:
         """MSE of the epochs decoded from ``h`` against trials ``rows``, and its
         gradient w.r.t. ``h``."""
-        hf = h.reshape(len(rows), -1)
-        r = self.r[rows]
-        gh = nn.gram_band_matmul(self.band, h).reshape(hf.shape)
-        n = hf.shape[0] * self.n_out
-        loss = float((np.vdot(hf, gh - 2.0 * r) + self.c[rows].sum()) / n)
-        return loss, ((2.0 / n) * (gh - r)).reshape(h.shape)
+        gh = nn.gram_band_matmul(self.band, h)
+        r = self.r[rows].transpose(1, 2, 0)
+        n = h.shape[2] * self.n_out
+        # Gh - 2r bit for bit, in one contiguous buffer: r's rows are gathered
+        # into time-major order once, not twice
+        gh_2r = np.multiply(r, -2.0, order="C")
+        gh_2r += gh
+        loss = float((np.vdot(h, gh_2r) + self.c[rows].sum()) / n)
+        gh -= r
+        gh *= 2.0 / n  # (2/n)(Gh - r), bit for bit, in Gh's buffer
+        return loss, gh
 
 
 def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
@@ -187,16 +225,15 @@ def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
     band = nn.transposed_conv_gram_band(kernels, step.stride, step.padding, t_hid)
 
     subject_ids = [m.subject_id for m in meta] if spec.intercepts else None
-    r = np.empty((dataset.n_trials, c_hid * t_hid))
+    r = np.empty((dataset.n_trials, t_hid, c_hid))
     c = np.empty(dataset.n_trials)
-    chunk = 128  # rows per pass: one batch of epochs, 6.5 MB at 32x200
-    for start in range(0, dataset.n_trials, chunk):
-        rows = slice(start, start + chunk)
+    for start in range(0, dataset.n_trials, CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
         y = dataset.data[rows]
         subj = subject_ids[rows] if spec.intercepts else None
         e = y - _add_intercepts(decoder, np.broadcast_to(bias[:, None], y.shape), subj)
         adjoint, _ = nn.conv1d_forward(e, kernels, np.zeros(c_hid), step.stride, step.padding)
-        r[rows] = adjoint.reshape(len(e), -1)
+        r[rows] = adjoint.transpose(0, 2, 1)
         c[rows] = np.einsum("nct,nct->n", e, e)
     return FrozenDecoder(decoder, decoder.decoder_digest(), list(meta), band, r, c,
                          dataset.n_channels * dataset.n_timepoints)
@@ -248,7 +285,8 @@ def _init_trainable(rng: np.random.Generator, n_embed: int, n_scalar: int,
 
 def _forward(params: dict[str, np.ndarray], f_std: np.ndarray, embed_cols: np.ndarray,
              scalar_cols: np.ndarray, tuner_config: TunerConfig):
-    """Features (already standardized) -> latents, with backward contexts."""
+    """Features (already standardized) -> time-major latents ``(T_lat, C_lat,
+    N)``, with backward contexts."""
     femb = f_std[:, embed_cols]
     fscal = f_std[:, scalar_cols]
     ctxs: dict = {}
@@ -264,8 +302,12 @@ def _forward(params: dict[str, np.ndarray], f_std: np.ndarray, embed_cols: np.nd
     if u.shape[1] != w.shape[2]:
         raise ValueError(
             f"interface expects width {w.shape[2]}, features provide {u.shape[1]}")
-    z = (u @ w.reshape(-1, w.shape[2]).T).reshape(len(u), *w.shape[:2]) + params["interface.bias"]
+    # one 2-D np.dot: with one feature column, `@` takes a several times slower path
+    wt = w.transpose(1, 0, 2).reshape(-1, w.shape[2])  # (T_lat·C_lat, D)
+    z = np.dot(wt, u.T).reshape(w.shape[1], w.shape[0], len(u))
+    z += params["interface.bias"].T[:, :, None]
     ctxs["u"] = u
+    ctxs["wt"] = wt
     ctxs["n_tuned"] = tuned.shape[1]
     return z, ctxs
 
@@ -274,14 +316,14 @@ def _backward(params: dict[str, np.ndarray], gz: np.ndarray, ctxs: dict,
               tuner_config: TunerConfig) -> dict[str, np.ndarray]:
     """Gradients for interface and tuner from those of :func:`_forward`'s latents."""
     u = ctxs["u"]
-    w = params["interface.weights"]
-    gz_flat = gz.reshape(len(u), -1)
+    c_lat, t_lat, d_in = params["interface.weights"].shape
+    gz_flat = gz.reshape(-1, len(u))  # (T_lat·C_lat, N)
     grads = {
-        "interface.weights": (gz_flat.T @ u).reshape(w.shape),
-        "interface.bias": gz.sum(axis=0),
+        "interface.weights": np.dot(gz_flat, u).reshape(t_lat, c_lat, d_in).transpose(1, 0, 2),
+        "interface.bias": gz.sum(axis=2).T,
     }
     if tuner_config.enabled:
-        du = gz_flat @ w.reshape(-1, w.shape[2])
+        du = np.dot(gz_flat.T, ctxs["wt"])
         de = du[:, : ctxs["n_tuned"]]
         c1, ct, c2 = ctxs["tuner"]
         lg2 = nn.dense_backward(c2, de)
@@ -295,7 +337,8 @@ def _backward(params: dict[str, np.ndarray], gz: np.ndarray, ctxs: dict,
 
 
 def _latents(model: EncodingModel, features: FeatureMatrix) -> np.ndarray:
-    """The model's latents for raw (unstandardized) features with matching columns."""
+    """The model's time-major latents for raw (unstandardized) features with
+    matching columns."""
     if features.standardized:
         raise ValueError("pass raw features; the model applies its own standardizer")
     if features.names != model.feature_names:
@@ -311,7 +354,8 @@ def _latents(model: EncodingModel, features: FeatureMatrix) -> np.ndarray:
 def predict_erp(model: EncodingModel, features: FeatureMatrix,
                 subject_ids=None) -> np.ndarray:
     """Predicted epochs for raw (unstandardized) features with matching columns."""
-    return decode(model.decoder, _latents(model, features), subject_ids)
+    z = np.ascontiguousarray(_latents(model, features).transpose(2, 1, 0))
+    return decode(model.decoder, z, subject_ids)
 
 
 def _check_filtered(meta: list[TrialMeta]) -> None:
@@ -357,12 +401,11 @@ def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
 
     def forward(idx, record):
         z, ctxs = _forward(params, f_std[idx], embed_cols, scalar_cols, tuner)
-        h, ctxs["decoder"] = frozen.hidden(z, record)
+        h, ctxs["decoder"] = frozen.hidden(z)
         return h, ctxs
 
     def backward(grad_h, ctxs, idx):
-        gz, _ = _stack_backward(ctxs["decoder"], grad_h, need_param_grads=False)
-        return _backward(params, gz, ctxs, tuner)
+        return _backward(params, frozen.latent_grad(ctxs["decoder"], grad_h), ctxs, tuner)
 
     history = _fit_epochs(params, frozen.mse, train_idx, dev_idx, rng, forward, backward,
                           epochs=epochs, batch_size=batch_size, lr=lr,

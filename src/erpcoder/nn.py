@@ -7,7 +7,8 @@ safe to call concurrently on disjoint data.
 
 Ops accept a single instance (``channels x time``, or a flat vector for
 ``dense``) or the same with a leading batch axis; the backward pass returns
-gradients in whichever convention the forward saw.
+gradients in whichever convention the forward saw. The time-major ops
+below take a batch only.
 
 Kernel layout. Activations are ``(N, C, T)`` with time contiguous.
 Convolutions run as one GEMM per kernel tap (Chellapilla, Puri & Simard,
@@ -31,11 +32,28 @@ from them:
 positions, so strides larger than the kernel and padding that crops whole
 taps need no special case.
 
+Time-major layout. The frozen-decoder fits of ``encoding`` keep their
+activations as ``(T, C, N)``, the batch in the columns, so that one time
+step of a batch is one contiguous ``(C, N)`` block.
+:func:`convtranspose1d_time_major_forward` runs all ``K`` taps as one GEMM
+``(K·C_out, C_in) @ x`` batched over input time, then adds each tap's
+blocks into its output time steps; its backward pass gathers the ``K`` tap
+windows of the gradient and contracts them in one GEMM, and returns the
+input gradient only, as a frozen decoder needs no kernel gradients.
+:func:`gram_band_matmul` takes the same layout. Each layout serves its own
+traffic. A fit's hidden layer is small (``beta``: 10×20 -> 16×40), so per
+trial its per-tap GEMMs are tiny, and folding the batch into the columns
+makes a few large ones. Pretraining, ``decode`` and the encoder run ``(N,
+C, T)``: at their shapes the same one-GEMM-plus-overlap-add form made the
+output layer's transposed convolution 2.6× slower (6.8 -> 17.7 ms at batch
+128, 32×200).
+
 Gram band. For a transposed convolution ``A`` with kernel ``K`` and stride
 ``s``, inputs more than ``w = ceil(K/s) - 1`` time steps apart write no
 common output, so ``G = AᵀA`` is block-banded in time.
 :func:`transposed_conv_gram_band` stores its ``2w+1`` block diagonals and
-:func:`gram_band_matmul` applies them as one matmul batched over time.
+:func:`gram_band_matmul` applies them as ``2w+1`` matmuls batched over
+time, one per block diagonal, on time-shifted views of its input.
 """
 
 from __future__ import annotations
@@ -294,6 +312,83 @@ def convtranspose1d_backward(ctx: ConvTranspose1dCtx, upstream_grad,
 
 
 # ---------------------------------------------------------------------------
+# Time-major transposed convolution (input gradient only)
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class ConvTranspose1dTimeMajorCtx:
+    taps: np.ndarray  # (K·C_out, C_in): row j·C_out + o is kernels[:, o, j]
+    stride: int
+    padding: int
+    in_shape: tuple[int, ...]  # (T_in, C_in, N)
+    out_shape: tuple[int, ...]  # (T_out, C_out, N)
+
+
+def convtranspose1d_time_major_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
+    """:func:`convtranspose1d_forward` on time-major ``(T, C_in, N)`` input.
+
+    kernels: (C_in, C_out, K); bias: (C_out,). Returns the ``(T_out, C_out,
+    N)`` output and a context for
+    :func:`convtranspose1d_time_major_backward`. All ``K`` taps are one
+    GEMM ``(K·C_out, C_in) @ x`` batched over input time; tap ``j`` of input
+    step ``i`` then adds one contiguous ``(C_out, N)`` block into output
+    step ``i*stride + j - padding``, one slice-add per tap.
+    """
+    x = _as_f64(x)
+    kernels = _as_f64(kernels)
+    bias = _as_f64(bias)
+    if x.ndim != 3 or kernels.ndim != 3 or x.shape[1] != kernels.shape[0]:
+        raise ValueError(f"convtranspose1d_time_major: input {x.shape} and kernels "
+                         f"{kernels.shape} are not (T, C_in, N) and (C_in, C_out, K)")
+    c_in, c_out, k = kernels.shape
+    if bias.shape != (c_out,):
+        raise ValueError(f"convtranspose1d_time_major: bias shape {bias.shape} != ({c_out},)")
+    _check_stride_padding(stride, padding)
+    t, _, n = x.shape
+    t_out = convtranspose_output_length(t, k, stride, padding)
+    if t_out < 1:
+        raise ValueError(f"convtranspose1d_time_major: output length ({t}-1)*{stride} + {k} "
+                         f"- 2*{padding} = {t_out} < 1")
+
+    taps = kernels.transpose(2, 1, 0).reshape(k * c_out, c_in)
+    per_tap = np.matmul(taps, x).reshape(t, k, c_out, n)
+    y = np.empty((t_out, c_out, n))
+    y[:] = bias[:, None]
+    for j in range(k):
+        tap = _tap_slices(j, t, t_out, stride, padding)
+        if tap is not None:
+            narrow_pos, wide_pos = tap
+            y[wide_pos] += per_tap[narrow_pos, j]
+    return y, ConvTranspose1dTimeMajorCtx(taps, stride, padding, x.shape, y.shape)
+
+
+def convtranspose1d_time_major_backward(ctx: ConvTranspose1dTimeMajorCtx,
+                                        upstream_grad) -> np.ndarray:
+    """The input gradient ``(T_in, C_in, N)`` of a
+    :func:`convtranspose1d_time_major_forward` call; no kernel gradients.
+
+    The ``K`` tap windows of the gradient are gathered into ``(T_in,
+    K·C_out, N)``, zero where padding crops a tap, and contracted with the
+    taps in one GEMM batched over input time.
+    """
+    g = _as_f64(upstream_grad)
+    if g.shape != ctx.out_shape:
+        raise ValueError(f"convtranspose1d_time_major_backward: upstream grad shape "
+                         f"{g.shape} != output shape {ctx.out_shape}")
+    t_in, c_in, n = ctx.in_shape
+    t_out, c_out, _ = ctx.out_shape
+    k = ctx.taps.shape[0] // c_out
+    windows = np.zeros((t_in, k, c_out, n))
+    for j in range(k):
+        tap = _tap_slices(j, t_in, t_out, ctx.stride, ctx.padding)
+        if tap is not None:
+            narrow_pos, wide_pos = tap
+            windows[narrow_pos, j] = g[wide_pos]
+    return np.matmul(ctx.taps.T, windows.reshape(t_in, k * c_out, n))
+
+
+# ---------------------------------------------------------------------------
 # Gram matrix of a transposed convolution, as a block band in time
 # ---------------------------------------------------------------------------
 
@@ -348,22 +443,26 @@ def transposed_conv_gram_band(kernels, stride: int, padding: int, length: int) -
 def gram_band_matmul(band, x) -> np.ndarray:
     """``G x`` for a ``band`` from :func:`transposed_conv_gram_band`.
 
-    x: (N, C_in, T). Time step ``t`` of the result is ``band[t]`` times the
-    ``2w+1`` input columns ``t-w .. t+w`` of a zero-padded ``(T+2w, C_in,
-    N)`` copy of ``x``, stacked along channels: one matmul batched over time.
+    x: time-major ``(T, C_in, N)``, the batch in the columns; the result has
+    the same layout. Block diagonal ``d`` of the band multiplies ``x``
+    shifted by ``d - w`` time steps: ``2w+1`` matmuls batched over time, on
+    views of ``band`` and ``x``, with no padded or stacked copy.
     """
     x = _as_f64(x)
-    n, c, t = x.shape
+    t, c, _ = x.shape
     width = band.shape[2] // c
     if band.shape[:2] != (t, c) or width % 2 != 1 or band.shape[2] != width * c:
         raise ValueError(f"gram_band_matmul: band shape {band.shape} does not fit input "
                          f"shape {x.shape}")
     w = width // 2
-    padded = np.zeros((t + 2 * w, c, n))
-    padded[w : w + t] = x.transpose(2, 1, 0)
-    shifts = np.stack([padded[d : d + t] for d in range(width)], axis=1)
-    y = np.matmul(band, shifts.reshape(t, width * c, n))  # (T, C_in, N)
-    return np.ascontiguousarray(y.transpose(2, 1, 0))
+    y = np.matmul(band[:, :, w * c : (w + 1) * c], x)
+    for d in range(width):
+        shift = d - w
+        if d == w or abs(shift) >= t:
+            continue
+        lo, hi = max(0, -shift), min(t, t - shift)
+        y[lo:hi] += np.matmul(band[lo:hi, :, d * c : (d + 1) * c], x[lo + shift : hi + shift])
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +578,10 @@ def tanh_backward(ctx: TanhCtx, upstream_grad) -> LayerGrad:
     g = _as_f64(upstream_grad)
     if g.shape != ctx.y.shape:
         raise ValueError(f"tanh_backward: grad shape {g.shape} != output shape {ctx.y.shape}")
-    return LayerGrad(g * (1.0 - ctx.y * ctx.y), {})
+    grad = ctx.y * ctx.y
+    np.subtract(1.0, grad, out=grad)
+    grad *= g  # g * (1 - y²), bit for bit, in one buffer
+    return LayerGrad(grad, {})
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +596,9 @@ def mse_loss(pred, target) -> tuple[float, np.ndarray]:
     if pred.shape != target.shape:
         raise ValueError(f"mse_loss: pred shape {pred.shape} != target shape {target.shape}")
     diff = pred - target
-    loss = float(np.mean(diff * diff))
-    grad = (2.0 / diff.size) * diff
-    return loss, grad
+    loss = float(np.vdot(diff, diff) / diff.size)
+    diff *= 2.0 / diff.size
+    return loss, diff
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import (AutoencoderParams, AutoencoderSpec, build_layer_plan, checked_spec,
-                          decode, init_params, tensor_shapes)
+from .autoencoder import (CHUNK_ROWS, AutoencoderParams, AutoencoderSpec, build_layer_plan,
+                          checked_spec, decode, init_params, tensor_shapes)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
 from .data import (EmbeddingTable, ErpDataset, TokenFeatureTable, TrialMeta, checked_fields,
                    save_counts, save_embeddings, save_erp, save_token_features, write_json)
@@ -267,9 +267,6 @@ def _subset_key(subset: tuple[str, ...]) -> str:
     return "+".join(subset) if subset else "intercept"
 
 
-_SCORE_ROWS = 128  # eval rows decoded per pass: 6.5 MB of epochs at 32x200
-
-
 def oracle_bounds(truth: GroundTruth, dataset: ErpDataset, subsets=None,
                   fit_rows=None, eval_rows=None) -> dict:
     """Best achievable MSE and r2 per nested driving-feature subset.
@@ -294,8 +291,8 @@ def oracle_bounds(truth: GroundTruth, dataset: ErpDataset, subsets=None,
         # decoded and scored a batch of eval rows at a time: no full-size
         # prediction or residual forms
         se = 0.0
-        for start in range(0, len(eval_rows), _SCORE_ROWS):
-            rows = slice(start, start + _SCORE_ROWS)
+        for start in range(0, len(eval_rows), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
             pred = decode(truth.decoder, latents[rows])
             se += float(np.sum((pred - dataset.data[eval_rows[rows]]) ** 2))
         return se / (len(eval_rows) * dataset.n_channels * dataset.n_timepoints)

@@ -119,6 +119,30 @@ class TestIntercepts:
             ae.decode(params, np.zeros((1, 10, 5)), ["zz"])
 
 
+class TestReconstructionMse:
+    def test_chunked_matches_unchunked_with_intercepts(self, rng):
+        # 2*CHUNK_ROWS + 37 trials in a shuffled order: two full chunks and a
+        # ragged last one, each mixing both subjects' intercepts
+        n = 2 * ae.CHUNK_ROWS + 37
+        params = ae.init_params(ae.AutoencoderSpec("beta", True, 4, 20), seed=3,
+                                subjects=("s1", "s2"))
+        params.tensors["intercepts"][:] = rng.normal(size=(2, 4))
+        dataset = ErpDataset(rng.normal(size=(n + 5, 4, 20)), 250.0, -100.0, -20.0)
+        meta = meta_rows(n + 5)
+        idx = rng.permutation(n + 5)[:n]
+        x = dataset.data[idx]
+        unchunked, _ = nn.mse_loss(ae.reconstruct(params, x, [meta[i].subject_id for i in idx]),
+                                   x)
+        assert ae.reconstruction_mse(params, dataset, meta, idx) == \
+            pytest.approx(unchunked, rel=1e-12, abs=0)
+
+    def test_no_trials_rejected(self):
+        params = ae.init_params(ae.AutoencoderSpec("beta", False, 4, 20), seed=3)
+        dataset = ErpDataset(np.zeros((2, 4, 20)), 250.0, -100.0, -20.0)
+        with pytest.raises(ValueError, match="no trials to score"):
+            ae.reconstruction_mse(params, dataset, meta_rows(2), [])
+
+
 class TestLatentGradients:
     def test_every_latent_unit_reaches_output(self, rng):
         # finite differences: perturbing any latent unit must change the output

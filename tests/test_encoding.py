@@ -47,6 +47,11 @@ def quick_fit(sd, ds, meta, sources, decoder=None, **kw):
     return model, hist, fm
 
 
+def time_major(a):
+    """(N, C, T) <-> (T, C, N), the frozen decoder's layout; contiguous."""
+    return np.ascontiguousarray(a.transpose(2, 1, 0))
+
+
 class TestPrediction:
     def test_matches_manual_composition_bitwise(self, small_synth, rng):
         sd, ds, meta = small_synth
@@ -226,10 +231,10 @@ class TestTraining:
             def fn(x):
                 trial = {k: (x if k == name else v) for k, v in params.items()}
                 z, ctxs = encoding._forward(trial, f, embed_cols, scalar_cols, tuner)
-                y, dec_ctxs = _decoder_forward(decoder, z, record=True)
+                y, dec_ctxs = _decoder_forward(decoder, time_major(z), record=True)
                 loss, gl = nn.mse_loss(y, target)
                 gz, _ = _stack_backward(dec_ctxs, gl, need_param_grads=False)
-                grads = encoding._backward(trial, gz, ctxs, tuner)
+                grads = encoding._backward(trial, time_major(gz), ctxs, tuner)
                 return loss, grads[name]
             return fn
 
@@ -266,10 +271,12 @@ class TestGramReadout:
         last = len(plan.decoder) - 1
         step = plan.decoder[last]
         z = rng.normal(size=(ds.n_trials, plan.latent_channels, plan.latent_timepoints))
-        h, _ = frozen.hidden(z)
+        h_tm, _ = frozen.hidden(time_major(z))
+        h = time_major(h_tm)
         order = rng.permutation(ds.n_trials)
         for rows in (order[:64], order[64:128], order[128:]):  # the last batch is ragged
-            loss, grad = frozen.mse(h[rows], rows)
+            loss, grad_tm = frozen.mse(h_tm[:, :, rows], rows)
+            grad = time_major(grad_tm)
             y, ctx = nn.convtranspose1d_forward(
                 h[rows], decoder.tensors[f"dec{last}.kernels"],
                 decoder.tensors[f"dec{last}.bias"], step.stride, step.padding)
@@ -289,7 +296,7 @@ class TestGramReadout:
         step = decoder.plan.decoder[last]
         kernels = decoder.tensors[f"dec{last}.kernels"]
         c_hid = kernels.shape[0]
-        t_hid = frozen.r.shape[1] // c_hid
+        t_hid = frozen.r.shape[1]
         w = nn.gram_bandwidth(step.kernel, step.stride)
         assert w == 1
         assert frozen.band.shape == (t_hid, c_hid, 3 * c_hid)  # no dense (H, H) matrix
@@ -336,7 +343,7 @@ class TestGramReadout:
         decoder, ds = sd.ground_truth.decoder, sd.dataset
         frozen = encoding.freeze(decoder, ds, sd.meta)
         rows = np.arange(ds.n_trials)
-        loss, _ = frozen.mse(frozen.hidden(sd.ground_truth.latents)[0], rows)
+        loss, _ = frozen.mse(frozen.hidden(time_major(sd.ground_truth.latents))[0], rows)
         full, _ = nn.mse_loss(decode(decoder, sd.ground_truth.latents), ds.data)
         assert full == pytest.approx(1e-12, rel=0.05)
         scale = frozen.c.mean() / frozen.n_out
@@ -359,9 +366,9 @@ class TestGramReadout:
             def fn(x):
                 trial = {k: (x if k == name else v) for k, v in params.items()}
                 z, ctxs = encoding._forward(trial, f, np.arange(3), np.array([3]), tuner)
-                h, hidden_ctxs = frozen.hidden(z, record=True)
+                h, hidden_ctxs = frozen.hidden(z)
                 loss, grad_h = frozen.mse(h, rows)
-                gz, _ = _stack_backward(hidden_ctxs, grad_h, need_param_grads=False)
+                gz = frozen.latent_grad(hidden_ctxs, grad_h)
                 return loss, encoding._backward(trial, gz, ctxs, tuner)[name]
             return fn
 

@@ -405,6 +405,73 @@ class TestTapEdgeGeometry:
         np.testing.assert_array_equal(skipped.input_grad, full.input_grad)
 
 
+# (c_in, c_out, input length, kernel, stride, padding) of a transposed
+# convolution: the clipped-tap geometries above, and the hidden layers of
+# both decoders at paper geometry
+TIME_MAJOR_GEOMETRIES = {
+    **{name: (c_out, c_in, narrow, k, stride, pad)
+       for name, (c_in, c_out, narrow, k, stride, pad) in TAP_EDGE_GEOMETRIES.items()},
+    "beta_hidden": (10, 16, 20, 4, 2, 1),
+    "alpha_hidden_0": (5, 5, 9, 2, 1, 0),
+    "alpha_hidden_1": (5, 12, 10, 5, 5, 0),
+}
+
+
+def _time_major(a):
+    """(N, C, T) <-> (T, C, N), contiguous."""
+    return np.ascontiguousarray(a.transpose(2, 1, 0))
+
+
+@pytest.mark.parametrize("geometry", list(TIME_MAJOR_GEOMETRIES))
+class TestTimeMajorTransposedConv:
+    """The time-major transposed convolution against the (N, C, T) ops on
+    transposed arrays, finite differences and its own adjoint."""
+
+    @staticmethod
+    def operands(rng, geometry, n=3):
+        c_in, c_out, t, k, stride, pad = TIME_MAJOR_GEOMETRIES[geometry]
+        return (rng.normal(size=(n, c_in, t)), rng.normal(size=(c_in, c_out, k)),
+                rng.normal(size=c_out), stride, pad)
+
+    def test_forward_and_backward_match_batch_first_ops(self, rng, geometry):
+        x, w, b, stride, pad = self.operands(rng, geometry)
+        y, ctx = nn.convtranspose1d_forward(x, w, b, stride, pad)
+        y_tm, ctx_tm = nn.convtranspose1d_time_major_forward(_time_major(x), w, b, stride, pad)
+        assert np.abs(_time_major(y_tm) - y).max() <= 1e-12 * np.abs(y).max()
+        g = rng.normal(size=y.shape)
+        gx = nn.convtranspose1d_backward(ctx, g).input_grad
+        gx_tm = nn.convtranspose1d_time_major_backward(ctx_tm, _time_major(g))
+        assert np.abs(_time_major(gx_tm) - gx).max() <= 1e-12 * np.abs(gx).max()
+
+    def test_input_gradient_matches_finite_differences(self, rng, geometry):
+        x, w, b, stride, pad = self.operands(rng, geometry, n=2)
+        fn = _loss_closure(lambda xx: nn.convtranspose1d_time_major_forward(xx, w, b, stride, pad),
+                           nn.convtranspose1d_time_major_backward, lambda gx: gx)
+        assert nn.finite_difference_check(fn, _time_major(x)) < 1e-6
+
+    def test_backward_is_adjoint_of_forward(self, rng, geometry):
+        x, w, b, stride, pad = self.operands(rng, geometry)
+        x = _time_major(x)
+        y, ctx = nn.convtranspose1d_time_major_forward(x, w, np.zeros_like(b), stride, pad)
+        g = rng.normal(size=y.shape)
+        lhs = np.vdot(y, g)
+        rhs = np.vdot(x, nn.convtranspose1d_time_major_backward(ctx, g))
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+class TestTimeMajorTransposedConvInput:
+    def test_channel_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"input \(4, 2, 3\) and kernels \(3, 2, 5\)"):
+            nn.convtranspose1d_time_major_forward(np.zeros((4, 2, 3)), np.zeros((3, 2, 5)),
+                                                  np.zeros(2))
+
+    def test_gradient_shape_mismatch_rejected(self):
+        _, ctx = nn.convtranspose1d_time_major_forward(np.zeros((4, 3, 2)), np.zeros((3, 2, 5)),
+                                                       np.zeros(2))
+        with pytest.raises(ValueError, match="upstream grad shape"):
+            nn.convtranspose1d_time_major_backward(ctx, np.zeros((8, 2, 3)))
+
+
 # (C_in, C_out, K, stride, padding, length), bandwidth w = ceil(K/stride) - 1
 GRAM_BAND_GEOMETRIES = {
     "w0-k<stride": (3, 2, 3, 4, 0, 5),
@@ -432,8 +499,8 @@ class TestGramBand:
         assert band.shape == (length, c_in, (2 * w + 1) * c_in)
         x = rng.normal(size=(5, c_in, length))
         expected = (x.reshape(5, -1) @ (a.T @ a)).reshape(x.shape)
-        got = nn.gram_band_matmul(band, x)
-        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        got = nn.gram_band_matmul(band, _time_major(x))  # time-major in and out
+        assert np.abs(_time_major(got) - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_dense_gram_is_zero_outside_band(self, rng, geometry):
         c_in, c_out, k, stride, pad, length = GRAM_BAND_GEOMETRIES[geometry]
@@ -448,7 +515,7 @@ class TestGramBandInput:
     def test_mismatched_input_rejected(self, rng):
         band = nn.transposed_conv_gram_band(rng.normal(size=(3, 2, 9)), 5, 2, 8)
         with pytest.raises(ValueError, match=r"band shape \(8, 3, 9\) does not fit input"):
-            nn.gram_band_matmul(band, np.zeros((4, 2, 8)))
+            nn.gram_band_matmul(band, np.zeros((8, 2, 4)))
 
     def test_bandwidth_too_narrow_for_kernel_rejected(self, rng, monkeypatch):
         # a bandwidth formula that undercounts must trip the zero check, not truncate G
@@ -514,6 +581,17 @@ class TestMseLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="pred shape"):
             nn.mse_loss(np.zeros(3), np.zeros(4))
+
+    def test_inputs_not_mutated(self, rng):
+        # the gradient is scaled in place, so it must own its buffer
+        pred, target = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
+        pred_before, target_before = pred.copy(), target.copy()
+        loss, grad = nn.mse_loss(pred, target)
+        np.testing.assert_array_equal(pred, pred_before)
+        np.testing.assert_array_equal(target, target_before)
+        diff = pred_before - target_before
+        assert loss == pytest.approx(np.mean(diff * diff), rel=1e-15)
+        np.testing.assert_array_equal(grad, (2.0 / diff.size) * diff)
 
 
 class TestAdam:

@@ -22,7 +22,9 @@ compare with ``diff``::
 in ``BASE_SRC`` too and prints, instead of the digests, a Markdown table
 of the artifacts that differ between the two runs with the largest
 relative difference of their numbers: JSON values, TSV fields, and the
-float64 tensors of a ``.ckpt.bin`` payload::
+float64 tensors of a ``.ckpt.bin`` payload. Its last line gives the
+largest relative difference over all numeric artifacts, byte-identical
+ones counting as 0, and names the artifacts that could not be compared::
 
     python tools/pipeline_digests.py --src src --compare ../base/src
 
@@ -145,8 +147,9 @@ def numbers(path: Path) -> list[float] | None:
     return None
 
 
-def largest_relative_difference(a: Path, b: Path) -> str:
-    """max |x - y| / max(|x|, |y|) over the numbers of two versions of an artifact."""
+def largest_relative_difference(a: Path, b: Path) -> float | str:
+    """max |x - y| / max(|x|, |y|) over the numbers of two versions of an
+    artifact, or why they cannot be compared."""
     x, y = numbers(a), numbers(b)
     if x is None:
         return "not a JSON, TSV or checkpoint payload"
@@ -156,9 +159,7 @@ def largest_relative_difference(a: Path, b: Path) -> str:
     scale = np.maximum(np.abs(x), np.abs(y))
     diff = np.abs(x - y)
     rel = np.divide(diff, scale, out=np.where(diff > 0, np.inf, 0.0), where=scale > 0)
-    if not rel.any():
-        return "0: the numbers agree, other text differs"
-    return f"{rel.max():.3g}"
+    return float(rel.max(initial=0.0))
 
 
 def main() -> None:
@@ -176,15 +177,32 @@ def main() -> None:
                 print(f"{digest}  {path}")
             return
         base = run_pipeline(args.compare, Path(tmp) / "base")
-        print("| artifact | largest relative difference |")
-        print("|---|---|")
+        rows = []
+        worst = 0.0
+        uncompared = []
         for path in sorted(set(head) | set(base)):
             if path not in head or path not in base:
-                print(f"| {path} | only in {'head' if path in head else 'base'} |")
-            elif head[path] != base[path]:
+                diff = f"only in {'head' if path in head else 'base'}"
+            elif head[path] == base[path]:
+                continue
+            else:
                 diff = largest_relative_difference(Path(tmp) / "base" / path,
                                                    Path(tmp) / "head" / path)
-                print(f"| {path} | {diff} |")
+            if isinstance(diff, float):
+                worst = max(worst, diff)
+                diff = f"{diff:.3g}" if diff else "0: the numbers agree, other text differs"
+            elif numbers(Path(tmp) / ("head" if path in head else "base") / path) is not None:
+                uncompared.append(path)
+            rows.append(f"| {path} | {diff} |")
+        if rows:
+            print("| artifact | largest relative difference |")
+            print("|---|---|")
+            print("\n".join(rows))
+        else:
+            print(f"All {len(head)} artifacts are byte-identical.")
+        print()
+        print(f"Largest relative difference over all numeric artifacts: {worst:.3g}"
+              + (f"; not compared: {', '.join(uncompared)}" if uncompared else ""))
 
 
 if __name__ == "__main__":
