@@ -241,13 +241,9 @@ def init_params(spec: AutoencoderSpec, seed, subjects=None) -> AutoencoderParams
 # ---------------------------------------------------------------------------
 
 
-def _stack_forward(steps, tensors: dict[str, np.ndarray], prefix: str, h,
-                   record: bool):
-    """Run ``h`` through encoder or decoder steps.
-
-    With ``record``, returns each layer's (parameter prefix, context) for
-    :func:`_stack_backward`.
-    """
+def _stack_forward(steps, tensors: dict[str, np.ndarray], prefix: str, h):
+    """Run ``h`` through encoder or decoder steps; returns the output and each
+    layer's (parameter prefix, context) for :func:`_stack_backward`."""
     ctxs = []
     for i, step in enumerate(steps):
         name = f"{prefix}{i}"
@@ -257,29 +253,29 @@ def _stack_forward(steps, tensors: dict[str, np.ndarray], prefix: str, h,
             conv = nn.conv1d_forward if isinstance(step, ConvStep) else nn.convtranspose1d_forward
             h, ctx = conv(h, tensors[f"{name}.kernels"], tensors[f"{name}.bias"],
                           stride=step.stride, padding=step.padding)
-        if record:
-            ctxs.append((name, ctx))
+        ctxs.append((name, ctx))
         if not isinstance(step, PoolStep) and step.activation:
             h, ctx = nn.tanh_forward(h)
-            if record:
-                ctxs.append((name, ctx))
+            ctxs.append((name, ctx))
     return h, ctxs
 
 
-def _encoder_forward(params: AutoencoderParams, x, record: bool = False):
-    return _stack_forward(params.plan.encoder, params.tensors, "enc", x, record)
+def _encoder_forward(params: AutoencoderParams, x):
+    return _stack_forward(params.plan.encoder, params.tensors, "enc", x)
 
 
-def _decoder_forward(params: AutoencoderParams, z, record: bool = False):
-    return _stack_forward(params.plan.decoder, params.tensors, "dec", z, record)
+def _decoder_forward(params: AutoencoderParams, z):
+    return _stack_forward(params.plan.decoder, params.tensors, "dec", z)
 
 
-def _stack_backward(ctxs, grad, need_param_grads: bool = True,
-                    need_input_grad: bool = True):
-    """Walk recorded contexts in reverse; returns (input_grad, param_grads).
+def _stack_backward(ctxs, grad, need_input_grad: bool = True):
+    """Walk (parameter prefix, context) pairs in reverse; returns (input_grad,
+    param_grads).
 
-    With ``need_input_grad=False`` a convolution at the bottom of the stack
-    skips its input gradient, and the returned input_grad is None.
+    The pairs come from :func:`_stack_forward` or
+    :meth:`encoding.FrozenDecoder.hidden`. With ``need_input_grad=False`` a
+    convolution at the bottom of the stack skips its input gradient, and the
+    returned input_grad is None.
     """
     param_grads: dict[str, np.ndarray] = {}
     g = grad
@@ -287,13 +283,14 @@ def _stack_backward(ctxs, grad, need_param_grads: bool = True,
         if isinstance(ctx, nn.Conv1dCtx):
             lg = nn.conv1d_backward(ctx, g, need_input_grad=need_input_grad or depth > 0)
         elif isinstance(ctx, nn.ConvTranspose1dCtx):
-            lg = nn.convtranspose1d_backward(ctx, g, need_param_grads=need_param_grads)
+            lg = nn.convtranspose1d_backward(ctx, g)
+        elif isinstance(ctx, nn.ConvTranspose1dTimeMajorCtx):
+            lg = nn.convtranspose1d_time_major_backward(ctx, g)
         elif isinstance(ctx, nn.TanhCtx):
             lg = nn.tanh_backward(ctx, g)
         else:
             lg = nn.maxpool1d_backward(ctx, g)
-        if need_param_grads:
-            param_grads.update({f"{name}.{k}": v for k, v in lg.param_grads.items()})
+        param_grads.update({f"{name}.{k}": v for k, v in lg.param_grads.items()})
         g = lg.input_grad
     return g, param_grads
 
@@ -309,25 +306,23 @@ def _subject_rows(params: AutoencoderParams, subject_ids) -> np.ndarray:
 
 
 def _add_intercepts(params: AutoencoderParams, y, subject_ids):
-    """Add subject/electrode intercepts to decoded (N,C,T) or (C,T) epochs, if enabled."""
+    """Add subject/electrode intercepts to decoded (N,C,T) epochs, if enabled."""
     if not params.spec.intercepts:
         return y
     if subject_ids is None:
         raise ValueError("decoder has intercepts enabled; subject_ids required")
-    table = params.tensors["intercepts"]
-    if y.ndim == 2:
-        return y + table[_subject_rows(params, [subject_ids])[0]][:, None]
-    return y + table[_subject_rows(params, subject_ids)][:, :, None]
+    return y + params.tensors["intercepts"][_subject_rows(params, subject_ids)][:, :, None]
 
 
 def encode(params: AutoencoderParams, erp) -> np.ndarray:
-    """Compress (N,C,T) or (C,T) epochs to the latent geometry."""
+    """Compress (N,C,T) epochs to the latent geometry."""
     z, _ = _encoder_forward(params, erp)
     return z
 
 
 def decode(params: AutoencoderParams, latent, subject_ids=None) -> np.ndarray:
-    """Reconstruct epochs from latents, adding subject/electrode intercepts if enabled."""
+    """Reconstruct (N,C,T) epochs from (N,C_lat,T_lat) latents, adding
+    subject/electrode intercepts, one subject per epoch, if enabled."""
     y, _ = _decoder_forward(params, latent)
     return _add_intercepts(params, y, subject_ids)
 
@@ -360,13 +355,17 @@ def _fit_epochs(params: dict[str, np.ndarray], loss, train_idx: np.ndarray,
                 ) -> TrainHistory:
     """Adam on an MSE; restores ``params`` to the best dev epoch.
 
-    ``forward(idx, record)`` returns (outputs, contexts) for trials ``idx``,
+    ``forward(idx)`` returns (outputs, contexts) for trials ``idx``,
     ``loss(outputs, idx)`` their MSE and its gradient w.r.t. the outputs, and
     ``backward(grad, contexts, idx)`` the gradients of ``params``. An epoch's
     train MSE weights each batch by its number of outputs. Each epoch draws
     one permutation of ``train_idx`` from ``rng``. Without dev trials the
-    epoch's train MSE stands in for the dev MSE.
+    epoch's train MSE stands in for the dev MSE. ``epochs`` or ``batch_size``
+    below 1 raises ``ValueError`` before any step.
     """
+    for name, value in (("epochs", epochs), ("batch_size", batch_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     state = nn.adam_init(params, lr=lr)
     history = TrainHistory()
     best: tuple[float, int, dict | None] = (np.inf, -1, None)
@@ -376,7 +375,7 @@ def _fit_epochs(params: dict[str, np.ndarray], loss, train_idx: np.ndarray,
         n_elem = 0
         for b, start in enumerate(range(0, len(order), batch_size)):
             batch = order[start : start + batch_size]
-            y, ctxs = forward(batch, True)
+            y, ctxs = forward(batch)
             batch_loss, gl = loss(y, batch)
             if not np.isfinite(batch_loss):
                 raise RuntimeError(
@@ -387,7 +386,7 @@ def _fit_epochs(params: dict[str, np.ndarray], loss, train_idx: np.ndarray,
         history.train_mse.append(se_sum / n_elem)
 
         if len(dev_idx):
-            yd, _ = forward(dev_idx, False)
+            yd, _ = forward(dev_idx)
             dev_loss, _ = loss(yd, dev_idx)
         else:
             dev_loss = history.train_mse[-1]
@@ -456,9 +455,9 @@ def pretrain(spec: AutoencoderSpec, dataset: ErpDataset, meta: list[TrialMeta], 
         dataset.n_trials, dev_fraction, seed=int(rng.integers(2**63)))
     x_all = dataset.data
 
-    def forward(idx, record):
-        z, enc_ctxs = _encoder_forward(params, x_all[idx], record)
-        y, dec_ctxs = _decoder_forward(params, z, record)
+    def forward(idx):
+        z, enc_ctxs = _encoder_forward(params, x_all[idx])
+        y, dec_ctxs = _decoder_forward(params, z)
         subj = subject_ids[idx] if spec.intercepts else None
         return _add_intercepts(params, y, subj), (enc_ctxs, dec_ctxs)
 

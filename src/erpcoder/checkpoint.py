@@ -76,9 +76,9 @@ def load_checkpoint(basepath, expect_kind: str | None = None
         entry = checked_fields(entry, {"name": str, "offset": int, "shape": tuple[int, ...]},
                                f"{manifest_path}: tensor entry {i}")
         name, start, shape = entry["name"], entry["offset"], tuple(entry["shape"])
-        if any(s < 0 for s in shape):
+        if any(s < 1 for s in shape):  # no checkpoint kind holds an empty tensor
             raise FormatError(
-                f"{manifest_path}: tensor {name!r} has negative dimension in "
+                f"{manifest_path}: tensor {name!r} has a dimension below 1 in "
                 f"shape {list(shape)}")
         entries.append((start, start + math.prod(shape) * 8, name, shape))
     if len({name for _, _, name, _ in entries}) != len(entries):

@@ -78,7 +78,8 @@ import numpy as np
 
 from . import nn
 from .autoencoder import (CHUNK_ROWS, AutoencoderParams, TrainHistory, _add_intercepts,
-                          _fit_epochs, _run_jobs, decode, reconstruction_mse)
+                          _fit_epochs, _run_jobs, _stack_backward, decode,
+                          reconstruction_mse)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
 from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_split,
                    train_dev_split)
@@ -160,27 +161,19 @@ class FrozenDecoder:
     def hidden(self, z: np.ndarray):
         """Latents ``(T_lat, C_lat, N)`` -> the last hidden activation ``h``
         ``(T_hid, C_hid, N)``: every decoder step but the output layer, with
-        their contexts for :meth:`latent_grad`."""
+        their (parameter prefix, context) pairs for
+        :func:`autoencoder._stack_backward`."""
         ctxs = []
         for i, step in enumerate(self.decoder.plan.decoder[:-1]):
+            name = f"dec{i}"
             z, ctx = nn.convtranspose1d_time_major_forward(
-                z, self.decoder.tensors[f"dec{i}.kernels"], self.decoder.tensors[f"dec{i}.bias"],
+                z, self.decoder.tensors[f"{name}.kernels"], self.decoder.tensors[f"{name}.bias"],
                 step.stride, step.padding)
-            ctxs.append(ctx)
+            ctxs.append((name, ctx))
             if step.activation:
                 z, ctx = nn.tanh_forward(z)
-                ctxs.append(ctx)
+                ctxs.append((name, ctx))
         return z, ctxs
-
-    def latent_grad(self, ctxs, grad_h: np.ndarray) -> np.ndarray:
-        """The gradient w.r.t. the latents from one w.r.t. :meth:`hidden`'s ``h``."""
-        g = grad_h
-        for ctx in reversed(ctxs):
-            if isinstance(ctx, nn.TanhCtx):
-                g = nn.tanh_backward(ctx, g).input_grad
-            else:
-                g = nn.convtranspose1d_time_major_backward(ctx, g)
-        return g
 
     def mse(self, h: np.ndarray, rows) -> tuple[float, np.ndarray]:
         """MSE of the epochs decoded from ``h`` against trials ``rows``, and its
@@ -399,13 +392,14 @@ def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
     params = _init_trainable(rng, len(embed_cols), len(scalar_cols), plan.latent_channels,
                              plan.latent_timepoints, tuner)
 
-    def forward(idx, record):
+    def forward(idx):
         z, ctxs = _forward(params, f_std[idx], embed_cols, scalar_cols, tuner)
         h, ctxs["decoder"] = frozen.hidden(z)
         return h, ctxs
 
     def backward(grad_h, ctxs, idx):
-        return _backward(params, frozen.latent_grad(ctxs["decoder"], grad_h), ctxs, tuner)
+        gz, _ = _stack_backward(ctxs["decoder"], grad_h)
+        return _backward(params, gz, ctxs, tuner)
 
     history = _fit_epochs(params, frozen.mse, train_idx, dev_idx, rng, forward, backward,
                           epochs=epochs, batch_size=batch_size, lr=lr,

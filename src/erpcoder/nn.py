@@ -5,10 +5,9 @@ convention (no kernel flip). Each forward pass returns an explicit context
 object that the matching backward pass consumes, so ops stay pure and are
 safe to call concurrently on disjoint data.
 
-Ops accept a single instance (``channels x time``, or a flat vector for
-``dense``) or the same with a leading batch axis; the backward pass returns
-gradients in whichever convention the forward saw. The time-major ops
-below take a batch only.
+The convolution, pooling and dense ops take a batch only: ``(N, C, T)``
+activations, ``(N, D)`` for ``dense``. An unbatched input raises
+``ValueError`` naming the op and the shape.
 
 Kernel layout. Activations are ``(N, C, T)`` with time contiguous.
 Convolutions run as one GEMM per kernel tap (Chellapilla, Puri & Simard,
@@ -38,8 +37,9 @@ step of a batch is one contiguous ``(C, N)`` block.
 :func:`convtranspose1d_time_major_forward` runs all ``K`` taps as one GEMM
 ``(K·C_out, C_in) @ x`` batched over input time, then adds each tap's
 blocks into its output time steps; its backward pass gathers the ``K`` tap
-windows of the gradient and contracts them in one GEMM, and returns the
-input gradient only, as a frozen decoder needs no kernel gradients.
+windows of the gradient and contracts them in one GEMM. It returns the
+input gradient and no parameter gradients, as a frozen decoder needs no
+kernel gradients.
 :func:`gram_band_matmul` takes the same layout. Each layout serves its own
 traffic. A fit's hidden layer is small (``beta``: 10×20 -> 16×40), so per
 trial its per-tap GEMMs are tiny, and folding the batch into the columns
@@ -76,21 +76,13 @@ def _as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _batched(x: np.ndarray, single_ndim: int, what: str) -> tuple[np.ndarray, bool]:
-    """Promote a single instance to a batch of one; remember if we did."""
-    if x.ndim == single_ndim:
-        return x[None], True
-    if x.ndim == single_ndim + 1:
-        return x, False
-    raise ValueError(
-        f"{what}: expected {single_ndim} or {single_ndim + 1} dims, got shape {x.shape}"
-    )
+def _check_batch(x: np.ndarray, ndim: int, what: str) -> None:
+    if x.ndim != ndim:
+        raise ValueError(f"{what}: expected a batch with {ndim} dims, got shape {x.shape}")
 
 
-def _match_grad(grad, ref_shape: tuple[int, ...], squeezed: bool, what: str) -> np.ndarray:
+def _match_grad(grad, ref_shape: tuple[int, ...], what: str) -> np.ndarray:
     g = _as_f64(grad)
-    if squeezed and g.ndim == len(ref_shape) - 1:
-        g = g[None]
     if g.shape != ref_shape:
         raise ValueError(f"{what}: upstream grad shape {g.shape} != output shape {ref_shape}")
     return g
@@ -183,40 +175,38 @@ class Conv1dCtx:
     padding: int
     in_len: int
     out_shape: tuple[int, ...]
-    squeezed: bool
 
 
 def conv1d_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
     """Strided 1D cross-correlation.
 
-    x: (C_in, T) or (N, C_in, T); kernels: (C_out, C_in, K); bias: (C_out,).
+    x: (N, C_in, T); kernels: (C_out, C_in, K); bias: (C_out,).
     Returns (output, ctx) with output length (T + 2p - K)//stride + 1.
     """
     x = _as_f64(x)
     kernels = _as_f64(kernels)
     bias = _as_f64(bias)
-    x3, squeezed = _batched(x, 2, "conv1d")
+    _check_batch(x, 3, "conv1d")
     if kernels.ndim != 3:
         raise ValueError(f"conv1d: kernels must be (C_out, C_in, K), got shape {kernels.shape}")
-    if x3.shape[1] != kernels.shape[1]:
+    if x.shape[1] != kernels.shape[1]:
         raise ValueError(
-            f"conv1d: input has {x3.shape[1]} channels (shape {x.shape}) but kernels "
+            f"conv1d: input has {x.shape[1]} channels (shape {x.shape}) but kernels "
             f"expect {kernels.shape[1]} (shape {kernels.shape})"
         )
     c_out, _, k = kernels.shape
     if bias.shape != (c_out,):
         raise ValueError(f"conv1d: bias shape {bias.shape} != ({c_out},)")
-    t = x3.shape[2]
+    t = x.shape[2]
     _check_stride_padding(stride, padding)
     if k > t + 2 * padding:
         raise ValueError(f"kernel length {k} exceeds padded input length {t} + 2*{padding}")
 
-    padded = np.pad(x3, ((0, 0), (0, 0), (padding, padding)))
-    y = np.empty((x3.shape[0], c_out, conv_output_length(t, k, stride, padding)))
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    y = np.empty((x.shape[0], c_out, conv_output_length(t, k, stride, padding)))
     y[:] = bias[:, None]
     _add_conv(y, padded, kernels, stride)
-    ctx = Conv1dCtx(padded, kernels, stride, padding, t, y.shape, squeezed)
-    return (y[0] if squeezed else y), ctx
+    return y, Conv1dCtx(padded, kernels, stride, padding, t, y.shape)
 
 
 def conv1d_backward(ctx: Conv1dCtx, upstream_grad, need_input_grad: bool = True) -> LayerGrad:
@@ -225,7 +215,7 @@ def conv1d_backward(ctx: Conv1dCtx, upstream_grad, need_input_grad: bool = True)
     With ``need_input_grad=False`` the input gradient is not computed and
     ``input_grad`` is None; the parameter gradients are unchanged.
     """
-    g = _match_grad(upstream_grad, ctx.out_shape, ctx.squeezed, "conv1d_backward")
+    g = _match_grad(upstream_grad, ctx.out_shape, "conv1d_backward")
     grad_bias = g.sum(axis=(0, 2))
     grad_kernels = _kernel_grads(g, ctx.padded, ctx.kernels.shape[2], ctx.stride)
 
@@ -233,8 +223,6 @@ def conv1d_backward(ctx: Conv1dCtx, upstream_grad, need_input_grad: bool = True)
     if need_input_grad:
         grad_x = _add_transposed_conv(np.zeros(ctx.padded.shape[:2] + (ctx.in_len,)), g,
                                       ctx.kernels, ctx.stride, ctx.padding)
-        if ctx.squeezed:
-            grad_x = grad_x[0]
     return LayerGrad(grad_x, {"kernels": grad_kernels, "bias": grad_bias})
 
 
@@ -250,13 +238,12 @@ class ConvTranspose1dCtx:
     stride: int
     padding: int
     out_shape: tuple[int, ...]
-    squeezed: bool
 
 
 def convtranspose1d_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
     """Transposed 1D convolution.
 
-    x: (C_in, T) or (N, C_in, T); kernels: (C_in, C_out, K); bias: (C_out,).
+    x: (N, C_in, T); kernels: (C_in, C_out, K); bias: (C_out,).
     Output length is (T-1)*stride + K - 2*padding. With matching geometry this
     operator is the adjoint of :func:`conv1d_forward` under the Frobenius
     inner product.
@@ -264,21 +251,21 @@ def convtranspose1d_forward(x, kernels, bias, stride: int = 1, padding: int = 0)
     x = _as_f64(x)
     kernels = _as_f64(kernels)
     bias = _as_f64(bias)
-    x3, squeezed = _batched(x, 2, "convtranspose1d")
+    _check_batch(x, 3, "convtranspose1d")
     if kernels.ndim != 3:
         raise ValueError(
             f"convtranspose1d: kernels must be (C_in, C_out, K), got shape {kernels.shape}"
         )
-    if x3.shape[1] != kernels.shape[0]:
+    if x.shape[1] != kernels.shape[0]:
         raise ValueError(
-            f"convtranspose1d: input has {x3.shape[1]} channels (shape {x.shape}) but "
+            f"convtranspose1d: input has {x.shape[1]} channels (shape {x.shape}) but "
             f"kernels expect {kernels.shape[0]} (shape {kernels.shape})"
         )
     _, c_out, k = kernels.shape
     if bias.shape != (c_out,):
         raise ValueError(f"convtranspose1d: bias shape {bias.shape} != ({c_out},)")
     _check_stride_padding(stride, padding)
-    n, _, t = x3.shape
+    n, _, t = x.shape
     t_out = convtranspose_output_length(t, k, stride, padding)
     if t_out < 1:
         raise ValueError(
@@ -287,32 +274,22 @@ def convtranspose1d_forward(x, kernels, bias, stride: int = 1, padding: int = 0)
 
     y = np.empty((n, c_out, t_out))
     y[:] = bias[:, None]
-    _add_transposed_conv(y, x3, kernels, stride, padding)
-    ctx = ConvTranspose1dCtx(x3, kernels, stride, padding, y.shape, squeezed)
-    return (y[0] if squeezed else y), ctx
+    _add_transposed_conv(y, x, kernels, stride, padding)
+    return y, ConvTranspose1dCtx(x, kernels, stride, padding, y.shape)
 
 
-def convtranspose1d_backward(ctx: ConvTranspose1dCtx, upstream_grad,
-                             need_param_grads: bool = True) -> LayerGrad:
-    """Gradients of a convtranspose1d_forward call.
-
-    With ``need_param_grads=False`` only the input gradient is computed and
-    ``param_grads`` is empty.
-    """
-    g = _match_grad(upstream_grad, ctx.out_shape, ctx.squeezed, "convtranspose1d_backward")
+def convtranspose1d_backward(ctx: ConvTranspose1dCtx, upstream_grad) -> LayerGrad:
+    """Gradients of a convtranspose1d_forward call w.r.t. input, kernels and bias."""
+    g = _match_grad(upstream_grad, ctx.out_shape, "convtranspose1d_backward")
     padded = np.pad(g, ((0, 0), (0, 0), (ctx.padding, ctx.padding)))
     grad_x = _add_conv(np.zeros(ctx.x.shape), padded, ctx.kernels, ctx.stride)
-    param_grads: dict[str, np.ndarray] = {}
-    if need_param_grads:
-        param_grads = {"kernels": _kernel_grads(ctx.x, padded, ctx.kernels.shape[2], ctx.stride),
-                       "bias": g.sum(axis=(0, 2))}
-    if ctx.squeezed:
-        grad_x = grad_x[0]
-    return LayerGrad(grad_x, param_grads)
+    return LayerGrad(grad_x, {
+        "kernels": _kernel_grads(ctx.x, padded, ctx.kernels.shape[2], ctx.stride),
+        "bias": g.sum(axis=(0, 2))})
 
 
 # ---------------------------------------------------------------------------
-# Time-major transposed convolution (input gradient only)
+# Time-major transposed convolution (no parameter gradients)
 # ---------------------------------------------------------------------------
 
 
@@ -364,18 +341,15 @@ def convtranspose1d_time_major_forward(x, kernels, bias, stride: int = 1, paddin
 
 
 def convtranspose1d_time_major_backward(ctx: ConvTranspose1dTimeMajorCtx,
-                                        upstream_grad) -> np.ndarray:
+                                        upstream_grad) -> LayerGrad:
     """The input gradient ``(T_in, C_in, N)`` of a
-    :func:`convtranspose1d_time_major_forward` call; no kernel gradients.
+    :func:`convtranspose1d_time_major_forward` call, and no parameter gradients.
 
     The ``K`` tap windows of the gradient are gathered into ``(T_in,
     K·C_out, N)``, zero where padding crops a tap, and contracted with the
     taps in one GEMM batched over input time.
     """
-    g = _as_f64(upstream_grad)
-    if g.shape != ctx.out_shape:
-        raise ValueError(f"convtranspose1d_time_major_backward: upstream grad shape "
-                         f"{g.shape} != output shape {ctx.out_shape}")
+    g = _match_grad(upstream_grad, ctx.out_shape, "convtranspose1d_time_major_backward")
     t_in, c_in, n = ctx.in_shape
     t_out, c_out, _ = ctx.out_shape
     k = ctx.taps.shape[0] // c_out
@@ -385,7 +359,7 @@ def convtranspose1d_time_major_backward(ctx: ConvTranspose1dTimeMajorCtx,
         if tap is not None:
             narrow_pos, wide_pos = tap
             windows[narrow_pos, j] = g[wide_pos]
-    return np.matmul(ctx.taps.T, windows.reshape(t_in, k * c_out, n))
+    return LayerGrad(np.matmul(ctx.taps.T, windows.reshape(t_in, k * c_out, n)), {})
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +449,6 @@ class MaxPool1dCtx:
     in_shape: tuple[int, ...]
     indices: np.ndarray  # (N, C, T_out), absolute winning positions
     out_shape: tuple[int, ...]
-    squeezed: bool
     overlapping: bool  # window > stride: one position can win several windows
 
 
@@ -485,8 +458,8 @@ def maxpool1d_forward(x, window: int, stride: int):
     Returns (output, ctx); ``ctx.indices`` records winning positions.
     """
     x = _as_f64(x)
-    x3, squeezed = _batched(x, 2, "maxpool1d")
-    t = x3.shape[2]
+    _check_batch(x, 3, "maxpool1d")
+    t = x.shape[2]
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if stride < 1:
@@ -494,12 +467,11 @@ def maxpool1d_forward(x, window: int, stride: int):
     if window > t:
         raise ValueError(f"maxpool1d: window {window} exceeds input length {t}")
 
-    views = sliding_window_view(x3, window, axis=2)[:, :, ::stride, :]
+    views = sliding_window_view(x, window, axis=2)[:, :, ::stride, :]
     rel = views.argmax(axis=-1)  # first occurrence wins ties
     y = np.take_along_axis(views, rel[..., None], axis=-1)[..., 0]
     indices = rel + np.arange(y.shape[2]) * stride
-    ctx = MaxPool1dCtx(x3.shape, indices, y.shape, squeezed, window > stride)
-    return (y[0] if squeezed else y), ctx
+    return y, MaxPool1dCtx(x.shape, indices, y.shape, window > stride)
 
 
 def maxpool1d_backward(ctx: MaxPool1dCtx, upstream_grad) -> LayerGrad:
@@ -508,7 +480,7 @@ def maxpool1d_backward(ctx: MaxPool1dCtx, upstream_grad) -> LayerGrad:
     Windows no longer than the stride have distinct winners, so the gradient
     is assigned; overlapping windows accumulate it.
     """
-    g = _match_grad(upstream_grad, ctx.out_shape, ctx.squeezed, "maxpool1d_backward")
+    g = _match_grad(upstream_grad, ctx.out_shape, "maxpool1d_backward")
     grad_x = np.zeros(ctx.in_shape)
     if ctx.overlapping:
         n, c, _ = ctx.out_shape
@@ -516,8 +488,6 @@ def maxpool1d_backward(ctx: MaxPool1dCtx, upstream_grad) -> LayerGrad:
                            ctx.indices), g)
     else:
         np.put_along_axis(grad_x, ctx.indices, g, axis=2)
-    if ctx.squeezed:
-        grad_x = grad_x[0]
     return LayerGrad(grad_x, {})
 
 
@@ -531,37 +501,30 @@ class DenseCtx:
     x: np.ndarray  # (N, D)
     weight: np.ndarray
     out_shape: tuple[int, ...]
-    squeezed: bool
 
 
 def dense_forward(x, weight, bias):
-    """Affine map y = W x + b. x: (D,) or (N, D); weight: (H, D); bias: (H,)."""
+    """Affine map y = W x + b per row. x: (N, D); weight: (H, D); bias: (H,)."""
     x = _as_f64(x)
     weight = _as_f64(weight)
     bias = _as_f64(bias)
-    x2, squeezed = _batched(x, 1, "dense")
+    _check_batch(x, 2, "dense")
     if weight.ndim != 2:
         raise ValueError(f"dense: weight must be 2-dim, got shape {weight.shape}")
-    if x2.shape[1] != weight.shape[1]:
+    if x.shape[1] != weight.shape[1]:
         raise ValueError(
-            f"dense: input width {x2.shape[1]} (shape {x2.shape}) != weight input "
+            f"dense: input width {x.shape[1]} (shape {x.shape}) != weight input "
             f"dim {weight.shape[1]} (shape {weight.shape})"
         )
     if bias.shape != (weight.shape[0],):
         raise ValueError(f"dense: bias shape {bias.shape} != ({weight.shape[0]},)")
-    y = x2 @ weight.T + bias
-    ctx = DenseCtx(x2, weight, y.shape, squeezed)
-    return (y[0] if squeezed else y), ctx
+    y = x @ weight.T + bias
+    return y, DenseCtx(x, weight, y.shape)
 
 
 def dense_backward(ctx: DenseCtx, upstream_grad) -> LayerGrad:
-    g = _match_grad(upstream_grad, ctx.out_shape, ctx.squeezed, "dense_backward")
-    grad_x = g @ ctx.weight
-    grad_w = g.T @ ctx.x
-    grad_b = g.sum(axis=0)
-    if ctx.squeezed:
-        grad_x = grad_x[0]
-    return LayerGrad(grad_x, {"weight": grad_w, "bias": grad_b})
+    g = _match_grad(upstream_grad, ctx.out_shape, "dense_backward")
+    return LayerGrad(g @ ctx.weight, {"weight": g.T @ ctx.x, "bias": g.sum(axis=0)})
 
 
 @dataclass
@@ -575,9 +538,7 @@ def tanh_forward(x):
 
 
 def tanh_backward(ctx: TanhCtx, upstream_grad) -> LayerGrad:
-    g = _as_f64(upstream_grad)
-    if g.shape != ctx.y.shape:
-        raise ValueError(f"tanh_backward: grad shape {g.shape} != output shape {ctx.y.shape}")
+    g = _match_grad(upstream_grad, ctx.y.shape, "tanh_backward")
     grad = ctx.y * ctx.y
     np.subtract(1.0, grad, out=grad)
     grad *= g  # g * (1 - y²), bit for bit, in one buffer

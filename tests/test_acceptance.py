@@ -40,7 +40,7 @@ def test_criterion_1_kernel_correctness():
             k = int(rng.integers(1, min(t, 4) + 1))
             stride = int(rng.integers(1, 3))
             pad = int(rng.integers(0, 2))
-            x = rng.normal(size=(c_in, t))
+            x = rng.normal(size=(1, c_in, t))
             w = rng.normal(size=(c_out, c_in, k))
             b = rng.normal(size=c_out)
             y0, _ = nn.conv1d_forward(x, w, b, stride=stride, padding=pad)
@@ -68,7 +68,7 @@ def test_criterion_1_kernel_correctness():
             pad = int(rng.integers(0, min(2, (k + (t - 1) * stride) // 2) + 1))
             if (t - 1) * stride + k - 2 * pad < 1:
                 pad = 0
-            x = rng.normal(size=(c_in, t))
+            x = rng.normal(size=(1, c_in, t))
             w = rng.normal(size=(c_in, c_out, k))
             b = rng.normal(size=c_out)
             y0, _ = nn.convtranspose1d_forward(x, w, b, stride=stride, padding=pad)
@@ -94,7 +94,7 @@ def test_criterion_1_kernel_correctness():
             window = int(rng.integers(2, min(t, 4) + 1))
             stride = int(rng.integers(1, 3))
             # distinct, well-separated values in a non-saturating range
-            x = rng.permutation(c * t).astype(float).reshape(c, t)
+            x = rng.permutation(c * t).astype(float).reshape(1, c, t)
             x = (x - x.mean()) / (c * t) * 3.0
             x += rng.normal(scale=0.001, size=x.shape)
             y0, _ = nn.maxpool1d_forward(x, window, stride)
@@ -110,10 +110,10 @@ def test_criterion_1_kernel_correctness():
             worst = max(worst, nn.finite_difference_check(run_p, x))
         else:  # dense + tanh, all gradients
             d, h = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-            x = rng.normal(size=d) * 0.7
+            x = rng.normal(size=(1, d)) * 0.7
             w = rng.normal(size=(h, d))
             b = rng.normal(size=h)
-            target = rng.normal(size=h)
+            target = rng.normal(size=(1, h))
 
             def run_d(xx, ww, bb):
                 y, ctx = nn.dense_forward(xx, ww, bb)
@@ -144,9 +144,9 @@ def test_criterion_1_kernel_correctness():
         t = (t_out - 1) * stride + k - 2 * pad
         if t < 1 or k > t + 2 * pad:
             continue
-        x = rng.normal(size=(c_in, t))
+        x = rng.normal(size=(1, c_in, t))
         w = rng.normal(size=(c_out, c_in, k))
-        y = rng.normal(size=(c_out, t_out))
+        y = rng.normal(size=(1, c_out, t_out))
         cx, _ = nn.conv1d_forward(x, w, np.zeros(c_out), stride=stride, padding=pad)
         if cx.shape != y.shape:
             continue

@@ -447,8 +447,10 @@ class TestExitCodes:
     ], ids=["null", "empty", "repeated"])
     def test_intercept_checkpoint_subjects_checked(self, pipeline, tmp_path, capsys, subjects,
                                                    message):
+        # a one-row table where the meta lists no subject: a zero-row table
+        # would already fail the checkpoint's own shape check
         spec = AutoencoderSpec("beta", True, 6, 40)
-        save_autoencoder(tmp_path / "ae", init_params(spec, seed=0, subjects=subjects or ()))
+        save_autoencoder(tmp_path / "ae", init_params(spec, seed=0, subjects=subjects or ["s00"]))
         kind, meta, tensors = load_checkpoint(tmp_path / "ae")
         save_checkpoint(tmp_path / "ae", kind, {**meta, "subjects": subjects}, tensors)
         code = run(["fit", "--decoder", tmp_path / "ae", "--data", pipeline / "d" / "data",
@@ -502,6 +504,21 @@ class TestExitCodes:
                     "--out", pipeline / "x"])
         assert code == 1
         assert "error: InvalidInput:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--batch", -5, "batch_size must be >= 1, got -5"),
+        ("--epochs", 0, "epochs must be >= 1, got 0"),
+    ], ids=["batch", "epochs"])
+    def test_empty_training_schedule_is_1(self, pipeline, tmp_path, capsys, flag, value,
+                                          message):
+        code = run(["pretrain", "--data", pipeline / "d" / "data", "--arch", "beta",
+                    flag, value, "--out", tmp_path / "o"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: InvalidInput: {message}"]
+        assert not (tmp_path / "o").exists()
 
     def test_non_finite_feature_is_4(self, pipeline, tmp_path, capsys):
         table = (pipeline / "d" / "tokens.feat.tsv").read_text().splitlines()

@@ -131,14 +131,17 @@ class TestCheckpointFormat:
         assert {k: v.shape for k, v in tensors.items()} == {"a": (2, 3), "b": (4,)}
 
     def test_negative_dimension_rejected(self, tmp_path, rng):
-        # np.prod([-1]) == -1 used to load a silently truncated tensor
-        base = self._save(tmp_path, rng)
-        manifest_path = tmp_path / "ck.ckpt.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["tensors"][1]["shape"] = [-1]
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(data.FormatError, match=r"'b' has negative dimension in shape \[-1\]"):
-            checkpoint.load_checkpoint(base)
+        # np.prod([-1]) == -1 used to load a silently truncated tensor, and a
+        # zero dimension an empty one, which no checkpoint kind can hold
+        for dim in (-1, 0):
+            base = self._save(tmp_path, rng)
+            manifest_path = tmp_path / "ck.ckpt.json"
+            manifest = json.loads(manifest_path.read_text())
+            manifest["tensors"][1]["shape"] = [dim]
+            manifest_path.write_text(json.dumps(manifest))
+            with pytest.raises(data.FormatError,
+                               match=rf"'b' has a dimension below 1 in shape \[{dim}\]"):
+                checkpoint.load_checkpoint(base)
 
     def test_trailing_payload_bytes_rejected(self, tmp_path, rng):
         base = self._save(tmp_path, rng)

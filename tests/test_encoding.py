@@ -187,6 +187,15 @@ class TestTraining:
             encoding.train(encoding.freeze(sd.ground_truth.decoder, ds, meta), fm,
                            ("frequency",), tuner=encoding.TunerConfig(enabled=True), epochs=1)
 
+    @pytest.mark.parametrize("schedule, message", [
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"epochs": 0}, "epochs must be >= 1, got 0"),
+    ], ids=["batch_size", "epochs"])
+    def test_empty_training_schedule_rejected(self, small_synth, schedule, message):
+        sd, ds, meta = small_synth
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            quick_fit(sd, ds, meta, ("frequency",), **schedule)
+
     def test_decoder_mutated_after_freeze_rejected(self, small_synth):
         sd, ds, meta = small_synth
         decoder = copy.deepcopy(sd.ground_truth.decoder)
@@ -231,9 +240,9 @@ class TestTraining:
             def fn(x):
                 trial = {k: (x if k == name else v) for k, v in params.items()}
                 z, ctxs = encoding._forward(trial, f, embed_cols, scalar_cols, tuner)
-                y, dec_ctxs = _decoder_forward(decoder, time_major(z), record=True)
+                y, dec_ctxs = _decoder_forward(decoder, time_major(z))
                 loss, gl = nn.mse_loss(y, target)
-                gz, _ = _stack_backward(dec_ctxs, gl, need_param_grads=False)
+                gz, _ = _stack_backward(dec_ctxs, gl)
                 grads = encoding._backward(trial, time_major(gz), ctxs, tuner)
                 return loss, grads[name]
             return fn
@@ -283,7 +292,7 @@ class TestGramReadout:
             if intercepts:
                 y = y + decoder.tensors["intercepts"][rows % 3][:, :, None]
             full_loss, grad_y = nn.mse_loss(y, ds.data[rows])
-            full_grad = nn.convtranspose1d_backward(ctx, grad_y, need_param_grads=False)
+            full_grad = nn.convtranspose1d_backward(ctx, grad_y)
             assert loss == pytest.approx(full_loss, rel=1e-12, abs=0)
             assert np.abs(grad - full_grad.input_grad).max() <= \
                 1e-12 * np.abs(full_grad.input_grad).max()
@@ -368,7 +377,7 @@ class TestGramReadout:
                 z, ctxs = encoding._forward(trial, f, np.arange(3), np.array([3]), tuner)
                 h, hidden_ctxs = frozen.hidden(z)
                 loss, grad_h = frozen.mse(h, rows)
-                gz = frozen.latent_grad(hidden_ctxs, grad_h)
+                gz, _ = _stack_backward(hidden_ctxs, grad_h)
                 return loss, encoding._backward(trial, gz, ctxs, tuner)[name]
             return fn
 

@@ -1,11 +1,14 @@
 """Kernel-level tests: forward oracles, hand-derived gradients vs finite differences."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erpcoder import nn
+from erpcoder.autoencoder import _stack_backward
 from oracles import (adam_first_step_naive, conv1d_naive, convtranspose1d_kernel_grad_naive,
                      convtranspose1d_naive, maxpool1d_backward_naive, maxpool1d_naive,
                      transposed_conv_matrix_naive)
@@ -26,16 +29,16 @@ def _loss_closure(forward, backward, extract):
 class TestConv1d:
     def test_hand_example(self):
         # direct-summation oracle gives [-2, -2] for this edge-detector kernel
-        x = np.array([[1.0, 2.0, 3.0, 4.0]])
+        x = np.array([[[1.0, 2.0, 3.0, 4.0]]])
         w = np.array([[[1.0, 0.0, -1.0]]])
         b = np.zeros(1)
-        expected = conv1d_naive(x, w, b)
+        expected = conv1d_naive(x[0], w, b)
         assert expected.tolist() == [[-2.0, -2.0]]
         y, _ = nn.conv1d_forward(x, w, b, stride=1, padding=0)
-        np.testing.assert_array_equal(y, expected)
+        np.testing.assert_array_equal(y, [expected])
 
     def test_identity_kernel(self, rng):
-        x = rng.normal(size=(3, 11))
+        x = rng.normal(size=(1, 3, 11))
         w = np.eye(3)[:, :, None]  # K=1 identity
         y, _ = nn.conv1d_forward(x, w, np.zeros(3))
         np.testing.assert_array_equal(y, x)
@@ -43,7 +46,7 @@ class TestConv1d:
     def test_zero_input_gives_bias(self, rng):
         w = rng.normal(size=(4, 2, 3))
         b = rng.normal(size=4)
-        y, _ = nn.conv1d_forward(np.zeros((2, 9)), w, b, padding=1)
+        y, _ = nn.conv1d_forward(np.zeros((1, 2, 9)), w, b, padding=1)
         np.testing.assert_allclose(y, np.broadcast_to(b[:, None], y.shape))
 
     def test_matches_naive_on_random_geometry(self, rng):
@@ -54,48 +57,48 @@ class TestConv1d:
             k = int(rng.integers(1, min(t, 5) + 1))
             stride = int(rng.integers(1, 4))
             pad = int(rng.integers(0, 3))
-            x = rng.normal(size=(c_in, t))
+            x = rng.normal(size=(1, c_in, t))
             w = rng.normal(size=(c_out, c_in, k))
             b = rng.normal(size=c_out)
             y, _ = nn.conv1d_forward(x, w, b, stride=stride, padding=pad)
-            np.testing.assert_allclose(y, conv1d_naive(x, w, b, stride, pad), atol=1e-12)
+            np.testing.assert_allclose(y[0], conv1d_naive(x[0], w, b, stride, pad), atol=1e-12)
 
     def test_channel_mismatch_rejected(self):
-        with pytest.raises(ValueError, match=r"channels.*\(2, 7\).*\(1, 3, 2\)"):
-            nn.conv1d_forward(np.zeros((2, 7)), np.zeros((1, 3, 2)), np.zeros(1))
+        with pytest.raises(ValueError, match=r"channels.*\(1, 2, 7\).*\(1, 3, 2\)"):
+            nn.conv1d_forward(np.zeros((1, 2, 7)), np.zeros((1, 3, 2)), np.zeros(1))
 
     def test_kernel_longer_than_input_rejected(self):
         with pytest.raises(ValueError, match="kernel length"):
-            nn.conv1d_forward(np.zeros((1, 3)), np.zeros((1, 1, 5)), np.zeros(1))
+            nn.conv1d_forward(np.zeros((1, 1, 3)), np.zeros((1, 1, 5)), np.zeros(1))
 
     def test_backward_identity_kernel_passes_grad(self, rng):
-        x = rng.normal(size=(2, 6))
+        x = rng.normal(size=(1, 2, 6))
         w = np.eye(2)[:, :, None]
         _, ctx = nn.conv1d_forward(x, w, np.zeros(2))
-        g = rng.normal(size=(2, 6))
+        g = rng.normal(size=(1, 2, 6))
         lg = nn.conv1d_backward(ctx, g)
         np.testing.assert_array_equal(lg.input_grad, g)
 
     def test_backward_scalar_kernel_grad(self):
         # T = K = 1: dL/dW = input * upstream, by hand differentiation
-        x = np.array([[3.0]])
+        x = np.array([[[3.0]]])
         w = np.array([[[2.0]]])
         _, ctx = nn.conv1d_forward(x, w, np.zeros(1))
-        lg = nn.conv1d_backward(ctx, np.array([[5.0]]))
+        lg = nn.conv1d_backward(ctx, np.array([[[5.0]]]))
         assert lg.param_grads["kernels"].item() == 15.0
         assert lg.input_grad.item() == 10.0
 
     def test_backward_shape_mismatch_rejected(self, rng):
-        x = rng.normal(size=(1, 8))
+        x = rng.normal(size=(1, 1, 8))
         _, ctx = nn.conv1d_forward(x, rng.normal(size=(2, 1, 3)), np.zeros(2))
         with pytest.raises(ValueError, match="upstream grad shape"):
-            nn.conv1d_backward(ctx, np.zeros((2, 99)))
+            nn.conv1d_backward(ctx, np.zeros((1, 2, 99)))
 
     def test_gradients_match_finite_differences(self, rng):
-        x0 = rng.normal(size=(3, 8))
+        x0 = rng.normal(size=(1, 3, 8))
         w0 = rng.normal(size=(2, 3, 3))
         b0 = rng.normal(size=2)
-        target = rng.normal(size=(2, 4))
+        target = rng.normal(size=(1, 2, 4))
 
         def fwd_loss(x, w, b):
             y, ctx = nn.conv1d_forward(x, w, b, stride=2, padding=1)
@@ -115,13 +118,13 @@ class TestConv1d:
 
 class TestMaxPool1d:
     def test_hand_example(self):
-        y, ctx = nn.maxpool1d_forward(np.array([[3.0, 1.0, 4.0, 1.0]]), window=2, stride=2)
-        assert y.tolist() == [[3.0, 4.0]]
+        y, ctx = nn.maxpool1d_forward(np.array([[[3.0, 1.0, 4.0, 1.0]]]), window=2, stride=2)
+        assert y.tolist() == [[[3.0, 4.0]]]
         assert ctx.indices[0].tolist() == [[0, 2]]
 
     def test_ties_break_low(self):
-        y, ctx = nn.maxpool1d_forward(np.full((2, 6), 7.0), window=3, stride=3)
-        np.testing.assert_array_equal(y, np.full((2, 2), 7.0))
+        y, ctx = nn.maxpool1d_forward(np.full((1, 2, 6), 7.0), window=3, stride=3)
+        np.testing.assert_array_equal(y, np.full((1, 2, 2), 7.0))
         np.testing.assert_array_equal(ctx.indices[0], [[0, 3], [0, 3]])
 
     def test_matches_naive(self, rng):
@@ -129,19 +132,20 @@ class TestMaxPool1d:
             t = int(rng.integers(3, 12))
             w = int(rng.integers(1, t + 1))
             s = int(rng.integers(1, 4))
-            x = rng.normal(size=(2, t))
+            x = rng.normal(size=(1, 2, t))
             y, ctx = nn.maxpool1d_forward(x, w, s)
-            ye, ie = maxpool1d_naive(x, w, s)
-            np.testing.assert_array_equal(y, ye)
+            ye, ie = maxpool1d_naive(x[0], w, s)
+            np.testing.assert_array_equal(y[0], ye)
             np.testing.assert_array_equal(ctx.indices[0], ie)
 
     def test_window_too_large_rejected(self):
         with pytest.raises(ValueError, match="window 5 exceeds"):
-            nn.maxpool1d_forward(np.zeros((1, 4)), window=5, stride=1)
+            nn.maxpool1d_forward(np.zeros((1, 1, 4)), window=5, stride=1)
 
     def test_backward_routes_to_argmax(self, rng):
         # distinct values keep the max unique, so finite differences apply
-        x0 = rng.permutation(12).astype(float).reshape(2, 6) + rng.normal(scale=0.01, size=(2, 6))
+        x0 = (rng.permutation(12).astype(float).reshape(1, 2, 6)
+              + rng.normal(scale=0.01, size=(1, 2, 6)))
         fn = _loss_closure(
             lambda x: nn.maxpool1d_forward(x, 3, 2),
             nn.maxpool1d_backward,
@@ -150,10 +154,10 @@ class TestMaxPool1d:
         assert nn.finite_difference_check(fn, x0) < 1e-6
 
     def test_backward_accumulates_overlaps(self):
-        x = np.array([[0.0, 5.0, 1.0]])
+        x = np.array([[[0.0, 5.0, 1.0]]])
         _, ctx = nn.maxpool1d_forward(x, window=2, stride=1)
-        lg = nn.maxpool1d_backward(ctx, np.array([[1.0, 1.0]]))
-        np.testing.assert_array_equal(lg.input_grad, [[0.0, 2.0, 0.0]])
+        lg = nn.maxpool1d_backward(ctx, np.array([[[1.0, 1.0]]]))
+        np.testing.assert_array_equal(lg.input_grad, [[[0.0, 2.0, 0.0]]])
 
     @pytest.mark.parametrize("t, window, stride, ties", [
         (20, 5, 5, False), (17, 2, 3, False), (12, 4, 4, True),  # distinct winners: assigned
@@ -176,17 +180,17 @@ class TestMaxPool1d:
 class TestConvTranspose1d:
     def test_single_point_placement(self):
         # placing one unit spreads the kernel verbatim
-        x = np.array([[1.0]])
+        x = np.array([[[1.0]]])
         w = np.array([[[1.0, 2.0, 3.0]]])
-        expected = convtranspose1d_naive(x, w, np.zeros(1))
+        expected = convtranspose1d_naive(x[0], w, np.zeros(1))
         assert expected.tolist() == [[1.0, 2.0, 3.0]]
         y, _ = nn.convtranspose1d_forward(x, w, np.zeros(1))
-        np.testing.assert_array_equal(y, expected)
+        np.testing.assert_array_equal(y, [expected])
 
     def test_zero_input_gives_bias(self, rng):
         w = rng.normal(size=(3, 2, 4))
         b = rng.normal(size=2)
-        y, _ = nn.convtranspose1d_forward(np.zeros((3, 5)), w, b, stride=2, padding=1)
+        y, _ = nn.convtranspose1d_forward(np.zeros((1, 3, 5)), w, b, stride=2, padding=1)
         np.testing.assert_allclose(y, np.broadcast_to(b[:, None], y.shape))
 
     def test_matches_naive_on_random_geometry(self, rng):
@@ -197,13 +201,14 @@ class TestConvTranspose1d:
             k = int(rng.integers(1, 6))
             stride = int(rng.integers(1, 4))
             pad = int(rng.integers(0, (k + (t - 1) * stride) // 2 + 1))
-            x = rng.normal(size=(c_in, t))
+            x = rng.normal(size=(1, c_in, t))
             w = rng.normal(size=(c_in, c_out, k))
             b = rng.normal(size=c_out)
             if (t - 1) * stride + k - 2 * pad < 1:
                 continue
             y, _ = nn.convtranspose1d_forward(x, w, b, stride=stride, padding=pad)
-            np.testing.assert_allclose(y, convtranspose1d_naive(x, w, b, stride, pad), atol=1e-12)
+            np.testing.assert_allclose(y[0], convtranspose1d_naive(x[0], w, b, stride, pad),
+                                       atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -221,9 +226,9 @@ class TestConvTranspose1d:
         if t < k - 2 * pad or t < 1 or k > t + 2 * pad:
             return
         r = np.random.default_rng(seed)
-        x = r.normal(size=(c_in, t))
+        x = r.normal(size=(1, c_in, t))
         w = r.normal(size=(c_out, c_in, k))
-        y = r.normal(size=(c_out, t_out))
+        y = r.normal(size=(1, c_out, t_out))
         cx, _ = nn.conv1d_forward(x, w, np.zeros(c_out), stride=stride, padding=pad)
         assert cx.shape == y.shape
         ty, _ = nn.convtranspose1d_forward(y, w, np.zeros(c_in), stride=stride, padding=pad)
@@ -233,10 +238,10 @@ class TestConvTranspose1d:
         assert abs(lhs - rhs) / scale < 1e-10
 
     def test_gradients_match_finite_differences(self, rng):
-        x0 = rng.normal(size=(3, 5))
+        x0 = rng.normal(size=(1, 3, 5))
         w0 = rng.normal(size=(3, 2, 4))
         b0 = rng.normal(size=2)
-        target = rng.normal(size=(2, 10))
+        target = rng.normal(size=(1, 2, 10))
 
         def fwd_loss(x, w, b):
             y, ctx = nn.convtranspose1d_forward(x, w, b, stride=2, padding=1)
@@ -249,6 +254,19 @@ class TestConvTranspose1d:
             lambda w: (lambda r: (r[0], r[1].param_grads["kernels"]))(fwd_loss(x0, w, b0)), w0) < 1e-5
         assert nn.finite_difference_check(
             lambda b: (lambda r: (r[0], r[1].param_grads["bias"]))(fwd_loss(x0, w0, b)), b0) < 1e-5
+
+
+@pytest.mark.parametrize("op, args", [
+    ("conv1d_forward", (np.zeros((2, 7)), np.zeros((1, 2, 3)), np.zeros(1))),
+    ("convtranspose1d_forward", (np.zeros((2, 7)), np.zeros((2, 1, 3)), np.zeros(1))),
+    ("maxpool1d_forward", (np.zeros((2, 7)), 2, 2)),
+    ("dense_forward", (np.zeros(4), np.zeros((2, 4)), np.zeros(2))),
+], ids=["conv1d", "convtranspose1d", "maxpool1d", "dense"])
+def test_unbatched_input_rejected(op, args):
+    # one instance without its batch axis is an error, not a batch of one
+    what = op.removesuffix("_forward")
+    with pytest.raises(ValueError, match=rf"^{what}: .* got shape {re.escape(str(args[0].shape))}$"):
+        getattr(nn, op)(*args)
 
 
 # (c_in, c_out, narrow length, kernel, stride, padding). The wide length
@@ -267,7 +285,9 @@ LAYOUTS = ("batched", "single", "strided")
 
 
 def _in_layout(a, layout):
-    """``a`` itself or, for the strided layout, an equal non-contiguous view."""
+    """``a`` itself or, for the strided layout, an equal non-contiguous view.
+
+    The single layout is a batch of one instance."""
     if layout != "strided":
         return a
     wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
@@ -276,13 +296,13 @@ def _in_layout(a, layout):
 
 
 def _per_instance(naive, x, *args):
-    return naive(x, *args) if x.ndim == 2 else np.stack([naive(xi, *args) for xi in x])
+    return np.stack([naive(xi, *args) for xi in x])
 
 
 def _edge_operands(rng, geometry, layout):
     c_in, c_out, narrow, k, stride, pad = TAP_EDGE_GEOMETRIES[geometry]
     wide = (narrow - 1) * stride + k - 2 * pad
-    batch = () if layout == "single" else (2,)
+    batch = (1,) if layout == "single" else (2,)
     return {
         "x": rng.normal(size=batch + (c_in, wide)),      # conv1d input
         "y": rng.normal(size=batch + (c_out, narrow)),   # convtranspose1d input
@@ -384,25 +404,12 @@ class TestTapEdgeGeometry:
         expected_x = _per_instance(conv1d_naive, g, o["w"], np.zeros(o["w"].shape[0]),
                                    o["stride"], o["pad"])
         np.testing.assert_allclose(lg.input_grad, expected_x, rtol=0, atol=1e-12)
-        instances = [(o["y"], g)] if layout == "single" else list(zip(o["y"], g))
+        instances = list(zip(o["y"], g))
         expected_w = sum(convtranspose1d_kernel_grad_naive(yi, gi, o["w"].shape[2], o["stride"],
                                                            o["pad"]) for yi, gi in instances)
         np.testing.assert_allclose(lg.param_grads["kernels"], expected_w, rtol=0, atol=1e-12)
         np.testing.assert_allclose(lg.param_grads["bias"],
                                    sum(gi.sum(axis=1) for _, gi in instances), rtol=0, atol=1e-12)
-
-    def test_convtranspose1d_skipping_param_grads_keeps_input_grad_bitwise(
-            self, rng, geometry, layout):
-        o = _edge_operands(rng, geometry, layout)
-        _, ctx = nn.convtranspose1d_forward(_in_layout(o["y"], layout), _in_layout(o["w"], layout),
-                                            o["b_in"], stride=o["stride"], padding=o["pad"])
-        g = _in_layout(rng.normal(size=o["x"].shape), layout)
-        full = nn.convtranspose1d_backward(ctx, g)
-        skipped = nn.convtranspose1d_backward(ctx, g, need_param_grads=False)
-        assert skipped.param_grads == {}
-        assert set(full.param_grads) == {"kernels", "bias"}
-        assert skipped.input_grad.shape == o["y"].shape
-        np.testing.assert_array_equal(skipped.input_grad, full.input_grad)
 
 
 # (c_in, c_out, input length, kernel, stride, padding) of a transposed
@@ -440,13 +447,13 @@ class TestTimeMajorTransposedConv:
         assert np.abs(_time_major(y_tm) - y).max() <= 1e-12 * np.abs(y).max()
         g = rng.normal(size=y.shape)
         gx = nn.convtranspose1d_backward(ctx, g).input_grad
-        gx_tm = nn.convtranspose1d_time_major_backward(ctx_tm, _time_major(g))
+        gx_tm = nn.convtranspose1d_time_major_backward(ctx_tm, _time_major(g)).input_grad
         assert np.abs(_time_major(gx_tm) - gx).max() <= 1e-12 * np.abs(gx).max()
 
     def test_input_gradient_matches_finite_differences(self, rng, geometry):
         x, w, b, stride, pad = self.operands(rng, geometry, n=2)
         fn = _loss_closure(lambda xx: nn.convtranspose1d_time_major_forward(xx, w, b, stride, pad),
-                           nn.convtranspose1d_time_major_backward, lambda gx: gx)
+                           nn.convtranspose1d_time_major_backward, lambda lg: lg.input_grad)
         assert nn.finite_difference_check(fn, _time_major(x)) < 1e-6
 
     def test_backward_is_adjoint_of_forward(self, rng, geometry):
@@ -455,8 +462,21 @@ class TestTimeMajorTransposedConv:
         y, ctx = nn.convtranspose1d_time_major_forward(x, w, np.zeros_like(b), stride, pad)
         g = rng.normal(size=y.shape)
         lhs = np.vdot(y, g)
-        rhs = np.vdot(x, nn.convtranspose1d_time_major_backward(ctx, g))
+        rhs = np.vdot(x, nn.convtranspose1d_time_major_backward(ctx, g).input_grad)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    def test_stack_backward_walks_time_major_layer(self, rng, geometry):
+        # the op returns only an input gradient, and the layer walker passes it through
+        x, w, b, stride, pad = self.operands(rng, geometry)
+        x = _time_major(x)
+        y, ctx = nn.convtranspose1d_time_major_forward(x, w, b, stride, pad)
+        g = rng.normal(size=y.shape)
+        lg = nn.convtranspose1d_time_major_backward(ctx, g)
+        assert lg.param_grads == {}
+        assert lg.input_grad.shape == x.shape
+        walked, param_grads = _stack_backward([("dec.deconv", ctx)], g)
+        assert param_grads == {}
+        np.testing.assert_array_equal(walked, lg.input_grad)
 
 
 class TestTimeMajorTransposedConvInput:
@@ -526,13 +546,13 @@ class TestGramBandInput:
 
 class TestDenseTanh:
     def test_identity_weight(self, rng):
-        x = rng.normal(size=5)
+        x = rng.normal(size=(1, 5))
         y, _ = nn.dense_forward(x, np.eye(5), np.zeros(5))
         np.testing.assert_array_equal(y, x)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="input width 4.*weight input"):
-            nn.dense_forward(np.zeros(4), np.zeros((2, 3)), np.zeros(2))
+            nn.dense_forward(np.zeros((1, 4)), np.zeros((2, 3)), np.zeros(2))
 
     def test_tanh_analytic_values(self):
         y, ctx = nn.tanh_forward(np.array([0.0]))
@@ -641,7 +661,7 @@ class TestFiniteDifferenceCheck:
     def test_conv_stack(self, rng):
         w1 = rng.normal(size=(4, 2, 3))
         w2 = rng.normal(size=(4, 2, 5))
-        target = rng.normal(size=(2, 9))
+        target = rng.normal(size=(1, 2, 9))
 
         def fn(x):
             h1, c1 = nn.conv1d_forward(x, w1, np.zeros(4), padding=1)
@@ -655,7 +675,7 @@ class TestFiniteDifferenceCheck:
             g = nn.conv1d_backward(c1, g).input_grad
             return loss, g
 
-        assert nn.finite_difference_check(fn, rng.normal(size=(2, 8))) < 1e-4
+        assert nn.finite_difference_check(fn, rng.normal(size=(1, 2, 8))) < 1e-4
 
     def test_detects_wrong_gradient(self, rng):
         a = rng.normal(size=6)
