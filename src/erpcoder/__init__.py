@@ -13,8 +13,9 @@ The package is organized around the stages of the modeling pipeline:
 - ``erpcoder.autoencoder``: the two named convolutional autoencoder
   architectures, pre-training, and cross-validated architecture selection.
 - ``erpcoder.encoding``: frozen-decoder encoding models driven by word
-  features through a per-latent-channel interface map and optional embedding
-  tuner; weight-decay search and the model-comparison suite.
+  features through a per-latent-channel interface map, with an embedding
+  tuner when the sources include an embedding; weight-decay search and the
+  model-comparison suite.
 - ``erpcoder.metrics``: normalized variance explained, per-timepoint
   correlation-increase curves, bootstrap confidence intervals, per-word
   correlation tables.
@@ -31,9 +32,9 @@ from .autoencoder import (AutoencoderParams, AutoencoderSpec, build_layer_plan, 
 from .data import (EmbeddingTable, ErpDataset, FoldAssignment, TokenFeatureTable,  # noqa: E402
                    TrialMeta, filter_artifacts, kfold_split, load_erp, save_erp,
                    train_dev_split)
-from .encoding import (EncodingModel, FrozenDecoder, TunerConfig, freeze,  # noqa: E402
-                       load_encoding_model, predict_erp, run_model_suite,
-                       save_encoding_model, standard_roster, train, weight_decay_search)
+from .encoding import (EncodingModel, FrozenDecoder, freeze, load_encoding_model,  # noqa: E402
+                       predict_erp, run_model_suite, save_encoding_model, standard_roster,
+                       train, weight_decay_search)
 from .features import (FeatureMatrix, FeatureSpec, apply_standardizer, assemble,  # noqa: E402
                        fit_standardizer)
 from .metrics import (EvalReport, TimecourseSeries, WordLevelTable, bootstrap_ci,  # noqa: E402
@@ -48,8 +49,8 @@ __all__ = [
     "EmbeddingTable", "ErpDataset", "FoldAssignment", "TokenFeatureTable",
     "TrialMeta", "filter_artifacts", "kfold_split", "load_erp", "save_erp",
     "train_dev_split",
-    "EncodingModel", "FrozenDecoder", "TunerConfig", "freeze", "load_encoding_model",
-    "predict_erp", "run_model_suite", "save_encoding_model", "standard_roster", "train",
+    "EncodingModel", "FrozenDecoder", "freeze", "load_encoding_model", "predict_erp",
+    "run_model_suite", "save_encoding_model", "standard_roster", "train",
     "weight_decay_search",
     "FeatureMatrix", "FeatureSpec", "apply_standardizer", "assemble",
     "fit_standardizer",

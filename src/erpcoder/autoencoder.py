@@ -429,6 +429,14 @@ def _run_jobs(fn, jobs) -> list:
         return list(pool.map(lambda job: fn(*job), jobs))
 
 
+def _cross_validate(fit_score, folds, groups) -> list[list]:
+    """The k results ``fit_score(*args, f, seeds[f])`` of each group ``(*args, seeds)``,
+    from one :func:`_run_jobs` call over groups in order and folds within them."""
+    results = _run_jobs(fit_score, [(*args, f, seed) for *args, seeds in groups
+                                    for f, seed in enumerate(seeds)])
+    return [results[g * folds.k : (g + 1) * folds.k] for g in range(len(groups))]
+
+
 def pretrain(spec: AutoencoderSpec, dataset: ErpDataset, meta: list[TrialMeta], *,
              epochs: int = 200, batch_size: int = 128, lr: float = 0.001,
              seed: int = 0, dev_fraction: float = 0.1
@@ -527,12 +535,11 @@ def select_architecture(dataset: ErpDataset, meta: list[TrialMeta],
         var = float(dataset.data[te].var())
         return {"fold": f, "mse": mse, "r2": 1.0 - mse / var}
 
-    results = _run_jobs(fold_result, [(spec, f, seeds[c * k + f])
-                                      for c, spec in enumerate(candidates) for f in range(k)])
+    results = _cross_validate(fold_result, folds, [(spec, seeds[c * k : (c + 1) * k])
+                                                   for c, spec in enumerate(candidates)])
     report: dict = {"folds": k, "fold_digest": folds.digest(), "candidates": {}}
-    for c, spec in enumerate(candidates):
+    for spec, per_fold in zip(candidates, results):
         name = spec.architecture + (":intercepts" if spec.intercepts else "")
-        per_fold = results[c * k : (c + 1) * k]
         report["candidates"][name] = {
             "per_fold": per_fold,
             "mean_mse": float(np.mean([p["mse"] for p in per_fold])),

@@ -181,8 +181,6 @@ def _cmd_fit(args) -> int:
     fm = assemble(FeatureSpec(sources), meta, **tables)
     frozen = encoding.freeze(decoder, dataset, meta)
     hyper = _hyper(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     wd_table = None
     if args.wd_search:
@@ -196,6 +194,8 @@ def _cmd_fit(args) -> int:
     _progress(f"fitting encoding model ({'+'.join(sources)}) on {dataset.n_trials} trials")
     model, history = encoding.train(
         frozen, fm, sources, weight_decay=wd, seed=args.seed, **hyper)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     encoding.save_encoding_model(out / "model", model)
     write_json(out / "history.json", history.to_json_dict())
     report = {

@@ -3,9 +3,11 @@
 A pre-trained decoder is frozen bitwise (verified by content hash before and
 after training). Features reach its latent space through an interface map:
 one linear transformation per latent channel, i.e. weights (T_lat x D) and a
-bias (T_lat) for each channel. Embedding feature blocks may first pass
-through a tuner, a one-hidden-layer tanh MLP; scalar features are
-concatenated after the tuned block.
+bias (T_lat) for each channel. When the sources include an embedding, its
+columns first pass through a tuner, a one-hidden-layer tanh MLP of
+:data:`TUNER_WIDTH` hidden and output units; scalar features are
+concatenated after the tuned block. The sources alone decide the trainable
+tensors: there is no tuner setting.
 
 Training minimizes MSE between predicted and observed epochs over the
 interface and tuner parameters only, with Adam, optional L2 weight decay,
@@ -70,15 +72,14 @@ the same CPUs.
 
 from __future__ import annotations
 
-import typing
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import nn
 from .autoencoder import (CHUNK_ROWS, AutoencoderParams, TrainHistory, _add_intercepts,
-                          _fit_epochs, _run_jobs, _stack_backward, decode,
+                          _cross_validate, _fit_epochs, _stack_backward, decode,
                           reconstruction_mse)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
 from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_split,
@@ -88,26 +89,7 @@ from .features import (FeatureMatrix, FeatureSpec, Standardizer, apply_standardi
 from .metrics import EvalReport, fold_report
 
 
-@dataclass(frozen=True)
-class TunerConfig:
-    """One-hidden-layer tanh MLP applied to the embedding feature block."""
-
-    enabled: bool = False
-    hidden_size: int = 64
-    output_size: int | None = None  # None: same as hidden_size
-
-    @property
-    def out_dim(self) -> int:
-        return self.output_size if self.output_size is not None else self.hidden_size
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, d, where: str) -> "TunerConfig":
-        """Config from parsed JSON; a missing field or one of the wrong JSON type
-        raises :class:`FormatError` naming ``where`` and the field."""
-        return cls(**checked_fields(d, typing.get_type_hints(cls), where))
+TUNER_WIDTH = 64  # hidden and output units of the embedding tuner
 
 
 @dataclass
@@ -118,13 +100,13 @@ class EncodingModel:
     ``params`` holds ``interface.weights`` (C_lat, T_lat, D_in) and
     ``interface.bias`` (C_lat, T_lat), so that z[c, t] = weights[c, t, :] . u +
     bias[c, t] for the interface input ``u``, plus ``tuner.w1``, ``tuner.b1``,
-    ``tuner.w2`` and ``tuner.b2`` when the tuner is enabled.
+    ``tuner.w2`` and ``tuner.b2`` exactly when the sources include an
+    embedding.
     """
 
     decoder: AutoencoderParams
     decoder_digest: str
     params: dict[str, np.ndarray]
-    tuner_config: TunerConfig
     feature_names: list[str]
     sources: tuple[str, ...]
     standardizer: Standardizer
@@ -244,29 +226,27 @@ def _split_columns(matrix_names: list[str], sources) -> tuple[np.ndarray, np.nda
 
 
 def _trainable_shapes(n_embed: int, n_scalar: int, latent_channels: int,
-                      latent_timepoints: int, tuner_config: TunerConfig
-                      ) -> dict[str, tuple[int, ...]]:
-    """Shape of each trainable tensor, in initialisation order."""
+                      latent_timepoints: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each trainable tensor, in initialisation order: the tuner's
+    when there is an embedding column, then the interface's."""
     shapes: dict[str, tuple[int, ...]] = {}
-    if tuner_config.enabled:
-        h, o = tuner_config.hidden_size, tuner_config.out_dim
-        shapes.update({"tuner.w1": (h, n_embed), "tuner.b1": (h,),
-                       "tuner.w2": (o, h), "tuner.b2": (o,)})
-    d_in = n_scalar + (tuner_config.out_dim if tuner_config.enabled else n_embed)
-    shapes["interface.weights"] = (latent_channels, latent_timepoints, d_in)
+    w = TUNER_WIDTH if n_embed else 0
+    if w:
+        shapes.update({"tuner.w1": (w, n_embed), "tuner.b1": (w,),
+                       "tuner.w2": (w, w), "tuner.b2": (w,)})
+    shapes["interface.weights"] = (latent_channels, latent_timepoints, n_scalar + w)
     shapes["interface.bias"] = (latent_channels, latent_timepoints)
     return shapes
 
 
 def _init_trainable(rng: np.random.Generator, n_embed: int, n_scalar: int,
-                    latent_channels: int, latent_timepoints: int,
-                    tuner_config: TunerConfig) -> dict[str, np.ndarray]:
+                    latent_channels: int, latent_timepoints: int) -> dict[str, np.ndarray]:
     """Centered-uniform weights with scale 1/sqrt(fan_in), the fan-in being a
     weight's last axis; each tuner bias takes its weight's scale, and the
     interface bias starts at zero."""
     params: dict[str, np.ndarray] = {}
     for name, shape in _trainable_shapes(n_embed, n_scalar, latent_channels,
-                                         latent_timepoints, tuner_config).items():
+                                         latent_timepoints).items():
         if name == "interface.bias":
             params[name] = np.zeros(shape)
             continue
@@ -277,13 +257,13 @@ def _init_trainable(rng: np.random.Generator, n_embed: int, n_scalar: int,
 
 
 def _forward(params: dict[str, np.ndarray], f_std: np.ndarray, embed_cols: np.ndarray,
-             scalar_cols: np.ndarray, tuner_config: TunerConfig):
+             scalar_cols: np.ndarray):
     """Features (already standardized) -> time-major latents ``(T_lat, C_lat,
     N)``, with backward contexts."""
     femb = f_std[:, embed_cols]
     fscal = f_std[:, scalar_cols]
     ctxs: dict = {}
-    if tuner_config.enabled:
+    if "tuner.w1" in params:
         h1, c1 = nn.dense_forward(femb, params["tuner.w1"], params["tuner.b1"])
         a1, ct = nn.tanh_forward(h1)
         tuned, c2 = nn.dense_forward(a1, params["tuner.w2"], params["tuner.b2"])
@@ -305,8 +285,8 @@ def _forward(params: dict[str, np.ndarray], f_std: np.ndarray, embed_cols: np.nd
     return z, ctxs
 
 
-def _backward(params: dict[str, np.ndarray], gz: np.ndarray, ctxs: dict,
-              tuner_config: TunerConfig) -> dict[str, np.ndarray]:
+def _backward(params: dict[str, np.ndarray], gz: np.ndarray, ctxs: dict
+              ) -> dict[str, np.ndarray]:
     """Gradients for interface and tuner from those of :func:`_forward`'s latents."""
     u = ctxs["u"]
     c_lat, t_lat, d_in = params["interface.weights"].shape
@@ -315,7 +295,7 @@ def _backward(params: dict[str, np.ndarray], gz: np.ndarray, ctxs: dict,
         "interface.weights": np.dot(gz_flat, u).reshape(t_lat, c_lat, d_in).transpose(1, 0, 2),
         "interface.bias": gz.sum(axis=2).T,
     }
-    if tuner_config.enabled:
+    if "tuner.w1" in params:
         du = np.dot(gz_flat.T, ctxs["wt"])
         de = du[:, : ctxs["n_tuned"]]
         c1, ct, c2 = ctxs["tuner"]
@@ -332,15 +312,13 @@ def _backward(params: dict[str, np.ndarray], gz: np.ndarray, ctxs: dict,
 def _latents(model: EncodingModel, features: FeatureMatrix) -> np.ndarray:
     """The model's time-major latents for raw (unstandardized) features with
     matching columns."""
-    if features.standardized:
-        raise ValueError("pass raw features; the model applies its own standardizer")
     if features.names != model.feature_names:
         raise ValueError(
             f"feature columns {features.names} do not match the model's "
             f"{model.feature_names}")
-    f_std = apply_standardizer(features, model.standardizer).values
+    f_std = apply_standardizer(features, model.standardizer)
     embed_cols, scalar_cols = _split_columns(model.feature_names, model.sources)
-    z, _ = _forward(model.params, f_std, embed_cols, scalar_cols, model.tuner_config)
+    z, _ = _forward(model.params, f_std, embed_cols, scalar_cols)
     return z
 
 
@@ -359,8 +337,8 @@ def _check_filtered(meta: list[TrialMeta]) -> None:
 
 
 def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
-          tuner: TunerConfig | None = None, epochs: int = 200, batch_size: int = 128,
-          lr: float = 0.001, weight_decay: float = 0.0, seed: int = 0,
+          epochs: int = 200, batch_size: int = 128, lr: float = 0.001,
+          weight_decay: float = 0.0, seed: int = 0,
           dev_fraction: float = 0.1) -> tuple[EncodingModel, TrainHistory]:
     """Fit interface (and tuner) to predict the epochs of ``frozen`` from features.
 
@@ -374,12 +352,7 @@ def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
     if features.n_trials != frozen.n_trials:
         raise ValueError(f"got {frozen.n_trials} trials, {features.n_trials} feature rows")
     _check_filtered(frozen.meta)
-    spec = FeatureSpec(sources)
     embed_cols, scalar_cols = _split_columns(features.names, sources)
-    if tuner is None:
-        tuner = TunerConfig(enabled=bool(spec.embedding_sources))
-    if tuner.enabled and not spec.embedding_sources:
-        raise ValueError("tuner enabled but the feature spec has no embedding source")
     if frozen.decoder.decoder_digest() != frozen.digest:
         raise RuntimeError("frozen decoder was mutated after freeze")
 
@@ -387,19 +360,19 @@ def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
     train_idx, dev_idx = train_dev_split(
         frozen.n_trials, dev_fraction, seed=int(rng.integers(2**63)))
     standardizer = fit_standardizer(features, train_idx)
-    f_std = apply_standardizer(features, standardizer).values
+    f_std = apply_standardizer(features, standardizer)
     plan = frozen.decoder.plan
     params = _init_trainable(rng, len(embed_cols), len(scalar_cols), plan.latent_channels,
-                             plan.latent_timepoints, tuner)
+                             plan.latent_timepoints)
 
     def forward(idx):
-        z, ctxs = _forward(params, f_std[idx], embed_cols, scalar_cols, tuner)
+        z, ctxs = _forward(params, f_std[idx], embed_cols, scalar_cols)
         h, ctxs["decoder"] = frozen.hidden(z)
         return h, ctxs
 
     def backward(grad_h, ctxs, idx):
         gz, _ = _stack_backward(ctxs["decoder"], grad_h)
-        return _backward(params, gz, ctxs, tuner)
+        return _backward(params, gz, ctxs)
 
     history = _fit_epochs(params, frozen.mse, train_idx, dev_idx, rng, forward, backward,
                           epochs=epochs, batch_size=batch_size, lr=lr,
@@ -412,7 +385,6 @@ def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
         decoder=frozen.decoder,
         decoder_digest=frozen.digest,
         params=params,
-        tuner_config=tuner,
         feature_names=list(features.names),
         sources=sources,
         standardizer=standardizer,
@@ -441,24 +413,16 @@ WEIGHT_DECAY_GRID = (1e-5, 1e-3, 1e-1)
 
 
 def _fold_mses(frozen: FrozenDecoder, folds, groups, **train_kwargs) -> list[list[float]]:
-    """Held-out MSE per fold of models trained on each fold's complement.
-
-    ``groups`` is a list of (features, sources, weight_decay, seeds), one
-    seed per fold; fold ``f`` of a group trains with seed ``seeds[f]``, and
-    ``train_kwargs`` go to :func:`train`. Every fold of every group is one job
-    of one :func:`_run_jobs` call, groups in order and folds within them.
-    Returns the per-fold MSEs of each group.
-    """
+    """Held-out MSE per fold of models trained on each fold's complement, for
+    each group (features, sources, weight_decay, seeds) of
+    :func:`_cross_validate`; ``train_kwargs`` go to :func:`train`."""
     def fold_mse(features, sources, weight_decay, f, run_seed) -> float:
         tr = folds.train_indices(f)
         model, _ = train(frozen.take(tr), features.take(tr), sources,
                          weight_decay=weight_decay, seed=run_seed, **train_kwargs)
         return model_mse(model, frozen, features, folds.test_indices(f))
 
-    mses = _run_jobs(fold_mse, [(features, sources, wd, f, run_seed)
-                                for features, sources, wd, seeds in groups
-                                for f, run_seed in enumerate(seeds)])
-    return [mses[g * folds.k : (g + 1) * folds.k] for g in range(len(groups))]
+    return _cross_validate(fold_mse, folds, groups)
 
 
 def _grid_search(grid, per_wd) -> tuple[float, list[dict], list[float]]:
@@ -476,25 +440,23 @@ def _grid_search(grid, per_wd) -> tuple[float, list[dict], list[float]]:
 
 
 def weight_decay_search(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
-                        grid=WEIGHT_DECAY_GRID, k: int = 5, seed: int = 0,
-                        tuner: TunerConfig | None = None, epochs: int = 200,
+                        k: int = 5, seed: int = 0, epochs: int = 200,
                         batch_size: int = 128, lr: float = 0.001,
                         dev_fraction: float = 0.1) -> tuple[float, list[dict]]:
-    """Choose the weight decay with the best mean held-out MSE over k folds.
+    """Choose the weight decay of :data:`WEIGHT_DECAY_GRID` with the best mean
+    held-out MSE over k folds.
 
     Deterministic given the seed; ties break to the smaller weight decay.
     Returns (chosen_wd, table) with one row per (weight_decay, fold).
     """
-    grid = tuple(grid)
-    if not grid:
-        raise ValueError("weight decay grid is empty")
+    grid = WEIGHT_DECAY_GRID
     folds = kfold_split(frozen.n_trials, k, seed)
     seed_rng = np.random.default_rng(seed)
     seeds = [int(seed_rng.integers(2**63)) for _ in range(len(grid) * k)]
     per_wd = _fold_mses(
         frozen, folds,
         [(features, sources, wd, seeds[i * k : (i + 1) * k]) for i, wd in enumerate(grid)],
-        tuner=tuner, epochs=epochs, batch_size=batch_size, lr=lr, dev_fraction=dev_fraction)
+        epochs=epochs, batch_size=batch_size, lr=lr, dev_fraction=dev_fraction)
     chosen, table, _ = _grid_search(grid, per_wd)
     return chosen, table
 
@@ -635,6 +597,11 @@ def suite_summary_rows(result: dict) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+def _tuner_record(params) -> dict:
+    """The checkpoint's ``tuner`` record for the trainable tensors ``params`` names."""
+    return {"enabled": "tuner.w1" in params, "hidden_size": TUNER_WIDTH, "output_size": None}
+
+
 def save_encoding_model(basepath, model: EncodingModel) -> None:
     # interface.* before tuner.*, whatever order training built them in
     tensors = dict(sorted(model.params.items(),
@@ -647,7 +614,7 @@ def save_encoding_model(basepath, model: EncodingModel) -> None:
         "frozen": True,
         "sources": list(model.sources),
         "feature_names": model.feature_names,
-        "tuner": model.tuner_config.to_json_dict(),
+        "tuner": _tuner_record(model.params),
         "weight_decay": model.weight_decay,
     }
     save_checkpoint(basepath, "encoding_model", meta, tensors)
@@ -671,17 +638,23 @@ def load_encoding_model(basepath, decoder: AutoencoderParams) -> EncodingModel:
         embed_cols, scalar_cols = _split_columns(names, sources)
     except ValueError as e:
         raise FormatError(f"{where}: meta 'sources': {e}") from None
-    tuner_config = TunerConfig.from_json_dict(meta["tuner"], f"{where}: meta 'tuner'")
     plan = decoder.plan
     trainable = _trainable_shapes(len(embed_cols), len(scalar_cols), plan.latent_channels,
-                                  plan.latent_timepoints, tuner_config)
+                                  plan.latent_timepoints)
+    checked_fields(meta["tuner"], {"enabled": bool, "hidden_size": int,
+                                   "output_size": int | None}, f"{where}: meta 'tuner'")
+    implied = _tuner_record(trainable)
+    if meta["tuner"] != implied:  # strict, as checked_fields has checked the types
+        raise FormatError(
+            f"{where}: meta 'tuner' is {meta['tuner']}, sources {list(sources)} imply {implied}")
     require_tensors(tensors, {**trainable, "standardizer.mean": (len(names),),
                               "standardizer.scale": (len(names),)}, where)
+    if not (tensors["standardizer.scale"] > 0).all():
+        raise FormatError(f"{where}: tensor 'standardizer.scale' holds a value <= 0")
     return EncodingModel(
         decoder=decoder,
         decoder_digest=meta["decoder_digest"],
         params={name: tensors[name] for name in trainable},
-        tuner_config=tuner_config,
         feature_names=names,
         sources=sources,
         standardizer=Standardizer(tensors["standardizer.mean"],

@@ -9,7 +9,8 @@ produced externally under the incremental-prefix convention), and
 ``constant`` (all ones, for intercept-only models).
 
 Standardization is fit on explicitly supplied training rows only, so fold
-protocols cannot leak dev/test statistics.
+protocols cannot leak dev/test statistics. :func:`apply_standardizer`
+returns a plain array, so a :class:`FeatureMatrix` always holds raw values.
 """
 
 from __future__ import annotations
@@ -50,12 +51,10 @@ class FeatureSpec:
 
 @dataclass
 class FeatureMatrix:
-    """Trials x D feature values, one name per column; ``standardized`` marks a
-    matrix that :func:`apply_standardizer` produced."""
+    """Trials x D raw feature values, one name per column."""
 
     values: np.ndarray
     names: list[str]
-    standardized: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -72,7 +71,7 @@ class FeatureMatrix:
         return self.values.shape[0]
 
     def take(self, rows) -> "FeatureMatrix":
-        return FeatureMatrix(self.values[np.asarray(rows)], list(self.names), self.standardized)
+        return FeatureMatrix(self.values[np.asarray(rows)], list(self.names))
 
 
 @dataclass
@@ -97,13 +96,13 @@ def fit_standardizer(matrix: FeatureMatrix, training_rows) -> Standardizer:
     return Standardizer(mean=mean, scale=scale, names=list(matrix.names))
 
 
-def apply_standardizer(matrix: FeatureMatrix, std: Standardizer) -> FeatureMatrix:
+def apply_standardizer(matrix: FeatureMatrix, std: Standardizer) -> np.ndarray:
+    """The standardized values of ``matrix``, trials x D."""
     if std.names != matrix.names:
         raise ValueError(
             f"standardizer columns {std.names} do not match matrix columns {matrix.names}"
         )
-    values = (matrix.values - std.mean) / std.scale
-    return FeatureMatrix(values, list(matrix.names), standardized=True)
+    return (matrix.values - std.mean) / std.scale
 
 
 # ---------------------------------------------------------------------------

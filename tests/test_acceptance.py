@@ -296,9 +296,8 @@ def protocol_synth():
 
 def test_criterion_6_weight_decay_protocol(protocol_synth):
     sd, ds, meta = protocol_synth
-    sig = inspect.signature(encoding.weight_decay_search)
-    assert sig.parameters["grid"].default == (1e-5, 1e-3, 1e-1)
-    assert sig.parameters["k"].default == 5
+    assert encoding.WEIGHT_DECAY_GRID == (1e-5, 1e-3, 1e-1)
+    assert inspect.signature(encoding.weight_decay_search).parameters["k"].default == 5
 
     fm = features.assemble(features.FeatureSpec(("frequency",)), meta,
                            counts_table=sd.counts)

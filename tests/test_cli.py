@@ -284,8 +284,21 @@ class TestExitCodes:
          "meta 'tuner': 'output_size' needs int | None"),
         (lambda m: m.update(sources=["bogus"]),
          "meta 'sources': unknown feature sources ['bogus']"),
+        (lambda m: m["tuner"].update(enabled=0), "meta 'tuner': 'enabled' needs bool"),
+        (lambda m: m["tuner"].update(hidden_size=64.0), "meta 'tuner': 'hidden_size' needs int"),
+        # well-typed, but not the record the sources imply
+        (lambda m: m["tuner"].update(enabled=True),
+         "meta 'tuner' is {'enabled': True, 'hidden_size': 64, 'output_size': None}, "
+         "sources ['constant'] imply {'enabled': False, 'hidden_size': 64, 'output_size': None}"),
+        (lambda m: m["tuner"].update(hidden_size=32),
+         "meta 'tuner' is {'enabled': False, 'hidden_size': 32, 'output_size': None}, "),
+        # the constant model's record, under an embedding source and column
+        (lambda m: m.update(sources=["static_embedding"], feature_names=["static_embedding.0"]),
+         "meta 'tuner' is {'enabled': False, 'hidden_size': 64, 'output_size': None}, "
+         "sources ['static_embedding'] imply {'enabled': True, "),
     ], ids=["no_weight_decay", "sources_string", "digest_null", "hidden_size_string",
-            "output_size_float", "unknown_source"])
+            "output_size_float", "unknown_source", "enabled_int", "hidden_size_float",
+            "tuner_without_embedding", "hidden_size_32", "embedding_without_tuner"])
     def test_malformed_model_meta_is_4(self, pipeline, tmp_path, capsys, edit, message):
         manifest = self._copy_checkpoint(pipeline / "e0" / "model", tmp_path / "model")
         edit(manifest["meta"])
@@ -518,6 +531,16 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             f"error: InvalidInput: {message}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_fit_leaves_no_out(self, pipeline, tmp_path, capsys):
+        code = run(["fit", "--decoder", pipeline / "m" / "autoencoder",
+                    "--data", pipeline / "d" / "data", "--sources", "constant",
+                    "--epochs", 0, "--out", tmp_path / "o"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: InvalidInput: epochs must be >= 1, got 0"]
         assert not (tmp_path / "o").exists()
 
     def test_non_finite_feature_is_4(self, pipeline, tmp_path, capsys):

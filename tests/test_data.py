@@ -506,7 +506,7 @@ class TestJsonFileFuzz:
         fm = features.assemble(features.FeatureSpec(sources), meta, counts_table=sd.counts,
                                embeddings=sd.embeddings, sentence_tokens=sd.sentence_tokens)
         model, _ = encoding.train(encoding.freeze(decoder, dataset, meta), fm, sources, epochs=1)
-        assert model.tuner_config.enabled
+        assert "tuner.w1" in model.params
         encoding.save_encoding_model(root / "model", model)
         return {"autoencoder": (root / "ae", autoencoder.load_autoencoder),
                 "encoding_model": (root / "model",

@@ -57,7 +57,7 @@ class TestPrediction:
         sd, ds, meta = small_synth
         model, _, fm = quick_fit(sd, ds, meta, ("frequency",), epochs=3)
         preds = encoding.predict_erp(model, fm)
-        f_std = features.apply_standardizer(fm, model.standardizer).values
+        f_std = features.apply_standardizer(fm, model.standardizer)
         z = (np.einsum("ctd,nd->nct", model.params["interface.weights"], f_std)
              + model.params["interface.bias"])
         manual = decode(model.decoder, z)
@@ -87,13 +87,6 @@ class TestPrediction:
         wrong = assemble_for(sd, meta, ("frequency", "surprisal"))
         with pytest.raises(ValueError, match="do not match"):
             encoding.predict_erp(model, wrong)
-
-    def test_standardized_features_rejected(self, small_synth):
-        sd, ds, meta = small_synth
-        model, _, fm = quick_fit(sd, ds, meta, ("frequency",), epochs=2)
-        std = features.apply_standardizer(fm, model.standardizer)
-        with pytest.raises(ValueError, match="raw features"):
-            encoding.predict_erp(model, std)
 
 
 class TestTraining:
@@ -180,12 +173,15 @@ class TestTraining:
             encoding.train(encoding.freeze(sd.ground_truth.decoder, sd.dataset.subset(range(4)),
                                            sd.meta[:4]), fm, ("frequency",), epochs=1)
 
-    def test_tuner_requires_embedding_source(self, small_synth):
+    def test_sources_decide_the_tuner(self, small_synth):
         sd, ds, meta = small_synth
-        fm = assemble_for(sd, meta, ("frequency",))
-        with pytest.raises(ValueError, match="no embedding source"):
-            encoding.train(encoding.freeze(sd.ground_truth.decoder, ds, meta), fm,
-                           ("frequency",), tuner=encoding.TunerConfig(enabled=True), epochs=1)
+        model, _, fm = quick_fit(sd, ds, meta, ("frequency", "static_embedding"), epochs=1)
+        n_embed = sum(name.startswith("static_embedding.") for name in fm.names)
+        assert n_embed > 0
+        assert model.params["tuner.w1"].shape == (64, n_embed)
+        assert model.params["interface.weights"].shape[2] == 64 + 1  # tuned block + frequency
+        scalar, _, _ = quick_fit(sd, ds, meta, ("frequency", "surprisal"), epochs=1)
+        assert not [name for name in scalar.params if name.startswith("tuner.")]
 
     @pytest.mark.parametrize("schedule, message", [
         ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
@@ -223,10 +219,10 @@ class TestTraining:
         with pytest.raises(ValueError, match="unknown subject_id"):
             encoding.predict_erp(model, fm, ["zz"] * len(meta))
 
-    def test_composed_gradient_matches_finite_differences(self, rng):
+    def test_composed_gradient_matches_finite_differences(self, rng, monkeypatch):
         # tuner -> interface -> frozen decoder on a tiny instance
+        monkeypatch.setattr(encoding, "TUNER_WIDTH", 4)
         decoder = init_params(AutoencoderSpec("beta", False, 4, 20), seed=8)
-        tuner = encoding.TunerConfig(enabled=True, hidden_size=5, output_size=4)
         n_embed, n_scalar = 3, 1
         f = rng.normal(size=(2, 4))
         target = rng.normal(size=(2, 4, 20))
@@ -234,16 +230,16 @@ class TestTraining:
         scalar_cols = np.array([3])
         params = encoding._init_trainable(np.random.default_rng(0), n_embed, n_scalar,
                                           decoder.plan.latent_channels,
-                                          decoder.plan.latent_timepoints, tuner)
+                                          decoder.plan.latent_timepoints)
 
         def loss_for(name):
             def fn(x):
                 trial = {k: (x if k == name else v) for k, v in params.items()}
-                z, ctxs = encoding._forward(trial, f, embed_cols, scalar_cols, tuner)
+                z, ctxs = encoding._forward(trial, f, embed_cols, scalar_cols)
                 y, dec_ctxs = _decoder_forward(decoder, time_major(z))
                 loss, gl = nn.mse_loss(y, target)
                 gz, _ = _stack_backward(dec_ctxs, gl)
-                grads = encoding._backward(trial, time_major(gz), ctxs, tuner)
+                grads = encoding._backward(trial, time_major(gz), ctxs)
                 return loss, grads[name]
             return fn
 
@@ -358,27 +354,27 @@ class TestGramReadout:
         scale = frozen.c.mean() / frozen.n_out
         assert abs(loss - full) <= 8 * np.finfo(float).eps * scale
 
-    def test_training_gradient_matches_finite_differences(self, rng):
+    def test_training_gradient_matches_finite_differences(self, rng, monkeypatch):
         # tuner -> interface -> hidden decoder layers -> Gram-form MSE, as train runs it
+        monkeypatch.setattr(encoding, "TUNER_WIDTH", 4)
         decoder = init_params(AutoencoderSpec("beta", False, 4, 20), seed=8)
-        tuner = encoding.TunerConfig(enabled=True, hidden_size=5, output_size=4)
         f = rng.normal(size=(3, 4))
         meta = [TrialMeta("s0", i, 2, "w", "content", "NN", False) for i in range(3)]
         frozen = encoding.freeze(
             decoder, ErpDataset(rng.normal(size=(3, 4, 20)), 250.0, -100.0, -20.0), meta)
         params = encoding._init_trainable(np.random.default_rng(0), 3, 1,
                                           decoder.plan.latent_channels,
-                                          decoder.plan.latent_timepoints, tuner)
+                                          decoder.plan.latent_timepoints)
         rows = np.arange(3)
 
         def loss_for(name):
             def fn(x):
                 trial = {k: (x if k == name else v) for k, v in params.items()}
-                z, ctxs = encoding._forward(trial, f, np.arange(3), np.array([3]), tuner)
+                z, ctxs = encoding._forward(trial, f, np.arange(3), np.array([3]))
                 h, hidden_ctxs = frozen.hidden(z)
                 loss, grad_h = frozen.mse(h, rows)
                 gz, _ = _stack_backward(hidden_ctxs, grad_h)
-                return loss, encoding._backward(trial, gz, ctxs, tuner)[name]
+                return loss, encoding._backward(trial, gz, ctxs)[name]
             return fn
 
         for name in params:
@@ -407,14 +403,14 @@ class TestWeightDecaySearch:
 
         sig = inspect.signature(encoding.weight_decay_search)
         assert sig.parameters["k"].default == 5
-        assert sig.parameters["grid"].default == encoding.WEIGHT_DECAY_GRID
 
-    def test_single_element_grid_trivial(self, small_synth):
+    def test_single_element_grid_trivial(self, small_synth, monkeypatch):
         sd, ds, meta = small_synth
         fm = assemble_for(sd, meta, ("frequency",))
+        monkeypatch.setattr(encoding, "WEIGHT_DECAY_GRID", (1e-3,))
         chosen, table = encoding.weight_decay_search(
             encoding.freeze(sd.ground_truth.decoder, ds, meta), fm, ("frequency",),
-            grid=(1e-3,), k=2, seed=1, epochs=3, lr=0.005)
+            k=2, seed=1, epochs=3, lr=0.005)
         assert chosen == 1e-3
         assert len(table) == 2
 
@@ -606,12 +602,12 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             encoding.predict_erp(loaded, fm), encoding.predict_erp(model, fm))
         assert loaded.sources == model.sources
-        assert loaded.tuner_config == model.tuner_config
+        assert list(loaded.params) == list(model.params)
 
     def test_tensor_order_interface_tuner_standardizer(self, small_synth, tmp_path):
         sd, ds, meta = small_synth
         model, _, _ = quick_fit(sd, ds, meta, ("frequency", "static_embedding"), epochs=2)
-        assert model.tuner_config.enabled
+        assert "tuner.w1" in model.params
         encoding.save_encoding_model(tmp_path / "m", model)
         manifest = json.loads((tmp_path / "m.ckpt.json").read_text())
         assert [t["name"] for t in manifest["tensors"]] == [
@@ -650,6 +646,19 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "m", kind, ckpt_meta, tensors)
         with pytest.raises(FormatError, match=re.escape(
                 f"m.ckpt.json: tensor '{tensor}' has shape {stored}, expected {expected}")):
+            encoding.load_encoding_model(tmp_path / "m", sd.ground_truth.decoder)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_standardizer_scale_rejected(self, small_synth, tmp_path, bad):
+        # a zero scale would standardize the features to inf or NaN
+        sd, ds, meta = small_synth
+        model, _, _ = quick_fit(sd, ds, meta, ("frequency",), epochs=2)
+        encoding.save_encoding_model(tmp_path / "m", model)
+        kind, ckpt_meta, tensors = load_checkpoint(tmp_path / "m")
+        tensors["standardizer.scale"][0] = bad
+        save_checkpoint(tmp_path / "m", kind, ckpt_meta, tensors)
+        with pytest.raises(FormatError, match=re.escape(
+                "m.ckpt.json: tensor 'standardizer.scale' holds a value <= 0")):
             encoding.load_encoding_model(tmp_path / "m", sd.ground_truth.decoder)
 
     def test_wrong_decoder_rejected(self, small_synth, tmp_path):
