@@ -306,7 +306,8 @@ def _subject_rows(params: AutoencoderParams, subject_ids) -> np.ndarray:
 
 
 def _add_intercepts(params: AutoencoderParams, y, subject_ids):
-    """Add subject/electrode intercepts to decoded (N,C,T) epochs, if enabled."""
+    """Add subject/electrode intercepts to decoded (N,C,T) epochs, if enabled;
+    without intercepts ``subject_ids`` is ignored."""
     if not params.spec.intercepts:
         return y
     if subject_ids is None:
@@ -419,13 +420,13 @@ def _run_jobs(fn, jobs) -> list:
     read. The first job in job order that raises re-raises here, and jobs
     not yet started are cancelled. ``nn`` ops hold no shared state, and BLAS
     calls and large ufunc loops release the GIL, so fits overlap; the
-    results are bit-identical to a serial run (one worker runs serially).
+    results are bit-identical to a serial run, and one worker is a pool of one.
     """
     jobs = list(jobs)
-    workers = _worker_count(len(jobs))
-    if workers <= 1:
-        return [fn(*job) for job in jobs]
-    with ThreadPoolExecutor(workers, thread_name_prefix="erpcoder-fit") as pool:
+    if not jobs:
+        return []  # a pool needs at least one worker
+    with ThreadPoolExecutor(_worker_count(len(jobs)),
+                            thread_name_prefix="erpcoder-fit") as pool:
         return list(pool.map(lambda job: fn(*job), jobs))
 
 
@@ -458,7 +459,7 @@ def pretrain(spec: AutoencoderSpec, dataset: ErpDataset, meta: list[TrialMeta], 
     rng = np.random.default_rng(seed)
     subjects = tuple(sorted({m.subject_id for m in meta})) if spec.intercepts else None
     params = init_params(spec, rng, subjects)
-    subject_ids = np.array([m.subject_id for m in meta]) if spec.intercepts else None
+    subject_ids = np.array([m.subject_id for m in meta])
     train_idx, dev_idx = train_dev_split(
         dataset.n_trials, dev_fraction, seed=int(rng.integers(2**63)))
     x_all = dataset.data
@@ -466,8 +467,7 @@ def pretrain(spec: AutoencoderSpec, dataset: ErpDataset, meta: list[TrialMeta], 
     def forward(idx):
         z, enc_ctxs = _encoder_forward(params, x_all[idx])
         y, dec_ctxs = _decoder_forward(params, z)
-        subj = subject_ids[idx] if spec.intercepts else None
-        return _add_intercepts(params, y, subj), (enc_ctxs, dec_ctxs)
+        return _add_intercepts(params, y, subject_ids[idx]), (enc_ctxs, dec_ctxs)
 
     def backward(grad_y, ctxs, idx):
         enc_ctxs, dec_ctxs = ctxs
@@ -497,8 +497,7 @@ def reconstruction_mse(params: AutoencoderParams, dataset: ErpDataset,
     for start in range(0, len(idx), CHUNK_ROWS):
         rows = idx[start : start + CHUNK_ROWS]
         x = dataset.data[rows]
-        subject_ids = [meta[i].subject_id for i in rows] if params.spec.intercepts else None
-        diff = reconstruct(params, x, subject_ids) - x
+        diff = reconstruct(params, x, [meta[i].subject_id for i in rows]) - x
         se += float(np.vdot(diff, diff))
     return se / (len(idx) * dataset.n_channels * dataset.n_timepoints)
 

@@ -325,9 +325,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_timecourse(args) -> int:
-    (ae_params, dataset, meta, (model, fm), (intercept, fm_intercept),
-     inputs) = _load_analysis(args)
-    subj = [m.subject_id for m in meta] if ae_params.spec.intercepts else None
+    _, dataset, meta, (model, fm), (intercept, fm_intercept), inputs = _load_analysis(args)
+    subj = [m.subject_id for m in meta]
     preds = encoding.predict_erp(model, fm, subj)
     preds_int = encoding.predict_erp(intercept, fm_intercept, subj)
     series = metrics.timepoint_correlation_increase(
@@ -342,9 +341,8 @@ def _cmd_timecourse(args) -> int:
 
 
 def _cmd_export_words(args) -> int:
-    ae_params, dataset, meta, (model, fm), _, inputs = _load_analysis(args)
-    subj = [m.subject_id for m in meta] if ae_params.spec.intercepts else None
-    preds = encoding.predict_erp(model, fm, subj)
+    _, dataset, meta, (model, fm), _, inputs = _load_analysis(args)
+    preds = encoding.predict_erp(model, fm, [m.subject_id for m in meta])
     table = metrics.per_word_correlations(
         preds, dataset.data, meta, model_name="+".join(model.sources),
         sources=model.sources)

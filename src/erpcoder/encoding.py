@@ -85,7 +85,7 @@ from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save
 from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_split,
                    train_dev_split)
 from .features import (FeatureMatrix, FeatureSpec, Standardizer, apply_standardizer,
-                       assemble, fit_standardizer)
+                       assemble, column_names, fit_standardizer)
 from .metrics import EvalReport, fold_report
 
 
@@ -199,14 +199,14 @@ def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
     t_hid = nn.conv_output_length(dataset.n_timepoints, step.kernel, step.stride, step.padding)
     band = nn.transposed_conv_gram_band(kernels, step.stride, step.padding, t_hid)
 
-    subject_ids = [m.subject_id for m in meta] if spec.intercepts else None
+    subject_ids = [m.subject_id for m in meta]
     r = np.empty((dataset.n_trials, t_hid, c_hid))
     c = np.empty(dataset.n_trials)
     for start in range(0, dataset.n_trials, CHUNK_ROWS):
         rows = slice(start, start + CHUNK_ROWS)
         y = dataset.data[rows]
-        subj = subject_ids[rows] if spec.intercepts else None
-        e = y - _add_intercepts(decoder, np.broadcast_to(bias[:, None], y.shape), subj)
+        e = y - _add_intercepts(decoder, np.broadcast_to(bias[:, None], y.shape),
+                                subject_ids[rows])
         adjoint, _ = nn.conv1d_forward(e, kernels, np.zeros(c_hid), step.stride, step.padding)
         r[rows] = adjoint.transpose(0, 2, 1)
         c[rows] = np.einsum("nct,nct->n", e, e)
@@ -215,13 +215,17 @@ def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
 
 
 def _split_columns(matrix_names: list[str], sources) -> tuple[np.ndarray, np.ndarray]:
-    """Embedding-block vs scalar column indices, in matrix order."""
+    """Embedding-block vs scalar column indices, in matrix order. The names
+    must be exactly those :func:`features.assemble` gives ``sources``, an
+    embedding source having at least one column; others raise ``ValueError``."""
     spec = FeatureSpec(tuple(sources))
-    embed = []
-    scalar = []
-    for i, name in enumerate(matrix_names):
-        base = name.split(".")[0]
-        (embed if base in spec.embedding_sources else scalar).append(i)
+    bases = [name.split(".")[0] for name in matrix_names]
+    expected = [n for s in spec.sources for n in column_names(s, max(bases.count(s), 1))]
+    if list(matrix_names) != expected:
+        raise ValueError(f"feature columns {matrix_names} are not the columns {expected} "
+                         f"of sources {list(spec.sources)}")
+    embed = [i for i, base in enumerate(bases) if base in spec.embedding_sources]
+    scalar = [i for i, base in enumerate(bases) if base not in spec.embedding_sources]
     return np.array(embed, dtype=int), np.array(scalar, dtype=int)
 
 
@@ -657,7 +661,6 @@ def load_encoding_model(basepath, decoder: AutoencoderParams) -> EncodingModel:
         params={name: tensors[name] for name in trainable},
         feature_names=names,
         sources=sources,
-        standardizer=Standardizer(tensors["standardizer.mean"],
-                                  tensors["standardizer.scale"], names),
+        standardizer=Standardizer(tensors["standardizer.mean"], tensors["standardizer.scale"]),
         weight_decay=float(meta["weight_decay"]),
     )

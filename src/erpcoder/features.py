@@ -80,7 +80,6 @@ class Standardizer:
 
     mean: np.ndarray
     scale: np.ndarray
-    names: list[str]
 
 
 def fit_standardizer(matrix: FeatureMatrix, training_rows) -> Standardizer:
@@ -93,15 +92,12 @@ def fit_standardizer(matrix: FeatureMatrix, training_rows) -> Standardizer:
     constant = sd == 0.0
     mean[constant] = 0.0
     scale = np.where(constant, 1.0, sd)
-    return Standardizer(mean=mean, scale=scale, names=list(matrix.names))
+    return Standardizer(mean=mean, scale=scale)
 
 
 def apply_standardizer(matrix: FeatureMatrix, std: Standardizer) -> np.ndarray:
-    """The standardized values of ``matrix``, trials x D."""
-    if std.names != matrix.names:
-        raise ValueError(
-            f"standardizer columns {std.names} do not match matrix columns {matrix.names}"
-        )
+    """The standardized values of ``matrix``, trials x D. The caller checks
+    that ``matrix`` has the columns ``std`` was fit on."""
     return (matrix.values - std.mean) / std.scale
 
 
@@ -122,13 +118,13 @@ def frequency_feature(tokens: list[str], counts_table: dict[str, int]) -> np.nda
     ])
 
 
-def surprisal_feature(trials: list[TrialMeta], table: TokenFeatureTable,
-                      column: str = "surprisal") -> np.ndarray:
-    """Join per-token surprisal onto trials; values must be non-negative."""
-    if not table.has_column(column):
-        raise ValueError(f"token feature table has no {column!r} column")
+def surprisal_feature(trials: list[TrialMeta], table: TokenFeatureTable) -> np.ndarray:
+    """Join the table's ``surprisal`` column onto trials; values must be
+    non-negative."""
+    if not table.has_column("surprisal"):
+        raise ValueError("token feature table has no 'surprisal' column")
     keys = [(m.sentence_id, m.word_position) for m in trials]
-    values = table.rows_for(column, keys)
+    values = table.rows_for("surprisal", keys)
     values = np.asarray(values, dtype=np.float64).reshape(len(trials))
     negative = np.flatnonzero(values < 0)
     if negative.size:
@@ -207,13 +203,14 @@ def static_embedding_feature(trials: list[TrialMeta], embeddings: EmbeddingTable
     return block
 
 
-def contextual_embedding_feature(trials: list[TrialMeta], table: TokenFeatureTable,
-                                 column: str = "contextual_embedding") -> np.ndarray:
-    """Join precomputed contextual embeddings; missing rows are an error."""
-    if not table.has_column(column):
-        raise ValueError(f"token feature table has no {column!r} column")
+def contextual_embedding_feature(trials: list[TrialMeta],
+                                 table: TokenFeatureTable) -> np.ndarray:
+    """Join the table's precomputed ``contextual_embedding`` columns onto
+    trials; missing rows are an error."""
+    if not table.has_column("contextual_embedding"):
+        raise ValueError("token feature table has no 'contextual_embedding' column")
     keys = [(m.sentence_id, m.word_position) for m in trials]
-    block = table.rows_for(column, keys)
+    block = table.rows_for("contextual_embedding", keys)
     if block.ndim == 1:
         block = block[:, None]
     return np.asarray(block, dtype=np.float64)
@@ -258,6 +255,12 @@ def source_block(source: str, trials: list[TrialMeta], *,
     raise ValueError(f"unknown feature source {source!r}; known: {list(SOURCES)}")
 
 
+def column_names(source: str, width: int) -> list[str]:
+    """Names of a ``width``-column block of ``source``: ``<source>.0`` ...
+    ``<source>.<width-1>`` for an embedding source, else its own name."""
+    return [f"{source}.{i}" for i in range(width)] if source in EMBEDDING_SOURCES else [source]
+
+
 def assemble(spec: FeatureSpec, trials: list[TrialMeta], *,
              counts_table: dict[str, int] | None = None,
              token_features: TokenFeatureTable | None = None,
@@ -271,8 +274,5 @@ def assemble(spec: FeatureSpec, trials: list[TrialMeta], *,
             source, trials, counts_table=counts_table, token_features=token_features,
             embeddings=embeddings, sentence_tokens=sentence_tokens)
         blocks.append(block)
-        if source in EMBEDDING_SOURCES:
-            names.extend(f"{source}.{i}" for i in range(block.shape[1]))
-        else:
-            names.append(source)
+        names.extend(column_names(source, block.shape[1]))
     return FeatureMatrix(np.hstack(blocks), names)

@@ -21,6 +21,7 @@ from .data import TrialMeta, write_json
 from .features import SOURCES
 
 MODEL_CODING_FAMILIES = tuple(s for s in SOURCES if s != "constant")
+CI_ALPHA = 0.05  # fold intervals are 95% percentile bootstrap intervals
 
 
 def r2_mod(mse_model: float, mse_intercept: float, mse_autoencoder: float) -> float:
@@ -52,26 +53,23 @@ def _pearson_flagged(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
 class TimecourseSeries:
     """Per-timepoint correlation increase over the intercept model, smoothed
     with a centered window of ``smoothing_window`` samples, and each
-    timepoint's millisecond offset (``ms_axis``) when known."""
+    timepoint's millisecond offset from word onset (``ms_axis``)."""
 
     values: np.ndarray
-    smoothing_window: int = 1
-    ms_axis: np.ndarray | None = None
+    smoothing_window: int
+    ms_axis: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.ms_axis is not None:
-            self.ms_axis = np.asarray(self.ms_axis, dtype=np.float64)
-            if self.ms_axis.shape != self.values.shape:
-                raise ValueError(
-                    f"ms axis length {self.ms_axis.shape} != series {self.values.shape}")
+        self.ms_axis = np.asarray(self.ms_axis, dtype=np.float64)
+        if self.ms_axis.shape != self.values.shape:
+            raise ValueError(
+                f"ms axis length {self.ms_axis.shape} != series {self.values.shape}")
 
     def __len__(self) -> int:
         return len(self.values)
 
     def peak_ms(self) -> float:
-        if self.ms_axis is None:
-            raise ValueError("series has no millisecond axis")
         return float(self.ms_axis[int(np.argmax(self.values))])
 
 
@@ -86,8 +84,9 @@ def pooled_timepoint_correlation(preds: np.ndarray, actual: np.ndarray) -> np.nd
 
 def timepoint_correlation_increase(model_preds: np.ndarray, intercept_preds: np.ndarray,
                                    actual: np.ndarray,
-                                   ms_axis: np.ndarray | None = None) -> TimecourseSeries:
-    """Per-timepoint pooled r of the model minus that of the intercept model."""
+                                   ms_axis: np.ndarray) -> TimecourseSeries:
+    """Per-timepoint pooled r of the model minus that of the intercept model,
+    unsmoothed, on the epoch's millisecond axis ``ms_axis``."""
     r_model = pooled_timepoint_correlation(model_preds, actual)
     r_intercept = pooled_timepoint_correlation(intercept_preds, actual)
     return TimecourseSeries(r_model - r_intercept, 1, ms_axis)
@@ -108,16 +107,17 @@ def moving_average_smooth(series, window: int):
     return out
 
 
-def bootstrap_ci(per_fold_values, n_boot: int = 10000, alpha: float = 0.05,
+def bootstrap_ci(per_fold_values, n_boot: int = 10000,
                  seed: int = 0) -> tuple[float, float]:
-    """Seeded percentile bootstrap of the mean over fold-level values."""
+    """Seeded 95% percentile bootstrap interval of the mean over fold-level
+    values."""
     values = np.asarray(per_fold_values, dtype=np.float64)
     if values.ndim != 1 or values.size < 2:
         raise ValueError(f"need at least 2 fold values, got shape {values.shape}")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, values.size, size=(n_boot, values.size))
     means = values[idx].mean(axis=1)
-    low, high = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
+    low, high = np.quantile(means, [CI_ALPHA / 2.0, 1.0 - CI_ALPHA / 2.0])
     return float(low), float(high)
 
 
@@ -221,14 +221,15 @@ class EvalReport:
 
 def fold_report(model_name: str, mse_model: list[float], mse_intercept: list[float],
                 mse_autoencoder: list[float], *, fold_digest: str = "",
-                n_boot: int = 10000, alpha: float = 0.05, seed: int = 0,
+                n_boot: int = 10000, seed: int = 0,
                 metadata: dict | None = None) -> EvalReport:
-    """Aggregate per-fold MSEs into a report with a bootstrap CI over fold r2."""
+    """Aggregate per-fold MSEs into a report with a 95% bootstrap CI over fold
+    r2 (see :func:`bootstrap_ci`)."""
     r2_folds = [
         r2_mod(m, i, a) for m, i, a in zip(mse_model, mse_intercept, mse_autoencoder)
     ]
     if len(r2_folds) >= 2:
-        low, high = bootstrap_ci(r2_folds, n_boot=n_boot, alpha=alpha, seed=seed)
+        low, high = bootstrap_ci(r2_folds, n_boot=n_boot, seed=seed)
     else:
         low = high = r2_folds[0]
     meta = {"pooling": "trials x channels jointly", **(metadata or {})}
@@ -252,20 +253,16 @@ def fold_report(model_name: str, mse_model: list[float], mse_intercept: list[flo
 
 
 def write_timecourse_tsv(path, series: TimecourseSeries,
-                         smoothed: TimecourseSeries | None = None) -> None:
+                         smoothed: TimecourseSeries) -> None:
+    """Write ``series`` and its ``smoothed`` counterpart as one row per
+    timepoint: index, ms offset, raw and smoothed increase."""
     lines = [
         "# per-timepoint increase in pooled Pearson r over the intercept model",
         "# pooling: trials x channels jointly",
+        f"# smoothed: centered moving average, window {smoothed.smoothing_window}",
+        "timepoint\tms\tincrease\tincrease_smoothed",
     ]
-    cols = ["timepoint", "ms", "increase"]
-    if smoothed is not None:
-        lines.append(f"# smoothed: centered moving average, window {smoothed.smoothing_window}")
-        cols.append("increase_smoothed")
-    lines.append("\t".join(cols))
     for t in range(len(series)):
-        ms = series.ms_axis[t] if series.ms_axis is not None else float(t)
-        row = [str(t), repr(float(ms)), repr(float(series.values[t]))]
-        if smoothed is not None:
-            row.append(repr(float(smoothed.values[t])))
-        lines.append("\t".join(row))
+        lines.append("\t".join([str(t)] + [repr(float(v[t])) for v in (
+            series.ms_axis, series.values, smoothed.values)]))
     Path(path).write_text("\n".join(lines) + "\n")

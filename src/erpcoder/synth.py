@@ -259,19 +259,13 @@ def calibrate_noise(config: SynthConfig, target_snr: float) -> SynthConfig:
 # ---------------------------------------------------------------------------
 
 
-def nested_subsets(driving: tuple[str, ...]) -> list[tuple[str, ...]]:
-    return [tuple(driving[:i]) for i in range(len(driving) + 1)]
-
-
-def _subset_key(subset: tuple[str, ...]) -> str:
-    return "+".join(subset) if subset else "intercept"
-
-
-def oracle_bounds(truth: GroundTruth, dataset: ErpDataset, subsets=None,
+def oracle_bounds(truth: GroundTruth, dataset: ErpDataset,
                   fit_rows=None, eval_rows=None) -> dict:
     """Best achievable MSE and r2 per nested driving-feature subset.
 
-    For each subset the true latents are projected onto the feature span by
+    The subsets are the nested chain of the driving sources: none
+    (``intercept``), the first, the first two, and so on. For each subset
+    the true latents are projected onto the feature span by
     closed-form normal equations (fit on ``fit_rows``), decoded with the true
     decoder, and scored on ``eval_rows``. Because the decoder is mildly
     nonlinear, raw projections can violate nesting by a hair; bounds are
@@ -281,8 +275,8 @@ def oracle_bounds(truth: GroundTruth, dataset: ErpDataset, subsets=None,
     n = truth.latents.shape[0]
     fit_rows = np.arange(n) if fit_rows is None else np.asarray(fit_rows)
     eval_rows = np.arange(n) if eval_rows is None else np.asarray(eval_rows)
-    if subsets is None:
-        subsets = nested_subsets(tuple(truth.driving_columns))
+    driving = tuple(truth.driving_columns)
+    subsets = [driving[:i] for i in range(len(driving) + 1)]
 
     z_flat = truth.latents.reshape(n, -1)
     c_lat, t_lat = truth.latents.shape[1], truth.latents.shape[2]
@@ -322,8 +316,8 @@ def oracle_bounds(truth: GroundTruth, dataset: ErpDataset, subsets=None,
             result["ridge_fallback"] = True
         z_hat = (f[eval_rows] @ beta).reshape(len(eval_rows), c_lat, t_lat)
         running = min(running, decoded_mse(z_hat))
-        result["mse"][_subset_key(subset)] = running
-    mse_empty = result["mse"][_subset_key(subsets[0])]
+        result["mse"]["+".join(subset) or "intercept"] = running
+    mse_empty = result["mse"]["intercept"]
     denom = mse_empty - mse_floor
     for key, mse in result["mse"].items():
         result["best_possible_r2_mod"][key] = (
@@ -336,11 +330,12 @@ def oracle_bounds(truth: GroundTruth, dataset: ErpDataset, subsets=None,
 # ---------------------------------------------------------------------------
 
 
-def write_dataset_dir(synth: SynthData, outdir, base: str = "data") -> None:
-    """Write the dataset, tables and ground truth under ``outdir``."""
+def write_dataset_dir(synth: SynthData, outdir) -> None:
+    """Write the dataset (``data``), tables and ground truth (``truth``) under
+    ``outdir``."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    save_erp(out / base, synth.dataset, synth.meta)
+    save_erp(out / "data", synth.dataset, synth.meta)
     save_counts(out / "counts.tsv", synth.counts)
     save_embeddings(out / "embeddings.txt", synth.embeddings)
     save_token_features(out / "tokens.feat.tsv", synth.token_features)

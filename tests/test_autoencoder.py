@@ -312,6 +312,11 @@ class TestParallelFits:
         assert [r for r, _ in results] == [i * i for i in range(12)]
         assert all(name.startswith("erpcoder-fit") for _, name in results)
 
+    def test_one_job_runs_on_a_pool_of_one_and_no_jobs_on_none(self):
+        results = ae._run_jobs(lambda i: (i, threading.current_thread().name), [(7,)])
+        assert results[0][0] == 7 and results[0][1].startswith("erpcoder-fit")
+        assert ae._run_jobs(lambda i: i, []) == []
+
     def test_first_failure_in_job_order_raises_and_cancels_the_rest(self, monkeypatch):
         monkeypatch.setattr(ae, "_worker_count", lambda n_jobs: 3)
         ran = []

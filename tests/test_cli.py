@@ -6,10 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from erpcoder import cli
-from erpcoder.autoencoder import AutoencoderSpec, init_params, save_autoencoder
+from erpcoder import cli, metrics
+from erpcoder.autoencoder import AutoencoderSpec, init_params, load_autoencoder, save_autoencoder
 from erpcoder.checkpoint import load_checkpoint, save_checkpoint
-from erpcoder.data import ErpDataset, TrialMeta, save_erp
+from erpcoder.data import (ErpDataset, TrialMeta, filter_artifacts, load_counts, load_erp,
+                           load_token_features, save_erp)
+from erpcoder.encoding import load_encoding_model, predict_erp
+from erpcoder.features import FeatureSpec, assemble
 
 
 SYNTH_CONFIG = {
@@ -105,6 +108,46 @@ class TestPipeline:
                     "--out", pipeline / "w"]) == 0
         summary = json.loads((pipeline / "w" / "word_class_summary.json").read_text())
         assert set(summary) == {"content", "function"}
+
+    def test_timecourse_on_intercept_decoder(self, pipeline, tmp_path):
+        data = pipeline / "d" / "data"
+        tables = {"token_features": pipeline / "d" / "tokens.feat.tsv",
+                  "counts": pipeline / "d" / "counts.tsv"}
+        assert run(["pretrain", "--data", data, "--arch", "beta", "--intercepts",
+                    "--epochs", 5, "--lr", 0.003, "--seed", 1, "--out", tmp_path / "mi"]) == 0
+        ae_path = tmp_path / "mi" / "autoencoder"
+        for name, sources in (("e0", "constant"), ("e1", "frequency,surprisal")):
+            assert run(["fit", "--decoder", ae_path, "--data", data, "--sources", sources,
+                        "--features", tables["token_features"], "--counts", tables["counts"],
+                        "--epochs", 5, "--lr", 0.005, "--seed", 2,
+                        "--out", tmp_path / name]) == 0
+        assert run(["timecourse", "--model", tmp_path / "e1" / "model",
+                    "--intercept", tmp_path / "e0" / "model", "--autoencoder", ae_path,
+                    "--data", data, "--features", tables["token_features"],
+                    "--counts", tables["counts"], "--window", 5, "--out", tmp_path / "t"]) == 0
+
+        ae = load_autoencoder(ae_path)
+        assert ae.spec.intercepts and np.any(ae.tensors["intercepts"])
+        dataset, meta = filter_artifacts(*load_erp(data), include_first_word=False)
+        subjects = [m.subject_id for m in meta]
+        assert len(set(subjects)) == 2
+
+        def predict(name):
+            model = load_encoding_model(tmp_path / name / "model", ae)
+            fm = assemble(FeatureSpec(model.sources), meta,
+                          counts_table=load_counts(tables["counts"]),
+                          token_features=load_token_features(tables["token_features"]))
+            return predict_erp(model, fm, subjects)
+
+        series = metrics.timepoint_correlation_increase(
+            predict("e1"), predict("e0"), dataset.data, dataset.time_axis_ms())
+        smoothed = metrics.moving_average_smooth(series, 5)
+        rows = [line.split("\t") for line in
+                (tmp_path / "t" / "timecourse.tsv").read_text().splitlines()
+                if not line.startswith("#")][1:]
+        written = np.array([[float(v) for v in row[1:]] for row in rows])
+        np.testing.assert_array_equal(
+            written, np.stack([series.ms_axis, series.values, smoothed.values], axis=1))
 
     def test_suite_command(self, pipeline):
         config = {
@@ -296,9 +339,14 @@ class TestExitCodes:
         (lambda m: m.update(sources=["static_embedding"], feature_names=["static_embedding.0"]),
          "meta 'tuner' is {'enabled': False, 'hidden_size': 64, 'output_size': None}, "
          "sources ['static_embedding'] imply {'enabled': True, "),
+        # well-typed sources that are not those of the stored columns
+        (lambda m: m.update(sources=["frequency"]),
+         "meta 'sources': feature columns ['constant'] are not the columns ['frequency'] "
+         "of sources ['frequency']"),
     ], ids=["no_weight_decay", "sources_string", "digest_null", "hidden_size_string",
             "output_size_float", "unknown_source", "enabled_int", "hidden_size_float",
-            "tuner_without_embedding", "hidden_size_32", "embedding_without_tuner"])
+            "tuner_without_embedding", "hidden_size_32", "embedding_without_tuner",
+            "sources_not_the_columns"])
     def test_malformed_model_meta_is_4(self, pipeline, tmp_path, capsys, edit, message):
         manifest = self._copy_checkpoint(pipeline / "e0" / "model", tmp_path / "model")
         edit(manifest["meta"])

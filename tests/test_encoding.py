@@ -183,6 +183,23 @@ class TestTraining:
         scalar, _, _ = quick_fit(sd, ds, meta, ("frequency", "surprisal"), epochs=1)
         assert not [name for name in scalar.params if name.startswith("tuner.")]
 
+    @pytest.mark.parametrize("columns, sources, expected", [
+        (("frequency",), ("surprisal",), ["surprisal"]),
+        (("frequency", "surprisal"), ("surprisal", "frequency"), ["surprisal", "frequency"]),
+        (("frequency",), ("frequency", "static_embedding"),
+         ["frequency", "static_embedding.0"]),
+        (("static_embedding",), ("contextual_embedding",), ["contextual_embedding.0"]),
+    ], ids=["other_scalar", "other_order", "missing_embedding", "other_embedding"])
+    def test_sources_not_matching_the_columns_rejected(self, small_synth, columns, sources,
+                                                       expected):
+        sd, ds, meta = small_synth
+        fm = assemble_for(sd, meta, columns)
+        frozen = encoding.freeze(sd.ground_truth.decoder, ds, meta)
+        message = (f"feature columns {fm.names} are not the columns {expected} "
+                   f"of sources {list(sources)}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            encoding.train(frozen, fm, sources, epochs=1)
+
     @pytest.mark.parametrize("schedule, message", [
         ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
         ({"epochs": 0}, "epochs must be >= 1, got 0"),

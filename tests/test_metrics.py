@@ -33,13 +33,15 @@ class TestTimecourse:
     def test_model_equals_intercept_gives_zero(self, rng):
         preds = rng.normal(size=(6, 3, 10))
         actual = rng.normal(size=(6, 3, 10))
-        series = metrics.timepoint_correlation_increase(preds, preds.copy(), actual)
+        series = metrics.timepoint_correlation_increase(preds, preds.copy(), actual,
+                                                        np.arange(10.0))
         np.testing.assert_array_equal(series.values, np.zeros(10))
 
     def test_perfect_predictions_hit_r1_bound(self, rng):
         actual = rng.normal(size=(6, 3, 10))
         intercept = np.broadcast_to(actual.mean(axis=0), actual.shape).copy()
-        series = metrics.timepoint_correlation_increase(actual.copy(), intercept, actual)
+        series = metrics.timepoint_correlation_increase(actual.copy(), intercept, actual,
+                                                        np.arange(10.0))
         r_int = metrics.pooled_timepoint_correlation(intercept, actual)
         np.testing.assert_allclose(series.values, 1.0 - r_int, atol=1e-12)
 
@@ -114,11 +116,11 @@ class TestBootstrapCI:
                                              seed=int(rng.integers(2**31)))
             assert low <= vals.mean() <= high
 
-    def test_monotone_in_alpha(self, rng):
+    def test_is_95_percent_percentile_interval(self, rng):
         vals = rng.normal(size=6)
-        low5, high5 = metrics.bootstrap_ci(vals, alpha=0.05, seed=3)
-        low1, high1 = metrics.bootstrap_ci(vals, alpha=0.01, seed=3)
-        assert low1 <= low5 and high5 <= high1
+        idx = np.random.default_rng(3).integers(0, 6, size=(500, 6))
+        expected = np.quantile(vals[idx].mean(axis=1), [0.025, 0.975])
+        assert metrics.bootstrap_ci(vals, n_boot=500, seed=3) == tuple(expected)
 
     def test_too_few_values_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -171,8 +171,7 @@ class TestOracleBounds:
         cols = sd.ground_truth.driving_columns
         cols["frequency"] = np.hstack([cols["frequency"], cols["frequency"]])
         sd.ground_truth.interface_weights["frequency"] = np.zeros(0)  # unused here
-        bounds = synth.oracle_bounds(sd.ground_truth, sd.dataset,
-                                     subsets=[(), ("frequency",)])
+        bounds = synth.oracle_bounds(sd.ground_truth, sd.dataset)
         assert bounds["ridge_fallback"]
         assert np.isfinite(bounds["mse"]["frequency"])
 

@@ -1,14 +1,15 @@
 """Run the erpcoder CLI pipeline on a small synthetic set; print artifact digests.
 
-Thirteen commands run in a fresh directory, with paths relative to it so
+Fifteen commands run in a fresh directory, with paths relative to it so
 that the manifests do not depend on where the run happens: ``synth``,
 ``pretrain`` (beta), ``pretrain --intercepts`` (alpha),
 ``select-arch --intercepts``, three ``fit`` runs on the beta decoder
 (constant; frequency and surprisal from the tables; ``--wd-search`` with a
 contextual embedding), a three-entry ``suite`` (semantic distance and a
 static embedding in its last entry), ``evaluate``, ``timecourse`` and
-``export-words``, then a ``fit --wd-search`` with a static embedding on the
-alpha decoder with subject intercepts and ``export-words`` of that model.
+``export-words``, then, on the alpha decoder with subject intercepts, a
+``fit --wd-search`` with a static embedding, ``export-words`` of that
+model, a constant ``fit`` and ``timecourse`` of the two.
 All five feature sources drive the synthetic set. The output is one
 ``<sha256>  <path>`` line per artifact, sorted by path, so two checkouts
 compare with ``diff``::
@@ -87,6 +88,11 @@ COMMANDS = [
      "--out", "e3"],
     ["export-words", "--model", "e3/model", "--autoencoder", "mi/autoencoder",
      "--data", "d/data", *TABLES, "--out", "w3"],
+    ["fit", "--decoder", "mi/autoencoder", "--data", "d/data", *TRAIN, "--seed", "2",
+     "--sources", "constant", "--out", "e4"],
+    ["timecourse", "--model", "e3/model", "--intercept", "e4/model",
+     "--autoencoder", "mi/autoencoder", "--data", "d/data", *TABLES, "--window", "5",
+     "--out", "t3"],
 ]
 
 
