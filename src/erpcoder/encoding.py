@@ -37,9 +37,10 @@ Hidden positions more than ``w = ceil(K/s) - 1`` steps apart (output kernel
 is zero; ``w`` is 1 for both decoders (``beta`` 9/5, ``alpha`` 8/4). The
 frozen decoder keeps ``2w+1`` blocks per hidden time step, ``(T_hid, C_hid,
 (2w+1)·C_hid)``, sliced from the dense ``G`` it builds once, after checking
-that every block outside the band is exactly zero. ``Gh`` is ``2w+1``
-matmuls batched over time (:func:`nn.gram_band_matmul`), with 1/13
-(``beta``) and 1/17 (``alpha``) of the dense product's multiply-adds.
+that every block outside the band is exactly zero. ``Gh`` multiplies each
+step's blocks with the ``2w+1`` hidden steps around it, one matmul batched
+over time plus ``2w`` edge products (:func:`nn.gram_band_matmul`), with
+1/13 (``beta``) and 1/17 (``alpha``) of the dense product's multiply-adds.
 
 Time-major fits. A fit runs in one layout from the interface map to the
 loss: latents, hidden activations and every gradient between them are
@@ -47,10 +48,13 @@ loss: latents, hidden activations and every gradient between them are
 latents directly as one 2-D product ``Wᵗ uᵀ`` (``Wᵗ`` is ``(T_lat·C_lat,
 D)``), the hidden transposed convolutions are
 :func:`nn.convtranspose1d_time_major_forward` and its backward pass, and
-``G`` applies to time-shifted views, so no step transposes or pads a copy.
-``r`` keeps one row per trial, time-major within it: a batch is gathered
-as whole rows, which measured several times faster than gathering columns
-of a ``(T, C, N_trials)`` array, and is read through a transposed view.
+``Gh`` is :func:`nn.gram_band_matmul`. In this layout each of those is a
+few matmuls on strided views of consecutive time steps, so no step pads
+a copy. ``r`` keeps one row per trial, time-major within it: a batch is
+gathered as whole rows, which measured several times faster than
+gathering columns of a ``(T, C, N_trials)`` array, then transposed once
+into a contiguous ``(T, C, N)`` buffer that both ``Gh - 2r`` and ``Gh -
+r`` read.
 :func:`predict_erp` transposes its latents once and decodes in the ``(N,
 C, T)`` layout of :func:`autoencoder.decode`.
 
@@ -85,7 +89,7 @@ from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save
 from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_split,
                    train_dev_split)
 from .features import (FeatureMatrix, FeatureSpec, Standardizer, apply_standardizer,
-                       assemble, column_names, fit_standardizer)
+                       column_names, fit_standardizer, from_blocks, source_block)
 from .metrics import EvalReport, fold_report
 
 
@@ -161,11 +165,11 @@ class FrozenDecoder:
         """MSE of the epochs decoded from ``h`` against trials ``rows``, and its
         gradient w.r.t. ``h``."""
         gh = nn.gram_band_matmul(self.band, h)
-        r = self.r[rows].transpose(1, 2, 0)
+        # the batch's rows of r, time-major in one contiguous buffer that both
+        # Gh - 2r and Gh - r read
+        r = np.ascontiguousarray(self.r[rows].transpose(1, 2, 0))
         n = h.shape[2] * self.n_out
-        # Gh - 2r bit for bit, in one contiguous buffer: r's rows are gathered
-        # into time-major order once, not twice
-        gh_2r = np.multiply(r, -2.0, order="C")
+        gh_2r = r * -2.0
         gh_2r += gh
         loss = float((np.vdot(h, gh_2r) + self.c[rows].sum()) / n)
         gh -= r
@@ -497,8 +501,9 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
     containing autoencoder, or ``ceiling_mse`` when the true floor is known,
     e.g. on synthetic data). With ``weight_decay=None`` each entry runs the
     weight-decay grid search over the same folds and reports the best.
-    Entries whose feature sources cannot be assembled are skipped with a
-    warning. Returns a dict with per-entry :class:`EvalReport` data.
+    Each source's feature block is built once, for every entry that lists
+    it. Entries whose feature sources cannot be assembled are skipped with
+    a warning. Returns a dict with per-entry :class:`EvalReport` data.
     """
     if roster is None:
         roster = standard_roster()
@@ -513,10 +518,22 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
         # job-local seeding: results do not depend on the order fits run in
         return int(np.random.default_rng((seed, *parts)).integers(2**63))
 
+    blocks: dict = {}  # each source's block, or the ValueError building it raised
+
     def assemble_for(sources) -> FeatureMatrix:
-        return assemble(FeatureSpec(tuple(sources)), meta, counts_table=counts_table,
-                        token_features=token_features, embeddings=embeddings,
-                        sentence_tokens=sentence_tokens)
+        # as features.assemble, but each source's block is built once per suite
+        spec = FeatureSpec(tuple(sources))
+        for source in spec.sources:
+            if source not in blocks:
+                try:
+                    blocks[source] = source_block(
+                        source, meta, counts_table=counts_table, token_features=token_features,
+                        embeddings=embeddings, sentence_tokens=sentence_tokens)
+                except ValueError as e:
+                    blocks[source] = e
+            if isinstance(blocks[source], ValueError):
+                raise blocks[source]
+        return from_blocks(spec.sources, blocks)
 
     def group(features, sources, wd, entry_code: int, wd_code: int) -> tuple:
         return features, sources, wd, [derived_seed(entry_code, wd_code, f) for f in range(k)]

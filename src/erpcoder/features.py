@@ -261,18 +261,21 @@ def column_names(source: str, width: int) -> list[str]:
     return [f"{source}.{i}" for i in range(width)] if source in EMBEDDING_SOURCES else [source]
 
 
+def from_blocks(sources, blocks: dict[str, np.ndarray]) -> FeatureMatrix:
+    """The feature matrix of ``sources`` from each source's (trials x width)
+    block in ``blocks``, columns in source order."""
+    return FeatureMatrix(np.hstack([blocks[s] for s in sources]),
+                         [name for s in sources for name in column_names(s, blocks[s].shape[1])])
+
+
 def assemble(spec: FeatureSpec, trials: list[TrialMeta], *,
              counts_table: dict[str, int] | None = None,
              token_features: TokenFeatureTable | None = None,
              embeddings: EmbeddingTable | None = None,
              sentence_tokens: dict[int, dict[int, str]] | None = None) -> FeatureMatrix:
     """Build the feature matrix for ``spec``, columns in source order."""
-    blocks: list[np.ndarray] = []
-    names: list[str] = []
-    for source in spec.sources:
-        block = source_block(
-            source, trials, counts_table=counts_table, token_features=token_features,
-            embeddings=embeddings, sentence_tokens=sentence_tokens)
-        blocks.append(block)
-        names.extend(column_names(source, block.shape[1]))
-    return FeatureMatrix(np.hstack(blocks), names)
+    blocks = {source: source_block(source, trials, counts_table=counts_table,
+                                   token_features=token_features, embeddings=embeddings,
+                                   sentence_tokens=sentence_tokens)
+              for source in spec.sources}
+    return from_blocks(spec.sources, blocks)

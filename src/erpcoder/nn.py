@@ -32,28 +32,35 @@ positions, so strides larger than the kernel and padding that crops whole
 taps need no special case.
 
 Time-major layout. The frozen-decoder fits of ``encoding`` keep their
-activations as ``(T, C, N)``, the batch in the columns, so that one time
-step of a batch is one contiguous ``(C, N)`` block.
-:func:`convtranspose1d_time_major_forward` runs all ``K`` taps as one GEMM
-``(K·C_out, C_in) @ x`` batched over input time, then adds each tap's
-blocks into its output time steps; its backward pass gathers the ``K`` tap
-windows of the gradient and contracts them in one GEMM. It returns the
-input gradient and no parameter gradients, as a frozen decoder needs no
-kernel gradients.
-:func:`gram_band_matmul` takes the same layout. Each layout serves its own
-traffic. A fit's hidden layer is small (``beta``: 10×20 -> 16×40), so per
-trial its per-tap GEMMs are tiny, and folding the batch into the columns
-makes a few large ones. Pretraining, ``decode`` and the encoder run ``(N,
-C, T)``: at their shapes the same one-GEMM-plus-overlap-add form made the
-output layer's transposed convolution 2.6× slower (6.8 -> 17.7 ms at batch
-128, 32×200).
+activations as ``(T, C, N)``, the batch in the columns, so that any run of
+``L`` consecutive time steps of a batch is one contiguous ``(L·C, N)``
+block. Each time-major op is a few matmuls against such windows, taken by
+:func:`_windowed_matmul` as a read-only strided view of a C-contiguous
+buffer (the op's own copy when the caller's array is not contiguous: a
+view of that would read the wrong memory); the few windows that run past
+either end are multiplied from their in-range steps alone, so nothing is
+padded. :func:`convtranspose1d_time_major_forward` is polyphase (Dumoulin
+& Visin, 2016), one matmul per output phase;
+:func:`convtranspose1d_time_major_backward` is one matmul against a
+stride-``s`` window view of the gradient and returns no parameter
+gradients, as a frozen decoder needs none; :func:`gram_band_matmul` is
+below.
+
+Each layout serves its own traffic. A fit's hidden layer is small
+(``beta``: 10×20 -> 16×40), so per trial its per-tap GEMMs are tiny, and
+folding the batch into the columns makes a few large ones. Pretraining,
+``decode`` and the encoder run ``(N, C, T)``: at their shapes a
+one-GEMM-plus-overlap-add form made the output layer's transposed
+convolution 2.6× slower (6.8 -> 17.7 ms at batch 128, 32×200).
 
 Gram band. For a transposed convolution ``A`` with kernel ``K`` and stride
 ``s``, inputs more than ``w = ceil(K/s) - 1`` time steps apart write no
 common output, so ``G = AᵀA`` is block-banded in time.
-:func:`transposed_conv_gram_band` stores its ``2w+1`` block diagonals and
-:func:`gram_band_matmul` applies them as ``2w+1`` matmuls batched over
-time, one per block diagonal, on time-shifted views of its input.
+:func:`transposed_conv_gram_band` stores its ``2w+1`` block diagonals side
+by side, and :func:`gram_band_matmul` applies them to the ``2w+1``
+consecutive input steps around each step: one matmul batched over the
+steps whose window lies inside the input, and one product each for the
+``2w`` edge steps, with no padded copy.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 
 @dataclass
@@ -302,15 +309,52 @@ class ConvTranspose1dTimeMajorCtx:
     out_shape: tuple[int, ...]  # (T_out, C_out, N)
 
 
+def _windowed_matmul(mat: np.ndarray, a: np.ndarray, out: np.ndarray, start: int,
+                     step: int, length: int) -> np.ndarray:
+    """``out[v] = mat_v @ a[start + v·step : start + v·step + length]``, the
+    window of ``length`` consecutive time steps of ``a`` read as one
+    ``(length·C, N)`` block, steps outside ``a`` as zeros; in place.
+
+    ``a`` is time-major ``(T, C, N)`` and C-contiguous, so a window is one
+    contiguous block. ``mat`` is one ``(C_out, length·C)`` matrix or one per
+    output step, ``(len(out), C_out, length·C)``. The windows wholly inside
+    ``a`` are one matmul on a read-only strided view of it; each of the
+    others multiplies the columns of ``mat`` its in-range steps meet.
+    """
+    t, c, n = a.shape
+    count = len(out)
+    lo = min(count, max(0, -(start // step)))  # first window starting at or after step 0
+    hi = max(lo, min(count, (t - length - start) // step + 1))  # first ending past T
+    if hi > lo:
+        # strides from the shape: a C-contiguous array may carry any stride on a size-1 axis
+        item = a.itemsize
+        windows = as_strided(a[start + lo * step :], shape=(hi - lo, length * c, n),
+                             strides=(step * c * n * item, n * item, item), writeable=False)
+        np.matmul(mat if mat.ndim == 2 else mat[lo:hi], windows, out=out[lo:hi])
+    for v in [*range(lo), *range(hi, count)]:
+        first = start + v * step
+        a_lo, a_hi = max(0, first), min(t, first + length)
+        mat_v = mat if mat.ndim == 2 else mat[v]
+        if a_hi <= a_lo:
+            out[v] = 0.0
+        else:
+            np.matmul(mat_v[:, (a_lo - first) * c : (a_hi - first) * c],
+                      a[a_lo:a_hi].reshape(-1, n), out=out[v])
+    return out
+
+
 def convtranspose1d_time_major_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
     """:func:`convtranspose1d_forward` on time-major ``(T, C_in, N)`` input.
 
     kernels: (C_in, C_out, K); bias: (C_out,). Returns the ``(T_out, C_out,
     N)`` output and a context for
-    :func:`convtranspose1d_time_major_backward`. All ``K`` taps are one
-    GEMM ``(K·C_out, C_in) @ x`` batched over input time; tap ``j`` of input
-    step ``i`` then adds one contiguous ``(C_out, N)`` block into output
-    step ``i*stride + j - padding``, one slice-add per tap.
+    :func:`convtranspose1d_time_major_backward`. Output phase ``φ`` (the
+    steps ``φ, φ+s, ...``) receives only the taps ``j ≡ φ + padding (mod
+    s)``, output step ``u`` of the phase from the consecutive input steps
+    ``u-m+1 ... u`` (``m ≤ ⌈K/s⌉`` taps). So a phase is one matmul of its
+    taps, ``(C_out, m·C_in)``, against windows of ``x`` (copied first unless
+    C-contiguous), written straight into ``y[φ::s]``; a phase with no tap
+    (stride > kernel) is zero. The bias is added once, at the end.
     """
     x = _as_f64(x)
     kernels = _as_f64(kernels)
@@ -328,16 +372,22 @@ def convtranspose1d_time_major_forward(x, kernels, bias, stride: int = 1, paddin
         raise ValueError(f"convtranspose1d_time_major: output length ({t}-1)*{stride} + {k} "
                          f"- 2*{padding} = {t_out} < 1")
 
-    taps = kernels.transpose(2, 1, 0).reshape(k * c_out, c_in)
-    per_tap = np.matmul(taps, x).reshape(t, k, c_out, n)
+    x = np.ascontiguousarray(x)
     y = np.empty((t_out, c_out, n))
-    y[:] = bias[:, None]
-    for j in range(k):
-        tap = _tap_slices(j, t, t_out, stride, padding)
-        if tap is not None:
-            narrow_pos, wide_pos = tap
-            y[wide_pos] += per_tap[narrow_pos, j]
-    return y, ConvTranspose1dTimeMajorCtx(taps, stride, padding, x.shape, y.shape)
+    for phase in range(min(stride, t_out)):
+        r = (phase + padding) % stride  # the phase's first tap
+        m = len(range(r, k, stride))  # and how many it has
+        out = y[phase::stride]
+        if m == 0:
+            out[...] = 0.0
+            continue
+        # output step u of the phase reads inputs u-m+1 ... u, with taps r+(m-1)s ... r
+        taps = kernels[:, :, r + (m - 1) * stride :: -stride]
+        _windowed_matmul(taps.transpose(1, 2, 0).reshape(c_out, m * c_in), x, out,
+                         (phase + padding) // stride - m + 1, 1, m)
+    y += bias[:, None]
+    return y, ConvTranspose1dTimeMajorCtx(kernels.transpose(2, 1, 0).reshape(k * c_out, c_in),
+                                          stride, padding, x.shape, y.shape)
 
 
 def convtranspose1d_time_major_backward(ctx: ConvTranspose1dTimeMajorCtx,
@@ -345,21 +395,17 @@ def convtranspose1d_time_major_backward(ctx: ConvTranspose1dTimeMajorCtx,
     """The input gradient ``(T_in, C_in, N)`` of a
     :func:`convtranspose1d_time_major_forward` call, and no parameter gradients.
 
-    The ``K`` tap windows of the gradient are gathered into ``(T_in,
-    K·C_out, N)``, zero where padding crops a tap, and contracted with the
-    taps in one GEMM batched over input time.
+    Input step ``i`` reads the ``K`` consecutive gradient steps ``i·s - p
+    ... i·s - p + K - 1``, so the gradient is one matmul of ``taps.T``
+    against a stride-``s`` window view of ``g`` (copied first unless
+    C-contiguous); an input step whose taps padding crops multiplies only
+    the columns of ``taps.T`` for the gradient steps that exist.
     """
     g = _match_grad(upstream_grad, ctx.out_shape, "convtranspose1d_time_major_backward")
-    t_in, c_in, n = ctx.in_shape
-    t_out, c_out, _ = ctx.out_shape
-    k = ctx.taps.shape[0] // c_out
-    windows = np.zeros((t_in, k, c_out, n))
-    for j in range(k):
-        tap = _tap_slices(j, t_in, t_out, ctx.stride, ctx.padding)
-        if tap is not None:
-            narrow_pos, wide_pos = tap
-            windows[narrow_pos, j] = g[wide_pos]
-    return LayerGrad(np.matmul(ctx.taps.T, windows.reshape(t_in, k * c_out, n)), {})
+    k = ctx.taps.shape[0] // ctx.out_shape[1]
+    grad_x = np.empty(ctx.in_shape)
+    _windowed_matmul(ctx.taps.T, np.ascontiguousarray(g), grad_x, -ctx.padding, ctx.stride, k)
+    return LayerGrad(grad_x, {})
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +464,11 @@ def gram_band_matmul(band, x) -> np.ndarray:
     """``G x`` for a ``band`` from :func:`transposed_conv_gram_band`.
 
     x: time-major ``(T, C_in, N)``, the batch in the columns; the result has
-    the same layout. Block diagonal ``d`` of the band multiplies ``x``
-    shifted by ``d - w`` time steps: ``2w+1`` matmuls batched over time, on
-    views of ``band`` and ``x``, with no padded or stacked copy.
+    the same layout. Step ``t`` of the result is ``band[t]`` times the
+    ``2w+1`` consecutive input steps ``t-w ... t+w`` as one ``((2w+1)·C_in,
+    N)`` block: one matmul of ``band[w:T-w]`` against the window view of a
+    contiguous ``x``, plus one product for each of the ``2w`` edge steps over
+    the input steps that exist. ``T <= 2w`` leaves edge steps only.
     """
     x = _as_f64(x)
     t, c, _ = x.shape
@@ -429,14 +477,7 @@ def gram_band_matmul(band, x) -> np.ndarray:
         raise ValueError(f"gram_band_matmul: band shape {band.shape} does not fit input "
                          f"shape {x.shape}")
     w = width // 2
-    y = np.matmul(band[:, :, w * c : (w + 1) * c], x)
-    for d in range(width):
-        shift = d - w
-        if d == w or abs(shift) >= t:
-            continue
-        lo, hi = max(0, -shift), min(t, t - shift)
-        y[lo:hi] += np.matmul(band[lo:hi, :, d * c : (d + 1) * c], x[lo + shift : hi + shift])
-    return y
+    return _windowed_matmul(band, np.ascontiguousarray(x), np.empty(x.shape), -w, 1, width)
 
 
 # ---------------------------------------------------------------------------

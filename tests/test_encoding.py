@@ -310,6 +310,22 @@ class TestGramReadout:
             assert np.abs(grad - full_grad.input_grad).max() <= \
                 1e-12 * np.abs(full_grad.input_grad).max()
 
+    @pytest.mark.parametrize("arch", ["alpha", "beta"])
+    def test_mse_is_the_gram_formula_bit_for_bit(self, rng, arch):
+        # loss (hᵀ(Gh - 2r) + c)/n and gradient (2/n)(Gh - r), with r read as a
+        # transposed view of the gathered rows
+        decoder, ds, meta = paper_geometry_set(rng, arch, False)
+        frozen = encoding.freeze(decoder, ds, meta)
+        for rows in (rng.permutation(ds.n_trials)[:67], np.array([3])):
+            h = rng.normal(size=frozen.r.shape[1:] + (len(rows),))
+            loss, grad = frozen.mse(h, rows)
+            gh = nn.gram_band_matmul(frozen.band, h)
+            r = frozen.r[rows].transpose(1, 2, 0)
+            n = len(rows) * frozen.n_out
+            assert loss == float((np.vdot(h, np.ascontiguousarray(r * -2.0 + gh))
+                                  + frozen.c[rows].sum()) / n)
+            np.testing.assert_array_equal(grad, (gh - r) * (2.0 / n))
+
     @pytest.mark.parametrize("arch, intercepts", GRAM_SETTINGS, ids=GRAM_IDS)
     def test_dense_gram_is_zero_outside_kept_band(self, rng, arch, intercepts):
         decoder, ds, meta = paper_geometry_set(rng, arch, intercepts, n=4)
@@ -514,6 +530,58 @@ class TestSuite:
         digests = {e["report"].fold_digest for e in result["entries"].values()}
         assert digests == {result["fold_digest"]}
         assert result["entries"]["intercept"]["report"].r2_mod == pytest.approx(0.0)
+
+    @staticmethod
+    def run_standard_roster(sd, ds, meta, monkeypatch, embeddings):
+        """The standard roster's suite, with the feature matrices of its fits and
+        the ``semantic_distance`` calls it made."""
+        calls, fitted = [], []
+        distance, fold_mses = features.semantic_distance, encoding._fold_mses
+        monkeypatch.setattr(features, "semantic_distance",
+                            lambda *a, **kw: calls.append(a) or distance(*a, **kw))
+        monkeypatch.setattr(encoding, "_fold_mses",
+                            lambda frozen, folds, groups, **kw:
+                            fitted.extend(groups) or fold_mses(frozen, folds, groups, **kw))
+        result = encoding.run_model_suite(
+            sd.ground_truth.decoder, ds, meta, encoding.standard_roster(),
+            counts_table=sd.counts, token_features=sd.token_features, embeddings=embeddings,
+            sentence_tokens=sd.sentence_tokens, k=2, seed=1, weight_decay=1e-5, epochs=1,
+            lr=0.005, n_boot=200, ceiling_mse=sd.ground_truth.mse_floor)
+        return result, fitted, calls
+
+    def test_each_source_block_built_once(self, small_synth, monkeypatch):
+        # semantic_distance is in four entries of the standard roster
+        sd, ds, meta = small_synth
+        result, fitted, calls = self.run_standard_roster(sd, ds, meta, monkeypatch,
+                                                         sd.embeddings)
+        assert len(calls) == 1
+        assert list(result["entries"]) == [name for name, _ in encoding.standard_roster()]
+        assert len(fitted) == 9  # the intercept anchor and one group per other entry
+        for fm, sources, _, _ in fitted:
+            expected = assemble_for(sd, meta, sources)
+            assert fm.names == expected.names
+            np.testing.assert_array_equal(fm.values, expected.values)
+
+    def test_failing_source_skips_every_entry_listing_it(self, small_synth, monkeypatch):
+        # without embeddings, semantic_distance and static_embedding fail; each
+        # entry is skipped with the error features.assemble gives for it
+        sd, ds, meta = small_synth
+        expected = []
+        for name, sources in encoding.standard_roster():
+            try:
+                features.assemble(features.FeatureSpec(sources), meta, counts_table=sd.counts,
+                                  token_features=sd.token_features, embeddings=None,
+                                  sentence_tokens=sd.sentence_tokens)
+            except ValueError as e:
+                expected.append({"name": name, "reason": str(e)})
+        assert len(expected) == 5
+        with pytest.warns(UserWarning) as warned:
+            result, _, calls = self.run_standard_roster(sd, ds, meta, monkeypatch, None)
+        assert result["skipped"] == expected
+        assert [str(w.message) for w in warned] == [
+            f"suite entry {s['name']!r} skipped: {s['reason']}" for s in expected]
+        assert calls == []
+        assert len(result["entries"]) == 4
 
     def test_suite_runs_wd_search_when_unpinned(self, small_synth):
         sd, ds, meta = small_synth

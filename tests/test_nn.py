@@ -544,6 +544,84 @@ class TestGramBandInput:
             nn.transposed_conv_gram_band(rng.normal(size=(3, 2, 9)), 5, 2, 8)
 
 
+# Time-major operands the window views must not read wrongly: equal arrays
+# whose memory is not one C-contiguous (T, C, N) block, or is read-only
+TIME_MAJOR_LAYOUTS = ("contiguous", "transposed", "strided", "read_only", "size_one_axes")
+
+
+def _time_major_in_layout(a, layout):
+    """The time-major ``a`` (contiguous) as an equal array in ``layout``."""
+    if layout == "transposed":  # a view of an (N, C, T) array
+        return np.ascontiguousarray(a.transpose(2, 1, 0)).transpose(2, 1, 0)
+    if layout == "strided":
+        return _in_layout(a, "strided")
+    if layout == "read_only":
+        a = a.copy()
+        a.flags.writeable = False
+        return a
+    if layout == "size_one_axes":
+        # C-contiguous, but each size-1 axis has stride 0, which a view built
+        # from the array's own strides would step by
+        t, c, n = a.shape
+        flat = np.ascontiguousarray(a.reshape(t, c * n))
+        if c == 1:
+            return flat[:, None, :]
+        if n == 1:
+            return flat[:, :, None]
+    return a
+
+
+# (c_in, c_out, input length, kernel, stride, padding): one input step;
+# phases with no tap (stride > kernel); one channel in and out
+TIME_MAJOR_EDGE_GEOMETRIES = {
+    "one_input_step": (3, 2, 1, 4, 2, 1),
+    "one_input_step_stride_1": (2, 3, 1, 3, 1, 0),
+    "phase_without_tap": (2, 3, 4, 2, 3, 0),
+    "phase_without_tap_padded": (2, 3, 5, 2, 4, 1),
+    "one_channel": (1, 1, 5, 4, 2, 1),
+    "beta_hidden": (10, 16, 20, 4, 2, 1),
+}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("layout", TIME_MAJOR_LAYOUTS)
+class TestTimeMajorEdgeCases:
+    """The time-major transposed convolution and ``gram_band_matmul`` against the
+    loop oracles on inputs whose layout, size or geometry the window views must
+    handle."""
+
+    @pytest.mark.parametrize("geometry", list(TIME_MAJOR_EDGE_GEOMETRIES))
+    def test_forward_and_backward_match_loop_oracles(self, rng, geometry, layout, n):
+        c_in, c_out, t, k, stride, pad = TIME_MAJOR_EDGE_GEOMETRIES[geometry]
+        x = rng.normal(size=(n, c_in, t))
+        w = rng.normal(size=(c_in, c_out, k))
+        b = rng.normal(size=c_out)
+        y, ctx = nn.convtranspose1d_time_major_forward(
+            _time_major_in_layout(_time_major(x), layout), w, b, stride, pad)
+        expected = _per_instance(convtranspose1d_naive, x, w, b, stride, pad)
+        np.testing.assert_allclose(_time_major(y), expected, rtol=0, atol=1e-12)
+        # the input gradient of a transposed convolution is the convolution of g
+        g = rng.normal(size=expected.shape)
+        gx = nn.convtranspose1d_time_major_backward(
+            ctx, _time_major_in_layout(_time_major(g), layout)).input_grad
+        expected_gx = _per_instance(conv1d_naive, g, w, np.zeros(c_in), stride, pad)
+        np.testing.assert_allclose(_time_major(gx), expected_gx, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("geometry, length", [
+        ("w1-beta-output", 8), ("w1-beta-output", 2), ("w1-beta-output", 1),
+        ("w2-k>2stride", 4), ("w3-stride1", 3), ("w0-k=stride", 1)])
+    def test_gram_band_matmul_matches_dense_gram(self, rng, geometry, length, layout, n):
+        # T <= 2w leaves no step whose whole band lies inside the input
+        c_in, c_out, k, stride, pad, _ = GRAM_BAND_GEOMETRIES[geometry]
+        kernels = rng.normal(size=(c_in, c_out, k))
+        a = transposed_conv_matrix_naive(kernels, stride, pad, length)
+        band = nn.transposed_conv_gram_band(kernels, stride, pad, length)
+        x = rng.normal(size=(n, c_in, length))
+        expected = (x.reshape(n, -1) @ (a.T @ a)).reshape(x.shape)
+        got = nn.gram_band_matmul(band, _time_major_in_layout(_time_major(x), layout))
+        np.testing.assert_allclose(_time_major(got), expected, rtol=0, atol=1e-12)
+
+
 class TestDenseTanh:
     def test_identity_weight(self, rng):
         x = rng.normal(size=(1, 5))
