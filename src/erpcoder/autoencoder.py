@@ -11,14 +11,28 @@ added at the decoder output and trained jointly.
 Kernel sizes, paddings and channel ladders inside each architecture are a
 design choice recorded here in the layer plans; only the latent geometry is
 fixed by the architecture names.
+
+Data-parallel pretraining. A minibatch MSE and its gradient are the
+trial-weighted means of those of any split of the batch. :func:`pretrain`
+therefore runs every batch, and the dev set it scores each epoch, as shards
+of :data:`CHUNK_ROWS` trials, one :func:`_run_jobs` job each: forward pass,
+:func:`nn.mse_loss` on the shard's own rows and backward pass. The step's
+loss is ``Σ (nₛ/n_b)·lossₛ`` and each gradient ``Σ (nₛ/n_b)·gₛ``, summed in
+shard order on the calling thread, so no batch-sized prediction or gradient
+forms. The shard size is a constant, not a setting, so the results do not
+depend on the number of CPUs: one worker or three give the same bits, and
+they differ from an unsharded step only by summation order.
+:func:`reconstruction_mse`, :func:`encoding.freeze`,
+:func:`encoding.predict_erp` and :func:`synth.oracle_bounds` map their
+whole-dataset passes over the same chunks (:func:`_map_chunks`).
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import threading
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -31,10 +45,11 @@ from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_spl
 
 ARCHITECTURES = ("alpha", "beta")
 
-# Epochs per pass when a whole dataset is scored or paired with a decoder
-# (reconstruction_mse, encoding.freeze, synth.oracle_bounds): 6.5 MB of
-# epochs at 32x200, so no full-size prediction or residual forms.
-CHUNK_ROWS = 128
+# Trials per pool job when a pretraining batch is trained, or a set of
+# trials is scored or paired with a decoder (pretrain, reconstruction_mse,
+# encoding.freeze, encoding.predict_erp, synth.oracle_bounds): 1.6 MB of
+# epochs at 32x200, and a quarter of a batch-128 pretraining step.
+CHUNK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -350,19 +365,18 @@ class TrainHistory:
         return asdict(self)
 
 
-def _fit_epochs(params: dict[str, np.ndarray], loss, train_idx: np.ndarray,
-                dev_idx: np.ndarray, rng: np.random.Generator, forward, backward, *,
-                epochs: int, batch_size: int, lr: float, weight_decay: float = 0.0
-                ) -> TrainHistory:
+def _fit_epochs(params: dict[str, np.ndarray], step, score, train_idx: np.ndarray,
+                dev_idx: np.ndarray, rng: np.random.Generator, *, epochs: int,
+                batch_size: int, lr: float, weight_decay: float = 0.0) -> TrainHistory:
     """Adam on an MSE; restores ``params`` to the best dev epoch.
 
-    ``forward(idx)`` returns (outputs, contexts) for trials ``idx``,
-    ``loss(outputs, idx)`` their MSE and its gradient w.r.t. the outputs, and
-    ``backward(grad, contexts, idx)`` the gradients of ``params``. An epoch's
-    train MSE weights each batch by its number of outputs. Each epoch draws
-    one permutation of ``train_idx`` from ``rng``. Without dev trials the
-    epoch's train MSE stands in for the dev MSE. ``epochs`` or ``batch_size``
-    below 1 raises ``ValueError`` before any step.
+    ``step(batch)`` returns (loss, n_out, grads) for trials ``batch``: their
+    MSE, the number of values that weights the batch in the epoch's train
+    MSE, and the gradients of ``params``. ``score(idx)`` returns the MSE of
+    trials ``idx``. Each epoch draws one permutation of ``train_idx`` from
+    ``rng``. Without dev trials the epoch's train MSE stands in for the dev
+    MSE. ``epochs`` or ``batch_size`` below 1 raises ``ValueError`` before
+    any step.
     """
     for name, value in (("epochs", epochs), ("batch_size", batch_size)):
         if value < 1:
@@ -375,22 +389,16 @@ def _fit_epochs(params: dict[str, np.ndarray], loss, train_idx: np.ndarray,
         se_sum = 0.0
         n_elem = 0
         for b, start in enumerate(range(0, len(order), batch_size)):
-            batch = order[start : start + batch_size]
-            y, ctxs = forward(batch)
-            batch_loss, gl = loss(y, batch)
+            batch_loss, n_out, grads = step(order[start : start + batch_size])
             if not np.isfinite(batch_loss):
                 raise RuntimeError(
                     f"training loss diverged to {batch_loss} at epoch {epoch}, batch {b}")
-            se_sum += batch_loss * y.size
-            n_elem += y.size
-            nn.adam_step(params, backward(gl, ctxs, batch), state, weight_decay=weight_decay)
+            se_sum += batch_loss * n_out
+            n_elem += n_out
+            nn.adam_step(params, grads, state, weight_decay=weight_decay)
         history.train_mse.append(se_sum / n_elem)
 
-        if len(dev_idx):
-            yd, _ = forward(dev_idx)
-            dev_loss, _ = loss(yd, dev_idx)
-        else:
-            dev_loss = history.train_mse[-1]
+        dev_loss = score(dev_idx) if len(dev_idx) else history.train_mse[-1]
         history.dev_mse.append(dev_loss)
         if dev_loss < best[0]:
             best = (dev_loss, epoch, {k: v.copy() for k, v in params.items()})
@@ -412,22 +420,65 @@ def _worker_count(n_jobs: int) -> int:
     return min(cpus, n_jobs)
 
 
+_job_state = threading.local()  # .running: this thread is inside a _run_jobs job
+
+
 def _run_jobs(fn, jobs) -> list:
-    """``[fn(*job) for job in jobs]``, with the jobs run on a thread pool.
+    """``[fn(*job) for job in jobs]``, with the jobs run on :func:`_worker_count`
+    workers: the calling thread and one ``erpcoder-fit`` thread per further worker.
 
     Results come back in job order. The jobs must be independent: each one
     derives its randomness from its own seed, and shared arrays are only
-    read. The first job in job order that raises re-raises here, and jobs
-    not yet started are cancelled. ``nn`` ops hold no shared state, and BLAS
-    calls and large ufunc loops release the GIL, so fits overlap; the
-    results are bit-identical to a serial run, and one worker is a pool of one.
+    read. Workers claim jobs in job order; once a job has raised, no
+    further job starts, and the first job in job order that raised
+    re-raises here. ``nn`` ops hold no shared state, and BLAS calls and
+    large ufunc loops release the GIL, so jobs overlap; the results are
+    bit-identical to a serial run. A call from inside a job runs its jobs
+    in order on that job's thread, so that nested fan-out (the shards of a
+    pretraining fold of :func:`select_architecture`) adds no threads beyond
+    one per CPU.
     """
     jobs = list(jobs)
-    if not jobs:
-        return []  # a pool needs at least one worker
-    with ThreadPoolExecutor(_worker_count(len(jobs)),
-                            thread_name_prefix="erpcoder-fit") as pool:
-        return list(pool.map(lambda job: fn(*job), jobs))
+    nested = getattr(_job_state, "running", False)
+    workers = 1 if nested else _worker_count(len(jobs))
+    results: list = [None] * len(jobs)
+    errors: dict[int, BaseException] = {}
+    unclaimed = iter(range(len(jobs)))
+    lock = threading.Lock()  # guards unclaimed and errors
+
+    def work():
+        _job_state.running = True
+        try:
+            while True:
+                with lock:
+                    i = None if errors else next(unclaimed, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(*jobs[i])
+                except BaseException as e:  # re-raised below, first in job order
+                    with lock:
+                        errors[i] = e
+        finally:
+            _job_state.running = nested
+
+    threads = [threading.Thread(target=work, name=f"erpcoder-fit-{w}")
+               for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _map_chunks(fn, n: int) -> list:
+    """``fn(chunk)`` for each slice of :data:`CHUNK_ROWS` consecutive rows that
+    tiles ``range(n)``, as :func:`_run_jobs` jobs; results in chunk order."""
+    return _run_jobs(fn, [(slice(start, start + CHUNK_ROWS),)
+                          for start in range(0, n, CHUNK_ROWS)])
 
 
 def _cross_validate(fit_score, folds, groups) -> list[list]:
@@ -445,7 +496,8 @@ def pretrain(spec: AutoencoderSpec, dataset: ErpDataset, meta: list[TrialMeta], 
     """Train the autoencoder under MSE; keep the best dev epoch's parameters.
 
     Deterministic given the seed: init, dev split and batch order all derive
-    from one seeded generator.
+    from one seeded generator. Each batch, and the dev set, runs as
+    :data:`CHUNK_ROWS`-trial shards on the pool (see the module docstring).
     """
     if dataset.n_trials == 0:
         raise ValueError("dataset is empty")
@@ -459,46 +511,59 @@ def pretrain(spec: AutoencoderSpec, dataset: ErpDataset, meta: list[TrialMeta], 
     rng = np.random.default_rng(seed)
     subjects = tuple(sorted({m.subject_id for m in meta})) if spec.intercepts else None
     params = init_params(spec, rng, subjects)
-    subject_ids = np.array([m.subject_id for m in meta])
     train_idx, dev_idx = train_dev_split(
         dataset.n_trials, dev_fraction, seed=int(rng.integers(2**63)))
-    x_all = dataset.data
-
-    def forward(idx):
-        z, enc_ctxs = _encoder_forward(params, x_all[idx])
-        y, dec_ctxs = _decoder_forward(params, z)
-        return _add_intercepts(params, y, subject_ids[idx]), (enc_ctxs, dec_ctxs)
-
-    def backward(grad_y, ctxs, idx):
-        enc_ctxs, dec_ctxs = ctxs
-        gz, grads = _stack_backward(dec_ctxs, grad_y)
-        _, enc_grads = _stack_backward(enc_ctxs, gz, need_input_grad=False)
-        grads.update(enc_grads)
-        if spec.intercepts:
-            grads["intercepts"] = np.zeros_like(params.tensors["intercepts"])
-            np.add.at(grads["intercepts"], _subject_rows(params, subject_ids[idx]),
-                      grad_y.sum(axis=-1))
-        return grads
-
-    history = _fit_epochs(params.tensors, lambda y, idx: nn.mse_loss(y, x_all[idx]),
-                          train_idx, dev_idx, rng, forward, backward,
+    step = functools.partial(_reconstruction_step, params, dataset.data,
+                             np.array([m.subject_id for m in meta]))
+    score = functools.partial(reconstruction_mse, params, dataset, meta)
+    history = _fit_epochs(params.tensors, step, score, train_idx, dev_idx, rng,
                           epochs=epochs, batch_size=batch_size, lr=lr)
     return params, history
 
 
+def _reconstruction_step(params: AutoencoderParams, x_all: np.ndarray,
+                         subject_ids: np.ndarray, batch: np.ndarray):
+    """(loss, n_out, grads) of one pretraining step on trials ``batch`` of
+    ``x_all``: the reconstruction MSE, its number of values and the gradients
+    of ``params.tensors``, from :data:`CHUNK_ROWS`-trial shards summed in
+    shard order (see the module docstring)."""
+    def shard(chunk):
+        rows = batch[chunk]
+        x = x_all[rows]
+        z, enc_ctxs = _encoder_forward(params, x)
+        y, dec_ctxs = _decoder_forward(params, z)
+        loss, grad_y = nn.mse_loss(_add_intercepts(params, y, subject_ids[rows]), x)
+        gz, grads = _stack_backward(dec_ctxs, grad_y)
+        grads.update(_stack_backward(enc_ctxs, gz, need_input_grad=False)[1])
+        if params.spec.intercepts:
+            grads["intercepts"] = np.zeros_like(params.tensors["intercepts"])
+            np.add.at(grads["intercepts"], _subject_rows(params, subject_ids[rows]),
+                      grad_y.sum(axis=-1))
+        return len(rows) / len(batch), loss, grads
+
+    loss, grads = 0.0, {}
+    for weight, shard_loss, shard_grads in _map_chunks(shard, len(batch)):
+        loss += weight * shard_loss
+        for name, g in shard_grads.items():
+            grads[name] = grads[name] + weight * g if name in grads else weight * g
+    return loss, len(batch) * x_all[0].size, grads
+
+
 def reconstruction_mse(params: AutoencoderParams, dataset: ErpDataset,
                        meta: list[TrialMeta], indices=None) -> float:
-    """Mean squared reconstruction error over the given trials, scored
-    :data:`CHUNK_ROWS` trials at a time."""
+    """Mean squared reconstruction error over the given trials, their
+    :data:`CHUNK_ROWS`-trial chunks scored as pool jobs and summed in chunk order."""
     idx = np.arange(dataset.n_trials) if indices is None else np.asarray(indices)
     if len(idx) == 0:
         raise ValueError("no trials to score")
-    se = 0.0
-    for start in range(0, len(idx), CHUNK_ROWS):
-        rows = idx[start : start + CHUNK_ROWS]
+
+    def squared_error(chunk) -> float:
+        rows = idx[chunk]
         x = dataset.data[rows]
         diff = reconstruct(params, x, [meta[i].subject_id for i in rows]) - x
-        se += float(np.vdot(diff, diff))
+        return float(np.vdot(diff, diff))
+
+    se = sum(_map_chunks(squared_error, len(idx)))
     return se / (len(idx) * dataset.n_channels * dataset.n_timepoints)
 
 

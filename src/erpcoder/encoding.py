@@ -68,10 +68,11 @@ The pool has one thread per CPU in the process's affinity mask
 before any fit runs, the frozen decoder and the features are only read,
 and results come back in list order, so they are bit-identical to a
 serial run; the first fit in list order that raises re-raises, and fits
-not yet started are cancelled. :func:`train`, :func:`model_mse` and
-:func:`predict_erp` run on the calling thread. Pin BLAS to one thread
-(``OPENBLAS_NUM_THREADS=1``), or pool threads and BLAS threads compete for
-the same CPUs.
+not yet started are never started. :func:`train` and :func:`model_mse`
+run on the calling thread; :func:`freeze` and :func:`predict_erp` fill
+their outputs a chunk of :data:`autoencoder.CHUNK_ROWS` trials per pool
+job. Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``), or pool threads
+and BLAS threads compete for the same CPUs.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
-from .autoencoder import (CHUNK_ROWS, AutoencoderParams, TrainHistory, _add_intercepts,
-                          _cross_validate, _fit_epochs, _stack_backward, decode,
+from .autoencoder import (AutoencoderParams, TrainHistory, _add_intercepts, _cross_validate,
+                          _fit_epochs, _map_chunks, _stack_backward, decode,
                           reconstruction_mse)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
 from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_split,
@@ -182,7 +183,7 @@ def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
     """``decoder`` frozen against every trial of ``dataset``, described by ``meta``.
 
     ``AᵀA`` comes from :func:`nn.transposed_conv_gram_band`. ``r`` and ``c``
-    are built a batch of rows at a time through the output layer's own
+    are built a chunk of rows per pool job through the output layer's own
     kernels: ``Aᵀ`` is the convolution with the same kernels, so neither the
     dense ``A`` nor a full-size residual forms.
     """
@@ -206,14 +207,16 @@ def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
     subject_ids = [m.subject_id for m in meta]
     r = np.empty((dataset.n_trials, t_hid, c_hid))
     c = np.empty(dataset.n_trials)
-    for start in range(0, dataset.n_trials, CHUNK_ROWS):
-        rows = slice(start, start + CHUNK_ROWS)
+
+    def fill(rows):
         y = dataset.data[rows]
         e = y - _add_intercepts(decoder, np.broadcast_to(bias[:, None], y.shape),
                                 subject_ids[rows])
         adjoint, _ = nn.conv1d_forward(e, kernels, np.zeros(c_hid), step.stride, step.padding)
         r[rows] = adjoint.transpose(0, 2, 1)
         c[rows] = np.einsum("nct,nct->n", e, e)
+
+    _map_chunks(fill, dataset.n_trials)
     return FrozenDecoder(decoder, decoder.decoder_digest(), list(meta), band, r, c,
                          dataset.n_channels * dataset.n_timepoints)
 
@@ -332,9 +335,18 @@ def _latents(model: EncodingModel, features: FeatureMatrix) -> np.ndarray:
 
 def predict_erp(model: EncodingModel, features: FeatureMatrix,
                 subject_ids=None) -> np.ndarray:
-    """Predicted epochs for raw (unstandardized) features with matching columns."""
+    """Predicted epochs for raw (unstandardized) features with matching columns,
+    decoded :data:`autoencoder.CHUNK_ROWS` trials per pool job."""
     z = np.ascontiguousarray(_latents(model, features).transpose(2, 1, 0))
-    return decode(model.decoder, z, subject_ids)
+    spec = model.decoder.spec
+    preds = np.empty((len(z), spec.n_channels, spec.n_timepoints))
+
+    def fill(rows):
+        preds[rows] = decode(model.decoder, z[rows],
+                             None if subject_ids is None else subject_ids[rows])
+
+    _map_chunks(fill, len(z))
+    return preds
 
 
 def _check_filtered(meta: list[TrialMeta]) -> None:
@@ -373,18 +385,21 @@ def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
     params = _init_trainable(rng, len(embed_cols), len(scalar_cols), plan.latent_channels,
                              plan.latent_timepoints)
 
-    def forward(idx):
-        z, ctxs = _forward(params, f_std[idx], embed_cols, scalar_cols)
-        h, ctxs["decoder"] = frozen.hidden(z)
-        return h, ctxs
+    def step(batch):
+        z, ctxs = _forward(params, f_std[batch], embed_cols, scalar_cols)
+        h, dec_ctxs = frozen.hidden(z)
+        loss, grad_h = frozen.mse(h, batch)
+        gz, _ = _stack_backward(dec_ctxs, grad_h)
+        # h's size weights the batch in the epoch's train MSE: like the
+        # batch's number of epoch values, it is proportional to its trials
+        return loss, h.size, _backward(params, gz, ctxs)
 
-    def backward(grad_h, ctxs, idx):
-        gz, _ = _stack_backward(ctxs["decoder"], grad_h)
-        return _backward(params, gz, ctxs)
+    def score(idx):
+        h, _ = frozen.hidden(_forward(params, f_std[idx], embed_cols, scalar_cols)[0])
+        return frozen.mse(h, idx)[0]
 
-    history = _fit_epochs(params, frozen.mse, train_idx, dev_idx, rng, forward, backward,
-                          epochs=epochs, batch_size=batch_size, lr=lr,
-                          weight_decay=weight_decay)
+    history = _fit_epochs(params, step, score, train_idx, dev_idx, rng, epochs=epochs,
+                          batch_size=batch_size, lr=lr, weight_decay=weight_decay)
 
     if frozen.decoder.decoder_digest() != frozen.digest:
         raise RuntimeError("frozen decoder was mutated during training")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import (CHUNK_ROWS, AutoencoderParams, AutoencoderSpec, build_layer_plan,
+from .autoencoder import (AutoencoderParams, AutoencoderSpec, _map_chunks, build_layer_plan,
                           checked_spec, decode, init_params, tensor_shapes)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
 from .data import (EmbeddingTable, ErpDataset, TokenFeatureTable, TrialMeta, checked_fields,
@@ -282,13 +282,13 @@ def oracle_bounds(truth: GroundTruth, dataset: ErpDataset,
     c_lat, t_lat = truth.latents.shape[1], truth.latents.shape[2]
 
     def decoded_mse(latents: np.ndarray) -> float:
-        # decoded and scored a batch of eval rows at a time: no full-size
-        # prediction or residual forms
-        se = 0.0
-        for start in range(0, len(eval_rows), CHUNK_ROWS):
-            rows = slice(start, start + CHUNK_ROWS)
+        # decoded and scored a chunk of eval rows per pool job, summed in chunk
+        # order: no full-size prediction or residual forms
+        def squared_error(rows) -> float:
             pred = decode(truth.decoder, latents[rows])
-            se += float(np.sum((pred - dataset.data[eval_rows[rows]]) ** 2))
+            return float(np.sum((pred - dataset.data[eval_rows[rows]]) ** 2))
+
+        se = sum(_map_chunks(squared_error, len(eval_rows)))
         return se / (len(eval_rows) * dataset.n_channels * dataset.n_timepoints)
 
     mse_floor = decoded_mse(truth.latents[eval_rows])

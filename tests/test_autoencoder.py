@@ -1,8 +1,10 @@
 """Architecture geometry, intercepts, pretraining and selection tests."""
 
+import itertools
 import json
 import os
 import re
+import sys
 import threading
 import time
 
@@ -227,27 +229,63 @@ class TestPretrain:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_divergence_names_value_epoch_and_batch(self, rng, monkeypatch, bad):
-        # 108 training trials in batches of 32: 4 batch losses and one dev loss
-        # per epoch, so the 7th loss is epoch 1, batch 1
+        # 108 training trials in batches of 64, run as shards of 32 trials: shard
+        # losses 32+32 and 32+12 per epoch (the dev set is scored without
+        # mse_loss), so the 7th shard loss, whichever shard computes it, lies in
+        # epoch 1, batch 1
+        assert ae.CHUNK_ROWS == 32
         spec = ae.AutoencoderSpec("beta", False, 8, 50)
         ds = lowrank_dataset(rng, spec, n=120)
         mse_loss = nn.mse_loss
-        calls = []
+        calls = itertools.count(1)  # atomic: shards call it from two threads
 
         def diverging_mse(pred, target):
-            calls.append(None)
             loss, grad = mse_loss(pred, target)
-            return (bad if len(calls) == 7 else loss), grad
+            return (bad if next(calls) == 7 else loss), grad
 
         monkeypatch.setattr(nn, "mse_loss", diverging_mse)
         with pytest.raises(RuntimeError, match=f"diverged to {bad} at epoch 1, batch 1$"):
-            ae.pretrain(spec, ds, meta_rows(120), epochs=3, batch_size=32, seed=3)
+            ae.pretrain(spec, ds, meta_rows(120), epochs=3, batch_size=64, seed=3)
 
     def test_empty_dataset_rejected(self):
         spec = ae.AutoencoderSpec("beta", False, 8, 50)
         ds = ErpDataset(np.zeros((0, 8, 50)), 250.0, -100.0, 100.0)
         with pytest.raises(ValueError, match="empty"):
             ae.pretrain(spec, ds, [], epochs=1)
+
+
+class TestShardedStep:
+    """A pretraining step in shards against one full-batch pass."""
+
+    @pytest.mark.parametrize("arch", ae.ARCHITECTURES)
+    @pytest.mark.parametrize("n_batch", [100, 20])  # an uneven last shard; under one shard
+    def test_loss_and_gradients_match_the_full_batch(self, rng, arch, n_batch):
+        spec = ae.AutoencoderSpec(arch, True, 8, 40)
+        params = ae.init_params(spec, seed=3, subjects=("s1", "s2"))
+        params.tensors["intercepts"][:] = rng.normal(size=(2, 8))
+        x_all = rng.normal(size=(150, 8, 40))
+        subject_ids = np.array(["s1", "s2"] * 75)
+        batch = rng.permutation(150)[:n_batch]
+        loss, n_out, grads = ae._reconstruction_step(params, x_all, subject_ids, batch)
+
+        x = x_all[batch]
+        z, enc_ctxs = ae._encoder_forward(params, x)
+        y, dec_ctxs = ae._decoder_forward(params, z)
+        full_loss, grad_y = nn.mse_loss(ae._add_intercepts(params, y, subject_ids[batch]), x)
+        gz, full = ae._stack_backward(dec_ctxs, grad_y)
+        full.update(ae._stack_backward(enc_ctxs, gz)[1])
+        full["intercepts"] = np.zeros((2, 8))
+        np.add.at(full["intercepts"], ae._subject_rows(params, subject_ids[batch]),
+                  grad_y.sum(axis=-1))
+
+        assert n_out == x.size
+        assert loss == pytest.approx(full_loss, rel=1e-12, abs=0)
+        assert grads.keys() == full.keys()
+        for name, g in full.items():
+            assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+        if n_batch <= ae.CHUNK_ROWS:  # one shard of weight 1: the same bits
+            assert loss == full_loss
+            assert all(np.array_equal(grads[name], g) for name, g in full.items())
 
 
 class TestSelectArchitecture:
@@ -310,12 +348,104 @@ class TestParallelFits:
 
         results = ae._run_jobs(job, [(i,) for i in range(12)])
         assert [r for r, _ in results] == [i * i for i in range(12)]
-        assert all(name.startswith("erpcoder-fit") for _, name in results)
+        # the calling thread is one of the three workers
+        names = {name for _, name in results}
+        assert names <= {threading.current_thread().name, "erpcoder-fit-1", "erpcoder-fit-2"}
+        assert len(names) > 1
 
-    def test_one_job_runs_on_a_pool_of_one_and_no_jobs_on_none(self):
+    def test_one_job_runs_on_the_calling_thread_and_no_jobs_on_none(self):
         results = ae._run_jobs(lambda i: (i, threading.current_thread().name), [(7,)])
-        assert results[0][0] == 7 and results[0][1].startswith("erpcoder-fit")
+        assert results == [(7, threading.current_thread().name)]
         assert ae._run_jobs(lambda i: i, []) == []
+
+    def test_nested_call_runs_its_jobs_in_order_on_the_job_thread(self, monkeypatch):
+        monkeypatch.setattr(ae, "_worker_count", lambda n_jobs: min(3, n_jobs))
+
+        def outer(i):
+            ran = []
+
+            def inner(j):
+                ran.append(j)
+                return threading.get_ident()
+
+            idents = ae._run_jobs(inner, [(j,) for j in range(6)])
+            return ran, set(idents), threading.get_ident()
+
+        for ran, inner_idents, ident in ae._run_jobs(outer, [(i,) for i in range(5)]):
+            assert ran == list(range(6))
+            assert inner_idents == {ident}
+
+    def test_pretraining_shards_run_on_their_fold_thread(self, rng, monkeypatch):
+        # select_architecture's fold jobs call pretrain, whose shards are jobs of
+        # a nested _run_jobs call: each runs on the thread of its fold
+        monkeypatch.setattr(ae, "_worker_count", lambda n_jobs: min(2, n_jobs))
+        run_jobs = ae._run_jobs
+        depth = threading.local()
+        ran = []  # (nesting depth, caller thread, job thread)
+
+        def recording(fn, jobs):
+            level = getattr(depth, "level", 0)
+            caller = threading.get_ident()
+
+            def job(*args):
+                depth.level = level + 1
+                try:
+                    ran.append((level, caller, threading.get_ident()))
+                    return fn(*args)
+                finally:
+                    depth.level = level
+
+            return run_jobs(job, jobs)
+
+        monkeypatch.setattr(ae, "_run_jobs", recording)
+        spec = ae.AutoencoderSpec("beta", False, 8, 40)
+        ds = lowrank_dataset(rng, spec, n=150)
+        ae.select_architecture(ds, meta_rows(150), [spec], k=3, seed=6, epochs=1)
+        folds = [r for r in ran if r[0] == 0]
+        shards = [r for r in ran if r[0] > 0]
+        assert len(folds) == 3
+        assert len({thread for _, _, thread in folds}) == 2
+        assert len(shards) > len(folds)
+        assert all(caller == thread for _, caller, thread in shards)
+
+    def test_pretrain_identical_on_one_two_and_three_workers(self, rng, monkeypatch):
+        # batches of 4 and 2 shards and a dev set of 2 chunks, with intercepts;
+        # the first run has one worker per CPU of the affinity mask
+        spec = ae.AutoencoderSpec("beta", True, 8, 40)
+        ds = lowrank_dataset(rng, spec, n=300)
+        meta = meta_rows(300, subjects=("s1", "s2", "s3"))
+        runs = []
+        for n in (None, 1, 2, 3):
+            if n is not None:
+                monkeypatch.setattr(ae, "_worker_count", lambda n_jobs, n=n: min(n, n_jobs))
+            params, history = ae.pretrain(spec, ds, meta, epochs=2, seed=4)
+            runs.append((params.tensors, history, ae.reconstruction_mse(params, ds, meta)))
+        (tensors, history, mse), *others = runs
+        for other_tensors, other_history, other_mse in others:
+            assert other_tensors.keys() == tensors.keys()
+            for name, t in tensors.items():
+                assert other_tensors[name].tobytes() == t.tobytes(), name
+            assert other_history == history
+            assert other_mse == mse
+
+    def test_every_job_runs_once_under_contention(self, monkeypatch):
+        # more workers than CPUs, switching threads as often as the interpreter
+        # allows: a job claimed twice or never shows in the counts
+        monkeypatch.setattr(ae, "_worker_count", lambda n_jobs: 4)
+        runs = [0] * 3000
+
+        def job(i):
+            runs[i] += 1
+            return i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = ae._run_jobs(job, [(i,) for i in range(3000)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == list(range(3000))
+        assert runs == [1] * 3000
 
     def test_first_failure_in_job_order_raises_and_cancels_the_rest(self, monkeypatch):
         monkeypatch.setattr(ae, "_worker_count", lambda n_jobs: 3)
