@@ -375,12 +375,18 @@ def _fit_epochs(params: dict[str, np.ndarray], step, score, train_idx: np.ndarra
     MSE, and the gradients of ``params``. ``score(idx)`` returns the MSE of
     trials ``idx``. Each epoch draws one permutation of ``train_idx`` from
     ``rng``. Without dev trials the epoch's train MSE stands in for the dev
-    MSE. ``epochs`` or ``batch_size`` below 1 raises ``ValueError`` before
-    any step.
+    MSE. ``epochs`` or ``batch_size`` below 1, an ``lr`` that is not finite
+    and positive, or a ``weight_decay`` that is not finite and non-negative
+    raises ``ValueError`` before any step; a non-finite batch loss or epoch
+    dev MSE raises ``RuntimeError``.
     """
     for name, value in (("epochs", epochs), ("batch_size", batch_size)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
+    if not (np.isfinite(weight_decay) and weight_decay >= 0):
+        raise ValueError(f"weight_decay must be finite and >= 0, got {weight_decay}")
     state = nn.adam_init(params, lr=lr)
     history = TrainHistory()
     best: tuple[float, int, dict | None] = (np.inf, -1, None)
@@ -399,6 +405,8 @@ def _fit_epochs(params: dict[str, np.ndarray], step, score, train_idx: np.ndarra
         history.train_mse.append(se_sum / n_elem)
 
         dev_loss = score(dev_idx) if len(dev_idx) else history.train_mse[-1]
+        if not np.isfinite(dev_loss):
+            raise RuntimeError(f"dev MSE diverged to {dev_loss} at epoch {epoch}")
         history.dev_mse.append(dev_loss)
         if dev_loss < best[0]:
             best = (dev_loss, epoch, {k: v.copy() for k, v in params.items()})

@@ -553,7 +553,7 @@ def save_token_features(path, table: TokenFeatureTable) -> None:
 
 
 def load_counts(path) -> dict[str, int]:
-    """Read a ``token<TAB>count`` frequency table."""
+    """Read a ``token<TAB>count`` frequency table; counts are integers >= 0."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
@@ -565,9 +565,12 @@ def load_counts(path) -> dict[str, int]:
         if len(parts) != 2:
             raise FormatError(f"{path}: line {i}: expected token<TAB>count")
         try:
-            counts[parts[0]] = int(parts[1])
+            count = int(parts[1])
         except ValueError as e:
             raise FormatError(f"{path}: line {i}: {e}") from e
+        if count < 0:
+            raise FormatError(f"{path}: line {i}: negative count {count}")
+        counts[parts[0]] = count
     return counts
 
 

@@ -36,11 +36,12 @@ Hidden positions more than ``w = ceil(K/s) - 1`` steps apart (output kernel
 ``K``, stride ``s``) write no common output value, so their block of ``G``
 is zero; ``w`` is 1 for both decoders (``beta`` 9/5, ``alpha`` 8/4). The
 frozen decoder keeps ``2w+1`` blocks per hidden time step, ``(T_hid, C_hid,
-(2w+1)·C_hid)``, sliced from the dense ``G`` it builds once, after checking
-that every block outside the band is exactly zero. ``Gh`` multiplies each
-step's blocks with the ``2w+1`` hidden steps around it, one matmul batched
-over time plus ``2w`` edge products (:func:`nn.gram_band_matmul`), with
-1/13 (``beta``) and 1/17 (``alpha``) of the dense product's multiply-adds.
+(2w+1)·C_hid)``, summed once from the products of the output kernel's tap
+pairs that write a common output value (:func:`nn.transposed_conv_gram_band`),
+so no dense ``G`` forms. ``Gh`` multiplies each step's blocks with the
+``2w+1`` hidden steps around it, one matmul batched over time plus ``2w``
+edge products (:func:`nn.gram_band_matmul`), with 1/13 (``beta``) and 1/17
+(``alpha``) of the dense product's multiply-adds.
 
 Time-major fits. A fit runs in one layout from the interface map to the
 loss: latents, hidden activations and every gradient between them are
@@ -514,16 +515,18 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
     Every entry is trained per fold and scored against the per-fold intercept
     model and autoencoder ceiling (the reconstruction MSE of ``decoder``'s
     containing autoencoder, or ``ceiling_mse`` when the true floor is known,
-    e.g. on synthetic data). With ``weight_decay=None`` each entry runs the
-    weight-decay grid search over the same folds and reports the best.
-    Each source's feature block is built once, for every entry that lists
-    it. Entries whose feature sources cannot be assembled are skipped with
-    a warning. Returns a dict with per-entry :class:`EvalReport` data.
+    e.g. on synthetic data). Each entry runs the weight-decay grid search over
+    the same folds and reports the best, over ``wd_grid`` with
+    ``weight_decay=None`` and over the one-value grid ``(weight_decay,)``
+    otherwise. Each source's feature block is built once, for every entry
+    that lists it. Entries whose feature sources cannot be assembled are
+    skipped with a warning. Returns a dict with per-entry
+    :class:`EvalReport` data.
     """
     if roster is None:
         roster = standard_roster()
-    wd_grid = tuple(wd_grid)
-    if weight_decay is None and not wd_grid:
+    grid = tuple(wd_grid) if weight_decay is None else (weight_decay,)
+    if not grid:
         raise ValueError("weight decay grid is empty")
     frozen = freeze(decoder, dataset, meta)
     folds = kfold_split(dataset.n_trials, k, seed)
@@ -575,28 +578,19 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
             result["skipped"].append({"name": name, "reason": str(e)})
             continue
         kept.append((name, sources, len(groups)))
-        if sources == ("constant",):
-            continue
-        if weight_decay is not None:
-            groups.append(group(features, sources, weight_decay, entry_idx, 0))
-        else:
+        if sources != ("constant",):
             groups += [group(features, sources, wd, entry_idx, wd_idx)
-                       for wd_idx, wd in enumerate(wd_grid)]
+                       for wd_idx, wd in enumerate(grid)]
 
     mses = _fold_mses(frozen, folds, groups, epochs=epochs,
                       batch_size=batch_size, lr=lr, dev_fraction=dev_fraction)
     intercept_mse = mses[0]
     for name, sources, first in kept:
-        wd_table = None
         if sources == ("constant",):
-            chosen_wd = 0.0
-            model_fold_mse = intercept_mse
-        elif weight_decay is not None:
-            chosen_wd = weight_decay
-            model_fold_mse = mses[first]
+            chosen_wd, wd_table, model_fold_mse = 0.0, None, intercept_mse
         else:
             chosen_wd, wd_table, model_fold_mse = _grid_search(
-                wd_grid, mses[first : first + len(wd_grid)])
+                grid, mses[first : first + len(grid)])
         report = fold_report(name, model_fold_mse, intercept_mse, ae_mse,
                              fold_digest=fold_digest, n_boot=n_boot, seed=seed,
                              metadata={"sources": list(sources),

@@ -56,10 +56,11 @@ convolution 2.6× slower (6.8 -> 17.7 ms at batch 128, 32×200).
 Gram band. For a transposed convolution ``A`` with kernel ``K`` and stride
 ``s``, inputs more than ``w = ceil(K/s) - 1`` time steps apart write no
 common output, so ``G = AᵀA`` is block-banded in time.
-:func:`transposed_conv_gram_band` stores its ``2w+1`` block diagonals side
-by side, and :func:`gram_band_matmul` applies them to the ``2w+1``
-consecutive input steps around each step: one matmul batched over the
-steps whose window lies inside the input, and one product each for the
+:func:`transposed_conv_gram_band` sums its ``2w+1`` block diagonals from
+the kernel tap pairs that write a common output, with no dense ``G``, and
+stores them side by side; :func:`gram_band_matmul` applies them to the
+``2w+1`` consecutive input steps around each step: one matmul batched over
+the steps whose window lies inside the input, and one product each for the
 ``2w`` edge steps, with no padded copy.
 """
 
@@ -426,37 +427,34 @@ def transposed_conv_gram_band(kernels, stride: int, padding: int, length: int) -
     kernels: (C_in, C_out, K). With ``w`` the :func:`gram_bandwidth`, returns
     ``band`` of shape ``(length, C_in, (2w+1)*C_in)`` where ``band[t, c,
     d*C_in + c']`` is ``G[(c, t), (c', t+d-w)]``, zero where ``t+d-w`` is out
-    of range. ``G`` is built densely from basis columns, a chunk at a time,
-    through :func:`convtranspose1d_forward` and its adjoint
-    :func:`conv1d_forward`, then symmetrised; every block outside the band
-    must be exactly zero.
+    of range. Tap ``j`` of step ``t`` writes output ``t*s - p + j`` (Dumoulin
+    & Visin, 2016), as does tap ``j2 ≡ j (mod s)`` of step ``t + (j-j2)/s``:
+    each such pair adds ``kernels[:, :, j] @ kernels[:, :, j2].T`` to block
+    ``d = (j-j2)/s + w`` of every step ``t`` that padding does not crop and
+    whose partner step exists. A block and its mirror sum the same pairs in
+    the same order, so the band is exactly symmetric.
     """
     kernels = _as_f64(kernels)
     if kernels.ndim != 3:
         raise ValueError(f"transposed_conv_gram_band: kernels must be (C_in, C_out, K), "
                          f"got shape {kernels.shape}")
-    c_in, c_out, k = kernels.shape
+    _check_stride_padding(stride, padding)
+    c_in, _, k = kernels.shape
     w = gram_bandwidth(k, stride)
-    n = c_in * length
-    gram = np.empty((n, n))
-    eye = np.eye(n)
-    chunk = 128  # basis columns per pass
-    for start in range(0, n, chunk):
-        basis = eye[start : start + chunk].reshape(-1, c_in, length)
-        cols, _ = convtranspose1d_forward(basis, kernels, np.zeros(c_out), stride, padding)
-        back, _ = conv1d_forward(cols, kernels, np.zeros(c_in), stride, padding)
-        gram[start : start + chunk] = back.reshape(-1, n)
-    gram = (0.5 * (gram + gram.T)).reshape(c_in, length, c_in, length)
-
-    t = np.arange(length)
-    if np.any(gram.transpose(1, 3, 0, 2)[np.abs(t[:, None] - t[None, :]) > w]):
-        raise ValueError(f"transposed_conv_gram_band: G has nonzero blocks more than {w} "
-                         f"time steps off the diagonal (kernel {k}, stride {stride})")
+    wide_len = convtranspose_output_length(length, k, stride, padding)
     band = np.zeros((length, c_in, 2 * w + 1, c_in))
-    for d in range(2 * w + 1):
-        lo = max(0, w - d)
-        diag = np.diagonal(gram, offset=d - w, axis1=1, axis2=3)  # (C_in, C_in, length-|d-w|)
-        band[lo : lo + diag.shape[2], :, d, :] = diag.transpose(2, 0, 1)
+    for j in range(k):
+        taps = _tap_slices(j, length, wide_len, stride, padding)
+        if taps is None:
+            continue
+        steps = taps[0]
+        for j2 in range(j % stride, k, stride):
+            shift = (j - j2) // stride  # step t's tap j meets step t+shift's tap j2
+            if abs(shift) > w:
+                raise ValueError(f"transposed_conv_gram_band: G has nonzero blocks more than "
+                                 f"{w} time steps off the diagonal (kernel {k}, stride {stride})")
+            lo, hi = max(steps.start, -shift), min(steps.stop, length - shift)
+            band[lo:hi, :, shift + w] += kernels[:, :, j] @ kernels[:, :, j2].T
     return band.reshape(length, c_in, (2 * w + 1) * c_in)
 
 

@@ -247,6 +247,24 @@ class TestPretrain:
         with pytest.raises(RuntimeError, match=f"diverged to {bad} at epoch 1, batch 1$"):
             ae.pretrain(spec, ds, meta_rows(120), epochs=3, batch_size=64, seed=3)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_diverged_dev_score_names_value_and_epoch(self, rng, monkeypatch, bad):
+        # a last step that diverges shows only in that epoch's dev score
+        spec = ae.AutoencoderSpec("beta", False, 8, 50)
+        ds = lowrank_dataset(rng, spec, n=120)
+        scores = iter([1.0, bad])
+        monkeypatch.setattr(ae, "reconstruction_mse", lambda *args: next(scores))
+        with pytest.raises(RuntimeError, match=f"^dev MSE diverged to {bad} at epoch 1$"):
+            ae.pretrain(spec, ds, meta_rows(120), epochs=2, batch_size=64, seed=3)
+
+    @pytest.mark.parametrize("lr", [0.0, -0.01, np.nan, np.inf])
+    def test_bad_learning_rate_rejected_before_any_step(self, rng, monkeypatch, lr):
+        spec = ae.AutoencoderSpec("beta", False, 8, 50)
+        ds = lowrank_dataset(rng, spec, n=40)
+        monkeypatch.setattr(nn, "adam_step", lambda *args, **kw: pytest.fail("a step ran"))
+        with pytest.raises(ValueError, match=f"^lr must be finite and > 0, got {lr}$"):
+            ae.pretrain(spec, ds, meta_rows(40), epochs=1, lr=lr)
+
     def test_empty_dataset_rejected(self):
         spec = ae.AutoencoderSpec("beta", False, 8, 50)
         ds = ErpDataset(np.zeros((0, 8, 50)), 250.0, -100.0, 100.0)

@@ -569,7 +569,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag, value, message", [
         ("--batch", -5, "batch_size must be >= 1, got -5"),
         ("--epochs", 0, "epochs must be >= 1, got 0"),
-    ], ids=["batch", "epochs"])
+        ("--lr", -0.01, "lr must be finite and > 0, got -0.01"),
+    ], ids=["batch", "epochs", "lr"])
     def test_empty_training_schedule_is_1(self, pipeline, tmp_path, capsys, flag, value,
                                           message):
         code = run(["pretrain", "--data", pipeline / "d" / "data", "--arch", "beta",
@@ -579,6 +580,56 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             f"error: InvalidInput: {message}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        (None, "weight_decay must be finite and >= 0, got -5.0"),
+        ({"lr": 0.0}, "lr must be finite and > 0, got 0.0"),
+        ({"weight_decay": -1.0}, "weight_decay must be finite and >= 0, got -1.0"),
+    ], ids=["fit_wd", "suite_lr", "suite_wd"])
+    def test_bad_step_size_is_1(self, pipeline, tmp_path, capsys, setting, message):
+        decoder, data = pipeline / "m" / "autoencoder", pipeline / "d" / "data"
+        if setting is None:
+            args = ["fit", "--decoder", decoder, "--data", data, "--sources", "constant",
+                    "--wd", -5]
+        else:
+            path = tmp_path / "suite.json"
+            path.write_text(json.dumps({
+                "data": str(data), "decoder": str(decoder), "folds": 2, "epochs": 1,
+                "roster": [{"name": "intercept", "sources": ["constant"]},
+                           {"name": "frequency", "sources": ["frequency"]}],
+                "counts": str(pipeline / "d" / "counts.tsv"), **setting}))
+            args = ["suite", "--config", path]
+        assert run([*args, "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: InvalidInput: {message}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_diverged_pretraining_is_a_run_failure(self, pipeline, tmp_path, capsys):
+        # one step at a huge learning rate: the loss it takes is finite, the dev
+        # score after it is not
+        code = run(["pretrain", "--data", pipeline / "d" / "data", "--arch", "beta",
+                    "--epochs", 1, "--batch", 100000, "--lr", 1e200, "--out", tmp_path / "o"])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: RunFailure: dev MSE diverged to ")
+        assert errors[0].endswith(" at epoch 0")
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_count_is_4(self, pipeline, tmp_path, capsys):
+        lines = (pipeline / "d" / "counts.tsv").read_text().splitlines()
+        token, _ = lines[1].split("\t")
+        bad = tmp_path / "counts.tsv"
+        bad.write_text("\n".join([lines[0], f"{token}\t-5"] + lines[2:]) + "\n")
+        code = run(["fit", "--decoder", pipeline / "m" / "autoencoder",
+                    "--data", pipeline / "d" / "data", "--sources", "frequency",
+                    "--counts", bad, "--out", tmp_path / "o"])
+        assert code == 4
+        assert (f"error: FormatViolation: {bad}: line 2: negative count -5"
+                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     def test_failed_fit_leaves_no_out(self, pipeline, tmp_path, capsys):

@@ -370,6 +370,13 @@ class TestCounts:
         with pytest.raises(data.FormatError, match="line 1"):
             data.load_counts(p)
 
+    @pytest.mark.parametrize("bad", [-5, -1])
+    def test_negative_count_rejected(self, tmp_path, bad):
+        p = tmp_path / "counts.tsv"
+        p.write_text(f"the\t100\ndog\t{bad}\n")
+        with pytest.raises(data.FormatError, match=f"counts.tsv: line 2: negative count {bad}$"):
+            data.load_counts(p)
+
 
 # Valid files of each table format; the fuzz tests splice noise into them.
 _VALID_TABLES = {

@@ -203,10 +203,14 @@ class TestTraining:
     @pytest.mark.parametrize("schedule, message", [
         ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
         ({"epochs": 0}, "epochs must be >= 1, got 0"),
-    ], ids=["batch_size", "epochs"])
+        ({"lr": 0.0}, "lr must be finite and > 0, got 0.0"),
+        ({"lr": np.nan}, "lr must be finite and > 0, got nan"),
+        ({"weight_decay": -5.0}, "weight_decay must be finite and >= 0, got -5.0"),
+        ({"weight_decay": np.inf}, "weight_decay must be finite and >= 0, got inf"),
+    ], ids=["batch_size", "epochs", "lr_zero", "lr_nan", "wd_negative", "wd_inf"])
     def test_empty_training_schedule_rejected(self, small_synth, schedule, message):
         sd, ds, meta = small_synth
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             quick_fit(sd, ds, meta, ("frequency",), **schedule)
 
     def test_decoder_mutated_after_freeze_rejected(self, small_synth):
@@ -647,8 +651,8 @@ class TestParallelFits:
             ceiling_mse=sd.ground_truth.mse_floor) for n in (1, 3)]
         serial, parallel = (self.suite_json(r) for r in runs)
         assert serial == parallel
-        n_tables = 0 if weight_decay is not None else 2
-        assert sum(e["wd_table"] is not None for e in runs[1]["entries"].values()) == n_tables
+        # a fixed weight decay is a one-value grid: every entry but the intercept has a table
+        assert sum(e["wd_table"] is not None for e in runs[1]["entries"].values()) == 2
 
     def test_weight_decay_search_identical_serial_and_parallel(self, small_synth,
                                                                monkeypatch):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erpcoder import nn
-from erpcoder.autoencoder import _stack_backward
+from erpcoder.autoencoder import (ARCHITECTURES, AutoencoderSpec, _stack_backward,
+                                  build_layer_plan, init_params)
 from oracles import (adam_first_step_naive, conv1d_naive, convtranspose1d_kernel_grad_naive,
                      convtranspose1d_naive, maxpool1d_backward_naive, maxpool1d_naive,
                      transposed_conv_matrix_naive)
@@ -499,7 +500,22 @@ GRAM_BAND_GEOMETRIES = {
     "w1-beta-output": (4, 3, 9, 5, 2, 8),
     "w2-k>2stride": (3, 2, 7, 3, 1, 6),
     "w3-stride1": (2, 2, 4, 1, 1, 9),
+    "w4-padding>stride": (2, 3, 9, 2, 5, 7),
+    "w2-padding-crops-whole-taps": (2, 3, 5, 2, 1, 1),
+    "w3-length<=2w": (2, 2, 7, 2, 1, 3),
+    "w1-alpha-output": (3, 2, 8, 4, 2, 7),
 }
+
+
+def _assert_band_exactly_symmetric(band, c_in):
+    """``band[t, :, d]`` is bit for bit the transpose of ``band[t+d-w, :, 2w-d]``."""
+    length = band.shape[0]
+    blocks = band.reshape(length, c_in, -1, c_in)
+    w = blocks.shape[2] // 2
+    for t in range(length):
+        for d in range(2 * w + 1):
+            if 0 <= t + d - w < length:
+                np.testing.assert_array_equal(blocks[t, :, d], blocks[t + d - w, :, 2 * w - d].T)
 
 
 @pytest.mark.parametrize("geometry", list(GRAM_BAND_GEOMETRIES))
@@ -522,6 +538,11 @@ class TestGramBand:
         got = nn.gram_band_matmul(band, _time_major(x))  # time-major in and out
         assert np.abs(_time_major(got) - expected).max() <= 1e-12 * np.abs(expected).max()
 
+    def test_band_is_exactly_symmetric(self, rng, geometry):
+        c_in, c_out, k, stride, pad, length = GRAM_BAND_GEOMETRIES[geometry]
+        band = nn.transposed_conv_gram_band(rng.normal(size=(c_in, c_out, k)), stride, pad, length)
+        _assert_band_exactly_symmetric(band, c_in)
+
     def test_dense_gram_is_zero_outside_band(self, rng, geometry):
         c_in, c_out, k, stride, pad, length = GRAM_BAND_GEOMETRIES[geometry]
         a = transposed_conv_matrix_naive(rng.normal(size=(c_in, c_out, k)), stride, pad, length)
@@ -531,11 +552,28 @@ class TestGramBand:
         assert not np.any(gram.transpose(1, 3, 0, 2)[far])
 
 
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_paper_decoder_band_is_exactly_symmetric(arch):
+    spec = AutoencoderSpec(arch, False, 32, 200)
+    steps = build_layer_plan(spec).decoder
+    step = steps[-1]
+    kernels = init_params(spec, seed=3).tensors[f"dec{len(steps) - 1}.kernels"]
+    length = nn.conv_output_length(200, step.kernel, step.stride, step.padding)
+    band = nn.transposed_conv_gram_band(kernels, step.stride, step.padding, length)
+    _assert_band_exactly_symmetric(band, kernels.shape[0])
+
+
 class TestGramBandInput:
     def test_mismatched_input_rejected(self, rng):
         band = nn.transposed_conv_gram_band(rng.normal(size=(3, 2, 9)), 5, 2, 8)
         with pytest.raises(ValueError, match=r"band shape \(8, 3, 9\) does not fit input"):
             nn.gram_band_matmul(band, np.zeros((8, 2, 4)))
+
+    @pytest.mark.parametrize("stride, padding, message", [
+        (0, 1, "stride must be >= 1, got 0"), (2, -1, "padding must be >= 0, got -1")])
+    def test_bad_stride_or_padding_rejected(self, rng, stride, padding, message):
+        with pytest.raises(ValueError, match=message):
+            nn.transposed_conv_gram_band(rng.normal(size=(3, 2, 9)), stride, padding, 8)
 
     def test_bandwidth_too_narrow_for_kernel_rejected(self, rng, monkeypatch):
         # a bandwidth formula that undercounts must trip the zero check, not truncate G
