@@ -44,14 +44,18 @@ def save_checkpoint(basepath, kind: str, meta: dict,
     manifest_path, payload_path = checkpoint_files(basepath)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     entries = []
-    payload = bytearray()
+    arrays = []
+    offset = 0
     for name, arr in tensors.items():
         arr = np.ascontiguousarray(arr, dtype="<f8")
-        entries.append({"name": name, "offset": len(payload), "shape": list(arr.shape)})
-        payload.extend(arr.tobytes())
+        entries.append({"name": name, "offset": offset, "shape": list(arr.shape)})
+        arrays.append(arr)
+        offset += arr.nbytes
     manifest = {"kind": kind, "meta": meta, "tensors": entries}
     write_json(manifest_path, manifest)
-    payload_path.write_bytes(bytes(payload))
+    with payload_path.open("wb") as f:
+        for arr in arrays:
+            f.write(arr.data)
 
 
 def load_checkpoint(basepath, expect_kind: str | None = None

@@ -6,6 +6,11 @@ inputs, writes outputs only under ``--out``, and drops a ``manifest.json``
 (resolved config plus input hashes) next to them. Progress goes to standard
 error; standard output stays clean.
 
+Each input's sha256 is taken when the command loads it, so the manifest
+describes the bytes the command used. The ERP payload is read once: its
+digest is taken from the loaded array, whose buffer holds exactly the
+file's bytes, and writing the manifest opens no input again.
+
 Exit codes: 0 success, 2 usage error, 3 missing file, 4 file format
 violation, 1 anything else. Failures print one line:
 ``error: <ErrorClass>: <message>``.
@@ -14,9 +19,12 @@ violation, 1 anything else. Failures print one line:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, autoencoder, encoding, metrics, synth
 from .checkpoint import checkpoint_files, file_digest
@@ -29,16 +37,18 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _hashed(paths) -> list[dict]:
+    """The manifest entries of input files ``paths``, hashed as they are now."""
+    return [{"path": str(p), "sha256": file_digest(p)} for p in paths]
+
+
 def _manifest(out_dir: Path, command: str, config: dict, inputs: dict[str, list]) -> None:
-    hashed = {}
-    for label, paths in inputs.items():
-        hashed[label] = [
-            {"path": str(p), "sha256": file_digest(p)} for p in paths
-        ]
+    """Write ``manifest.json``; ``inputs`` maps each label to its files'
+    ``{"path", "sha256"}`` entries, taken when the command loaded them."""
     write_json(out_dir / "manifest.json", {
         "command": command,
         "config": config,
-        "inputs": hashed,
+        "inputs": inputs,
         "version": __version__,
     })
 
@@ -54,15 +64,20 @@ def _load_inputs(data, paths: dict, include_first_word: bool = False):
     suite config) names. Returns the dataset and meta without artifacts (and
     without sentence-initial words unless ``include_first_word``), the table
     keywords of ``assemble``/``run_model_suite`` (``sentence_tokens`` built
-    before filtering) and the manifest inputs."""
+    before filtering) and the manifest inputs, hashed as loaded."""
     dataset, meta = load_erp(data)
+    sidecar, payload, meta_table = erp_files(data)
+    # the unfiltered array holds exactly the payload file's bytes
+    payload_digest = hashlib.sha256(np.ascontiguousarray(dataset.data, dtype="<f8"))
+    inputs = {"data": [*_hashed([sidecar]),
+                       {"path": str(payload), "sha256": payload_digest.hexdigest()},
+                       *_hashed([meta_table])]}
     tables = {"sentence_tokens": build_sentence_tokens(meta)}
     dataset, meta = filter_artifacts(dataset, meta, include_first_word=include_first_word)
-    inputs = {"data": erp_files(data)}
     for key, keyword, load in _TABLES:
         if paths.get(key):
             tables[keyword] = load(paths[key])
-            inputs[key] = [paths[key]]
+            inputs[key] = _hashed([paths[key]])
     return dataset, meta, tables, inputs
 
 
@@ -101,13 +116,14 @@ def _hyper(args, config: dict | None = None) -> dict:
 
 def _cmd_synth(args) -> int:
     config = synth.SynthConfig.from_json_dict(read_json(args.config))
+    inputs = {"config": _hashed([args.config])}
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     _progress(f"generating synthetic dataset ({config.n_trials} trials, seed {config.seed})")
     data = synth.generate(config)
     out = Path(args.out)
     synth.write_dataset_dir(data, out)
-    _manifest(out, "synth", config.to_json_dict(), {"config": [args.config]})
+    _manifest(out, "synth", config.to_json_dict(), inputs)
     _progress(f"wrote dataset under {out}")
     return 0
 
@@ -177,6 +193,7 @@ def _parse_sources(text: str) -> tuple[str, ...]:
 def _cmd_fit(args) -> int:
     sources = _parse_sources(args.sources)
     decoder = autoencoder.load_autoencoder(args.decoder)
+    decoder_inputs = _hashed(checkpoint_files(args.decoder))
     dataset, meta, tables, inputs = _load_inputs(args.data, vars(args))
     fm = assemble(FeatureSpec(sources), meta, **tables)
     frozen = encoding.freeze(decoder, dataset, meta)
@@ -212,7 +229,7 @@ def _cmd_fit(args) -> int:
               {"sources": list(sources), "weight_decay": wd,
                "wd_search": bool(args.wd_search), "seed": args.seed,
                "folds": args.folds, **hyper},
-              {"decoder": checkpoint_files(args.decoder), **inputs})
+              {"decoder": decoder_inputs, **inputs})
     _progress(f"best dev MSE {min(history.dev_mse):.6g} at epoch {history.best_epoch}")
     return 0
 
@@ -228,6 +245,7 @@ def _cmd_suite(args) -> int:
     where = f"{args.config}: suite config"
     config = checked_fields(read_json(args.config), {"data": str, "decoder": str}, where,
                             optional=_SUITE_KEYS)
+    config_inputs = _hashed([args.config])
     roster = None
     if config.get("roster"):
         roster = []
@@ -236,6 +254,7 @@ def _cmd_suite(args) -> int:
                                    f"{where} roster entry {i}")
             roster.append((entry["name"], tuple(entry["sources"])))
     decoder = autoencoder.load_autoencoder(config["decoder"])
+    decoder_inputs = _hashed(checkpoint_files(config["decoder"]))
     dataset, meta, tables, inputs = _load_inputs(config["data"], config)
     hyper = _hyper(args, config)
     k = args.folds if args.folds is not None else config.get("folds", 5)
@@ -272,8 +291,7 @@ def _cmd_suite(args) -> int:
         "skipped": result["skipped"],
     })
     _manifest(out, "suite", {"folds": k, "seed": seed, "weight_decay": wd, **hyper},
-              {"config": [args.config], "decoder": checkpoint_files(config["decoder"]),
-               **inputs})
+              {"config": config_inputs, "decoder": decoder_inputs, **inputs})
     for row in rows:
         _progress(f"  {row['model']}: r2_mod {row['r2_mod']:.4f} "
                   f"[{row['ci_low']:.4f}, {row['ci_high']:.4f}]")
@@ -285,12 +303,13 @@ def _load_analysis(args):
     the filtered dataset and meta, (model, features) for ``--model`` and for
     ``--intercept`` (None for a command without one), and the manifest inputs."""
     ae_params = autoencoder.load_autoencoder(args.autoencoder)
+    ae_inputs = _hashed(checkpoint_files(args.autoencoder))
     dataset, meta, tables, inputs = _load_inputs(args.data, vars(args))
-    inputs["autoencoder"] = checkpoint_files(args.autoencoder)
+    inputs["autoencoder"] = ae_inputs
 
     def fitted(label, path):
         model = encoding.load_encoding_model(path, ae_params)
-        inputs[label] = checkpoint_files(path)
+        inputs[label] = _hashed(checkpoint_files(path))
         return model, assemble(FeatureSpec(model.sources), meta, **tables)
 
     model = fitted("model", args.model)
@@ -401,8 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sources", required=True,
                    help="comma-separated feature sources, e.g. frequency,surprisal")
     _add_table_flags(p)
-    p.add_argument("--wd", type=float, default=None)
-    p.add_argument("--wd-search", action="store_true", dest="wd_search")
+    decay = p.add_mutually_exclusive_group()
+    decay.add_argument("--wd", type=float, default=None)
+    decay.add_argument("--wd-search", action="store_true", dest="wd_search")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     _add_hyper_flags(p)

@@ -15,7 +15,10 @@ Embeddings    whitespace-separated text, one ``token v1 ... vD`` per line
 Counts        TSV ``token<TAB>count``.
 
 Loaders are reentrant and the loaded structures are immutable by convention;
-round-trips are bit-identical.
+round-trips are bit-identical. :func:`load_erp` reads an ERP payload once,
+straight into the dataset's array, after checking the file's size against the
+sidecar shape; it hashes nothing, so a caller that records a digest (the CLI
+manifest) takes it from that array.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import types
 import typing
 from dataclasses import dataclass, replace
@@ -255,12 +259,29 @@ def save_erp(basepath, dataset: ErpDataset, meta: list[TrialMeta]) -> None:
         "shape": list(dataset.data.shape),
     }
     write_json(sidecar_path, sidecar)
-    payload_path.write_bytes(np.ascontiguousarray(dataset.data, dtype="<f8").tobytes())
+    with payload_path.open("wb") as f:
+        f.write(np.ascontiguousarray(dataset.data, dtype="<f8").data)
     save_meta(meta_path, meta)
 
 
+def _read_into(f, buf: memoryview) -> int:
+    """Fill ``buf`` from the unbuffered file ``f``; the bytes read, fewer than
+    ``len(buf)`` only at end of file. One read returns at most ~2 GiB on Linux."""
+    got = 0
+    while got < len(buf):
+        n = f.readinto(buf[got:])
+        if not n:
+            break
+        got += n
+    return got
+
+
 def load_erp(basepath) -> tuple[ErpDataset, list[TrialMeta]]:
-    """Read a dataset written by :func:`save_erp`. Round-trips bit-identically."""
+    """Read a dataset written by :func:`save_erp`. Round-trips bit-identically.
+
+    The payload is read once, straight into the returned ``data`` array, whose
+    buffer then holds exactly the file's bytes (little-endian f64, C order).
+    """
     sidecar_path, payload_path, meta_path = erp_files(basepath)
     if not sidecar_path.exists():
         raise FileNotFoundError(str(sidecar_path))
@@ -275,14 +296,19 @@ def load_erp(basepath) -> tuple[ErpDataset, list[TrialMeta]]:
 
     if not payload_path.exists():
         raise FileNotFoundError(str(payload_path))
-    payload = payload_path.read_bytes()
     expected_bytes = math.prod(shape) * 8
-    if len(payload) != expected_bytes:
+    with payload_path.open("rb", buffering=0) as f:
+        # the size is checked before allocating, so a shape claiming more
+        # values than the file holds fails here and allocates nothing
+        found = os.fstat(f.fileno()).st_size
+        if found == expected_bytes:
+            data = np.empty(shape, dtype="<f8")
+            found = _read_into(f, memoryview(data.reshape(-1).view(np.uint8)))
+    if found != expected_bytes:
         raise FormatError(
             f"{payload_path}: expected {expected_bytes} bytes for shape {shape}, "
-            f"found {len(payload)}"
+            f"found {found}"
         )
-    data = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     finite = np.isfinite(data)
     if not finite.all():
         first = tuple(int(i) for i in np.argwhere(~finite)[0])

@@ -22,6 +22,7 @@ from .features import SOURCES
 
 MODEL_CODING_FAMILIES = tuple(s for s in SOURCES if s != "constant")
 CI_ALPHA = 0.05  # fold intervals are 95% percentile bootstrap intervals
+TRIAL_BLOCK = 16  # trials per block of the pooled time-course sums
 
 
 def r2_mod(mse_model: float, mse_intercept: float, mse_autoencoder: float) -> float:
@@ -75,11 +76,33 @@ class TimecourseSeries:
 
 def pooled_timepoint_correlation(preds: np.ndarray, actual: np.ndarray) -> np.ndarray:
     """Pearson r at each timepoint, pooled over trials x channels; 0.0 at a
-    timepoint where either side has zero variance."""
+    timepoint where either side has zero variance.
+
+    Two passes over blocks of ``TRIAL_BLOCK`` trials, summed in block order,
+    so no temporary is larger than a block: the per-timepoint means, then the
+    sums of the centred products. Each side is measured from its first value
+    at each timepoint, which leaves r unchanged and makes the centred values
+    of a constant timepoint, and so its variance, exactly 0.
+    """
     if preds.shape != actual.shape:
         raise ValueError(f"prediction shape {preds.shape} != actual {actual.shape}")
-    return np.array([_pearson_flagged(preds[:, :, t].ravel(), actual[:, :, t].ravel())[0]
-                     for t in range(preds.shape[2])])
+    n_trials, n_channels, _ = preds.shape
+    if n_trials * n_channels == 0:
+        raise ValueError(f"no values to pool at each timepoint, shape {preds.shape}")
+    blocks = [slice(i, i + TRIAL_BLOCK) for i in range(0, n_trials, TRIAL_BLOCK)]
+    means = []
+    for x in (preds, actual):
+        origin = x[0, 0]
+        shifted = sum(np.einsum("nct->t", x[b] - origin) for b in blocks)
+        means.append(origin + shifted / (n_trials * n_channels))
+    sxy = sxx = syy = 0.0
+    for b in blocks:
+        dx, dy = preds[b] - means[0], actual[b] - means[1]
+        sxy = sxy + np.einsum("nct,nct->t", dx, dy)
+        sxx = sxx + np.einsum("nct,nct->t", dx, dx)
+        syy = syy + np.einsum("nct,nct->t", dy, dy)
+    denom = np.sqrt(sxx * syy)
+    return np.divide(sxy, denom, out=np.zeros_like(denom), where=denom != 0.0)
 
 
 def timepoint_correlation_increase(model_preds: np.ndarray, intercept_preds: np.ndarray,

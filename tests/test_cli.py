@@ -1,6 +1,9 @@
 """CLI pipeline, exit codes, manifests, and determinism."""
 
+import hashlib
+import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +36,16 @@ def write_config(tmp_path) -> Path:
 
 def run(args) -> int:
     return cli.main([str(a) for a in args])
+
+
+def assert_digests_match_files(out_dir: Path) -> None:
+    """Every input digest in ``out_dir``'s manifest is the sha256 of the named file."""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    entries = [entry for group in manifest["inputs"].values() for entry in group]
+    assert entries
+    for entry in entries:
+        assert entry["sha256"] == hashlib.sha256(
+            Path(entry["path"]).read_bytes()).hexdigest(), entry["path"]
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +84,33 @@ class TestPipeline:
         hashed = [f["sha256"] for group in manifest["inputs"].values() for f in group]
         assert all(len(h) == 64 for h in hashed)
         assert "out" not in manifest["config"]
+
+    @pytest.mark.parametrize("command", ["m", "e0", "e1"])
+    def test_manifest_digests_are_the_input_files_sha256(self, pipeline, command):
+        # pretrain, fit without tables, fit with both tables
+        assert_digests_match_files(pipeline / command)
+
+    def test_evaluate_reads_the_payload_once(self, pipeline, tmp_path, monkeypatch):
+        payload = pipeline / "d" / "data.erp.bin"
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == payload:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        assert run(["evaluate", "--model", pipeline / "e1" / "model",
+                    "--intercept", pipeline / "e0" / "model",
+                    "--autoencoder", pipeline / "m" / "autoencoder",
+                    "--data", pipeline / "d" / "data",
+                    "--features", pipeline / "d" / "tokens.feat.tsv",
+                    "--counts", pipeline / "d" / "counts.tsv",
+                    "--out", tmp_path / "v"]) == 0
+        monkeypatch.undo()
+        assert len(opened) == 1
+        assert_digests_match_files(tmp_path / "v")
 
     def test_evaluate_and_reports(self, pipeline, capsys):
         assert run(["evaluate", "--model", pipeline / "e1" / "model",
@@ -558,6 +598,15 @@ class TestExitCodes:
         assert run([*args, "--seed", 0]) == 2
         assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
         assert run(args) == 3  # the same command without --seed parses
+
+    def test_wd_with_wd_search_is_2(self, pipeline, tmp_path, capsys):
+        code = run(["fit", "--decoder", pipeline / "m" / "autoencoder",
+                    "--data", pipeline / "d" / "data", "--sources", "constant",
+                    "--wd", 5, "--wd-search", "--out", tmp_path / "o"])
+        assert code == 2
+        assert "argument --wd-search: not allowed with argument --wd" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_bad_sources_is_1(self, pipeline, capsys):
         code = run(["fit", "--decoder", pipeline / "m" / "autoencoder",

@@ -88,6 +88,29 @@ class TestErpRoundTrip:
         with pytest.raises(data.FormatError, match="expected 6400 bytes.*found 6384"):
             data.load_erp(base)
 
+    def test_shape_beyond_the_payload_rejected_before_allocating(self, rng, tmp_path):
+        # 8e15 bytes claimed: the size check comes first, so no MemoryError
+        base = tmp_path / "set"
+        data.save_erp(base, make_dataset(rng), make_meta(10))
+        sidecar_path = data.erp_files(base)[0]
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["shape"] = [10**6, 10**6, 10**3]
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(data.FormatError,
+                           match=r"expected 8000000000000000 bytes.*found 6400"):
+            data.load_erp(base)
+
+    def test_payload_is_the_arrays_bytes(self, rng, tmp_path):
+        # a Fortran-ordered array is written in C order, as tobytes() gives it
+        ds = make_dataset(rng)
+        ds.data = np.asfortranarray(ds.data)
+        base = tmp_path / "set"
+        data.save_erp(base, ds, make_meta(10))
+        payload = data.erp_files(base)[1].read_bytes()
+        assert payload == ds.data.astype("<f8").tobytes(order="C")
+        loaded, _ = data.load_erp(base)
+        assert loaded.data.flags.c_contiguous and loaded.data.tobytes() == payload
+
     def test_standard_geometry_sidecar_accepted(self, rng, tmp_path):
         # 250 Hz, -100..700 ms, 200 timepoints
         ds = data.ErpDataset(rng.normal(size=(3, 32, 200)), 250.0, -100.0, 700.0)
@@ -129,6 +152,15 @@ class TestCheckpointFormat:
         kind, _, tensors = checkpoint.load_checkpoint(base, expect_kind="test")
         assert kind == "test"
         assert {k: v.shape for k, v in tensors.items()} == {"a": (2, 3), "b": (4,)}
+
+    def test_payload_is_the_tensors_bytes_in_order(self, tmp_path, rng):
+        tensors = {"z": rng.normal(size=(3, 2)).T, "a": rng.normal(size=5)}
+        checkpoint.save_checkpoint(tmp_path / "ck", "test", {}, tensors)
+        manifest_path, payload_path = checkpoint.checkpoint_files(tmp_path / "ck")
+        assert payload_path.read_bytes() == b"".join(
+            t.astype("<f8").tobytes(order="C") for t in tensors.values())
+        entries = json.loads(manifest_path.read_text())["tensors"]
+        assert [(e["name"], e["offset"]) for e in entries] == [("z", 0), ("a", 48)]
 
     def test_negative_dimension_rejected(self, tmp_path, rng):
         # np.prod([-1]) == -1 used to load a silently truncated tensor, and a

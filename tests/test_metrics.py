@@ -45,20 +45,27 @@ class TestTimecourse:
         r_int = metrics.pooled_timepoint_correlation(intercept, actual)
         np.testing.assert_allclose(series.values, 1.0 - r_int, atol=1e-12)
 
-    def test_pooled_r_matches_bruteforce_flat_vector(self, rng):
-        preds = rng.normal(size=(7, 4, 5))
-        actual = rng.normal(size=(7, 4, 5))
+    # trial counts on either side of the trial-block edges (TRIAL_BLOCK 16)
+    @pytest.mark.parametrize("n_trials", [7, 1, 31, 33, 65])
+    def test_pooled_r_matches_bruteforce_flat_vector(self, rng, n_trials):
+        preds = rng.normal(size=(n_trials, 4, 5))
+        actual = rng.normal(size=(n_trials, 4, 5)) + 0.5 * preds + 3.0
         r = metrics.pooled_timepoint_correlation(preds, actual)
-        t = 2
-        assert r[t] == pytest.approx(
-            pearson_naive(preds[:, :, t].ravel(), actual[:, :, t].ravel()), abs=1e-12)
+        for t in range(5):
+            assert r[t] == pytest.approx(
+                pearson_naive(preds[:, :, t].ravel(), actual[:, :, t].ravel()), abs=1e-12)
 
-    def test_zero_variance_timepoint_flagged_as_zero(self, rng):
-        preds = rng.normal(size=(5, 2, 4))
-        preds[:, :, 1] = 3.14  # constant at t=1
-        actual = rng.normal(size=(5, 2, 4))
+    @pytest.mark.parametrize("n_trials, value", [(5, 3.14), (1, 3.14), (31, 0.1),
+                                                 (33, 1 / 3), (65, -2.9)])
+    def test_zero_variance_timepoint_flagged_as_zero(self, rng, n_trials, value):
+        # a plain mean of the constant need not equal it (0.1 x 62 values does
+        # not), which would leave a centred variance of a few ulp
+        preds = rng.normal(size=(n_trials, 2, 4))
+        preds[:, :, 1] = value  # constant at t=1
+        actual = rng.normal(size=(n_trials, 2, 4))
+        actual[:, :, 3] = value  # constant at t=3
         r = metrics.pooled_timepoint_correlation(preds, actual)
-        assert r[1] == 0.0
+        assert r[1] == 0.0 and r[3] == 0.0
         assert r[0] == pytest.approx(
             pearson_naive(preds[:, :, 0].ravel(), actual[:, :, 0].ravel()), abs=1e-12)
         assert r[0] != 0.0
