@@ -256,16 +256,18 @@ def init_params(spec: AutoencoderSpec, seed, subjects=None) -> AutoencoderParams
 # ---------------------------------------------------------------------------
 
 
-def _stack_forward(steps, tensors: dict[str, np.ndarray], prefix: str, h):
+def _stack_forward(steps, tensors: dict[str, np.ndarray], prefix: str, h, tconv=None):
     """Run ``h`` through encoder or decoder steps; returns the output and each
-    layer's (parameter prefix, context) for :func:`_stack_backward`."""
+    layer's (parameter prefix, context) for :func:`_stack_backward`. ``tconv``, the
+    transposed convolution, is :func:`nn.convtranspose1d_forward` unless given."""
     ctxs = []
     for i, step in enumerate(steps):
         name = f"{prefix}{i}"
         if isinstance(step, PoolStep):
             h, ctx = nn.maxpool1d_forward(h, step.window, step.stride)
         else:
-            conv = nn.conv1d_forward if isinstance(step, ConvStep) else nn.convtranspose1d_forward
+            conv = (nn.conv1d_forward if isinstance(step, ConvStep)
+                    else tconv or nn.convtranspose1d_forward)
             h, ctx = conv(h, tensors[f"{name}.kernels"], tensors[f"{name}.bias"],
                           stride=step.stride, padding=step.padding)
         ctxs.append((name, ctx))
@@ -287,10 +289,9 @@ def _stack_backward(ctxs, grad, need_input_grad: bool = True):
     """Walk (parameter prefix, context) pairs in reverse; returns (input_grad,
     param_grads).
 
-    The pairs come from :func:`_stack_forward` or
-    :meth:`encoding.FrozenDecoder.hidden`. With ``need_input_grad=False`` a
-    convolution at the bottom of the stack skips its input gradient, and the
-    returned input_grad is None.
+    The pairs come from :func:`_stack_forward`, in either layout. With
+    ``need_input_grad=False`` a convolution at the bottom of the stack skips its
+    input gradient, and the returned input_grad is None.
     """
     param_grads: dict[str, np.ndarray] = {}
     g = grad

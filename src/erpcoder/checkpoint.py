@@ -4,6 +4,10 @@
 and the tensors in a stable order (name, shape, byte offset);
 ``<base>.ckpt.bin`` concatenates the tensor payloads. Stable ordering means
 checkpoints from identical runs are byte-identical and diff cleanly.
+
+:mod:`erpcoder.data` owns the payload layout: this module writes and reads
+``.ckpt.bin`` through its f64 codec, and a loaded checkpoint's tensors are
+views of the one array the payload was read into.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FormatError, checked_fields, read_json, write_json
+from .data import (FormatError, _read_f64, _require_finite, _write_f64, checked_fields,
+                   read_json, write_json)
 
 
 def checkpoint_files(basepath) -> tuple[Path, Path]:
@@ -43,25 +48,19 @@ def save_checkpoint(basepath, kind: str, meta: dict,
     """Write ``<base>.ckpt.json`` + ``<base>.ckpt.bin`` in insertion order."""
     manifest_path, payload_path = checkpoint_files(basepath)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    entries = []
-    arrays = []
-    offset = 0
+    entries, offset = [], 0
     for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        entries.append({"name": name, "offset": offset, "shape": list(arr.shape)})
-        arrays.append(arr)
-        offset += arr.nbytes
-    manifest = {"kind": kind, "meta": meta, "tensors": entries}
-    write_json(manifest_path, manifest)
-    with payload_path.open("wb") as f:
-        for arr in arrays:
-            f.write(arr.data)
+        entries.append({"name": name, "offset": offset, "shape": list(np.shape(arr))})
+        offset += np.size(arr) * 8
+    write_json(manifest_path, {"kind": kind, "meta": meta, "tensors": entries})
+    _write_f64(payload_path, tensors.values())
 
 
 def load_checkpoint(basepath, expect_kind: str | None = None
                     ) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """Read a checkpoint; returns (kind, meta, tensors). A manifest or payload that is
-    malformed, or a tensor value that is NaN or infinite, raises :class:`FormatError`."""
+    """Read a checkpoint; returns (kind, meta, tensors), the tensors views of the one
+    array the payload is read into. A manifest or payload that is malformed, or a
+    tensor value that is NaN or infinite, raises :class:`FormatError`."""
     manifest_path, payload_path = checkpoint_files(basepath)
     if not manifest_path.exists():
         raise FileNotFoundError(str(manifest_path))
@@ -72,9 +71,6 @@ def load_checkpoint(basepath, expect_kind: str | None = None
         raise FormatError(
             f"{manifest_path}: checkpoint kind {manifest['kind']!r}, expected {expect_kind!r}"
         )
-    if not payload_path.exists():
-        raise FileNotFoundError(str(payload_path))
-    payload = payload_path.read_bytes()
     entries = []
     for i, entry in enumerate(manifest["tensors"]):
         entry = checked_fields(entry, {"name": str, "offset": int, "shape": tuple[int, ...]},
@@ -87,7 +83,8 @@ def load_checkpoint(basepath, expect_kind: str | None = None
         entries.append((start, start + math.prod(shape) * 8, name, shape))
     if len({name for _, _, name, _ in entries}) != len(entries):
         raise FormatError(f"{manifest_path}: tensor names repeat")
-    # the tensors must tile the payload: no gap, no overlap, no missing or trailing bytes
+    # the tensors must tile the payload: no gap, no overlap, no missing or
+    # trailing bytes (the last two are _read_f64's size check)
     covered = 0
     for start, end, name, _ in sorted(entries):
         if start != covered:
@@ -95,19 +92,11 @@ def load_checkpoint(basepath, expect_kind: str | None = None
                 f"{payload_path}: tensor {name!r} starts at byte {start}, but the tensors "
                 f"before it end at byte {covered}")
         covered = end
-    if covered != len(payload):
-        raise FormatError(
-            f"{payload_path}: tensors cover {covered} bytes, payload has {len(payload)}")
-    tensors = {
-        name: np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()
-        for start, end, name, shape in entries
-    }
+    payload = _read_f64(payload_path, (covered // 8,))
+    tensors = {name: payload[start // 8:end // 8].reshape(shape)
+               for start, end, name, shape in entries}
     for name, arr in tensors.items():
-        bad = np.argwhere(~np.isfinite(arr))
-        if len(bad):
-            raise FormatError(
-                f"{payload_path}: tensor {name!r} has {len(bad)} non-finite values (NaN or "
-                f"inf); first at index {tuple(int(i) for i in bad[0])}")
+        _require_finite(arr, f"{payload_path}: tensor {name!r} has ")
     return manifest["kind"], manifest["meta"], tensors
 
 

@@ -8,8 +8,9 @@ error; standard output stays clean.
 
 Each input's sha256 is taken when the command loads it, so the manifest
 describes the bytes the command used. The ERP payload is read once: its
-digest is taken from the loaded array, whose buffer holds exactly the
-file's bytes, and writing the manifest opens no input again.
+digest is :func:`data.payload_digest` of the loaded array, since
+:mod:`erpcoder.data` owns the payload layout, and writing the manifest
+opens no input again.
 
 Exit codes: 0 success, 2 usage error, 3 missing file, 4 file format
 violation, 1 anything else. Failures print one line:
@@ -19,17 +20,15 @@ violation, 1 anything else. Failures print one line:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, autoencoder, encoding, metrics, synth
 from .checkpoint import checkpoint_files, file_digest
 from .data import (FormatError, checked_fields, erp_files, filter_artifacts, load_counts,
-                   load_embeddings, load_erp, load_token_features, read_json, write_json)
+                   load_embeddings, load_erp, load_token_features, payload_digest, read_json,
+                   write_json)
 from .features import FeatureSpec, assemble, build_sentence_tokens
 
 
@@ -67,10 +66,9 @@ def _load_inputs(data, paths: dict, include_first_word: bool = False):
     before filtering) and the manifest inputs, hashed as loaded."""
     dataset, meta = load_erp(data)
     sidecar, payload, meta_table = erp_files(data)
-    # the unfiltered array holds exactly the payload file's bytes
-    payload_digest = hashlib.sha256(np.ascontiguousarray(dataset.data, dtype="<f8"))
+    # the unfiltered array is the payload file's values
     inputs = {"data": [*_hashed([sidecar]),
-                       {"path": str(payload), "sha256": payload_digest.hexdigest()},
+                       {"path": str(payload), "sha256": payload_digest(dataset.data)},
                        *_hashed([meta_table])]}
     tables = {"sentence_tokens": build_sentence_tokens(meta)}
     dataset, meta = filter_artifacts(dataset, meta, include_first_word=include_first_word)

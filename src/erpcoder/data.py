@@ -15,14 +15,16 @@ Embeddings    whitespace-separated text, one ``token v1 ... vD`` per line
 Counts        TSV ``token<TAB>count``.
 
 Loaders are reentrant and the loaded structures are immutable by convention;
-round-trips are bit-identical. :func:`load_erp` reads an ERP payload once,
-straight into the dataset's array, after checking the file's size against the
-sidecar shape; it hashes nothing, so a caller that records a digest (the CLI
-manifest) takes it from that array.
+round-trips are bit-identical. This module owns the f64 payload layout of
+``.erp.bin`` and ``.ckpt.bin`` files, arrays as C-contiguous little-endian f64
+values one after another: one writer, one reader (one read, straight into one
+array, after a size check) and one non-finite check, and the payload digest a
+caller that loaded the array records (the CLI manifest).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
@@ -225,8 +227,6 @@ class FoldAssignment:
 
     def digest(self) -> str:
         """Hash for verifying fold sharing across model runs."""
-        import hashlib
-
         h = hashlib.sha256()
         h.update(f"{self.n_items}:{self.k}:".encode())
         h.update(self.fold_of.astype("<i8").tobytes())
@@ -259,29 +259,63 @@ def save_erp(basepath, dataset: ErpDataset, meta: list[TrialMeta]) -> None:
         "shape": list(dataset.data.shape),
     }
     write_json(sidecar_path, sidecar)
-    with payload_path.open("wb") as f:
-        f.write(np.ascontiguousarray(dataset.data, dtype="<f8").data)
+    _write_f64(payload_path, [dataset.data])
     save_meta(meta_path, meta)
 
 
-def _read_into(f, buf: memoryview) -> int:
-    """Fill ``buf`` from the unbuffered file ``f``; the bytes read, fewer than
-    ``len(buf)`` only at end of file. One read returns at most ~2 GiB on Linux."""
-    got = 0
-    while got < len(buf):
-        n = f.readinto(buf[got:])
-        if not n:
-            break
-        got += n
-    return got
+def _f64(values) -> np.ndarray:
+    """``values`` in the payload layout, C-contiguous little-endian f64."""
+    return np.ascontiguousarray(values, dtype="<f8")
+
+
+def _write_f64(path, arrays) -> None:
+    """Write the payload ``path``: each of ``arrays`` as :func:`_f64`, in order."""
+    with Path(path).open("wb") as f:
+        for values in arrays:
+            f.write(_f64(values).data)
+
+
+def payload_digest(values) -> str:
+    """The sha256 of the payload :func:`_write_f64` writes for ``values`` alone."""
+    return hashlib.sha256(_f64(values)).hexdigest()
+
+
+def _read_f64(path, shape: tuple[int, ...]) -> np.ndarray:
+    """The payload ``path`` read once into one array of ``shape``; :class:`FormatError`
+    naming the expected and found byte counts, before allocating anything, unless
+    the file's size fits. One raw read returns at most ~2 GiB on Linux, hence the loop."""
+    if not Path(path).exists():
+        raise FileNotFoundError(str(path))
+    expected = math.prod(shape) * 8
+    with Path(path).open("rb", buffering=0) as f:
+        found = os.fstat(f.fileno()).st_size
+        if found == expected:
+            values = np.empty(shape, dtype="<f8")
+            buf = memoryview(values.reshape(-1).view(np.uint8))
+            found = 0
+            while found < expected:
+                n = f.readinto(buf[found:])
+                if not n:
+                    break
+                found += n
+    if found != expected:
+        raise FormatError(f"{path}: expected {expected} bytes for shape {shape}, found {found}")
+    return values
+
+
+def _require_finite(values: np.ndarray, place: str, index: str = "index") -> None:
+    """:class:`FormatError` ``"<place><count> non-finite values (NaN or inf);
+    first at <index> <first>"`` unless every value of ``values`` is finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise FormatError(f"{place}{int(finite.size - finite.sum())} non-finite values "
+                          f"(NaN or inf); first at {index} {first}")
 
 
 def load_erp(basepath) -> tuple[ErpDataset, list[TrialMeta]]:
-    """Read a dataset written by :func:`save_erp`. Round-trips bit-identically.
-
-    The payload is read once, straight into the returned ``data`` array, whose
-    buffer then holds exactly the file's bytes (little-endian f64, C order).
-    """
+    """Read a dataset written by :func:`save_erp`. Round-trips bit-identically; the
+    payload is read once, by :func:`_read_f64`, into the returned ``data`` array."""
     sidecar_path, payload_path, meta_path = erp_files(basepath)
     if not sidecar_path.exists():
         raise FileNotFoundError(str(sidecar_path))
@@ -294,28 +328,8 @@ def load_erp(basepath) -> tuple[ErpDataset, list[TrialMeta]]:
     if len(shape) != 3 or any(s < 1 for s in shape):
         raise FormatError(f"{sidecar_path}: shape must be 3 positive ints, got {shape}")
 
-    if not payload_path.exists():
-        raise FileNotFoundError(str(payload_path))
-    expected_bytes = math.prod(shape) * 8
-    with payload_path.open("rb", buffering=0) as f:
-        # the size is checked before allocating, so a shape claiming more
-        # values than the file holds fails here and allocates nothing
-        found = os.fstat(f.fileno()).st_size
-        if found == expected_bytes:
-            data = np.empty(shape, dtype="<f8")
-            found = _read_into(f, memoryview(data.reshape(-1).view(np.uint8)))
-    if found != expected_bytes:
-        raise FormatError(
-            f"{payload_path}: expected {expected_bytes} bytes for shape {shape}, "
-            f"found {found}"
-        )
-    finite = np.isfinite(data)
-    if not finite.all():
-        first = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise FormatError(
-            f"{payload_path}: {int(finite.size - finite.sum())} non-finite values "
-            f"(NaN or inf); first at (trial, channel, timepoint) {first}"
-        )
+    data = _read_f64(payload_path, shape)
+    _require_finite(data, f"{payload_path}: ", "(trial, channel, timepoint)")
     try:
         dataset = ErpDataset(data, float(sidecar["sampling_rate_hz"]),
                              float(sidecar["epoch_start_ms"]), float(sidecar["epoch_end_ms"]))

@@ -48,7 +48,9 @@ loss: latents, hidden activations and every gradient between them are
 ``(T, C, N)``, the trials in the last axis. The interface map writes the
 latents directly as one 2-D product ``Wᵗ uᵀ`` (``Wᵗ`` is ``(T_lat·C_lat,
 D)``), the hidden transposed convolutions are
-:func:`nn.convtranspose1d_time_major_forward` and its backward pass, and
+:func:`nn.convtranspose1d_time_major_forward` and its backward pass, walked
+by the autoencoder's own :func:`autoencoder._stack_forward` and
+:func:`autoencoder._stack_backward`, and
 ``Gh`` is :func:`nn.gram_band_matmul`. In this layout each of those is a
 few matmuls on strided views of consecutive time steps, so no step pads
 a copy. ``r`` keeps one row per trial, time-major within it: a batch is
@@ -85,8 +87,8 @@ import numpy as np
 
 from . import nn
 from .autoencoder import (AutoencoderParams, TrainHistory, _add_intercepts, _cross_validate,
-                          _fit_epochs, _map_chunks, _stack_backward, decode,
-                          reconstruction_mse)
+                          _fit_epochs, _map_chunks, _stack_backward, _stack_forward,
+                          decode, reconstruction_mse)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
 from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_split,
                    train_dev_split)
@@ -148,20 +150,12 @@ class FrozenDecoder:
 
     def hidden(self, z: np.ndarray):
         """Latents ``(T_lat, C_lat, N)`` -> the last hidden activation ``h``
-        ``(T_hid, C_hid, N)``: every decoder step but the output layer, with
-        their (parameter prefix, context) pairs for
+        ``(T_hid, C_hid, N)``: every decoder step but the output layer, walked
+        by :func:`autoencoder._stack_forward` with the time-major transposed
+        convolution, with their (parameter prefix, context) pairs for
         :func:`autoencoder._stack_backward`."""
-        ctxs = []
-        for i, step in enumerate(self.decoder.plan.decoder[:-1]):
-            name = f"dec{i}"
-            z, ctx = nn.convtranspose1d_time_major_forward(
-                z, self.decoder.tensors[f"{name}.kernels"], self.decoder.tensors[f"{name}.bias"],
-                step.stride, step.padding)
-            ctxs.append((name, ctx))
-            if step.activation:
-                z, ctx = nn.tanh_forward(z)
-                ctxs.append((name, ctx))
-        return z, ctxs
+        return _stack_forward(self.decoder.plan.decoder[:-1], self.decoder.tensors, "dec", z,
+                              nn.convtranspose1d_time_major_forward)
 
     def mse(self, h: np.ndarray, rows) -> tuple[float, np.ndarray]:
         """MSE of the epochs decoded from ``h`` against trials ``rows``, and its

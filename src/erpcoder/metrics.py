@@ -41,7 +41,11 @@ def r2_mod(mse_model: float, mse_intercept: float, mse_autoencoder: float) -> fl
 
 
 def _pearson_flagged(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
-    """Pearson r with zero-variance inputs mapped to (0.0, flagged=True)."""
+    """Pearson r with zero-variance inputs mapped to (0.0, flagged=True); an input whose
+    values are all equal is one, even where a rounded mean leaves centred values.
+    Unequal end values settle most inputs without a pass over them."""
+    if any(v[-1] == v[0] and (v == v[0]).all() for v in (a, b)):
+        return 0.0, True
     a = a - a.mean()
     b = b - b.mean()
     denom = np.sqrt((a * a).sum() * (b * b).sum())
@@ -84,25 +88,37 @@ def pooled_timepoint_correlation(preds: np.ndarray, actual: np.ndarray) -> np.nd
     at each timepoint, which leaves r unchanged and makes the centred values
     of a constant timepoint, and so its variance, exactly 0.
     """
-    if preds.shape != actual.shape:
-        raise ValueError(f"prediction shape {preds.shape} != actual {actual.shape}")
-    n_trials, n_channels, _ = preds.shape
+    return _pooled_correlations(actual, preds)[0]
+
+
+def _pooled_correlations(actual: np.ndarray, *preds: np.ndarray) -> list[np.ndarray]:
+    """:func:`pooled_timepoint_correlation` of each of ``preds`` against
+    ``actual``, whose means and sums of squares are computed once for all;
+    each sum keeps its block order, so every result is the same bit for bit."""
+    for x in preds:
+        if x.shape != actual.shape:
+            raise ValueError(f"prediction shape {x.shape} != actual {actual.shape}")
+    n_trials, n_channels, _ = actual.shape
     if n_trials * n_channels == 0:
-        raise ValueError(f"no values to pool at each timepoint, shape {preds.shape}")
+        raise ValueError(f"no values to pool at each timepoint, shape {actual.shape}")
     blocks = [slice(i, i + TRIAL_BLOCK) for i in range(0, n_trials, TRIAL_BLOCK)]
-    means = []
-    for x in (preds, actual):
+
+    def mean(x):
         origin = x[0, 0]
         shifted = sum(np.einsum("nct->t", x[b] - origin) for b in blocks)
-        means.append(origin + shifted / (n_trials * n_channels))
-    sxy = sxx = syy = 0.0
+        return origin + shifted / (n_trials * n_channels)
+
+    mean_y, means = mean(actual), [mean(x) for x in preds]
+    syy, sxy, sxx = 0.0, [0.0] * len(preds), [0.0] * len(preds)
     for b in blocks:
-        dx, dy = preds[b] - means[0], actual[b] - means[1]
-        sxy = sxy + np.einsum("nct,nct->t", dx, dy)
-        sxx = sxx + np.einsum("nct,nct->t", dx, dx)
+        dy = actual[b] - mean_y
         syy = syy + np.einsum("nct,nct->t", dy, dy)
-    denom = np.sqrt(sxx * syy)
-    return np.divide(sxy, denom, out=np.zeros_like(denom), where=denom != 0.0)
+        for j, (x, m) in enumerate(zip(preds, means)):
+            dx = x[b] - m
+            sxy[j] = sxy[j] + np.einsum("nct,nct->t", dx, dy)
+            sxx[j] = sxx[j] + np.einsum("nct,nct->t", dx, dx)
+    denoms = [np.sqrt(xx * syy) for xx in sxx]
+    return [np.divide(xy, d, out=np.zeros_like(d), where=d != 0.0) for xy, d in zip(sxy, denoms)]
 
 
 def timepoint_correlation_increase(model_preds: np.ndarray, intercept_preds: np.ndarray,
@@ -110,8 +126,7 @@ def timepoint_correlation_increase(model_preds: np.ndarray, intercept_preds: np.
                                    ms_axis: np.ndarray) -> TimecourseSeries:
     """Per-timepoint pooled r of the model minus that of the intercept model,
     unsmoothed, on the epoch's millisecond axis ``ms_axis``."""
-    r_model = pooled_timepoint_correlation(model_preds, actual)
-    r_intercept = pooled_timepoint_correlation(intercept_preds, actual)
+    r_model, r_intercept = _pooled_correlations(actual, model_preds, intercept_preds)
     return TimecourseSeries(r_model - r_intercept, 1, ms_axis)
 
 

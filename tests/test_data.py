@@ -179,8 +179,44 @@ class TestCheckpointFormat:
         base = self._save(tmp_path, rng)
         bin_path = tmp_path / "ck.ckpt.bin"
         bin_path.write_bytes(bin_path.read_bytes() + b"\x00" * 8)
-        with pytest.raises(data.FormatError, match="tensors cover 80 bytes, payload has 88"):
+        with pytest.raises(data.FormatError,
+                           match=r"ck\.ckpt\.bin: expected 80 bytes for shape \(10,\), found 88"):
             checkpoint.load_checkpoint(base)
+
+    def test_shapes_beyond_the_payload_rejected_before_allocating(self, tmp_path, rng,
+                                                                  monkeypatch):
+        # 2**61 values (2**64 bytes) claimed: the size check comes first
+        base = self._save(tmp_path, rng)
+        manifest_path = tmp_path / "ck.ckpt.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["tensors"][1]["shape"] = [2**61 - 6]
+        manifest_path.write_text(json.dumps(manifest))
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(data.np, "empty", no_allocation)
+        with pytest.raises(data.FormatError,
+                           match=rf"ck\.ckpt\.bin: expected {2**64} bytes for shape "
+                                 rf"\({2**61},\), found 80$"):
+            checkpoint.load_checkpoint(base)
+
+    def test_payload_read_once_into_one_array(self, tmp_path, rng, monkeypatch):
+        base = self._save(tmp_path, rng)
+        opened = []
+        path_open = data.Path.open
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path.name)
+            return path_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(data.Path, "open", counting_open)
+        monkeypatch.setattr(data.Path, "read_bytes", None)
+        _, _, tensors = checkpoint.load_checkpoint(base)
+        assert [name for name in opened if name.endswith(".bin")] == ["ck.ckpt.bin"]
+        a, b = tensors["a"], tensors["b"]
+        assert a.base is not None and a.base is b.base and a.base.shape == (10,)
+        np.testing.assert_array_equal(a.base, np.concatenate([a.ravel(), b]))
 
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m.update(tensors=5), r"ck\.ckpt\.json: manifest: 'tensors' needs list"),

@@ -70,6 +70,18 @@ class TestTimecourse:
             pearson_naive(preds[:, :, 0].ravel(), actual[:, :, 0].ravel()), abs=1e-12)
         assert r[0] != 0.0
 
+    @pytest.mark.parametrize("n_trials", [1, 17, 40])
+    def test_increase_is_the_difference_of_two_pooled_rs(self, rng, n_trials):
+        # the shared means and sums of squares of actual change no bit
+        actual = rng.normal(size=(n_trials, 3, 7))
+        preds = 0.4 * actual + rng.normal(size=actual.shape)
+        intercept = rng.normal(size=actual.shape)
+        series = metrics.timepoint_correlation_increase(preds, intercept, actual,
+                                                        np.arange(7.0))
+        expected = (metrics.pooled_timepoint_correlation(preds, actual)
+                    - metrics.pooled_timepoint_correlation(intercept, actual))
+        assert series.values.tobytes() == expected.tobytes()
+
     def test_affine_invariance_of_pooled_r(self, rng):
         preds = rng.normal(size=(6, 3, 8))
         actual = rng.normal(size=(6, 3, 8))
@@ -152,13 +164,19 @@ class TestPerWordCorrelations:
         assert rs[0] == pytest.approx(1.0, abs=1e-12)
         assert rs[1] == pytest.approx(-1.0, abs=1e-12)
 
-    def test_zero_variance_trial_flagged(self, rng):
-        actual = rng.normal(size=(2, 3, 5))
+    @pytest.mark.parametrize("value", [7.0, 1 / 3, -2.9])
+    @pytest.mark.parametrize("side", ["preds", "actual"])
+    def test_zero_variance_trial_flagged(self, rng, value, side):
+        # a plain mean of 6,400 values of 1/3 or -2.9 is off by a rounding
+        # error, which left a constant epoch's r at ~1e-17, unflagged
+        actual = rng.normal(size=(2, 32, 200))
+        actual[1, -1, -1] = actual[1, 0, 0]  # equal end values, not constant
         preds = actual.copy()
-        preds[0] = 7.0
+        (preds if side == "preds" else actual)[0] = value
         table = metrics.per_word_correlations(preds, actual, word_meta(2))
         assert table.rows[0]["zero_variance"] == 1
         assert table.rows[0]["pearson_r"] == 0.0
+        assert table.rows[1]["zero_variance"] == 0 and table.rows[1]["pearson_r"] == 1.0
 
     def test_affine_invariance_per_word(self, rng):
         actual = rng.normal(size=(4, 3, 6))
