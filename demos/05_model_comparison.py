@@ -28,9 +28,9 @@ result = encoding.run_model_suite(
 
 print(f"shared fold digest: {result['fold_digest'][:16]}...  ({result['k']} folds)\n")
 print(f"{'model':<30} {'r2_mod':>8}   95% CI")
-for row in encoding.suite_summary_rows(result):
-    print(f"{row['model']:<30} {row['r2_mod']:>8.3f}   "
-          f"[{row['ci_low']:.3f}, {row['ci_high']:.3f}]")
+for name, entry in result["entries"].items():
+    report = entry["report"]
+    print(f"{name:<30} {report.r2_mod:>8.3f}   [{report.ci_low:.3f}, {report.ci_high:.3f}]")
 print("\nthe true driving features (frequency, surprisal) carry the signal;"
       "\nembedding blocks add token identity, so they can contribute smaller,"
       "\nindirect gains on top.")

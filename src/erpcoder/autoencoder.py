@@ -51,6 +51,10 @@ ARCHITECTURES = ("alpha", "beta")
 # epochs at 32x200, and a quarter of a batch-128 pretraining step.
 CHUNK_ROWS = 32
 
+# Share of the trials that pretrain and encoding.train hold out to pick the
+# best epoch; a protocol constant, not a setting.
+DEV_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class AutoencoderSpec:
@@ -360,7 +364,6 @@ class TrainHistory:
     train_mse: list[float] = field(default_factory=list)
     dev_mse: list[float] = field(default_factory=list)
     best_epoch: int = -1
-    restored_to_best: bool = False
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -390,7 +393,7 @@ def _fit_epochs(params: dict[str, np.ndarray], step, score, train_idx: np.ndarra
         raise ValueError(f"weight_decay must be finite and >= 0, got {weight_decay}")
     state = nn.adam_init(params, lr=lr)
     history = TrainHistory()
-    best: tuple[float, int, dict | None] = (np.inf, -1, None)
+    best: tuple[float, int, dict] = (np.inf, -1, {})
     for epoch in range(epochs):
         order = train_idx[rng.permutation(len(train_idx))]
         se_sum = 0.0
@@ -412,10 +415,9 @@ def _fit_epochs(params: dict[str, np.ndarray], step, score, train_idx: np.ndarra
         if dev_loss < best[0]:
             best = (dev_loss, epoch, {k: v.copy() for k, v in params.items()})
 
-    if best[2] is not None:
-        params.update(best[2])
-        history.best_epoch = best[1]
-        history.restored_to_best = True
+    # epoch 0 always sets a best: its dev MSE is finite, so below inf
+    params.update(best[2])
+    history.best_epoch = best[1]
     return history
 
 
@@ -500,13 +502,13 @@ def _cross_validate(fit_score, folds, groups) -> list[list]:
 
 def pretrain(spec: AutoencoderSpec, dataset: ErpDataset, meta: list[TrialMeta], *,
              epochs: int = 200, batch_size: int = 128, lr: float = 0.001,
-             seed: int = 0, dev_fraction: float = 0.1
-             ) -> tuple[AutoencoderParams, TrainHistory]:
+             seed: int = 0) -> tuple[AutoencoderParams, TrainHistory]:
     """Train the autoencoder under MSE; keep the best dev epoch's parameters.
 
-    Deterministic given the seed: init, dev split and batch order all derive
-    from one seeded generator. Each batch, and the dev set, runs as
-    :data:`CHUNK_ROWS`-trial shards on the pool (see the module docstring).
+    Deterministic given the seed: init, dev split (:data:`DEV_FRACTION` of
+    the trials) and batch order all derive from one seeded generator. Each
+    batch, and the dev set, runs as :data:`CHUNK_ROWS`-trial shards on the
+    pool (see the module docstring).
     """
     if dataset.n_trials == 0:
         raise ValueError("dataset is empty")
@@ -521,7 +523,7 @@ def pretrain(spec: AutoencoderSpec, dataset: ErpDataset, meta: list[TrialMeta], 
     subjects = tuple(sorted({m.subject_id for m in meta})) if spec.intercepts else None
     params = init_params(spec, rng, subjects)
     train_idx, dev_idx = train_dev_split(
-        dataset.n_trials, dev_fraction, seed=int(rng.integers(2**63)))
+        dataset.n_trials, DEV_FRACTION, seed=int(rng.integers(2**63)))
     step = functools.partial(_reconstruction_step, params, dataset.data,
                              np.array([m.subject_id for m in meta]))
     score = functools.partial(reconstruction_mse, params, dataset, meta)
@@ -578,8 +580,7 @@ def reconstruction_mse(params: AutoencoderParams, dataset: ErpDataset,
 
 def select_architecture(dataset: ErpDataset, meta: list[TrialMeta],
                         candidates=None, k: int = 5, seed: int = 0, *,
-                        epochs: int = 200, batch_size: int = 128, lr: float = 0.001,
-                        dev_fraction: float = 0.1) -> dict:
+                        epochs: int = 200, batch_size: int = 128, lr: float = 0.001) -> dict:
     """K-fold cross-validated reconstruction comparison of candidate specs.
 
     Returns a JSON-ready report with per-fold MSE and pooled R^2
@@ -602,8 +603,7 @@ def select_architecture(dataset: ErpDataset, meta: list[TrialMeta],
         te = folds.test_indices(f)
         params, _ = pretrain(
             spec, dataset.subset(tr), [meta[i] for i in tr],
-            epochs=epochs, batch_size=batch_size, lr=lr, seed=run_seed,
-            dev_fraction=dev_fraction)
+            epochs=epochs, batch_size=batch_size, lr=lr, seed=run_seed)
         mse = reconstruction_mse(params, dataset, meta, te)
         var = float(dataset.data[te].var())
         return {"fold": f, "mse": mse, "r2": 1.0 - mse / var}

@@ -89,22 +89,16 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--dev-fraction", type=float, default=None, dest="dev_fraction")
 
 
-_TRAIN_DEFAULTS = {"epochs": 200, "batch_size": 128, "lr": 0.001, "dev_fraction": 0.1}
+_TRAIN_DEFAULTS = {"epochs": 200, "batch_size": 128, "lr": 0.001}
 
 
-def _hyper(args, config: dict | None = None) -> dict:
-    """Training hyperparameters: a flag overrides ``config`` (a suite config),
-    which overrides ``_TRAIN_DEFAULTS``."""
-    config = config or {}
-    out = {}
-    for key, name in (("epochs", "epochs"), ("batch_size", "batch"),
-                      ("lr", "lr"), ("dev_fraction", "dev_fraction")):
-        value = getattr(args, name, None)
-        out[key] = config.get(name, _TRAIN_DEFAULTS[key]) if value is None else value
-    return out
+def _hyper(values: dict) -> dict:
+    """Training hyperparameters from ``values`` (``vars(args)`` or a suite
+    config), with ``_TRAIN_DEFAULTS`` for those it leaves unset."""
+    return {key: _TRAIN_DEFAULTS[key] if values.get(name) is None else values[name]
+            for key, name in (("epochs", "epochs"), ("batch_size", "batch"), ("lr", "lr"))}
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +125,7 @@ def _cmd_pretrain(args) -> int:
     dataset, meta, _, inputs = _load_inputs(args.data, {}, include_first_word=True)
     spec = autoencoder.AutoencoderSpec(
         args.arch, args.intercepts, dataset.n_channels, dataset.n_timepoints)
-    hyper = _hyper(args)
+    hyper = _hyper(vars(args))
     _progress(f"pretraining {args.arch} autoencoder on {dataset.n_trials} trials")
     params, history = autoencoder.pretrain(spec, dataset, meta, seed=args.seed, **hyper)
     out = Path(args.out)
@@ -156,7 +150,7 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_select_arch(args) -> int:
     dataset, meta, _, inputs = _load_inputs(args.data, {}, include_first_word=True)
-    hyper = _hyper(args)
+    hyper = _hyper(vars(args))
     candidates = None
     if args.intercepts:
         # cross each architecture with and without subject/electrode intercepts
@@ -195,7 +189,7 @@ def _cmd_fit(args) -> int:
     dataset, meta, tables, inputs = _load_inputs(args.data, vars(args))
     fm = assemble(FeatureSpec(sources), meta, **tables)
     frozen = encoding.freeze(decoder, dataset, meta)
-    hyper = _hyper(args)
+    hyper = _hyper(vars(args))
 
     wd_table = None
     if args.wd_search:
@@ -234,9 +228,13 @@ def _cmd_fit(args) -> int:
 
 # the optional keys of a suite config and their JSON types
 _SUITE_KEYS = {"folds": int, "seed": int, "epochs": int, "batch": int, "lr": float,
-               "dev_fraction": float, "weight_decay": float | None,
-               "ceiling_mse": float | tuple[float, ...] | None,
+               "weight_decay": float | None, "ceiling_mse": float | None,
                "counts": str, "embeddings": str, "token_features": str, "roster": list | None}
+
+
+def _report_file(name: str) -> str:
+    """The file under a suite's ``--out`` that holds roster entry ``name``'s report."""
+    return f"report_{name.replace('+', '_')}.json"
 
 
 def _cmd_suite(args) -> int:
@@ -247,17 +245,23 @@ def _cmd_suite(args) -> int:
     roster = None
     if config.get("roster"):
         roster = []
+        reports: dict[str, str] = {}  # report file -> the entry name that writes it
         for i, entry in enumerate(config["roster"]):
-            entry = checked_fields(entry, {"name": str, "sources": tuple[str, ...]},
-                                   f"{where} roster entry {i}")
-            roster.append((entry["name"], tuple(entry["sources"])))
+            at = f"{where} roster entry {i}"
+            entry = checked_fields(entry, {"name": str, "sources": tuple[str, ...]}, at)
+            name, report = entry["name"], _report_file(entry["name"])
+            if not name or "/" in name:
+                raise FormatError(f"{at}: name {name!r} is empty or holds '/'")
+            if report in reports:
+                raise FormatError(f"{at}: name {name!r} writes {report}, "
+                                  f"as entry {reports[report]!r} does")
+            reports[report] = name
+            roster.append((name, tuple(entry["sources"])))
     decoder = autoencoder.load_autoencoder(config["decoder"])
     decoder_inputs = _hashed(checkpoint_files(config["decoder"]))
     dataset, meta, tables, inputs = _load_inputs(config["data"], config)
-    hyper = _hyper(args, config)
-    k = args.folds if args.folds is not None else config.get("folds", 5)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    wd = args.wd if args.wd is not None else config.get("weight_decay")
+    hyper = _hyper(config)
+    k, seed, wd = config.get("folds", 5), config.get("seed", 0), config.get("weight_decay")
 
     _progress(f"running model suite on {dataset.n_trials} trials, {k} folds")
     result = encoding.run_model_suite(
@@ -266,20 +270,20 @@ def _cmd_suite(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = encoding.suite_summary_rows(result)
     lines = ["# model comparison suite: r2_mod x fold mean with bootstrap CI",
              f"# shared fold digest: {result['fold_digest']}",
              "\t".join(["model", "sources", "weight_decay", "r2_mod",
                         "ci_low", "ci_high", "mse_model"])]
-    for row in rows:
-        lines.append("\t".join([
-            row["model"], row["sources"], repr(float(row["weight_decay"])),
-            repr(row["r2_mod"]), repr(row["ci_low"]), repr(row["ci_high"]),
-            repr(row["mse_model"])]))
-    (out / "summary.tsv").write_text("\n".join(lines) + "\n")
     for name, entry in result["entries"].items():
-        safe = name.replace("+", "_")
-        entry["report"].write(out / f"report_{safe}.json")
+        report = entry["report"]
+        lines.append("\t".join([
+            name, "+".join(entry["sources"]), repr(float(entry["weight_decay"])),
+            repr(report.r2_mod), repr(report.ci_low), repr(report.ci_high),
+            repr(report.mse_model)]))
+        report.write(out / _report_file(name))
+        _progress(f"  {name}: r2_mod {report.r2_mod:.4f} "
+                  f"[{report.ci_low:.4f}, {report.ci_high:.4f}]")
+    (out / "summary.tsv").write_text("\n".join(lines) + "\n")
     write_json(out / "suite.json", {
         "fold_digest": result["fold_digest"],
         "k": result["k"],
@@ -290,9 +294,6 @@ def _cmd_suite(args) -> int:
     })
     _manifest(out, "suite", {"folds": k, "seed": seed, "weight_decay": wd, **hyper},
               {"config": config_inputs, "decoder": decoder_inputs, **inputs})
-    for row in rows:
-        _progress(f"  {row['model']}: r2_mod {row['r2_mod']:.4f} "
-                  f"[{row['ci_low']:.4f}, {row['ci_high']:.4f}]")
     return 0
 
 
@@ -429,10 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the model-comparison suite")
     p.add_argument("--config", required=True)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--wd", type=float, default=None)
-    _add_hyper_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_suite)
 

@@ -86,15 +86,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
-from .autoencoder import (AutoencoderParams, TrainHistory, _add_intercepts, _cross_validate,
-                          _fit_epochs, _map_chunks, _stack_backward, _stack_forward,
-                          decode, reconstruction_mse)
+from .autoencoder import (DEV_FRACTION, AutoencoderParams, TrainHistory, _add_intercepts,
+                          _cross_validate, _fit_epochs, _map_chunks, _stack_backward,
+                          _stack_forward, decode, reconstruction_mse)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
 from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_split,
                    train_dev_split)
 from .features import (FeatureMatrix, FeatureSpec, Standardizer, apply_standardizer,
                        column_names, fit_standardizer, from_blocks, source_block)
-from .metrics import EvalReport, fold_report
+from .metrics import fold_report
 
 
 TUNER_WIDTH = 64  # hidden and output units of the embedding tuner
@@ -353,12 +353,13 @@ def _check_filtered(meta: list[TrialMeta]) -> None:
 
 def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
           epochs: int = 200, batch_size: int = 128, lr: float = 0.001,
-          weight_decay: float = 0.0, seed: int = 0,
-          dev_fraction: float = 0.1) -> tuple[EncodingModel, TrainHistory]:
+          weight_decay: float = 0.0, seed: int = 0) -> tuple[EncodingModel, TrainHistory]:
     """Fit interface (and tuner) to predict the epochs of ``frozen`` from features.
 
-    The MSE is minimised in Gram form. The decoder stays frozen: its content
-    hash is checked against ``frozen.digest`` before and after.
+    The MSE is minimised in Gram form; the parameters of the best epoch on a
+    :data:`autoencoder.DEV_FRACTION` dev split are kept. The decoder stays
+    frozen: its content hash is checked against ``frozen.digest`` before and
+    after.
     Deterministic given the seed; ``history.best_epoch`` is a 0-based epoch
     index, and retraining with ``epochs = best_epoch + 1`` reproduces the
     restored parameters exactly.
@@ -373,7 +374,7 @@ def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
 
     rng = np.random.default_rng(seed)
     train_idx, dev_idx = train_dev_split(
-        frozen.n_trials, dev_fraction, seed=int(rng.integers(2**63)))
+        frozen.n_trials, DEV_FRACTION, seed=int(rng.integers(2**63)))
     standardizer = fit_standardizer(features, train_idx)
     f_std = apply_standardizer(features, standardizer)
     plan = frozen.decoder.plan
@@ -459,8 +460,7 @@ def _grid_search(grid, per_wd) -> tuple[float, list[dict], list[float]]:
 
 def weight_decay_search(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
                         k: int = 5, seed: int = 0, epochs: int = 200,
-                        batch_size: int = 128, lr: float = 0.001,
-                        dev_fraction: float = 0.1) -> tuple[float, list[dict]]:
+                        batch_size: int = 128, lr: float = 0.001) -> tuple[float, list[dict]]:
     """Choose the weight decay of :data:`WEIGHT_DECAY_GRID` with the best mean
     held-out MSE over k folds.
 
@@ -474,7 +474,7 @@ def weight_decay_search(frozen: FrozenDecoder, features: FeatureMatrix, sources,
     per_wd = _fold_mses(
         frozen, folds,
         [(features, sources, wd, seeds[i * k : (i + 1) * k]) for i, wd in enumerate(grid)],
-        epochs=epochs, batch_size=batch_size, lr=lr, dev_fraction=dev_fraction)
+        epochs=epochs, batch_size=batch_size, lr=lr)
     chosen, table, _ = _grid_search(grid, per_wd)
     return chosen, table
 
@@ -502,23 +502,26 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
                     sentence_tokens=None, k: int = 5, seed: int = 0,
                     weight_decay: float | None = None, wd_grid=WEIGHT_DECAY_GRID,
                     epochs: int = 200, batch_size: int = 128, lr: float = 0.001,
-                    dev_fraction: float = 0.1, n_boot: int = 10000,
-                    ceiling_mse=None) -> dict:
+                    n_boot: int = 10000, ceiling_mse: float | None = None) -> dict:
     """Cross-validated comparison of roster models sharing one fold assignment.
 
     Every entry is trained per fold and scored against the per-fold intercept
-    model and autoencoder ceiling (the reconstruction MSE of ``decoder``'s
-    containing autoencoder, or ``ceiling_mse`` when the true floor is known,
-    e.g. on synthetic data). Each entry runs the weight-decay grid search over
-    the same folds and reports the best, over ``wd_grid`` with
-    ``weight_decay=None`` and over the one-value grid ``(weight_decay,)``
-    otherwise. Each source's feature block is built once, for every entry
-    that lists it. Entries whose feature sources cannot be assembled are
-    skipped with a warning. Returns a dict with per-entry
-    :class:`EvalReport` data.
+    model and autoencoder ceiling: the reconstruction MSE of ``decoder``'s
+    containing autoencoder on each test fold, or the number ``ceiling_mse``
+    in every fold when the true floor is known, e.g. on synthetic data. Each
+    entry runs the weight-decay grid search over the same folds and reports
+    the best, over ``wd_grid`` with ``weight_decay=None`` and over the
+    one-value grid ``(weight_decay,)`` otherwise. Each source's feature block
+    is built once, for every entry that lists it. Entries whose feature
+    sources cannot be assembled are skipped with a warning; a name that two
+    entries share raises ``ValueError`` before any fit. Returns a dict with
+    per-entry :class:`metrics.EvalReport` data.
     """
-    if roster is None:
-        roster = standard_roster()
+    roster = standard_roster() if roster is None else list(roster)
+    names = [name for name, _ in roster]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"suite roster repeats entry names {repeated}")
     grid = tuple(wd_grid) if weight_decay is None else (weight_decay,)
     if not grid:
         raise ValueError("weight decay grid is empty")
@@ -555,12 +558,8 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
     if ceiling_mse is None:
         ae_mse = [reconstruction_mse(decoder, dataset, meta, folds.test_indices(f))
                   for f in range(k)]
-    elif isinstance(ceiling_mse, (int, float, np.floating)):
-        ae_mse = [float(ceiling_mse)] * k
     else:
-        ae_mse = [float(v) for v in ceiling_mse]
-        if len(ae_mse) != k:
-            raise ValueError(f"ceiling_mse needs {k} fold values, got {len(ae_mse)}")
+        ae_mse = [float(ceiling_mse)] * k
 
     result: dict = {"fold_digest": fold_digest, "k": k, "entries": {}, "skipped": []}
     kept = []  # (name, sources, index of the entry's first group)
@@ -576,8 +575,7 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
             groups += [group(features, sources, wd, entry_idx, wd_idx)
                        for wd_idx, wd in enumerate(grid)]
 
-    mses = _fold_mses(frozen, folds, groups, epochs=epochs,
-                      batch_size=batch_size, lr=lr, dev_fraction=dev_fraction)
+    mses = _fold_mses(frozen, folds, groups, epochs=epochs, batch_size=batch_size, lr=lr)
     intercept_mse = mses[0]
     for name, sources, first in kept:
         if sources == ("constant",):
@@ -596,24 +594,6 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
             "report": report,
         }
     return result
-
-
-def suite_summary_rows(result: dict) -> list[dict]:
-    """Flatten a suite result for tabular output."""
-    rows = []
-    for name, entry in result["entries"].items():
-        report: EvalReport = entry["report"]
-        rows.append({
-            "model": name,
-            "sources": "+".join(entry["sources"]),
-            "weight_decay": entry["weight_decay"],
-            "r2_mod": report.r2_mod,
-            "ci_low": report.ci_low,
-            "ci_high": report.ci_high,
-            "mse_model": report.mse_model,
-            "fold_digest": report.fold_digest,
-        })
-    return rows
 
 
 # ---------------------------------------------------------------------------

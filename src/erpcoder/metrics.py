@@ -78,23 +78,19 @@ class TimecourseSeries:
         return float(self.ms_axis[int(np.argmax(self.values))])
 
 
-def pooled_timepoint_correlation(preds: np.ndarray, actual: np.ndarray) -> np.ndarray:
-    """Pearson r at each timepoint, pooled over trials x channels; 0.0 at a
-    timepoint where either side has zero variance.
+def pooled_timepoint_correlations(actual: np.ndarray, *preds: np.ndarray) -> list[np.ndarray]:
+    """Pearson r of each of ``preds`` against ``actual`` at each timepoint,
+    pooled over trials x channels; 0.0 at a timepoint where either side has
+    zero variance.
 
     Two passes over blocks of ``TRIAL_BLOCK`` trials, summed in block order,
     so no temporary is larger than a block: the per-timepoint means, then the
-    sums of the centred products. Each side is measured from its first value
-    at each timepoint, which leaves r unchanged and makes the centred values
-    of a constant timepoint, and so its variance, exactly 0.
+    sums of the centred products. Those of ``actual`` are shared by all
+    ``preds``, so each r is bitwise that of its prediction alone. Each side
+    is measured from its first value at each timepoint, which leaves r
+    unchanged and makes the centred values of a constant timepoint, and so
+    its variance, exactly 0.
     """
-    return _pooled_correlations(actual, preds)[0]
-
-
-def _pooled_correlations(actual: np.ndarray, *preds: np.ndarray) -> list[np.ndarray]:
-    """:func:`pooled_timepoint_correlation` of each of ``preds`` against
-    ``actual``, whose means and sums of squares are computed once for all;
-    each sum keeps its block order, so every result is the same bit for bit."""
     for x in preds:
         if x.shape != actual.shape:
             raise ValueError(f"prediction shape {x.shape} != actual {actual.shape}")
@@ -126,7 +122,7 @@ def timepoint_correlation_increase(model_preds: np.ndarray, intercept_preds: np.
                                    ms_axis: np.ndarray) -> TimecourseSeries:
     """Per-timepoint pooled r of the model minus that of the intercept model,
     unsmoothed, on the epoch's millisecond axis ``ms_axis``."""
-    r_model, r_intercept = _pooled_correlations(actual, model_preds, intercept_preds)
+    r_model, r_intercept = pooled_timepoint_correlations(actual, model_preds, intercept_preds)
     return TimecourseSeries(r_model - r_intercept, 1, ms_axis)
 
 
@@ -266,10 +262,7 @@ def fold_report(model_name: str, mse_model: list[float], mse_intercept: list[flo
     r2_folds = [
         r2_mod(m, i, a) for m, i, a in zip(mse_model, mse_intercept, mse_autoencoder)
     ]
-    if len(r2_folds) >= 2:
-        low, high = bootstrap_ci(r2_folds, n_boot=n_boot, seed=seed)
-    else:
-        low = high = r2_folds[0]
+    low, high = bootstrap_ci(r2_folds, n_boot=n_boot, seed=seed)
     meta = {"pooling": "trials x channels jointly", **(metadata or {})}
     return EvalReport(
         model_name=model_name,

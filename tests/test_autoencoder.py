@@ -225,7 +225,6 @@ class TestPretrain:
         ds = lowrank_dataset(rng, spec, n=120)
         params, hist = ae.pretrain(spec, ds, meta_rows(120), epochs=8, seed=3)
         assert hist.best_epoch == int(np.argmin(hist.dev_mse))
-        assert hist.restored_to_best
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_divergence_names_value_epoch_and_batch(self, rng, monkeypatch, bad):

@@ -1,6 +1,7 @@
 """CLI pipeline, exit codes, manifests, and determinism."""
 
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from erpcoder import cli, metrics
+from erpcoder import autoencoder, cli, encoding, metrics
 from erpcoder.autoencoder import AutoencoderSpec, init_params, load_autoencoder, save_autoencoder
 from erpcoder.checkpoint import load_checkpoint, save_checkpoint
 from erpcoder.data import (ErpDataset, TrialMeta, filter_artifacts, load_counts, load_erp,
@@ -311,8 +312,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, value", [
         ("folds", "5"), ("folds", True), ("seed", 1.5), ("epochs", "3"), ("batch", 32.0),
-        ("lr", "0.01"), ("dev_fraction", None), ("weight_decay", "x"),
-        ("ceiling_mse", "abc"), ("ceiling_mse", [0.1, "a"]), ("counts", 5),
+        ("lr", "0.01"), ("weight_decay", "x"),
+        ("ceiling_mse", "abc"), ("ceiling_mse", [0.1, "a"]), ("ceiling_mse", [0.1, 0.1]),
+        ("counts", 5),
         ("embeddings", ["e.txt"]), ("token_features", None),
     ])
     def test_suite_config_value_of_wrong_type_is_4(self, pipeline, tmp_path, capsys, key, value):
@@ -529,17 +531,54 @@ class TestExitCodes:
             f"error: FormatViolation: {path}: invalid JSON: non-finite number {literal}"]
         assert not (tmp_path / "o").exists()
 
-    def test_suite_config_unknown_key_is_4(self, pipeline, tmp_path, capsys):
-        # a misspelt "epochs" used to be ignored, and the suite ran the 200-epoch default
+    # a misspelt "epochs" used to be ignored, and the suite ran the 200-epoch
+    # default; the dev split is a constant, no longer a config key
+    @pytest.mark.parametrize("key, value", [("epoch", 1), ("dev_fraction", 0.1)])
+    def test_suite_config_unknown_key_is_4(self, pipeline, tmp_path, capsys, key, value):
         config = {"data": str(pipeline / "d" / "data"),
                   "decoder": str(pipeline / "m" / "autoencoder"), "folds": 2,
-                  "roster": [{"name": "intercept", "sources": ["constant"]}], "epoch": 1}
+                  "roster": [{"name": "intercept", "sources": ["constant"]}], key: value}
         path = tmp_path / "suite.json"
         path.write_text(json.dumps(config))
         assert run(["suite", "--config", path, "--out", tmp_path / "o"]) == 4
         assert capsys.readouterr().err.splitlines() == [
-            f"error: FormatViolation: {path}: suite config has unknown key 'epoch'"]
+            f"error: FormatViolation: {path}: suite config has unknown key {key!r}"]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("names, message", [
+        (["x", "x"], "roster entry 1: name 'x' writes report_x.json, as entry 'x' does"),
+        (["a+b", "a_b"],
+         "roster entry 1: name 'a_b' writes report_a_b.json, as entry 'a+b' does"),
+        (["w/x"], "roster entry 0: name 'w/x' is empty or holds '/'"),
+        ([""], "roster entry 0: name '' is empty or holds '/'"),
+    ], ids=["repeated", "same_report_file", "slash", "empty"])
+    def test_suite_roster_name_that_loses_a_report_is_4(self, tmp_path, capsys, names,
+                                                        message):
+        # checked as the config loads, before the (missing) data and decoder
+        config = {"data": str(tmp_path / "no_data"), "decoder": str(tmp_path / "no_decoder"),
+                  "roster": [{"name": name, "sources": ["constant"]} for name in names]}
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(config))
+        assert run(["suite", "--config", path, "--out", tmp_path / "o"]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: FormatViolation: {path}: suite config {message}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args", [["suite", "--config", "suite.json", "--folds", 2],
+                                      ["pretrain", "--data", "d", "--dev-fraction", 0.2]],
+                             ids=["suite_folds", "pretrain_dev_fraction"])
+    def test_removed_flag_is_2(self, tmp_path, capsys, args):
+        assert run([*args, "--out", tmp_path / "o"]) == 2
+        assert f"unrecognized arguments: {' '.join(map(str, args[3:]))}" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fn", [autoencoder.pretrain, autoencoder.select_architecture,
+                                    encoding.train, encoding.weight_decay_search,
+                                    encoding.run_model_suite], ids=lambda fn: fn.__name__)
+    def test_training_defaults_are_the_library_defaults(self, fn):
+        params = inspect.signature(fn).parameters
+        assert {key: params[key].default for key in cli._TRAIN_DEFAULTS} == cli._TRAIN_DEFAULTS
 
     @pytest.mark.parametrize("subjects, message", [
         (None, "must list the subjects of the intercept table, got None"),

@@ -141,7 +141,6 @@ class TestTraining:
         sd, ds, meta = small_synth
         model, hist, fm = quick_fit(sd, ds, meta, ("frequency",), epochs=25)
         assert hist.best_epoch == int(np.argmin(hist.dev_mse))
-        assert hist.restored_to_best
         assert hist.dev_mse[hist.best_epoch] == min(hist.dev_mse)
         replay, hist2, _ = quick_fit(sd, ds, meta, ("frequency",),
                                      epochs=hist.best_epoch + 1)
@@ -508,6 +507,19 @@ class TestSuite:
                 sd.ground_truth.decoder, ds, meta, [("frequency", ("frequency",))],
                 counts_table=sd.counts, k=2, seed=1, weight_decay=None, wd_grid=(),
                 epochs=2, ceiling_mse=sd.ground_truth.mse_floor)
+        assert fits == []
+
+    def test_repeated_entry_name_rejected_before_any_fit(self, small_synth, monkeypatch):
+        # two entries named "x" used to run both, and the second replaced the first
+        sd, ds, meta = small_synth
+        fits = []
+        monkeypatch.setattr(encoding, "train", lambda *a, **kw: fits.append(a))
+        with pytest.raises(ValueError, match=r"^suite roster repeats entry names \['x'\]$"):
+            encoding.run_model_suite(
+                sd.ground_truth.decoder, ds, meta,
+                [("x", ("constant",)), ("frequency", ("frequency",)), ("x", ("frequency",))],
+                counts_table=sd.counts, k=2, seed=1, weight_decay=1e-5, epochs=2,
+                ceiling_mse=sd.ground_truth.mse_floor)
         assert fits == []
 
     def test_standard_roster_has_nine_entries(self):

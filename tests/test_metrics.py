@@ -42,7 +42,7 @@ class TestTimecourse:
         intercept = np.broadcast_to(actual.mean(axis=0), actual.shape).copy()
         series = metrics.timepoint_correlation_increase(actual.copy(), intercept, actual,
                                                         np.arange(10.0))
-        r_int = metrics.pooled_timepoint_correlation(intercept, actual)
+        r_int = metrics.pooled_timepoint_correlations(actual, intercept)[0]
         np.testing.assert_allclose(series.values, 1.0 - r_int, atol=1e-12)
 
     # trial counts on either side of the trial-block edges (TRIAL_BLOCK 16)
@@ -50,7 +50,7 @@ class TestTimecourse:
     def test_pooled_r_matches_bruteforce_flat_vector(self, rng, n_trials):
         preds = rng.normal(size=(n_trials, 4, 5))
         actual = rng.normal(size=(n_trials, 4, 5)) + 0.5 * preds + 3.0
-        r = metrics.pooled_timepoint_correlation(preds, actual)
+        r = metrics.pooled_timepoint_correlations(actual, preds)[0]
         for t in range(5):
             assert r[t] == pytest.approx(
                 pearson_naive(preds[:, :, t].ravel(), actual[:, :, t].ravel()), abs=1e-12)
@@ -64,7 +64,7 @@ class TestTimecourse:
         preds[:, :, 1] = value  # constant at t=1
         actual = rng.normal(size=(n_trials, 2, 4))
         actual[:, :, 3] = value  # constant at t=3
-        r = metrics.pooled_timepoint_correlation(preds, actual)
+        r = metrics.pooled_timepoint_correlations(actual, preds)[0]
         assert r[1] == 0.0 and r[3] == 0.0
         assert r[0] == pytest.approx(
             pearson_naive(preds[:, :, 0].ravel(), actual[:, :, 0].ravel()), abs=1e-12)
@@ -78,20 +78,20 @@ class TestTimecourse:
         intercept = rng.normal(size=actual.shape)
         series = metrics.timepoint_correlation_increase(preds, intercept, actual,
                                                         np.arange(7.0))
-        expected = (metrics.pooled_timepoint_correlation(preds, actual)
-                    - metrics.pooled_timepoint_correlation(intercept, actual))
+        expected = (metrics.pooled_timepoint_correlations(actual, preds)[0]
+                    - metrics.pooled_timepoint_correlations(actual, intercept)[0])
         assert series.values.tobytes() == expected.tobytes()
 
     def test_affine_invariance_of_pooled_r(self, rng):
         preds = rng.normal(size=(6, 3, 8))
         actual = rng.normal(size=(6, 3, 8))
-        r1 = metrics.pooled_timepoint_correlation(preds, actual)
-        r2 = metrics.pooled_timepoint_correlation(2.5 * preds + 7.0, actual)
+        r1 = metrics.pooled_timepoint_correlations(actual, preds)[0]
+        r2 = metrics.pooled_timepoint_correlations(actual, 2.5 * preds + 7.0)[0]
         np.testing.assert_allclose(r1, r2, atol=1e-12)
 
     def test_self_correlation_is_one(self, rng):
         actual = rng.normal(size=(6, 3, 8))
-        r = metrics.pooled_timepoint_correlation(actual.copy(), actual)
+        r = metrics.pooled_timepoint_correlations(actual, actual.copy())[0]
         np.testing.assert_allclose(r, np.ones(8), atol=1e-12)
 
 
