@@ -15,15 +15,17 @@ fixed by the architecture names.
 Data-parallel pretraining. A minibatch MSE and its gradient are the
 trial-weighted means of those of any split of the batch. :func:`pretrain`
 therefore runs every batch, and the dev set it scores each epoch, as shards
-of :data:`CHUNK_ROWS` trials, one :func:`_run_jobs` job each: forward pass,
-:func:`nn.mse_loss` on the shard's own rows and backward pass. The step's
-loss is ``Σ (nₛ/n_b)·lossₛ`` and each gradient ``Σ (nₛ/n_b)·gₛ``, summed in
-shard order on the calling thread, so no batch-sized prediction or gradient
-forms. The shard size is a constant, not a setting, so the results do not
-depend on the number of CPUs: one worker or three give the same bits, and
-they differ from an unsharded step only by summation order.
-:func:`reconstruction_mse`, :func:`encoding.freeze`,
-:func:`encoding.predict_erp` and :func:`synth.oracle_bounds` map their
+of :data:`CHUNK_ROWS` trials (a constant of :mod:`erpcoder.data`, which
+reads ERP payloads in blocks of as many trials), one :func:`_run_jobs` job
+each: forward pass, :func:`nn.mse_loss` on the shard's own rows and
+backward pass. The step's loss is ``Σ (nₛ/n_b)·lossₛ`` and each gradient
+``Σ (nₛ/n_b)·gₛ``, summed in shard order on the calling thread, so no
+batch-sized prediction or gradient forms. The shard size is a constant, not
+a setting, so the results do not depend on the number of CPUs: one worker
+or three give the same bits, and they differ from an unsharded step only by
+summation order. :func:`reconstruction_mse`, :func:`encoding.freeze`,
+:func:`encoding.map_predictions` (and so :func:`encoding.predict_erp`),
+:func:`synth.generate` and :func:`synth.oracle_bounds` map their
 whole-dataset passes over the same chunks (:func:`_map_chunks`).
 """
 
@@ -40,16 +42,10 @@ import numpy as np
 from . import nn
 from .checkpoint import (checkpoint_files, load_checkpoint, require_tensors,
                          save_checkpoint, tensor_dict_digest)
-from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_split,
-                   train_dev_split)
+from .data import (CHUNK_ROWS, ErpDataset, FormatError, TrialMeta, checked_fields,
+                   kfold_split, train_dev_split)
 
 ARCHITECTURES = ("alpha", "beta")
-
-# Trials per pool job when a pretraining batch is trained, or a set of
-# trials is scored or paired with a decoder (pretrain, reconstruction_mse,
-# encoding.freeze, encoding.predict_erp, synth.oracle_bounds): 1.6 MB of
-# epochs at 32x200, and a quarter of a batch-128 pretraining step.
-CHUNK_ROWS = 32
 
 # Share of the trials that pretrain and encoding.train hold out to pick the
 # best epoch; a protocol constant, not a setting.

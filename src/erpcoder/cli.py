@@ -7,28 +7,37 @@ inputs, writes outputs only under ``--out``, and drops a ``manifest.json``
 error; standard output stays clean.
 
 Each input's sha256 is taken when the command loads it, so the manifest
-describes the bytes the command used. The ERP payload is read once: its
-digest is :func:`data.payload_digest` of the loaded array, since
-:mod:`erpcoder.data` owns the payload layout, and writing the manifest
-opens no input again.
+describes the bytes the command used. The ERP payload is read once, in
+file order, by :func:`data.load_erp`: it hashes every byte as it reads it
+and keeps only the trials the command uses (no artifacts, and no
+sentence-initial words unless the command includes them), so no unfiltered
+copy forms, and writing the manifest opens no input again.
+
+Memory. A command holds at most one array of the kept trials' epochs plus
+a few blocks of trials: ``synth`` generates into its one array,
+``pretrain`` takes its r² denominator blockwise, and ``export-words``
+scores each chunk of predictions as it is decoded. ``timecourse`` holds
+the data and one model's prediction at a time, so two arrays.
 
 Exit codes: 0 success, 2 usage error, 3 missing file, 4 file format
-violation, 1 anything else. Failures print one line:
-``error: <ErrorClass>: <message>``.
+violation, 1 anything else (an invalid value, a failed run, or an
+operating-system error such as an output that cannot be written).
+Failures print one line: ``error: <ErrorClass>: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, autoencoder, encoding, metrics, synth
 from .checkpoint import checkpoint_files, file_digest
-from .data import (FormatError, checked_fields, erp_files, filter_artifacts, load_counts,
-                   load_embeddings, load_erp, load_token_features, payload_digest, read_json,
-                   write_json)
+from .data import (FormatError, checked_fields, erp_files, keep_mask, load_counts,
+                   load_embeddings, load_erp, load_token_features, read_json, write_json)
 from .features import FeatureSpec, assemble, build_sentence_tokens
 
 
@@ -64,14 +73,18 @@ def _load_inputs(data, paths: dict, include_first_word: bool = False):
     without sentence-initial words unless ``include_first_word``), the table
     keywords of ``assemble``/``run_model_suite`` (``sentence_tokens`` built
     before filtering) and the manifest inputs, hashed as loaded."""
-    dataset, meta = load_erp(data)
+    tables, payload_sha256 = {}, hashlib.sha256()
+
+    def keep(meta):
+        # sentence tokens come from every trial, filtered out or not
+        tables["sentence_tokens"] = build_sentence_tokens(meta)
+        return keep_mask(meta, include_first_word)
+
+    dataset, meta = load_erp(data, keep=keep, hasher=payload_sha256)
     sidecar, payload, meta_table = erp_files(data)
-    # the unfiltered array is the payload file's values
     inputs = {"data": [*_hashed([sidecar]),
-                       {"path": str(payload), "sha256": payload_digest(dataset.data)},
+                       {"path": str(payload), "sha256": payload_sha256.hexdigest()},
                        *_hashed([meta_table])]}
-    tables = {"sentence_tokens": build_sentence_tokens(meta)}
-    dataset, meta = filter_artifacts(dataset, meta, include_first_word=include_first_word)
     for key, keyword, load in _TABLES:
         if paths.get(key):
             tables[keyword] = load(paths[key])
@@ -139,7 +152,7 @@ def _cmd_pretrain(args) -> int:
         "best_epoch": history.best_epoch,
         "best_dev_mse": min(history.dev_mse),
         "reconstruction_mse": recon_mse,
-        "r2": 1.0 - recon_mse / float(dataset.data.var()),
+        "r2": 1.0 - recon_mse / metrics.pooled_variance(dataset.data),
     })
     _manifest(out, "pretrain",
               {"arch": args.arch, "intercepts": args.intercepts, "seed": args.seed, **hyper},
@@ -232,6 +245,10 @@ _SUITE_KEYS = {"folds": int, "seed": int, "epochs": int, "batch": int, "lr": flo
                "counts": str, "embeddings": str, "token_features": str, "roster": list | None}
 
 
+# the longest file name, in bytes, that Linux file systems store
+_NAME_MAX = 255
+
+
 def _report_file(name: str) -> str:
     """The file under a suite's ``--out`` that holds roster entry ``name``'s report."""
     return f"report_{name.replace('+', '_')}.json"
@@ -252,6 +269,17 @@ def _cmd_suite(args) -> int:
             name, report = entry["name"], _report_file(entry["name"])
             if not name or "/" in name:
                 raise FormatError(f"{at}: name {name!r} is empty or holds '/'")
+            # the OS must be able to create the report file, or the suite
+            # fails only after every fit
+            if "\0" in name:
+                raise FormatError(f"{at}: name {name!r} holds a NUL byte")
+            try:
+                size = len(os.fsencode(report))
+            except UnicodeEncodeError as e:
+                raise FormatError(f"{at}: name {name!r} is no file name: {e.reason}") from None
+            if size > _NAME_MAX:
+                raise FormatError(f"{at}: name {name!r:.40}... makes a report file name of "
+                                  f"{size} bytes, over the {_NAME_MAX} a file name may hold")
             if report in reports:
                 raise FormatError(f"{at}: name {name!r} writes {report}, "
                                   f"as entry {reports[report]!r} does")
@@ -345,10 +373,11 @@ def _cmd_evaluate(args) -> int:
 def _cmd_timecourse(args) -> int:
     _, dataset, meta, (model, fm), (intercept, fm_intercept), inputs = _load_analysis(args)
     subj = [m.subject_id for m in meta]
-    preds = encoding.predict_erp(model, fm, subj)
-    preds_int = encoding.predict_erp(intercept, fm_intercept, subj)
-    series = metrics.timepoint_correlation_increase(
-        preds, preds_int, dataset.data, ms_axis=dataset.time_axis_ms())
+    # one model's prediction at a time, each freed once it is scored
+    r = metrics.pooled_timepoint_scorer(dataset.data)
+    r_model = r(encoding.predict_erp(model, fm, subj))
+    r_intercept = r(encoding.predict_erp(intercept, fm_intercept, subj))
+    series = metrics.TimecourseSeries(r_model - r_intercept, 1, dataset.time_axis_ms())
     smoothed = metrics.moving_average_smooth(series, args.window)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -360,9 +389,11 @@ def _cmd_timecourse(args) -> int:
 
 def _cmd_export_words(args) -> int:
     _, dataset, meta, (model, fm), _, inputs = _load_analysis(args)
-    preds = encoding.predict_erp(model, fm, [m.subject_id for m in meta])
-    table = metrics.per_word_correlations(
-        preds, dataset.data, meta, model_name="+".join(model.sources),
+    chunks = encoding.map_predictions(
+        lambda rows, preds: metrics.trial_correlations(preds, dataset.data[rows]),
+        model, fm, [m.subject_id for m in meta])
+    table = metrics.word_level_table(
+        [r for chunk in chunks for r in chunk], meta, model_name="+".join(model.sources),
         sources=model.sources)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -482,6 +513,9 @@ def main(argv=None) -> int:
         return 1
     except RuntimeError as e:
         print(f"error: RunFailure: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:  # an output the OS would not write, say
+        print(f"error: OSError: {e}", file=sys.stderr)
         return 1
 
 

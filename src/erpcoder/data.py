@@ -17,9 +17,16 @@ Counts        TSV ``token<TAB>count``.
 Loaders are reentrant and the loaded structures are immutable by convention;
 round-trips are bit-identical. This module owns the f64 payload layout of
 ``.erp.bin`` and ``.ckpt.bin`` files, arrays as C-contiguous little-endian f64
-values one after another: one writer, one reader (one read, straight into one
-array, after a size check) and one non-finite check, and the payload digest a
-caller that loaded the array records (the CLI manifest).
+values one after another: one writer, and one reader that checks the file's
+size before it allocates anything, then reads the file once, in order,
+straight into one array.
+
+An ERP payload is read a run of trials at a time (:func:`load_erp`): the
+trials a keep mask drops pass through a scratch buffer of
+:data:`CHUNK_ROWS` trials, so a filtered load holds one array of the kept
+trials and no unfiltered copy. Every value is checked finite, and a caller
+that records the payload's sha256 (the CLI manifest) has every byte hashed
+as it is read, so the file is opened once.
 """
 
 from __future__ import annotations
@@ -39,6 +46,13 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 WORD_CLASSES = ("content", "function")
+
+# Trials per block: of an ERP payload as it is read and checked (load_erp), and
+# per pool job when a pretraining batch is trained, or a set of trials is scored,
+# decoded or paired with a decoder (autoencoder.pretrain and reconstruction_mse,
+# encoding.freeze and predict_erp, synth.generate and oracle_bounds): 1.6 MB of
+# epochs at 32x200, and a quarter of a batch-128 pretraining step.
+CHUNK_ROWS = 32
 
 
 class FormatError(ValueError):
@@ -275,32 +289,47 @@ def _write_f64(path, arrays) -> None:
             f.write(_f64(values).data)
 
 
-def payload_digest(values) -> str:
-    """The sha256 of the payload :func:`_write_f64` writes for ``values`` alone."""
-    return hashlib.sha256(_f64(values)).hexdigest()
-
-
-def _read_f64(path, shape: tuple[int, ...]) -> np.ndarray:
-    """The payload ``path`` read once into one array of ``shape``; :class:`FormatError`
-    naming the expected and found byte counts, before allocating anything, unless
-    the file's size fits. One raw read returns at most ~2 GiB on Linux, hence the loop."""
+def _open_f64(path, shape: tuple[int, ...]):
+    """The payload ``path``, opened unbuffered for reading; :class:`FormatError`
+    naming the expected and found byte counts, before anything is allocated,
+    unless the file's size fits ``shape``."""
     if not Path(path).exists():
         raise FileNotFoundError(str(path))
     expected = math.prod(shape) * 8
-    with Path(path).open("rb", buffering=0) as f:
-        found = os.fstat(f.fileno()).st_size
-        if found == expected:
-            values = np.empty(shape, dtype="<f8")
-            buf = memoryview(values.reshape(-1).view(np.uint8))
-            found = 0
-            while found < expected:
-                n = f.readinto(buf[found:])
-                if not n:
-                    break
-                found += n
+    f = Path(path).open("rb", buffering=0)
+    found = os.fstat(f.fileno()).st_size
     if found != expected:
+        f.close()
         raise FormatError(f"{path}: expected {expected} bytes for shape {shape}, found {found}")
+    return f
+
+
+def _fill(f, values: np.ndarray, path, shape) -> None:
+    """Read the next ``values.nbytes`` bytes of the payload ``f`` of ``shape``
+    into ``values``. One raw read returns at most ~2 GiB on Linux, hence the
+    loop; a file that shrank since :func:`_open_f64` is a :class:`FormatError`."""
+    buf = memoryview(values.reshape(-1).view(np.uint8))
+    done = 0
+    while done < len(buf):
+        n = f.readinto(buf[done:])
+        if not n:
+            raise FormatError(f"{path}: expected {math.prod(shape) * 8} bytes for shape "
+                              f"{shape}, found {f.tell()}")
+        done += n
+
+
+def _read_f64(path, shape: tuple[int, ...]) -> np.ndarray:
+    """The payload ``path`` read once into one array of ``shape``, after
+    :func:`_open_f64`'s size check."""
+    with _open_f64(path, shape) as f:
+        values = np.empty(shape, dtype="<f8")
+        _fill(f, values, path, shape)
     return values
+
+
+def _non_finite_error(place: str, count: int, index: str, first) -> FormatError:
+    return FormatError(f"{place}{count} non-finite values (NaN or inf); "
+                       f"first at {index} {first}")
 
 
 def _require_finite(values: np.ndarray, place: str, index: str = "index") -> None:
@@ -309,13 +338,73 @@ def _require_finite(values: np.ndarray, place: str, index: str = "index") -> Non
     finite = np.isfinite(values)
     if not finite.all():
         first = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise FormatError(f"{place}{int(finite.size - finite.sum())} non-finite values "
-                          f"(NaN or inf); first at {index} {first}")
+        raise _non_finite_error(place, int(finite.size - finite.sum()), index, first)
 
 
-def load_erp(basepath) -> tuple[ErpDataset, list[TrialMeta]]:
-    """Read a dataset written by :func:`save_erp`. Round-trips bit-identically; the
-    payload is read once, by :func:`_read_f64`, into the returned ``data`` array."""
+def _read_rows(f, path, shape: tuple[int, ...], keep: np.ndarray, hasher=None) -> np.ndarray:
+    """The rows (first-axis entries) of the open payload ``f`` of ``shape`` that
+    ``keep`` marks, in one array, read in file order in one pass.
+
+    Each run of kept rows is read straight into its place in the array; each
+    run of other rows passes through a scratch buffer of at most
+    :data:`CHUNK_ROWS` rows. Every value, kept or not, is checked finite a
+    block of :data:`CHUNK_ROWS` rows at a time, and every byte goes to
+    ``hasher`` (a ``hashlib`` object), if given, in file order. A value that
+    is not finite raises :class:`FormatError` once the whole payload is read,
+    with the count over the payload and the first one's index in file rows.
+    """
+    n = shape[0]
+    values = np.empty((int(keep.sum()), *shape[1:]), dtype="<f8")
+    scratch = np.empty((min(CHUNK_ROWS, n - len(values)), *shape[1:]), dtype="<f8")
+    edges = [0, *(np.flatnonzero(keep[1:] != keep[:-1]) + 1).tolist(), n]
+
+    def blocks():  # (first file row, values) of each block, read in file order
+        at = 0
+        for start, stop in zip(edges, edges[1:]):
+            if keep[start]:
+                run = values[at:at + stop - start]
+                at += stop - start
+                _fill(f, run, path, shape)
+                yield from ((start + i, run[i:i + CHUNK_ROWS])
+                            for i in range(0, len(run), CHUNK_ROWS))
+            else:
+                for lo in range(start, stop, CHUNK_ROWS):
+                    block = scratch[:min(CHUNK_ROWS, stop - lo)]
+                    _fill(f, block, path, shape)
+                    yield lo, block
+
+    bad, first = 0, None
+    for row, block in blocks():
+        if hasher is not None:
+            hasher.update(block)
+        finite = np.isfinite(block)
+        if not finite.all():
+            bad += int(finite.size - finite.sum())
+            if first is None:
+                index = np.argwhere(~finite)[0]
+                first = (row + int(index[0]), *(int(i) for i in index[1:]))
+    if bad:
+        raise _non_finite_error(f"{path}: ", bad, "(trial, channel, timepoint)", first)
+    return values
+
+
+def load_erp(basepath, keep=None, hasher=None) -> tuple[ErpDataset, list[TrialMeta]]:
+    """Read a dataset written by :func:`save_erp`. Round-trips bit-identically.
+
+    The payload is read once, in file order, by :func:`_read_rows`, after
+    its size is checked. ``keep``, if given, is called with every trial's
+    meta and returns the boolean mask of the trials to load (such as
+    :func:`keep_mask`): only their rows are read into ``data`` and only
+    their meta is returned, as :func:`filter_artifacts` would give them, so
+    no unfiltered array forms. Every payload value is checked finite, and
+    ``hasher`` (a ``hashlib`` object), if given, takes every payload byte,
+    so its digest is the whole file's.
+
+    The checks run in file order: the sidecar, the payload (size, then
+    values), then the meta table. The meta table is read before the values
+    only so that ``keep`` can pick the rows; its faults are raised after the
+    payload's.
+    """
     sidecar_path, payload_path, meta_path = erp_files(basepath)
     if not sidecar_path.exists():
         raise FileNotFoundError(str(sidecar_path))
@@ -328,19 +417,32 @@ def load_erp(basepath) -> tuple[ErpDataset, list[TrialMeta]]:
     if len(shape) != 3 or any(s < 1 for s in shape):
         raise FormatError(f"{sidecar_path}: shape must be 3 positive ints, got {shape}")
 
-    data = _read_f64(payload_path, shape)
-    _require_finite(data, f"{payload_path}: ", "(trial, channel, timepoint)")
+    with _open_f64(payload_path, shape) as f:
+        meta, meta_fault = None, None
+        try:
+            meta = load_meta(meta_path)
+            if len(meta) != shape[0]:
+                raise FormatError(f"{Path(basepath)}: {len(meta)} meta rows for "
+                                  f"{shape[0]} trials in payload")
+        except (FileNotFoundError, FormatError) as e:
+            meta_fault = e  # raised below, after the payload's own checks
+        if meta_fault is not None:
+            rows = np.zeros(shape[0], dtype=bool)
+        elif keep is None:
+            rows = np.ones(shape[0], dtype=bool)
+        else:
+            rows = np.asarray(keep(meta), dtype=bool)
+            if rows.shape != (shape[0],):
+                raise ValueError(f"keep mask of shape {rows.shape} for {shape[0]} trials")
+        data = _read_rows(f, payload_path, shape, rows, hasher)
     try:
         dataset = ErpDataset(data, float(sidecar["sampling_rate_hz"]),
                              float(sidecar["epoch_start_ms"]), float(sidecar["epoch_end_ms"]))
     except ValueError as e:
         raise FormatError(f"{sidecar_path}: {e}") from None
-    meta = load_meta(meta_path)
-    if len(meta) != dataset.n_trials:
-        raise FormatError(
-            f"{Path(basepath)}: {len(meta)} meta rows for {dataset.n_trials} trials in payload"
-        )
-    return dataset, meta
+    if meta_fault is not None:
+        raise meta_fault
+    return dataset, meta if keep is None else [m for m, k in zip(meta, rows) if k]
 
 
 META_COLUMNS = ("subject_id", "sentence_id", "word_position", "token",

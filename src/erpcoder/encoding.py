@@ -28,8 +28,11 @@ gradient to the full decoder's within 1e-12 relative; about 5e-16 is
 measured. Its absolute error scales with ``c``, not with the residual: it
 measured at most 2 x machine epsilon x the mean of ``c`` per epoch value,
 which on near-noiseless data (residual MSE 1e-12) is a relative error up
-to ~6e-6. :func:`predict_erp`, and so ``timecourse`` and ``export-words``,
-still decode full epochs.
+to ~6e-6. The analyses of predicted epochs, ``timecourse`` and
+``export-words``, still decode them, a chunk of trials at a time
+(:func:`map_predictions`): ``export-words`` scores each chunk as it is
+decoded, and ``timecourse`` holds one model's :func:`predict_erp` at a
+time.
 
 ``G`` is stored as a block band in time, not as a dense ``H x H`` matrix.
 Hidden positions more than ``w = ceil(K/s) - 1`` steps apart (output kernel
@@ -58,8 +61,8 @@ gathered as whole rows, which measured several times faster than
 gathering columns of a ``(T, C, N_trials)`` array, then transposed once
 into a contiguous ``(T, C, N)`` buffer that both ``Gh - 2r`` and ``Gh -
 r`` read.
-:func:`predict_erp` transposes its latents once and decodes in the ``(N,
-C, T)`` layout of :func:`autoencoder.decode`.
+:func:`map_predictions` transposes its latents once and decodes in the
+``(N, C, T)`` layout of :func:`autoencoder.decode`.
 
 Parallel fits. :func:`weight_decay_search` (so CLI ``fit --wd-search``) and
 :func:`run_model_suite` (CLI ``suite``; its intercept anchor and every
@@ -72,10 +75,10 @@ before any fit runs, the frozen decoder and the features are only read,
 and results come back in list order, so they are bit-identical to a
 serial run; the first fit in list order that raises re-raises, and fits
 not yet started are never started. :func:`train` and :func:`model_mse`
-run on the calling thread; :func:`freeze` and :func:`predict_erp` fill
-their outputs a chunk of :data:`autoencoder.CHUNK_ROWS` trials per pool
-job. Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``), or pool threads
-and BLAS threads compete for the same CPUs.
+run on the calling thread; :func:`freeze` and :func:`map_predictions` (so
+:func:`predict_erp`) work a chunk of :data:`autoencoder.CHUNK_ROWS` trials
+per pool job. Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``), or pool
+threads and BLAS threads compete for the same CPUs.
 """
 
 from __future__ import annotations
@@ -328,19 +331,33 @@ def _latents(model: EncodingModel, features: FeatureMatrix) -> np.ndarray:
     return z
 
 
+def map_predictions(fn, model: EncodingModel, features: FeatureMatrix,
+                    subject_ids=None) -> list:
+    """``fn(rows, preds)`` for each chunk ``rows`` of :data:`autoencoder.CHUNK_ROWS`
+    trials, ``preds`` being their predicted epochs for raw (unstandardized)
+    features with matching columns; one chunk is decoded per pool job, and
+    the results come back in chunk order. No prediction larger than a chunk
+    forms unless ``fn`` keeps one."""
+    z = np.ascontiguousarray(_latents(model, features).transpose(2, 1, 0))
+
+    def job(rows):
+        return fn(rows, decode(model.decoder, z[rows],
+                               None if subject_ids is None else subject_ids[rows]))
+
+    return _map_chunks(job, len(z))
+
+
 def predict_erp(model: EncodingModel, features: FeatureMatrix,
                 subject_ids=None) -> np.ndarray:
     """Predicted epochs for raw (unstandardized) features with matching columns,
-    decoded :data:`autoencoder.CHUNK_ROWS` trials per pool job."""
-    z = np.ascontiguousarray(_latents(model, features).transpose(2, 1, 0))
+    decoded a chunk per pool job by :func:`map_predictions`."""
     spec = model.decoder.spec
-    preds = np.empty((len(z), spec.n_channels, spec.n_timepoints))
+    preds = np.empty((features.n_trials, spec.n_channels, spec.n_timepoints))
 
-    def fill(rows):
-        preds[rows] = decode(model.decoder, z[rows],
-                             None if subject_ids is None else subject_ids[rows])
+    def fill(rows, chunk):
+        preds[rows] = chunk
 
-    _map_chunks(fill, len(z))
+    map_predictions(fill, model, features, subject_ids)
     return preds
 
 

@@ -7,6 +7,16 @@ intercept model, pooled over trials and channels jointly (pooling scope is
 recorded in the output). Confidence intervals across folds come from a
 seeded percentile bootstrap. Per-word correlation tables carry +/-1 model
 coding so external mixed-effects software can consume them directly.
+
+Every statistic over a set of epochs works in blocks of trials, so none
+needs more memory than its inputs plus a block. The pooled time course
+takes the actual data's means and sums of squares once
+(:func:`pooled_timepoint_scorer`), then scores one prediction at a time, so
+the CLI ``timecourse`` holds the data and one model's prediction, never
+two. The per-word r needs only its own trial (:func:`trial_correlations`),
+so the CLI ``export-words`` scores each chunk of predictions as it is
+decoded and holds no full prediction. :func:`pooled_variance` gives the
+pooled variance without a full-size temporary.
 """
 
 from __future__ import annotations
@@ -78,43 +88,79 @@ class TimecourseSeries:
         return float(self.ms_axis[int(np.argmax(self.values))])
 
 
-def pooled_timepoint_correlations(actual: np.ndarray, *preds: np.ndarray) -> list[np.ndarray]:
-    """Pearson r of each of ``preds`` against ``actual`` at each timepoint,
-    pooled over trials x channels; 0.0 at a timepoint where either side has
-    zero variance.
+def _trial_blocks(n_trials: int) -> list[slice]:
+    return [slice(i, i + TRIAL_BLOCK) for i in range(0, n_trials, TRIAL_BLOCK)]
+
+
+def pooled_timepoint_scorer(actual: np.ndarray):
+    """The function ``r(pred)``: the Pearson r of ``pred`` against ``actual``
+    at each timepoint, pooled over trials x channels; 0.0 at a timepoint
+    where either side has zero variance.
 
     Two passes over blocks of ``TRIAL_BLOCK`` trials, summed in block order,
     so no temporary is larger than a block: the per-timepoint means, then the
-    sums of the centred products. Those of ``actual`` are shared by all
-    ``preds``, so each r is bitwise that of its prediction alone. Each side
-    is measured from its first value at each timepoint, which leaves r
+    sums of the centred products, each block centred into one buffer per
+    side. Those of ``actual`` are taken once, here, and shared by every call,
+    so each r is bitwise that of its prediction alone, and a caller can score
+    predictions one after another, each freed before the next is made. Each
+    side is measured from its first value at each timepoint, which leaves r
     unchanged and makes the centred values of a constant timepoint, and so
     its variance, exactly 0.
     """
-    for x in preds:
-        if x.shape != actual.shape:
-            raise ValueError(f"prediction shape {x.shape} != actual {actual.shape}")
-    n_trials, n_channels, _ = actual.shape
+    n_trials, n_channels, n_timepoints = actual.shape
     if n_trials * n_channels == 0:
         raise ValueError(f"no values to pool at each timepoint, shape {actual.shape}")
-    blocks = [slice(i, i + TRIAL_BLOCK) for i in range(0, n_trials, TRIAL_BLOCK)]
+    blocks, block_shape = _trial_blocks(n_trials), (TRIAL_BLOCK, n_channels, n_timepoints)
 
-    def mean(x):
+    def centred(x, b, centre, buf) -> np.ndarray:
+        rows = x[b]
+        return np.subtract(rows, centre, out=buf[:len(rows)])
+
+    def mean(x, buf):
         origin = x[0, 0]
-        shifted = sum(np.einsum("nct->t", x[b] - origin) for b in blocks)
+        shifted = sum(np.einsum("nct->t", centred(x, b, origin, buf)) for b in blocks)
         return origin + shifted / (n_trials * n_channels)
 
-    mean_y, means = mean(actual), [mean(x) for x in preds]
-    syy, sxy, sxx = 0.0, [0.0] * len(preds), [0.0] * len(preds)
+    dy = np.empty(block_shape)
+    mean_y, syy = mean(actual, dy), 0.0
     for b in blocks:
-        dy = actual[b] - mean_y
-        syy = syy + np.einsum("nct,nct->t", dy, dy)
-        for j, (x, m) in enumerate(zip(preds, means)):
-            dx = x[b] - m
-            sxy[j] = sxy[j] + np.einsum("nct,nct->t", dx, dy)
-            sxx[j] = sxx[j] + np.einsum("nct,nct->t", dx, dx)
-    denoms = [np.sqrt(xx * syy) for xx in sxx]
-    return [np.divide(xy, d, out=np.zeros_like(d), where=d != 0.0) for xy, d in zip(sxy, denoms)]
+        d = centred(actual, b, mean_y, dy)
+        syy = syy + np.einsum("nct,nct->t", d, d)
+
+    def r(x: np.ndarray) -> np.ndarray:
+        if x.shape != actual.shape:
+            raise ValueError(f"prediction shape {x.shape} != actual {actual.shape}")
+        dy, dx = np.empty(block_shape), np.empty(block_shape)
+        mean_x, sxy, sxx = mean(x, dx), 0.0, 0.0
+        for b in blocks:
+            cy, cx = centred(actual, b, mean_y, dy), centred(x, b, mean_x, dx)
+            sxy = sxy + np.einsum("nct,nct->t", cx, cy)
+            sxx = sxx + np.einsum("nct,nct->t", cx, cx)
+        denom = np.sqrt(sxx * syy)
+        return np.divide(sxy, denom, out=np.zeros_like(denom), where=denom != 0.0)
+
+    return r
+
+
+def pooled_timepoint_correlations(actual: np.ndarray, *preds: np.ndarray) -> list[np.ndarray]:
+    """Each of ``preds`` scored by one :func:`pooled_timepoint_scorer` of ``actual``."""
+    r = pooled_timepoint_scorer(actual)
+    return [r(x) for x in preds]
+
+
+def pooled_variance(x: np.ndarray) -> float:
+    """The variance of all values of ``x``, ``x.var()`` up to rounding: the mean,
+    then the mean squared deviation from it, each summed over blocks of
+    ``TRIAL_BLOCK`` trials (first-axis entries) in block order, so no
+    temporary is larger than a block."""
+    blocks = _trial_blocks(len(x))
+    mean = sum(float(x[b].sum()) for b in blocks) / x.size
+    squares = 0.0
+    for b in blocks:
+        d = x[b] - mean
+        d *= d
+        squares += float(d.sum())
+    return squares / x.size
 
 
 def timepoint_correlation_increase(model_preds: np.ndarray, intercept_preds: np.ndarray,
@@ -182,18 +228,22 @@ class WordLevelTable:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def per_word_correlations(model_preds: np.ndarray, actual: np.ndarray,
-                          meta: list[TrialMeta], *, model_name: str = "model",
-                          sources: tuple[str, ...] = ()) -> WordLevelTable:
-    """Per-trial Pearson r over the flattened epoch."""
-    if model_preds.shape != actual.shape:
-        raise ValueError(f"prediction shape {model_preds.shape} != actual {actual.shape}")
-    if len(meta) != actual.shape[0]:
-        raise ValueError(f"{len(meta)} meta records for {actual.shape[0]} trials")
+def trial_correlations(preds: np.ndarray, actual: np.ndarray) -> list[tuple[float, bool]]:
+    """Per trial, the Pearson r of its flattened predicted epoch against its
+    actual one, and whether either has zero variance (r is then 0.0)."""
+    return [_pearson_flagged(p.ravel(), a.ravel()) for p, a in zip(preds, actual)]
+
+
+def word_level_table(correlations: list[tuple[float, bool]], meta: list[TrialMeta], *,
+                     model_name: str = "model",
+                     sources: tuple[str, ...] = ()) -> WordLevelTable:
+    """The per-word table of the trials ``meta`` describes, from their
+    :func:`trial_correlations`."""
+    if len(correlations) != len(meta):
+        raise ValueError(f"{len(meta)} meta records for {len(correlations)} trials")
     coding = {fam: (1 if fam in sources else -1) for fam in MODEL_CODING_FAMILIES}
     rows = []
-    for i, m in enumerate(meta):
-        r, flagged = _pearson_flagged(model_preds[i].ravel(), actual[i].ravel())
+    for i, (m, (r, flagged)) in enumerate(zip(meta, correlations)):
         row = {
             "trial": i,
             "subject_id": m.subject_id,
@@ -210,6 +260,16 @@ def per_word_correlations(model_preds: np.ndarray, actual: np.ndarray,
             row[f"has_{fam}"] = code
         rows.append(row)
     return WordLevelTable(rows, model_name)
+
+
+def per_word_correlations(model_preds: np.ndarray, actual: np.ndarray,
+                          meta: list[TrialMeta], *, model_name: str = "model",
+                          sources: tuple[str, ...] = ()) -> WordLevelTable:
+    """Per-trial Pearson r over the flattened epoch."""
+    if model_preds.shape != actual.shape:
+        raise ValueError(f"prediction shape {model_preds.shape} != actual {actual.shape}")
+    return word_level_table(trial_correlations(model_preds, actual), meta,
+                            model_name=model_name, sources=sources)
 
 
 def content_function_summary(table: WordLevelTable) -> dict:

@@ -5,9 +5,11 @@ surprisal, static and contextual embeddings) are drawn from seeded
 distributions; the driving feature columns are computed with the same
 feature code the models use; true per-latent-channel interface weights map
 them to latent codes; a fixed randomly-initialized decoder of the requested
-architecture turns latents into epochs; Gaussian noise is added on top.
-Because every stage is known, closed-form performance bounds are available
-for any nested subset of the driving features.
+architecture turns latents into epochs; Gaussian noise is added on top,
+in place, so the dataset's array is the only epoch-sized array that forms
+(:func:`_noisy_epochs`). Because every stage is known, closed-form
+performance bounds are available for any nested subset of the driving
+features.
 
 Content and function word classes get distinct surprisal distributions so
 class-level summaries have a detectable ground-truth gap. Artifact flags and
@@ -25,8 +27,9 @@ import numpy as np
 from .autoencoder import (AutoencoderParams, AutoencoderSpec, _map_chunks, build_layer_plan,
                           checked_spec, decode, init_params, tensor_shapes)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
-from .data import (EmbeddingTable, ErpDataset, TokenFeatureTable, TrialMeta, checked_fields,
-                   save_counts, save_embeddings, save_erp, save_token_features, write_json)
+from .data import (CHUNK_ROWS, EmbeddingTable, ErpDataset, TokenFeatureTable, TrialMeta,
+                   checked_fields, save_counts, save_embeddings, save_erp,
+                   save_token_features, write_json)
 from .features import SOURCES, source_block
 
 CONTENT_TAGS = ("NN", "VB", "JJ", "RB")
@@ -126,6 +129,26 @@ def _standardize_columns(block: np.ndarray) -> np.ndarray:
     return (block - mean) / sd
 
 
+def _noisy_epochs(decoder: AutoencoderParams, latents: np.ndarray, noise_sd: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """``decode(decoder, latents) + rng.standard_normal(shape) * noise_sd``, bit for
+    bit, in one array: decoded into it a chunk of :data:`data.CHUNK_ROWS` trials
+    per pool job, then the noise added in place, chunk by chunk in stream
+    order. Chunked draws continue one ``standard_normal`` stream, so no
+    signal or noise array forms beside the result."""
+    spec = decoder.spec
+    epochs = np.empty((len(latents), spec.n_channels, spec.n_timepoints))
+
+    def fill(rows):
+        epochs[rows] = decode(decoder, latents[rows])
+
+    _map_chunks(fill, len(latents))
+    for start in range(0, len(latents), CHUNK_ROWS):
+        block = epochs[start:start + CHUNK_ROWS]
+        block += rng.standard_normal(block.shape) * noise_sd
+    return epochs
+
+
 def generate(config: SynthConfig) -> SynthData:
     """Deterministic synthetic generation; identical configs are bit-identical."""
     rng = np.random.default_rng(config.seed)
@@ -222,10 +245,8 @@ def generate(config: SynthConfig) -> SynthData:
     latent_bias = rng.normal(0.0, config.latent_bias_sd, size=(c_lat, t_lat))
     latents += latent_bias
 
-    signal = decode(decoder, latents)
-    noise = rng.standard_normal(signal.shape) * config.noise_sd
-    dataset = ErpDataset(signal + noise, config.sampling_rate_hz,
-                         config.epoch_start_ms, config.epoch_end_ms)
+    dataset = ErpDataset(_noisy_epochs(decoder, latents, config.noise_sd, rng),
+                         config.sampling_rate_hz, config.epoch_start_ms, config.epoch_end_ms)
 
     truth = GroundTruth(
         decoder=decoder,

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,8 @@ import pytest
 from erpcoder import autoencoder, cli, encoding, metrics
 from erpcoder.autoencoder import AutoencoderSpec, init_params, load_autoencoder, save_autoencoder
 from erpcoder.checkpoint import load_checkpoint, save_checkpoint
-from erpcoder.data import (ErpDataset, TrialMeta, filter_artifacts, load_counts, load_erp,
-                           load_token_features, save_erp)
+from erpcoder.data import (ErpDataset, TrialMeta, filter_artifacts, keep_mask, load_counts,
+                           load_erp, load_token_features, save_erp)
 from erpcoder.encoding import load_encoding_model, predict_erp
 from erpcoder.features import FeatureSpec, assemble
 
@@ -189,6 +190,27 @@ class TestPipeline:
         written = np.array([[float(v) for v in row[1:]] for row in rows])
         np.testing.assert_array_equal(
             written, np.stack([series.ms_axis, series.values, smoothed.values], axis=1))
+
+    def test_words_are_the_per_word_correlations_of_the_full_prediction(self, pipeline,
+                                                                         tmp_path):
+        # export-words scores each chunk as it is decoded; the table is the same
+        tables = ["--features", pipeline / "d" / "tokens.feat.tsv",
+                  "--counts", pipeline / "d" / "counts.tsv"]
+        assert run(["export-words", "--model", pipeline / "e1" / "model",
+                    "--autoencoder", pipeline / "m" / "autoencoder",
+                    "--data", pipeline / "d" / "data", *tables, "--out", tmp_path / "w"]) == 0
+        dataset, meta = filter_artifacts(*load_erp(pipeline / "d" / "data"),
+                                         include_first_word=False)
+        model = load_encoding_model(pipeline / "e1" / "model",
+                                    load_autoencoder(pipeline / "m" / "autoencoder"))
+        fm = assemble(FeatureSpec(model.sources), meta,
+                      counts_table=load_counts(pipeline / "d" / "counts.tsv"),
+                      token_features=load_token_features(pipeline / "d" / "tokens.feat.tsv"))
+        metrics.per_word_correlations(
+            predict_erp(model, fm), dataset.data, meta, model_name="+".join(model.sources),
+            sources=model.sources).to_tsv(tmp_path / "expected.tsv")
+        assert (tmp_path / "w" / "words.tsv").read_bytes() == \
+               (tmp_path / "expected.tsv").read_bytes()
 
     def test_suite_command(self, pipeline):
         config = {
@@ -564,6 +586,56 @@ class TestExitCodes:
             f"error: FormatViolation: {path}: suite config {message}"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name, message", [
+        ("fr\0eq", "name 'fr\\x00eq' holds a NUL byte"),
+        ("x" * 300, f"name '{'x' * 39}... makes a report file name of 312 bytes, over the "
+                    "255 a file name may hold"),
+        ("\ud800", "name '\\ud800' is no file name: surrogates not allowed"),
+    ], ids=["nul_byte", "long", "lone_surrogate"])
+    def test_suite_roster_name_the_os_cannot_store_is_4(self, tmp_path, capsys, name,
+                                                        message):
+        # checked as the config loads, before the (missing) data and decoder, so no
+        # fit runs for a report the OS could not write
+        config = {"data": str(tmp_path / "no_data"), "decoder": str(tmp_path / "no_decoder"),
+                  "roster": [{"name": "intercept", "sources": ["constant"]},
+                             {"name": name, "sources": ["constant"]}]}
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(config))
+        assert run(["suite", "--config", path, "--out", tmp_path / "o"]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: FormatViolation: {path}: suite config roster entry 1: {message}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_longest_report_file_name_accepted(self, pipeline, tmp_path):
+        name = "x" * (255 - len("report_.json"))
+        config = {"data": str(pipeline / "d" / "data"),
+                  "decoder": str(pipeline / "m" / "autoencoder"), "folds": 2, "epochs": 1,
+                  "ceiling_mse": 1e-9,
+                  "roster": [{"name": "intercept", "sources": ["constant"]},
+                             {"name": name, "sources": ["constant"]}]}
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(config))
+        assert run(["suite", "--config", path, "--out", tmp_path / "o"]) == 0
+        assert (tmp_path / "o" / f"report_{name}.json").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "export-words"])
+    def test_out_that_cannot_be_written_is_1(self, pipeline, tmp_path, capsys, command):
+        # an OSError other than a missing input is one error line, not a traceback
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        if command == "synth":
+            args = ["synth", "--config", write_config(tmp_path)]
+        else:
+            args = ["export-words", "--model", pipeline / "e1" / "model",
+                    "--autoencoder", pipeline / "m" / "autoencoder",
+                    "--data", pipeline / "d" / "data",
+                    "--features", pipeline / "d" / "tokens.feat.tsv",
+                    "--counts", pipeline / "d" / "counts.tsv"]
+        assert run([*args, "--out", blocker / "o"]) == 1
+        assert [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("error:")] == [
+            f"error: OSError: [Errno 20] Not a directory: '{blocker / 'o'}'"]
+
     @pytest.mark.parametrize("args", [["suite", "--config", "suite.json", "--folds", 2],
                                       ["pretrain", "--data", "d", "--dev-fraction", 0.2]],
                              ids=["suite_folds", "pretrain_dev_fraction"])
@@ -743,6 +815,74 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: FormatViolation:" in err and "line 2: non-finite value 'inf'" in err
         assert not (tmp_path / "o").exists()
+
+
+class TestPeakMemory:
+    """Each command's peak allocation, measured with tracemalloc: one array of
+    the epochs of the trials it keeps, plus an allowance of chunks
+    (``timecourse``: two arrays). The fixture's set runs at the paper's 32 x
+    200 geometry with 600 trials, where one epoch array outweighs the
+    allowance, so a second array could not hide in it. At this size the
+    allowance also holds what grows with the trial count but is no epoch
+    array: the frozen decoder's ``r`` and the one-pass temporaries of
+    ``encoding.model_mse``. The pool runs one worker, so that the allowance
+    does not grow with the CPU count, and pretraining steps a batch of one
+    chunk."""
+
+    EPOCH_BYTES = 32 * 200 * 8
+    ALLOWANCE = 10 * autoencoder.CHUNK_ROWS * EPOCH_BYTES  # 15.6 MiB
+
+    @pytest.fixture(scope="class")
+    def measured(self, tmp_path_factory):
+        """(command -> peak bytes above its start, every trial's meta)."""
+        root = tmp_path_factory.mktemp("memory")
+        config = root / "synth.json"
+        config.write_text(json.dumps(
+            {**SYNTH_CONFIG, "n_subjects": 6, "n_channels": 32, "n_timepoints": 200}))
+        d, m, e0, e1 = root / "d", root / "m", root / "e0", root / "e1"
+        tables = ["--features", d / "tokens.feat.tsv", "--counts", d / "counts.tsv"]
+        analysis = ["--model", e1 / "model", "--autoencoder", m / "autoencoder",
+                    "--data", d / "data", *tables]
+        fit = ["fit", "--decoder", m / "autoencoder", "--data", d / "data", "--epochs", 1]
+        steps = {
+            "synth": ["synth", "--config", config, "--out", d],
+            "pretrain": ["pretrain", "--data", d / "data", "--epochs", 1,
+                         "--batch", autoencoder.CHUNK_ROWS, "--out", m],
+            "fit": [*fit, "--sources", "frequency,surprisal", *tables, "--out", e1],
+            "fit_intercept": [*fit, "--sources", "constant", "--out", e0],
+            "evaluate": ["evaluate", *analysis, "--intercept", e0 / "model",
+                         "--out", root / "v"],
+            "timecourse": ["timecourse", *analysis, "--intercept", e0 / "model",
+                           "--out", root / "t"],
+            "export-words": ["export-words", *analysis, "--out", root / "w"],
+        }
+        peaks = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(autoencoder, "_worker_count", lambda n_jobs: 1)
+            tracemalloc.start()
+            try:
+                for name, args in steps.items():
+                    tracemalloc.reset_peak()
+                    start = tracemalloc.get_traced_memory()[0]
+                    assert run(args) == 0, name
+                    peaks[name] = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        return peaks, load_erp(d / "data")[1]
+
+    # command: (epoch arrays, the trials it keeps: all, or include_first_word)
+    @pytest.mark.parametrize("command, arrays, first_words", [
+        ("synth", 1, "all"), ("pretrain", 1, True), ("fit", 1, False),
+        ("evaluate", 1, False), ("timecourse", 2, False), ("export-words", 1, False)])
+    def test_peak_is_kept_epoch_arrays_plus_blocks(self, measured, command, arrays,
+                                                   first_words):
+        peaks, meta = measured
+        kept = len(meta) if first_words == "all" else int(keep_mask(meta, first_words).sum())
+        kept_bytes = kept * self.EPOCH_BYTES
+        assert kept_bytes > self.ALLOWANCE  # a copy of the kept array would show
+        assert peaks[command] <= arrays * kept_bytes + self.ALLOWANCE, (
+            f"{command}: peak {peaks[command] / 2**20:.1f} MiB, "
+            f"{arrays} x {kept_bytes / 2**20:.1f} MiB epoch arrays allowed")
 
 
 class TestInputImmutability:

@@ -1,6 +1,8 @@
 """I/O round-trips, filtering, and fold-splitting tests."""
 
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,6 +140,130 @@ class TestErpRoundTrip:
         with pytest.raises(data.FormatError,
                            match=r"2 non-finite values.*first at .* \(3, 1, 7\)"):
             data.load_erp(base)
+
+
+N_KEPT_ROWS = 2 * data.CHUNK_ROWS + 5  # two full scratch blocks and a partial one
+KEEP_MASKS = {
+    "all": np.ones(N_KEPT_ROWS, dtype=bool),
+    "none": np.zeros(N_KEPT_ROWS, dtype=bool),
+    "first_and_last_dropped": np.arange(N_KEPT_ROWS) % (N_KEPT_ROWS - 1) != 0,
+    "alternating": np.arange(N_KEPT_ROWS) % 2 == 1,
+}
+
+
+class TestKeptRowsLoad:
+    """``load_erp(base, keep=...)`` reads only the kept trials, in one pass that
+    checks and hashes the whole payload."""
+
+    @staticmethod
+    def _save(rng, tmp_path, mask, nan_at=()):
+        # the artifact flags are the mask, so filter_artifacts keeps the same rows
+        ds = make_dataset(rng, n=len(mask), c=3, t=5)
+        for index in nan_at:
+            ds.data[index] = np.nan
+        meta = [replace(m, artifact=not k) for m, k in zip(make_meta(len(mask)), mask)]
+        base = tmp_path / "set"
+        data.save_erp(base, ds, meta)
+        return base
+
+    @pytest.mark.parametrize("name", list(KEEP_MASKS))
+    def test_equals_filtered_plain_load(self, rng, tmp_path, name):
+        mask = KEEP_MASKS[name]
+        base = self._save(rng, tmp_path, mask)
+        expected, expected_meta = data.filter_artifacts(*data.load_erp(base))
+        seen = []
+        hasher = hashlib.sha256()
+        loaded, meta = data.load_erp(base, keep=lambda m: seen.append(m) or mask,
+                                     hasher=hasher)
+        assert loaded.data.shape == expected.data.shape == (mask.sum(), 3, 5)
+        assert loaded.data.tobytes() == expected.data.tobytes()
+        assert loaded.data.flags.c_contiguous
+        assert (loaded.sampling_rate_hz, loaded.epoch_start_ms, loaded.epoch_end_ms) == (
+            expected.sampling_rate_hz, expected.epoch_start_ms, expected.epoch_end_ms)
+        assert meta == expected_meta
+        assert seen == [data.load_meta(data.erp_files(base)[2])]  # every trial's meta
+        assert hasher.hexdigest() == hashlib.sha256(
+            data.erp_files(base)[1].read_bytes()).hexdigest()
+
+    def test_plain_load_hashes_the_file(self, rng, tmp_path):
+        base = self._save(rng, tmp_path, KEEP_MASKS["all"])
+        hasher = hashlib.sha256()
+        data.load_erp(base, hasher=hasher)
+        assert hasher.hexdigest() == hashlib.sha256(
+            data.erp_files(base)[1].read_bytes()).hexdigest()
+
+    # a dropped row holding the first non-finite value, and a later row holding another
+    @pytest.mark.parametrize("name, row, later", [
+        ("first_and_last_dropped", 0, 40), ("alternating", 2 * data.CHUNK_ROWS + 2, 67),
+        ("none", 50, 60)])
+    def test_non_finite_dropped_row_named_in_file_rows(self, rng, tmp_path, name, row, later):
+        mask = KEEP_MASKS[name]
+        assert not mask[row]
+        base = self._save(rng, tmp_path, mask, nan_at=[(row, 2, 4), (later, 0, 1)])
+        with pytest.raises(data.FormatError,
+                           match=rf"set\.erp\.bin: 2 non-finite values \(NaN or inf\); first "
+                                 rf"at \(trial, channel, timepoint\) \({row}, 2, 4\)$"):
+            data.load_erp(base, keep=lambda m: mask)
+
+    @pytest.mark.parametrize("change", [-16, 8], ids=["truncated", "trailing"])
+    @pytest.mark.parametrize("keep", [None, lambda m: KEEP_MASKS["alternating"]],
+                             ids=["plain", "kept"])
+    def test_wrong_size_rejected_before_allocating(self, rng, tmp_path, monkeypatch,
+                                                   change, keep):
+        base = self._save(rng, tmp_path, KEEP_MASKS["alternating"])
+        payload = data.erp_files(base)[1]
+        raw = payload.read_bytes()
+        payload.write_bytes(raw[:change] if change < 0 else raw + b"\0" * change)
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(data.np, "empty", no_allocation)
+        with pytest.raises(data.FormatError,
+                           match=rf"expected {len(raw)} bytes.*found {len(raw) + change}$"):
+            data.load_erp(base, keep=keep)
+
+    @staticmethod
+    def _break_meta(meta_path, fault):
+        if fault == "missing":
+            meta_path.unlink()
+        else:  # one row short
+            meta_path.write_text("\n".join(meta_path.read_text().splitlines()[:-1]) + "\n")
+
+    @pytest.mark.parametrize("keep", [None, lambda m: KEEP_MASKS["alternating"]],
+                             ids=["plain", "kept"])
+    @pytest.mark.parametrize("payload_fault", ["truncated", "nan"])
+    @pytest.mark.parametrize("meta_fault", ["missing", "short"])
+    def test_payload_faults_come_before_meta_faults(self, rng, tmp_path, keep,
+                                                    payload_fault, meta_fault):
+        # the meta table is read before the payload's values, to pick the rows,
+        # but its faults are raised after the payload's, as before
+        base = self._save(rng, tmp_path, KEEP_MASKS["alternating"], nan_at=[(3, 1, 1)])
+        _, payload, meta_path = data.erp_files(base)
+        if payload_fault == "truncated":
+            payload.write_bytes(payload.read_bytes()[:-8])
+        self._break_meta(meta_path, meta_fault)
+        message = "expected .* bytes" if payload_fault == "truncated" else "1 non-finite"
+        with pytest.raises(data.FormatError, match=message):
+            data.load_erp(base, keep=keep)
+
+    @pytest.mark.parametrize("keep", [None, lambda m: KEEP_MASKS["alternating"]],
+                             ids=["plain", "kept"])
+    @pytest.mark.parametrize("meta_fault, error, message", [
+        ("missing", FileNotFoundError, r"set\.meta\.tsv"),
+        ("short", data.FormatError, rf"{N_KEPT_ROWS - 1} meta rows for {N_KEPT_ROWS} trials"),
+    ])
+    def test_meta_faults_raised_after_a_sound_payload(self, rng, tmp_path, keep, meta_fault,
+                                                      error, message):
+        base = self._save(rng, tmp_path, KEEP_MASKS["alternating"])
+        self._break_meta(data.erp_files(base)[2], meta_fault)
+        with pytest.raises(error, match=message):
+            data.load_erp(base, keep=keep)
+
+    def test_keep_mask_of_wrong_length_rejected(self, rng, tmp_path):
+        base = self._save(rng, tmp_path, KEEP_MASKS["all"])
+        with pytest.raises(ValueError, match="keep mask of shape"):
+            data.load_erp(base, keep=lambda m: np.ones(3, dtype=bool))
 
 
 class TestCheckpointFormat:

@@ -82,6 +82,25 @@ class TestTimecourse:
                     - metrics.pooled_timepoint_correlations(actual, intercept)[0])
         assert series.values.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n_trials", [1, 17, 40])
+    def test_scorer_gives_each_prediction_the_bits_of_scoring_all_at_once(self, rng,
+                                                                         n_trials):
+        # the CLI scores one prediction at a time, each freed before the next
+        actual = rng.normal(size=(n_trials, 3, 7))
+        preds = [0.4 * actual + rng.normal(size=actual.shape), rng.normal(size=actual.shape)]
+        r = metrics.pooled_timepoint_scorer(actual)
+        together = metrics.pooled_timepoint_correlations(actual, *preds)
+        for x, expected in zip(preds, together):
+            assert r(x).tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="prediction shape"):
+            r(actual[:-1] if n_trials > 1 else actual[:, :2])
+
+    # one block, a block edge and a partial last block (TRIAL_BLOCK 16)
+    @pytest.mark.parametrize("n_trials", [1, 16, 41])
+    def test_pooled_variance_is_var_to_rounding(self, rng, n_trials):
+        x = 5.0 + 0.01 * rng.normal(size=(n_trials, 32, 200))
+        assert metrics.pooled_variance(x) == pytest.approx(float(x.var()), rel=1e-12)
+
     def test_affine_invariance_of_pooled_r(self, rng):
         preds = rng.normal(size=(6, 3, 8))
         actual = rng.normal(size=(6, 3, 8))
@@ -177,6 +196,22 @@ class TestPerWordCorrelations:
         assert table.rows[0]["zero_variance"] == 1
         assert table.rows[0]["pearson_r"] == 0.0
         assert table.rows[1]["zero_variance"] == 0 and table.rows[1]["pearson_r"] == 1.0
+
+    def test_table_from_trial_correlations_in_chunks(self, rng):
+        # export-words scores each chunk of trials as it is decoded
+        actual = rng.normal(size=(5, 3, 4))
+        preds = rng.normal(size=actual.shape)
+        preds[2] = 1.5
+        meta = word_meta(5)
+        chunks = [metrics.trial_correlations(preds[rows], actual[rows])
+                  for rows in (slice(0, 2), slice(2, 5))]
+        table = metrics.word_level_table([r for chunk in chunks for r in chunk], meta,
+                                         model_name="m", sources=("frequency",))
+        expected = metrics.per_word_correlations(preds, actual, meta, model_name="m",
+                                                 sources=("frequency",))
+        assert table == expected and table.rows[2]["zero_variance"] == 1
+        with pytest.raises(ValueError, match="4 meta records for 5 trials"):
+            metrics.word_level_table(chunks[0] + chunks[1], meta[:4])
 
     def test_affine_invariance_per_word(self, rng):
         actual = rng.normal(size=(4, 3, 6))

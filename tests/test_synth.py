@@ -1,5 +1,6 @@
 """Synthetic generator and oracle-bound tests."""
 
+import copy
 import json
 import re
 
@@ -9,7 +10,7 @@ import pytest
 from erpcoder import features, synth
 from erpcoder.autoencoder import decode
 from erpcoder.checkpoint import load_checkpoint, save_checkpoint
-from erpcoder.data import (FormatError, load_counts, load_embeddings, load_erp,
+from erpcoder.data import (CHUNK_ROWS, FormatError, load_counts, load_embeddings, load_erp,
                            load_token_features)
 
 
@@ -33,6 +34,30 @@ class TestGenerate:
         sd = synth.generate(small_config(noise_sd=0.0))
         decoded = decode(sd.ground_truth.decoder, sd.ground_truth.latents)
         np.testing.assert_array_equal(sd.dataset.data, decoded)
+
+    # 65 trials leave a one-trial chunk, 200 an eight-trial one (CHUNK_ROWS 32)
+    @pytest.mark.parametrize("n_sentences", [13, 40])
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.3])
+    def test_chunked_epochs_equal_one_decode_and_one_draw(self, monkeypatch, n_sentences,
+                                                          noise_sd):
+        # the noise generator's state as generation reaches the epochs
+        seen = []
+        noisy_epochs = synth._noisy_epochs
+
+        def recording(decoder, latents, sd, rng):
+            seen.append(copy.deepcopy(rng.bit_generator.state))
+            return noisy_epochs(decoder, latents, sd, rng)
+
+        monkeypatch.setattr(synth, "_noisy_epochs", recording)
+        config = small_config(n_subjects=1, n_sentences=n_sentences, words_per_sentence=5,
+                              n_channels=4, noise_sd=noise_sd)
+        assert config.n_trials % CHUNK_ROWS != 0
+        sd = synth.generate(config)
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = seen[0]
+        signal = decode(sd.ground_truth.decoder, sd.ground_truth.latents)  # every trial at once
+        expected = signal + rng.standard_normal(signal.shape) * noise_sd
+        assert sd.dataset.data.tobytes() == expected.tobytes()
 
     def test_residual_variance_matches_noise(self):
         # law of large numbers at >= 1e5 elements: within 5%
