@@ -12,21 +12,39 @@ Kernel sizes, paddings and channel ladders inside each architecture are a
 design choice recorded here in the layer plans; only the latent geometry is
 fixed by the architecture names.
 
+Time-major passes. Every pass through the autoencoder runs time-major,
+``(T, C, N)`` with the trials in the columns, on the windowed-GEMM kernels
+of :mod:`erpcoder.nn`: :func:`_stack_forward` and :func:`_stack_backward`
+walk the encoder, the decoder and a frozen decoder's hidden layers in that
+one layout, and intercepts are added as ``(C, N)`` columns. ``(N, C, T)``
+stays at the data boundary: the data themselves and the signatures of
+:func:`encode`, :func:`decode` and :func:`reconstruct`, which transpose
+each block of trials in and out. The first convolution's kernel gradient
+is the one exception: it is summed per tap from the trials' own ``(N, C,
+T)`` rows, faster there than the windowed form.
+
+A trial's bits in a time-major GEMM depend on how many trials share the
+call, so every pass over trials runs in fixed blocks of :data:`CHUNK_ROWS`
+trials (a constant of :mod:`erpcoder.data`, which reads ERP payloads in
+blocks of as many trials), one :func:`_run_jobs` job each
+(:func:`_map_chunks`): a trial decoded in one call and in chunks split at
+block boundaries, or on any number of workers, gets the same bits.
+
 Data-parallel pretraining. A minibatch MSE and its gradient are the
 trial-weighted means of those of any split of the batch. :func:`pretrain`
 therefore runs every batch, and the dev set it scores each epoch, as shards
-of :data:`CHUNK_ROWS` trials (a constant of :mod:`erpcoder.data`, which
-reads ERP payloads in blocks of as many trials), one :func:`_run_jobs` job
-each: forward pass, :func:`nn.mse_loss` on the shard's own rows and
-backward pass. The step's loss is ``Σ (nₛ/n_b)·lossₛ`` and each gradient
-``Σ (nₛ/n_b)·gₛ``, summed in shard order on the calling thread, so no
-batch-sized prediction or gradient forms. The shard size is a constant, not
-a setting, so the results do not depend on the number of CPUs: one worker
-or three give the same bits, and they differ from an unsharded step only by
-summation order. :func:`reconstruction_mse`, :func:`encoding.freeze`,
-:func:`encoding.map_predictions` (and so :func:`encoding.predict_erp`),
-:func:`synth.generate` and :func:`synth.oracle_bounds` map their
-whole-dataset passes over the same chunks (:func:`_map_chunks`).
+of :data:`CHUNK_ROWS` trials: forward pass, :func:`nn.mse_loss` on the
+shard's own rows and backward pass. The step's loss is ``Σ (nₛ/n_b)·lossₛ``
+and each gradient ``Σ (nₛ/n_b)·gₛ``, summed in shard order on the calling
+thread, so no batch-sized prediction or gradient forms. The shard size is
+a constant, not a setting, so the results do not depend on the number of
+CPUs: one worker or three give the same bits, and they differ from an
+unsharded step only by summation order. :func:`reconstruction_mse`,
+:func:`encode`, :func:`decode` and :func:`reconstruct`, and through them
+:func:`encoding.map_predictions` (so :func:`encoding.predict_erp`),
+:func:`synth.generate` and :func:`synth.oracle_bounds`, map their
+whole-dataset passes over the same blocks; :func:`encoding.freeze` and
+:func:`encoding.model_mse` do too.
 """
 
 from __future__ import annotations
@@ -256,18 +274,18 @@ def init_params(spec: AutoencoderSpec, seed, subjects=None) -> AutoencoderParams
 # ---------------------------------------------------------------------------
 
 
-def _stack_forward(steps, tensors: dict[str, np.ndarray], prefix: str, h, tconv=None):
-    """Run ``h`` through encoder or decoder steps; returns the output and each
-    layer's (parameter prefix, context) for :func:`_stack_backward`. ``tconv``, the
-    transposed convolution, is :func:`nn.convtranspose1d_forward` unless given."""
+def _stack_forward(steps, tensors: dict[str, np.ndarray], prefix: str, h):
+    """Run time-major ``(T, C, N)`` activations ``h`` through encoder or decoder
+    steps; returns the output and each layer's (parameter prefix, context) for
+    :func:`_stack_backward`."""
     ctxs = []
     for i, step in enumerate(steps):
         name = f"{prefix}{i}"
         if isinstance(step, PoolStep):
-            h, ctx = nn.maxpool1d_forward(h, step.window, step.stride)
+            h, ctx = nn.maxpool1d_time_major_forward(h, step.window, step.stride)
         else:
-            conv = (nn.conv1d_forward if isinstance(step, ConvStep)
-                    else tconv or nn.convtranspose1d_forward)
+            conv = (nn.conv1d_time_major_forward if isinstance(step, ConvStep)
+                    else nn.convtranspose1d_time_major_forward)
             h, ctx = conv(h, tensors[f"{name}.kernels"], tensors[f"{name}.bias"],
                           stride=step.stride, padding=step.padding)
         ctxs.append((name, ctx))
@@ -285,27 +303,27 @@ def _decoder_forward(params: AutoencoderParams, z):
     return _stack_forward(params.plan.decoder, params.tensors, "dec", z)
 
 
-def _stack_backward(ctxs, grad, need_input_grad: bool = True):
-    """Walk (parameter prefix, context) pairs in reverse; returns (input_grad,
-    param_grads).
+def _stack_backward(ctxs, grad, rows=None, need_param_grads: bool = True):
+    """Walk (parameter prefix, context) pairs from :func:`_stack_forward` in
+    reverse; returns (input_grad, param_grads).
 
-    The pairs come from :func:`_stack_forward`, in either layout. With
-    ``need_input_grad=False`` a convolution at the bottom of the stack skips its
-    input gradient, and the returned input_grad is None.
+    ``rows``, the stack's input as ``(N, C, T)``, marks that input as data:
+    the bottom convolution then takes its kernel gradient from ``rows``
+    (:func:`nn.conv1d_time_major_backward`) and skips its input gradient, and
+    the returned input_grad is None. ``need_param_grads=False`` (a frozen
+    decoder) walks the input gradient alone.
     """
     param_grads: dict[str, np.ndarray] = {}
     g = grad
     for depth, (name, ctx) in reversed(list(enumerate(ctxs))):
-        if isinstance(ctx, nn.Conv1dCtx):
-            lg = nn.conv1d_backward(ctx, g, need_input_grad=need_input_grad or depth > 0)
-        elif isinstance(ctx, nn.ConvTranspose1dCtx):
-            lg = nn.convtranspose1d_backward(ctx, g)
+        if isinstance(ctx, nn.Conv1dTimeMajorCtx):
+            lg = nn.conv1d_time_major_backward(ctx, g, rows if depth == 0 else None)
         elif isinstance(ctx, nn.ConvTranspose1dTimeMajorCtx):
-            lg = nn.convtranspose1d_time_major_backward(ctx, g)
+            lg = nn.convtranspose1d_time_major_backward(ctx, g, need_param_grads)
         elif isinstance(ctx, nn.TanhCtx):
             lg = nn.tanh_backward(ctx, g)
         else:
-            lg = nn.maxpool1d_backward(ctx, g)
+            lg = nn.maxpool1d_time_major_backward(ctx, g)
         param_grads.update({f"{name}.{k}": v for k, v in lg.param_grads.items()})
         g = lg.input_grad
     return g, param_grads
@@ -322,30 +340,64 @@ def _subject_rows(params: AutoencoderParams, subject_ids) -> np.ndarray:
 
 
 def _add_intercepts(params: AutoencoderParams, y, subject_ids):
-    """Add subject/electrode intercepts to decoded (N,C,T) epochs, if enabled;
-    without intercepts ``subject_ids`` is ignored."""
+    """Add subject/electrode intercepts to decoded time-major ``(T, C, N)``
+    epochs, as ``(C, N)`` columns, if enabled; without intercepts
+    ``subject_ids`` is ignored."""
     if not params.spec.intercepts:
         return y
     if subject_ids is None:
         raise ValueError("decoder has intercepts enabled; subject_ids required")
-    return y + params.tensors["intercepts"][_subject_rows(params, subject_ids)][:, :, None]
+    return y + params.tensors["intercepts"][_subject_rows(params, subject_ids)].T
+
+
+def _decode(params: AutoencoderParams, z, subject_ids):
+    """Time-major latents -> decoded time-major epochs, intercepts added."""
+    return _add_intercepts(params, _decoder_forward(params, z)[0], subject_ids)
+
+
+def _map_time_major(fn, x, out_shape: tuple[int, ...]) -> np.ndarray:
+    """The ``(N, *out_shape)`` array whose :data:`CHUNK_ROWS`-row blocks are
+    ``fn(rows, x_rows)``, ``x_rows`` being rows ``rows`` of the ``(N, C, T)``
+    array ``x`` made time-major and ``fn``'s result transposed back; one
+    :func:`_map_chunks` job per block, so the bits do not depend on the
+    worker count or on how a caller splits ``x`` at block boundaries."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3:
+        raise ValueError(f"expected a batch of (N, C, T) epochs, got shape {x.shape}")
+    out = np.empty((len(x), *out_shape))
+
+    def job(rows):
+        out[rows] = fn(rows, nn._swap_layout(x[rows])).transpose(2, 1, 0)
+
+    _map_chunks(job, len(x))
+    return out
 
 
 def encode(params: AutoencoderParams, erp) -> np.ndarray:
     """Compress (N,C,T) epochs to the latent geometry."""
-    z, _ = _encoder_forward(params, erp)
-    return z
+    plan = params.plan
+    return _map_time_major(lambda rows, x: _encoder_forward(params, x)[0], erp,
+                           (plan.latent_channels, plan.latent_timepoints))
 
 
 def decode(params: AutoencoderParams, latent, subject_ids=None) -> np.ndarray:
     """Reconstruct (N,C,T) epochs from (N,C_lat,T_lat) latents, adding
     subject/electrode intercepts, one subject per epoch, if enabled."""
-    y, _ = _decoder_forward(params, latent)
-    return _add_intercepts(params, y, subject_ids)
+    spec = params.spec
+    return _map_time_major(lambda rows, z: _decode(params, z, _take(subject_ids, rows)),
+                           latent, (spec.n_channels, spec.n_timepoints))
 
 
 def reconstruct(params: AutoencoderParams, erp, subject_ids=None) -> np.ndarray:
-    return decode(params, encode(params, erp), subject_ids)
+    spec = params.spec
+    return _map_time_major(
+        lambda rows, x: _decode(params, _encoder_forward(params, x)[0],
+                                _take(subject_ids, rows)),
+        erp, (spec.n_channels, spec.n_timepoints))
+
+
+def _take(subject_ids, rows):
+    return None if subject_ids is None else subject_ids[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -533,19 +585,16 @@ def _reconstruction_step(params: AutoencoderParams, x_all: np.ndarray,
     """(loss, n_out, grads) of one pretraining step on trials ``batch`` of
     ``x_all``: the reconstruction MSE, its number of values and the gradients
     of ``params.tensors``, from :data:`CHUNK_ROWS`-trial shards summed in
-    shard order (see the module docstring)."""
+    shard order (see the module docstring). A shard runs time-major; the
+    first convolution's kernel gradient reads the shard's own ``(N, C, T)``
+    rows."""
     def shard(chunk):
         rows = batch[chunk]
         x = x_all[rows]
-        z, enc_ctxs = _encoder_forward(params, x)
-        y, dec_ctxs = _decoder_forward(params, z)
-        loss, grad_y = nn.mse_loss(_add_intercepts(params, y, subject_ids[rows]), x)
-        gz, grads = _stack_backward(dec_ctxs, grad_y)
-        grads.update(_stack_backward(enc_ctxs, gz, need_input_grad=False)[1])
-        if params.spec.intercepts:
-            grads["intercepts"] = np.zeros_like(params.tensors["intercepts"])
-            np.add.at(grads["intercepts"], _subject_rows(params, subject_ids[rows]),
-                      grad_y.sum(axis=-1))
+        x_tm = nn._swap_layout(x)
+        z, enc_ctxs = _encoder_forward(params, x_tm)
+        loss, gz, grads = _decoder_step(params, z, x_tm, subject_ids[rows])
+        grads.update(_stack_backward(enc_ctxs, gz, rows=x)[1])
         return len(rows) / len(batch), loss, grads
 
     loss, grads = 0.0, {}
@@ -556,18 +605,36 @@ def _reconstruction_step(params: AutoencoderParams, x_all: np.ndarray,
     return loss, len(batch) * x_all[0].size, grads
 
 
+def _decoder_step(params: AutoencoderParams, z, x, subject_ids):
+    """(loss, latent gradient, decoder and intercept gradients) of a shard's
+    reconstruction of the time-major epochs ``x`` from latents ``z``. Its
+    epoch-sized temporaries are freed on return, before the encoder's
+    backward pass."""
+    y, dec_ctxs = _decoder_forward(params, z)
+    loss, grad_y = nn.mse_loss(_add_intercepts(params, y, subject_ids), x)
+    del y  # the backward pass reads grad_y alone: free the prediction first
+    gz, grads = _stack_backward(dec_ctxs, grad_y)
+    if params.spec.intercepts:
+        grads["intercepts"] = np.zeros_like(params.tensors["intercepts"])
+        np.add.at(grads["intercepts"], _subject_rows(params, subject_ids), grad_y.sum(axis=0).T)
+    return loss, gz, grads
+
+
 def reconstruction_mse(params: AutoencoderParams, dataset: ErpDataset,
                        meta: list[TrialMeta], indices=None) -> float:
     """Mean squared reconstruction error over the given trials, their
-    :data:`CHUNK_ROWS`-trial chunks scored as pool jobs and summed in chunk order."""
+    :data:`CHUNK_ROWS`-trial chunks reconstructed time-major and scored as
+    pool jobs, summed in chunk order."""
     idx = np.arange(dataset.n_trials) if indices is None else np.asarray(indices)
     if len(idx) == 0:
         raise ValueError("no trials to score")
 
     def squared_error(chunk) -> float:
         rows = idx[chunk]
-        x = dataset.data[rows]
-        diff = reconstruct(params, x, [meta[i].subject_id for i in rows]) - x
+        x = nn._swap_layout(dataset.data[rows])
+        diff = _decode(params, _encoder_forward(params, x)[0],
+                       [meta[i].subject_id for i in rows])
+        diff -= x
         return float(np.vdot(diff, diff))
 
     se = sum(_map_chunks(squared_error, len(idx)))
@@ -648,8 +715,10 @@ def checked_spec(meta: dict, spec_key: str, plan_key: str, where) -> Autoencoder
     return spec
 
 
-def load_autoencoder(basepath) -> AutoencoderParams:
-    _, meta, tensors = load_checkpoint(basepath, expect_kind="autoencoder")
+def load_autoencoder(basepath, hasher=None) -> AutoencoderParams:
+    """The autoencoder checkpoint ``basepath``; ``hasher`` takes its payload's
+    bytes (:func:`checkpoint.load_checkpoint`)."""
+    _, meta, tensors = load_checkpoint(basepath, expect_kind="autoencoder", hasher=hasher)
     where = checkpoint_files(basepath)[0]
     meta = checked_fields(meta, {"spec": dict, "plan": dict, "subjects": tuple[str, ...] | None},
                           f"{where}: meta")

@@ -56,11 +56,14 @@ def save_checkpoint(basepath, kind: str, meta: dict,
     _write_f64(payload_path, tensors.values())
 
 
-def load_checkpoint(basepath, expect_kind: str | None = None
+def load_checkpoint(basepath, expect_kind: str | None = None, hasher=None
                     ) -> tuple[str, dict, dict[str, np.ndarray]]:
     """Read a checkpoint; returns (kind, meta, tensors), the tensors views of the one
     array the payload is read into. A manifest or payload that is malformed, or a
-    tensor value that is NaN or infinite, raises :class:`FormatError`."""
+    tensor value that is NaN or infinite, raises :class:`FormatError`.
+    ``hasher`` (a ``hashlib`` object), if given, takes the payload's bytes as
+    they are read, so a caller that records the payload's digest (the CLI
+    manifest) opens it once."""
     manifest_path, payload_path = checkpoint_files(basepath)
     if not manifest_path.exists():
         raise FileNotFoundError(str(manifest_path))
@@ -92,7 +95,7 @@ def load_checkpoint(basepath, expect_kind: str | None = None
                 f"{payload_path}: tensor {name!r} starts at byte {start}, but the tensors "
                 f"before it end at byte {covered}")
         covered = end
-    payload = _read_f64(payload_path, (covered // 8,))
+    payload = _read_f64(payload_path, (covered // 8,), hasher)
     tensors = {name: payload[start // 8:end // 8].reshape(shape)
                for start, end, name, shape in entries}
     for name, arr in tensors.items():

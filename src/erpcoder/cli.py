@@ -11,7 +11,9 @@ describes the bytes the command used. The ERP payload is read once, in
 file order, by :func:`data.load_erp`: it hashes every byte as it reads it
 and keeps only the trials the command uses (no artifacts, and no
 sentence-initial words unless the command includes them), so no unfiltered
-copy forms, and writing the manifest opens no input again.
+copy forms. A checkpoint's ``.ckpt.bin`` is hashed as
+:func:`checkpoint.load_checkpoint` reads it, so writing the manifest opens
+no payload again.
 
 Memory. A command holds at most one array of the kept trials' epochs plus
 a few blocks of trials: ``synth`` generates into its one array,
@@ -48,6 +50,17 @@ def _progress(msg: str) -> None:
 def _hashed(paths) -> list[dict]:
     """The manifest entries of input files ``paths``, hashed as they are now."""
     return [{"path": str(p), "sha256": file_digest(p)} for p in paths]
+
+
+def _load_hashed(load, basepath, *args):
+    """``load(basepath, *args)`` of a checkpoint loader, and the manifest entries
+    of the checkpoint's ``.ckpt.json`` and ``.ckpt.bin``; the payload is hashed
+    as the loader reads it, so it is opened once."""
+    payload_sha256 = hashlib.sha256()
+    loaded = load(basepath, *args, hasher=payload_sha256)
+    manifest, payload = checkpoint_files(basepath)
+    return loaded, [*_hashed([manifest]),
+                    {"path": str(payload), "sha256": payload_sha256.hexdigest()}]
 
 
 def _manifest(out_dir: Path, command: str, config: dict, inputs: dict[str, list]) -> None:
@@ -197,8 +210,7 @@ def _parse_sources(text: str) -> tuple[str, ...]:
 
 def _cmd_fit(args) -> int:
     sources = _parse_sources(args.sources)
-    decoder = autoencoder.load_autoencoder(args.decoder)
-    decoder_inputs = _hashed(checkpoint_files(args.decoder))
+    decoder, decoder_inputs = _load_hashed(autoencoder.load_autoencoder, args.decoder)
     dataset, meta, tables, inputs = _load_inputs(args.data, vars(args))
     fm = assemble(FeatureSpec(sources), meta, **tables)
     frozen = encoding.freeze(decoder, dataset, meta)
@@ -285,8 +297,7 @@ def _cmd_suite(args) -> int:
                                   f"as entry {reports[report]!r} does")
             reports[report] = name
             roster.append((name, tuple(entry["sources"])))
-    decoder = autoencoder.load_autoencoder(config["decoder"])
-    decoder_inputs = _hashed(checkpoint_files(config["decoder"]))
+    decoder, decoder_inputs = _load_hashed(autoencoder.load_autoencoder, config["decoder"])
     dataset, meta, tables, inputs = _load_inputs(config["data"], config)
     hyper = _hyper(config)
     k, seed, wd = config.get("folds", 5), config.get("seed", 0), config.get("weight_decay")
@@ -329,14 +340,12 @@ def _load_analysis(args):
     """Inputs of ``evaluate``, ``timecourse`` and ``export-words``: the autoencoder,
     the filtered dataset and meta, (model, features) for ``--model`` and for
     ``--intercept`` (None for a command without one), and the manifest inputs."""
-    ae_params = autoencoder.load_autoencoder(args.autoencoder)
-    ae_inputs = _hashed(checkpoint_files(args.autoencoder))
+    ae_params, ae_inputs = _load_hashed(autoencoder.load_autoencoder, args.autoencoder)
     dataset, meta, tables, inputs = _load_inputs(args.data, vars(args))
     inputs["autoencoder"] = ae_inputs
 
     def fitted(label, path):
-        model = encoding.load_encoding_model(path, ae_params)
-        inputs[label] = _hashed(checkpoint_files(path))
+        model, inputs[label] = _load_hashed(encoding.load_encoding_model, path, ae_params)
         return model, assemble(FeatureSpec(model.sources), meta, **tables)
 
     model = fitted("model", args.model)

@@ -48,10 +48,13 @@ log = logging.getLogger(__name__)
 WORD_CLASSES = ("content", "function")
 
 # Trials per block: of an ERP payload as it is read and checked (load_erp), and
-# per pool job when a pretraining batch is trained, or a set of trials is scored,
-# decoded or paired with a decoder (autoencoder.pretrain and reconstruction_mse,
-# encoding.freeze and predict_erp, synth.generate and oracle_bounds): 1.6 MB of
-# epochs at 32x200, and a quarter of a batch-128 pretraining step.
+# per pool job when a pretraining batch is trained, or a set of trials is
+# encoded, decoded, scored or paired with a decoder (autoencoder.pretrain,
+# encode, decode, reconstruct and reconstruction_mse, encoding.freeze, model_mse
+# and predict_erp, synth.generate and oracle_bounds): 1.6 MB of epochs at
+# 32x200, and a quarter of a batch-128 pretraining step. The time-major GEMMs
+# give a trial bits that depend on how many trials share the call, so the
+# block size is fixed.
 CHUNK_ROWS = 32
 
 
@@ -318,12 +321,15 @@ def _fill(f, values: np.ndarray, path, shape) -> None:
         done += n
 
 
-def _read_f64(path, shape: tuple[int, ...]) -> np.ndarray:
+def _read_f64(path, shape: tuple[int, ...], hasher=None) -> np.ndarray:
     """The payload ``path`` read once into one array of ``shape``, after
-    :func:`_open_f64`'s size check."""
+    :func:`_open_f64`'s size check; ``hasher`` (a ``hashlib`` object), if
+    given, takes the bytes read, so its digest is the file's."""
     with _open_f64(path, shape) as f:
         values = np.empty(shape, dtype="<f8")
         _fill(f, values, path, shape)
+    if hasher is not None:
+        hasher.update(values)
     return values
 
 

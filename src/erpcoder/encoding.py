@@ -61,8 +61,11 @@ gathered as whole rows, which measured several times faster than
 gathering columns of a ``(T, C, N_trials)`` array, then transposed once
 into a contiguous ``(T, C, N)`` buffer that both ``Gh - 2r`` and ``Gh -
 r`` read.
-:func:`map_predictions` transposes its latents once and decodes in the
-``(N, C, T)`` layout of :func:`autoencoder.decode`.
+:func:`freeze` builds ``r`` and ``c`` time-major too, and
+:func:`map_predictions` transposes its latents once and hands them to
+:func:`autoencoder.decode`, which decodes time-major in the fixed
+:data:`autoencoder.CHUNK_ROWS`-trial blocks that keep a trial's bits
+independent of how the trials are split.
 
 Parallel fits. :func:`weight_decay_search` (so CLI ``fit --wd-search``) and
 :func:`run_model_suite` (CLI ``suite``; its intercept anchor and every
@@ -74,8 +77,8 @@ The pool has one thread per CPU in the process's affinity mask
 before any fit runs, the frozen decoder and the features are only read,
 and results come back in list order, so they are bit-identical to a
 serial run; the first fit in list order that raises re-raises, and fits
-not yet started are never started. :func:`train` and :func:`model_mse`
-run on the calling thread; :func:`freeze` and :func:`map_predictions` (so
+not yet started are never started. :func:`train` runs on the calling
+thread; :func:`freeze`, :func:`model_mse` and :func:`map_predictions` (so
 :func:`predict_erp`) work a chunk of :data:`autoencoder.CHUNK_ROWS` trials
 per pool job. Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``), or pool
 threads and BLAS threads compete for the same CPUs.
@@ -154,11 +157,9 @@ class FrozenDecoder:
     def hidden(self, z: np.ndarray):
         """Latents ``(T_lat, C_lat, N)`` -> the last hidden activation ``h``
         ``(T_hid, C_hid, N)``: every decoder step but the output layer, walked
-        by :func:`autoencoder._stack_forward` with the time-major transposed
-        convolution, with their (parameter prefix, context) pairs for
-        :func:`autoencoder._stack_backward`."""
-        return _stack_forward(self.decoder.plan.decoder[:-1], self.decoder.tensors, "dec", z,
-                              nn.convtranspose1d_time_major_forward)
+        by :func:`autoencoder._stack_forward`, with their (parameter prefix,
+        context) pairs for :func:`autoencoder._stack_backward`."""
+        return _stack_forward(self.decoder.plan.decoder[:-1], self.decoder.tensors, "dec", z)
 
     def mse(self, h: np.ndarray, rows) -> tuple[float, np.ndarray]:
         """MSE of the epochs decoded from ``h`` against trials ``rows``, and its
@@ -181,9 +182,10 @@ def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
     """``decoder`` frozen against every trial of ``dataset``, described by ``meta``.
 
     ``AᵀA`` comes from :func:`nn.transposed_conv_gram_band`. ``r`` and ``c``
-    are built a chunk of rows per pool job through the output layer's own
-    kernels: ``Aᵀ`` is the convolution with the same kernels, so neither the
-    dense ``A`` nor a full-size residual forms.
+    are built a chunk of rows per pool job, time-major, through the output
+    layer's own kernels: ``Aᵀ`` is the convolution with the same kernels
+    (:func:`nn.conv1d_time_major_forward`), so neither the dense ``A`` nor a
+    full-size residual forms.
     """
     if len(meta) != dataset.n_trials:
         raise ValueError(f"{len(meta)} meta records for {dataset.n_trials} trials")
@@ -207,12 +209,12 @@ def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
     c = np.empty(dataset.n_trials)
 
     def fill(rows):
-        y = dataset.data[rows]
-        e = y - _add_intercepts(decoder, np.broadcast_to(bias[:, None], y.shape),
-                                subject_ids[rows])
-        adjoint, _ = nn.conv1d_forward(e, kernels, np.zeros(c_hid), step.stride, step.padding)
-        r[rows] = adjoint.transpose(0, 2, 1)
-        c[rows] = np.einsum("nct,nct->n", e, e)
+        e = nn._swap_layout(dataset.data[rows])
+        e -= _add_intercepts(decoder, bias[:, None], subject_ids[rows])
+        adjoint, _ = nn.conv1d_time_major_forward(e, kernels, np.zeros(c_hid), step.stride,
+                                                  step.padding)
+        r[rows] = adjoint.transpose(2, 0, 1)
+        c[rows] = np.einsum("tcn,tcn->n", e, e)
 
     _map_chunks(fill, dataset.n_trials)
     return FrozenDecoder(decoder, decoder.decoder_digest(), list(meta), band, r, c,
@@ -402,7 +404,7 @@ def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
         z, ctxs = _forward(params, f_std[batch], embed_cols, scalar_cols)
         h, dec_ctxs = frozen.hidden(z)
         loss, grad_h = frozen.mse(h, batch)
-        gz, _ = _stack_backward(dec_ctxs, grad_h)
+        gz, _ = _stack_backward(dec_ctxs, grad_h, need_param_grads=False)
         # h's size weights the batch in the epoch's train MSE: like the
         # batch's number of epoch values, it is proportional to its trials
         return loss, h.size, _backward(params, gz, ctxs)
@@ -431,14 +433,24 @@ def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
 
 def model_mse(model: EncodingModel, frozen: FrozenDecoder, features: FeatureMatrix,
               indices=None) -> float:
-    """MSE of the model's predictions over the given trials of ``frozen``, in Gram form."""
+    """MSE of the model's predictions over the given trials of ``frozen``, in Gram
+    form: each chunk of :data:`autoencoder.CHUNK_ROWS` trials is scored as a pool
+    job, and their squared errors are summed in chunk order, so no hidden
+    activation larger than a chunk's forms."""
     if model.decoder_digest != frozen.digest:
         raise ValueError(f"model fit against decoder {model.decoder_digest[:12]}..., "
                          f"not the frozen {frozen.digest[:12]}...")
     idx = np.arange(frozen.n_trials) if indices is None else np.asarray(indices)
-    h, _ = frozen.hidden(_latents(model, features.take(idx)))
-    loss, _ = frozen.mse(h, idx)
-    return loss
+    if len(idx) == 0:
+        raise ValueError("no trials to score")
+    z = _latents(model, features.take(idx))
+
+    def squared_error(chunk) -> float:
+        # the chunk's MSE times its trial count: its squared error over n_out
+        h, _ = frozen.hidden(z[:, :, chunk])
+        return frozen.mse(h, idx[chunk])[0] * h.shape[2]
+
+    return sum(_map_chunks(squared_error, len(idx))) / len(idx)
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +653,11 @@ def save_encoding_model(basepath, model: EncodingModel) -> None:
     save_checkpoint(basepath, "encoding_model", meta, tensors)
 
 
-def load_encoding_model(basepath, decoder: AutoencoderParams) -> EncodingModel:
-    """Load a fitted model, verifying it references this exact frozen decoder."""
-    _, meta, tensors = load_checkpoint(basepath, expect_kind="encoding_model")
+def load_encoding_model(basepath, decoder: AutoencoderParams, hasher=None) -> EncodingModel:
+    """Load a fitted model, verifying it references this exact frozen decoder;
+    ``hasher`` takes its payload's bytes (:func:`checkpoint.load_checkpoint`)."""
+    _, meta, tensors = load_checkpoint(basepath, expect_kind="encoding_model",
+                                       hasher=hasher)
     where = checkpoint_files(basepath)[0]
     meta = checked_fields(meta, {
         "decoder_digest": str, "sources": tuple[str, ...], "feature_names": tuple[str, ...],

@@ -5,53 +5,53 @@ convention (no kernel flip). Each forward pass returns an explicit context
 object that the matching backward pass consumes, so ops stay pure and are
 safe to call concurrently on disjoint data.
 
-The convolution, pooling and dense ops take a batch only: ``(N, C, T)``
-activations, ``(N, D)`` for ``dense``. An unbatched input raises
-``ValueError`` naming the op and the shape.
+Kernel layout. The kernels run time-major: activations are ``(T, C, N)``,
+the batch in the columns, so that any run of ``L`` consecutive time steps
+of a batch is one contiguous ``(L·C, N)`` block. Each op is a few matmuls
+against such windows, taken by :func:`_windowed_matmul` as a read-only
+strided view of a C-contiguous buffer (the op's own copy when the caller's
+array is not contiguous: a view of that would read the wrong memory); the
+few windows that run past either end are multiplied from their in-range
+steps alone, so nothing is padded. The ops:
 
-Kernel layout. Activations are ``(N, C, T)`` with time contiguous.
-Convolutions run as one GEMM per kernel tap (Chellapilla, Puri & Simard,
-2006), batched over ``N`` by ``np.matmul``, so no window tensor is ever
-materialised. Each of three helpers holds one per-tap GEMM pattern:
-:func:`_add_conv` (strided cross-correlation of a padded input),
-:func:`_add_transposed_conv` (its adjoint) and :func:`_kernel_grads`
-(per-tap kernel gradients summed over ``N``). The four ops are built
-from them:
+- :func:`conv1d_time_major_forward`: one matmul of the ``(C_out, K·C_in)``
+  tap-major kernel matrix against all ``T_out`` windows of ``K`` input
+  steps (:func:`_conv`).
+- :func:`convtranspose1d_time_major_forward`, and the input gradient of
+  the convolution: polyphase (Dumoulin & Visin, 2016), one matmul per
+  output phase against windows of the consecutive input steps it reads,
+  with the taps reversed (:func:`_transposed_conv`).
+- :func:`convtranspose1d_time_major_backward`: the input gradient is
+  :func:`_conv` of the gradient, a stride-``s`` window view of it; the
+  kernel gradients of both convolutions are one batched matmul of each
+  narrow step against the window of wide steps it meets, summed over time
+  (:func:`_windowed_grads`).
+- :func:`maxpool1d_time_major_forward`: the window offsets are strided
+  views of the outer time axis, compared in turn.
 
-- ``conv1d_forward``: ``_add_conv`` of the zero-padded input, from the bias.
-- ``conv1d_backward``: ``_kernel_grads`` of ``g`` against the padded input;
-  the input gradient, unless skipped, is ``_add_transposed_conv`` of ``g``.
-- ``convtranspose1d_forward``: ``_add_transposed_conv`` into a contiguous,
-  already cropped output, from the bias.
-- ``convtranspose1d_backward``: the forward convolution of the zero-padded
-  ``g`` (Dumoulin & Visin, 2016). ``_add_conv`` of it is the input gradient;
-  ``_kernel_grads`` of the saved input against it is the kernel gradient.
+A trial's bits depend on how many trials share a matmul (the BLAS blocking
+of its columns), so a caller that needs the same bits however it splits
+its trials runs them in fixed blocks of columns.
 
-:func:`_tap_slices` gives each transposed-convolution tap's in-range
-positions, so strides larger than the kernel and padding that crops whole
-taps need no special case.
+The batch-first ops (``conv1d_forward``, ``convtranspose1d_forward``,
+``maxpool1d_forward`` and their backward passes) take ``(N, C, T)``
+activations, ``(N, D)`` for ``dense``; an unbatched input raises
+``ValueError`` naming the op and the shape. They transpose to the
+time-major kernels and back, except for the kernel gradients, which sum
+per kernel tap over the batch (:func:`_kernel_grads`, Chellapilla, Puri &
+Simard, 2006): from the ``(N, C, T)`` rows a caller already holds this is
+faster than the windowed form for a wide input, so the time-major
+convolution's backward takes them from such rows when given.
 
-Time-major layout. The frozen-decoder fits of ``encoding`` keep their
-activations as ``(T, C, N)``, the batch in the columns, so that any run of
-``L`` consecutive time steps of a batch is one contiguous ``(L·C, N)``
-block. Each time-major op is a few matmuls against such windows, taken by
-:func:`_windowed_matmul` as a read-only strided view of a C-contiguous
-buffer (the op's own copy when the caller's array is not contiguous: a
-view of that would read the wrong memory); the few windows that run past
-either end are multiplied from their in-range steps alone, so nothing is
-padded. :func:`convtranspose1d_time_major_forward` is polyphase (Dumoulin
-& Visin, 2016), one matmul per output phase;
-:func:`convtranspose1d_time_major_backward` is one matmul against a
-stride-``s`` window view of the gradient and returns no parameter
-gradients, as a frozen decoder needs none; :func:`gram_band_matmul` is
-below.
-
-Each layout serves its own traffic. A fit's hidden layer is small
-(``beta``: 10×20 -> 16×40), so per trial its per-tap GEMMs are tiny, and
-folding the batch into the columns makes a few large ones. Pretraining,
-``decode`` and the encoder run ``(N, C, T)``: at their shapes a
-one-GEMM-plus-overlap-add form made the output layer's transposed
-convolution 2.6× slower (6.8 -> 17.7 ms at batch 128, 32×200).
+Each layout serves its own traffic. Nothing in the package calls the
+batch-first convolution and pooling ops: pretraining, the encoder,
+``decode`` and the frozen-decoder fits all run time-major, and ``(N, C,
+T)`` stays at the data boundary (files and the public ``autoencoder``
+signatures). Only the first encoder convolution's kernel gradient reads
+the trials' own ``(N, C, T)`` rows: there the windowed form took 3.6 ms
+against 2.0 ms summed per tap (32 trials at 32×200, ``beta``). Unlike a
+channels-last or channel-major folding of the batch, or one GEMM plus an
+overlap-add, every window here is one contiguous block of memory.
 
 Gram band. For a transposed convolution ``A`` with kernel ``K`` and stride
 ``s``, inputs more than ``w = ceil(K/s) - 1`` time steps apart write no
@@ -69,7 +69,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 
 @dataclass
@@ -94,6 +93,11 @@ def _match_grad(grad, ref_shape: tuple[int, ...], what: str) -> np.ndarray:
     if g.shape != ref_shape:
         raise ValueError(f"{what}: upstream grad shape {g.shape} != output shape {ref_shape}")
     return g
+
+
+def _swap_layout(a: np.ndarray) -> np.ndarray:
+    """``(N, C, T)`` <-> ``(T, C, N)``, as a C-contiguous array."""
+    return np.ascontiguousarray(a.transpose(2, 1, 0))
 
 
 def conv_output_length(t: int, kernel: int, stride: int, padding: int) -> int:
@@ -123,46 +127,6 @@ def _tap_slices(j: int, narrow_len: int, wide_len: int, stride: int, padding: in
     return slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
 
 
-def _add_conv(out: np.ndarray, padded: np.ndarray, kernels: np.ndarray,
-              stride: int) -> np.ndarray:
-    """Add the strided cross-correlation of ``padded`` into ``out``, in place.
-
-    Tap ``j`` adds ``kernels[:, :, j] @ padded[:, :, j : j+span : stride]``.
-    """
-    span = (out.shape[2] - 1) * stride + 1
-    for j in range(kernels.shape[2]):
-        out += np.matmul(kernels[:, :, j], padded[:, :, j : j + span : stride])
-    return out
-
-
-def _add_transposed_conv(wide: np.ndarray, narrow: np.ndarray, kernels: np.ndarray,
-                         stride: int, padding: int) -> np.ndarray:
-    """Add the transposed convolution of ``narrow`` into ``wide``, in place.
-
-    Tap ``j`` adds ``kernels[:, :, j].T @ narrow`` at the wide positions it
-    reaches. This is convtranspose1d's forward pass (kernels ``(C_in,
-    C_out, K)``) and conv1d's input gradient (kernels ``(C_out, C_in, K)``).
-    """
-    for j in range(kernels.shape[2]):
-        taps = _tap_slices(j, narrow.shape[2], wide.shape[2], stride, padding)
-        if taps is not None:
-            narrow_pos, wide_pos = taps
-            wide[:, :, wide_pos] += np.matmul(kernels[:, :, j].T, narrow[:, :, narrow_pos])
-    return wide
-
-
-def _kernel_grads(narrow: np.ndarray, padded: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Kernel gradients ``(narrow.shape[1], padded.shape[1], k)``: tap ``j`` is
-    ``narrow @ window.T`` summed over the batch, ``window`` being the slice of
-    ``padded`` that :func:`_add_conv` reads for that tap."""
-    span = (narrow.shape[2] - 1) * stride + 1
-    grads = np.empty((narrow.shape[1], padded.shape[1], k))
-    for j in range(k):
-        window = padded[:, :, j : j + span : stride]
-        grads[:, :, j] = np.matmul(narrow, window.transpose(0, 2, 1)).sum(axis=0)
-    return grads
-
-
 def _check_stride_padding(stride: int, padding: int) -> None:
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -171,7 +135,342 @@ def _check_stride_padding(stride: int, padding: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# 1D convolution (cross-correlation)
+# Windows of consecutive time steps
+# ---------------------------------------------------------------------------
+
+
+def _windows(a: np.ndarray, count: int, start: int, step: int, length: int):
+    """Window ``v`` of ``count`` is steps ``start + v·step ...`` ``+ length - 1`` of
+    the C-contiguous ``(T, C, N)`` array ``a``. Returns ``(lo, hi, view)``:
+    windows ``lo ... hi-1`` lie wholly inside ``a``, and ``view`` is them as a
+    read-only ``(hi-lo, length·C, N)`` strided view (None if there are none)."""
+    t, c, n = a.shape
+    lo = min(count, max(0, -(start // step)))  # first window starting at or after step 0
+    hi = max(lo, min(count, (t - length - start) // step + 1))  # first ending past T
+    if hi == lo:
+        return lo, hi, None
+    # a view of a's buffer, which checks that it stays inside it; strides from
+    # the shape, as a C-contiguous array may carry any stride on a size-1 axis
+    step_bytes = c * n * a.itemsize
+    view = np.ndarray((hi - lo, length * c, n), a.dtype, a, (start + lo * step) * step_bytes,
+                      (step * step_bytes, n * a.itemsize, a.itemsize))
+    view.flags.writeable = False
+    return lo, hi, view
+
+
+def _windowed_matmul(mat: np.ndarray, a: np.ndarray, out: np.ndarray, start: int,
+                     step: int, length: int) -> np.ndarray:
+    """``out[v] = mat_v @ a[start + v·step : start + v·step + length]``, the
+    window of ``length`` consecutive time steps of ``a`` read as one
+    ``(length·C, N)`` block, steps outside ``a`` as zeros; in place.
+
+    ``a`` is time-major ``(T, C, N)`` and C-contiguous. ``mat`` is one
+    ``(C_out, length·C)`` matrix or one per output step, ``(len(out), C_out,
+    length·C)``. The windows wholly inside ``a`` are one matmul on a
+    strided view of it; each of the others multiplies the columns of
+    ``mat`` its in-range steps meet.
+    """
+    t, c, n = a.shape
+    lo, hi, view = _windows(a, len(out), start, step, length)
+    if view is not None:
+        np.matmul(mat if mat.ndim == 2 else mat[lo:hi], view, out=out[lo:hi])
+    for v in [*range(lo), *range(hi, len(out))]:
+        first = start + v * step
+        a_lo, a_hi = max(0, first), min(t, first + length)
+        mat_v = mat if mat.ndim == 2 else mat[v]
+        if a_hi <= a_lo:
+            out[v] = 0.0
+        else:
+            np.matmul(mat_v[:, (a_lo - first) * c : (a_hi - first) * c],
+                      a[a_lo:a_hi].reshape(-1, n), out=out[v])
+    return out
+
+
+def _windowed_grads(narrow: np.ndarray, wide: np.ndarray, start: int, step: int,
+                    length: int) -> np.ndarray:
+    """``Σ_v narrow[v] @ window_vᵀ``, ``(C_narrow, length·C_wide)``: the kernel
+    gradient, tap-major, of a convolution between the C-contiguous time-major
+    ``narrow`` and ``wide``, window ``v`` being the ``length`` steps of ``wide``
+    that :func:`_windowed_matmul` reads for step ``v`` (steps outside it as
+    zeros). One batched matmul over the windows inside ``wide``, summed over
+    them, plus one product per edge window."""
+    t, c, n = wide.shape
+    lo, hi, view = _windows(wide, len(narrow), start, step, length)
+    grads = np.zeros((narrow.shape[1], length * c))
+    if view is not None:
+        grads += np.matmul(narrow[lo:hi], view.transpose(0, 2, 1)).sum(axis=0)
+    for v in [*range(lo), *range(hi, len(narrow))]:
+        first = start + v * step
+        a_lo, a_hi = max(0, first), min(t, first + length)
+        if a_hi > a_lo:
+            grads[:, (a_lo - first) * c : (a_hi - first) * c] += (
+                narrow[v] @ wide[a_lo:a_hi].reshape(-1, n).T)
+    return grads
+
+
+def _conv(out: np.ndarray, x: np.ndarray, kernels: np.ndarray, stride: int,
+          padding: int) -> np.ndarray:
+    """The strided cross-correlation of the C-contiguous time-major ``x`` with
+    ``(C_out, C_in, K)`` kernels, no bias, into ``out`` ``(T_out, C_out, N)``:
+    output step ``u`` is the ``(C_out, K·C_in)`` tap-major kernel matrix
+    times input steps ``u·s - p ... u·s - p + K - 1``."""
+    c_out, c_in, k = kernels.shape
+    taps = kernels.transpose(0, 2, 1).reshape(c_out, k * c_in)
+    return _windowed_matmul(taps, x, out, -padding, stride, k)
+
+
+def _transposed_conv(out: np.ndarray, x: np.ndarray, kernels: np.ndarray, stride: int,
+                     padding: int) -> np.ndarray:
+    """The transposed convolution of the C-contiguous time-major ``x`` with
+    ``(C_in, C_out, K)`` kernels, no bias, into ``out`` ``(T_out, C_out, N)``,
+    polyphase.
+
+    Output phase ``φ`` (the steps ``φ, φ+s, ...``) receives only the taps
+    ``j ≡ φ + padding (mod s)``, output step ``u`` of the phase from the
+    consecutive input steps ``u-m+1 ... u`` (``m ≤ ⌈K/s⌉`` taps). So a phase
+    is one matmul of its taps, reversed, ``(C_out, m·C_in)``, against
+    windows of ``x``, written straight into ``out[φ::s]``; a phase with no
+    tap (stride > kernel) is zero. ``out`` may be longer than the transposed
+    convolution's output (a convolution's input gradient whose last steps
+    no output reads): those steps come out zero.
+    """
+    c_in, c_out, k = kernels.shape
+    for phase in range(min(stride, len(out))):
+        r = (phase + padding) % stride  # the phase's first tap
+        m = len(range(r, k, stride))  # and how many it has
+        y = out[phase::stride]
+        if m == 0:
+            y[...] = 0.0
+            continue
+        # output step u of the phase reads inputs u-m+1 ... u, with taps r+(m-1)s ... r
+        taps = kernels[:, :, r + (m - 1) * stride :: -stride]
+        _windowed_matmul(taps.transpose(1, 2, 0).reshape(c_out, m * c_in), x, y,
+                         (phase + padding) // stride - m + 1, 1, m)
+    return out
+
+
+def _kernel_grads(narrow: np.ndarray, padded: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Kernel gradients ``(narrow.shape[1], padded.shape[1], k)`` of batch-first
+    ``(N, C, T)`` arrays: tap ``j`` is ``narrow @ window.T`` summed over the
+    batch, ``window`` being the taps' strided slice of the zero-padded wide
+    array."""
+    span = (narrow.shape[2] - 1) * stride + 1
+    grads = np.empty((narrow.shape[1], padded.shape[1], k))
+    for j in range(k):
+        window = padded[:, :, j : j + span : stride]
+        grads[:, :, j] = np.matmul(narrow, window.transpose(0, 2, 1)).sum(axis=0)
+    return grads
+
+
+def _untap(grads: np.ndarray, k: int) -> np.ndarray:
+    """Tap-major ``(C_a, K·C_b)`` kernel gradients as ``(C_a, C_b, K)``."""
+    return grads.reshape(len(grads), k, -1).transpose(0, 2, 1)
+
+
+def _check_time_major(x: np.ndarray, kernels: np.ndarray, in_axis: int, what: str,
+                      layout: str) -> None:
+    if x.ndim != 3 or kernels.ndim != 3 or x.shape[1] != kernels.shape[in_axis]:
+        raise ValueError(f"{what}: input {x.shape} and kernels {kernels.shape} are not "
+                         f"(T, C_in, N) and {layout}")
+
+
+# ---------------------------------------------------------------------------
+# Time-major convolution, transposed convolution and max pooling
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Conv1dTimeMajorCtx:
+    x: np.ndarray  # (T_in, C_in, N), C-contiguous
+    kernels: np.ndarray  # (C_out, C_in, K)
+    stride: int
+    padding: int
+    out_shape: tuple[int, ...]  # (T_out, C_out, N)
+
+
+def conv1d_time_major_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
+    """:func:`conv1d_forward` on time-major ``(T, C_in, N)`` input.
+
+    kernels: (C_out, C_in, K); bias: (C_out,). Returns the ``(T_out, C_out,
+    N)`` output, one matmul of the tap-major kernel matrix against all
+    windows (:func:`_conv`) plus the bias, and a context for
+    :func:`conv1d_time_major_backward`.
+    """
+    x = np.ascontiguousarray(_as_f64(x))
+    kernels = _as_f64(kernels)
+    bias = _as_f64(bias)
+    _check_time_major(x, kernels, 1, "conv1d_time_major", "(C_out, C_in, K)")
+    c_out, _, k = kernels.shape
+    if bias.shape != (c_out,):
+        raise ValueError(f"conv1d_time_major: bias shape {bias.shape} != ({c_out},)")
+    _check_stride_padding(stride, padding)
+    t, _, n = x.shape
+    if k > t + 2 * padding:
+        raise ValueError(f"kernel length {k} exceeds padded input length {t} + 2*{padding}")
+    y = _conv(np.empty((conv_output_length(t, k, stride, padding), c_out, n)), x, kernels,
+              stride, padding)
+    y += bias[:, None]
+    return y, Conv1dTimeMajorCtx(x, kernels, stride, padding, y.shape)
+
+
+def conv1d_time_major_backward(ctx: Conv1dTimeMajorCtx, upstream_grad,
+                               rows=None) -> LayerGrad:
+    """Gradients of a :func:`conv1d_time_major_forward` call w.r.t. input,
+    kernels and bias.
+
+    The input gradient is the transposed convolution of the gradient with
+    the same kernels (:func:`_transposed_conv`); the kernel gradient sums
+    each output step against its input window (:func:`_windowed_grads`).
+    ``rows``, the same input as ``(N, C_in, T)``, marks it as data, whose
+    gradient nothing needs: the input gradient is then skipped
+    (``input_grad`` None) and the kernel gradient summed per tap over the
+    trials of ``rows`` (:func:`_kernel_grads`), the faster form for a wide
+    input.
+    """
+    g = np.ascontiguousarray(_match_grad(upstream_grad, ctx.out_shape,
+                                         "conv1d_time_major_backward"))
+    k = ctx.kernels.shape[2]
+    if rows is None:
+        grad_kernels = _untap(_windowed_grads(g, ctx.x, -ctx.padding, ctx.stride, k), k)
+    else:
+        p = ctx.padding
+        grad_kernels = _kernel_grads(_swap_layout(g), np.pad(rows, ((0, 0), (0, 0), (p, p))),
+                                     k, ctx.stride)
+    grad_x = None
+    if rows is None:
+        grad_x = _transposed_conv(np.empty(ctx.x.shape), g, ctx.kernels, ctx.stride,
+                                  ctx.padding)
+    return LayerGrad(grad_x, {"kernels": grad_kernels, "bias": g.sum(axis=(0, 2))})
+
+
+@dataclass
+class ConvTranspose1dTimeMajorCtx:
+    x: np.ndarray  # (T_in, C_in, N), C-contiguous
+    kernels: np.ndarray  # (C_in, C_out, K)
+    stride: int
+    padding: int
+    out_shape: tuple[int, ...]  # (T_out, C_out, N)
+
+
+def convtranspose1d_time_major_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
+    """:func:`convtranspose1d_forward` on time-major ``(T, C_in, N)`` input.
+
+    kernels: (C_in, C_out, K); bias: (C_out,). Returns the ``(T_out, C_out,
+    N)`` output, polyphase (:func:`_transposed_conv`) plus the bias, added
+    once at the end, and a context for
+    :func:`convtranspose1d_time_major_backward`.
+    """
+    x = np.ascontiguousarray(_as_f64(x))
+    kernels = _as_f64(kernels)
+    bias = _as_f64(bias)
+    _check_time_major(x, kernels, 0, "convtranspose1d_time_major", "(C_in, C_out, K)")
+    c_in, c_out, k = kernels.shape
+    if bias.shape != (c_out,):
+        raise ValueError(f"convtranspose1d_time_major: bias shape {bias.shape} != ({c_out},)")
+    _check_stride_padding(stride, padding)
+    t, _, n = x.shape
+    t_out = convtranspose_output_length(t, k, stride, padding)
+    if t_out < 1:
+        raise ValueError(f"convtranspose1d_time_major: output length ({t}-1)*{stride} + {k} "
+                         f"- 2*{padding} = {t_out} < 1")
+    y = _transposed_conv(np.empty((t_out, c_out, n)), x, kernels, stride, padding)
+    y += bias[:, None]
+    return y, ConvTranspose1dTimeMajorCtx(x, kernels, stride, padding, y.shape)
+
+
+def convtranspose1d_time_major_backward(ctx: ConvTranspose1dTimeMajorCtx, upstream_grad,
+                                        need_param_grads: bool = True) -> LayerGrad:
+    """Gradients of a :func:`convtranspose1d_time_major_forward` call.
+
+    Input step ``i`` reads the ``K`` consecutive gradient steps ``i·s - p
+    ... i·s - p + K - 1``, so the input gradient ``(T_in, C_in, N)`` is one
+    matmul against a stride-``s`` window view of ``g`` (:func:`_conv`); the
+    kernel gradient sums each input step against that same window
+    (:func:`_windowed_grads`). ``need_param_grads=False`` (a frozen decoder)
+    returns no parameter gradients.
+    """
+    g = np.ascontiguousarray(_match_grad(upstream_grad, ctx.out_shape,
+                                         "convtranspose1d_time_major_backward"))
+    grad_x = _conv(np.empty(ctx.x.shape), g, ctx.kernels, ctx.stride, ctx.padding)
+    if not need_param_grads:
+        return LayerGrad(grad_x, {})
+    k = ctx.kernels.shape[2]
+    return LayerGrad(grad_x, {
+        "kernels": _untap(_windowed_grads(ctx.x, g, -ctx.padding, ctx.stride, k), k),
+        "bias": g.sum(axis=(0, 2))})
+
+
+@dataclass
+class MaxPool1dTimeMajorCtx:
+    x: np.ndarray  # (T, C, N)
+    y: np.ndarray  # (T_out, C, N)
+    window: int
+    stride: int
+
+    def winner_masks(self):
+        """``(i, mask)`` for each window offset ``i``: where the offset holds its
+        window's maximum and no lower offset does, so ties go to the lowest."""
+        views = _offset_views(self.x, self.window, self.stride, len(self.y))
+        taken = np.zeros(self.y.shape, dtype=bool)
+        for i, view in enumerate(views):
+            mask = view == self.y
+            mask &= ~taken
+            taken |= mask
+            yield i, mask
+
+
+def _offset_views(a: np.ndarray, window: int, stride: int, t_out: int) -> list[np.ndarray]:
+    """Offset ``i`` of every pooling window of time-major ``a``: ``(T_out, C, N)`` views."""
+    span = (t_out - 1) * stride + 1
+    return [a[i : i + span : stride] for i in range(window)]
+
+
+def maxpool1d_time_major_forward(x, window: int, stride: int):
+    """Strided max pooling along the outer time axis of time-major ``(T, C, N)`` input.
+
+    Window offset ``i`` of every window is one strided view of ``x``, and
+    the output is their elementwise maximum. The backward pass routes each
+    window's gradient to its first maximum, so ties break to the lowest
+    index. Returns ``(output, ctx)``.
+    """
+    x = _as_f64(x)
+    if x.ndim != 3:
+        raise ValueError(f"maxpool1d_time_major: expected (T, C, N), got shape {x.shape}")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    t = x.shape[0]
+    if window > t:
+        raise ValueError(f"maxpool1d: window {window} exceeds input length {t}")
+    views = _offset_views(x, window, stride, (t - window) // stride + 1)
+    y = views[0].copy()
+    for view in views[1:]:
+        np.maximum(y, view, out=y)
+    return y, MaxPool1dTimeMajorCtx(x, y, window, stride)
+
+
+def maxpool1d_time_major_backward(ctx: MaxPool1dTimeMajorCtx, upstream_grad) -> LayerGrad:
+    """Route the upstream gradient to each window's first maximum, offset by
+    offset (:meth:`MaxPool1dTimeMajorCtx.winner_masks`). Windows no longer
+    than the stride have distinct winners, so each offset's share is
+    assigned; overlapping windows add it, the last offset first, so a
+    position that wins several windows sums their gradients in window order."""
+    g = _match_grad(upstream_grad, ctx.y.shape, "maxpool1d_time_major_backward")
+    grad_x = np.zeros(ctx.x.shape)
+    views = _offset_views(grad_x, ctx.window, ctx.stride, len(g))
+    masks = list(ctx.winner_masks())
+    if ctx.window <= ctx.stride:
+        for i, mask in masks:
+            np.multiply(g, mask, out=views[i])
+    else:
+        for i, mask in reversed(masks):
+            views[i] += g * mask
+    return LayerGrad(grad_x, {})
+
+
+# ---------------------------------------------------------------------------
+# Batch-first (N, C, T) ops on the time-major kernels
 # ---------------------------------------------------------------------------
 
 
@@ -202,19 +501,13 @@ def conv1d_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
             f"conv1d: input has {x.shape[1]} channels (shape {x.shape}) but kernels "
             f"expect {kernels.shape[1]} (shape {kernels.shape})"
         )
-    c_out, _, k = kernels.shape
+    c_out = kernels.shape[0]
     if bias.shape != (c_out,):
         raise ValueError(f"conv1d: bias shape {bias.shape} != ({c_out},)")
-    t = x.shape[2]
-    _check_stride_padding(stride, padding)
-    if k > t + 2 * padding:
-        raise ValueError(f"kernel length {k} exceeds padded input length {t} + 2*{padding}")
-
+    y, _ = conv1d_time_major_forward(_swap_layout(x), kernels, bias, stride, padding)
+    y = _swap_layout(y)
     padded = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
-    y = np.empty((x.shape[0], c_out, conv_output_length(t, k, stride, padding)))
-    y[:] = bias[:, None]
-    _add_conv(y, padded, kernels, stride)
-    return y, Conv1dCtx(padded, kernels, stride, padding, t, y.shape)
+    return y, Conv1dCtx(padded, kernels, stride, padding, x.shape[2], y.shape)
 
 
 def conv1d_backward(ctx: Conv1dCtx, upstream_grad, need_input_grad: bool = True) -> LayerGrad:
@@ -224,19 +517,13 @@ def conv1d_backward(ctx: Conv1dCtx, upstream_grad, need_input_grad: bool = True)
     ``input_grad`` is None; the parameter gradients are unchanged.
     """
     g = _match_grad(upstream_grad, ctx.out_shape, "conv1d_backward")
-    grad_bias = g.sum(axis=(0, 2))
     grad_kernels = _kernel_grads(g, ctx.padded, ctx.kernels.shape[2], ctx.stride)
-
     grad_x = None
     if need_input_grad:
-        grad_x = _add_transposed_conv(np.zeros(ctx.padded.shape[:2] + (ctx.in_len,)), g,
-                                      ctx.kernels, ctx.stride, ctx.padding)
-    return LayerGrad(grad_x, {"kernels": grad_kernels, "bias": grad_bias})
-
-
-# ---------------------------------------------------------------------------
-# 1D transposed convolution (exact adjoint of conv1d with the same geometry)
-# ---------------------------------------------------------------------------
+        n, c_in, _ = ctx.padded.shape
+        grad_x = _swap_layout(_transposed_conv(np.empty((ctx.in_len, c_in, n)), _swap_layout(g),
+                                               ctx.kernels, ctx.stride, ctx.padding))
+    return LayerGrad(grad_x, {"kernels": grad_kernels, "bias": g.sum(axis=(0, 2))})
 
 
 @dataclass
@@ -273,140 +560,68 @@ def convtranspose1d_forward(x, kernels, bias, stride: int = 1, padding: int = 0)
     if bias.shape != (c_out,):
         raise ValueError(f"convtranspose1d: bias shape {bias.shape} != ({c_out},)")
     _check_stride_padding(stride, padding)
-    n, _, t = x.shape
+    t = x.shape[2]
     t_out = convtranspose_output_length(t, k, stride, padding)
     if t_out < 1:
         raise ValueError(
             f"convtranspose1d: output length ({t}-1)*{stride} + {k} - 2*{padding} = {t_out} < 1"
         )
-
-    y = np.empty((n, c_out, t_out))
-    y[:] = bias[:, None]
-    _add_transposed_conv(y, x, kernels, stride, padding)
+    y, _ = convtranspose1d_time_major_forward(_swap_layout(x), kernels, bias, stride, padding)
+    y = _swap_layout(y)
     return y, ConvTranspose1dCtx(x, kernels, stride, padding, y.shape)
 
 
 def convtranspose1d_backward(ctx: ConvTranspose1dCtx, upstream_grad) -> LayerGrad:
     """Gradients of a convtranspose1d_forward call w.r.t. input, kernels and bias."""
     g = _match_grad(upstream_grad, ctx.out_shape, "convtranspose1d_backward")
+    n, c_in, t = ctx.x.shape
+    grad_x = _swap_layout(_conv(np.empty((t, c_in, n)), _swap_layout(g), ctx.kernels,
+                                ctx.stride, ctx.padding))
     padded = np.pad(g, ((0, 0), (0, 0), (ctx.padding, ctx.padding)))
-    grad_x = _add_conv(np.zeros(ctx.x.shape), padded, ctx.kernels, ctx.stride)
     return LayerGrad(grad_x, {
         "kernels": _kernel_grads(ctx.x, padded, ctx.kernels.shape[2], ctx.stride),
         "bias": g.sum(axis=(0, 2))})
 
 
-# ---------------------------------------------------------------------------
-# Time-major transposed convolution (no parameter gradients)
-# ---------------------------------------------------------------------------
-
-
 @dataclass
-class ConvTranspose1dTimeMajorCtx:
-    taps: np.ndarray  # (K·C_out, C_in): row j·C_out + o is kernels[:, o, j]
-    stride: int
-    padding: int
-    in_shape: tuple[int, ...]  # (T_in, C_in, N)
-    out_shape: tuple[int, ...]  # (T_out, C_out, N)
+class MaxPool1dCtx:
+    time_major: MaxPool1dTimeMajorCtx
+    in_shape: tuple[int, ...]
+    out_shape: tuple[int, ...]
+
+    @property
+    def indices(self) -> np.ndarray:
+        """``(N, C, T_out)`` absolute winning positions."""
+        tm = self.time_major
+        winners = np.zeros(tm.y.shape, dtype=int)
+        for i, mask in tm.winner_masks():
+            winners[mask] = i
+        return winners.transpose(2, 1, 0) + np.arange(self.out_shape[2]) * tm.stride
+
+    @property
+    def overlapping(self) -> bool:
+        """Window > stride: one position can win several windows."""
+        return self.time_major.window > self.time_major.stride
 
 
-def _windowed_matmul(mat: np.ndarray, a: np.ndarray, out: np.ndarray, start: int,
-                     step: int, length: int) -> np.ndarray:
-    """``out[v] = mat_v @ a[start + v·step : start + v·step + length]``, the
-    window of ``length`` consecutive time steps of ``a`` read as one
-    ``(length·C, N)`` block, steps outside ``a`` as zeros; in place.
+def maxpool1d_forward(x, window: int, stride: int):
+    """Strided max pooling along time. Ties break to the lowest index.
 
-    ``a`` is time-major ``(T, C, N)`` and C-contiguous, so a window is one
-    contiguous block. ``mat`` is one ``(C_out, length·C)`` matrix or one per
-    output step, ``(len(out), C_out, length·C)``. The windows wholly inside
-    ``a`` are one matmul on a read-only strided view of it; each of the
-    others multiplies the columns of ``mat`` its in-range steps meet.
-    """
-    t, c, n = a.shape
-    count = len(out)
-    lo = min(count, max(0, -(start // step)))  # first window starting at or after step 0
-    hi = max(lo, min(count, (t - length - start) // step + 1))  # first ending past T
-    if hi > lo:
-        # strides from the shape: a C-contiguous array may carry any stride on a size-1 axis
-        item = a.itemsize
-        windows = as_strided(a[start + lo * step :], shape=(hi - lo, length * c, n),
-                             strides=(step * c * n * item, n * item, item), writeable=False)
-        np.matmul(mat if mat.ndim == 2 else mat[lo:hi], windows, out=out[lo:hi])
-    for v in [*range(lo), *range(hi, count)]:
-        first = start + v * step
-        a_lo, a_hi = max(0, first), min(t, first + length)
-        mat_v = mat if mat.ndim == 2 else mat[v]
-        if a_hi <= a_lo:
-            out[v] = 0.0
-        else:
-            np.matmul(mat_v[:, (a_lo - first) * c : (a_hi - first) * c],
-                      a[a_lo:a_hi].reshape(-1, n), out=out[v])
-    return out
-
-
-def convtranspose1d_time_major_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
-    """:func:`convtranspose1d_forward` on time-major ``(T, C_in, N)`` input.
-
-    kernels: (C_in, C_out, K); bias: (C_out,). Returns the ``(T_out, C_out,
-    N)`` output and a context for
-    :func:`convtranspose1d_time_major_backward`. Output phase ``φ`` (the
-    steps ``φ, φ+s, ...``) receives only the taps ``j ≡ φ + padding (mod
-    s)``, output step ``u`` of the phase from the consecutive input steps
-    ``u-m+1 ... u`` (``m ≤ ⌈K/s⌉`` taps). So a phase is one matmul of its
-    taps, ``(C_out, m·C_in)``, against windows of ``x`` (copied first unless
-    C-contiguous), written straight into ``y[φ::s]``; a phase with no tap
-    (stride > kernel) is zero. The bias is added once, at the end.
+    Returns (output, ctx); ``ctx.indices`` records winning positions.
     """
     x = _as_f64(x)
-    kernels = _as_f64(kernels)
-    bias = _as_f64(bias)
-    if x.ndim != 3 or kernels.ndim != 3 or x.shape[1] != kernels.shape[0]:
-        raise ValueError(f"convtranspose1d_time_major: input {x.shape} and kernels "
-                         f"{kernels.shape} are not (T, C_in, N) and (C_in, C_out, K)")
-    c_in, c_out, k = kernels.shape
-    if bias.shape != (c_out,):
-        raise ValueError(f"convtranspose1d_time_major: bias shape {bias.shape} != ({c_out},)")
-    _check_stride_padding(stride, padding)
-    t, _, n = x.shape
-    t_out = convtranspose_output_length(t, k, stride, padding)
-    if t_out < 1:
-        raise ValueError(f"convtranspose1d_time_major: output length ({t}-1)*{stride} + {k} "
-                         f"- 2*{padding} = {t_out} < 1")
-
-    x = np.ascontiguousarray(x)
-    y = np.empty((t_out, c_out, n))
-    for phase in range(min(stride, t_out)):
-        r = (phase + padding) % stride  # the phase's first tap
-        m = len(range(r, k, stride))  # and how many it has
-        out = y[phase::stride]
-        if m == 0:
-            out[...] = 0.0
-            continue
-        # output step u of the phase reads inputs u-m+1 ... u, with taps r+(m-1)s ... r
-        taps = kernels[:, :, r + (m - 1) * stride :: -stride]
-        _windowed_matmul(taps.transpose(1, 2, 0).reshape(c_out, m * c_in), x, out,
-                         (phase + padding) // stride - m + 1, 1, m)
-    y += bias[:, None]
-    return y, ConvTranspose1dTimeMajorCtx(kernels.transpose(2, 1, 0).reshape(k * c_out, c_in),
-                                          stride, padding, x.shape, y.shape)
+    _check_batch(x, 3, "maxpool1d")
+    y, ctx = maxpool1d_time_major_forward(_swap_layout(x), window, stride)
+    y = _swap_layout(y)
+    return y, MaxPool1dCtx(ctx, x.shape, y.shape)
 
 
-def convtranspose1d_time_major_backward(ctx: ConvTranspose1dTimeMajorCtx,
-                                        upstream_grad) -> LayerGrad:
-    """The input gradient ``(T_in, C_in, N)`` of a
-    :func:`convtranspose1d_time_major_forward` call, and no parameter gradients.
-
-    Input step ``i`` reads the ``K`` consecutive gradient steps ``i·s - p
-    ... i·s - p + K - 1``, so the gradient is one matmul of ``taps.T``
-    against a stride-``s`` window view of ``g`` (copied first unless
-    C-contiguous); an input step whose taps padding crops multiplies only
-    the columns of ``taps.T`` for the gradient steps that exist.
-    """
-    g = _match_grad(upstream_grad, ctx.out_shape, "convtranspose1d_time_major_backward")
-    k = ctx.taps.shape[0] // ctx.out_shape[1]
-    grad_x = np.empty(ctx.in_shape)
-    _windowed_matmul(ctx.taps.T, np.ascontiguousarray(g), grad_x, -ctx.padding, ctx.stride, k)
-    return LayerGrad(grad_x, {})
+def maxpool1d_backward(ctx: MaxPool1dCtx, upstream_grad) -> LayerGrad:
+    """Route upstream gradient to the argmax positions, summed where
+    overlapping windows share one."""
+    g = _match_grad(upstream_grad, ctx.out_shape, "maxpool1d_backward")
+    lg = maxpool1d_time_major_backward(ctx.time_major, _swap_layout(g))
+    return LayerGrad(_swap_layout(lg.input_grad), {})
 
 
 # ---------------------------------------------------------------------------
@@ -476,58 +691,6 @@ def gram_band_matmul(band, x) -> np.ndarray:
                          f"shape {x.shape}")
     w = width // 2
     return _windowed_matmul(band, np.ascontiguousarray(x), np.empty(x.shape), -w, 1, width)
-
-
-# ---------------------------------------------------------------------------
-# 1D max pooling
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MaxPool1dCtx:
-    in_shape: tuple[int, ...]
-    indices: np.ndarray  # (N, C, T_out), absolute winning positions
-    out_shape: tuple[int, ...]
-    overlapping: bool  # window > stride: one position can win several windows
-
-
-def maxpool1d_forward(x, window: int, stride: int):
-    """Strided max pooling along time. Ties break to the lowest index.
-
-    Returns (output, ctx); ``ctx.indices`` records winning positions.
-    """
-    x = _as_f64(x)
-    _check_batch(x, 3, "maxpool1d")
-    t = x.shape[2]
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if window > t:
-        raise ValueError(f"maxpool1d: window {window} exceeds input length {t}")
-
-    views = sliding_window_view(x, window, axis=2)[:, :, ::stride, :]
-    rel = views.argmax(axis=-1)  # first occurrence wins ties
-    y = np.take_along_axis(views, rel[..., None], axis=-1)[..., 0]
-    indices = rel + np.arange(y.shape[2]) * stride
-    return y, MaxPool1dCtx(x.shape, indices, y.shape, window > stride)
-
-
-def maxpool1d_backward(ctx: MaxPool1dCtx, upstream_grad) -> LayerGrad:
-    """Route upstream gradient to the argmax positions.
-
-    Windows no longer than the stride have distinct winners, so the gradient
-    is assigned; overlapping windows accumulate it.
-    """
-    g = _match_grad(upstream_grad, ctx.out_shape, "maxpool1d_backward")
-    grad_x = np.zeros(ctx.in_shape)
-    if ctx.overlapping:
-        n, c, _ = ctx.out_shape
-        np.add.at(grad_x, (np.arange(n)[:, None, None], np.arange(c)[None, :, None],
-                           ctx.indices), g)
-    else:
-        np.put_along_axis(grad_x, ctx.indices, g, axis=2)
-    return LayerGrad(grad_x, {})
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import (AutoencoderParams, AutoencoderSpec, _map_chunks, build_layer_plan,
-                          checked_spec, decode, init_params, tensor_shapes)
+from . import nn
+from .autoencoder import (AutoencoderParams, AutoencoderSpec, _decode, _map_chunks,
+                          build_layer_plan, checked_spec, decode, init_params, tensor_shapes)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
 from .data import (CHUNK_ROWS, EmbeddingTable, ErpDataset, TokenFeatureTable, TrialMeta,
                    checked_fields, save_counts, save_embeddings, save_erp,
@@ -132,17 +133,12 @@ def _standardize_columns(block: np.ndarray) -> np.ndarray:
 def _noisy_epochs(decoder: AutoencoderParams, latents: np.ndarray, noise_sd: float,
                   rng: np.random.Generator) -> np.ndarray:
     """``decode(decoder, latents) + rng.standard_normal(shape) * noise_sd``, bit for
-    bit, in one array: decoded into it a chunk of :data:`data.CHUNK_ROWS` trials
-    per pool job, then the noise added in place, chunk by chunk in stream
-    order. Chunked draws continue one ``standard_normal`` stream, so no
-    signal or noise array forms beside the result."""
-    spec = decoder.spec
-    epochs = np.empty((len(latents), spec.n_channels, spec.n_timepoints))
-
-    def fill(rows):
-        epochs[rows] = decode(decoder, latents[rows])
-
-    _map_chunks(fill, len(latents))
+    bit, in one array: :func:`autoencoder.decode` decodes into it a chunk of
+    :data:`data.CHUNK_ROWS` trials per pool job, then the noise is added in
+    place, chunk by chunk in stream order. Chunked draws continue one
+    ``standard_normal`` stream, so no signal or noise array forms beside the
+    result."""
+    epochs = decode(decoder, latents)
     for start in range(0, len(latents), CHUNK_ROWS):
         block = epochs[start:start + CHUNK_ROWS]
         block += rng.standard_normal(block.shape) * noise_sd
@@ -303,11 +299,12 @@ def oracle_bounds(truth: GroundTruth, dataset: ErpDataset,
     c_lat, t_lat = truth.latents.shape[1], truth.latents.shape[2]
 
     def decoded_mse(latents: np.ndarray) -> float:
-        # decoded and scored a chunk of eval rows per pool job, summed in chunk
-        # order: no full-size prediction or residual forms
+        # decoded and scored time-major a chunk of eval rows per pool job, summed
+        # in chunk order: no full-size prediction or residual forms
         def squared_error(rows) -> float:
-            pred = decode(truth.decoder, latents[rows])
-            return float(np.sum((pred - dataset.data[eval_rows[rows]]) ** 2))
+            diff = _decode(truth.decoder, nn._swap_layout(latents[rows]), None)
+            diff -= nn._swap_layout(dataset.data[eval_rows[rows]])
+            return float(np.vdot(diff, diff))
 
         se = sum(_map_chunks(squared_error, len(eval_rows)))
         return se / (len(eval_rows) * dataset.n_channels * dataset.n_timepoints)

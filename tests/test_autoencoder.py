@@ -161,24 +161,24 @@ class TestLatentGradients:
         # the per-subject/per-electrode table is trained jointly; check its grad
         spec = ae.AutoencoderSpec("beta", True, 4, 20)
         params = ae.init_params(spec, seed=3, subjects=("a", "b"))
-        x = rng.normal(size=(5, 4, 20)) * 0.5
+        x = nn._swap_layout(rng.normal(size=(5, 4, 20)) * 0.5)  # time-major
         subj_rows = np.array([0, 1, 0, 1, 1])
 
         def fn(table):
             z, _ = ae._encoder_forward(params, x)
             y, _ = ae._decoder_forward(params, z)
-            y = y + table[subj_rows][:, :, None]
+            y = y + table[subj_rows].T  # (C, N) columns
             loss, gl = nn.mse_loss(y, x)
             grad = np.zeros_like(table)
-            np.add.at(grad, subj_rows, gl.sum(axis=-1))
+            np.add.at(grad, subj_rows, gl.sum(axis=0).T)
             return loss, grad
 
         assert nn.finite_difference_check(fn, rng.normal(size=(2, 4))) < 1e-6
 
     def test_stack_gradient_matches_finite_differences(self, rng):
         params = ae.init_params(ae.AutoencoderSpec("beta", False, 4, 20), seed=2)
-        x0 = rng.normal(size=(2, 4, 20)) * 0.5
-        target = rng.normal(size=(2, 4, 20))
+        x0 = rng.normal(size=(20, 4, 2)) * 0.5  # time-major
+        target = rng.normal(size=(20, 4, 2))
 
         def fn(x):
             z, enc_ctxs = ae._encoder_forward(params, x)
@@ -271,38 +271,187 @@ class TestPretrain:
             ae.pretrain(spec, ds, [], epochs=1)
 
 
+def batch_first_step(params, x, subject_ids):
+    """Loss and gradients of one pretraining step on the (N, C, T) epochs ``x``,
+    walked with the batch-first nn ops: the reference for the time-major shards."""
+    def walk(steps, prefix, h):
+        ctxs = []
+        for i, step in enumerate(steps):
+            name = f"{prefix}{i}"
+            if isinstance(step, ae.PoolStep):
+                h, ctx = nn.maxpool1d_forward(h, step.window, step.stride)
+            else:
+                op = (nn.conv1d_forward if isinstance(step, ae.ConvStep)
+                      else nn.convtranspose1d_forward)
+                h, ctx = op(h, params.tensors[f"{name}.kernels"], params.tensors[f"{name}.bias"],
+                            step.stride, step.padding)
+            ctxs.append((name, ctx))
+            if not isinstance(step, ae.PoolStep) and step.activation:
+                h, ctx = nn.tanh_forward(h)
+                ctxs.append((name, ctx))
+        return h, ctxs
+
+    z, enc_ctxs = walk(params.plan.encoder, "enc", x)
+    y, dec_ctxs = walk(params.plan.decoder, "dec", z)
+    grads = {}
+    if params.spec.intercepts:
+        subject_rows = ae._subject_rows(params, subject_ids)
+        y = y + params.tensors["intercepts"][subject_rows][:, :, None]
+    loss, g = nn.mse_loss(y, x)
+    if params.spec.intercepts:
+        grads["intercepts"] = np.zeros_like(params.tensors["intercepts"])
+        np.add.at(grads["intercepts"], subject_rows, g.sum(axis=-1))
+    backward = {nn.Conv1dCtx: nn.conv1d_backward,
+                nn.ConvTranspose1dCtx: nn.convtranspose1d_backward,
+                nn.TanhCtx: nn.tanh_backward, nn.MaxPool1dCtx: nn.maxpool1d_backward}
+    for name, ctx in reversed(enc_ctxs + dec_ctxs):
+        lg = backward[type(ctx)](ctx, g)
+        grads.update({f"{name}.{k}": v for k, v in lg.param_grads.items()})
+        g = lg.input_grad
+    return loss, grads
+
+
+def step_operands(rng, arch, intercepts, n_trials=150, n_batch=20):
+    spec = ae.AutoencoderSpec(arch, intercepts, 8, 40)
+    params = ae.init_params(spec, seed=3, subjects=("s1", "s2") if intercepts else None)
+    if intercepts:
+        params.tensors["intercepts"][:] = rng.normal(size=(2, 8))
+    x_all = rng.normal(size=(n_trials, 8, 40))
+    subject_ids = np.array(["s1", "s2"] * (n_trials // 2))
+    return params, x_all, subject_ids, rng.permutation(n_trials)[:n_batch]
+
+
+def assert_grads_close(grads, expected, rel=1e-12):
+    assert grads.keys() == expected.keys()
+    for name, g in expected.items():
+        assert np.abs(grads[name] - g).max() <= rel * np.abs(g).max(), name
+
+
 class TestShardedStep:
-    """A pretraining step in shards against one full-batch pass."""
+    """A pretraining step in shards against one time-major pass over the batch."""
 
     @pytest.mark.parametrize("arch", ae.ARCHITECTURES)
     @pytest.mark.parametrize("n_batch", [100, 20])  # an uneven last shard; under one shard
     def test_loss_and_gradients_match_the_full_batch(self, rng, arch, n_batch):
-        spec = ae.AutoencoderSpec(arch, True, 8, 40)
-        params = ae.init_params(spec, seed=3, subjects=("s1", "s2"))
-        params.tensors["intercepts"][:] = rng.normal(size=(2, 8))
-        x_all = rng.normal(size=(150, 8, 40))
-        subject_ids = np.array(["s1", "s2"] * 75)
-        batch = rng.permutation(150)[:n_batch]
+        params, x_all, subject_ids, batch = step_operands(rng, arch, True, n_batch=n_batch)
         loss, n_out, grads = ae._reconstruction_step(params, x_all, subject_ids, batch)
 
         x = x_all[batch]
-        z, enc_ctxs = ae._encoder_forward(params, x)
+        x_tm = nn._swap_layout(x)
+        z, enc_ctxs = ae._encoder_forward(params, x_tm)
         y, dec_ctxs = ae._decoder_forward(params, z)
-        full_loss, grad_y = nn.mse_loss(ae._add_intercepts(params, y, subject_ids[batch]), x)
+        full_loss, grad_y = nn.mse_loss(ae._add_intercepts(params, y, subject_ids[batch]), x_tm)
         gz, full = ae._stack_backward(dec_ctxs, grad_y)
-        full.update(ae._stack_backward(enc_ctxs, gz)[1])
+        full.update(ae._stack_backward(enc_ctxs, gz, rows=x)[1])
         full["intercepts"] = np.zeros((2, 8))
         np.add.at(full["intercepts"], ae._subject_rows(params, subject_ids[batch]),
-                  grad_y.sum(axis=-1))
+                  grad_y.sum(axis=0).T)
 
         assert n_out == x.size
         assert loss == pytest.approx(full_loss, rel=1e-12, abs=0)
-        assert grads.keys() == full.keys()
-        for name, g in full.items():
-            assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+        assert_grads_close(grads, full)
         if n_batch <= ae.CHUNK_ROWS:  # one shard of weight 1: the same bits
             assert loss == full_loss
             assert all(np.array_equal(grads[name], g) for name, g in full.items())
+
+
+class TestTimeMajorShard:
+    """A time-major pretraining step against the batch-first nn ops."""
+
+    @pytest.mark.parametrize("arch", ae.ARCHITECTURES)
+    @pytest.mark.parametrize("intercepts", [False, True])
+    @pytest.mark.parametrize("n_batch", [20, 100])  # one shard; four, the last uneven
+    def test_loss_and_gradients_match_batch_first_ops(self, rng, arch, intercepts, n_batch):
+        params, x_all, subject_ids, batch = step_operands(rng, arch, intercepts,
+                                                          n_batch=n_batch)
+        loss, _, grads = ae._reconstruction_step(params, x_all, subject_ids, batch)
+        expected_loss, expected = batch_first_step(params, x_all[batch], subject_ids[batch])
+        assert loss == pytest.approx(expected_loss, rel=1e-12, abs=0)
+        assert_grads_close(grads, expected)
+
+    @pytest.mark.parametrize("arch", ae.ARCHITECTURES)
+    def test_first_kernel_gradient_from_rows_matches_windows(self, rng, arch):
+        # the data's (N, C, T) rows give the first convolution's kernel gradient
+        # per tap; the windowed form over the time-major input gives the same
+        params, x_all, _, batch = step_operands(rng, arch, False)
+        x = x_all[batch]
+        z, enc_ctxs = ae._encoder_forward(params, nn._swap_layout(x))
+        gz = rng.normal(size=z.shape)
+        gx, from_rows = ae._stack_backward(enc_ctxs, gz, rows=x)
+        assert gx is None
+        windowed_gx, windowed = ae._stack_backward(enc_ctxs, gz)
+        assert windowed_gx.shape == (40, 8, len(batch))
+        assert_grads_close(from_rows, windowed)
+
+    def test_stack_gradient_matches_finite_differences(self, rng):
+        params = ae.init_params(ae.AutoencoderSpec("alpha", False, 4, 40), seed=2)
+        target = rng.normal(size=(40, 4, 2))
+
+        def fn(x):
+            z, enc_ctxs = ae._encoder_forward(params, x)
+            y, dec_ctxs = ae._decoder_forward(params, z)
+            loss, gl = nn.mse_loss(y, target)
+            gz, _ = ae._stack_backward(dec_ctxs, gl)
+            return loss, ae._stack_backward(enc_ctxs, gz)[0]
+
+        assert nn.finite_difference_check(fn, rng.normal(size=(40, 4, 2)) * 0.5) < 1e-4
+
+
+class TestTimeMajorDecode:
+    """decode, encode and reconstruct run time-major in fixed CHUNK_ROWS-trial
+    blocks: a trial's bits do not depend on how the trials are split at block
+    boundaries, or on the number of workers."""
+
+    @pytest.mark.parametrize("arch", ae.ARCHITECTURES)
+    def test_one_call_equals_aligned_chunks(self, rng, arch):
+        spec = ae.AutoencoderSpec(arch, True, 8, 40)
+        params = ae.init_params(spec, seed=5, subjects=("a", "b"))
+        params.tensors["intercepts"][:] = rng.normal(size=(2, 8))
+        n = 2 * ae.CHUNK_ROWS + 9
+        plan = params.plan
+        z = rng.normal(size=(n, plan.latent_channels, plan.latent_timepoints))
+        x = rng.normal(size=(n, 8, 40))
+        ids = ["a", "b", "b"] * (n // 3) + ["a"] * (n % 3)
+        whole = (ae.decode(params, z, ids), ae.encode(params, x), ae.reconstruct(params, x, ids))
+        for start in range(0, n, ae.CHUNK_ROWS):
+            rows = slice(start, start + ae.CHUNK_ROWS)
+            part = (ae.decode(params, z[rows], ids[rows]), ae.encode(params, x[rows]),
+                    ae.reconstruct(params, x[rows], ids[rows]))
+            for got, full in zip(part, whole):
+                assert got.tobytes() == full[rows].tobytes()
+
+    def test_identical_on_one_and_three_workers(self, rng, monkeypatch):
+        params = ae.init_params(ae.AutoencoderSpec("beta", False, 8, 40), seed=5)
+        z = rng.normal(size=(3 * ae.CHUNK_ROWS + 1, 10, 4))
+        runs = []
+        for n in (1, 3):
+            monkeypatch.setattr(ae, "_worker_count", lambda n_jobs, n=n: min(n, n_jobs))
+            runs.append(ae.decode(params, z).tobytes())
+        assert runs[0] == runs[1]
+
+    def test_matches_batch_first_ops(self, rng):
+        params = ae.init_params(ae.AutoencoderSpec("alpha", False, 8, 40), seed=5)
+        x = rng.normal(size=(40, 8, 40))
+        h = x
+        for i, step in enumerate(params.plan.encoder):
+            if isinstance(step, ae.PoolStep):
+                h, _ = nn.maxpool1d_forward(h, step.window, step.stride)
+            else:
+                h, _ = nn.conv1d_forward(h, params.tensors[f"enc{i}.kernels"],
+                                         params.tensors[f"enc{i}.bias"], step.stride, step.padding)
+                h = np.tanh(h) if step.activation else h
+        np.testing.assert_allclose(ae.encode(params, x), h, rtol=0, atol=1e-12)
+        for i, step in enumerate(params.plan.decoder):
+            h, _ = nn.convtranspose1d_forward(h, params.tensors[f"dec{i}.kernels"],
+                                              params.tensors[f"dec{i}.bias"], step.stride,
+                                              step.padding)
+            h = np.tanh(h) if step.activation else h
+        np.testing.assert_allclose(ae.reconstruct(params, x), h, rtol=0, atol=1e-12)
+
+    def test_unbatched_epochs_rejected(self):
+        params = ae.init_params(ae.AutoencoderSpec("beta", False, 8, 40), seed=5)
+        with pytest.raises(ValueError, match=r"expected a batch of \(N, C, T\) epochs"):
+            ae.decode(params, np.zeros((10, 4)))
 
 
 class TestSelectArchitecture:
@@ -414,9 +563,9 @@ class TestParallelFits:
 
             return run_jobs(job, jobs)
 
-        monkeypatch.setattr(ae, "_run_jobs", recording)
         spec = ae.AutoencoderSpec("beta", False, 8, 40)
-        ds = lowrank_dataset(rng, spec, n=150)
+        ds = lowrank_dataset(rng, spec, n=150)  # decodes on the pool before recording
+        monkeypatch.setattr(ae, "_run_jobs", recording)
         ae.select_architecture(ds, meta_rows(150), [spec], k=3, seed=6, epochs=1)
         folds = [r for r in ran if r[0] == 0]
         shards = [r for r in ran if r[0] > 0]

@@ -114,6 +114,40 @@ class TestPipeline:
         assert len(opened) == 1
         assert_digests_match_files(tmp_path / "v")
 
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_command_opens_each_checkpoint_payload_once(self, pipeline, tmp_path, monkeypatch,
+                                                        command):
+        payloads = {pipeline / sub / f"{name}.ckpt.bin"
+                    for sub, name in (("m", "autoencoder"), ("e0", "model"), ("e1", "model"))}
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) in payloads:
+                opened.append(Path(file))
+            return real_open(file, *args, **kwargs)
+
+        args = {"fit": ["fit", "--decoder", pipeline / "m" / "autoencoder",
+                        "--sources", "constant", "--epochs", 1],
+                "evaluate": ["evaluate", "--model", pipeline / "e1" / "model",
+                             "--intercept", pipeline / "e0" / "model",
+                             "--autoencoder", pipeline / "m" / "autoencoder",
+                             "--features", pipeline / "d" / "tokens.feat.tsv",
+                             "--counts", pipeline / "d" / "counts.tsv"]}[command]
+        monkeypatch.setattr(io, "open", counting_open)
+        assert run([*args, "--data", pipeline / "d" / "data", "--out", tmp_path / "o"]) == 0
+        monkeypatch.undo()
+        expected = 1 if command == "fit" else 3  # the decoder; and both models
+        assert len(opened) == len(set(opened)) == expected
+        assert_digests_match_files(tmp_path / "o")
+
+    def test_checkpoint_payload_hashed_as_read_is_the_file_sha256(self, pipeline):
+        base = pipeline / "m" / "autoencoder"
+        payload_sha256 = hashlib.sha256()
+        load_checkpoint(base, hasher=payload_sha256)
+        assert payload_sha256.hexdigest() == hashlib.sha256(
+            (pipeline / "m" / "autoencoder.ckpt.bin").read_bytes()).hexdigest()
+
     def test_evaluate_and_reports(self, pipeline, capsys):
         assert run(["evaluate", "--model", pipeline / "e1" / "model",
                     "--intercept", pipeline / "e0" / "model",

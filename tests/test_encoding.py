@@ -256,10 +256,10 @@ class TestTraining:
             def fn(x):
                 trial = {k: (x if k == name else v) for k, v in params.items()}
                 z, ctxs = encoding._forward(trial, f, embed_cols, scalar_cols)
-                y, dec_ctxs = _decoder_forward(decoder, time_major(z))
-                loss, gl = nn.mse_loss(y, target)
+                y, dec_ctxs = _decoder_forward(decoder, z)
+                loss, gl = nn.mse_loss(y, time_major(target))
                 gz, _ = _stack_backward(dec_ctxs, gl)
-                grads = encoding._backward(trial, time_major(gz), ctxs)
+                grads = encoding._backward(trial, gz, ctxs)
                 return loss, grads[name]
             return fn
 
@@ -371,6 +371,29 @@ class TestGramReadout:
         assert encoding.model_mse(model, frozen, fm) == pytest.approx(full, rel=1e-12, abs=0)
         assert encoding.model_mse(model, frozen, fm, rows) == \
             pytest.approx(full_rows, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("arch, intercepts", GRAM_SETTINGS, ids=GRAM_IDS)
+    def test_model_mse_in_chunks_matches_one_pass(self, rng, arch, intercepts, monkeypatch):
+        # chunks of CHUNK_ROWS trials summed in chunk order against one Gram-form
+        # pass over all the trials; the same bits on one worker or three
+        decoder, ds, meta = paper_geometry_set(rng, arch, intercepts)
+        fm = features.FeatureMatrix(rng.normal(size=(ds.n_trials, 1)), ["frequency"])
+        frozen = encoding.freeze(decoder, ds, meta)
+        model, _ = encoding.train(frozen, fm, ("frequency",), epochs=2, batch_size=32, lr=0.01,
+                                  seed=2)
+        rows = rng.permutation(ds.n_trials)[:101]
+        for idx in (np.arange(ds.n_trials), rows):
+            one_pass, _ = frozen.mse(frozen.hidden(encoding._latents(model, fm.take(idx)))[0],
+                                     idx)
+            chunked = []
+            for n in (1, 3):
+                monkeypatch.setattr(autoencoder, "_worker_count",
+                                    lambda n_jobs, n=n: min(n, n_jobs))
+                chunked.append(encoding.model_mse(model, frozen, fm, idx))
+            assert chunked[0] == chunked[1]
+            assert chunked[0] == pytest.approx(one_pass, rel=1e-12, abs=0)
+        with pytest.raises(ValueError, match="no trials to score"):
+            encoding.model_mse(model, frozen, fm, [])
 
     @pytest.mark.parametrize("arch", ["alpha", "beta"])
     def test_near_noiseless_cancellation_error_bounded(self, arch):

@@ -467,17 +467,31 @@ class TestTimeMajorTransposedConv:
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_stack_backward_walks_time_major_layer(self, rng, geometry):
-        # the op returns only an input gradient, and the layer walker passes it through
+        # a frozen decoder's walk asks for the input gradient alone; a trained
+        # one's gets the parameter gradients too, and the same input gradient
         x, w, b, stride, pad = self.operands(rng, geometry)
         x = _time_major(x)
         y, ctx = nn.convtranspose1d_time_major_forward(x, w, b, stride, pad)
         g = rng.normal(size=y.shape)
-        lg = nn.convtranspose1d_time_major_backward(ctx, g)
+        lg = nn.convtranspose1d_time_major_backward(ctx, g, need_param_grads=False)
         assert lg.param_grads == {}
         assert lg.input_grad.shape == x.shape
-        walked, param_grads = _stack_backward([("dec.deconv", ctx)], g)
+        walked, param_grads = _stack_backward([("dec.deconv", ctx)], g, need_param_grads=False)
         assert param_grads == {}
         np.testing.assert_array_equal(walked, lg.input_grad)
+        walked, param_grads = _stack_backward([("dec.deconv", ctx)], g)
+        assert set(param_grads) == {"dec.deconv.kernels", "dec.deconv.bias"}
+        np.testing.assert_array_equal(walked, lg.input_grad)
+
+    def test_parameter_gradients_match_batch_first_op(self, rng, geometry):
+        x, w, b, stride, pad = self.operands(rng, geometry)
+        y, ctx = nn.convtranspose1d_forward(x, w, b, stride, pad)
+        _, ctx_tm = nn.convtranspose1d_time_major_forward(_time_major(x), w, b, stride, pad)
+        g = rng.normal(size=y.shape)
+        expected = nn.convtranspose1d_backward(ctx, g).param_grads
+        got = nn.convtranspose1d_time_major_backward(ctx_tm, _time_major(g)).param_grads
+        for name in ("kernels", "bias"):
+            assert np.abs(got[name] - expected[name]).max() <= 1e-12 * np.abs(expected[name]).max()
 
 
 class TestTimeMajorTransposedConvInput:
@@ -823,3 +837,144 @@ class TestShapeAlgebra:
         y1, _ = nn.conv1d_forward(x, w, b, stride=2, padding=2)
         y2, _ = nn.conv1d_forward(x.copy(), w.copy(), b.copy(), stride=2, padding=2)
         np.testing.assert_array_equal(y1, y2)
+
+
+def _tm_edge_operands(rng, geometry, layout):
+    """:func:`_edge_operands` made time-major; the single layout is a batch of one
+    and the strided layout an equal non-contiguous array."""
+    o = _edge_operands(rng, geometry, "single" if layout == "single" else "batched")
+    tm_layout = "strided" if layout == "strided" else "contiguous"
+    return o, {key: _time_major_in_layout(_time_major(o[key]), tm_layout) for key in ("x", "y")}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("geometry", list(TAP_EDGE_GEOMETRIES))
+class TestTimeMajorTapEdgeGeometry:
+    """The time-major convolution, transposed convolution and their gradients
+    against the loop oracles where per-tap ranges are clipped."""
+
+    def test_conv1d_forward_and_gradients_match_loop_oracles(self, rng, geometry, layout):
+        o, tm = _tm_edge_operands(rng, geometry, layout)
+        out, ctx = nn.conv1d_time_major_forward(tm["x"], o["w"], o["b_out"], o["stride"], o["pad"])
+        expected = _per_instance(conv1d_naive, o["x"], o["w"], o["b_out"], o["stride"], o["pad"])
+        np.testing.assert_allclose(_time_major(out), expected, rtol=0, atol=1e-12)
+        g = o["y"]  # the convolution's output shape
+        lg = nn.conv1d_time_major_backward(ctx, _time_major_in_layout(
+            _time_major(g), "strided" if layout == "strided" else "contiguous"))
+        # the input gradient is the transposed convolution of g with the same kernels
+        expected_x = _per_instance(convtranspose1d_naive, g, o["w"], np.zeros(o["w"].shape[1]),
+                                   o["stride"], o["pad"])
+        np.testing.assert_allclose(_time_major(lg.input_grad), expected_x, rtol=0, atol=1e-12)
+        # conv kernel gradient [o, c, j] = sum g[o, u] x[c, u*s + j - p]: the transposed
+        # convolution's, with g as its input and x as its output gradient
+        expected_w = sum(convtranspose1d_kernel_grad_naive(gi, xi, o["w"].shape[2], o["stride"],
+                                                           o["pad"]) for gi, xi in zip(g, o["x"]))
+        np.testing.assert_allclose(lg.param_grads["kernels"], expected_w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lg.param_grads["bias"], g.sum(axis=(0, 2)), rtol=0, atol=1e-12)
+        from_rows = nn.conv1d_time_major_backward(ctx, _time_major(g),
+                                                  rows=_in_layout(o["x"], layout))
+        assert from_rows.input_grad is None
+        np.testing.assert_allclose(from_rows.param_grads["kernels"], expected_w, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_array_equal(from_rows.param_grads["bias"], lg.param_grads["bias"])
+
+    def test_convtranspose1d_gradients_match_loop_oracles(self, rng, geometry, layout):
+        o, tm = _tm_edge_operands(rng, geometry, layout)
+        out, ctx = nn.convtranspose1d_time_major_forward(tm["y"], o["w"], o["b_in"], o["stride"],
+                                                         o["pad"])
+        g = rng.normal(size=o["x"].shape)
+        lg = nn.convtranspose1d_time_major_backward(ctx, _time_major(g))
+        expected_w = sum(convtranspose1d_kernel_grad_naive(yi, gi, o["w"].shape[2], o["stride"],
+                                                           o["pad"]) for yi, gi in zip(o["y"], g))
+        np.testing.assert_allclose(lg.param_grads["kernels"], expected_w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lg.param_grads["bias"], g.sum(axis=(0, 2)), rtol=0, atol=1e-12)
+
+    def test_conv1d_adjoint_identity(self, rng, geometry, layout):
+        # <conv(x), y> == <x, conv1d input gradient of y>
+        o, tm = _tm_edge_operands(rng, geometry, layout)
+        cx, ctx = nn.conv1d_time_major_forward(tm["x"], o["w"], np.zeros(o["w"].shape[0]),
+                                               o["stride"], o["pad"])
+        gx = nn.conv1d_time_major_backward(ctx, tm["y"]).input_grad
+        lhs, rhs = np.vdot(cx, tm["y"]), np.vdot(tm["x"], gx)
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-30)
+
+    def test_gradients_match_finite_differences(self, rng, geometry, layout):
+        o, tm = _tm_edge_operands(rng, geometry, layout)
+        target_conv = rng.normal(size=_time_major(o["y"]).shape)
+        target_tconv = rng.normal(size=_time_major(o["x"]).shape)
+        ops = {
+            "conv": (nn.conv1d_time_major_forward, nn.conv1d_time_major_backward, target_conv,
+                     {"x": _time_major(o["x"]), "kernels": o["w"], "bias": o["b_out"]}),
+            "tconv": (nn.convtranspose1d_time_major_forward,
+                      nn.convtranspose1d_time_major_backward, target_tconv,
+                      {"x": _time_major(o["y"]), "kernels": o["w"], "bias": o["b_in"]}),
+        }
+        for name, (forward, backward, target, point) in ops.items():
+            def fn(value, which):
+                args = {**point, which: value}
+                out, ctx = forward(args["x"], args["kernels"], args["bias"], o["stride"], o["pad"])
+                loss, gl = nn.mse_loss(out, target)
+                lg = backward(ctx, gl)
+                return loss, lg.input_grad if which == "x" else lg.param_grads[which]
+
+            for which, value in point.items():
+                err = nn.finite_difference_check(lambda v: fn(v, which), value.copy())
+                assert err < 1e-5, (name, which, err)
+
+
+# (T, window, stride): windows that tile, leave a remainder, leave gaps, overlap
+POOL_GEOMETRIES = [(20, 5, 5), (17, 2, 3), (12, 4, 4), (11, 3, 1), (13, 5, 2), (9, 3, 2),
+                   (4, 4, 1), (40, 2, 2)]
+
+
+@pytest.mark.parametrize("t, window, stride", POOL_GEOMETRIES)
+class TestTimeMajorMaxPool:
+    """Max pooling over the outer time axis against the loop oracles, bit for bit."""
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_forward_and_backward_match_loop_oracles(self, rng, t, window, stride, ties):
+        x = rng.normal(size=(3, 4, t))
+        if ties:  # rounded values: ties, and overlapping windows that share a winner
+            x = np.round(x)
+        y, ctx = nn.maxpool1d_time_major_forward(_time_major(x), window, stride)
+        g = rng.normal(size=y.shape)
+        grad = _time_major(nn.maxpool1d_time_major_backward(ctx, g).input_grad)
+        g = _time_major(g)
+        for i in range(len(x)):
+            expected, _ = maxpool1d_naive(x[i], window, stride)
+            np.testing.assert_array_equal(_time_major(y)[i], expected)
+            np.testing.assert_array_equal(grad[i],
+                                          maxpool1d_backward_naive(x[i], window, stride, g[i]))
+
+    @pytest.mark.parametrize("layout", TIME_MAJOR_LAYOUTS)
+    def test_input_layouts_give_the_same_bits(self, rng, t, window, stride, layout):
+        x = _time_major(rng.normal(size=(2, 3, t)))
+        y, ctx = nn.maxpool1d_time_major_forward(x, window, stride)
+        y_l, ctx_l = nn.maxpool1d_time_major_forward(_time_major_in_layout(x, layout), window,
+                                                     stride)
+        np.testing.assert_array_equal(y_l, y)
+        g = rng.normal(size=y.shape)
+        np.testing.assert_array_equal(
+            nn.maxpool1d_time_major_backward(ctx_l, _time_major_in_layout(g, layout)).input_grad,
+            nn.maxpool1d_time_major_backward(ctx, g).input_grad)
+
+    def test_gradient_matches_finite_differences(self, rng, t, window, stride):
+        fn = _loss_closure(lambda x: nn.maxpool1d_time_major_forward(x, window, stride),
+                           nn.maxpool1d_time_major_backward, lambda lg: lg.input_grad)
+        assert nn.finite_difference_check(fn, rng.normal(size=(t, 2, 2))) < 1e-6
+
+
+class TestTimeMajorInput:
+    def test_conv1d_channel_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"input \(4, 2, 3\) and kernels \(3, 3, 2\)"):
+            nn.conv1d_time_major_forward(np.zeros((4, 2, 3)), np.zeros((3, 3, 2)), np.zeros(3))
+
+    def test_conv1d_gradient_shape_mismatch_rejected(self):
+        _, ctx = nn.conv1d_time_major_forward(np.zeros((6, 2, 3)), np.zeros((4, 2, 3)),
+                                              np.zeros(4))
+        with pytest.raises(ValueError, match="upstream grad shape"):
+            nn.conv1d_time_major_backward(ctx, np.zeros((4, 3, 4)))
+
+    def test_unbatched_pool_input_rejected(self):
+        with pytest.raises(ValueError, match=r"maxpool1d_time_major: expected \(T, C, N\)"):
+            nn.maxpool1d_time_major_forward(np.zeros((6, 2)), 2, 2)

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from erpcoder import features, synth
+from erpcoder import autoencoder, features, nn, synth
 from erpcoder.autoencoder import decode
 from erpcoder.checkpoint import load_checkpoint, save_checkpoint
 from erpcoder.data import (CHUNK_ROWS, FormatError, load_counts, load_embeddings, load_erp,
@@ -162,6 +162,34 @@ class TestConfig:
         kw = {"drive_scales": (1.0, bad)} if field == "drive_scales[1]" else {field: bad}
         with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be finite, got {bad}$"):
             small_config(**kw)
+
+
+class TestTimeMajorGenerate:
+    """Generation and the oracle bounds decode time-major in CHUNK_ROWS-trial
+    blocks: the same bits on one worker or three, and as the batch-first ops
+    give to rounding."""
+
+    @pytest.mark.parametrize("architecture", ["alpha", "beta"])
+    def test_identical_on_one_and_three_workers(self, monkeypatch, architecture):
+        config = small_config(n_channels=4, n_timepoints=40, architecture=architecture)
+        runs = []
+        for n in (1, 3):
+            monkeypatch.setattr(autoencoder, "_worker_count", lambda n_jobs, n=n: min(n, n_jobs))
+            sd = synth.generate(config)
+            runs.append((sd.dataset.data.tobytes(),
+                         json.dumps(synth.oracle_bounds(sd.ground_truth, sd.dataset))))
+        assert runs[0] == runs[1]
+
+    def test_decoded_epochs_match_batch_first_ops(self):
+        sd = synth.generate(small_config(noise_sd=0.0))
+        decoder = sd.ground_truth.decoder
+        h = sd.ground_truth.latents
+        for i, step in enumerate(decoder.plan.decoder):
+            h, _ = nn.convtranspose1d_forward(h, decoder.tensors[f"dec{i}.kernels"],
+                                              decoder.tensors[f"dec{i}.bias"], step.stride,
+                                              step.padding)
+            h = np.tanh(h) if step.activation else h
+        np.testing.assert_allclose(sd.dataset.data, h, rtol=0, atol=1e-12)
 
 
 class TestOracleBounds:
