@@ -41,10 +41,10 @@ a constant, not a setting, so the results do not depend on the number of
 CPUs: one worker or three give the same bits, and they differ from an
 unsharded step only by summation order. :func:`reconstruction_mse`,
 :func:`encode`, :func:`decode` and :func:`reconstruct`, and through them
-:func:`encoding.map_predictions` (so :func:`encoding.predict_erp`),
-:func:`synth.generate` and :func:`synth.oracle_bounds`, map their
-whole-dataset passes over the same blocks; :func:`encoding.freeze` and
-:func:`encoding.model_mse` do too.
+:func:`encoding.map_predictions` (so :func:`encoding.predict_erp`) and
+:func:`synth.generate`, map their whole-dataset passes over the same
+blocks; :func:`encoding.freeze` and :meth:`encoding.FrozenDecoder.score`
+(so :func:`encoding.model_mse` and :func:`synth.oracle_bounds`) do too.
 """
 
 from __future__ import annotations

@@ -23,7 +23,14 @@ b - intercept)`` and ``c = ||y - b - intercept||²``. A trial's squared
 error is then ``hᵀGh - 2hᵀr + c`` and its gradient ``2(Gh - r)``, so no
 epoch is decoded. Training, its dev MSE and :func:`model_mse` (and so the
 CLI ``fit``, ``suite`` and ``evaluate``) take a frozen decoder and
-minimise and report the MSE in this form. The tests hold its loss and
+minimise and report the MSE in this form. One chunked scorer,
+:meth:`FrozenDecoder.score`, has two callers: :func:`model_mse`, for a
+model's latents, and :func:`synth.oracle_bounds`, for the true and the
+projected latents of a synthetic set. A decoder without subject
+intercepts can be frozen without trial records (``freeze(decoder,
+dataset)``, as :func:`autoencoder.decode` takes no subject ids); such a
+frozen decoder scores but does not train, as training checks the
+records. The tests hold its loss and
 gradient to the full decoder's within 1e-12 relative; about 5e-16 is
 measured. Its absolute error scales with ``c``, not with the residual: it
 measured at most 2 x machine epsilon x the mean of ``c`` per epoch value,
@@ -78,10 +85,11 @@ before any fit runs, the frozen decoder and the features are only read,
 and results come back in list order, so they are bit-identical to a
 serial run; the first fit in list order that raises re-raises, and fits
 not yet started are never started. :func:`train` runs on the calling
-thread; :func:`freeze`, :func:`model_mse` and :func:`map_predictions` (so
-:func:`predict_erp`) work a chunk of :data:`autoencoder.CHUNK_ROWS` trials
-per pool job. Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``), or pool
-threads and BLAS threads compete for the same CPUs.
+thread; :func:`freeze`, :meth:`FrozenDecoder.score` and
+:func:`map_predictions` (so :func:`predict_erp`) work a chunk of
+:data:`autoencoder.CHUNK_ROWS` trials per pool job. Pin BLAS to one
+thread (``OPENBLAS_NUM_THREADS=1``), or pool threads and BLAS threads
+compete for the same CPUs.
 """
 
 from __future__ import annotations
@@ -94,7 +102,7 @@ import numpy as np
 from . import nn
 from .autoencoder import (DEV_FRACTION, AutoencoderParams, TrainHistory, _add_intercepts,
                           _cross_validate, _fit_epochs, _map_chunks, _stack_backward,
-                          _stack_forward, decode, reconstruction_mse)
+                          _stack_forward, _take, decode, reconstruction_mse)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
 from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_split,
                    train_dev_split)
@@ -133,15 +141,15 @@ class FrozenDecoder:
     in Gram form.
 
     ``digest`` is the decoder's content hash when :func:`freeze` built this.
-    Row ``i`` of ``meta``, ``r`` and ``c`` belongs to trial ``i`` of the
-    epochs; ``n_out`` is the number of values in one epoch. Latents, hidden
-    activations and their gradients are time-major, ``(T, C, N)`` with the
-    trials in the last axis.
+    Row ``i`` of ``meta`` (None when frozen without trial records), ``r`` and
+    ``c`` belongs to trial ``i`` of the epochs; ``n_out`` is the number of
+    values in one epoch. Latents, hidden activations and their gradients are
+    time-major, ``(T, C, N)`` with the trials in the last axis.
     """
 
     decoder: AutoencoderParams
     digest: str
-    meta: list[TrialMeta]
+    meta: list[TrialMeta] | None
     band: np.ndarray  # (T_hid, C_hid, (2w+1)·C_hid): AᵀA as a block band in time
     r: np.ndarray  # (N, T_hid, C_hid): Aᵀ(y - b - intercept)
     c: np.ndarray  # (N,): ||y - b - intercept||²
@@ -152,7 +160,8 @@ class FrozenDecoder:
         return len(self.c)
 
     def take(self, rows) -> "FrozenDecoder":
-        return replace(self, meta=[self.meta[i] for i in rows], r=self.r[rows], c=self.c[rows])
+        meta = None if self.meta is None else [self.meta[i] for i in rows]
+        return replace(self, meta=meta, r=self.r[rows], c=self.c[rows])
 
     def hidden(self, z: np.ndarray):
         """Latents ``(T_lat, C_lat, N)`` -> the last hidden activation ``h``
@@ -166,7 +175,9 @@ class FrozenDecoder:
         gradient w.r.t. ``h``."""
         gh = nn.gram_band_matmul(self.band, h)
         # the batch's rows of r, time-major in one contiguous buffer that both
-        # Gh - 2r and Gh - r read
+        # Gh - 2r and Gh - r read: one transposing copy, since a copy in
+        # CHUNK_ROWS-row blocks measured no faster on one thread and slower
+        # on two pool threads
         r = np.ascontiguousarray(self.r[rows].transpose(1, 2, 0))
         n = h.shape[2] * self.n_out
         gh_2r = r * -2.0
@@ -176,20 +187,37 @@ class FrozenDecoder:
         gh *= 2.0 / n  # (2/n)(Gh - r), bit for bit, in Gh's buffer
         return loss, gh
 
+    def score(self, z: np.ndarray, rows: np.ndarray) -> float:
+        """MSE of the epochs decoded from the time-major latents ``z``
+        ``(T_lat, C_lat, len(rows))`` against trials ``rows``: each chunk of
+        :data:`autoencoder.CHUNK_ROWS` trials is scored as a pool job, and
+        their squared errors are summed in chunk order, so no hidden
+        activation larger than a chunk's forms."""
+        def squared_error(chunk) -> float:
+            # the chunk's MSE times its trial count: its squared error over n_out
+            h, _ = self.hidden(z[:, :, chunk])
+            return self.mse(h, rows[chunk])[0] * h.shape[2]
+
+        return sum(_map_chunks(squared_error, len(rows))) / len(rows)
+
 
 def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
-           meta: list[TrialMeta]) -> FrozenDecoder:
+           meta: list[TrialMeta] | None = None) -> FrozenDecoder:
     """``decoder`` frozen against every trial of ``dataset``, described by ``meta``.
 
-    ``AᵀA`` comes from :func:`nn.transposed_conv_gram_band`. ``r`` and ``c``
-    are built a chunk of rows per pool job, time-major, through the output
-    layer's own kernels: ``Aᵀ`` is the convolution with the same kernels
-    (:func:`nn.conv1d_time_major_forward`), so neither the dense ``A`` nor a
-    full-size residual forms.
+    ``meta`` names each trial's subject for the decoder's subject intercepts;
+    a decoder without them may take None, one with them raises
+    ``ValueError``. ``AᵀA`` comes from :func:`nn.transposed_conv_gram_band`.
+    ``r`` and ``c`` are built a chunk of rows per pool job, time-major,
+    through the output layer's own kernels: ``Aᵀ`` is the convolution with
+    the same kernels (:func:`nn.conv1d_time_major_forward`), so neither the
+    dense ``A`` nor a full-size residual forms.
     """
-    if len(meta) != dataset.n_trials:
-        raise ValueError(f"{len(meta)} meta records for {dataset.n_trials} trials")
     spec = decoder.spec
+    if meta is None and spec.intercepts:
+        raise ValueError("decoder has intercepts enabled; meta records required")
+    if meta is not None and len(meta) != dataset.n_trials:
+        raise ValueError(f"{len(meta)} meta records for {dataset.n_trials} trials")
     if (dataset.n_channels, dataset.n_timepoints) != (spec.n_channels, spec.n_timepoints):
         raise ValueError(
             f"decoder geometry {spec.n_channels}x{spec.n_timepoints} != dataset "
@@ -204,20 +232,21 @@ def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
     t_hid = nn.conv_output_length(dataset.n_timepoints, step.kernel, step.stride, step.padding)
     band = nn.transposed_conv_gram_band(kernels, step.stride, step.padding, t_hid)
 
-    subject_ids = [m.subject_id for m in meta]
+    subject_ids = None if meta is None else [m.subject_id for m in meta]
     r = np.empty((dataset.n_trials, t_hid, c_hid))
     c = np.empty(dataset.n_trials)
 
     def fill(rows):
         e = nn._swap_layout(dataset.data[rows])
-        e -= _add_intercepts(decoder, bias[:, None], subject_ids[rows])
+        e -= _add_intercepts(decoder, bias[:, None], _take(subject_ids, rows))
         adjoint, _ = nn.conv1d_time_major_forward(e, kernels, np.zeros(c_hid), step.stride,
                                                   step.padding)
         r[rows] = adjoint.transpose(2, 0, 1)
         c[rows] = np.einsum("tcn,tcn->n", e, e)
 
     _map_chunks(fill, dataset.n_trials)
-    return FrozenDecoder(decoder, decoder.decoder_digest(), list(meta), band, r, c,
+    meta = None if meta is None else list(meta)
+    return FrozenDecoder(decoder, decoder.decoder_digest(), meta, band, r, c,
                          dataset.n_channels * dataset.n_timepoints)
 
 
@@ -363,7 +392,9 @@ def predict_erp(model: EncodingModel, features: FeatureMatrix,
     return preds
 
 
-def _check_filtered(meta: list[TrialMeta]) -> None:
+def _check_filtered(meta: list[TrialMeta] | None) -> None:
+    if meta is None:
+        raise ValueError("training needs the trials' meta records to check their filtering")
     if any(m.artifact for m in meta):
         raise ValueError("training trials must be artifact-filtered first")
     if any(m.word_position == 1 for m in meta):
@@ -434,23 +465,14 @@ def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
 def model_mse(model: EncodingModel, frozen: FrozenDecoder, features: FeatureMatrix,
               indices=None) -> float:
     """MSE of the model's predictions over the given trials of ``frozen``, in Gram
-    form: each chunk of :data:`autoencoder.CHUNK_ROWS` trials is scored as a pool
-    job, and their squared errors are summed in chunk order, so no hidden
-    activation larger than a chunk's forms."""
+    form, scored a chunk of trials per pool job by :meth:`FrozenDecoder.score`."""
     if model.decoder_digest != frozen.digest:
         raise ValueError(f"model fit against decoder {model.decoder_digest[:12]}..., "
                          f"not the frozen {frozen.digest[:12]}...")
     idx = np.arange(frozen.n_trials) if indices is None else np.asarray(indices)
     if len(idx) == 0:
         raise ValueError("no trials to score")
-    z = _latents(model, features.take(idx))
-
-    def squared_error(chunk) -> float:
-        # the chunk's MSE times its trial count: its squared error over n_out
-        h, _ = frozen.hidden(z[:, :, chunk])
-        return frozen.mse(h, idx[chunk])[0] * h.shape[2]
-
-    return sum(_map_chunks(squared_error, len(idx))) / len(idx)
+    return frozen.score(_latents(model, features.take(idx)), idx)
 
 
 # ---------------------------------------------------------------------------

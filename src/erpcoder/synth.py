@@ -24,13 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import nn
-from .autoencoder import (AutoencoderParams, AutoencoderSpec, _decode, _map_chunks,
-                          build_layer_plan, checked_spec, decode, init_params, tensor_shapes)
+from .autoencoder import (AutoencoderParams, AutoencoderSpec, build_layer_plan, checked_spec,
+                          decode, init_params, tensor_shapes)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
 from .data import (CHUNK_ROWS, EmbeddingTable, ErpDataset, TokenFeatureTable, TrialMeta,
                    checked_fields, save_counts, save_embeddings, save_erp,
                    save_token_features, write_json)
+from .encoding import freeze
 from .features import SOURCES, source_block
 
 CONTENT_TAGS = ("NN", "VB", "JJ", "RB")
@@ -276,6 +276,15 @@ def calibrate_noise(config: SynthConfig, target_snr: float) -> SynthConfig:
 # ---------------------------------------------------------------------------
 
 
+def _checked_rows(rows, n: int, name: str) -> np.ndarray:
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    if rows.ndim != 1 or len(rows) == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D list of trial indices")
+    if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
+        raise ValueError(f"{name} must be trial indices in range({n})")
+    return rows
+
+
 def oracle_bounds(truth: GroundTruth, dataset: ErpDataset,
                   fit_rows=None, eval_rows=None) -> dict:
     """Best achievable MSE and r2 per nested driving-feature subset.
@@ -284,32 +293,43 @@ def oracle_bounds(truth: GroundTruth, dataset: ErpDataset,
     (``intercept``), the first, the first two, and so on. For each subset
     the true latents are projected onto the feature span by
     closed-form normal equations (fit on ``fit_rows``), decoded with the true
-    decoder, and scored on ``eval_rows``. Because the decoder is mildly
+    decoder, and scored on ``eval_rows``; ``mse_floor`` scores the true
+    latents themselves. Because the decoder is mildly
     nonlinear, raw projections can violate nesting by a hair; bounds are
     therefore the running minimum along the nested chain (any superset can
     realize a subset's map by zeroing the extra weights).
+
+    ``dataset`` must be the generated set whose trials ``truth`` describes,
+    with every trial: another trial count or epoch geometry, or rows that
+    are empty or outside ``range(n_trials)``, raise ``ValueError`` before
+    any work. The true decoder is frozen against the dataset once
+    (:func:`encoding.freeze`), and every bound is scored in its Gram form,
+    ``hᵀGh - 2hᵀr + c`` per trial, a chunk of ``eval_rows`` per pool job
+    (:meth:`encoding.FrozenDecoder.score`): the latents pass through the
+    decoder's hidden layers only, and no epoch is decoded. That form cancels
+    to the residual, so its absolute error scales with the mean squared
+    epoch value ``c/n_out``, not with the residual: within about 2 x
+    machine epsilon x ``c/n_out`` per value, a relative error of ~1e-16 at
+    ``noise_sd`` 1 and up to ~1e-7 at ``noise_sd`` 1e-6.
     """
     n = truth.latents.shape[0]
-    fit_rows = np.arange(n) if fit_rows is None else np.asarray(fit_rows)
-    eval_rows = np.arange(n) if eval_rows is None else np.asarray(eval_rows)
+    if dataset.n_trials != n:
+        raise ValueError(f"dataset has {dataset.n_trials} trials, the ground truth {n}: "
+                         "oracle bounds need the generated set")
+    fit_rows = _checked_rows(fit_rows, n, "fit_rows")
+    eval_rows = _checked_rows(eval_rows, n, "eval_rows")
+    frozen = freeze(truth.decoder, dataset)
     driving = tuple(truth.driving_columns)
     subsets = [driving[:i] for i in range(len(driving) + 1)]
 
     z_flat = truth.latents.reshape(n, -1)
     c_lat, t_lat = truth.latents.shape[1], truth.latents.shape[2]
 
-    def decoded_mse(latents: np.ndarray) -> float:
-        # decoded and scored time-major a chunk of eval rows per pool job, summed
-        # in chunk order: no full-size prediction or residual forms
-        def squared_error(rows) -> float:
-            diff = _decode(truth.decoder, nn._swap_layout(latents[rows]), None)
-            diff -= nn._swap_layout(dataset.data[eval_rows[rows]])
-            return float(np.vdot(diff, diff))
+    def gram_mse(latents: np.ndarray) -> float:
+        # (n_eval, C_lat, T_lat) latents, read time-major a chunk at a time
+        return frozen.score(latents.transpose(2, 1, 0), eval_rows)
 
-        se = sum(_map_chunks(squared_error, len(eval_rows)))
-        return se / (len(eval_rows) * dataset.n_channels * dataset.n_timepoints)
-
-    mse_floor = decoded_mse(truth.latents[eval_rows])
+    mse_floor = gram_mse(truth.latents[eval_rows])
 
     result: dict = {
         "mse_floor": mse_floor,
@@ -333,7 +353,7 @@ def oracle_bounds(truth: GroundTruth, dataset: ErpDataset,
             beta = np.linalg.solve(a + 1e-8 * np.eye(a.shape[0]), b)
             result["ridge_fallback"] = True
         z_hat = (f[eval_rows] @ beta).reshape(len(eval_rows), c_lat, t_lat)
-        running = min(running, decoded_mse(z_hat))
+        running = min(running, gram_mse(z_hat))
         result["mse"]["+".join(subset) or "intercept"] = running
     mse_empty = result["mse"]["intercept"]
     denom = mse_empty - mse_floor

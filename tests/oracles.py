@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to derive expected test values.
 
 Everything here is written as plain loop-based summation so it shares no code
-path with the library implementations it checks.
+path with the library implementations it checks, except
+:func:`decoded_oracle_bounds`, which checks the Gram form of the oracle
+bounds against decoding every trial through the whole library decoder.
 """
 
 from __future__ import annotations
@@ -135,3 +137,35 @@ def pearson_naive(a, b):
     b = b - b.mean()
     denom = np.sqrt((a * a).sum() * (b * b).sum())
     return float((a * b).sum() / denom)
+
+
+def decoded_oracle_bounds(truth, dataset, fit_rows=None, eval_rows=None):
+    """``synth.oracle_bounds``' ``mse_floor``, ``mse`` and ``ridge_fallback``,
+    each latent set decoded through the whole true decoder
+    (``autoencoder.decode``) and its squared error averaged over the eval
+    rows' epoch values: no Gram form."""
+    from erpcoder.autoencoder import decode
+
+    n = len(truth.latents)
+    fit_rows = np.arange(n) if fit_rows is None else np.asarray(fit_rows)
+    eval_rows = np.arange(n) if eval_rows is None else np.asarray(eval_rows)
+    target = dataset.data[eval_rows]
+
+    def decoded_mse(latents):
+        diff = decode(truth.decoder, latents) - target
+        return float(np.mean(diff * diff))
+
+    z_flat = truth.latents.reshape(n, -1)
+    driving = tuple(truth.driving_columns)
+    mse, running, ridge = {}, np.inf, False
+    for i in range(len(driving) + 1):
+        f = np.hstack([np.ones((n, 1))] + [truth.driving_columns[s] for s in driving[:i]])
+        a = f[fit_rows].T @ f[fit_rows]
+        if np.linalg.cond(a) > 1e12:
+            a, ridge = a + 1e-8 * np.eye(len(a)), True
+        beta = np.linalg.solve(a, f[fit_rows].T @ z_flat[fit_rows])
+        z_hat = (f[eval_rows] @ beta).reshape(len(eval_rows), *truth.latents.shape[1:])
+        running = min(running, decoded_mse(z_hat))
+        mse["+".join(driving[:i]) or "intercept"] = running
+    return {"mse_floor": decoded_mse(truth.latents[eval_rows]), "mse": mse,
+            "ridge_fallback": ridge}

@@ -315,11 +315,13 @@ class TestGramReadout:
 
     @pytest.mark.parametrize("arch", ["alpha", "beta"])
     def test_mse_is_the_gram_formula_bit_for_bit(self, rng, arch):
-        # loss (hᵀ(Gh - 2r) + c)/n and gradient (2/n)(Gh - r), with r read as a
-        # transposed view of the gathered rows
+        # loss (hᵀ(Gh - 2r) + c)/n and gradient (2/n)(Gh - r), with r read as one
+        # transposed view of the gathered rows; batches on both sides of the
+        # CHUNK_ROWS (32) edge, which a blocked gather of r would cross
         decoder, ds, meta = paper_geometry_set(rng, arch, False)
         frozen = encoding.freeze(decoder, ds, meta)
-        for rows in (rng.permutation(ds.n_trials)[:67], np.array([3])):
+        for size in (1, 31, 32, 33, 34, 67, 128):
+            rows = rng.permutation(ds.n_trials)[:size]
             h = rng.normal(size=frozen.r.shape[1:] + (len(rows),))
             loss, grad = frozen.mse(h, rows)
             gh = nn.gram_band_matmul(frozen.band, h)
@@ -446,6 +448,25 @@ class TestGramReadout:
         other = init_params(AutoencoderSpec("beta", False, 6, 30), seed=12345)
         with pytest.raises(ValueError, match="^model fit against decoder .*, not the frozen "):
             encoding.model_mse(model, encoding.freeze(other, ds, meta), fm)
+
+    @pytest.mark.parametrize("arch", ["alpha", "beta"])
+    def test_freeze_without_meta(self, rng, arch):
+        # a decoder without intercepts needs no trial records, and gets the same
+        # bits; training still needs them, to check the trials are filtered
+        decoder, ds, meta = paper_geometry_set(rng, arch, False, n=40)
+        with_meta, without = encoding.freeze(decoder, ds, meta), encoding.freeze(decoder, ds)
+        assert without.meta is None and without.take([3, 1]).meta is None
+        np.testing.assert_array_equal(without.r, with_meta.r)
+        np.testing.assert_array_equal(without.c, with_meta.c)
+        fm = features.FeatureMatrix(rng.normal(size=(ds.n_trials, 1)), ["frequency"])
+        with pytest.raises(ValueError, match="training needs the trials' meta records"):
+            encoding.train(without, fm, ("frequency",), epochs=1)
+
+    @pytest.mark.parametrize("arch", ["alpha", "beta"])
+    def test_decoder_with_intercepts_needs_meta(self, rng, arch):
+        decoder, ds, _ = paper_geometry_set(rng, arch, True, n=4)
+        with pytest.raises(ValueError, match="decoder has intercepts enabled; meta records"):
+            encoding.freeze(decoder, ds)
 
     def test_geometry_mismatch_rejected(self, small_synth):
         sd, ds, meta = small_synth

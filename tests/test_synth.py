@@ -7,11 +7,13 @@ import re
 import numpy as np
 import pytest
 
-from erpcoder import autoencoder, features, nn, synth
+from erpcoder import autoencoder, encoding, features, nn, synth
 from erpcoder.autoencoder import decode
 from erpcoder.checkpoint import load_checkpoint, save_checkpoint
-from erpcoder.data import (CHUNK_ROWS, FormatError, load_counts, load_embeddings, load_erp,
-                           load_token_features)
+from erpcoder.data import (CHUNK_ROWS, ErpDataset, FormatError, filter_artifacts, load_counts,
+                           load_embeddings, load_erp, load_token_features)
+
+import oracles
 
 
 def small_config(**kw):
@@ -192,7 +194,92 @@ class TestTimeMajorGenerate:
         np.testing.assert_allclose(sd.dataset.data, h, rtol=0, atol=1e-12)
 
 
+def assert_matches_reference(bounds, reference, rel=1e-12, atol=0.0):
+    assert bounds["ridge_fallback"] == reference["ridge_fallback"]
+    assert bounds["mse"].keys() == reference["mse"].keys()
+    pairs = [(bounds["mse_floor"], reference["mse_floor"])]
+    pairs += [(bounds["mse"][key], value) for key, value in reference["mse"].items()]
+    for got, want in pairs:
+        assert abs(got - want) <= max(rel * abs(want), atol), (got, want)
+
+
 class TestOracleBounds:
+    """The bounds in the frozen true decoder's Gram form, against decoding
+    every eval trial through the whole decoder (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("architecture", ["alpha", "beta"])
+    @pytest.mark.parametrize("rows", ["default", "disjoint"])
+    def test_gram_form_matches_decoded_reference(self, architecture, rows):
+        sd = synth.generate(small_config(n_timepoints=40, architecture=architecture, noise_sd=1.0))
+        n = sd.dataset.n_trials
+        kw = {} if rows == "default" else {"fit_rows": np.arange(0, n, 2),
+                                           "eval_rows": np.arange(1, n, 2)}
+        assert_matches_reference(
+            synth.oracle_bounds(sd.ground_truth, sd.dataset, **kw),
+            oracles.decoded_oracle_bounds(sd.ground_truth, sd.dataset, **kw))
+
+    @pytest.mark.parametrize("architecture", ["alpha", "beta"])
+    def test_near_noiseless_within_cancellation_bound(self, architecture):
+        # hᵀGh - 2hᵀr + c cancels to the residual: the absolute error scales
+        # with the mean squared epoch value c/n_out, not with the 1e-12 floor
+        sd = synth.generate(small_config(n_timepoints=40, architecture=architecture,
+                                          noise_sd=1e-6))
+        bounds = synth.oracle_bounds(sd.ground_truth, sd.dataset)
+        assert bounds["mse_floor"] == pytest.approx(1e-12, rel=0.05)
+        frozen = encoding.freeze(sd.ground_truth.decoder, sd.dataset)
+        scale = frozen.c.mean() / frozen.n_out
+        assert_matches_reference(
+            bounds, oracles.decoded_oracle_bounds(sd.ground_truth, sd.dataset),
+            rel=0.0, atol=2 * np.finfo(float).eps * scale)
+
+    def test_decodes_no_epoch(self, monkeypatch):
+        sd = synth.generate(small_config())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle_bounds decoded epochs")
+
+        for module in (autoencoder, encoding, synth):
+            for name in ("_decode", "decode"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        bounds = synth.oracle_bounds(sd.ground_truth, sd.dataset)
+        assert all(np.isfinite(v) for v in bounds["best_possible_r2_mod"].values())
+
+    @pytest.mark.parametrize("eval_rows", [None, "in range"])
+    def test_dataset_of_other_trials_rejected(self, monkeypatch, eval_rows):
+        # the artifact-filtered set is not the generated one, whatever the rows
+        sd = synth.generate(small_config(n_sentences=50, artifact_rate=0.2))
+        ds, _ = filter_artifacts(sd.dataset, sd.meta)
+        assert ds.n_trials < sd.dataset.n_trials
+        monkeypatch.setattr(synth, "freeze", None)  # any work would raise TypeError
+        rows = None if eval_rows is None else np.arange(ds.n_trials)
+        with pytest.raises(ValueError, match=rf"^dataset has {ds.n_trials} trials, the "
+                                             rf"ground truth {sd.dataset.n_trials}: "):
+            synth.oracle_bounds(sd.ground_truth, ds, eval_rows=rows, fit_rows=rows)
+
+    def test_geometry_mismatch_rejected(self):
+        sd = synth.generate(small_config())
+        ds = sd.dataset
+        short = ErpDataset(ds.data[:, :, :20], ds.sampling_rate_hz, ds.epoch_start_ms,
+                           ds.epoch_start_ms + 20 / ds.sampling_rate_hz * 1000.0)
+        with pytest.raises(ValueError, match=r"^decoder geometry 6x30 != dataset 6x20$"):
+            synth.oracle_bounds(sd.ground_truth, short)
+
+    @pytest.mark.parametrize("which", ["fit_rows", "eval_rows"])
+    @pytest.mark.parametrize("rows, message", [
+        ([], "must be a non-empty 1-D list of trial indices"),
+        (np.zeros((2, 2), dtype=int), "must be a non-empty 1-D list of trial indices"),
+        ([0, 200], r"must be trial indices in range\(200\)"),
+        ([-1, 3], r"must be trial indices in range\(200\)"),
+        ([0.0, 1.0], r"must be trial indices in range\(200\)"),
+        ([True] * 200, r"must be trial indices in range\(200\)")])
+    def test_bad_rows_rejected(self, monkeypatch, which, rows, message):
+        sd = synth.generate(small_config())
+        assert sd.dataset.n_trials == 200
+        monkeypatch.setattr(synth, "freeze", None)  # any work would raise TypeError
+        with pytest.raises(ValueError, match=f"^{which} {message}$"):
+            synth.oracle_bounds(sd.ground_truth, sd.dataset, **{which: rows})
+
     def test_full_set_floor_and_anchors(self):
         sd = synth.generate(small_config())
         bounds = synth.oracle_bounds(sd.ground_truth, sd.dataset)
@@ -227,6 +314,8 @@ class TestOracleBounds:
         bounds = synth.oracle_bounds(sd.ground_truth, sd.dataset)
         assert bounds["ridge_fallback"]
         assert np.isfinite(bounds["mse"]["frequency"])
+        assert_matches_reference(
+            bounds, oracles.decoded_oracle_bounds(sd.ground_truth, sd.dataset))
 
 
 class TestDiskRoundTrip:
