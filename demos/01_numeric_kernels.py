@@ -23,9 +23,13 @@ print("conv([1,2,3,4], [1,0,-1]) =", y[0, 0])  # constant slope -> constant resp
 grads = nn.conv1d_backward(ctx, np.ones_like(y))
 print("d/dkernel of sum(conv) =", grads.param_grads["kernels"][0, 0])
 
-# Max pooling keeps the winner per window and remembers where it was.
+# Max pooling keeps the winner per window and remembers where it was: offset i
+# of window u wins where its time-major mask (window, channel, trial) is set,
+# at position u*stride + i.
 pooled, pctx = nn.maxpool1d_forward(np.array([[[3.0, 1.0, 4.0, 1.0]]]), window=2, stride=2)
-print("maxpool [3,1,4,1] w=2 s=2 ->", pooled[0, 0], "winners at", pctx.indices[0, 0])
+winners = sorted(int(u) * pctx.stride + i for i, mask in pctx.winner_masks()
+                 for u in np.flatnonzero(mask[:, 0, 0]))
+print("maxpool [3,1,4,1] w=2 s=2 ->", pooled[0, 0], "winners at", winners)
 
 # The transposed convolution is the exact adjoint of the convolution:
 # <conv(x; W), y> == <x, convT(y; W)> for matching geometry.

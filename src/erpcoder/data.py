@@ -6,7 +6,7 @@ ERP dataset   ``<name>.erp.json`` sidecar (shape, dtype tag ``f64le``,
               sampling metadata) plus ``<name>.erp.bin`` holding raw
               little-endian 64-bit floats in C order.
 Trial meta    ``<name>.meta.tsv`` with columns subject_id, sentence_id,
-              word_position, token, word_class, pos_tag, artifact.
+              word_position, token, word_class, pos_tag, artifact (0 or 1).
 Features      ``<name>.feat.tsv``: sentence_id, word_position, then feature
               columns; a vector-valued feature ``f`` of width D appears as
               ``f.0 ... f.{D-1}``.
@@ -485,6 +485,8 @@ def load_meta(path) -> list[TrialMeta]:
         parts = line.split("\t")
         if len(parts) != len(META_COLUMNS):
             raise FormatError(f"{path}: line {i}: expected {len(META_COLUMNS)} fields, got {len(parts)}")
+        if parts[6] not in ("0", "1"):
+            raise FormatError(f"{path}: line {i}: artifact flag {parts[6]!r} is not 0 or 1")
         try:
             meta.append(
                 TrialMeta(

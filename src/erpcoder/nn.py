@@ -34,24 +34,20 @@ of its columns), so a caller that needs the same bits however it splits
 its trials runs them in fixed blocks of columns.
 
 The batch-first ops (``conv1d_forward``, ``convtranspose1d_forward``,
-``maxpool1d_forward`` and their backward passes) take ``(N, C, T)``
-activations, ``(N, D)`` for ``dense``; an unbatched input raises
-``ValueError`` naming the op and the shape. They transpose to the
-time-major kernels and back, except for the kernel gradients, which sum
-per kernel tap over the batch (:func:`_kernel_grads`, Chellapilla, Puri &
-Simard, 2006): from the ``(N, C, T)`` rows a caller already holds this is
-faster than the windowed form for a wide input, so the time-major
-convolution's backward takes them from such rows when given.
-
-Each layout serves its own traffic. Nothing in the package calls the
-batch-first convolution and pooling ops: pretraining, the encoder,
+``maxpool1d_forward`` and their backward passes) are adapters: each swaps
+``(N, C, T)`` activations to ``(T, C, N)``, calls its time-major op, swaps
+the result back and returns that op's own context; an unbatched input
+raises ``ValueError`` naming the op and the shape. ``dense`` takes ``(N,
+D)``. Nothing in the package calls the adapters: pretraining, the encoder,
 ``decode`` and the frozen-decoder fits all run time-major, and ``(N, C,
 T)`` stays at the data boundary (files and the public ``autoencoder``
 signatures). Only the first encoder convolution's kernel gradient reads
-the trials' own ``(N, C, T)`` rows: there the windowed form took 3.6 ms
-against 2.0 ms summed per tap (32 trials at 32×200, ``beta``). Unlike a
-channels-last or channel-major folding of the batch, or one GEMM plus an
-overlap-add, every window here is one contiguous block of memory.
+the trials' own ``(N, C, T)`` rows, summed per kernel tap over the batch
+(:func:`_kernel_grads`, Chellapilla, Puri & Simard, 2006): there the
+windowed form took 3.6 ms against 2.0 ms summed per tap (32 trials at
+32×200, ``beta``). Unlike a channels-last or channel-major folding of the
+batch, or one GEMM plus an overlap-add, every window here is one
+contiguous block of memory.
 
 Gram band. For a transposed convolution ``A`` with kernel ``K`` and stride
 ``s``, inputs more than ``w = ceil(K/s) - 1`` time steps apart write no
@@ -95,9 +91,10 @@ def _match_grad(grad, ref_shape: tuple[int, ...], what: str) -> np.ndarray:
     return g
 
 
-def _swap_layout(a: np.ndarray) -> np.ndarray:
-    """``(N, C, T)`` <-> ``(T, C, N)``, as a C-contiguous array."""
-    return np.ascontiguousarray(a.transpose(2, 1, 0))
+def _swap_layout(a) -> np.ndarray:
+    """``(N, C, T)`` <-> ``(T, C, N)``, as a C-contiguous f64 array; an array of
+    another rank has its axes reversed too, for the op's shape check to name."""
+    return np.ascontiguousarray(_as_f64(a).T)
 
 
 def conv_output_length(t: int, kernel: int, stride: int, padding: int) -> int:
@@ -267,11 +264,23 @@ def _untap(grads: np.ndarray, k: int) -> np.ndarray:
     return grads.reshape(len(grads), k, -1).transpose(0, 2, 1)
 
 
-def _check_time_major(x: np.ndarray, kernels: np.ndarray, in_axis: int, what: str,
-                      layout: str) -> None:
+def _time_major_operands(x, kernels, bias, in_axis: int, what: str, stride: int,
+                         padding: int):
+    """``x`` as a C-contiguous f64 array and the f64 ``kernels`` and ``bias`` of a
+    time-major convolution (kernels ``(C_out, C_in, K)``, ``in_axis`` 1) or
+    transposed convolution (``(C_in, C_out, K)``, 0), their shapes checked."""
+    x = np.ascontiguousarray(_as_f64(x))
+    kernels = _as_f64(kernels)
+    bias = _as_f64(bias)
     if x.ndim != 3 or kernels.ndim != 3 or x.shape[1] != kernels.shape[in_axis]:
+        layout = ("(C_in, C_out, K)", "(C_out, C_in, K)")[in_axis]
         raise ValueError(f"{what}: input {x.shape} and kernels {kernels.shape} are not "
                          f"(T, C_in, N) and {layout}")
+    c_out = kernels.shape[1 - in_axis]
+    if bias.shape != (c_out,):
+        raise ValueError(f"{what}: bias shape {bias.shape} != ({c_out},)")
+    _check_stride_padding(stride, padding)
+    return x, kernels, bias
 
 
 # ---------------------------------------------------------------------------
@@ -289,21 +298,16 @@ class Conv1dTimeMajorCtx:
 
 
 def conv1d_time_major_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
-    """:func:`conv1d_forward` on time-major ``(T, C_in, N)`` input.
+    """Strided 1D cross-correlation of time-major ``(T, C_in, N)`` input.
 
     kernels: (C_out, C_in, K); bias: (C_out,). Returns the ``(T_out, C_out,
-    N)`` output, one matmul of the tap-major kernel matrix against all
-    windows (:func:`_conv`) plus the bias, and a context for
-    :func:`conv1d_time_major_backward`.
+    N)`` output, ``T_out = (T + 2p - K)//stride + 1``, one matmul of the
+    tap-major kernel matrix against all windows (:func:`_conv`) plus the
+    bias, and a context for :func:`conv1d_time_major_backward`.
     """
-    x = np.ascontiguousarray(_as_f64(x))
-    kernels = _as_f64(kernels)
-    bias = _as_f64(bias)
-    _check_time_major(x, kernels, 1, "conv1d_time_major", "(C_out, C_in, K)")
+    x, kernels, bias = _time_major_operands(x, kernels, bias, 1, "conv1d_time_major", stride,
+                                            padding)
     c_out, _, k = kernels.shape
-    if bias.shape != (c_out,):
-        raise ValueError(f"conv1d_time_major: bias shape {bias.shape} != ({c_out},)")
-    _check_stride_padding(stride, padding)
     t, _, n = x.shape
     if k > t + 2 * padding:
         raise ValueError(f"kernel length {k} exceeds padded input length {t} + 2*{padding}")
@@ -332,14 +336,12 @@ def conv1d_time_major_backward(ctx: Conv1dTimeMajorCtx, upstream_grad,
     k = ctx.kernels.shape[2]
     if rows is None:
         grad_kernels = _untap(_windowed_grads(g, ctx.x, -ctx.padding, ctx.stride, k), k)
+        grad_x = _transposed_conv(np.empty(ctx.x.shape), g, ctx.kernels, ctx.stride, ctx.padding)
     else:
         p = ctx.padding
         grad_kernels = _kernel_grads(_swap_layout(g), np.pad(rows, ((0, 0), (0, 0), (p, p))),
                                      k, ctx.stride)
-    grad_x = None
-    if rows is None:
-        grad_x = _transposed_conv(np.empty(ctx.x.shape), g, ctx.kernels, ctx.stride,
-                                  ctx.padding)
+        grad_x = None
     return LayerGrad(grad_x, {"kernels": grad_kernels, "bias": g.sum(axis=(0, 2))})
 
 
@@ -353,21 +355,18 @@ class ConvTranspose1dTimeMajorCtx:
 
 
 def convtranspose1d_time_major_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
-    """:func:`convtranspose1d_forward` on time-major ``(T, C_in, N)`` input.
+    """Transposed 1D convolution of time-major ``(T, C_in, N)`` input.
 
     kernels: (C_in, C_out, K); bias: (C_out,). Returns the ``(T_out, C_out,
-    N)`` output, polyphase (:func:`_transposed_conv`) plus the bias, added
-    once at the end, and a context for
-    :func:`convtranspose1d_time_major_backward`.
+    N)`` output, ``T_out = (T-1)*stride + K - 2p``, polyphase
+    (:func:`_transposed_conv`) plus the bias, added once at the end, and a
+    context for :func:`convtranspose1d_time_major_backward`. With matching
+    geometry this operator is the adjoint of
+    :func:`conv1d_time_major_forward` under the Frobenius inner product.
     """
-    x = np.ascontiguousarray(_as_f64(x))
-    kernels = _as_f64(kernels)
-    bias = _as_f64(bias)
-    _check_time_major(x, kernels, 0, "convtranspose1d_time_major", "(C_in, C_out, K)")
-    c_in, c_out, k = kernels.shape
-    if bias.shape != (c_out,):
-        raise ValueError(f"convtranspose1d_time_major: bias shape {bias.shape} != ({c_out},)")
-    _check_stride_padding(stride, padding)
+    x, kernels, bias = _time_major_operands(x, kernels, bias, 0, "convtranspose1d_time_major",
+                                            stride, padding)
+    _, c_out, k = kernels.shape
     t, _, n = x.shape
     t_out = convtranspose_output_length(t, k, stride, padding)
     if t_out < 1:
@@ -470,158 +469,59 @@ def maxpool1d_time_major_backward(ctx: MaxPool1dTimeMajorCtx, upstream_grad) -> 
 
 
 # ---------------------------------------------------------------------------
-# Batch-first (N, C, T) ops on the time-major kernels
+# Batch-first (N, C, T) adapters over the time-major ops
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Conv1dCtx:
-    padded: np.ndarray  # (N, C_in, T + 2p)
-    kernels: np.ndarray
-    stride: int
-    padding: int
-    in_len: int
-    out_shape: tuple[int, ...]
+def _to_time_major(x, what: str) -> np.ndarray:
+    """A batch-first op's ``(N, C, T)`` input as ``(T, C, N)``."""
+    x = _as_f64(x)
+    _check_batch(x, 3, what)
+    return _swap_layout(x)
+
+
+def _batch_first(lg: LayerGrad) -> LayerGrad:
+    """A time-major backward pass's gradients, the input gradient as ``(N, C, T)``."""
+    lg.input_grad = _swap_layout(lg.input_grad)
+    return lg
 
 
 def conv1d_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
-    """Strided 1D cross-correlation.
-
-    x: (N, C_in, T); kernels: (C_out, C_in, K); bias: (C_out,).
-    Returns (output, ctx) with output length (T + 2p - K)//stride + 1.
-    """
-    x = _as_f64(x)
-    kernels = _as_f64(kernels)
-    bias = _as_f64(bias)
-    _check_batch(x, 3, "conv1d")
-    if kernels.ndim != 3:
-        raise ValueError(f"conv1d: kernels must be (C_out, C_in, K), got shape {kernels.shape}")
-    if x.shape[1] != kernels.shape[1]:
-        raise ValueError(
-            f"conv1d: input has {x.shape[1]} channels (shape {x.shape}) but kernels "
-            f"expect {kernels.shape[1]} (shape {kernels.shape})"
-        )
-    c_out = kernels.shape[0]
-    if bias.shape != (c_out,):
-        raise ValueError(f"conv1d: bias shape {bias.shape} != ({c_out},)")
-    y, _ = conv1d_time_major_forward(_swap_layout(x), kernels, bias, stride, padding)
-    y = _swap_layout(y)
-    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
-    return y, Conv1dCtx(padded, kernels, stride, padding, x.shape[2], y.shape)
+    """Strided 1D cross-correlation of ``(N, C_in, T)`` input:
+    :func:`conv1d_time_major_forward`, its output ``(N, C_out, T_out)`` and context."""
+    y, ctx = conv1d_time_major_forward(_to_time_major(x, "conv1d"), kernels, bias, stride, padding)
+    return _swap_layout(y), ctx
 
 
-def conv1d_backward(ctx: Conv1dCtx, upstream_grad, need_input_grad: bool = True) -> LayerGrad:
-    """Gradients of a conv1d_forward call w.r.t. input, kernels and bias.
-
-    With ``need_input_grad=False`` the input gradient is not computed and
-    ``input_grad`` is None; the parameter gradients are unchanged.
-    """
-    g = _match_grad(upstream_grad, ctx.out_shape, "conv1d_backward")
-    grad_kernels = _kernel_grads(g, ctx.padded, ctx.kernels.shape[2], ctx.stride)
-    grad_x = None
-    if need_input_grad:
-        n, c_in, _ = ctx.padded.shape
-        grad_x = _swap_layout(_transposed_conv(np.empty((ctx.in_len, c_in, n)), _swap_layout(g),
-                                               ctx.kernels, ctx.stride, ctx.padding))
-    return LayerGrad(grad_x, {"kernels": grad_kernels, "bias": g.sum(axis=(0, 2))})
-
-
-@dataclass
-class ConvTranspose1dCtx:
-    x: np.ndarray  # (N, C_in, T)
-    kernels: np.ndarray
-    stride: int
-    padding: int
-    out_shape: tuple[int, ...]
+def conv1d_backward(ctx: Conv1dTimeMajorCtx, upstream_grad) -> LayerGrad:
+    """:func:`conv1d_time_major_backward` of an ``(N, C_out, T_out)`` gradient."""
+    return _batch_first(conv1d_time_major_backward(ctx, _swap_layout(upstream_grad)))
 
 
 def convtranspose1d_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
-    """Transposed 1D convolution.
-
-    x: (N, C_in, T); kernels: (C_in, C_out, K); bias: (C_out,).
-    Output length is (T-1)*stride + K - 2*padding. With matching geometry this
-    operator is the adjoint of :func:`conv1d_forward` under the Frobenius
-    inner product.
-    """
-    x = _as_f64(x)
-    kernels = _as_f64(kernels)
-    bias = _as_f64(bias)
-    _check_batch(x, 3, "convtranspose1d")
-    if kernels.ndim != 3:
-        raise ValueError(
-            f"convtranspose1d: kernels must be (C_in, C_out, K), got shape {kernels.shape}"
-        )
-    if x.shape[1] != kernels.shape[0]:
-        raise ValueError(
-            f"convtranspose1d: input has {x.shape[1]} channels (shape {x.shape}) but "
-            f"kernels expect {kernels.shape[0]} (shape {kernels.shape})"
-        )
-    _, c_out, k = kernels.shape
-    if bias.shape != (c_out,):
-        raise ValueError(f"convtranspose1d: bias shape {bias.shape} != ({c_out},)")
-    _check_stride_padding(stride, padding)
-    t = x.shape[2]
-    t_out = convtranspose_output_length(t, k, stride, padding)
-    if t_out < 1:
-        raise ValueError(
-            f"convtranspose1d: output length ({t}-1)*{stride} + {k} - 2*{padding} = {t_out} < 1"
-        )
-    y, _ = convtranspose1d_time_major_forward(_swap_layout(x), kernels, bias, stride, padding)
-    y = _swap_layout(y)
-    return y, ConvTranspose1dCtx(x, kernels, stride, padding, y.shape)
+    """Transposed 1D convolution of ``(N, C_in, T)`` input:
+    :func:`convtranspose1d_time_major_forward`, its output ``(N, C_out, T_out)``
+    and context."""
+    y, ctx = convtranspose1d_time_major_forward(_to_time_major(x, "convtranspose1d"), kernels,
+                                                bias, stride, padding)
+    return _swap_layout(y), ctx
 
 
-def convtranspose1d_backward(ctx: ConvTranspose1dCtx, upstream_grad) -> LayerGrad:
-    """Gradients of a convtranspose1d_forward call w.r.t. input, kernels and bias."""
-    g = _match_grad(upstream_grad, ctx.out_shape, "convtranspose1d_backward")
-    n, c_in, t = ctx.x.shape
-    grad_x = _swap_layout(_conv(np.empty((t, c_in, n)), _swap_layout(g), ctx.kernels,
-                                ctx.stride, ctx.padding))
-    padded = np.pad(g, ((0, 0), (0, 0), (ctx.padding, ctx.padding)))
-    return LayerGrad(grad_x, {
-        "kernels": _kernel_grads(ctx.x, padded, ctx.kernels.shape[2], ctx.stride),
-        "bias": g.sum(axis=(0, 2))})
-
-
-@dataclass
-class MaxPool1dCtx:
-    time_major: MaxPool1dTimeMajorCtx
-    in_shape: tuple[int, ...]
-    out_shape: tuple[int, ...]
-
-    @property
-    def indices(self) -> np.ndarray:
-        """``(N, C, T_out)`` absolute winning positions."""
-        tm = self.time_major
-        winners = np.zeros(tm.y.shape, dtype=int)
-        for i, mask in tm.winner_masks():
-            winners[mask] = i
-        return winners.transpose(2, 1, 0) + np.arange(self.out_shape[2]) * tm.stride
-
-    @property
-    def overlapping(self) -> bool:
-        """Window > stride: one position can win several windows."""
-        return self.time_major.window > self.time_major.stride
+def convtranspose1d_backward(ctx: ConvTranspose1dTimeMajorCtx, upstream_grad) -> LayerGrad:
+    """:func:`convtranspose1d_time_major_backward` of an ``(N, C_out, T_out)`` gradient."""
+    return _batch_first(convtranspose1d_time_major_backward(ctx, _swap_layout(upstream_grad)))
 
 
 def maxpool1d_forward(x, window: int, stride: int):
-    """Strided max pooling along time. Ties break to the lowest index.
-
-    Returns (output, ctx); ``ctx.indices`` records winning positions.
-    """
-    x = _as_f64(x)
-    _check_batch(x, 3, "maxpool1d")
-    y, ctx = maxpool1d_time_major_forward(_swap_layout(x), window, stride)
-    y = _swap_layout(y)
-    return y, MaxPool1dCtx(ctx, x.shape, y.shape)
+    """Strided max pooling along the time axis of ``(N, C, T)`` input:
+    :func:`maxpool1d_time_major_forward`, its output and context."""
+    y, ctx = maxpool1d_time_major_forward(_to_time_major(x, "maxpool1d"), window, stride)
+    return _swap_layout(y), ctx
 
 
-def maxpool1d_backward(ctx: MaxPool1dCtx, upstream_grad) -> LayerGrad:
-    """Route upstream gradient to the argmax positions, summed where
-    overlapping windows share one."""
-    g = _match_grad(upstream_grad, ctx.out_shape, "maxpool1d_backward")
-    lg = maxpool1d_time_major_backward(ctx.time_major, _swap_layout(g))
-    return LayerGrad(_swap_layout(lg.input_grad), {})
+def maxpool1d_backward(ctx: MaxPool1dTimeMajorCtx, upstream_grad) -> LayerGrad:
+    """:func:`maxpool1d_time_major_backward` of an ``(N, C, T_out)`` gradient."""
+    return _batch_first(maxpool1d_time_major_backward(ctx, _swap_layout(upstream_grad)))
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_subjects", "n_sentences", "words_per_sentence",
-                     "n_channels", "n_timepoints", "vocab_size"):
+        for name in ("n_subjects", "n_sentences", "words_per_sentence", "n_channels",
+                     "n_timepoints", "vocab_size", "static_dim", "contextual_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         floats = {name: getattr(self, name) for name in (

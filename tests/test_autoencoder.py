@@ -301,9 +301,9 @@ def batch_first_step(params, x, subject_ids):
     if params.spec.intercepts:
         grads["intercepts"] = np.zeros_like(params.tensors["intercepts"])
         np.add.at(grads["intercepts"], subject_rows, g.sum(axis=-1))
-    backward = {nn.Conv1dCtx: nn.conv1d_backward,
-                nn.ConvTranspose1dCtx: nn.convtranspose1d_backward,
-                nn.TanhCtx: nn.tanh_backward, nn.MaxPool1dCtx: nn.maxpool1d_backward}
+    backward = {nn.Conv1dTimeMajorCtx: nn.conv1d_backward,
+                nn.ConvTranspose1dTimeMajorCtx: nn.convtranspose1d_backward,
+                nn.TanhCtx: nn.tanh_backward, nn.MaxPool1dTimeMajorCtx: nn.maxpool1d_backward}
     for name, ctx in reversed(enc_ctxs + dec_ctxs):
         lg = backward[type(ctx)](ctx, g)
         grads.update({f"{name}.{k}": v for k, v in lg.param_grads.items()})

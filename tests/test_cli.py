@@ -325,6 +325,18 @@ class TestExitCodes:
         assert "error: FormatViolation: synth config" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, value", [("static_dim", 0), ("static_dim", -1),
+                                            ("contextual_dim", 0)])
+    def test_empty_embedding_width_is_1(self, tmp_path, capsys, key, value):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps({**SYNTH_CONFIG, key: value}))
+        assert run(["synth", "--config", path, "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: InvalidInput: {key} must be >= 1"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("edit", [
         lambda m: m.update(tensors=5),
         lambda m: m.update(meta=[]),

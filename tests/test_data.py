@@ -428,6 +428,18 @@ class TestFiltering:
         np.testing.assert_array_equal(ds2.data, ds.data[kept])
         assert [m.token for m in meta2] == [meta[i].token for i in kept]
 
+    @pytest.mark.parametrize("flag", ["true", "yes", "2", " 1"])
+    def test_artifact_flag_other_than_0_or_1_rejected(self, tmp_path, flag):
+        # a flag read as "not 1" would keep a flagged epoch as a clean trial
+        path = tmp_path / "set.meta.tsv"
+        data.save_meta(path, make_meta(3))
+        lines = path.read_text().split("\n")
+        lines[2] = lines[2].rsplit("\t", 1)[0] + "\t" + flag
+        path.write_text("\n".join(lines))
+        with pytest.raises(data.FormatError,
+                           match=f"^{path}: line 3: artifact flag '{flag}' is not 0 or 1$"):
+            data.load_meta(path)
+
 
 class TestFolds:
     def test_even_split(self):

@@ -65,7 +65,9 @@ class TestConv1d:
             np.testing.assert_allclose(y[0], conv1d_naive(x[0], w, b, stride, pad), atol=1e-12)
 
     def test_channel_mismatch_rejected(self):
-        with pytest.raises(ValueError, match=r"channels.*\(1, 2, 7\).*\(1, 3, 2\)"):
+        # the time-major op's check, on the swapped input
+        with pytest.raises(ValueError, match=r"^conv1d_time_major: input \(7, 2, 1\) and kernels "
+                                             r"\(1, 3, 2\)"):
             nn.conv1d_forward(np.zeros((1, 2, 7)), np.zeros((1, 3, 2)), np.zeros(1))
 
     def test_kernel_longer_than_input_rejected(self):
@@ -117,16 +119,24 @@ class TestConv1d:
         assert err_b < 1e-5
 
 
+def _pool_winners(ctx):
+    """``(N, C, T_out)`` absolute winning positions of a max-pooling context."""
+    winners = np.zeros(ctx.y.shape, dtype=int)
+    for i, mask in ctx.winner_masks():
+        winners[mask] = i
+    return _time_major(winners + np.arange(len(ctx.y))[:, None, None] * ctx.stride)
+
+
 class TestMaxPool1d:
     def test_hand_example(self):
         y, ctx = nn.maxpool1d_forward(np.array([[[3.0, 1.0, 4.0, 1.0]]]), window=2, stride=2)
         assert y.tolist() == [[[3.0, 4.0]]]
-        assert ctx.indices[0].tolist() == [[0, 2]]
+        assert _pool_winners(ctx)[0].tolist() == [[0, 2]]
 
     def test_ties_break_low(self):
         y, ctx = nn.maxpool1d_forward(np.full((1, 2, 6), 7.0), window=3, stride=3)
         np.testing.assert_array_equal(y, np.full((1, 2, 2), 7.0))
-        np.testing.assert_array_equal(ctx.indices[0], [[0, 3], [0, 3]])
+        np.testing.assert_array_equal(_pool_winners(ctx)[0], [[0, 3], [0, 3]])
 
     def test_matches_naive(self, rng):
         for _ in range(10):
@@ -137,7 +147,7 @@ class TestMaxPool1d:
             y, ctx = nn.maxpool1d_forward(x, w, s)
             ye, ie = maxpool1d_naive(x[0], w, s)
             np.testing.assert_array_equal(y[0], ye)
-            np.testing.assert_array_equal(ctx.indices[0], ie)
+            np.testing.assert_array_equal(_pool_winners(ctx)[0], ie)
 
     def test_window_too_large_rejected(self):
         with pytest.raises(ValueError, match="window 5 exceeds"):
@@ -170,7 +180,6 @@ class TestMaxPool1d:
         if ties:
             x = np.round(x)
         y, ctx = nn.maxpool1d_forward(x, window, stride)
-        assert ctx.overlapping == (window > stride)
         g = rng.normal(size=y.shape)
         grad = nn.maxpool1d_backward(ctx, g).input_grad
         for i in range(len(x)):
@@ -382,19 +391,6 @@ class TestTapEdgeGeometry:
         assert nn.finite_difference_check(
             lambda b: (lambda r: (r[0], r[1].param_grads["bias"]))(grads(y0, w0, b)), b0) < 1e-5
 
-    def test_conv1d_skipping_input_grad_keeps_param_grads_bitwise(self, rng, geometry, layout):
-        o = _edge_operands(rng, geometry, layout)
-        _, ctx = nn.conv1d_forward(_in_layout(o["x"], layout), _in_layout(o["w"], layout),
-                                   o["b_out"], stride=o["stride"], padding=o["pad"])
-        g = _in_layout(o["y"], layout)
-        full = nn.conv1d_backward(ctx, g)
-        skipped = nn.conv1d_backward(ctx, g, need_input_grad=False)
-        assert skipped.input_grad is None
-        assert full.input_grad.shape == o["x"].shape
-        assert set(skipped.param_grads) == set(full.param_grads)
-        for name, grad in full.param_grads.items():
-            np.testing.assert_array_equal(skipped.param_grads[name], grad)
-
     def test_convtranspose1d_backward_matches_loop_oracles(self, rng, geometry, layout):
         # the input gradient is the forward convolution of g with the same kernels
         o = _edge_operands(rng, geometry, layout)
@@ -432,8 +428,8 @@ def _time_major(a):
 
 @pytest.mark.parametrize("geometry", list(TIME_MAJOR_GEOMETRIES))
 class TestTimeMajorTransposedConv:
-    """The time-major transposed convolution against the (N, C, T) ops on
-    transposed arrays, finite differences and its own adjoint."""
+    """The time-major transposed convolution against the loop oracles, finite
+    differences and its own adjoint."""
 
     @staticmethod
     def operands(rng, geometry, n=3):
@@ -441,15 +437,20 @@ class TestTimeMajorTransposedConv:
         return (rng.normal(size=(n, c_in, t)), rng.normal(size=(c_in, c_out, k)),
                 rng.normal(size=c_out), stride, pad)
 
-    def test_forward_and_backward_match_batch_first_ops(self, rng, geometry):
+    def test_forward_and_gradients_match_loop_oracles(self, rng, geometry):
         x, w, b, stride, pad = self.operands(rng, geometry)
-        y, ctx = nn.convtranspose1d_forward(x, w, b, stride, pad)
-        y_tm, ctx_tm = nn.convtranspose1d_time_major_forward(_time_major(x), w, b, stride, pad)
-        assert np.abs(_time_major(y_tm) - y).max() <= 1e-12 * np.abs(y).max()
-        g = rng.normal(size=y.shape)
-        gx = nn.convtranspose1d_backward(ctx, g).input_grad
-        gx_tm = nn.convtranspose1d_time_major_backward(ctx_tm, _time_major(g)).input_grad
-        assert np.abs(_time_major(gx_tm) - gx).max() <= 1e-12 * np.abs(gx).max()
+        y, ctx = nn.convtranspose1d_time_major_forward(_time_major(x), w, b, stride, pad)
+        expected = _per_instance(convtranspose1d_naive, x, w, b, stride, pad)
+        np.testing.assert_allclose(_time_major(y), expected, rtol=0, atol=1e-12)
+        g = rng.normal(size=expected.shape)
+        lg = nn.convtranspose1d_time_major_backward(ctx, _time_major(g))
+        expected_x = _per_instance(conv1d_naive, g, w, np.zeros(len(w)), stride, pad)
+        np.testing.assert_allclose(_time_major(lg.input_grad), expected_x, rtol=0, atol=1e-12)
+        expected_w = sum(convtranspose1d_kernel_grad_naive(xi, gi, w.shape[2], stride, pad)
+                         for xi, gi in zip(x, g))
+        np.testing.assert_allclose(lg.param_grads["kernels"], expected_w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lg.param_grads["bias"], g.sum(axis=(0, 2)), rtol=0,
+                                   atol=1e-12)
 
     def test_input_gradient_matches_finite_differences(self, rng, geometry):
         x, w, b, stride, pad = self.operands(rng, geometry, n=2)
@@ -482,16 +483,6 @@ class TestTimeMajorTransposedConv:
         walked, param_grads = _stack_backward([("dec.deconv", ctx)], g)
         assert set(param_grads) == {"dec.deconv.kernels", "dec.deconv.bias"}
         np.testing.assert_array_equal(walked, lg.input_grad)
-
-    def test_parameter_gradients_match_batch_first_op(self, rng, geometry):
-        x, w, b, stride, pad = self.operands(rng, geometry)
-        y, ctx = nn.convtranspose1d_forward(x, w, b, stride, pad)
-        _, ctx_tm = nn.convtranspose1d_time_major_forward(_time_major(x), w, b, stride, pad)
-        g = rng.normal(size=y.shape)
-        expected = nn.convtranspose1d_backward(ctx, g).param_grads
-        got = nn.convtranspose1d_time_major_backward(ctx_tm, _time_major(g)).param_grads
-        for name in ("kernels", "bias"):
-            assert np.abs(got[name] - expected[name]).max() <= 1e-12 * np.abs(expected[name]).max()
 
 
 class TestTimeMajorTransposedConvInput:
@@ -978,3 +969,42 @@ class TestTimeMajorInput:
     def test_unbatched_pool_input_rejected(self):
         with pytest.raises(ValueError, match=r"maxpool1d_time_major: expected \(T, C, N\)"):
             nn.maxpool1d_time_major_forward(np.zeros((6, 2)), 2, 2)
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_adapts(op, x, args, g):
+    """``nn.<op>_forward`` and ``_backward`` on ``(N, C, T)`` arrays against the
+    time-major op on the swapped arrays: the same bits and the same context."""
+    y, ctx = getattr(nn, f"{op}_forward")(x, *args)
+    y_tm, ctx_tm = getattr(nn, f"{op}_time_major_forward")(_time_major(x), *args)
+    assert type(ctx) is type(ctx_tm)
+    _assert_same_bits(y, _time_major(y_tm))
+    lg = getattr(nn, f"{op}_backward")(ctx, g)
+    lg_tm = getattr(nn, f"{op}_time_major_backward")(ctx_tm, _time_major(g))
+    _assert_same_bits(lg.input_grad, _time_major(lg_tm.input_grad))
+    assert lg.param_grads.keys() == lg_tm.param_grads.keys()
+    for name, grad in lg_tm.param_grads.items():
+        _assert_same_bits(lg.param_grads[name], grad)
+
+
+class TestBatchFirstAdapters:
+    """Each batch-first op is its time-major op between two layout swaps."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("geometry", list(TAP_EDGE_GEOMETRIES))
+    def test_convolutions(self, rng, geometry, layout):
+        o = _edge_operands(rng, geometry, layout)
+        w, conv = _in_layout(o["w"], layout), (o["stride"], o["pad"])
+        _assert_adapts("conv1d", _in_layout(o["x"], layout), (w, o["b_out"], *conv),
+                       _in_layout(o["y"], layout))
+        _assert_adapts("convtranspose1d", _in_layout(o["y"], layout), (w, o["b_in"], *conv),
+                       _in_layout(o["x"], layout))
+
+    @pytest.mark.parametrize("t, window, stride", POOL_GEOMETRIES)
+    def test_maxpool1d(self, rng, t, window, stride):
+        x = np.round(rng.normal(size=(3, 4, t)))  # ties, and overlapping windows sharing them
+        t_out = nn.conv_output_length(t, window, stride, 0)
+        _assert_adapts("maxpool1d", x, (window, stride), rng.normal(size=(3, 4, t_out)))
