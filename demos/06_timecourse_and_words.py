@@ -50,9 +50,8 @@ for t in range(0, len(smoothed), 10):
     print(f"{smoothed.ms_axis[t]:>6.0f} ms | {bar}")
 
 # per-word correlations with the +/-1 coding scheme for mixed-effects software
-table = metrics.per_word_correlations(preds, dataset.data, meta,
-                                      model_name="freq+surp",
-                                      sources=model.sources)
+table = metrics.word_level_table(metrics.trial_correlations(preds, dataset.data), meta,
+                                 model_name="freq+surp", sources=model.sources)
 summary = metrics.content_function_summary(table)
 print(f"\nmean per-word r: content {summary['content']['mean_r']:.3f} "
       f"(n={summary['content']['n']}), function {summary['function']['mean_r']:.3f} "

@@ -38,8 +38,8 @@ from .encoding import (EncodingModel, FrozenDecoder, freeze, load_encoding_model
 from .features import (FeatureMatrix, FeatureSpec, apply_standardizer, assemble,  # noqa: E402
                        fit_standardizer)
 from .metrics import (EvalReport, TimecourseSeries, WordLevelTable, bootstrap_ci,  # noqa: E402
-                      content_function_summary, moving_average_smooth,
-                      per_word_correlations, r2_mod, timepoint_correlation_increase)
+                      content_function_summary, moving_average_smooth, r2_mod,
+                      timepoint_correlation_increase, trial_correlations, word_level_table)
 from .synth import GroundTruth, SynthConfig, calibrate_noise, generate, oracle_bounds  # noqa: E402
 
 __all__ = [
@@ -55,7 +55,7 @@ __all__ = [
     "FeatureMatrix", "FeatureSpec", "apply_standardizer", "assemble",
     "fit_standardizer",
     "EvalReport", "TimecourseSeries", "WordLevelTable", "bootstrap_ci",
-    "content_function_summary", "moving_average_smooth", "per_word_correlations",
-    "r2_mod", "timepoint_correlation_increase",
+    "content_function_summary", "moving_average_smooth", "r2_mod",
+    "timepoint_correlation_increase", "trial_correlations", "word_level_table",
     "GroundTruth", "SynthConfig", "calibrate_noise", "generate", "oracle_bounds",
 ]

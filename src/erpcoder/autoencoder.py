@@ -68,6 +68,10 @@ ARCHITECTURES = ("alpha", "beta")
 # Share of the trials that pretrain and encoding.train hold out to pick the
 # best epoch; a protocol constant, not a setting.
 DEV_FRACTION = 0.1
+# The default training schedule of pretraining and of the encoding-model fits.
+EPOCHS = 200
+BATCH_SIZE = 128
+LR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -549,7 +553,7 @@ def _cross_validate(fit_score, folds, groups) -> list[list]:
 
 
 def pretrain(spec: AutoencoderSpec, dataset: ErpDataset, meta: list[TrialMeta], *,
-             epochs: int = 200, batch_size: int = 128, lr: float = 0.001,
+             epochs: int = EPOCHS, batch_size: int = BATCH_SIZE, lr: float = LR,
              seed: int = 0) -> tuple[AutoencoderParams, TrainHistory]:
     """Train the autoencoder under MSE; keep the best dev epoch's parameters.
 
@@ -643,7 +647,8 @@ def reconstruction_mse(params: AutoencoderParams, dataset: ErpDataset,
 
 def select_architecture(dataset: ErpDataset, meta: list[TrialMeta],
                         candidates=None, k: int = 5, seed: int = 0, *,
-                        epochs: int = 200, batch_size: int = 128, lr: float = 0.001) -> dict:
+                        epochs: int = EPOCHS, batch_size: int = BATCH_SIZE,
+                        lr: float = LR) -> dict:
     """K-fold cross-validated reconstruction comparison of candidate specs.
 
     Returns a JSON-ready report with per-fold MSE and pooled R^2

@@ -104,11 +104,12 @@ def load_checkpoint(basepath, expect_kind: str | None = None, hasher=None
 
 
 def require_tensors(tensors: dict[str, np.ndarray], shapes: dict, where) -> None:
-    """Check ``tensors`` against ``shapes``, a map from tensor name to its
-    expected shape (None: any shape).
+    """Check that ``tensors`` holds exactly the tensors ``shapes`` names, a map
+    from tensor name to its expected shape (None: any shape).
 
     Raises :class:`FormatError` naming the checkpoint manifest ``where`` and
-    the first tensor that is missing or whose shape differs, with both shapes.
+    the first tensor that is missing or whose shape differs, with both shapes,
+    or else the first tensor that ``shapes`` does not name.
     """
     for name, shape in shapes.items():
         if name not in tensors:
@@ -116,3 +117,6 @@ def require_tensors(tensors: dict[str, np.ndarray], shapes: dict, where) -> None
         if shape is not None and tensors[name].shape != tuple(shape):
             raise FormatError(f"{where}: tensor {name!r} has shape "
                               f"{list(tensors[name].shape)}, expected {list(shape)}")
+    for name in tensors:
+        if name not in shapes:
+            raise FormatError(f"{where}: checkpoint has unexpected tensor {name!r}")

@@ -117,14 +117,13 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float, default=None)
 
 
-_TRAIN_DEFAULTS = {"epochs": 200, "batch_size": 128, "lr": 0.001}
-
-
 def _hyper(values: dict) -> dict:
     """Training hyperparameters from ``values`` (``vars(args)`` or a suite
-    config), with ``_TRAIN_DEFAULTS`` for those it leaves unset."""
-    return {key: _TRAIN_DEFAULTS[key] if values.get(name) is None else values[name]
-            for key, name in (("epochs", "epochs"), ("batch_size", "batch"), ("lr", "lr"))}
+    config), with the library's default schedule for those it leaves unset."""
+    return {key: default if values.get(name) is None else values[name]
+            for key, name, default in (("epochs", "epochs", autoencoder.EPOCHS),
+                                       ("batch_size", "batch", autoencoder.BATCH_SIZE),
+                                       ("lr", "lr", autoencoder.LR))}
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +271,9 @@ def _cmd_suite(args) -> int:
                             optional=_SUITE_KEYS)
     config_inputs = _hashed([args.config])
     roster = None
-    if config.get("roster"):
+    if config.get("roster") == []:
+        raise FormatError(f"{where}: 'roster' is empty")
+    if config.get("roster") is not None:
         roster = []
         reports: dict[str, str] = {}  # report file -> the entry name that writes it
         for i, entry in enumerate(config["roster"]):
@@ -296,6 +297,10 @@ def _cmd_suite(args) -> int:
                 raise FormatError(f"{at}: name {name!r} writes {report}, "
                                   f"as entry {reports[report]!r} does")
             reports[report] = name
+            try:
+                FeatureSpec(tuple(entry["sources"]))
+            except ValueError as e:
+                raise FormatError(f"{at}: sources of {name!r}: {e}") from None
             roster.append((name, tuple(entry["sources"])))
     decoder, decoder_inputs = _load_hashed(autoencoder.load_autoencoder, config["decoder"])
     dataset, meta, tables, inputs = _load_inputs(config["data"], config)
@@ -421,6 +426,18 @@ def _cmd_export_words(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _smoothing_window(text: str) -> int:
+    """``timecourse --window``: an odd number of samples, at least 1, checked
+    as the command line is parsed, before any input is read."""
+    try:
+        window = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if window < 1 or window % 2 == 0:
+        raise argparse.ArgumentTypeError(f"must be odd and >= 1, got {window}")
+    return window
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="erpcoder",
@@ -488,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--autoencoder", required=True)
     p.add_argument("--data", required=True)
     _add_table_flags(p)
-    p.add_argument("--window", type=int, default=9)
+    p.add_argument("--window", type=_smoothing_window, default=9)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_timecourse)
 

@@ -100,9 +100,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
-from .autoencoder import (DEV_FRACTION, AutoencoderParams, TrainHistory, _add_intercepts,
-                          _cross_validate, _fit_epochs, _map_chunks, _stack_backward,
-                          _stack_forward, _take, decode, reconstruction_mse)
+from .autoencoder import (BATCH_SIZE, DEV_FRACTION, EPOCHS, LR, AutoencoderParams,
+                          TrainHistory, _add_intercepts, _cross_validate, _fit_epochs,
+                          _map_chunks, _stack_backward, _stack_forward, _take, decode,
+                          reconstruction_mse)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
 from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_split,
                    train_dev_split)
@@ -142,9 +143,10 @@ class FrozenDecoder:
 
     ``digest`` is the decoder's content hash when :func:`freeze` built this.
     Row ``i`` of ``meta`` (None when frozen without trial records), ``r`` and
-    ``c`` belongs to trial ``i`` of the epochs; ``n_out`` is the number of
-    values in one epoch. Latents, hidden activations and their gradients are
-    time-major, ``(T, C, N)`` with the trials in the last axis.
+    ``c`` belongs to trial ``i`` of the epochs; ``n_out``, from the decoder's
+    spec, is the number of values in one epoch. Latents, hidden activations
+    and their gradients are time-major, ``(T, C, N)`` with the trials in the
+    last axis.
     """
 
     decoder: AutoencoderParams
@@ -153,11 +155,14 @@ class FrozenDecoder:
     band: np.ndarray  # (T_hid, C_hid, (2w+1)·C_hid): AᵀA as a block band in time
     r: np.ndarray  # (N, T_hid, C_hid): Aᵀ(y - b - intercept)
     c: np.ndarray  # (N,): ||y - b - intercept||²
-    n_out: int
 
     @property
     def n_trials(self) -> int:
         return len(self.c)
+
+    @property
+    def n_out(self) -> int:
+        return self.decoder.spec.n_channels * self.decoder.spec.n_timepoints
 
     def take(self, rows) -> "FrozenDecoder":
         meta = None if self.meta is None else [self.meta[i] for i in rows]
@@ -246,8 +251,7 @@ def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
 
     _map_chunks(fill, dataset.n_trials)
     meta = None if meta is None else list(meta)
-    return FrozenDecoder(decoder, decoder.decoder_digest(), meta, band, r, c,
-                         dataset.n_channels * dataset.n_timepoints)
+    return FrozenDecoder(decoder, decoder.decoder_digest(), meta, band, r, c)
 
 
 def _split_columns(matrix_names: list[str], sources) -> tuple[np.ndarray, np.ndarray]:
@@ -402,7 +406,7 @@ def _check_filtered(meta: list[TrialMeta] | None) -> None:
 
 
 def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
-          epochs: int = 200, batch_size: int = 128, lr: float = 0.001,
+          epochs: int = EPOCHS, batch_size: int = BATCH_SIZE, lr: float = LR,
           weight_decay: float = 0.0, seed: int = 0) -> tuple[EncodingModel, TrainHistory]:
     """Fit interface (and tuner) to predict the epochs of ``frozen`` from features.
 
@@ -510,8 +514,9 @@ def _grid_search(grid, per_wd) -> tuple[float, list[dict], list[float]]:
 
 
 def weight_decay_search(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
-                        k: int = 5, seed: int = 0, epochs: int = 200,
-                        batch_size: int = 128, lr: float = 0.001) -> tuple[float, list[dict]]:
+                        k: int = 5, seed: int = 0, epochs: int = EPOCHS,
+                        batch_size: int = BATCH_SIZE, lr: float = LR
+                        ) -> tuple[float, list[dict]]:
     """Choose the weight decay of :data:`WEIGHT_DECAY_GRID` with the best mean
     held-out MSE over k folds.
 
@@ -552,7 +557,7 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
                     counts_table=None, token_features=None, embeddings=None,
                     sentence_tokens=None, k: int = 5, seed: int = 0,
                     weight_decay: float | None = None, wd_grid=WEIGHT_DECAY_GRID,
-                    epochs: int = 200, batch_size: int = 128, lr: float = 0.001,
+                    epochs: int = EPOCHS, batch_size: int = BATCH_SIZE, lr: float = LR,
                     n_boot: int = 10000, ceiling_mse: float | None = None) -> dict:
     """Cross-validated comparison of roster models sharing one fold assignment.
 
@@ -563,16 +568,22 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
     entry runs the weight-decay grid search over the same folds and reports
     the best, over ``wd_grid`` with ``weight_decay=None`` and over the
     one-value grid ``(weight_decay,)`` otherwise. Each source's feature block
-    is built once, for every entry that lists it. Entries whose feature
-    sources cannot be assembled are skipped with a warning; a name that two
-    entries share raises ``ValueError`` before any fit. Returns a dict with
-    per-entry :class:`metrics.EvalReport` data.
+    is built once, for every entry that lists it. An entry whose blocks
+    cannot be built (a table not supplied, say) is skipped with a warning; a
+    name that two entries share, or sources that make no
+    :class:`features.FeatureSpec`, raise ``ValueError`` before any fit.
+    Returns a dict with per-entry :class:`metrics.EvalReport` data.
     """
     roster = standard_roster() if roster is None else list(roster)
     names = [name for name, _ in roster]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValueError(f"suite roster repeats entry names {repeated}")
+    for name, sources in roster:
+        try:
+            FeatureSpec(tuple(sources))
+        except ValueError as e:
+            raise ValueError(f"suite roster entry {name!r}: {e}") from None
     grid = tuple(wd_grid) if weight_decay is None else (weight_decay,)
     if not grid:
         raise ValueError("weight decay grid is empty")
@@ -587,9 +598,9 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
     blocks: dict = {}  # each source's block, or the ValueError building it raised
 
     def assemble_for(sources) -> FeatureMatrix:
-        # as features.assemble, but each source's block is built once per suite
-        spec = FeatureSpec(tuple(sources))
-        for source in spec.sources:
+        # as features.assemble, but each source's block is built once per suite;
+        # the roster's sources are checked above
+        for source in sources:
             if source not in blocks:
                 try:
                     blocks[source] = source_block(
@@ -599,7 +610,7 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
                     blocks[source] = e
             if isinstance(blocks[source], ValueError):
                 raise blocks[source]
-        return from_blocks(spec.sources, blocks)
+        return from_blocks(sources, blocks)
 
     def group(features, sources, wd, entry_code: int, wd_code: int) -> tuple:
         return features, sources, wd, [derived_seed(entry_code, wd_code, f) for f in range(k)]
@@ -652,11 +663,6 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
 # ---------------------------------------------------------------------------
 
 
-def _tuner_record(params) -> dict:
-    """The checkpoint's ``tuner`` record for the trainable tensors ``params`` names."""
-    return {"enabled": "tuner.w1" in params, "hidden_size": TUNER_WIDTH, "output_size": None}
-
-
 def save_encoding_model(basepath, model: EncodingModel) -> None:
     # interface.* before tuner.*, whatever order training built them in
     tensors = dict(sorted(model.params.items(),
@@ -665,11 +671,8 @@ def save_encoding_model(basepath, model: EncodingModel) -> None:
     tensors["standardizer.scale"] = model.standardizer.scale
     meta = {
         "decoder_digest": model.decoder_digest,
-        "decoder_spec": model.decoder.spec.to_json_dict(),
-        "frozen": True,
         "sources": list(model.sources),
         "feature_names": model.feature_names,
-        "tuner": _tuner_record(model.params),
         "weight_decay": model.weight_decay,
     }
     save_checkpoint(basepath, "encoding_model", meta, tensors)
@@ -683,7 +686,7 @@ def load_encoding_model(basepath, decoder: AutoencoderParams, hasher=None) -> En
     where = checkpoint_files(basepath)[0]
     meta = checked_fields(meta, {
         "decoder_digest": str, "sources": tuple[str, ...], "feature_names": tuple[str, ...],
-        "tuner": dict, "weight_decay": float}, f"{where}: meta")
+        "weight_decay": float}, f"{where}: meta")
     digest = decoder.decoder_digest()
     if digest != meta["decoder_digest"]:
         raise FormatError(
@@ -698,12 +701,6 @@ def load_encoding_model(basepath, decoder: AutoencoderParams, hasher=None) -> En
     plan = decoder.plan
     trainable = _trainable_shapes(len(embed_cols), len(scalar_cols), plan.latent_channels,
                                   plan.latent_timepoints)
-    checked_fields(meta["tuner"], {"enabled": bool, "hidden_size": int,
-                                   "output_size": int | None}, f"{where}: meta 'tuner'")
-    implied = _tuner_record(trainable)
-    if meta["tuner"] != implied:  # strict, as checked_fields has checked the types
-        raise FormatError(
-            f"{where}: meta 'tuner' is {meta['tuner']}, sources {list(sources)} imply {implied}")
     require_tensors(tensors, {**trainable, "standardizer.mean": (len(names),),
                               "standardizer.scale": (len(names),)}, where)
     if not (tensors["standardizer.scale"] > 0).all():

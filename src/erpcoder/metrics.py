@@ -142,12 +142,6 @@ def pooled_timepoint_scorer(actual: np.ndarray):
     return r
 
 
-def pooled_timepoint_correlations(actual: np.ndarray, *preds: np.ndarray) -> list[np.ndarray]:
-    """Each of ``preds`` scored by one :func:`pooled_timepoint_scorer` of ``actual``."""
-    r = pooled_timepoint_scorer(actual)
-    return [r(x) for x in preds]
-
-
 def pooled_variance(x: np.ndarray) -> float:
     """The variance of all values of ``x``, ``x.var()`` up to rounding: the mean,
     then the mean squared deviation from it, each summed over blocks of
@@ -167,9 +161,10 @@ def timepoint_correlation_increase(model_preds: np.ndarray, intercept_preds: np.
                                    actual: np.ndarray,
                                    ms_axis: np.ndarray) -> TimecourseSeries:
     """Per-timepoint pooled r of the model minus that of the intercept model,
-    unsmoothed, on the epoch's millisecond axis ``ms_axis``."""
-    r_model, r_intercept = pooled_timepoint_correlations(actual, model_preds, intercept_preds)
-    return TimecourseSeries(r_model - r_intercept, 1, ms_axis)
+    unsmoothed, on the epoch's millisecond axis ``ms_axis``: both scored by
+    one :func:`pooled_timepoint_scorer` of ``actual``."""
+    r = pooled_timepoint_scorer(actual)
+    return TimecourseSeries(r(model_preds) - r(intercept_preds), 1, ms_axis)
 
 
 def moving_average_smooth(series, window: int):
@@ -231,6 +226,8 @@ class WordLevelTable:
 def trial_correlations(preds: np.ndarray, actual: np.ndarray) -> list[tuple[float, bool]]:
     """Per trial, the Pearson r of its flattened predicted epoch against its
     actual one, and whether either has zero variance (r is then 0.0)."""
+    if preds.shape != actual.shape:
+        raise ValueError(f"prediction shape {preds.shape} != actual {actual.shape}")
     return [_pearson_flagged(p.ravel(), a.ravel()) for p, a in zip(preds, actual)]
 
 
@@ -260,16 +257,6 @@ def word_level_table(correlations: list[tuple[float, bool]], meta: list[TrialMet
             row[f"has_{fam}"] = code
         rows.append(row)
     return WordLevelTable(rows, model_name)
-
-
-def per_word_correlations(model_preds: np.ndarray, actual: np.ndarray,
-                          meta: list[TrialMeta], *, model_name: str = "model",
-                          sources: tuple[str, ...] = ()) -> WordLevelTable:
-    """Per-trial Pearson r over the flattened epoch."""
-    if model_preds.shape != actual.shape:
-        raise ValueError(f"prediction shape {model_preds.shape} != actual {actual.shape}")
-    return word_level_table(trial_correlations(model_preds, actual), meta,
-                            model_name=model_name, sources=sources)
 
 
 def content_function_summary(table: WordLevelTable) -> dict:

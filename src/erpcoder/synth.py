@@ -106,9 +106,7 @@ class GroundTruth:
     latent_bias: np.ndarray  # (C, T_lat)
     latents: np.ndarray  # (n_trials, C, T_lat)
     driving_columns: dict[str, np.ndarray]  # standardized columns, (n_trials, d_s)
-    noise_sd: float
     mse_floor: float  # noise variance
-    driven_latent_timepoints: tuple[int, ...] | None = None
 
 
 @dataclass
@@ -250,9 +248,7 @@ def generate(config: SynthConfig) -> SynthData:
         latent_bias=latent_bias,
         latents=latents,
         driving_columns=driving_columns,
-        noise_sd=config.noise_sd,
         mse_floor=config.noise_sd**2,
-        driven_latent_timepoints=config.driven_latent_timepoints,
     )
     return SynthData(config, dataset, meta, counts, embeddings, token_features,
                      sentence_tokens, truth)
@@ -389,11 +385,7 @@ def write_dataset_dir(synth: SynthData, outdir) -> None:
         tensors[f"decoder.{name}"] = t
     save_checkpoint(out / "truth", "synth_truth", {
         "driving": list(truth.driving_columns),
-        "noise_sd": truth.noise_sd,
         "mse_floor": truth.mse_floor,
-        "driven_latent_timepoints": (
-            None if truth.driven_latent_timepoints is None
-            else list(truth.driven_latent_timepoints)),
         "decoder_spec": truth.decoder.spec.to_json_dict(),
         "decoder_plan": truth.decoder.plan.to_json_dict(),
     }, tensors)
@@ -405,19 +397,19 @@ def load_ground_truth(basepath) -> GroundTruth:
     where = checkpoint_files(basepath)[0]
     meta = checked_fields(meta, {
         "decoder_spec": dict, "decoder_plan": dict, "driving": tuple[str, ...],
-        "noise_sd": float, "mse_floor": float,
-        "driven_latent_timepoints": tuple[int, ...] | None}, f"{where}: meta")
+        "mse_floor": float}, f"{where}: meta")
     spec = checked_spec(meta, "decoder_spec", "decoder_plan", where)
     plan = build_layer_plan(spec)
     lat = (plan.latent_channels, plan.latent_timepoints)
-    require_tensors(tensors, {
-        **{f"decoder.{n}": shape for n, shape in tensor_shapes(spec).items()
-           if n.startswith("dec")},
+    # every tensor of the decoder's autoencoder, as the writer saves them all
+    shapes = {
+        **{f"decoder.{n}": shape for n, shape in tensor_shapes(spec).items()},
         **{f"{kind}.{s}": None for s in meta["driving"] for kind in ("interface", "columns")},
-        "latent_bias": lat, "latents": None}, where)
+        "latent_bias": lat, "latents": None}
+    require_tensors(tensors, shapes, where)
     # the trial count comes from `latents`, each source's width from its interface
     n = tensors["latents"].shape[0] if tensors["latents"].ndim else 0
-    shapes = {"latents": (n, *lat)}
+    shapes["latents"] = (n, *lat)
     for s in meta["driving"]:
         interface = tensors[f"interface.{s}"]
         d = interface.shape[-1] if interface.ndim else 0
@@ -434,9 +426,5 @@ def load_ground_truth(basepath) -> GroundTruth:
         latent_bias=tensors["latent_bias"],
         latents=tensors["latents"],
         driving_columns={s: tensors[f"columns.{s}"] for s in meta["driving"]},
-        noise_sd=float(meta["noise_sd"]),
         mse_floor=float(meta["mse_floor"]),
-        driven_latent_timepoints=(
-            None if meta["driven_latent_timepoints"] is None
-            else tuple(meta["driven_latent_timepoints"])),
     )

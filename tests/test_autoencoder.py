@@ -657,6 +657,21 @@ class TestCheckpoint:
                            match=f"model.ckpt.json: checkpoint has no tensor '{tensor}'"):
             ae.load_autoencoder(tmp_path / "model")
 
+    @pytest.mark.parametrize("intercepts, tensor", [
+        (False, "dec7.bias"), (False, "intercepts"), (True, "enc9.kernels")])
+    def test_extra_tensor_rejected(self, tmp_path, intercepts, tensor):
+        # an extra decoder tensor used to load, change decoder_digest() and be
+        # written back out by save_autoencoder
+        params = ae.init_params(ae.AutoencoderSpec("beta", intercepts, 8, 50), seed=1,
+                                subjects=("s1",))
+        ae.save_autoencoder(tmp_path / "model", params)
+        kind, meta, tensors = load_checkpoint(tmp_path / "model")
+        save_checkpoint(tmp_path / "model", kind, meta, {**tensors, tensor: np.ones((1, 8))})
+        with pytest.raises(FormatError) as err:
+            ae.load_autoencoder(tmp_path / "model")
+        assert str(err.value) == (
+            f"{tmp_path / 'model.ckpt.json'}: checkpoint has unexpected tensor {tensor!r}")
+
     @pytest.mark.parametrize("tensor, stored, expected", [
         ("dec1.kernels", [32, 16, 9], [16, 32, 9]),  # same byte count, axes swapped
         ("enc0.bias", [16, 1], [16]),

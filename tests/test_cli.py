@@ -240,8 +240,9 @@ class TestPipeline:
         fm = assemble(FeatureSpec(model.sources), meta,
                       counts_table=load_counts(pipeline / "d" / "counts.tsv"),
                       token_features=load_token_features(pipeline / "d" / "tokens.feat.tsv"))
-        metrics.per_word_correlations(
-            predict_erp(model, fm), dataset.data, meta, model_name="+".join(model.sources),
+        metrics.word_level_table(
+            metrics.trial_correlations(predict_erp(model, fm), dataset.data), meta,
+            model_name="+".join(model.sources),
             sources=model.sources).to_tsv(tmp_path / "expected.tsv")
         assert (tmp_path / "w" / "words.tsv").read_bytes() == \
                (tmp_path / "expected.tsv").read_bytes()
@@ -432,31 +433,17 @@ class TestExitCodes:
         (lambda m: m.pop("weight_decay"), "meta is missing 'weight_decay'"),
         (lambda m: m.update(sources="constant"), "meta: 'sources' needs tuple[str, ...]"),
         (lambda m: m.update(decoder_digest=None), "meta: 'decoder_digest' needs str"),
-        (lambda m: m["tuner"].update(hidden_size="64"), "meta 'tuner': 'hidden_size' needs int"),
-        (lambda m: m["tuner"].update(output_size=1.5),
-         "meta 'tuner': 'output_size' needs int | None"),
         (lambda m: m.update(sources=["bogus"]),
          "meta 'sources': unknown feature sources ['bogus']"),
-        (lambda m: m["tuner"].update(enabled=0), "meta 'tuner': 'enabled' needs bool"),
-        (lambda m: m["tuner"].update(hidden_size=64.0), "meta 'tuner': 'hidden_size' needs int"),
-        # well-typed, but not the record the sources imply
-        (lambda m: m["tuner"].update(enabled=True),
-         "meta 'tuner' is {'enabled': True, 'hidden_size': 64, 'output_size': None}, "
-         "sources ['constant'] imply {'enabled': False, 'hidden_size': 64, 'output_size': None}"),
-        (lambda m: m["tuner"].update(hidden_size=32),
-         "meta 'tuner' is {'enabled': False, 'hidden_size': 32, 'output_size': None}, "),
-        # the constant model's record, under an embedding source and column
+        # the constant model's tensors, under an embedding source and column
         (lambda m: m.update(sources=["static_embedding"], feature_names=["static_embedding.0"]),
-         "meta 'tuner' is {'enabled': False, 'hidden_size': 64, 'output_size': None}, "
-         "sources ['static_embedding'] imply {'enabled': True, "),
+         "checkpoint has no tensor 'tuner.w1'"),
         # well-typed sources that are not those of the stored columns
         (lambda m: m.update(sources=["frequency"]),
          "meta 'sources': feature columns ['constant'] are not the columns ['frequency'] "
          "of sources ['frequency']"),
-    ], ids=["no_weight_decay", "sources_string", "digest_null", "hidden_size_string",
-            "output_size_float", "unknown_source", "enabled_int", "hidden_size_float",
-            "tuner_without_embedding", "hidden_size_32", "embedding_without_tuner",
-            "sources_not_the_columns"])
+    ], ids=["no_weight_decay", "sources_string", "digest_null", "unknown_source",
+            "embedding_without_tuner", "sources_not_the_columns"])
     def test_malformed_model_meta_is_4(self, pipeline, tmp_path, capsys, edit, message):
         manifest = self._copy_checkpoint(pipeline / "e0" / "model", tmp_path / "model")
         edit(manifest["meta"])
@@ -523,6 +510,31 @@ class TestExitCodes:
         assert code == 4
         assert (f"error: FormatViolation: {tmp_path / 'ae.ckpt.json'}: tensor 'dec1.kernels' "
                 f"has shape [6, 16, 9], expected [16, 6, 9]") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_extra_checkpoint_tensor_is_4(self, pipeline, tmp_path, capsys, command):
+        # an autoencoder's extra tensor used to load, change the decoder's
+        # digest and be written back out
+        if command == "fit":
+            source, tensor = pipeline / "m" / "autoencoder", "dec7.bias"
+            args = ["fit", "--decoder", tmp_path / "ckpt", "--data", pipeline / "d" / "data",
+                    "--sources", "constant"]
+        else:
+            source, tensor = pipeline / "e0" / "model", "tuner.w1"  # the constant model's
+            args = ["evaluate", "--model", pipeline / "e1" / "model",
+                    "--intercept", tmp_path / "ckpt",
+                    "--autoencoder", pipeline / "m" / "autoencoder",
+                    "--data", pipeline / "d" / "data",
+                    "--features", pipeline / "d" / "tokens.feat.tsv",
+                    "--counts", pipeline / "d" / "counts.tsv"]
+        self._copy_checkpoint(source, tmp_path / "ckpt")
+        kind, meta, tensors = load_checkpoint(tmp_path / "ckpt")
+        save_checkpoint(tmp_path / "ckpt", kind, meta, {**tensors, tensor: np.ones((6, 1))})
+        assert run([*args, "--out", tmp_path / "o"]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: FormatViolation: {tmp_path / 'ckpt.ckpt.json'}: checkpoint has "
+            f"unexpected tensor {tensor!r}"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("edit, message", [
@@ -652,6 +664,57 @@ class TestExitCodes:
             f"error: FormatViolation: {path}: suite config roster entry 1: {message}"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("roster, message", [
+        ([{"name": "typo", "sources": ["frequncy"]}],
+         " roster entry 0: sources of 'typo': unknown feature sources ['frequncy']"),
+        ([{"name": "none", "sources": []}],
+         " roster entry 0: sources of 'none': feature spec needs at least one source"),
+        ([{"name": "intercept", "sources": ["constant"]},
+          {"name": "twice", "sources": ["frequency", "frequency"]}],
+         " roster entry 1: sources of 'twice': duplicate sources"),
+        ([{"name": "mixed", "sources": ["constant", "frequency"]}],
+         " roster entry 0: sources of 'mixed': constant is mutually exclusive"),
+        ([], ": 'roster' is empty"),
+    ], ids=["unknown_source", "no_sources", "repeated_source", "constant_and_other",
+            "empty_roster"])
+    def test_suite_roster_that_fits_no_model_is_4(self, pipeline, tmp_path, capsys,
+                                                  monkeypatch, roster, message):
+        # such an entry used to be skipped, and an empty roster ran the standard
+        # one; both exited 0. Now the config is refused before any work runs.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the suite froze its decoder")
+
+        monkeypatch.setattr(encoding, "freeze", no_work)
+        config = {"data": str(pipeline / "d" / "data"),
+                  "decoder": str(pipeline / "m" / "autoencoder"),
+                  "counts": str(pipeline / "d" / "counts.tsv"), "folds": 2, "epochs": 1,
+                  "roster": roster}
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(config))
+        assert run(["suite", "--config", path, "--out", tmp_path / "o"]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: FormatViolation: {path}: suite config{message}")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("window", [4, 0, -3])
+    def test_bad_timecourse_window_is_2(self, pipeline, tmp_path, capsys, monkeypatch,
+                                        window):
+        # found as the command line is parsed, not after two full predictions
+        def no_read(*args, **kwargs):
+            raise AssertionError("timecourse read its data")
+
+        monkeypatch.setattr(cli, "load_erp", no_read)
+        code = run(["timecourse", "--model", pipeline / "e1" / "model",
+                    "--intercept", pipeline / "e0" / "model",
+                    "--autoencoder", pipeline / "m" / "autoencoder",
+                    "--data", pipeline / "d" / "data", "--window", window,
+                    "--out", tmp_path / "o"])
+        assert code == 2
+        assert (f"argument --window: must be odd and >= 1, got {window}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_longest_report_file_name_accepted(self, pipeline, tmp_path):
         name = "x" * (255 - len("report_.json"))
         config = {"data": str(pipeline / "d" / "data"),
@@ -696,7 +759,10 @@ class TestExitCodes:
                                     encoding.run_model_suite], ids=lambda fn: fn.__name__)
     def test_training_defaults_are_the_library_defaults(self, fn):
         params = inspect.signature(fn).parameters
-        assert {key: params[key].default for key in cli._TRAIN_DEFAULTS} == cli._TRAIN_DEFAULTS
+        defaults = {"epochs": autoencoder.EPOCHS, "batch_size": autoencoder.BATCH_SIZE,
+                    "lr": autoencoder.LR}
+        assert {key: params[key].default for key in defaults} == defaults
+        assert cli._hyper({}) == defaults
 
     @pytest.mark.parametrize("subjects, message", [
         (None, "must list the subjects of the intercept table, got None"),

@@ -566,6 +566,26 @@ class TestSuite:
                 ceiling_mse=sd.ground_truth.mse_floor)
         assert fits == []
 
+    @pytest.mark.parametrize("sources, message", [
+        (("frequncy",), "unknown feature sources ['frequncy']"),
+        ((), "feature spec needs at least one source"),
+        (("frequency", "frequency"), "duplicate sources"),
+        (("constant", "frequency"), "constant is mutually exclusive with all other sources"),
+    ], ids=["unknown", "empty", "repeated", "constant_and_other"])
+    def test_bad_entry_sources_rejected_before_any_fit(self, small_synth, monkeypatch,
+                                                       sources, message):
+        # such an entry used to be skipped with a warning, as a missing table is
+        sd, ds, meta = small_synth
+        fits = []
+        monkeypatch.setattr(encoding, "train", lambda *a, **kw: fits.append(a))
+        with pytest.raises(ValueError, match=re.escape(f"suite roster entry 'bad': {message}")):
+            encoding.run_model_suite(
+                sd.ground_truth.decoder, ds, meta,
+                [("intercept", ("constant",)), ("bad", sources)],
+                counts_table=sd.counts, k=2, seed=1, weight_decay=1e-5, epochs=2,
+                ceiling_mse=sd.ground_truth.mse_floor)
+        assert fits == []
+
     def test_standard_roster_has_nine_entries(self):
         roster = encoding.standard_roster()
         assert len(roster) == 9
@@ -763,6 +783,45 @@ class TestCheckpoint:
         for suffix in (".ckpt.json", ".ckpt.bin"):
             assert ((tmp_path / f"again{suffix}").read_bytes()
                     == (tmp_path / f"m{suffix}").read_bytes())
+
+    @pytest.mark.parametrize("sources", [("constant",), ("frequency", "static_embedding")],
+                             ids=["no_tuner", "tuner"])
+    def test_checkpoint_with_the_dropped_meta_keys_loads(self, small_synth, tmp_path, sources):
+        # earlier writers also stored the decoder's spec, a "frozen" flag and a
+        # tuner record, none of which a reader needs; their checkpoints still load
+        sd, ds, meta = small_synth
+        model, _, _ = quick_fit(sd, ds, meta, sources, epochs=2)
+        encoding.save_encoding_model(tmp_path / "m", model)
+        path = tmp_path / "m.ckpt.json"
+        manifest = json.loads(path.read_text())
+        assert sorted(manifest["meta"]) == [
+            "decoder_digest", "feature_names", "sources", "weight_decay"]
+        manifest["meta"].update(
+            decoder_spec=model.decoder.spec.to_json_dict(), frozen=True,
+            tuner={"enabled": len(sources) > 1, "hidden_size": 64, "output_size": None})
+        path.write_text(json.dumps(manifest))
+        loaded = encoding.load_encoding_model(tmp_path / "m", sd.ground_truth.decoder)
+        assert list(loaded.params) == list(model.params)
+        for name, t in model.params.items():
+            assert loaded.params[name].tobytes() == t.tobytes(), name
+        assert loaded.standardizer.mean.tobytes() == model.standardizer.mean.tobytes()
+        assert loaded.standardizer.scale.tobytes() == model.standardizer.scale.tobytes()
+
+    @pytest.mark.parametrize("sources, tensor", [
+        (("constant",), "tuner.w1"),  # a tuner on a model whose sources have no embedding
+        (("frequency",), "interface.extra"),
+        (("frequency", "static_embedding"), "standardizer.offset"),
+    ], ids=["tuner_on_constant", "interface", "standardizer"])
+    def test_extra_tensor_rejected(self, small_synth, tmp_path, sources, tensor):
+        sd, ds, meta = small_synth
+        model, _, _ = quick_fit(sd, ds, meta, sources, epochs=2)
+        encoding.save_encoding_model(tmp_path / "m", model)
+        kind, ckpt_meta, tensors = load_checkpoint(tmp_path / "m")
+        save_checkpoint(tmp_path / "m", kind, ckpt_meta, {**tensors, tensor: np.ones((64, 1))})
+        with pytest.raises(FormatError) as err:
+            encoding.load_encoding_model(tmp_path / "m", sd.ground_truth.decoder)
+        assert str(err.value) == (
+            f"{tmp_path / 'm.ckpt.json'}: checkpoint has unexpected tensor {tensor!r}")
 
     @pytest.mark.parametrize("tensor", ["interface.weights", "standardizer.scale"])
     def test_missing_tensor_rejected(self, small_synth, tmp_path, tensor):

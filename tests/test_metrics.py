@@ -42,7 +42,7 @@ class TestTimecourse:
         intercept = np.broadcast_to(actual.mean(axis=0), actual.shape).copy()
         series = metrics.timepoint_correlation_increase(actual.copy(), intercept, actual,
                                                         np.arange(10.0))
-        r_int = metrics.pooled_timepoint_correlations(actual, intercept)[0]
+        r_int = metrics.pooled_timepoint_scorer(actual)(intercept)
         np.testing.assert_allclose(series.values, 1.0 - r_int, atol=1e-12)
 
     # trial counts on either side of the trial-block edges (TRIAL_BLOCK 16)
@@ -50,7 +50,7 @@ class TestTimecourse:
     def test_pooled_r_matches_bruteforce_flat_vector(self, rng, n_trials):
         preds = rng.normal(size=(n_trials, 4, 5))
         actual = rng.normal(size=(n_trials, 4, 5)) + 0.5 * preds + 3.0
-        r = metrics.pooled_timepoint_correlations(actual, preds)[0]
+        r = metrics.pooled_timepoint_scorer(actual)(preds)
         for t in range(5):
             assert r[t] == pytest.approx(
                 pearson_naive(preds[:, :, t].ravel(), actual[:, :, t].ravel()), abs=1e-12)
@@ -64,7 +64,7 @@ class TestTimecourse:
         preds[:, :, 1] = value  # constant at t=1
         actual = rng.normal(size=(n_trials, 2, 4))
         actual[:, :, 3] = value  # constant at t=3
-        r = metrics.pooled_timepoint_correlations(actual, preds)[0]
+        r = metrics.pooled_timepoint_scorer(actual)(preds)
         assert r[1] == 0.0 and r[3] == 0.0
         assert r[0] == pytest.approx(
             pearson_naive(preds[:, :, 0].ravel(), actual[:, :, 0].ravel()), abs=1e-12)
@@ -78,20 +78,18 @@ class TestTimecourse:
         intercept = rng.normal(size=actual.shape)
         series = metrics.timepoint_correlation_increase(preds, intercept, actual,
                                                         np.arange(7.0))
-        expected = (metrics.pooled_timepoint_correlations(actual, preds)[0]
-                    - metrics.pooled_timepoint_correlations(actual, intercept)[0])
+        expected = (metrics.pooled_timepoint_scorer(actual)(preds)
+                    - metrics.pooled_timepoint_scorer(actual)(intercept))
         assert series.values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n_trials", [1, 17, 40])
-    def test_scorer_gives_each_prediction_the_bits_of_scoring_all_at_once(self, rng,
-                                                                         n_trials):
+    def test_scorer_gives_each_prediction_the_bits_of_scoring_it_alone(self, rng, n_trials):
         # the CLI scores one prediction at a time, each freed before the next
         actual = rng.normal(size=(n_trials, 3, 7))
         preds = [0.4 * actual + rng.normal(size=actual.shape), rng.normal(size=actual.shape)]
         r = metrics.pooled_timepoint_scorer(actual)
-        together = metrics.pooled_timepoint_correlations(actual, *preds)
-        for x, expected in zip(preds, together):
-            assert r(x).tobytes() == expected.tobytes()
+        for x in preds:
+            assert r(x).tobytes() == metrics.pooled_timepoint_scorer(actual)(x).tobytes()
         with pytest.raises(ValueError, match="prediction shape"):
             r(actual[:-1] if n_trials > 1 else actual[:, :2])
 
@@ -104,13 +102,13 @@ class TestTimecourse:
     def test_affine_invariance_of_pooled_r(self, rng):
         preds = rng.normal(size=(6, 3, 8))
         actual = rng.normal(size=(6, 3, 8))
-        r1 = metrics.pooled_timepoint_correlations(actual, preds)[0]
-        r2 = metrics.pooled_timepoint_correlations(actual, 2.5 * preds + 7.0)[0]
+        r1 = metrics.pooled_timepoint_scorer(actual)(preds)
+        r2 = metrics.pooled_timepoint_scorer(actual)(2.5 * preds + 7.0)
         np.testing.assert_allclose(r1, r2, atol=1e-12)
 
     def test_self_correlation_is_one(self, rng):
         actual = rng.normal(size=(6, 3, 8))
-        r = metrics.pooled_timepoint_correlations(actual, actual.copy())[0]
+        r = metrics.pooled_timepoint_scorer(actual)(actual.copy())
         np.testing.assert_allclose(r, np.ones(8), atol=1e-12)
 
 
@@ -173,12 +171,16 @@ def word_meta(n):
     ]
 
 
+def word_table(preds, actual, meta, **kw):
+    return metrics.word_level_table(metrics.trial_correlations(preds, actual), meta, **kw)
+
+
 class TestPerWordCorrelations:
     def test_equal_prediction_r_one(self, rng):
         actual = rng.normal(size=(3, 4, 10))
         preds = actual.copy()
         preds[1] = -actual[1]
-        table = metrics.per_word_correlations(preds, actual, word_meta(3))
+        table = word_table(preds, actual, word_meta(3))
         rs = [row["pearson_r"] for row in table.rows]
         assert rs[0] == pytest.approx(1.0, abs=1e-12)
         assert rs[1] == pytest.approx(-1.0, abs=1e-12)
@@ -192,7 +194,7 @@ class TestPerWordCorrelations:
         actual[1, -1, -1] = actual[1, 0, 0]  # equal end values, not constant
         preds = actual.copy()
         (preds if side == "preds" else actual)[0] = value
-        table = metrics.per_word_correlations(preds, actual, word_meta(2))
+        table = word_table(preds, actual, word_meta(2))
         assert table.rows[0]["zero_variance"] == 1
         assert table.rows[0]["pearson_r"] == 0.0
         assert table.rows[1]["zero_variance"] == 0 and table.rows[1]["pearson_r"] == 1.0
@@ -207,25 +209,25 @@ class TestPerWordCorrelations:
                   for rows in (slice(0, 2), slice(2, 5))]
         table = metrics.word_level_table([r for chunk in chunks for r in chunk], meta,
                                          model_name="m", sources=("frequency",))
-        expected = metrics.per_word_correlations(preds, actual, meta, model_name="m",
-                                                 sources=("frequency",))
+        expected = word_table(preds, actual, meta, model_name="m", sources=("frequency",))
         assert table == expected and table.rows[2]["zero_variance"] == 1
         with pytest.raises(ValueError, match="4 meta records for 5 trials"):
             metrics.word_level_table(chunks[0] + chunks[1], meta[:4])
+        with pytest.raises(ValueError, match=r"prediction shape \(4, 3, 4\) != actual"):
+            metrics.trial_correlations(preds[:4], actual)
 
     def test_affine_invariance_per_word(self, rng):
         actual = rng.normal(size=(4, 3, 6))
         preds = rng.normal(size=(4, 3, 6))
-        t1 = metrics.per_word_correlations(preds, actual, word_meta(4))
-        t2 = metrics.per_word_correlations(0.3 * preds + 2.0, actual, word_meta(4))
+        t1 = word_table(preds, actual, word_meta(4))
+        t2 = word_table(0.3 * preds + 2.0, actual, word_meta(4))
         for a, b in zip(t1.rows, t2.rows):
             assert a["pearson_r"] == pytest.approx(b["pearson_r"], abs=1e-12)
 
     def test_coding_scheme(self, tmp_path, rng):
         actual = rng.normal(size=(2, 3, 5))
-        table = metrics.per_word_correlations(
-            actual.copy(), actual, word_meta(2), model_name="fs",
-            sources=("frequency", "surprisal"))
+        table = word_table(actual.copy(), actual, word_meta(2), model_name="fs",
+                           sources=("frequency", "surprisal"))
         row = table.rows[0]
         assert row["has_frequency"] == 1 and row["has_surprisal"] == 1
         assert row["has_semantic_distance"] == -1
@@ -242,7 +244,7 @@ class TestPerWordCorrelations:
 
     def test_summary_means_by_class(self, rng):
         actual = rng.normal(size=(4, 2, 6))
-        table = metrics.per_word_correlations(actual.copy(), actual, word_meta(4))
+        table = word_table(actual.copy(), actual, word_meta(4))
         summary = metrics.content_function_summary(table)
         assert summary["content"]["n"] == 2 and summary["function"]["n"] == 2
         assert summary["content"]["mean_r"] == pytest.approx(1.0, abs=1e-12)

@@ -378,16 +378,47 @@ class TestDiskRoundTrip:
             f"{tmp_path / 'truth.ckpt.json'}: tensor {tensor!r} has shape "
             f"{list(tensors[tensor].shape)}, expected {list(expected)}")
 
+    def test_truth_with_the_dropped_meta_keys_loads(self, tmp_path):
+        # earlier writers also stored the noise sd, whose square is mse_floor,
+        # and the driven latent timepoints, which config.json holds
+        sd = synth.generate(small_config(driven_latent_timepoints=(1, 2)))
+        synth.write_dataset_dir(sd, tmp_path)
+        path = tmp_path / "truth.ckpt.json"
+        manifest = json.loads(path.read_text())
+        assert sorted(manifest["meta"]) == ["decoder_plan", "decoder_spec", "driving",
+                                            "mse_floor"]
+        manifest["meta"].update(noise_sd=sd.config.noise_sd, driven_latent_timepoints=[1, 2])
+        path.write_text(json.dumps(manifest))
+        truth, expected = synth.load_ground_truth(tmp_path / "truth"), sd.ground_truth
+        assert truth.mse_floor == expected.mse_floor
+        pairs = [(truth.latents, expected.latents),
+                 (truth.latent_bias, expected.latent_bias)]
+        pairs += [(truth.decoder.tensors[k], v) for k, v in expected.decoder.tensors.items()]
+        for s in sd.config.driving:
+            pairs += [(truth.interface_weights[s], expected.interface_weights[s]),
+                      (truth.driving_columns[s], expected.driving_columns[s])]
+        assert len(truth.decoder.tensors) == len(expected.decoder.tensors)
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tensor", ["decoder.dec7.bias", "decoder.intercepts",
+                                        "interface.static_embedding", "noise"])
+    def test_extra_truth_tensor_rejected(self, tmp_path, tensor):
+        synth.write_dataset_dir(synth.generate(small_config()), tmp_path)
+        kind, meta, tensors = load_checkpoint(tmp_path / "truth")
+        save_checkpoint(tmp_path / "truth", kind, meta, {**tensors, tensor: np.ones((2, 3))})
+        with pytest.raises(FormatError) as err:
+            synth.load_ground_truth(tmp_path / "truth")
+        assert str(err.value) == (
+            f"{tmp_path / 'truth.ckpt.json'}: checkpoint has unexpected tensor {tensor!r}")
+
     @pytest.mark.parametrize("edit, message", [
-        (lambda m: m.pop("noise_sd"), "meta is missing 'noise_sd'"),
+        (lambda m: m.pop("mse_floor"), "meta is missing 'mse_floor'"),
         (lambda m: m.update(mse_floor="0.1"), "meta: 'mse_floor' needs float"),
         (lambda m: m.update(driving="frequency"), "meta: 'driving' needs tuple[str, ...]"),
-        (lambda m: m.update(driven_latent_timepoints=[0.5]),
-         "meta: 'driven_latent_timepoints' needs tuple[int, ...] | None"),
         (lambda m: m["decoder_spec"].update(n_timepoints="30"),
          "meta 'decoder_spec': 'n_timepoints' needs int"),
-    ], ids=["no_noise_sd", "floor_string", "driving_string", "timepoints_float",
-            "spec_length_string"])
+    ], ids=["no_mse_floor", "floor_string", "driving_string", "spec_length_string"])
     def test_malformed_truth_meta_rejected(self, tmp_path, edit, message):
         synth.write_dataset_dir(synth.generate(small_config()), tmp_path)
         path = tmp_path / "truth.ckpt.json"
