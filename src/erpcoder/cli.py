@@ -18,8 +18,13 @@ no payload again.
 Memory. A command holds at most one array of the kept trials' epochs plus
 a few blocks of trials: ``synth`` generates into its one array,
 ``pretrain`` takes its r² denominator blockwise, and ``export-words``
-scores each chunk of predictions as it is decoded. ``timecourse`` holds
-the data and one model's prediction at a time, so two arrays.
+scores each chunk of predictions as it is decoded. ``timecourse`` decodes
+the model and the intercept model a chunk at a time and scores both chunks
+as they are decoded, so it holds the data and no full prediction.
+
+Before any decode, ``evaluate``, ``timecourse`` and ``export-words`` check
+that the autoencoder decodes epochs of the dataset's channels and
+timepoints (exit 1, nothing written).
 
 Exit codes: 0 success, 2 usage error, 3 missing file, 4 file format
 violation, 1 anything else (an invalid value, a failed run, or an
@@ -347,6 +352,7 @@ def _load_analysis(args):
     ``--intercept`` (None for a command without one), and the manifest inputs."""
     ae_params, ae_inputs = _load_hashed(autoencoder.load_autoencoder, args.autoencoder)
     dataset, meta, tables, inputs = _load_inputs(args.data, vars(args))
+    encoding.check_geometry(ae_params, dataset)  # before any decode
     inputs["autoencoder"] = ae_inputs
 
     def fitted(label, path):
@@ -386,12 +392,11 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_timecourse(args) -> int:
     _, dataset, meta, (model, fm), (intercept, fm_intercept), inputs = _load_analysis(args)
-    subj = [m.subject_id for m in meta]
-    # one model's prediction at a time, each freed once it is scored
-    r = metrics.pooled_timepoint_scorer(dataset.data)
-    r_model = r(encoding.predict_erp(model, fm, subj))
-    r_intercept = r(encoding.predict_erp(intercept, fm_intercept, subj))
-    series = metrics.TimecourseSeries(r_model - r_intercept, 1, dataset.time_axis_ms())
+    # both models decoded and scored a chunk at a time, the data's chunk centred once
+    correlation = metrics.TimepointCorrelation(dataset.data)
+    chunks = encoding.map_predictions(correlation.chunk, [(model, fm), (intercept, fm_intercept)],
+                                      [m.subject_id for m in meta])
+    series = correlation.increase(chunks, dataset.time_axis_ms())
     smoothed = metrics.moving_average_smooth(series, args.window)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -405,7 +410,7 @@ def _cmd_export_words(args) -> int:
     _, dataset, meta, (model, fm), _, inputs = _load_analysis(args)
     chunks = encoding.map_predictions(
         lambda rows, preds: metrics.trial_correlations(preds, dataset.data[rows]),
-        model, fm, [m.subject_id for m in meta])
+        [(model, fm)], [m.subject_id for m in meta])
     table = metrics.word_level_table(
         [r for chunk in chunks for r in chunk], meta, model_name="+".join(model.sources),
         sources=model.sources)

@@ -26,16 +26,20 @@ trials a keep mask drops pass through a scratch buffer of
 :data:`CHUNK_ROWS` trials, so a filtered load holds one array of the kept
 trials and no unfiltered copy. Every value is checked finite, and a caller
 that records the payload's sha256 (the CLI manifest) has every byte hashed
-as it is read, so the file is opened once.
+as it is read, on a helper thread beside the reads and checks, so the file
+is opened once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
 import math
 import os
+import queue
+import threading
 import types
 import typing
 from dataclasses import dataclass, replace
@@ -50,12 +54,17 @@ WORD_CLASSES = ("content", "function")
 # Trials per block: of an ERP payload as it is read and checked (load_erp), and
 # per pool job when a pretraining batch is trained, or a set of trials is
 # encoded, decoded, scored or paired with a decoder (autoencoder.pretrain,
-# encode, decode, reconstruct and reconstruction_mse, encoding.freeze, model_mse
-# and predict_erp, synth.generate and oracle_bounds): 1.6 MB of epochs at
-# 32x200, and a quarter of a batch-128 pretraining step. The time-major GEMMs
-# give a trial bits that depend on how many trials share the call, so the
-# block size is fixed.
+# encode, decode, reconstruct and reconstruction_mse, encoding.freeze, model_mse,
+# map_predictions and predict_erp, synth.generate and oracle_bounds), and per
+# chunk of the pooled time course (metrics.TimepointCorrelation): 1.6 MB of
+# epochs at 32x200, and a quarter of a batch-128 pretraining step. The
+# time-major GEMMs give a trial bits that depend on how many trials share the
+# call, so the block size is fixed.
 CHUNK_ROWS = 32
+
+# Blocks of a payload that may wait for the hashing thread as it is read
+# (_hashing_beside): 6.4 MB of CHUNK_ROWS-trial blocks at 32x200.
+HASH_QUEUE = 4
 
 
 class FormatError(ValueError):
@@ -347,6 +356,41 @@ def _require_finite(values: np.ndarray, place: str, index: str = "index") -> Non
         raise _non_finite_error(place, int(finite.size - finite.sum()), index, first)
 
 
+@contextlib.contextmanager
+def _hashing_beside(hasher):
+    """Gives ``feed(block)``, which hands ``block`` to one helper thread that
+    passes it to ``hasher`` (a ``hashlib`` object, whose ``update`` releases the
+    interpreter lock), so hashing runs beside the caller's reads and checks.
+    Blocks are hashed in the order fed; at most :data:`HASH_QUEUE` wait, so
+    ``feed`` blocks while the thread catches up. The caller must not change
+    a block once fed. The thread is joined when the context exits, normally
+    or not, and an error it met is raised then. With no ``hasher`` it gives
+    None, and no thread starts."""
+    if hasher is None:
+        yield None
+        return
+    blocks: queue.Queue = queue.Queue(maxsize=HASH_QUEUE)
+    failed: list[BaseException] = []
+
+    def work():
+        while (block := blocks.get()) is not None:
+            if not failed:
+                try:
+                    hasher.update(block)
+                except BaseException as e:  # raised on the caller's thread
+                    failed.append(e)
+
+    thread = threading.Thread(target=work, name="erpcoder-hash")
+    thread.start()
+    try:
+        yield blocks.put
+    finally:
+        blocks.put(None)
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
 def _read_rows(f, path, shape: tuple[int, ...], keep: np.ndarray, hasher=None) -> np.ndarray:
     """The rows (first-axis entries) of the open payload ``f`` of ``shape`` that
     ``keep`` marks, in one array, read in file order in one pass.
@@ -355,40 +399,43 @@ def _read_rows(f, path, shape: tuple[int, ...], keep: np.ndarray, hasher=None) -
     run of other rows passes through a scratch buffer of at most
     :data:`CHUNK_ROWS` rows. Every value, kept or not, is checked finite a
     block of :data:`CHUNK_ROWS` rows at a time, and every byte goes to
-    ``hasher`` (a ``hashlib`` object), if given, in file order. A value that
-    is not finite raises :class:`FormatError` once the whole payload is read,
-    with the count over the payload and the first one's index in file rows.
+    ``hasher`` (a ``hashlib`` object), if given, in file order, on a helper
+    thread beside the reads (:func:`_hashing_beside`): a kept block as it
+    lies in the array, a scratch block as a copy. A value that is not finite
+    raises :class:`FormatError` once the whole payload is read, with the
+    count over the payload and the first one's index in file rows.
     """
     n = shape[0]
     values = np.empty((int(keep.sum()), *shape[1:]), dtype="<f8")
     scratch = np.empty((min(CHUNK_ROWS, n - len(values)), *shape[1:]), dtype="<f8")
     edges = [0, *(np.flatnonzero(keep[1:] != keep[:-1]) + 1).tolist(), n]
 
-    def blocks():  # (first file row, values) of each block, read in file order
+    def blocks():  # (first file row, values, whether they are scratch) in file order
         at = 0
         for start, stop in zip(edges, edges[1:]):
             if keep[start]:
                 run = values[at:at + stop - start]
                 at += stop - start
                 _fill(f, run, path, shape)
-                yield from ((start + i, run[i:i + CHUNK_ROWS])
+                yield from ((start + i, run[i:i + CHUNK_ROWS], False)
                             for i in range(0, len(run), CHUNK_ROWS))
             else:
                 for lo in range(start, stop, CHUNK_ROWS):
                     block = scratch[:min(CHUNK_ROWS, stop - lo)]
                     _fill(f, block, path, shape)
-                    yield lo, block
+                    yield lo, block, True
 
     bad, first = 0, None
-    for row, block in blocks():
-        if hasher is not None:
-            hasher.update(block)
-        finite = np.isfinite(block)
-        if not finite.all():
-            bad += int(finite.size - finite.sum())
-            if first is None:
-                index = np.argwhere(~finite)[0]
-                first = (row + int(index[0]), *(int(i) for i in index[1:]))
+    with _hashing_beside(hasher) as feed:
+        for row, block, in_scratch in blocks():
+            if feed is not None:
+                feed(block.copy() if in_scratch else block)
+            finite = np.isfinite(block)
+            if not finite.all():
+                bad += int(finite.size - finite.sum())
+                if first is None:
+                    index = np.argwhere(~finite)[0]
+                    first = (row + int(index[0]), *(int(i) for i in index[1:]))
     if bad:
         raise _non_finite_error(f"{path}: ", bad, "(trial, channel, timepoint)", first)
     return values

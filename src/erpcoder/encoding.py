@@ -37,9 +37,10 @@ measured at most 2 x machine epsilon x the mean of ``c`` per epoch value,
 which on near-noiseless data (residual MSE 1e-12) is a relative error up
 to ~6e-6. The analyses of predicted epochs, ``timecourse`` and
 ``export-words``, still decode them, a chunk of trials at a time
-(:func:`map_predictions`): ``export-words`` scores each chunk as it is
-decoded, and ``timecourse`` holds one model's :func:`predict_erp` at a
-time.
+(:func:`map_predictions`), and score each chunk as it is decoded:
+``timecourse`` decodes each chunk under the model and the intercept model
+in one pool job and scores both against the chunk's data, so neither
+holds a full prediction.
 
 ``G`` is stored as a block band in time, not as a dense ``H x H`` matrix.
 Hidden positions more than ``w = ceil(K/s) - 1`` steps apart (output kernel
@@ -69,8 +70,8 @@ gathering columns of a ``(T, C, N_trials)`` array, then transposed once
 into a contiguous ``(T, C, N)`` buffer that both ``Gh - 2r`` and ``Gh -
 r`` read.
 :func:`freeze` builds ``r`` and ``c`` time-major too, and
-:func:`map_predictions` transposes its latents once and hands them to
-:func:`autoencoder.decode`, which decodes time-major in the fixed
+:func:`map_predictions` transposes each model's latents once and hands
+them to :func:`autoencoder.decode`, which decodes time-major in the fixed
 :data:`autoencoder.CHUNK_ROWS`-trial blocks that keep a trial's bits
 independent of how the trials are split.
 
@@ -206,6 +207,16 @@ class FrozenDecoder:
         return sum(_map_chunks(squared_error, len(rows))) / len(rows)
 
 
+def check_geometry(decoder: AutoencoderParams, dataset: ErpDataset) -> None:
+    """``ValueError`` unless ``decoder`` decodes epochs of ``dataset``'s channels
+    and timepoints."""
+    spec = decoder.spec
+    if (dataset.n_channels, dataset.n_timepoints) != (spec.n_channels, spec.n_timepoints):
+        raise ValueError(
+            f"decoder geometry {spec.n_channels}x{spec.n_timepoints} != dataset "
+            f"{dataset.n_channels}x{dataset.n_timepoints}")
+
+
 def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
            meta: list[TrialMeta] | None = None) -> FrozenDecoder:
     """``decoder`` frozen against every trial of ``dataset``, described by ``meta``.
@@ -223,10 +234,7 @@ def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
         raise ValueError("decoder has intercepts enabled; meta records required")
     if meta is not None and len(meta) != dataset.n_trials:
         raise ValueError(f"{len(meta)} meta records for {dataset.n_trials} trials")
-    if (dataset.n_channels, dataset.n_timepoints) != (spec.n_channels, spec.n_timepoints):
-        raise ValueError(
-            f"decoder geometry {spec.n_channels}x{spec.n_timepoints} != dataset "
-            f"{dataset.n_channels}x{dataset.n_timepoints}")
+    check_geometry(decoder, dataset)
     last = len(decoder.plan.decoder) - 1
     step = decoder.plan.decoder[last]
     if step.activation:
@@ -366,20 +374,26 @@ def _latents(model: EncodingModel, features: FeatureMatrix) -> np.ndarray:
     return z
 
 
-def map_predictions(fn, model: EncodingModel, features: FeatureMatrix,
+def map_predictions(fn, models: list[tuple[EncodingModel, FeatureMatrix]],
                     subject_ids=None) -> list:
-    """``fn(rows, preds)`` for each chunk ``rows`` of :data:`autoencoder.CHUNK_ROWS`
-    trials, ``preds`` being their predicted epochs for raw (unstandardized)
-    features with matching columns; one chunk is decoded per pool job, and
-    the results come back in chunk order. No prediction larger than a chunk
-    forms unless ``fn`` keeps one."""
-    z = np.ascontiguousarray(_latents(model, features).transpose(2, 1, 0))
+    """``fn(rows, *preds)`` for each chunk ``rows`` of :data:`autoencoder.CHUNK_ROWS`
+    trials, ``preds`` being their predicted epochs under each (model, raw
+    features) pair of ``models`` in turn, the features' columns matching the
+    model's. Each pool job decodes one chunk under every model, and the
+    results come back in chunk order. No prediction larger than a chunk forms
+    unless ``fn`` keeps one."""
+    n_trials = {features.n_trials for _, features in models}
+    if len(n_trials) != 1:
+        raise ValueError(f"feature matrices of {sorted(n_trials)} trials; one count expected")
+    latents = [(model.decoder,
+                np.ascontiguousarray(_latents(model, features).transpose(2, 1, 0)))
+               for model, features in models]
 
     def job(rows):
-        return fn(rows, decode(model.decoder, z[rows],
-                               None if subject_ids is None else subject_ids[rows]))
+        subjects = None if subject_ids is None else subject_ids[rows]
+        return fn(rows, *(decode(decoder, z[rows], subjects) for decoder, z in latents))
 
-    return _map_chunks(job, len(z))
+    return _map_chunks(job, n_trials.pop())
 
 
 def predict_erp(model: EncodingModel, features: FeatureMatrix,
@@ -392,7 +406,7 @@ def predict_erp(model: EncodingModel, features: FeatureMatrix,
     def fill(rows, chunk):
         preds[rows] = chunk
 
-    map_predictions(fill, model, features, subject_ids)
+    map_predictions(fill, [(model, features)], subject_ids)
     return preds
 
 

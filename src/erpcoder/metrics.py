@@ -10,12 +10,14 @@ coding so external mixed-effects software can consume them directly.
 
 Every statistic over a set of epochs works in blocks of trials, so none
 needs more memory than its inputs plus a block. The pooled time course
-takes the actual data's means and sums of squares once
-(:func:`pooled_timepoint_scorer`), then scores one prediction at a time, so
-the CLI ``timecourse`` holds the data and one model's prediction, never
-two. The per-word r needs only its own trial (:func:`trial_correlations`),
-so the CLI ``export-words`` scores each chunk of predictions as it is
-decoded and holds no full prediction. :func:`pooled_variance` gives the
+(:class:`TimepointCorrelation`) takes the actual data's means and sums of
+squares once, then takes five sums per timepoint from each chunk of
+predictions, each chunk measured from its own first value, and merges them
+in chunk order; so the CLI ``timecourse`` scores the model and the intercept
+model a chunk at a time as they are decoded, and holds the data and no full
+prediction. The per-word r needs only its own trial
+(:func:`trial_correlations`), so the CLI ``export-words`` scores each chunk
+of predictions as it is decoded too. :func:`pooled_variance` gives the
 pooled variance without a full-size temporary.
 """
 
@@ -24,10 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import TrialMeta, write_json
+from .data import CHUNK_ROWS, TrialMeta, write_json
 from .features import SOURCES
 
 MODEL_CODING_FAMILIES = tuple(s for s in SOURCES if s != "constant")
@@ -48,20 +51,6 @@ def r2_mod(mse_model: float, mse_intercept: float, mse_autoencoder: float) -> fl
             f"exceed mse_autoencoder ({mse_autoencoder})"
         )
     return 1.0 - (mse_model - mse_autoencoder) / denom
-
-
-def _pearson_flagged(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
-    """Pearson r with zero-variance inputs mapped to (0.0, flagged=True); an input whose
-    values are all equal is one, even where a rounded mean leaves centred values.
-    Unequal end values settle most inputs without a pass over them."""
-    if any(v[-1] == v[0] and (v == v[0]).all() for v in (a, b)):
-        return 0.0, True
-    a = a - a.mean()
-    b = b - b.mean()
-    denom = np.sqrt((a * a).sum() * (b * b).sum())
-    if denom == 0.0:
-        return 0.0, True
-    return float((a * b).sum() / denom), False
 
 
 @dataclass
@@ -92,54 +81,94 @@ def _trial_blocks(n_trials: int) -> list[slice]:
     return [slice(i, i + TRIAL_BLOCK) for i in range(0, n_trials, TRIAL_BLOCK)]
 
 
-def pooled_timepoint_scorer(actual: np.ndarray):
-    """The function ``r(pred)``: the Pearson r of ``pred`` against ``actual``
-    at each timepoint, pooled over trials x channels; 0.0 at a timepoint
-    where either side has zero variance.
+class ChunkSums(NamedTuple):
+    """One prediction's sums over a chunk of trials, per timepoint: ``m`` values
+    each, measured from ``k``, the chunk's first trial's first channel, as
+    ``sx`` = Σ(x−k), ``sxx`` = Σ(x−k)² and ``sxy`` = Σ(x−k)(y−ȳ), where ``sy``
+    = Σ(y−ȳ) is the actual data's."""
 
-    Two passes over blocks of ``TRIAL_BLOCK`` trials, summed in block order,
-    so no temporary is larger than a block: the per-timepoint means, then the
-    sums of the centred products, each block centred into one buffer per
-    side. Those of ``actual`` are taken once, here, and shared by every call,
-    so each r is bitwise that of its prediction alone, and a caller can score
-    predictions one after another, each freed before the next is made. Each
-    side is measured from its first value at each timepoint, which leaves r
-    unchanged and makes the centred values of a constant timepoint, and so
-    its variance, exactly 0.
+    m: int
+    k: np.ndarray
+    sx: np.ndarray
+    sxx: np.ndarray
+    sxy: np.ndarray
+    sy: np.ndarray
+
+
+class TimepointCorrelation:
+    """The Pearson r of predictions against ``actual`` at each timepoint, pooled
+    over trials x channels, accumulated a chunk of trials at a time; 0.0 at a
+    timepoint where either side has zero variance.
+
+    The actual data's per-timepoint mean ȳ and sum of squares ``syy`` are
+    taken here, once, over blocks of ``TRIAL_BLOCK`` trials, measured from its
+    first value at each timepoint. :meth:`chunk` then takes any chunk's
+    :class:`ChunkSums`, each chunk measured from its own first value, so no
+    prediction's mean is needed before it is scored; :meth:`r` merges them in
+    chunk order with the shifted-sum corrections (Chan, Golub & LeVeque 1983),
+    where the exact mean enters. A constant timepoint thus has centred values,
+    and so a variance, of exactly 0. The r of a prediction depends only on its
+    chunks' sums, so the same chunks give the same bits on any number of
+    workers, and a caller can score each chunk of predictions as it is
+    decoded, holding none of them whole.
     """
-    n_trials, n_channels, n_timepoints = actual.shape
-    if n_trials * n_channels == 0:
-        raise ValueError(f"no values to pool at each timepoint, shape {actual.shape}")
-    blocks, block_shape = _trial_blocks(n_trials), (TRIAL_BLOCK, n_channels, n_timepoints)
 
-    def centred(x, b, centre, buf) -> np.ndarray:
-        rows = x[b]
-        return np.subtract(rows, centre, out=buf[:len(rows)])
+    def __init__(self, actual: np.ndarray):
+        n_trials, n_channels, n_timepoints = actual.shape
+        if n_trials * n_channels == 0:
+            raise ValueError(f"no values to pool at each timepoint, shape {actual.shape}")
+        self.actual = actual
+        blocks, d = _trial_blocks(n_trials), np.empty((TRIAL_BLOCK, n_channels, n_timepoints))
 
-    def mean(x, buf):
-        origin = x[0, 0]
-        shifted = sum(np.einsum("nct->t", centred(x, b, origin, buf)) for b in blocks)
-        return origin + shifted / (n_trials * n_channels)
+        def centred(b, centre) -> np.ndarray:
+            rows = actual[b]
+            return np.subtract(rows, centre, out=d[:len(rows)])
 
-    dy = np.empty(block_shape)
-    mean_y, syy = mean(actual, dy), 0.0
-    for b in blocks:
-        d = centred(actual, b, mean_y, dy)
-        syy = syy + np.einsum("nct,nct->t", d, d)
-
-    def r(x: np.ndarray) -> np.ndarray:
-        if x.shape != actual.shape:
-            raise ValueError(f"prediction shape {x.shape} != actual {actual.shape}")
-        dy, dx = np.empty(block_shape), np.empty(block_shape)
-        mean_x, sxy, sxx = mean(x, dx), 0.0, 0.0
+        origin = actual[0, 0]
+        shifted = sum(np.einsum("nct->t", centred(b, origin)) for b in blocks)
+        self.mean_y = origin + shifted / (n_trials * n_channels)
+        self.syy = 0.0
         for b in blocks:
-            cy, cx = centred(actual, b, mean_y, dy), centred(x, b, mean_x, dx)
-            sxy = sxy + np.einsum("nct,nct->t", cx, cy)
-            sxx = sxx + np.einsum("nct,nct->t", cx, cx)
-        denom = np.sqrt(sxx * syy)
+            c = centred(b, self.mean_y)
+            self.syy = self.syy + np.einsum("nct,nct->t", c, c)
+
+    def chunk(self, rows: slice, *preds: np.ndarray) -> list[ChunkSums]:
+        """The :class:`ChunkSums` of each of ``preds``, the predictions of the
+        trials ``rows``, whose actual data is centred once for all of them."""
+        dy = self.actual[rows] - self.mean_y
+        sy, dx = np.einsum("nct->t", dy), np.empty_like(dy)
+        sums = []
+        for x in preds:
+            if x.shape != dy.shape:
+                raise ValueError(f"prediction shape {x.shape} != actual {dy.shape}")
+            k = x[0, 0].copy()  # a copy, so that the sums keep no chunk alive
+            np.subtract(x, k, out=dx)
+            sums.append(ChunkSums(dx.shape[0] * dx.shape[1], k, np.einsum("nct->t", dx),
+                                  np.einsum("nct,nct->t", dx, dx),
+                                  np.einsum("nct,nct->t", dx, dy), sy))
+        return sums
+
+    def r(self, chunks) -> np.ndarray:
+        """The pooled r of one prediction at each timepoint from its
+        :class:`ChunkSums`, one per chunk, in chunk order."""
+        first = chunks[0].k
+        shift = sum(c.m * (c.k - first) + c.sx for c in chunks)
+        mean = first + shift / sum(c.m for c in chunks)
+        sxx, sxy = 0.0, 0.0
+        for c in chunks:
+            d = mean - c.k  # the chunk's shift to the mean
+            sxx = sxx + (c.sxx - 2.0 * d * c.sx + c.m * d * d)
+            sxy = sxy + (c.sxy - d * c.sy)
+        # a sum of squared deviations that rounds below 0 is 0
+        denom = np.sqrt(np.maximum(sxx, 0.0) * self.syy)
         return np.divide(sxy, denom, out=np.zeros_like(denom), where=denom != 0.0)
 
-    return r
+    def increase(self, chunks: list[list[ChunkSums]],
+                 ms_axis: np.ndarray) -> TimecourseSeries:
+        """The unsmoothed series of the first prediction's r minus the second's,
+        from each chunk's :meth:`chunk` of the two, in chunk order."""
+        r_model, r_intercept = (self.r(sums) for sums in zip(*chunks))
+        return TimecourseSeries(r_model - r_intercept, 1, ms_axis)
 
 
 def pooled_variance(x: np.ndarray) -> float:
@@ -162,9 +191,15 @@ def timepoint_correlation_increase(model_preds: np.ndarray, intercept_preds: np.
                                    ms_axis: np.ndarray) -> TimecourseSeries:
     """Per-timepoint pooled r of the model minus that of the intercept model,
     unsmoothed, on the epoch's millisecond axis ``ms_axis``: both scored by
-    one :func:`pooled_timepoint_scorer` of ``actual``."""
-    r = pooled_timepoint_scorer(actual)
-    return TimecourseSeries(r(model_preds) - r(intercept_preds), 1, ms_axis)
+    one :class:`TimepointCorrelation` of ``actual``, over chunks of
+    :data:`data.CHUNK_ROWS` trials, as the CLI ``timecourse`` scores them."""
+    for preds in (model_preds, intercept_preds):
+        if preds.shape != actual.shape:
+            raise ValueError(f"prediction shape {preds.shape} != actual {actual.shape}")
+    correlation = TimepointCorrelation(actual)
+    chunks = [correlation.chunk(rows, model_preds[rows], intercept_preds[rows])
+              for rows in (slice(i, i + CHUNK_ROWS) for i in range(0, len(actual), CHUNK_ROWS))]
+    return correlation.increase(chunks, ms_axis)
 
 
 def moving_average_smooth(series, window: int):
@@ -225,10 +260,20 @@ class WordLevelTable:
 
 def trial_correlations(preds: np.ndarray, actual: np.ndarray) -> list[tuple[float, bool]]:
     """Per trial, the Pearson r of its flattened predicted epoch against its
-    actual one, and whether either has zero variance (r is then 0.0)."""
+    actual one, and whether either has zero variance (r is then 0.0). An epoch
+    whose values are all equal has zero variance, even where a rounded mean
+    leaves centred values. The whole set is scored at once, each sum taken
+    along a trial's row, as one trial's flattened epoch would be summed."""
     if preds.shape != actual.shape:
         raise ValueError(f"prediction shape {preds.shape} != actual {actual.shape}")
-    return [_pearson_flagged(p.ravel(), a.ravel()) for p, a in zip(preds, actual)]
+    a, b = preds.reshape(len(preds), -1), actual.reshape(len(actual), -1)
+    flagged = (a == a[:, :1]).all(axis=1) | (b == b[:, :1]).all(axis=1)
+    a = a - a.mean(axis=1, keepdims=True)
+    b = b - b.mean(axis=1, keepdims=True)
+    denom = np.sqrt((a * a).sum(axis=1) * (b * b).sum(axis=1))
+    flagged |= denom == 0.0
+    r = np.divide((a * b).sum(axis=1), denom, out=np.zeros_like(denom), where=~flagged)
+    return [(float(v), bool(f)) for v, f in zip(r, flagged)]
 
 
 def word_level_table(correlations: list[tuple[float, bool]], meta: list[TrialMeta], *,

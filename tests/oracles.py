@@ -3,7 +3,9 @@
 Everything here is written as plain loop-based summation so it shares no code
 path with the library implementations it checks, except
 :func:`decoded_oracle_bounds`, which checks the Gram form of the oracle
-bounds against decoding every trial through the whole library decoder.
+bounds against decoding every trial through the whole library decoder, and
+:func:`trial_correlations_per_trial`, the per-trial loop a vectorised
+library function replaced, kept to hold it to the same bits.
 """
 
 from __future__ import annotations
@@ -137,6 +139,24 @@ def pearson_naive(a, b):
     b = b - b.mean()
     denom = np.sqrt((a * a).sum() * (b * b).sum())
     return float((a * b).sum() / denom)
+
+
+def trial_correlations_per_trial(preds, actual):
+    """Per trial, (Pearson r of its flattened predicted epoch against its actual
+    one, whether either has zero variance), r being 0.0 then: the per-trial
+    loop that ``metrics.trial_correlations`` replaced, kept as its bitwise
+    reference. An epoch whose values are all equal has zero variance."""
+    out = []
+    for p, y in zip(preds, actual):
+        a, b = p.ravel(), y.ravel()
+        if any(v[-1] == v[0] and (v == v[0]).all() for v in (a, b)):
+            out.append((0.0, True))
+            continue
+        a = a - a.mean()
+        b = b - b.mean()
+        denom = np.sqrt((a * a).sum() * (b * b).sum())
+        out.append((0.0, True) if denom == 0.0 else (float((a * b).sum() / denom), False))
+    return out
 
 
 def decoded_oracle_bounds(truth, dataset, fit_rows=None, eval_rows=None):

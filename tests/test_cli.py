@@ -225,6 +225,48 @@ class TestPipeline:
         np.testing.assert_array_equal(
             written, np.stack([series.ms_axis, series.values, smoothed.values], axis=1))
 
+    def test_timecourse_same_bits_on_one_and_two_workers(self, pipeline, tmp_path,
+                                                        monkeypatch):
+        args = ["timecourse", "--model", pipeline / "e1" / "model",
+                "--intercept", pipeline / "e0" / "model",
+                "--autoencoder", pipeline / "m" / "autoencoder",
+                "--data", pipeline / "d" / "data",
+                "--features", pipeline / "d" / "tokens.feat.tsv",
+                "--counts", pipeline / "d" / "counts.tsv"]
+        written = []
+        for n in (1, 2):
+            monkeypatch.setattr(autoencoder, "_worker_count", lambda n_jobs, n=n: min(n, n_jobs))
+            assert run([*args, "--out", tmp_path / f"t{n}"]) == 0
+            written.append((tmp_path / f"t{n}" / "timecourse.tsv").read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("command", ["evaluate", "timecourse", "export-words"])
+    def test_geometry_mismatch_fails_before_any_decode(self, pipeline, tmp_path, capsys,
+                                                       monkeypatch, command):
+        # the data holds 5 of the decoder's 6 channels; the check runs once the
+        # inputs are loaded, before a decoder pass or a frozen decoder
+        dataset, meta = load_erp(pipeline / "d" / "data")
+        narrow = ErpDataset(dataset.data[:, :5].copy(), dataset.sampling_rate_hz,
+                            dataset.epoch_start_ms, dataset.epoch_end_ms)
+        save_erp(tmp_path / "narrow", narrow, meta)
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("decoded before the geometry check")
+
+        monkeypatch.setattr(encoding, "decode", no_decode)
+        monkeypatch.setattr(encoding, "freeze", no_decode)
+        intercept = ([] if command == "export-words"
+                     else ["--intercept", pipeline / "e0" / "model"])
+        code = run([command, "--model", pipeline / "e1" / "model", *intercept,
+                    "--autoencoder", pipeline / "m" / "autoencoder",
+                    "--data", tmp_path / "narrow",
+                    "--features", pipeline / "d" / "tokens.feat.tsv",
+                    "--counts", pipeline / "d" / "counts.tsv", "--out", tmp_path / "o"])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: InvalidInput: decoder geometry 6x40 != dataset 5x40\n"
+        assert not (tmp_path / "o").exists()
+
     def test_words_are_the_per_word_correlations_of_the_full_prediction(self, pipeline,
                                                                          tmp_path):
         # export-words scores each chunk as it is decoded; the table is the same
@@ -931,15 +973,15 @@ class TestExitCodes:
 
 class TestPeakMemory:
     """Each command's peak allocation, measured with tracemalloc: one array of
-    the epochs of the trials it keeps, plus an allowance of chunks
-    (``timecourse``: two arrays). The fixture's set runs at the paper's 32 x
-    200 geometry with 600 trials, where one epoch array outweighs the
-    allowance, so a second array could not hide in it. At this size the
-    allowance also holds what grows with the trial count but is no epoch
-    array: the frozen decoder's ``r`` and the one-pass temporaries of
-    ``encoding.model_mse``. The pool runs one worker, so that the allowance
-    does not grow with the CPU count, and pretraining steps a batch of one
-    chunk."""
+    the epochs of the trials it keeps, plus an allowance of chunks; for
+    ``timecourse`` that array is the data, as it holds no full prediction.
+    The fixture's set runs at the paper's 32 x 200 geometry with 600 trials,
+    where one epoch array outweighs the allowance, so a second array could
+    not hide in it. At this size the allowance also holds what grows with
+    the trial count but is no epoch array: the frozen decoder's ``r`` and the
+    one-pass temporaries of ``encoding.model_mse``. The pool runs one worker,
+    so that the allowance does not grow with the CPU count, and pretraining
+    steps a batch of one chunk."""
 
     EPOCH_BYTES = 32 * 200 * 8
     ALLOWANCE = 10 * autoencoder.CHUNK_ROWS * EPOCH_BYTES  # 15.6 MiB
@@ -985,7 +1027,7 @@ class TestPeakMemory:
     # command: (epoch arrays, the trials it keeps: all, or include_first_word)
     @pytest.mark.parametrize("command, arrays, first_words", [
         ("synth", 1, "all"), ("pretrain", 1, True), ("fit", 1, False),
-        ("evaluate", 1, False), ("timecourse", 2, False), ("export-words", 1, False)])
+        ("evaluate", 1, False), ("timecourse", 1, False), ("export-words", 1, False)])
     def test_peak_is_kept_epoch_arrays_plus_blocks(self, measured, command, arrays,
                                                    first_words):
         peaks, meta = measured

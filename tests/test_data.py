@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -259,6 +261,69 @@ class TestKeptRowsLoad:
         self._break_meta(data.erp_files(base)[2], meta_fault)
         with pytest.raises(error, match=message):
             data.load_erp(base, keep=keep)
+
+    class RecordingHasher:
+        """A sha256 that keeps every block it is given, and can be made to fail."""
+
+        def __init__(self, fail_at=None):
+            self.sha256, self.blocks, self.fail_at = hashlib.sha256(), [], fail_at
+
+        def update(self, block):
+            if len(self.blocks) == self.fail_at:
+                raise RuntimeError("hasher failed")
+            self.blocks.append(block)
+            self.sha256.update(block)
+
+    @staticmethod
+    def hash_threads():
+        return [t for t in threading.enumerate() if t.name == "erpcoder-hash"]
+
+    @pytest.mark.parametrize("name", ["first_and_last_dropped", "alternating", "none"])
+    def test_hashed_beside_the_read_in_file_order(self, rng, tmp_path, name):
+        # the hashing thread runs beside the reads with threads switching as often
+        # as the interpreter allows; it sees the file's bytes in order, the kept
+        # blocks where they lie in the loaded array
+        mask = KEEP_MASKS[name]
+        base = self._save(rng, tmp_path, mask)
+        hasher = self.RecordingHasher()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            loaded, _ = data.load_erp(base, keep=lambda m: mask, hasher=hasher)
+        finally:
+            sys.setswitchinterval(interval)
+        raw = data.erp_files(base)[1].read_bytes()
+        assert b"".join(bytes(b) for b in hasher.blocks) == raw
+        assert hasher.sha256.hexdigest() == hashlib.sha256(raw).hexdigest()
+        in_place = [b for b in hasher.blocks if np.shares_memory(b, loaded.data)]
+        assert sum(len(b) for b in in_place) == mask.sum()  # only dropped rows are copied
+        assert not self.hash_threads()
+
+    @pytest.mark.parametrize("fault", ["nan", "read", "hasher"])
+    def test_hashing_thread_joined_on_every_exit_path(self, rng, tmp_path, monkeypatch,
+                                                      fault):
+        mask = KEEP_MASKS["alternating"]
+        base = self._save(rng, tmp_path, mask, nan_at=[(3, 1, 1)] if fault == "nan" else ())
+        hasher = self.RecordingHasher(fail_at=2 if fault == "hasher" else None)
+        if fault == "read":
+            fill, calls = data._fill, []
+
+            def failing_fill(*args):
+                calls.append(1)
+                if len(calls) == 3:
+                    raise data.FormatError("read fault")
+                fill(*args)
+
+            monkeypatch.setattr(data, "_fill", failing_fill)
+        error, message = {"nan": (data.FormatError, "1 non-finite"),
+                          "read": (data.FormatError, "read fault"),
+                          "hasher": (RuntimeError, "hasher failed")}[fault]
+        with pytest.raises(error, match=message):
+            data.load_erp(base, keep=lambda m: mask, hasher=hasher)
+        assert not self.hash_threads()
+        if fault == "nan":  # every byte is hashed before the values' fault is raised
+            assert hasher.sha256.hexdigest() == hashlib.sha256(
+                data.erp_files(base)[1].read_bytes()).hexdigest()
 
     def test_keep_mask_of_wrong_length_rejected(self, rng, tmp_path):
         base = self._save(rng, tmp_path, KEEP_MASKS["all"])

@@ -81,6 +81,27 @@ class TestPrediction:
         for n in range(1, preds.shape[0]):
             np.testing.assert_array_equal(preds[n], preds[0])
 
+    def test_map_predictions_decodes_every_pair_per_chunk(self, small_synth):
+        # fn sees each chunk's predictions under both models, with the bits of
+        # each model's own full prediction
+        sd, ds, meta = small_synth
+        pairs = [quick_fit(sd, ds, meta, sources, epochs=2)[::2]
+                 for sources in (("frequency",), ("constant",))]
+        full = [encoding.predict_erp(model, fm) for model, fm in pairs]
+        seen = encoding.map_predictions(
+            lambda rows, *preds: [rows, *(p.copy() for p in preds)], pairs)
+        assert [rows for rows, *_ in seen] == [
+            slice(i, i + autoencoder.CHUNK_ROWS)
+            for i in range(0, ds.n_trials, autoencoder.CHUNK_ROWS)]
+        for rows, *preds in seen:
+            assert len(preds) == 2
+            for pred, expected in zip(preds, full):
+                assert pred.tobytes() == expected[rows].tobytes()
+        model, fm = pairs[0]
+        with pytest.raises(ValueError, match="feature matrices of"):
+            encoding.map_predictions(lambda rows, *preds: None,
+                                     [(model, fm), (model, fm.take(np.arange(3)))])
+
     def test_width_mismatch_rejected(self, small_synth):
         sd, ds, meta = small_synth
         model, _, _ = quick_fit(sd, ds, meta, ("frequency",), epochs=2)

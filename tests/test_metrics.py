@@ -1,13 +1,15 @@
 """Metric formula anchors, time-course pooling, bootstrap and word tables."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erpcoder import metrics
-from erpcoder.data import TrialMeta
-from oracles import pearson_naive
+from erpcoder import autoencoder, metrics
+from erpcoder.data import CHUNK_ROWS, TrialMeta
+from oracles import pearson_naive, trial_correlations_per_trial
 
 
 class TestR2Mod:
@@ -29,6 +31,18 @@ class TestR2Mod:
             metrics.r2_mod(40.0, 30.0, 30.0)
 
 
+def chunk_rows(n_trials):
+    return [slice(i, i + CHUNK_ROWS) for i in range(0, n_trials, CHUNK_ROWS)]
+
+
+def pooled_r(preds, actual):
+    """The accumulator's r of ``preds`` against ``actual``, over chunks of
+    CHUNK_ROWS trials in chunk order."""
+    correlation = metrics.TimepointCorrelation(actual)
+    return correlation.r([correlation.chunk(rows, preds[rows])[0]
+                          for rows in chunk_rows(len(actual))])
+
+
 class TestTimecourse:
     def test_model_equals_intercept_gives_zero(self, rng):
         preds = rng.normal(size=(6, 3, 10))
@@ -42,56 +56,93 @@ class TestTimecourse:
         intercept = np.broadcast_to(actual.mean(axis=0), actual.shape).copy()
         series = metrics.timepoint_correlation_increase(actual.copy(), intercept, actual,
                                                         np.arange(10.0))
-        r_int = metrics.pooled_timepoint_scorer(actual)(intercept)
-        np.testing.assert_allclose(series.values, 1.0 - r_int, atol=1e-12)
+        np.testing.assert_allclose(series.values, 1.0 - pooled_r(intercept, actual),
+                                   atol=1e-12)
 
-    # trial counts on either side of the trial-block edges (TRIAL_BLOCK 16)
-    @pytest.mark.parametrize("n_trials", [7, 1, 31, 33, 65])
+    # trial counts on either side of the chunk edges (CHUNK_ROWS 32)
+    @pytest.mark.parametrize("n_trials", [7, 1, 31, 32, 33, 65])
     def test_pooled_r_matches_bruteforce_flat_vector(self, rng, n_trials):
-        preds = rng.normal(size=(n_trials, 4, 5))
+        # a drifting prediction, so each chunk's own first value is far from
+        # the others' and the shift corrections matter
+        preds = rng.normal(size=(n_trials, 4, 5)) + np.linspace(0, 40, n_trials)[:, None, None]
         actual = rng.normal(size=(n_trials, 4, 5)) + 0.5 * preds + 3.0
-        r = metrics.pooled_timepoint_scorer(actual)(preds)
+        r = pooled_r(preds, actual)
         for t in range(5):
             assert r[t] == pytest.approx(
                 pearson_naive(preds[:, :, t].ravel(), actual[:, :, t].ravel()), abs=1e-12)
 
-    @pytest.mark.parametrize("n_trials, value", [(5, 3.14), (1, 3.14), (31, 0.1),
-                                                 (33, 1 / 3), (65, -2.9)])
+    @pytest.mark.parametrize("n_trials, value", [(5, 3.14), (1, 3.14), (31, 0.1), (33, 0.1),
+                                                 (65, 0.1), (33, 1 / 3), (65, -2.9),
+                                                 (97, 0.7)])
     def test_zero_variance_timepoint_flagged_as_zero(self, rng, n_trials, value):
-        # a plain mean of the constant need not equal it (0.1 x 62 values does
-        # not), which would leave a centred variance of a few ulp
-        preds = rng.normal(size=(n_trials, 2, 4))
+        # a plain mean of the constant need not equal it (0.1 x 93 values does
+        # not), which would leave a centred variance of a few ulp; here the
+        # constant spans up to four chunks of 96 values
+        preds = rng.normal(size=(n_trials, 3, 4))
         preds[:, :, 1] = value  # constant at t=1
-        actual = rng.normal(size=(n_trials, 2, 4))
+        actual = rng.normal(size=(n_trials, 3, 4))
         actual[:, :, 3] = value  # constant at t=3
-        r = metrics.pooled_timepoint_scorer(actual)(preds)
+        r = pooled_r(preds, actual)
         assert r[1] == 0.0 and r[3] == 0.0
         assert r[0] == pytest.approx(
             pearson_naive(preds[:, :, 0].ravel(), actual[:, :, 0].ravel()), abs=1e-12)
         assert r[0] != 0.0
 
-    @pytest.mark.parametrize("n_trials", [1, 17, 40])
+    @pytest.mark.parametrize("n_trials", [1, 17, 40, 70])
     def test_increase_is_the_difference_of_two_pooled_rs(self, rng, n_trials):
-        # the shared means and sums of squares of actual change no bit
+        # the shared means and sums of squares of actual, and the chunk of
+        # actual centred once for both predictions, change no bit
         actual = rng.normal(size=(n_trials, 3, 7))
         preds = 0.4 * actual + rng.normal(size=actual.shape)
         intercept = rng.normal(size=actual.shape)
         series = metrics.timepoint_correlation_increase(preds, intercept, actual,
                                                         np.arange(7.0))
-        expected = (metrics.pooled_timepoint_scorer(actual)(preds)
-                    - metrics.pooled_timepoint_scorer(actual)(intercept))
+        expected = pooled_r(preds, actual) - pooled_r(intercept, actual)
         assert series.values.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("n_trials", [1, 17, 40])
-    def test_scorer_gives_each_prediction_the_bits_of_scoring_it_alone(self, rng, n_trials):
-        # the CLI scores one prediction at a time, each freed before the next
-        actual = rng.normal(size=(n_trials, 3, 7))
-        preds = [0.4 * actual + rng.normal(size=actual.shape), rng.normal(size=actual.shape)]
-        r = metrics.pooled_timepoint_scorer(actual)
-        for x in preds:
-            assert r(x).tobytes() == metrics.pooled_timepoint_scorer(actual)(x).tobytes()
+    def test_chunk_sums_of_a_prediction_do_not_depend_on_its_companions(self, rng):
+        actual = rng.normal(size=(40, 3, 7))
+        preds = [rng.normal(size=actual.shape) for _ in range(2)]
+        correlation = metrics.TimepointCorrelation(actual)
+        rows = slice(32, 40)
+        both = correlation.chunk(rows, preds[0][rows], preds[1][rows])
+        for x, sums in zip(preds, both):
+            (alone,) = correlation.chunk(rows, x[rows])
+            for a, b in zip(sums, alone):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_prediction_shape_mismatch_rejected(self, rng):
+        actual = rng.normal(size=(5, 3, 7))
+        correlation = metrics.TimepointCorrelation(actual)
+        with pytest.raises(ValueError,
+                           match=r"prediction shape \(4, 3, 7\) != actual \(5, 3, 7\)"):
+            correlation.chunk(slice(0, 5), actual[:4])
         with pytest.raises(ValueError, match="prediction shape"):
-            r(actual[:-1] if n_trials > 1 else actual[:, :2])
+            metrics.timepoint_correlation_increase(actual, actual[:, :2], actual,
+                                                   np.arange(7.0))
+        with pytest.raises(ValueError, match="no values to pool"):
+            metrics.TimepointCorrelation(actual[:0])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_timecourse_bits_same_on_one_and_two_workers(self, rng, monkeypatch, n):
+        # chunks scored as pool jobs, threads switching as often as the
+        # interpreter allows, give the library's serial bits
+        actual = rng.normal(size=(100, 3, 7))
+        preds = 0.4 * actual + rng.normal(size=actual.shape)
+        intercept = rng.normal(size=actual.shape)
+        expected = metrics.timepoint_correlation_increase(preds, intercept, actual,
+                                                          np.arange(7.0))
+        correlation = metrics.TimepointCorrelation(actual)
+        monkeypatch.setattr(autoencoder, "_worker_count", lambda n_jobs: min(n, n_jobs))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            chunks = autoencoder._map_chunks(
+                lambda rows: correlation.chunk(rows, preds[rows], intercept[rows]), len(actual))
+        finally:
+            sys.setswitchinterval(interval)
+        series = correlation.increase(chunks, np.arange(7.0))
+        assert series.values.tobytes() == expected.values.tobytes()
 
     # one block, a block edge and a partial last block (TRIAL_BLOCK 16)
     @pytest.mark.parametrize("n_trials", [1, 16, 41])
@@ -100,16 +151,14 @@ class TestTimecourse:
         assert metrics.pooled_variance(x) == pytest.approx(float(x.var()), rel=1e-12)
 
     def test_affine_invariance_of_pooled_r(self, rng):
-        preds = rng.normal(size=(6, 3, 8))
-        actual = rng.normal(size=(6, 3, 8))
-        r1 = metrics.pooled_timepoint_scorer(actual)(preds)
-        r2 = metrics.pooled_timepoint_scorer(actual)(2.5 * preds + 7.0)
-        np.testing.assert_allclose(r1, r2, atol=1e-12)
+        preds = rng.normal(size=(40, 3, 8))
+        actual = rng.normal(size=(40, 3, 8))
+        np.testing.assert_allclose(pooled_r(preds, actual), pooled_r(2.5 * preds + 7.0, actual),
+                                   atol=1e-12)
 
     def test_self_correlation_is_one(self, rng):
-        actual = rng.normal(size=(6, 3, 8))
-        r = metrics.pooled_timepoint_scorer(actual)(actual.copy())
-        np.testing.assert_allclose(r, np.ones(8), atol=1e-12)
+        actual = rng.normal(size=(40, 3, 8))
+        np.testing.assert_allclose(pooled_r(actual.copy(), actual), np.ones(8), atol=1e-12)
 
 
 class TestSmoothing:
@@ -173,6 +222,32 @@ def word_meta(n):
 
 def word_table(preds, actual, meta, **kw):
     return metrics.word_level_table(metrics.trial_correlations(preds, actual), meta, **kw)
+
+
+class TestTrialCorrelations:
+    """The whole set of trials scored at once, against the former per-trial loop."""
+
+    def test_bits_of_the_per_trial_loop_at_paper_geometry(self, rng):
+        actual = rng.normal(size=(40, 32, 200)) + 3.0
+        preds = 0.3 * actual + rng.normal(size=actual.shape)
+        preds[3] = 1 / 3  # constant prediction
+        actual[5] = -2.9  # constant actual epoch
+        actual[7, -1, -1] = actual[7, 0, 0]  # equal end values, not constant
+        got = metrics.trial_correlations(preds, actual)
+        assert got == trial_correlations_per_trial(preds, actual)
+        assert [flag for _, flag in got].count(True) == 2
+        assert all(type(r) is float and type(flag) is bool for r, flag in got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 0.1, 1 / 3, -2.9]))
+    def test_bits_of_the_per_trial_loop(self, n, c, t, seed, value):
+        # values on a coarse grid, so constant and equal-ended epochs turn up
+        rng = np.random.default_rng(seed)
+        preds = rng.choice([value, 1.0, -0.5], size=(n, c, t), p=[0.8, 0.1, 0.1])
+        actual = rng.choice([value, 2.0], size=(n, c, t), p=[0.7, 0.3])
+        assert metrics.trial_correlations(preds, actual) == \
+            trial_correlations_per_trial(preds, actual)
 
 
 class TestPerWordCorrelations:
