@@ -41,10 +41,14 @@ a constant, not a setting, so the results do not depend on the number of
 CPUs: one worker or three give the same bits, and they differ from an
 unsharded step only by summation order. :func:`reconstruction_mse`,
 :func:`encode`, :func:`decode` and :func:`reconstruct`, and through them
-:func:`encoding.map_predictions` (so :func:`encoding.predict_erp`) and
-:func:`synth.generate`, map their whole-dataset passes over the same
-blocks; :func:`encoding.freeze` and :meth:`encoding.FrozenDecoder.score`
-(so :func:`encoding.model_mse` and :func:`synth.oracle_bounds`) do too.
+:func:`encoding.predict_erp` and :func:`synth.generate`, map their
+whole-dataset passes over the same blocks; :func:`encoding.map_predictions`,
+:func:`encoding.freeze` and :meth:`encoding.FrozenDecoder.score` (so
+:func:`encoding.model_mse` and :func:`synth.oracle_bounds`) do too.
+
+One geometry rule, :func:`check_geometry`, holds a spec to a dataset's
+channels and timepoints for :func:`pretrain`, :func:`encoding.freeze` and
+the CLI's analysis commands.
 """
 
 from __future__ import annotations
@@ -98,6 +102,15 @@ class AutoencoderSpec:
             raise FormatError(f"{where}: unknown architecture {fields['architecture']!r}; "
                               f"choose from {ARCHITECTURES}")
         return cls(**fields)
+
+
+def check_geometry(spec: AutoencoderSpec, dataset: ErpDataset) -> None:
+    """``ValueError`` unless the autoencoder of ``spec`` takes and decodes epochs
+    of ``dataset``'s channels and timepoints."""
+    if (dataset.n_channels, dataset.n_timepoints) != (spec.n_channels, spec.n_timepoints):
+        raise ValueError(
+            f"decoder geometry {spec.n_channels}x{spec.n_timepoints} != dataset "
+            f"{dataset.n_channels}x{dataset.n_timepoints}")
 
 
 @dataclass(frozen=True)
@@ -564,10 +577,7 @@ def pretrain(spec: AutoencoderSpec, dataset: ErpDataset, meta: list[TrialMeta], 
     """
     if dataset.n_trials == 0:
         raise ValueError("dataset is empty")
-    if (dataset.n_channels, dataset.n_timepoints) != (spec.n_channels, spec.n_timepoints):
-        raise ValueError(
-            f"spec geometry {spec.n_channels}x{spec.n_timepoints} != dataset "
-            f"{dataset.n_channels}x{dataset.n_timepoints}")
+    check_geometry(spec, dataset)
     if len(meta) != dataset.n_trials:
         raise ValueError(f"{len(meta)} meta records for {dataset.n_trials} trials")
 
@@ -659,8 +669,6 @@ def select_architecture(dataset: ErpDataset, meta: list[TrialMeta],
             AutoencoderSpec(a, False, dataset.n_channels, dataset.n_timepoints)
             for a in ARCHITECTURES
         ]
-    if dataset.n_trials < k:
-        raise ValueError(f"need at least k={k} trials, got {dataset.n_trials}")
     candidates = list(candidates)
     folds = kfold_split(dataset.n_trials, k, seed)
     seed_rng = np.random.default_rng(seed)

@@ -24,7 +24,13 @@ as they are decoded, so it holds the data and no full prediction.
 
 Before any decode, ``evaluate``, ``timecourse`` and ``export-words`` check
 that the autoencoder decodes epochs of the dataset's channels and
-timepoints (exit 1, nothing written).
+timepoints (:func:`autoencoder.check_geometry`; exit 1, nothing written).
+
+:func:`build_parser` declares each flag once: ``--out`` on every
+subcommand, ``--seed``, ``--epochs``, ``--batch`` and ``--lr`` on the
+training commands, and the model, data and table flags of the three
+analysis commands. ``fit --folds`` sets the folds of ``--wd-search`` and is
+refused without it; a fit's manifest records 5 when it is not given.
 
 Exit codes: 0 success, 2 usage error, 3 missing file, 4 file format
 violation, 1 anything else (an invalid value, a failed run, or an
@@ -110,16 +116,11 @@ def _load_inputs(data, paths: dict, include_first_word: bool = False):
     return dataset, meta, tables, inputs
 
 
-def _add_table_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--features", dest="token_features", help="token feature table (.feat.tsv)")
-    p.add_argument("--counts", help="frequency counts TSV")
-    p.add_argument("--embeddings", help="embedding text file")
-
-
-def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+def _out_dir(path) -> Path:
+    """The output directory ``path``, made with its parents if it is missing."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _hyper(values: dict) -> dict:
@@ -158,8 +159,7 @@ def _cmd_pretrain(args) -> int:
     hyper = _hyper(vars(args))
     _progress(f"pretraining {args.arch} autoencoder on {dataset.n_trials} trials")
     params, history = autoencoder.pretrain(spec, dataset, meta, seed=args.seed, **hyper)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     autoencoder.save_autoencoder(out / "autoencoder", params)
     write_json(out / "history.json", history.to_json_dict())
     recon_mse = autoencoder.reconstruction_mse(params, dataset, meta)
@@ -192,8 +192,7 @@ def _cmd_select_arch(args) -> int:
     _progress(f"cross-validating architectures on {dataset.n_trials} trials")
     report = autoencoder.select_architecture(
         dataset, meta, candidates, k=args.folds, seed=args.seed, **hyper)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     write_json(out / "report.json", report)
     for name, entry in report["candidates"].items():
         _progress(f"  {name}: mean MSE {entry['mean_mse']:.6g}, "
@@ -213,6 +212,9 @@ def _parse_sources(text: str) -> tuple[str, ...]:
 
 
 def _cmd_fit(args) -> int:
+    if args.folds is not None and not args.wd_search:
+        raise ValueError("--folds needs --wd-search, whose folds it sets")
+    folds = 5 if args.folds is None else args.folds
     sources = _parse_sources(args.sources)
     decoder, decoder_inputs = _load_hashed(autoencoder.load_autoencoder, args.decoder)
     dataset, meta, tables, inputs = _load_inputs(args.data, vars(args))
@@ -224,7 +226,7 @@ def _cmd_fit(args) -> int:
     if args.wd_search:
         _progress("searching weight decay over the default grid")
         wd, wd_table = encoding.weight_decay_search(
-            frozen, fm, sources, k=args.folds, seed=args.seed, **hyper)
+            frozen, fm, sources, k=folds, seed=args.seed, **hyper)
         _progress(f"chosen weight decay: {wd:g}")
     else:
         wd = args.wd if args.wd is not None else 0.0
@@ -232,8 +234,7 @@ def _cmd_fit(args) -> int:
     _progress(f"fitting encoding model ({'+'.join(sources)}) on {dataset.n_trials} trials")
     model, history = encoding.train(
         frozen, fm, sources, weight_decay=wd, seed=args.seed, **hyper)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     encoding.save_encoding_model(out / "model", model)
     write_json(out / "history.json", history.to_json_dict())
     report = {
@@ -249,7 +250,7 @@ def _cmd_fit(args) -> int:
     _manifest(out, "fit",
               {"sources": list(sources), "weight_decay": wd,
                "wd_search": bool(args.wd_search), "seed": args.seed,
-               "folds": args.folds, **hyper},
+               "folds": folds, **hyper},
               {"decoder": decoder_inputs, **inputs})
     _progress(f"best dev MSE {min(history.dev_mse):.6g} at epoch {history.best_epoch}")
     return 0
@@ -317,8 +318,7 @@ def _cmd_suite(args) -> int:
         decoder, dataset, meta, roster, k=k, seed=seed, weight_decay=wd,
         ceiling_mse=config.get("ceiling_mse"), **tables, **hyper)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     lines = ["# model comparison suite: r2_mod x fold mean with bootstrap CI",
              f"# shared fold digest: {result['fold_digest']}",
              "\t".join(["model", "sources", "weight_decay", "r2_mod",
@@ -352,7 +352,7 @@ def _load_analysis(args):
     ``--intercept`` (None for a command without one), and the manifest inputs."""
     ae_params, ae_inputs = _load_hashed(autoencoder.load_autoencoder, args.autoencoder)
     dataset, meta, tables, inputs = _load_inputs(args.data, vars(args))
-    encoding.check_geometry(ae_params, dataset)  # before any decode
+    autoencoder.check_geometry(ae_params.spec, dataset)  # before any decode
     inputs["autoencoder"] = ae_inputs
 
     def fitted(label, path):
@@ -380,8 +380,7 @@ def _cmd_evaluate(args) -> int:
         metadata={"n_trials": dataset.n_trials,
                   "pooling": "trials x channels jointly"},
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     report.write(out / "report.json")
     _manifest(out, "evaluate", {}, inputs)
     _progress(f"r2_mod {report.r2_mod:.4f} "
@@ -398,8 +397,7 @@ def _cmd_timecourse(args) -> int:
                                       [m.subject_id for m in meta])
     series = correlation.increase(chunks, dataset.time_axis_ms())
     smoothed = metrics.moving_average_smooth(series, args.window)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     metrics.write_timecourse_tsv(out / "timecourse.tsv", series, smoothed)
     _manifest(out, "timecourse", {"window": args.window}, inputs)
     _progress(f"peak increase {smoothed.values.max():.4f} at {smoothed.peak_ms():.0f} ms")
@@ -414,8 +412,7 @@ def _cmd_export_words(args) -> int:
     table = metrics.word_level_table(
         [r for chunk in chunks for r in chunk], meta, model_name="+".join(model.sources),
         sources=model.sources)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     table.to_tsv(out / "words.tsv")
     summary = metrics.content_function_summary(table)
     write_json(out / "word_class_summary.json", summary)
@@ -450,78 +447,70 @@ def build_parser() -> argparse.ArgumentParser:
                     "for ERP epochs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset with ground truth")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    def training_flags(p):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--epochs", type=int, default=None)
+        p.add_argument("--batch", type=int, default=None)
+        p.add_argument("--lr", type=float, default=None)
+
+    def table_flags(p):
+        p.add_argument("--features", dest="token_features",
+                       help="token feature table (.feat.tsv)")
+        p.add_argument("--counts", help="frequency counts TSV")
+        p.add_argument("--embeddings", help="embedding text file")
+
+    p = command("synth", _cmd_synth, "generate a synthetic dataset with ground truth")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("pretrain", help="pretrain an autoencoder")
+    p = command("pretrain", _cmd_pretrain, "pretrain an autoencoder")
     p.add_argument("--data", required=True, help="ERP dataset base path")
     p.add_argument("--arch", choices=autoencoder.ARCHITECTURES, default="beta")
     p.add_argument("--intercepts", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    _add_hyper_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_pretrain)
+    training_flags(p)
 
-    p = sub.add_parser("select-arch", help="cross-validate candidate architectures")
+    p = command("select-arch", _cmd_select_arch, "cross-validate candidate architectures")
     p.add_argument("--data", required=True)
     p.add_argument("--intercepts", action="store_true",
                    help="also evaluate intercept variants of each architecture")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    _add_hyper_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_select_arch)
+    training_flags(p)
 
-    p = sub.add_parser("fit", help="fit an encoding model against a frozen decoder")
+    p = command("fit", _cmd_fit, "fit an encoding model against a frozen decoder")
     p.add_argument("--decoder", required=True, help="autoencoder checkpoint base path")
     p.add_argument("--data", required=True)
     p.add_argument("--sources", required=True,
                    help="comma-separated feature sources, e.g. frequency,surprisal")
-    _add_table_flags(p)
+    table_flags(p)
     decay = p.add_mutually_exclusive_group()
     decay.add_argument("--wd", type=float, default=None)
     decay.add_argument("--wd-search", action="store_true", dest="wd_search")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    _add_hyper_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_fit)
+    p.add_argument("--folds", type=int, default=None)
+    training_flags(p)
 
-    p = sub.add_parser("suite", help="run the model-comparison suite")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_suite)
+    command("suite", _cmd_suite, "run the model-comparison suite").add_argument(
+        "--config", required=True)
 
-    p = sub.add_parser("evaluate", help="score a fitted model against its anchors")
-    p.add_argument("--model", required=True)
-    p.add_argument("--intercept", required=True, help="intercept model checkpoint")
-    p.add_argument("--autoencoder", required=True)
-    p.add_argument("--data", required=True)
-    _add_table_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_evaluate)
+    for name, func, help in (
+            ("evaluate", _cmd_evaluate, "score a fitted model against its anchors"),
+            ("timecourse", _cmd_timecourse, "per-timepoint correlation increase"),
+            ("export-words", _cmd_export_words, "per-word correlation table")):
+        p = command(name, func, help)
+        p.add_argument("--model", required=True)
+        if name != "export-words":
+            p.add_argument("--intercept", required=True, help="intercept model checkpoint")
+        p.add_argument("--autoencoder", required=True)
+        p.add_argument("--data", required=True)
+        table_flags(p)
+    sub.choices["timecourse"].add_argument("--window", type=_smoothing_window, default=9)
 
-    p = sub.add_parser("timecourse", help="per-timepoint correlation increase")
-    p.add_argument("--model", required=True)
-    p.add_argument("--intercept", required=True)
-    p.add_argument("--autoencoder", required=True)
-    p.add_argument("--data", required=True)
-    _add_table_flags(p)
-    p.add_argument("--window", type=_smoothing_window, default=9)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_timecourse)
-
-    p = sub.add_parser("export-words", help="per-word correlation table")
-    p.add_argument("--model", required=True)
-    p.add_argument("--autoencoder", required=True)
-    p.add_argument("--data", required=True)
-    _add_table_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_export_words)
-
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True)
     return parser
 
 

@@ -15,7 +15,11 @@ Embeddings    whitespace-separated text, one ``token v1 ... vD`` per line
 Counts        TSV ``token<TAB>count``.
 
 Loaders are reentrant and the loaded structures are immutable by convention;
-round-trips are bit-identical. This module owns the f64 payload layout of
+round-trips are bit-identical. The four text tables are read by one
+reader, :func:`_text_lines` and :func:`_table_rows`: a missing file raises
+``FileNotFoundError``, bytes that do not decode :class:`FormatError`, and
+lines that hold no field are skipped; a header, where the format has one,
+is the first line, blank or not. This module owns the f64 payload layout of
 ``.erp.bin`` and ``.ckpt.bin`` files, arrays as C-contiguous little-endian f64
 values one after another: one writer, and one reader that checks the file's
 size before it allocates anything, then reads the file once, in order,
@@ -163,6 +167,8 @@ class ErpDataset:
                 f"{self.sampling_rate_hz} Hz implies {expected:.6g} timepoints, "
                 f"data has {self.n_timepoints}"
             )
+        if not self.sampling_rate_hz > 0:
+            raise ValueError(f"sampling rate {self.sampling_rate_hz} Hz is not > 0")
 
     @property
     def n_trials(self) -> int:
@@ -515,9 +521,6 @@ def save_meta(path, meta: list[TrialMeta]) -> None:
 
 
 def load_meta(path) -> list[TrialMeta]:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     lines = _text_lines(path)
     _, first = next(lines, (0, None))
     if first is None:
@@ -526,10 +529,7 @@ def load_meta(path) -> list[TrialMeta]:
     if header != META_COLUMNS:
         raise FormatError(f"{path}: header {header} != expected {META_COLUMNS}")
     meta = []
-    for i, line in lines:
-        if not line:
-            continue
-        parts = line.split("\t")
+    for i, parts in _table_rows(lines, "\t"):
         if len(parts) != len(META_COLUMNS):
             raise FormatError(f"{path}: line {i}: expected {len(META_COLUMNS)} fields, got {len(parts)}")
         if parts[6] not in ("0", "1"):
@@ -608,17 +608,29 @@ def train_dev_split(n_items: int, dev_fraction: float, seed: int) -> tuple[np.nd
 # ---------------------------------------------------------------------------
 
 
-def _text_lines(path: Path):
+def _text_lines(path):
     r"""``(line_no, line)`` for each line of text file ``path``, counting from 1,
     without its line break. Lines break at ``\n``, ``\r`` and ``\r\n`` only, not
-    at U+2028, a form feed or the other breaks of ``str.splitlines``; bytes
-    that do not decode raise :class:`FormatError`."""
-    with path.open() as fh:
+    at U+2028, a form feed or the other breaks of ``str.splitlines``; a
+    missing file raises ``FileNotFoundError`` naming it, and bytes that do
+    not decode raise :class:`FormatError`."""
+    if not Path(path).exists():
+        raise FileNotFoundError(str(path))
+    with Path(path).open() as fh:
         try:
             for i, line in enumerate(fh, start=1):
                 yield i, line.rstrip("\n")
         except UnicodeDecodeError as e:
             raise FormatError(f"{path}: not a text file: {e}") from None
+
+
+def _table_rows(lines, sep):
+    """``(line_no, fields)`` for each row of ``lines`` (:func:`_text_lines`), its
+    fields split at ``sep`` as ``str.split`` splits them; a line that holds no
+    field (empty, or only whitespace when ``sep`` is None) is no row."""
+    for i, line in lines:
+        if line and (fields := line.split(sep)):
+            yield i, fields
 
 
 def _parse_floats(fields: list[str], path, line_no: int) -> list[float]:
@@ -635,15 +647,9 @@ def _parse_floats(fields: list[str], path, line_no: int) -> list[float]:
 
 def load_embeddings(path) -> EmbeddingTable:
     """Read ``token v1 ... vD`` text; dimension fixed by the first row."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     entries: dict[str, np.ndarray] = {}
     dimension = None
-    for i, line in _text_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
+    for i, parts in _table_rows(_text_lines(path), None):
         token, values = parts[0], parts[1:]
         if dimension is None:
             dimension = len(values)
@@ -688,9 +694,6 @@ def _group_feature_columns(names: list[str], path) -> list[tuple[str, list[str]]
 
 def load_token_features(path) -> TokenFeatureTable:
     """Read a ``.feat.tsv`` table keyed by (sentence_id, word_position)."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     lines = _text_lines(path)
     _, first = next(lines, (0, None))
     if first is None:
@@ -705,10 +708,7 @@ def load_token_features(path) -> TokenFeatureTable:
 
     index: dict[tuple[int, int], int] = {}
     raw_rows: list[list[float]] = []
-    for i, line in lines:
-        if not line:
-            continue
-        parts = line.split("\t")
+    for i, parts in _table_rows(lines, "\t"):
         if len(parts) != width:
             raise FormatError(f"{path}: line {i}: expected {width} fields, got {len(parts)}")
         try:
@@ -751,14 +751,8 @@ def save_token_features(path, table: TokenFeatureTable) -> None:
 
 def load_counts(path) -> dict[str, int]:
     """Read a ``token<TAB>count`` frequency table; counts are integers >= 0."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     counts: dict[str, int] = {}
-    for i, line in _text_lines(path):
-        if not line:
-            continue
-        parts = line.split("\t")
+    for i, parts in _table_rows(_text_lines(path), "\t"):
         if len(parts) != 2:
             raise FormatError(f"{path}: line {i}: expected token<TAB>count")
         try:

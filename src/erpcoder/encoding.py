@@ -69,11 +69,13 @@ gathered as whole rows, which measured several times faster than
 gathering columns of a ``(T, C, N_trials)`` array, then transposed once
 into a contiguous ``(T, C, N)`` buffer that both ``Gh - 2r`` and ``Gh -
 r`` read.
-:func:`freeze` builds ``r`` and ``c`` time-major too, and
-:func:`map_predictions` transposes each model's latents once and hands
-them to :func:`autoencoder.decode`, which decodes time-major in the fixed
+:func:`freeze` builds ``r`` and ``c`` time-major too. There is one decode
+path for predictions, the decoder's own time-major pass over the fixed
 :data:`autoencoder.CHUNK_ROWS`-trial blocks that keep a trial's bits
-independent of how the trials are split.
+independent of how the trials are split: :func:`map_predictions` runs it
+on each block of a model's time-major latents, and :func:`predict_erp`
+is :func:`autoencoder.decode` of the same latents, so a trial gets the
+same bits from both.
 
 Parallel fits. :func:`weight_decay_search` (so CLI ``fit --wd-search``) and
 :func:`run_model_suite` (CLI ``suite``; its intercept anchor and every
@@ -86,8 +88,8 @@ before any fit runs, the frozen decoder and the features are only read,
 and results come back in list order, so they are bit-identical to a
 serial run; the first fit in list order that raises re-raises, and fits
 not yet started are never started. :func:`train` runs on the calling
-thread; :func:`freeze`, :meth:`FrozenDecoder.score` and
-:func:`map_predictions` (so :func:`predict_erp`) work a chunk of
+thread; :func:`freeze`, :meth:`FrozenDecoder.score`,
+:func:`map_predictions` and :func:`predict_erp` work a chunk of
 :data:`autoencoder.CHUNK_ROWS` trials per pool job. Pin BLAS to one
 thread (``OPENBLAS_NUM_THREADS=1``), or pool threads and BLAS threads
 compete for the same CPUs.
@@ -102,9 +104,9 @@ import numpy as np
 
 from . import nn
 from .autoencoder import (BATCH_SIZE, DEV_FRACTION, EPOCHS, LR, AutoencoderParams,
-                          TrainHistory, _add_intercepts, _cross_validate, _fit_epochs,
-                          _map_chunks, _stack_backward, _stack_forward, _take, decode,
-                          reconstruction_mse)
+                          TrainHistory, _add_intercepts, _cross_validate, _decode,
+                          _fit_epochs, _map_chunks, _stack_backward, _stack_forward, _take,
+                          check_geometry, decode, reconstruction_mse)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
 from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_split,
                    train_dev_split)
@@ -207,16 +209,6 @@ class FrozenDecoder:
         return sum(_map_chunks(squared_error, len(rows))) / len(rows)
 
 
-def check_geometry(decoder: AutoencoderParams, dataset: ErpDataset) -> None:
-    """``ValueError`` unless ``decoder`` decodes epochs of ``dataset``'s channels
-    and timepoints."""
-    spec = decoder.spec
-    if (dataset.n_channels, dataset.n_timepoints) != (spec.n_channels, spec.n_timepoints):
-        raise ValueError(
-            f"decoder geometry {spec.n_channels}x{spec.n_timepoints} != dataset "
-            f"{dataset.n_channels}x{dataset.n_timepoints}")
-
-
 def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
            meta: list[TrialMeta] | None = None) -> FrozenDecoder:
     """``decoder`` frozen against every trial of ``dataset``, described by ``meta``.
@@ -234,7 +226,7 @@ def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
         raise ValueError("decoder has intercepts enabled; meta records required")
     if meta is not None and len(meta) != dataset.n_trials:
         raise ValueError(f"{len(meta)} meta records for {dataset.n_trials} trials")
-    check_geometry(decoder, dataset)
+    check_geometry(spec, dataset)
     last = len(decoder.plan.decoder) - 1
     step = decoder.plan.decoder[last]
     if step.activation:
@@ -379,19 +371,19 @@ def map_predictions(fn, models: list[tuple[EncodingModel, FeatureMatrix]],
     """``fn(rows, *preds)`` for each chunk ``rows`` of :data:`autoencoder.CHUNK_ROWS`
     trials, ``preds`` being their predicted epochs under each (model, raw
     features) pair of ``models`` in turn, the features' columns matching the
-    model's. Each pool job decodes one chunk under every model, and the
-    results come back in chunk order. No prediction larger than a chunk forms
-    unless ``fn`` keeps one."""
+    model's. Each pool job decodes one chunk of every model's time-major
+    latents (:func:`autoencoder._decode`) and hands ``fn`` each ``(n, C, T)``
+    transpose of the result, a view; results come back in chunk order. No
+    prediction larger than a chunk forms unless ``fn`` keeps one."""
     n_trials = {features.n_trials for _, features in models}
     if len(n_trials) != 1:
         raise ValueError(f"feature matrices of {sorted(n_trials)} trials; one count expected")
-    latents = [(model.decoder,
-                np.ascontiguousarray(_latents(model, features).transpose(2, 1, 0)))
-               for model, features in models]
+    latents = [(model.decoder, _latents(model, features)) for model, features in models]
 
     def job(rows):
-        subjects = None if subject_ids is None else subject_ids[rows]
-        return fn(rows, *(decode(decoder, z[rows], subjects) for decoder, z in latents))
+        subjects = _take(subject_ids, rows)
+        return fn(rows, *(_decode(decoder, z[:, :, rows], subjects).transpose(2, 1, 0)
+                          for decoder, z in latents))
 
     return _map_chunks(job, n_trials.pop())
 
@@ -399,15 +391,8 @@ def map_predictions(fn, models: list[tuple[EncodingModel, FeatureMatrix]],
 def predict_erp(model: EncodingModel, features: FeatureMatrix,
                 subject_ids=None) -> np.ndarray:
     """Predicted epochs for raw (unstandardized) features with matching columns,
-    decoded a chunk per pool job by :func:`map_predictions`."""
-    spec = model.decoder.spec
-    preds = np.empty((features.n_trials, spec.n_channels, spec.n_timepoints))
-
-    def fill(rows, chunk):
-        preds[rows] = chunk
-
-    map_predictions(fill, [(model, features)], subject_ids)
-    return preds
+    decoded a chunk per pool job by :func:`autoencoder.decode`."""
+    return decode(model.decoder, _latents(model, features).transpose(2, 1, 0), subject_ids)
 
 
 def _check_filtered(meta: list[TrialMeta] | None) -> None:

@@ -63,19 +63,29 @@ class SynthConfig:
                      "n_timepoints", "vocab_size", "static_dim", "contextual_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        floats = {name: getattr(self, name) for name in (
-            "sampling_rate_hz", "epoch_start_ms", "noise_sd", "latent_bias_sd", "artifact_rate")}
-        floats.update((f"drive_scales[{i}]", v) for i, v in enumerate(self.drive_scales or ()))
-        for name, value in floats.items():
+        # standard deviations, of noise and of the latent bias and drives
+        scales = {name: getattr(self, name) for name in ("noise_sd", "latent_bias_sd")}
+        scales.update((f"drive_scales[{i}]", v) for i, v in enumerate(self.drive_scales or ()))
+        floats = {name: getattr(self, name)
+                  for name in ("sampling_rate_hz", "epoch_start_ms", "artifact_rate")}
+        for name, value in {**floats, **scales}.items():
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be >= 0")
+        if self.sampling_rate_hz <= 0:
+            raise ValueError(f"sampling_rate_hz must be > 0, got {self.sampling_rate_hz}")
+        for name, value in scales.items():
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        # a rate of 1 would flag every trial
+        if not 0 <= self.artifact_rate < 1:
+            raise ValueError(f"artifact_rate must be in [0, 1), got {self.artifact_rate}")
         if self.drive_scales is not None and len(self.drive_scales) != len(self.driving):
             raise ValueError("drive_scales must align with driving sources")
         drivers = [s for s in SOURCES if s != "constant"]
         if not set(self.driving) <= set(drivers):
             raise ValueError(f"driving sources {list(self.driving)} must be among {drivers}")
+        if len(set(self.driving)) != len(self.driving):
+            raise ValueError(f"driving sources {list(self.driving)} repeat a source")
 
     @property
     def epoch_end_ms(self) -> float:

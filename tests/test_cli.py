@@ -1,5 +1,6 @@
 """CLI pipeline, exit codes, manifests, and determinism."""
 
+import argparse
 import hashlib
 import inspect
 import io
@@ -70,6 +71,66 @@ def pipeline(tmp_path_factory):
     return root
 
 
+# Each subcommand's flags in declaration order (the order of --help):
+# (option strings, dest, type, default, required, choices, nargs); nargs 0 is
+# a switch
+def _flag(option, dest=None, type=None, default=None, required=False, choices=None, nargs=None):
+    return ((option,), dest or option[2:].replace("-", "_"), type, default, required, choices,
+            nargs)
+
+
+TABLE_FLAGS = [_flag("--features", "token_features"), _flag("--counts"),
+               _flag("--embeddings")]
+TRAINING_FLAGS = [_flag("--seed", type=int, default=0), _flag("--epochs", type=int),
+                  _flag("--batch", type=int), _flag("--lr", type=float)]
+OUT = _flag("--out", required=True)
+SWITCH = {"default": False, "nargs": 0}
+ANALYSIS_FLAGS = [_flag("--autoencoder", required=True), _flag("--data", required=True),
+                  *TABLE_FLAGS]
+FLAGS = {
+    "synth": [_flag("--config", required=True), _flag("--seed", type=int), OUT],
+    "pretrain": [_flag("--data", required=True),
+                 _flag("--arch", default="beta", choices=("alpha", "beta")),
+                 _flag("--intercepts", **SWITCH), *TRAINING_FLAGS, OUT],
+    "select-arch": [_flag("--data", required=True), _flag("--intercepts", **SWITCH),
+                    _flag("--folds", type=int, default=5), *TRAINING_FLAGS, OUT],
+    "fit": [_flag("--decoder", required=True), _flag("--data", required=True),
+            _flag("--sources", required=True), *TABLE_FLAGS, _flag("--wd", type=float),
+            _flag("--wd-search", **SWITCH),
+            _flag("--folds", type=int),  # None: not given, as a fit without --wd-search needs
+            *TRAINING_FLAGS, OUT],
+    "suite": [_flag("--config", required=True), OUT],
+    "evaluate": [_flag("--model", required=True), _flag("--intercept", required=True),
+                 *ANALYSIS_FLAGS, OUT],
+    "timecourse": [_flag("--model", required=True), _flag("--intercept", required=True),
+                   *ANALYSIS_FLAGS, _flag("--window", type=cli._smoothing_window, default=9),
+                   OUT],
+    "export-words": [_flag("--model", required=True), *ANALYSIS_FLAGS, OUT],
+}
+
+
+class TestParser:
+    @staticmethod
+    def subcommands() -> dict:
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+
+    def test_subcommands(self):
+        assert list(self.subcommands()) == list(FLAGS)
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_flag_inventory(self, command):
+        parser = self.subcommands()[command]
+        flags = [(tuple(a.option_strings), a.dest, a.type, a.default, a.required, a.choices,
+                  a.nargs)
+                 for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        assert flags == FLAGS[command]
+        exclusive = [[a.dest for a in group._group_actions]
+                     for group in parser._mutually_exclusive_groups]
+        assert exclusive == ([["wd", "wd_search"]] if command == "fit" else [])
+
+
 class TestPipeline:
     def test_outputs_exist(self, pipeline):
         assert (pipeline / "d" / "data.erp.bin").exists()
@@ -86,6 +147,12 @@ class TestPipeline:
         hashed = [f["sha256"] for group in manifest["inputs"].values() for f in group]
         assert all(len(h) == 64 for h in hashed)
         assert "out" not in manifest["config"]
+
+    def test_fit_without_folds_records_the_search_default(self, pipeline):
+        # manifests stay as they were before fit refused --folds without --wd-search
+        for fit in ("e0", "e1"):
+            config = json.loads((pipeline / fit / "manifest.json").read_text())["config"]
+            assert (config["wd_search"], config["folds"]) == (False, 5)
 
     @pytest.mark.parametrize("command", ["m", "e0", "e1"])
     def test_manifest_digests_are_the_input_files_sha256(self, pipeline, command):
@@ -380,6 +447,22 @@ class TestExitCodes:
             f"error: InvalidInput: {key} must be >= 1"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("sampling_rate_hz", 0, "sampling_rate_hz must be > 0, got 0"),
+        ("sampling_rate_hz", -250.0, "sampling_rate_hz must be > 0, got -250.0"),
+        ("artifact_rate", 1.5, "artifact_rate must be in [0, 1), got 1.5"),
+        ("latent_bias_sd", -1, "latent_bias_sd must be >= 0, got -1"),
+        ("driving", ["frequency", "frequency"],
+         "driving sources ['frequency', 'frequency'] repeat a source"),
+    ], ids=["rate_zero", "rate_negative", "artifact_rate", "latent_bias_sd", "repeated_source"])
+    def test_synth_config_that_makes_no_dataset_is_1(self, tmp_path, capsys, key, value,
+                                                     message):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps({**SYNTH_CONFIG, key: value}))
+        assert run(["synth", "--config", path, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: InvalidInput: {message}"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("edit", [
         lambda m: m.update(tensors=5),
         lambda m: m.update(meta=[]),
@@ -605,9 +688,12 @@ class TestExitCodes:
          f"found 320"),
         (lambda s: s.update(sampling_rate_hz=0),
          "set.erp.json: epoch 0.0..40.0 ms at 0.0 Hz implies 0 timepoints, data has 10"),
+        # -250 Hz over 0..-40 ms implies the 10 timepoints, on a decreasing axis
+        (lambda s: s.update(sampling_rate_hz=-250.0, epoch_end_ms=-40.0),
+         "set.erp.json: sampling rate -250.0 Hz is not > 0"),
         (lambda s: s.update(epoch_start_ms=-1e308, epoch_end_ms=1e308),
          "set.erp.json: epoch -1e+308..1e+308 ms at 250.0 Hz implies inf timepoints"),
-    ], ids=["shape_wraps_in_int64", "rate_zero", "span_overflows"])
+    ], ids=["shape_wraps_in_int64", "rate_zero", "rate_negative", "span_overflows"])
     def test_sidecar_geometry_mismatch_is_4(self, tmp_path, capsys, edit, message):
         meta = [TrialMeta("s1", 0, i + 1, "w", "content", "NN", False) for i in range(2)]
         save_erp(tmp_path / "set", ErpDataset(np.ones((2, 2, 10)), 250.0, 0.0, 40.0), meta)
@@ -872,6 +958,16 @@ class TestExitCodes:
         assert "argument --wd-search: not allowed with argument --wd" in (
             capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
+
+    def test_folds_without_wd_search_is_1(self, tmp_path, capsys):
+        # refused before any input is read: the inputs named do not exist
+        for decay in ([], ["--wd", 1e-5]):
+            code = run(["fit", "--decoder", tmp_path / "ae", "--data", tmp_path / "d",
+                        "--sources", "constant", *decay, "--folds", 3, "--out", tmp_path / "o"])
+            assert code == 1
+            assert capsys.readouterr().err.splitlines() == [
+                "error: InvalidInput: --folds needs --wd-search, whose folds it sets"]
+            assert not (tmp_path / "o").exists()
 
     def test_bad_sources_is_1(self, pipeline, capsys):
         code = run(["fit", "--decoder", pipeline / "m" / "autoencoder",

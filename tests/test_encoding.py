@@ -102,6 +102,37 @@ class TestPrediction:
             encoding.map_predictions(lambda rows, *preds: None,
                                      [(model, fm), (model, fm.take(np.arange(3)))])
 
+    def test_predict_erp_is_decode_of_the_model_latents(self, small_synth):
+        sd, ds, meta = small_synth
+        model, _, fm = quick_fit(sd, ds, meta, ("frequency", "surprisal"), epochs=2)
+        latents = time_major(encoding._latents(model, fm))  # (N, C_lat, T_lat)
+        assert encoding.predict_erp(model, fm).tobytes() == \
+            decode(model.decoder, latents).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_map_predictions_chunks_are_predict_erp_rows(self, small_synth, rng, monkeypatch,
+                                                         workers):
+        # a decoder with subject intercepts, so each chunk takes its own trials'
+        # subjects
+        sd, ds, meta = small_synth
+        decoder = init_params(AutoencoderSpec("beta", True, 6, 30), seed=7,
+                              subjects=("s00", "s01"))
+        decoder.tensors["intercepts"][:] = rng.normal(size=(2, 6))
+        fm = assemble_for(sd, meta, ("frequency",))
+        model, _ = encoding.train(encoding.freeze(decoder, ds, meta), fm, ("frequency",),
+                                  epochs=2, batch_size=32, lr=0.005, seed=1)
+        subjects = [m.subject_id for m in meta]
+        monkeypatch.setattr(autoencoder, "_worker_count", lambda n_jobs: min(workers, n_jobs))
+        full = encoding.predict_erp(model, fm, subjects)
+        seen = encoding.map_predictions(lambda rows, pred: (rows, pred.copy()), [(model, fm)],
+                                        subjects)
+        assert [rows for rows, _ in seen] == [
+            slice(i, i + autoencoder.CHUNK_ROWS)
+            for i in range(0, ds.n_trials, autoencoder.CHUNK_ROWS)]
+        for rows, pred in seen:
+            assert pred.shape == full[rows].shape
+            assert pred.tobytes() == full[rows].tobytes()
+
     def test_width_mismatch_rejected(self, small_synth):
         sd, ds, meta = small_synth
         model, _, _ = quick_fit(sd, ds, meta, ("frequency",), epochs=2)

@@ -157,6 +157,28 @@ class TestConfig:
         with pytest.raises(ValueError, match="driving sources"):
             small_config(driving=driving)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"sampling_rate_hz": 0.0}, "sampling_rate_hz must be > 0, got 0.0"),
+        ({"sampling_rate_hz": -250.0}, "sampling_rate_hz must be > 0, got -250.0"),
+        ({"artifact_rate": 1.5}, "artifact_rate must be in [0, 1), got 1.5"),
+        ({"artifact_rate": 1.0}, "artifact_rate must be in [0, 1), got 1.0"),
+        ({"artifact_rate": -0.1}, "artifact_rate must be in [0, 1), got -0.1"),
+        ({"latent_bias_sd": -1.0}, "latent_bias_sd must be >= 0, got -1.0"),
+        ({"drive_scales": (1.0, -0.5)}, "drive_scales[1] must be >= 0, got -0.5"),
+        ({"driving": ("frequency", "frequency")},
+         "driving sources ['frequency', 'frequency'] repeat a source"),
+    ], ids=["rate_zero", "rate_negative", "artifact_rate_above_1", "artifact_rate_1",
+            "artifact_rate_negative", "latent_bias_sd_negative", "drive_scale_negative",
+            "repeated_source"])
+    def test_setting_that_makes_no_valid_dataset_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**kw)
+
+    def test_boundary_settings_accepted(self):
+        sd = synth.generate(small_config(artifact_rate=0.0, latent_bias_sd=0.0))
+        assert not any(m.artifact for m in sd.meta)
+        np.testing.assert_array_equal(sd.ground_truth.latent_bias, 0.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["sampling_rate_hz", "epoch_start_ms", "noise_sd",
                                        "latent_bias_sd", "artifact_rate", "drive_scales[1]"])
