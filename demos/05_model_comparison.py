@@ -4,9 +4,9 @@
 Every roster entry shares one fold assignment (hash-verified), is scored
 against the per-fold intercept model and the autoencoder ceiling, and gets a
 nonparametric bootstrap confidence interval across folds. The weight-decay
-grid search is skipped here (fixed wd) to keep the demo quick; pass
-``weight_decay=None`` to search {1e-5, 1e-3, 1e-1} per entry as in the full
-protocol.
+grid search is cut to the one-value grid ``wd_grid=(1e-5,)`` to keep the
+demo quick; leave ``wd_grid`` at its default to search {1e-5, 1e-3, 1e-1}
+per entry as in the full protocol.
 """
 
 from erpcoder import encoding, synth
@@ -23,7 +23,7 @@ result = encoding.run_model_suite(
     data.ground_truth.decoder, dataset, meta, encoding.standard_roster(),
     counts_table=data.counts, token_features=data.token_features,
     embeddings=data.embeddings, sentence_tokens=data.sentence_tokens,
-    k=5, seed=10, weight_decay=1e-5, epochs=40, batch_size=32, lr=0.005,
+    k=5, seed=10, wd_grid=(1e-5,), epochs=40, batch_size=32, lr=0.005,
     n_boot=2000, ceiling_mse=data.ground_truth.mse_floor)
 
 print(f"shared fold digest: {result['fold_digest'][:16]}...  ({result['k']} folds)\n")

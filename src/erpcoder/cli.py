@@ -32,6 +32,13 @@ training commands, and the model, data and table flags of the three
 analysis commands. ``fit --folds`` sets the folds of ``--wd-search`` and is
 refused without it; a fit's manifest records 5 when it is not given.
 
+``suite`` writes one record, ``suite.json``, whose ``entries`` map each
+roster name to its entry's full report, and ``summary.tsv``, the same
+comparison as a table. A roster name is a key and a table field, never a
+file name; :func:`encoding.check_roster` checks the roster as the config
+loads, before the decoder or the data is read (exit 4). The config's
+``weight_decay`` becomes the one-value grid ``wd_grid=(wd,)``.
+
 Exit codes: 0 success, 2 usage error, 3 missing file, 4 file format
 violation, 1 anything else (an invalid value, a failed run, or an
 operating-system error such as an output that cannot be written).
@@ -42,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -262,52 +268,20 @@ _SUITE_KEYS = {"folds": int, "seed": int, "epochs": int, "batch": int, "lr": flo
                "counts": str, "embeddings": str, "token_features": str, "roster": list | None}
 
 
-# the longest file name, in bytes, that Linux file systems store
-_NAME_MAX = 255
-
-
-def _report_file(name: str) -> str:
-    """The file under a suite's ``--out`` that holds roster entry ``name``'s report."""
-    return f"report_{name.replace('+', '_')}.json"
-
-
 def _cmd_suite(args) -> int:
     where = f"{args.config}: suite config"
     config = checked_fields(read_json(args.config), {"data": str, "decoder": str}, where,
                             optional=_SUITE_KEYS)
     config_inputs = _hashed([args.config])
-    roster = None
-    if config.get("roster") == []:
-        raise FormatError(f"{where}: 'roster' is empty")
-    if config.get("roster") is not None:
-        roster = []
-        reports: dict[str, str] = {}  # report file -> the entry name that writes it
-        for i, entry in enumerate(config["roster"]):
-            at = f"{where} roster entry {i}"
-            entry = checked_fields(entry, {"name": str, "sources": tuple[str, ...]}, at)
-            name, report = entry["name"], _report_file(entry["name"])
-            if not name or "/" in name:
-                raise FormatError(f"{at}: name {name!r} is empty or holds '/'")
-            # the OS must be able to create the report file, or the suite
-            # fails only after every fit
-            if "\0" in name:
-                raise FormatError(f"{at}: name {name!r} holds a NUL byte")
-            try:
-                size = len(os.fsencode(report))
-            except UnicodeEncodeError as e:
-                raise FormatError(f"{at}: name {name!r} is no file name: {e.reason}") from None
-            if size > _NAME_MAX:
-                raise FormatError(f"{at}: name {name!r:.40}... makes a report file name of "
-                                  f"{size} bytes, over the {_NAME_MAX} a file name may hold")
-            if report in reports:
-                raise FormatError(f"{at}: name {name!r} writes {report}, "
-                                  f"as entry {reports[report]!r} does")
-            reports[report] = name
-            try:
-                FeatureSpec(tuple(entry["sources"]))
-            except ValueError as e:
-                raise FormatError(f"{at}: sources of {name!r}: {e}") from None
-            roster.append((name, tuple(entry["sources"])))
+    roster = config.get("roster")
+    if roster is not None:
+        entries = [checked_fields(entry, {"name": str, "sources": tuple[str, ...]},
+                                  f"{where} roster entry {i}") for i, entry in enumerate(roster)]
+        roster = [(entry["name"], tuple(entry["sources"])) for entry in entries]
+        try:  # before the decoder or the data is read
+            encoding.check_roster(roster)
+        except ValueError as e:
+            raise FormatError(f"{args.config}: {e}") from None
     decoder, decoder_inputs = _load_hashed(autoencoder.load_autoencoder, config["decoder"])
     dataset, meta, tables, inputs = _load_inputs(config["data"], config)
     hyper = _hyper(config)
@@ -315,7 +289,8 @@ def _cmd_suite(args) -> int:
 
     _progress(f"running model suite on {dataset.n_trials} trials, {k} folds")
     result = encoding.run_model_suite(
-        decoder, dataset, meta, roster, k=k, seed=seed, weight_decay=wd,
+        decoder, dataset, meta, roster, k=k, seed=seed,
+        wd_grid=encoding.WEIGHT_DECAY_GRID if wd is None else (wd,),
         ceiling_mse=config.get("ceiling_mse"), **tables, **hyper)
 
     out = _out_dir(args.out)
@@ -329,16 +304,13 @@ def _cmd_suite(args) -> int:
             name, "+".join(entry["sources"]), repr(float(entry["weight_decay"])),
             repr(report.r2_mod), repr(report.ci_low), repr(report.ci_high),
             repr(report.mse_model)]))
-        report.write(out / _report_file(name))
         _progress(f"  {name}: r2_mod {report.r2_mod:.4f} "
                   f"[{report.ci_low:.4f}, {report.ci_high:.4f}]")
-    (out / "summary.tsv").write_text("\n".join(lines) + "\n")
+    (out / "summary.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     write_json(out / "suite.json", {
         "fold_digest": result["fold_digest"],
         "k": result["k"],
-        "entries": {n: {"sources": e["sources"], "weight_decay": e["weight_decay"],
-                        "r2_mod": e["report"].r2_mod}
-                    for n, e in result["entries"].items()},
+        "entries": {n: e["report"].to_json_dict() for n, e in result["entries"].items()},
         "skipped": result["skipped"],
     })
     _manifest(out, "suite", {"folds": k, "seed": seed, "weight_decay": wd, **hyper},

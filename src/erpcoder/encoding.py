@@ -77,6 +77,11 @@ on each block of a model's time-major latents, and :func:`predict_erp`
 is :func:`autoencoder.decode` of the same latents, so a trial gets the
 same bits from both.
 
+Suite. :func:`run_model_suite` fits every entry of a roster that
+:func:`check_roster` accepts (distinct printable names, sources that make
+a feature spec) over the weight decays of ``wd_grid``, a one-value grid
+pinning the decay, and returns each entry's :class:`metrics.EvalReport`.
+
 Parallel fits. :func:`weight_decay_search` (so CLI ``fit --wd-search``) and
 :func:`run_model_suite` (CLI ``suite``; its intercept anchor and every
 entry's fits in one list) build one list of independent (entry, weight
@@ -551,30 +556,17 @@ def standard_roster() -> list[tuple[str, tuple[str, ...]]]:
     ]
 
 
-def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
-                    meta: list[TrialMeta], roster=None, *,
-                    counts_table=None, token_features=None, embeddings=None,
-                    sentence_tokens=None, k: int = 5, seed: int = 0,
-                    weight_decay: float | None = None, wd_grid=WEIGHT_DECAY_GRID,
-                    epochs: int = EPOCHS, batch_size: int = BATCH_SIZE, lr: float = LR,
-                    n_boot: int = 10000, ceiling_mse: float | None = None) -> dict:
-    """Cross-validated comparison of roster models sharing one fold assignment.
-
-    Every entry is trained per fold and scored against the per-fold intercept
-    model and autoencoder ceiling: the reconstruction MSE of ``decoder``'s
-    containing autoencoder on each test fold, or the number ``ceiling_mse``
-    in every fold when the true floor is known, e.g. on synthetic data. Each
-    entry runs the weight-decay grid search over the same folds and reports
-    the best, over ``wd_grid`` with ``weight_decay=None`` and over the
-    one-value grid ``(weight_decay,)`` otherwise. Each source's feature block
-    is built once, for every entry that lists it. An entry whose blocks
-    cannot be built (a table not supplied, say) is skipped with a warning; a
-    name that two entries share, or sources that make no
-    :class:`features.FeatureSpec`, raise ``ValueError`` before any fit.
-    Returns a dict with per-entry :class:`metrics.EvalReport` data.
-    """
-    roster = standard_roster() if roster is None else list(roster)
+def check_roster(roster) -> None:
+    """Raise ``ValueError`` unless ``roster``, a list of (name, sources)
+    entries, is not empty, its names are distinct, non-empty and printable
+    (each one field of a tab-separated row: no tab, line break, NUL or lone
+    surrogate), and each entry's sources make a :class:`features.FeatureSpec`."""
+    if not roster:
+        raise ValueError("suite roster is empty")
     names = [name for name, _ in roster]
+    for i, name in enumerate(names):
+        if not (name and name.isprintable()):
+            raise ValueError(f"suite roster entry {i}: name {name!r} is empty or not printable")
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValueError(f"suite roster repeats entry names {repeated}")
@@ -583,9 +575,36 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
             FeatureSpec(tuple(sources))
         except ValueError as e:
             raise ValueError(f"suite roster entry {name!r}: {e}") from None
-    grid = tuple(wd_grid) if weight_decay is None else (weight_decay,)
+
+
+def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
+                    meta: list[TrialMeta], roster=None, *,
+                    counts_table=None, token_features=None, embeddings=None,
+                    sentence_tokens=None, k: int = 5, seed: int = 0, wd_grid=WEIGHT_DECAY_GRID,
+                    epochs: int = EPOCHS, batch_size: int = BATCH_SIZE, lr: float = LR,
+                    n_boot: int = 10000, ceiling_mse: float | None = None) -> dict:
+    """Cross-validated comparison of roster models sharing one fold assignment.
+
+    Every entry is trained per fold and scored against the per-fold intercept
+    model and autoencoder ceiling: the reconstruction MSE of ``decoder``'s
+    containing autoencoder on each test fold, or the number ``ceiling_mse``
+    (finite and at least 0) in every fold when the true floor is known, e.g.
+    on synthetic data. Each entry runs the weight-decay grid search over
+    ``wd_grid`` on the same folds and reports the best; a one-value grid
+    ``(wd,)`` pins the decay. Each source's feature block is built once, for
+    every entry that lists it. An entry whose blocks cannot be built (a table
+    not supplied, say) is skipped with a warning; a roster that
+    :func:`check_roster` refuses, an empty grid or a bad ``ceiling_mse``
+    raise ``ValueError`` before any fit. Returns a dict with per-entry
+    :class:`metrics.EvalReport` data.
+    """
+    roster = standard_roster() if roster is None else list(roster)
+    check_roster(roster)
+    grid = tuple(wd_grid)
     if not grid:
         raise ValueError("weight decay grid is empty")
+    if ceiling_mse is not None and not (np.isfinite(ceiling_mse) and ceiling_mse >= 0):
+        raise ValueError(f"ceiling_mse must be finite and >= 0, got {ceiling_mse}")
     frozen = freeze(decoder, dataset, meta)
     folds = kfold_split(dataset.n_trials, k, seed)
     fold_digest = folds.digest()

@@ -678,15 +678,15 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the learning rate (default 0.001)."""
+    """Per-parameter first/second moments plus the learning rate."""
 
-    lr: float = 0.001
+    lr: float
     step_count: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_init(params: dict[str, np.ndarray], lr: float = 0.001) -> AdamState:
+def adam_init(params: dict[str, np.ndarray], lr: float) -> AdamState:
     state = AdamState(lr=lr)
     for name, p in params.items():
         state.first_moment[name] = np.zeros_like(p)

@@ -322,7 +322,7 @@ def test_criterion_6_suite_fold_sharing(protocol_synth):
         sd.ground_truth.decoder, ds, meta, encoding.standard_roster(),
         counts_table=sd.counts, token_features=sd.token_features,
         embeddings=sd.embeddings, sentence_tokens=sd.sentence_tokens,
-        k=5, seed=10, weight_decay=1e-5, epochs=8, batch_size=64, lr=0.005,
+        k=5, seed=10, wd_grid=(1e-5,), epochs=8, batch_size=64, lr=0.005,
         n_boot=500, ceiling_mse=sd.ground_truth.mse_floor)
     assert len(result["entries"]) == 9 and not result["skipped"]
     digests = {entry["report"].fold_digest for entry in result["entries"].values()}

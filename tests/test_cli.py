@@ -356,7 +356,7 @@ class TestPipeline:
         assert (tmp_path / "w" / "words.tsv").read_bytes() == \
                (tmp_path / "expected.tsv").read_bytes()
 
-    def test_suite_command(self, pipeline):
+    def test_suite_command(self, pipeline, monkeypatch):
         config = {
             "data": str(pipeline / "d" / "data"),
             "decoder": str(pipeline / "m" / "autoencoder"),
@@ -370,11 +370,23 @@ class TestPipeline:
         }
         p = pipeline / "suite.json"
         p.write_text(json.dumps(config))
+        results, run_model_suite = [], encoding.run_model_suite
+        monkeypatch.setattr(encoding, "run_model_suite",
+                            lambda *a, **kw: results.append(run_model_suite(*a, **kw))
+                            or results[-1])
         assert run(["suite", "--config", p, "--out", pipeline / "r"]) == 0
         summary = (pipeline / "r" / "summary.tsv").read_text()
         assert "intercept" in summary and "frequency" in summary
         suite = json.loads((pipeline / "r" / "suite.json").read_text())
         assert len(suite["fold_digest"]) == 64
+        # suite.json is the one record: each entry's whole report, no report files
+        (result,) = results
+        assert suite["entries"] == {name: entry["report"].to_json_dict()
+                                    for name, entry in result["entries"].items()}
+        assert list(suite["entries"]) == ["frequency", "intercept"]
+        assert suite["entries"]["frequency"]["metadata"]["weight_decay"] == 1e-5
+        assert sorted(f.name for f in (pipeline / "r").iterdir()) == [
+            "manifest.json", "suite.json", "summary.tsv"]
 
     def test_select_arch_report_layout(self, pipeline):
         assert run(["select-arch", "--data", pipeline / "d" / "data",
@@ -754,12 +766,9 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("names, message", [
-        (["x", "x"], "roster entry 1: name 'x' writes report_x.json, as entry 'x' does"),
-        (["a+b", "a_b"],
-         "roster entry 1: name 'a_b' writes report_a_b.json, as entry 'a+b' does"),
-        (["w/x"], "roster entry 0: name 'w/x' is empty or holds '/'"),
-        ([""], "roster entry 0: name '' is empty or holds '/'"),
-    ], ids=["repeated", "same_report_file", "slash", "empty"])
+        (["x", "x"], "suite roster repeats entry names ['x']"),
+        ([""], "suite roster entry 0: name '' is empty or not printable"),
+    ], ids=["repeated", "empty"])
     def test_suite_roster_name_that_loses_a_report_is_4(self, tmp_path, capsys, names,
                                                         message):
         # checked as the config loads, before the (missing) data and decoder
@@ -769,19 +778,17 @@ class TestExitCodes:
         path.write_text(json.dumps(config))
         assert run(["suite", "--config", path, "--out", tmp_path / "o"]) == 4
         assert capsys.readouterr().err.splitlines() == [
-            f"error: FormatViolation: {path}: suite config {message}"]
+            f"error: FormatViolation: {path}: {message}"]
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("name, message", [
-        ("fr\0eq", "name 'fr\\x00eq' holds a NUL byte"),
-        ("x" * 300, f"name '{'x' * 39}... makes a report file name of 312 bytes, over the "
-                    "255 a file name may hold"),
-        ("\ud800", "name '\\ud800' is no file name: surrogates not allowed"),
-    ], ids=["nul_byte", "long", "lone_surrogate"])
-    def test_suite_roster_name_the_os_cannot_store_is_4(self, tmp_path, capsys, name,
-                                                        message):
-        # checked as the config loads, before the (missing) data and decoder, so no
-        # fit runs for a report the OS could not write
+    @pytest.mark.parametrize("name", ["fr\0eq", "\ud800", "fr\teq", "fr\neq", "fr\req",
+                                      "fr\u2028eq", "\udc80"],
+                             ids=["nul_byte", "lone_surrogate", "tab", "line_feed",
+                                  "carriage_return", "line_separator", "lone_low_surrogate"])
+    def test_suite_roster_name_that_is_no_table_field_is_4(self, tmp_path, capsys, name):
+        # a tab or line break used to split the name's summary.tsv row, and "\udc80"
+        # failed only after every fit, as summary.tsv was written; now each is
+        # refused as the config loads, before the (missing) data and decoder
         config = {"data": str(tmp_path / "no_data"), "decoder": str(tmp_path / "no_decoder"),
                   "roster": [{"name": "intercept", "sources": ["constant"]},
                              {"name": name, "sources": ["constant"]}]}
@@ -789,20 +796,21 @@ class TestExitCodes:
         path.write_text(json.dumps(config))
         assert run(["suite", "--config", path, "--out", tmp_path / "o"]) == 4
         assert capsys.readouterr().err.splitlines() == [
-            f"error: FormatViolation: {path}: suite config roster entry 1: {message}"]
+            f"error: FormatViolation: {path}: suite roster entry 1: name {name!r} is empty "
+            "or not printable"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("roster, message", [
         ([{"name": "typo", "sources": ["frequncy"]}],
-         " roster entry 0: sources of 'typo': unknown feature sources ['frequncy']"),
+         "suite roster entry 'typo': unknown feature sources ['frequncy']"),
         ([{"name": "none", "sources": []}],
-         " roster entry 0: sources of 'none': feature spec needs at least one source"),
+         "suite roster entry 'none': feature spec needs at least one source"),
         ([{"name": "intercept", "sources": ["constant"]},
           {"name": "twice", "sources": ["frequency", "frequency"]}],
-         " roster entry 1: sources of 'twice': duplicate sources"),
+         "suite roster entry 'twice': duplicate sources"),
         ([{"name": "mixed", "sources": ["constant", "frequency"]}],
-         " roster entry 0: sources of 'mixed': constant is mutually exclusive"),
-        ([], ": 'roster' is empty"),
+         "suite roster entry 'mixed': constant is mutually exclusive"),
+        ([], "suite roster is empty"),
     ], ids=["unknown_source", "no_sources", "repeated_source", "constant_and_other",
             "empty_roster"])
     def test_suite_roster_that_fits_no_model_is_4(self, pipeline, tmp_path, capsys,
@@ -822,7 +830,7 @@ class TestExitCodes:
         assert run(["suite", "--config", path, "--out", tmp_path / "o"]) == 4
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith(f"error: FormatViolation: {path}: suite config{message}")
+        assert lines[0].startswith(f"error: FormatViolation: {path}: {message}")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("window", [4, 0, -3])
@@ -843,17 +851,23 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
-    def test_longest_report_file_name_accepted(self, pipeline, tmp_path):
-        name = "x" * (255 - len("report_.json"))
+    def test_suite_roster_names_are_no_file_names(self, pipeline, tmp_path):
+        # a name is a key of suite.json and a field of summary.tsv, never a file
+        # name, so "/", "+" beside "_" and a name over 255 bytes all run
+        names = ["a/b", "a+b", "a_b", "x" * 300]
         config = {"data": str(pipeline / "d" / "data"),
                   "decoder": str(pipeline / "m" / "autoencoder"), "folds": 2, "epochs": 1,
                   "ceiling_mse": 1e-9,
-                  "roster": [{"name": "intercept", "sources": ["constant"]},
-                             {"name": name, "sources": ["constant"]}]}
+                  "roster": [{"name": name, "sources": ["constant"]} for name in names]}
         path = tmp_path / "suite.json"
         path.write_text(json.dumps(config))
         assert run(["suite", "--config", path, "--out", tmp_path / "o"]) == 0
-        assert (tmp_path / "o" / f"report_{name}.json").exists()
+        assert sorted(json.loads((tmp_path / "o" / "suite.json").read_text())["entries"]) == \
+            sorted(names)
+        rows = (tmp_path / "o" / "summary.tsv").read_text().splitlines()[3:]
+        assert [row.split("\t")[0] for row in rows] == names
+        assert sorted(f.name for f in (tmp_path / "o").iterdir()) == [
+            "manifest.json", "suite.json", "summary.tsv"]
 
     @pytest.mark.parametrize("command", ["synth", "export-words"])
     def test_out_that_cannot_be_written_is_1(self, pipeline, tmp_path, capsys, command):

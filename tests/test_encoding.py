@@ -588,7 +588,7 @@ class TestSuite:
             sd.ground_truth.decoder, ds, meta, [("frequency", ("frequency",))],
             counts_table=sd.counts, token_features=sd.token_features,
             embeddings=sd.embeddings, sentence_tokens=sd.sentence_tokens,
-            k=2, seed=1, weight_decay=1e-5, epochs=5, lr=0.005, n_boot=200,
+            k=2, seed=1, wd_grid=(1e-5,), epochs=5, lr=0.005, n_boot=200,
             ceiling_mse=sd.ground_truth.mse_floor)
         assert list(result["entries"]) == ["frequency"]
         report = result["entries"]["frequency"]["report"]
@@ -601,7 +601,7 @@ class TestSuite:
         with pytest.raises(ValueError, match="^weight decay grid is empty$"):
             encoding.run_model_suite(
                 sd.ground_truth.decoder, ds, meta, [("frequency", ("frequency",))],
-                counts_table=sd.counts, k=2, seed=1, weight_decay=None, wd_grid=(),
+                counts_table=sd.counts, k=2, seed=1, wd_grid=(),
                 epochs=2, ceiling_mse=sd.ground_truth.mse_floor)
         assert fits == []
 
@@ -614,7 +614,7 @@ class TestSuite:
             encoding.run_model_suite(
                 sd.ground_truth.decoder, ds, meta,
                 [("x", ("constant",)), ("frequency", ("frequency",)), ("x", ("frequency",))],
-                counts_table=sd.counts, k=2, seed=1, weight_decay=1e-5, epochs=2,
+                counts_table=sd.counts, k=2, seed=1, wd_grid=(1e-5,), epochs=2,
                 ceiling_mse=sd.ground_truth.mse_floor)
         assert fits == []
 
@@ -634,9 +634,25 @@ class TestSuite:
             encoding.run_model_suite(
                 sd.ground_truth.decoder, ds, meta,
                 [("intercept", ("constant",)), ("bad", sources)],
-                counts_table=sd.counts, k=2, seed=1, weight_decay=1e-5, epochs=2,
+                counts_table=sd.counts, k=2, seed=1, wd_grid=(1e-5,), epochs=2,
                 ceiling_mse=sd.ground_truth.mse_floor)
         assert fits == []
+
+    @pytest.mark.parametrize("ceiling", [-5.0, float("nan"), float("inf")])
+    def test_bad_ceiling_rejected_before_freezing(self, small_synth, monkeypatch, ceiling):
+        # a negative ceiling used to run, and gave every entry an r2_mod near 0
+        sd, ds, meta = small_synth
+
+        def no_freeze(*args, **kwargs):
+            raise AssertionError("the suite froze its decoder")
+
+        monkeypatch.setattr(encoding, "freeze", no_freeze)
+        with pytest.raises(ValueError, match=re.escape(
+                f"ceiling_mse must be finite and >= 0, got {ceiling}")):
+            encoding.run_model_suite(
+                sd.ground_truth.decoder, ds, meta, [("frequency", ("frequency",))],
+                counts_table=sd.counts, k=2, seed=1, wd_grid=(1e-5,), epochs=2,
+                ceiling_mse=ceiling)
 
     def test_standard_roster_has_nine_entries(self):
         roster = encoding.standard_roster()
@@ -656,7 +672,7 @@ class TestSuite:
                 counts_table=sd.counts, token_features=sd.token_features,
                 embeddings=None,  # static_embedding becomes unassemblable
                 sentence_tokens=sd.sentence_tokens,
-                k=2, seed=1, weight_decay=1e-5, epochs=5, lr=0.005, n_boot=200,
+                k=2, seed=1, wd_grid=(1e-5,), epochs=5, lr=0.005, n_boot=200,
                 ceiling_mse=sd.ground_truth.mse_floor)
         assert [s["name"] for s in result["skipped"]] == ["freq+static"]
         digests = {e["report"].fold_digest for e in result["entries"].values()}
@@ -677,7 +693,7 @@ class TestSuite:
         result = encoding.run_model_suite(
             sd.ground_truth.decoder, ds, meta, encoding.standard_roster(),
             counts_table=sd.counts, token_features=sd.token_features, embeddings=embeddings,
-            sentence_tokens=sd.sentence_tokens, k=2, seed=1, weight_decay=1e-5, epochs=1,
+            sentence_tokens=sd.sentence_tokens, k=2, seed=1, wd_grid=(1e-5,), epochs=1,
             lr=0.005, n_boot=200, ceiling_mse=sd.ground_truth.mse_floor)
         return result, fitted, calls
 
@@ -721,7 +737,7 @@ class TestSuite:
             sd.ground_truth.decoder, ds, meta, [("frequency", ("frequency",))],
             counts_table=sd.counts, token_features=sd.token_features,
             embeddings=sd.embeddings, sentence_tokens=sd.sentence_tokens,
-            k=2, seed=1, weight_decay=None, epochs=3, lr=0.005, n_boot=200,
+            k=2, seed=1, epochs=3, lr=0.005, n_boot=200,
             ceiling_mse=sd.ground_truth.mse_floor)
         entry = result["entries"]["frequency"]
         assert entry["weight_decay"] in encoding.WEIGHT_DECAY_GRID
@@ -738,7 +754,7 @@ class TestSuite:
             sd.ground_truth.decoder, ds, meta, roster,
             counts_table=sd.counts, token_features=sd.token_features,
             embeddings=sd.embeddings, sentence_tokens=sd.sentence_tokens,
-            k=3, seed=1, weight_decay=1e-5, epochs=80, batch_size=32, lr=0.005,
+            k=3, seed=1, wd_grid=(1e-5,), epochs=80, batch_size=32, lr=0.005,
             n_boot=500, ceiling_mse=sd.ground_truth.mse_floor)
         r2 = {name: e["report"].r2_mod for name, e in result["entries"].items()}
         assert r2["freq+surp"] > r2["freq"]
@@ -775,7 +791,8 @@ class TestParallelFits:
             monkeypatch, n, encoding.run_model_suite, sd.ground_truth.decoder, ds, meta,
             roster, counts_table=sd.counts, token_features=sd.token_features,
             embeddings=sd.embeddings, sentence_tokens=sd.sentence_tokens, k=3, seed=2,
-            weight_decay=weight_decay, epochs=4, batch_size=32, lr=0.005, n_boot=200,
+            wd_grid=encoding.WEIGHT_DECAY_GRID if weight_decay is None else (weight_decay,),
+            epochs=4, batch_size=32, lr=0.005, n_boot=200,
             ceiling_mse=sd.ground_truth.mse_floor) for n in (1, 3)]
         serial, parallel = (self.suite_json(r) for r in runs)
         assert serial == parallel

@@ -746,7 +746,7 @@ class TestAdam:
 
     def test_zero_grad_is_noop(self):
         params = {"w": np.array([2.0, -3.0])}
-        state = nn.adam_init(params)
+        state = nn.adam_init(params, lr=0.001)
         nn.adam_step(params, {"w": np.zeros(2)}, state)
         np.testing.assert_array_equal(params["w"], [2.0, -3.0])
         assert state.step_count == 1
@@ -764,7 +764,7 @@ class TestAdam:
 
     def test_weight_decay_shrinks(self):
         params = {"w": np.array([10.0])}
-        state = nn.adam_init(params)
+        state = nn.adam_init(params, lr=0.001)
         nn.adam_step(params, {"w": np.zeros(1)}, state, weight_decay=0.1)
         assert params["w"][0] < 10.0
 
