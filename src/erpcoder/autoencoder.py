@@ -46,6 +46,11 @@ whole-dataset passes over the same blocks; :func:`encoding.map_predictions`,
 :func:`encoding.freeze` and :meth:`encoding.FrozenDecoder.score` (so
 :func:`encoding.model_mse` and :func:`synth.oracle_bounds`) do too.
 
+Folds read in place. :func:`pretrain` trains on ``rows`` of the dataset it
+is given, gathering each batch and dev score at those trials, so each
+fold of :func:`select_architecture` pretrains on its training trials with
+no copy of their epochs and gets the bits of pretraining on a copy.
+
 One geometry rule, :func:`check_geometry`, holds a spec to a dataset's
 channels and timepoints for :func:`pretrain`, :func:`encoding.freeze` and
 the CLI's analysis commands.
@@ -65,7 +70,7 @@ from . import nn
 from .checkpoint import (checkpoint_files, load_checkpoint, require_tensors,
                          save_checkpoint, tensor_dict_digest)
 from .data import (CHUNK_ROWS, ErpDataset, FormatError, TrialMeta, checked_fields,
-                   kfold_split, train_dev_split)
+                   checked_rows, kfold_split, train_dev_split)
 
 ARCHITECTURES = ("alpha", "beta")
 
@@ -434,6 +439,29 @@ class TrainHistory:
         return asdict(self)
 
 
+def _check_schedule(*, epochs: int, batch_size: int, lr: float,
+                    weight_decay: float = 0.0) -> None:
+    """``ValueError`` for ``epochs`` or ``batch_size`` below 1, an ``lr`` that
+    is not finite and positive, or a ``weight_decay`` that is not finite and
+    non-negative: the schedule :func:`_fit_epochs` refuses before any step,
+    and that the cross-validated searches refuse before any fit."""
+    for name, value in (("epochs", epochs), ("batch_size", batch_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
+    if not (np.isfinite(weight_decay) and weight_decay >= 0):
+        raise ValueError(f"weight_decay must be finite and >= 0, got {weight_decay}")
+
+
+def _dev_split(rows: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(train, dev) trials of ``rows``: the :data:`DEV_FRACTION` split drawn
+    over ``len(rows)`` with a seed from ``rng``, mapped through ``rows``."""
+    train_idx, dev_idx = train_dev_split(len(rows), DEV_FRACTION,
+                                         seed=int(rng.integers(2**63)))
+    return rows[train_idx], rows[dev_idx]
+
+
 def _fit_epochs(params: dict[str, np.ndarray], step, score, train_idx: np.ndarray,
                 dev_idx: np.ndarray, rng: np.random.Generator, *, epochs: int,
                 batch_size: int, lr: float, weight_decay: float = 0.0) -> TrainHistory:
@@ -444,18 +472,11 @@ def _fit_epochs(params: dict[str, np.ndarray], step, score, train_idx: np.ndarra
     MSE, and the gradients of ``params``. ``score(idx)`` returns the MSE of
     trials ``idx``. Each epoch draws one permutation of ``train_idx`` from
     ``rng``. Without dev trials the epoch's train MSE stands in for the dev
-    MSE. ``epochs`` or ``batch_size`` below 1, an ``lr`` that is not finite
-    and positive, or a ``weight_decay`` that is not finite and non-negative
-    raises ``ValueError`` before any step; a non-finite batch loss or epoch
-    dev MSE raises ``RuntimeError``.
+    MSE. A schedule :func:`_check_schedule` refuses raises ``ValueError``
+    before any step; a non-finite batch loss or epoch dev MSE raises
+    ``RuntimeError``.
     """
-    for name, value in (("epochs", epochs), ("batch_size", batch_size)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    if not (np.isfinite(lr) and lr > 0):
-        raise ValueError(f"lr must be finite and > 0, got {lr}")
-    if not (np.isfinite(weight_decay) and weight_decay >= 0):
-        raise ValueError(f"weight_decay must be finite and >= 0, got {weight_decay}")
+    _check_schedule(epochs=epochs, batch_size=batch_size, lr=lr, weight_decay=weight_decay)
     state = nn.adam_init(params, lr=lr)
     history = TrainHistory()
     best: tuple[float, int, dict] = (np.inf, -1, {})
@@ -566,26 +587,34 @@ def _cross_validate(fit_score, folds, groups) -> list[list]:
 
 
 def pretrain(spec: AutoencoderSpec, dataset: ErpDataset, meta: list[TrialMeta], *,
-             epochs: int = EPOCHS, batch_size: int = BATCH_SIZE, lr: float = LR,
+             rows=None, epochs: int = EPOCHS, batch_size: int = BATCH_SIZE, lr: float = LR,
              seed: int = 0) -> tuple[AutoencoderParams, TrainHistory]:
-    """Train the autoencoder under MSE; keep the best dev epoch's parameters.
+    """Train the autoencoder under MSE on trials ``rows`` of ``dataset``
+    (every trial when None); keep the best dev epoch's parameters.
 
     Deterministic given the seed: init, dev split (:data:`DEV_FRACTION` of
-    the trials) and batch order all derive from one seeded generator. Each
-    batch, and the dev set, runs as :data:`CHUNK_ROWS`-trial shards on the
-    pool (see the module docstring).
+    the trials) and batch order all derive from one seeded generator. The
+    trials are read in place: the dev split is drawn over ``len(rows)`` and
+    mapped through ``rows``, every batch and dev score gathers the epochs
+    and subject ids at those trials, and the intercept table has one row
+    per subject of their meta, so the result has the bits of pretraining on
+    ``dataset.subset(rows)`` and its meta. ``rows`` that are empty, not 1-D
+    or outside ``range(n_trials)`` raise ``ValueError`` before any step.
+    Each batch, and the dev set, runs as :data:`CHUNK_ROWS`-trial shards on
+    the pool (see the module docstring).
     """
     if dataset.n_trials == 0:
         raise ValueError("dataset is empty")
     check_geometry(spec, dataset)
     if len(meta) != dataset.n_trials:
         raise ValueError(f"{len(meta)} meta records for {dataset.n_trials} trials")
+    rows = checked_rows(rows, dataset.n_trials)
 
     rng = np.random.default_rng(seed)
-    subjects = tuple(sorted({m.subject_id for m in meta})) if spec.intercepts else None
+    subjects = (tuple(sorted({meta[i].subject_id for i in rows})) if spec.intercepts
+                else None)
     params = init_params(spec, rng, subjects)
-    train_idx, dev_idx = train_dev_split(
-        dataset.n_trials, DEV_FRACTION, seed=int(rng.integers(2**63)))
+    train_idx, dev_idx = _dev_split(rows, rng)
     step = functools.partial(_reconstruction_step, params, dataset.data,
                              np.array([m.subject_id for m in meta]))
     score = functools.partial(reconstruction_mse, params, dataset, meta)
@@ -677,9 +706,8 @@ def select_architecture(dataset: ErpDataset, meta: list[TrialMeta],
     def fold_result(spec: AutoencoderSpec, f: int, run_seed: int) -> dict:
         tr = folds.train_indices(f)
         te = folds.test_indices(f)
-        params, _ = pretrain(
-            spec, dataset.subset(tr), [meta[i] for i in tr],
-            epochs=epochs, batch_size=batch_size, lr=lr, seed=run_seed)
+        params, _ = pretrain(spec, dataset, meta, rows=tr, epochs=epochs,
+                             batch_size=batch_size, lr=lr, seed=run_seed)
         mse = reconstruction_mse(params, dataset, meta, te)
         var = float(dataset.data[te].var())
         return {"fold": f, "mse": mse, "r2": 1.0 - mse / var}

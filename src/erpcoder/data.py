@@ -592,6 +592,18 @@ def kfold_split(n_items: int, k: int, seed: int) -> FoldAssignment:
     return FoldAssignment(n_items=n_items, k=k, fold_of=fold_of)
 
 
+def checked_rows(rows, n: int, name: str = "rows") -> np.ndarray:
+    """``rows`` as an index array into ``range(n)``, every index when None;
+    ``ValueError`` naming ``name`` unless they are a non-empty 1-D list of
+    integers in ``range(n)``."""
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    if rows.ndim != 1 or len(rows) == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D list of trial indices")
+    if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
+        raise ValueError(f"{name} must be trial indices in range({n})")
+    return rows
+
+
 def train_dev_split(n_items: int, dev_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded split of range(n_items); both halves are returned sorted."""
     if not 0.0 <= dev_fraction < 1.0:

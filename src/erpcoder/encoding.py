@@ -90,10 +90,11 @@ as :func:`autoencoder.select_architecture` does for its pretraining folds.
 The pool has one thread per CPU in the process's affinity mask
 (``taskset`` limits it), at most one per fit. Each fit's seed is fixed
 before any fit runs, the frozen decoder and the features are only read,
-and results come back in list order, so they are bit-identical to a
-serial run; the first fit in list order that raises re-raises, and fits
-not yet started are never started. :func:`train` runs on the calling
-thread; :func:`freeze`, :meth:`FrozenDecoder.score`,
+each fit reading its fold's training trials in place (:func:`train`'s
+``rows``, so no fit copies ``r``), and results come back in list order,
+so they are bit-identical to a serial run; the first fit in list order
+that raises re-raises, and fits not yet started are never started.
+:func:`train` runs on the calling thread; :func:`freeze`, :meth:`FrozenDecoder.score`,
 :func:`map_predictions` and :func:`predict_erp` work a chunk of
 :data:`autoencoder.CHUNK_ROWS` trials per pool job. Pin BLAS to one
 thread (``OPENBLAS_NUM_THREADS=1``), or pool threads and BLAS threads
@@ -103,18 +104,18 @@ compete for the same CPUs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .autoencoder import (BATCH_SIZE, DEV_FRACTION, EPOCHS, LR, AutoencoderParams,
-                          TrainHistory, _add_intercepts, _cross_validate, _decode,
-                          _fit_epochs, _map_chunks, _stack_backward, _stack_forward, _take,
-                          check_geometry, decode, reconstruction_mse)
+from .autoencoder import (BATCH_SIZE, EPOCHS, LR, AutoencoderParams, TrainHistory,
+                          _add_intercepts, _check_schedule, _cross_validate, _decode,
+                          _dev_split, _fit_epochs, _map_chunks, _stack_backward,
+                          _stack_forward, _take, check_geometry, decode, reconstruction_mse)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
-from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, kfold_split,
-                   train_dev_split)
+from .data import (ErpDataset, FormatError, TrialMeta, checked_fields, checked_rows,
+                   kfold_split)
 from .features import (FeatureMatrix, FeatureSpec, Standardizer, apply_standardizer,
                        column_names, fit_standardizer, from_blocks, source_block)
 from .metrics import fold_report
@@ -151,8 +152,8 @@ class FrozenDecoder:
 
     ``digest`` is the decoder's content hash when :func:`freeze` built this.
     Row ``i`` of ``meta`` (None when frozen without trial records), ``r`` and
-    ``c`` belongs to trial ``i`` of the epochs; ``n_out``, from the decoder's
-    spec, is the number of values in one epoch. Latents, hidden activations
+    ``c`` belongs to the ``i``-th trial it was frozen against; ``n_out``,
+    from the decoder's spec, is the number of values in one epoch. Latents, hidden activations
     and their gradients are time-major, ``(T, C, N)`` with the trials in the
     last axis.
     """
@@ -171,10 +172,6 @@ class FrozenDecoder:
     @property
     def n_out(self) -> int:
         return self.decoder.spec.n_channels * self.decoder.spec.n_timepoints
-
-    def take(self, rows) -> "FrozenDecoder":
-        meta = None if self.meta is None else [self.meta[i] for i in rows]
-        return replace(self, meta=meta, r=self.r[rows], c=self.c[rows])
 
     def hidden(self, z: np.ndarray):
         """Latents ``(T_lat, C_lat, N)`` -> the last hidden activation ``h``
@@ -215,12 +212,17 @@ class FrozenDecoder:
 
 
 def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
-           meta: list[TrialMeta] | None = None) -> FrozenDecoder:
-    """``decoder`` frozen against every trial of ``dataset``, described by ``meta``.
+           meta: list[TrialMeta] | None = None, *, rows=None) -> FrozenDecoder:
+    """``decoder`` frozen against trials ``rows`` of ``dataset`` (every trial
+    when None), the dataset's trials described by ``meta``.
 
     ``meta`` names each trial's subject for the decoder's subject intercepts;
     a decoder without them may take None, one with them raises
-    ``ValueError``. ``AᵀA`` comes from :func:`nn.transposed_conv_gram_band`.
+    ``ValueError``. ``rows`` that are empty, not 1-D or outside
+    ``range(n_trials)`` raise ``ValueError`` too. Row ``i`` of the result is
+    trial ``rows[i]``: ``freeze(decoder, dataset, meta, rows=idx)`` has the
+    bits of freezing ``dataset.subset(idx)`` and ``idx``'s meta, with no copy
+    of those epochs. ``AᵀA`` comes from :func:`nn.transposed_conv_gram_band`.
     ``r`` and ``c`` are built a chunk of rows per pool job, time-major,
     through the output layer's own kernels: ``Aᵀ`` is the convolution with
     the same kernels (:func:`nn.conv1d_time_major_forward`), so neither the
@@ -232,6 +234,7 @@ def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
     if meta is not None and len(meta) != dataset.n_trials:
         raise ValueError(f"{len(meta)} meta records for {dataset.n_trials} trials")
     check_geometry(spec, dataset)
+    idx = checked_rows(rows, dataset.n_trials)
     last = len(decoder.plan.decoder) - 1
     step = decoder.plan.decoder[last]
     if step.activation:
@@ -242,20 +245,22 @@ def freeze(decoder: AutoencoderParams, dataset: ErpDataset,
     t_hid = nn.conv_output_length(dataset.n_timepoints, step.kernel, step.stride, step.padding)
     band = nn.transposed_conv_gram_band(kernels, step.stride, step.padding, t_hid)
 
-    subject_ids = None if meta is None else [m.subject_id for m in meta]
-    r = np.empty((dataset.n_trials, t_hid, c_hid))
-    c = np.empty(dataset.n_trials)
+    subject_ids = None if meta is None else np.array([m.subject_id for m in meta])
+    r = np.empty((len(idx), t_hid, c_hid))
+    c = np.empty(len(idx))
 
-    def fill(rows):
-        e = nn._swap_layout(dataset.data[rows])
-        e -= _add_intercepts(decoder, bias[:, None], _take(subject_ids, rows))
+    def fill(chunk):
+        # every trial is read through a slice, a view: no index copy
+        trials = chunk if rows is None else idx[chunk]
+        e = nn._swap_layout(dataset.data[trials])
+        e -= _add_intercepts(decoder, bias[:, None], _take(subject_ids, trials))
         adjoint, _ = nn.conv1d_time_major_forward(e, kernels, np.zeros(c_hid), step.stride,
                                                   step.padding)
-        r[rows] = adjoint.transpose(2, 0, 1)
-        c[rows] = np.einsum("tcn,tcn->n", e, e)
+        r[chunk] = adjoint.transpose(2, 0, 1)
+        c[chunk] = np.einsum("tcn,tcn->n", e, e)
 
-    _map_chunks(fill, dataset.n_trials)
-    meta = None if meta is None else list(meta)
+    _map_chunks(fill, len(idx))
+    meta = None if meta is None else [meta[i] for i in idx]
     return FrozenDecoder(decoder, decoder.decoder_digest(), meta, band, r, c)
 
 
@@ -409,10 +414,18 @@ def _check_filtered(meta: list[TrialMeta] | None) -> None:
         raise ValueError("training trials must exclude sentence-initial words")
 
 
-def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
+def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *, rows=None,
           epochs: int = EPOCHS, batch_size: int = BATCH_SIZE, lr: float = LR,
           weight_decay: float = 0.0, seed: int = 0) -> tuple[EncodingModel, TrainHistory]:
     """Fit interface (and tuner) to predict the epochs of ``frozen`` from features.
+
+    The fit uses trials ``rows`` of ``frozen`` and ``features`` (every trial
+    when None), read in place: the dev split is drawn over ``len(rows)``
+    and mapped through ``rows``, and each batch gathers ``r``, ``c`` and the
+    standardized features at those trials, so the result has the bits of a
+    fit on copies of those rows. ``rows`` that are empty, not 1-D or
+    outside ``range(n_trials)`` raise ``ValueError`` before any step, and
+    the filter check reads their meta records alone.
 
     The MSE is minimised in Gram form; the parameters of the best epoch on a
     :data:`autoencoder.DEV_FRACTION` dev split are kept. The decoder stays
@@ -425,14 +438,14 @@ def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
     sources = tuple(sources)
     if features.n_trials != frozen.n_trials:
         raise ValueError(f"got {frozen.n_trials} trials, {features.n_trials} feature rows")
-    _check_filtered(frozen.meta)
+    rows = checked_rows(rows, frozen.n_trials)
+    _check_filtered(None if frozen.meta is None else [frozen.meta[i] for i in rows])
     embed_cols, scalar_cols = _split_columns(features.names, sources)
     if frozen.decoder.decoder_digest() != frozen.digest:
         raise RuntimeError("frozen decoder was mutated after freeze")
 
     rng = np.random.default_rng(seed)
-    train_idx, dev_idx = train_dev_split(
-        frozen.n_trials, DEV_FRACTION, seed=int(rng.integers(2**63)))
+    train_idx, dev_idx = _dev_split(rows, rng)
     standardizer = fit_standardizer(features, train_idx)
     f_std = apply_standardizer(features, standardizer)
     plan = frozen.decoder.plan
@@ -495,8 +508,7 @@ def _fold_mses(frozen: FrozenDecoder, folds, groups, **train_kwargs) -> list[lis
     each group (features, sources, weight_decay, seeds) of
     :func:`_cross_validate`; ``train_kwargs`` go to :func:`train`."""
     def fold_mse(features, sources, weight_decay, f, run_seed) -> float:
-        tr = folds.train_indices(f)
-        model, _ = train(frozen.take(tr), features.take(tr), sources,
+        model, _ = train(frozen, features, sources, rows=folds.train_indices(f),
                          weight_decay=weight_decay, seed=run_seed, **train_kwargs)
         return model_mse(model, frozen, features, folds.test_indices(f))
 
@@ -517,6 +529,13 @@ def _grid_search(grid, per_wd) -> tuple[float, list[dict], list[float]]:
     return chosen, table, mses
 
 
+def _check_grid(grid, **schedule) -> None:
+    """``ValueError`` unless :func:`autoencoder._check_schedule` accepts
+    ``schedule`` at every weight decay of ``grid``."""
+    for wd in grid:
+        _check_schedule(weight_decay=wd, **schedule)
+
+
 def weight_decay_search(frozen: FrozenDecoder, features: FeatureMatrix, sources, *,
                         k: int = 5, seed: int = 0, epochs: int = EPOCHS,
                         batch_size: int = BATCH_SIZE, lr: float = LR
@@ -525,9 +544,12 @@ def weight_decay_search(frozen: FrozenDecoder, features: FeatureMatrix, sources,
     held-out MSE over k folds.
 
     Deterministic given the seed; ties break to the smaller weight decay.
-    Returns (chosen_wd, table) with one row per (weight_decay, fold).
+    Returns (chosen_wd, table) with one row per (weight_decay, fold). A
+    schedule that :func:`autoencoder._check_schedule` refuses at any decay
+    of the grid raises ``ValueError`` before any fit.
     """
     grid = WEIGHT_DECAY_GRID
+    _check_grid(grid, epochs=epochs, batch_size=batch_size, lr=lr)
     folds = kfold_split(frozen.n_trials, k, seed)
     seed_rng = np.random.default_rng(seed)
     seeds = [int(seed_rng.integers(2**63)) for _ in range(len(grid) * k)]
@@ -594,8 +616,10 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
     ``(wd,)`` pins the decay. Each source's feature block is built once, for
     every entry that lists it. An entry whose blocks cannot be built (a table
     not supplied, say) is skipped with a warning; a roster that
-    :func:`check_roster` refuses, an empty grid or a bad ``ceiling_mse``
-    raise ``ValueError`` before any fit. Returns a dict with per-entry
+    :func:`check_roster` refuses, an empty grid, a schedule that
+    :func:`autoencoder._check_schedule` refuses at any decay of the grid
+    or a bad ``ceiling_mse`` raise ``ValueError`` before the decoder is
+    frozen or any fit runs. Returns a dict with per-entry
     :class:`metrics.EvalReport` data.
     """
     roster = standard_roster() if roster is None else list(roster)
@@ -603,6 +627,7 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
     grid = tuple(wd_grid)
     if not grid:
         raise ValueError("weight decay grid is empty")
+    _check_grid(grid, epochs=epochs, batch_size=batch_size, lr=lr)
     if ceiling_mse is not None and not (np.isfinite(ceiling_mse) and ceiling_mse >= 0):
         raise ValueError(f"ceiling_mse must be finite and >= 0, got {ceiling_mse}")
     frozen = freeze(decoder, dataset, meta)

@@ -28,7 +28,7 @@ from .autoencoder import (AutoencoderParams, AutoencoderSpec, build_layer_plan, 
                           decode, init_params, tensor_shapes)
 from .checkpoint import checkpoint_files, load_checkpoint, require_tensors, save_checkpoint
 from .data import (CHUNK_ROWS, EmbeddingTable, ErpDataset, TokenFeatureTable, TrialMeta,
-                   checked_fields, save_counts, save_embeddings, save_erp,
+                   checked_fields, checked_rows, save_counts, save_embeddings, save_erp,
                    save_token_features, write_json)
 from .encoding import freeze
 from .features import SOURCES, source_block
@@ -282,15 +282,6 @@ def calibrate_noise(config: SynthConfig, target_snr: float) -> SynthConfig:
 # ---------------------------------------------------------------------------
 
 
-def _checked_rows(rows, n: int, name: str) -> np.ndarray:
-    rows = np.arange(n) if rows is None else np.asarray(rows)
-    if rows.ndim != 1 or len(rows) == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D list of trial indices")
-    if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
-        raise ValueError(f"{name} must be trial indices in range({n})")
-    return rows
-
-
 def oracle_bounds(truth: GroundTruth, dataset: ErpDataset,
                   fit_rows=None, eval_rows=None) -> dict:
     """Best achievable MSE and r2 per nested driving-feature subset.
@@ -308,9 +299,10 @@ def oracle_bounds(truth: GroundTruth, dataset: ErpDataset,
     ``dataset`` must be the generated set whose trials ``truth`` describes,
     with every trial: another trial count or epoch geometry, or rows that
     are empty or outside ``range(n_trials)``, raise ``ValueError`` before
-    any work. The true decoder is frozen against the dataset once
-    (:func:`encoding.freeze`), and every bound is scored in its Gram form,
-    ``hᵀGh - 2hᵀr + c`` per trial, a chunk of ``eval_rows`` per pool job
+    any work. The true decoder is frozen once against the trials of
+    ``eval_rows`` alone (:func:`encoding.freeze` with ``rows``), and every
+    bound is scored in its Gram form, ``hᵀGh - 2hᵀr + c`` per trial, a chunk
+    of ``eval_rows`` per pool job
     (:meth:`encoding.FrozenDecoder.score`): the latents pass through the
     decoder's hidden layers only, and no epoch is decoded. That form cancels
     to the residual, so its absolute error scales with the mean squared
@@ -322,9 +314,12 @@ def oracle_bounds(truth: GroundTruth, dataset: ErpDataset,
     if dataset.n_trials != n:
         raise ValueError(f"dataset has {dataset.n_trials} trials, the ground truth {n}: "
                          "oracle bounds need the generated set")
-    fit_rows = _checked_rows(fit_rows, n, "fit_rows")
-    eval_rows = _checked_rows(eval_rows, n, "eval_rows")
-    frozen = freeze(truth.decoder, dataset)
+    fit_rows = checked_rows(fit_rows, n, "fit_rows")
+    every = eval_rows is None
+    eval_rows = checked_rows(eval_rows, n, "eval_rows")
+    # frozen against the scored trials alone, its row i being trial eval_rows[i]
+    frozen = freeze(truth.decoder, dataset, rows=None if every else eval_rows)
+    scored = np.arange(len(eval_rows))
     driving = tuple(truth.driving_columns)
     subsets = [driving[:i] for i in range(len(driving) + 1)]
 
@@ -333,7 +328,7 @@ def oracle_bounds(truth: GroundTruth, dataset: ErpDataset,
 
     def gram_mse(latents: np.ndarray) -> float:
         # (n_eval, C_lat, T_lat) latents, read time-major a chunk at a time
-        return frozen.score(latents.transpose(2, 1, 0), eval_rows)
+        return frozen.score(latents.transpose(2, 1, 0), scored)
 
     mse_floor = gram_mse(truth.latents[eval_rows])
 

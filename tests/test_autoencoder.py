@@ -14,7 +14,7 @@ import pytest
 from erpcoder import autoencoder as ae
 from erpcoder import cli, nn, synth
 from erpcoder.checkpoint import load_checkpoint, save_checkpoint
-from erpcoder.data import ErpDataset, FormatError, TrialMeta
+from erpcoder.data import ErpDataset, FormatError, TrialMeta, kfold_split
 
 
 def meta_rows(n, subjects=("s1", "s2"), words=5):
@@ -629,6 +629,48 @@ class TestParallelFits:
         with pytest.raises(RuntimeError, match="^job 0 failed$"):
             ae._run_jobs(job, [(i,) for i in range(40)])
         assert len(ran) < 40
+
+
+class TestFitOnRows:
+    """Pretraining on rows read in place gives the bits of pretraining on a
+    copy of those rows."""
+
+    @pytest.mark.parametrize("arch, intercepts, fold", [
+        ("beta", False, "fold"), ("alpha", False, "fold"), ("beta", True, "fold"),
+        ("beta", True, "no_s3")], ids=["beta", "alpha", "beta-intercepts",
+                                      "intercepts-without-a-subject"])
+    def test_pretrain_on_rows_equals_pretrain_on_copies(self, rng, arch, intercepts, fold):
+        spec = ae.AutoencoderSpec(arch, intercepts, 8, 40)
+        ds = lowrank_dataset(rng, spec, n=150)
+        meta = meta_rows(150, subjects=("s1", "s2", "s3"))
+        if fold == "fold":
+            tr = kfold_split(150, 5, seed=3).train_indices(2)
+        else:  # a fold that holds none of s3's trials: its table has two rows
+            tr = np.array([i for i, m in enumerate(meta) if m.subject_id != "s3"])
+        kw = dict(epochs=2, batch_size=48, lr=0.003, seed=11)
+        params, history = ae.pretrain(spec, ds, meta, rows=tr, **kw)
+        copies, copies_history = ae.pretrain(spec, ds.subset(tr), [meta[i] for i in tr], **kw)
+        assert params.subjects == copies.subjects
+        if fold == "no_s3":
+            assert params.subjects == ("s1", "s2")
+        assert list(params.tensors) == list(copies.tensors)
+        for name, t in copies.tensors.items():
+            assert params.tensors[name].tobytes() == t.tobytes(), name
+        assert history == copies_history
+
+    @pytest.mark.parametrize("rows, message", [
+        ([], "rows must be a non-empty 1-D list of trial indices"),
+        (np.zeros((2, 2), dtype=int), "rows must be a non-empty 1-D list of trial indices"),
+        ([0, 40], r"rows must be trial indices in range\(40\)"),
+        ([-1, 3], r"rows must be trial indices in range\(40\)"),
+        ([0.0, 1.0], r"rows must be trial indices in range\(40\)"),
+    ], ids=["empty", "2d", "above", "negative", "float"])
+    def test_bad_rows_rejected_before_any_step(self, rng, monkeypatch, rows, message):
+        spec = ae.AutoencoderSpec("beta", False, 8, 50)
+        ds = lowrank_dataset(rng, spec, n=40)
+        monkeypatch.setattr(nn, "adam_step", lambda *args, **kw: pytest.fail("a step ran"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ae.pretrain(spec, ds, meta_rows(40), rows=rows, epochs=1)
 
 
 class TestCheckpoint:

@@ -1011,8 +1011,10 @@ class TestExitCodes:
         ({"lr": 0.0}, "lr must be finite and > 0, got 0.0"),
         ({"weight_decay": -1.0}, "weight_decay must be finite and >= 0, got -1.0"),
     ], ids=["fit_wd", "suite_lr", "suite_wd"])
-    def test_bad_step_size_is_1(self, pipeline, tmp_path, capsys, setting, message):
+    def test_bad_step_size_is_1(self, pipeline, tmp_path, capsys, monkeypatch, setting,
+                                message):
         decoder, data = pipeline / "m" / "autoencoder", pipeline / "d" / "data"
+        calls = []  # the suite refuses its schedule before it freezes or fits
         if setting is None:
             args = ["fit", "--decoder", decoder, "--data", data, "--sources", "constant",
                     "--wd", -5]
@@ -1024,11 +1026,14 @@ class TestExitCodes:
                            {"name": "frequency", "sources": ["frequency"]}],
                 "counts": str(pipeline / "d" / "counts.tsv"), **setting}))
             args = ["suite", "--config", path]
+            for name in ("freeze", "train"):
+                monkeypatch.setattr(encoding, name, lambda *a, name=name, **kw: calls.append(name))
         assert run([*args, "--out", tmp_path / "o"]) == 1
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             f"error: InvalidInput: {message}"]
         assert not (tmp_path / "o").exists()
+        assert calls == []
 
     def test_diverged_pretraining_is_a_run_failure(self, pipeline, tmp_path, capsys):
         # one step at a huge learning rate: the loss it takes is finite, the dev
@@ -1091,7 +1096,10 @@ class TestPeakMemory:
     the trial count but is no epoch array: the frozen decoder's ``r`` and the
     one-pass temporaries of ``encoding.model_mse``. The pool runs one worker,
     so that the allowance does not grow with the CPU count, and pretraining
-    steps a batch of one chunk."""
+    steps a batch of one chunk. The fold loops of ``select-arch`` and
+    ``suite`` read each fold's training trials in place: a copy of 80% of
+    the epochs, about 23 MiB here, would exceed the allowance; the 20% that
+    ``select-arch`` gathers for a fold's held-out variance fits in it."""
 
     EPOCH_BYTES = 32 * 200 * 8
     ALLOWANCE = 10 * autoencoder.CHUNK_ROWS * EPOCH_BYTES  # 15.6 MiB
@@ -1104,6 +1112,11 @@ class TestPeakMemory:
         config.write_text(json.dumps(
             {**SYNTH_CONFIG, "n_subjects": 6, "n_channels": 32, "n_timepoints": 200}))
         d, m, e0, e1 = root / "d", root / "m", root / "e0", root / "e1"
+        suite = root / "suite.json"
+        suite.write_text(json.dumps({
+            "data": str(d / "data"), "decoder": str(m / "autoencoder"),
+            "counts": str(d / "counts.tsv"), "token_features": str(d / "tokens.feat.tsv"),
+            "embeddings": str(d / "embeddings.txt"), "epochs": 1, "weight_decay": 1e-3}))
         tables = ["--features", d / "tokens.feat.tsv", "--counts", d / "counts.tsv"]
         analysis = ["--model", e1 / "model", "--autoencoder", m / "autoencoder",
                     "--data", d / "data", *tables]
@@ -1119,6 +1132,9 @@ class TestPeakMemory:
             "timecourse": ["timecourse", *analysis, "--intercept", e0 / "model",
                            "--out", root / "t"],
             "export-words": ["export-words", *analysis, "--out", root / "w"],
+            "select-arch": ["select-arch", "--data", d / "data", "--folds", 5, "--epochs", 1,
+                            "--batch", autoencoder.CHUNK_ROWS, "--out", root / "s"],
+            "suite": ["suite", "--config", suite, "--out", root / "u"],
         }
         peaks = {}
         with pytest.MonkeyPatch.context() as mp:
@@ -1137,7 +1153,8 @@ class TestPeakMemory:
     # command: (epoch arrays, the trials it keeps: all, or include_first_word)
     @pytest.mark.parametrize("command, arrays, first_words", [
         ("synth", 1, "all"), ("pretrain", 1, True), ("fit", 1, False),
-        ("evaluate", 1, False), ("timecourse", 1, False), ("export-words", 1, False)])
+        ("evaluate", 1, False), ("timecourse", 1, False), ("export-words", 1, False),
+        ("select-arch", 1, True), ("suite", 1, False)])
     def test_peak_is_kept_epoch_arrays_plus_blocks(self, measured, command, arrays,
                                                    first_words):
         peaks, meta = measured

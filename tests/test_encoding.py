@@ -1,6 +1,7 @@
 """Frozen-decoder encoding model tests: composition, training, search, suite."""
 
 import copy
+import dataclasses
 import json
 import re
 import sys
@@ -12,7 +13,8 @@ from erpcoder import autoencoder, encoding, features, metrics, nn, synth
 from erpcoder.autoencoder import (AutoencoderSpec, _decoder_forward, _stack_backward, decode,
                                   init_params)
 from erpcoder.checkpoint import load_checkpoint, save_checkpoint
-from erpcoder.data import ErpDataset, FormatError, TrialMeta, filter_artifacts, keep_mask
+from erpcoder.data import (ErpDataset, FormatError, TrialMeta, filter_artifacts, keep_mask,
+                           kfold_split)
 
 
 @pytest.fixture(scope="module")
@@ -507,7 +509,7 @@ class TestGramReadout:
         # bits; training still needs them, to check the trials are filtered
         decoder, ds, meta = paper_geometry_set(rng, arch, False, n=40)
         with_meta, without = encoding.freeze(decoder, ds, meta), encoding.freeze(decoder, ds)
-        assert without.meta is None and without.take([3, 1]).meta is None
+        assert without.meta is None and encoding.freeze(decoder, ds, rows=[3, 1]).meta is None
         np.testing.assert_array_equal(without.r, with_meta.r)
         np.testing.assert_array_equal(without.c, with_meta.c)
         fm = features.FeatureMatrix(rng.normal(size=(ds.n_trials, 1)), ["frequency"])
@@ -570,6 +572,21 @@ class TestWeightDecaySearch:
                                          lr=0.005)
         assert a == b
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"lr": 0.0}, "lr must be finite and > 0, got 0.0"),
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+    ], ids=["lr", "batch_size"])
+    def test_bad_schedule_rejected_before_any_fit(self, small_synth, monkeypatch, setting,
+                                                  message):
+        sd, ds, meta = small_synth
+        fm = assemble_for(sd, meta, ("frequency",))
+        frozen = encoding.freeze(sd.ground_truth.decoder, ds, meta)
+        fits = []
+        monkeypatch.setattr(encoding, "train", lambda *a, **kw: fits.append(a))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            encoding.weight_decay_search(frozen, fm, ("frequency",), k=2, epochs=2, **setting)
+        assert fits == []
+
     def test_tie_breaks_to_smaller_weight_decay(self):
         # 1e-3 and 1e-5 tie on the mean; the larger 1e-1 is worse
         per_wd = [[2.0, 2.5], [1.0, 3.0], [3.0, 1.0]]
@@ -604,6 +621,27 @@ class TestSuite:
                 counts_table=sd.counts, k=2, seed=1, wd_grid=(),
                 epochs=2, ceiling_mse=sd.ground_truth.mse_floor)
         assert fits == []
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"wd_grid": (1e-5, -1.0)}, "weight_decay must be finite and >= 0, got -1.0"),
+        ({"lr": 0.0}, "lr must be finite and > 0, got 0.0"),
+        ({"epochs": 0}, "epochs must be >= 1, got 0"),
+    ], ids=["decay", "lr", "epochs"])
+    def test_bad_schedule_rejected_before_freezing(self, small_synth, monkeypatch, setting,
+                                                   message):
+        # a negative decay used to freeze the decoder and run the intercept
+        # anchor's fits before the first fit at that decay refused it
+        sd, ds, meta = small_synth
+        calls = []
+        monkeypatch.setattr(encoding, "freeze", lambda *a, **kw: calls.append("freeze"))
+        monkeypatch.setattr(encoding, "train", lambda *a, **kw: calls.append("train"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            encoding.run_model_suite(
+                sd.ground_truth.decoder, ds, meta, [("frequency", ("frequency",))],
+                counts_table=sd.counts, k=2, seed=1,
+                **{"wd_grid": (1e-5,), "epochs": 2, **setting},
+                ceiling_mse=sd.ground_truth.mse_floor)
+        assert calls == []
 
     def test_repeated_entry_name_rejected_before_any_fit(self, small_synth, monkeypatch):
         # two entries named "x" used to run both, and the second replaced the first
@@ -824,6 +862,85 @@ class TestParallelFits:
                                   lr=1e200)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+
+def assert_same_fit(got, want):
+    """Two (EncodingModel, TrainHistory) fits with the same bits."""
+    (model, history), (other, other_history) = got, want
+    assert list(model.params) == list(other.params)
+    for name, tensor in other.params.items():
+        assert model.params[name].tobytes() == tensor.tobytes(), name
+    assert model.standardizer.mean.tobytes() == other.standardizer.mean.tobytes()
+    assert model.standardizer.scale.tobytes() == other.standardizer.scale.tobytes()
+    assert history == other_history
+
+
+class TestFitOnRows:
+    """Freezing and fitting on rows read in place give the bits of copies of
+    those rows."""
+
+    @pytest.mark.parametrize("arch, intercepts", GRAM_SETTINGS, ids=GRAM_IDS)
+    def test_freeze_on_rows_equals_freeze_of_subset(self, rng, arch, intercepts):
+        # 70 of 150 trials, unsorted and with a repeat: three chunks, one ragged
+        decoder, ds, meta = paper_geometry_set(rng, arch, intercepts)
+        idx = np.concatenate([rng.permutation(150)[:69], [5]])
+        frozen = encoding.freeze(decoder, ds, meta, rows=idx)
+        subset = encoding.freeze(decoder, ds.subset(idx), [meta[i] for i in idx])
+        assert frozen.r.tobytes() == subset.r.tobytes()
+        assert frozen.c.tobytes() == subset.c.tobytes()
+        assert frozen.band.tobytes() == subset.band.tobytes()
+        assert frozen.meta == subset.meta and frozen.digest == subset.digest
+
+    @pytest.mark.parametrize("sources", [("frequency", "surprisal"),
+                                         ("frequency", "static_embedding")],
+                             ids=["scalar", "tuner"])
+    @pytest.mark.parametrize("intercepts", [False, True], ids=["plain", "intercepts"])
+    def test_train_on_rows_equals_train_on_copies(self, small_synth, sources, intercepts):
+        sd, ds, meta = small_synth
+        decoder = sd.ground_truth.decoder
+        if intercepts:
+            subjects = tuple(sorted({m.subject_id for m in meta}))
+            decoder = init_params(dataclasses.replace(decoder.spec, intercepts=True), seed=3,
+                                  subjects=subjects)
+            decoder.tensors.update(sd.ground_truth.decoder.tensors)
+            decoder.tensors["intercepts"] = np.random.default_rng(1).normal(
+                size=(len(subjects), ds.n_channels))
+        fm = assemble_for(sd, meta, sources)
+        frozen = encoding.freeze(decoder, ds, meta)
+        tr = kfold_split(ds.n_trials, 3, seed=2).train_indices(1)
+        kw = dict(epochs=3, batch_size=32, lr=0.005, weight_decay=1e-3, seed=9)
+        copies = dataclasses.replace(frozen, r=frozen.r[tr], c=frozen.c[tr],
+                                     meta=[frozen.meta[i] for i in tr])
+        assert_same_fit(encoding.train(frozen, fm, sources, rows=tr, **kw),
+                        encoding.train(copies, fm.take(tr), sources, **kw))
+
+    def test_filter_check_reads_the_rows_alone(self, small_synth):
+        # a sentence-initial trial outside rows does not stop the fit
+        sd, _, _ = small_synth
+        clean = np.flatnonzero(keep_mask(sd.meta, include_first_word=False))
+        first = next(i for i, m in enumerate(sd.meta) if m.word_position == 1)
+        frozen = encoding.freeze(sd.ground_truth.decoder, sd.dataset, sd.meta)
+        fm = assemble_for(sd, sd.meta, ("frequency",))
+        encoding.train(frozen, fm, ("frequency",), rows=clean, epochs=1)
+        with pytest.raises(ValueError, match="exclude sentence-initial words"):
+            encoding.train(frozen, fm, ("frequency",), rows=[*clean, first], epochs=1)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([], "rows must be a non-empty 1-D list of trial indices"),
+        (np.zeros((2, 2), dtype=int), "rows must be a non-empty 1-D list of trial indices"),
+        ([0, 10**6], "rows must be trial indices in range"),
+        ([-1, 3], "rows must be trial indices in range"),
+        ([0.0, 1.0], "rows must be trial indices in range"),
+    ], ids=["empty", "2d", "above", "negative", "float"])
+    def test_bad_rows_rejected_before_any_step(self, small_synth, monkeypatch, rows, message):
+        sd, ds, meta = small_synth
+        frozen = encoding.freeze(sd.ground_truth.decoder, ds, meta)
+        fm = assemble_for(sd, meta, ("frequency",))
+        monkeypatch.setattr(nn, "adam_step", lambda *a, **kw: pytest.fail("a step ran"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            encoding.train(frozen, fm, ("frequency",), rows=rows, epochs=1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            encoding.freeze(sd.ground_truth.decoder, ds, meta, rows=rows)
 
 
 class TestCheckpoint:

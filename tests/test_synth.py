@@ -1,6 +1,7 @@
 """Synthetic generator and oracle-bound tests."""
 
 import copy
+import dataclasses
 import json
 import re
 
@@ -326,6 +327,29 @@ class TestOracleBounds:
         bounds = synth.oracle_bounds(sd.ground_truth, sd.dataset,
                                      fit_rows=fit, eval_rows=ev)
         assert bounds["mse"]["frequency"] >= bounds["mse"]["frequency+surprisal"]
+
+    @pytest.mark.parametrize("architecture", ["alpha", "beta"])
+    def test_subset_frozen_alone_matches_every_trial_frozen(self, monkeypatch, architecture):
+        # the kept trials alone are frozen; the reference freezes every trial
+        # and gathers the kept rows of r and c, its adjoint pass running other
+        # 32-trial blocks, so the two agree within 1e-12, not bit for bit
+        sd = synth.generate(small_config(n_sentences=50, n_timepoints=40, noise_sd=1.0,
+                                         artifact_rate=0.2, architecture=architecture))
+        kept = np.flatnonzero(~np.array([m.artifact for m in sd.meta]))
+        assert 0 < len(kept) < sd.dataset.n_trials
+        frozen_rows = []
+
+        def freeze_every_trial(decoder, dataset, meta=None, *, rows=None):
+            frozen_rows.append(rows)
+            whole = encoding.freeze(decoder, dataset, meta)
+            return dataclasses.replace(whole, r=whole.r[rows], c=whole.c[rows])
+
+        bounds = synth.oracle_bounds(sd.ground_truth, sd.dataset, fit_rows=kept, eval_rows=kept)
+        monkeypatch.setattr(synth, "freeze", freeze_every_trial)
+        reference = synth.oracle_bounds(sd.ground_truth, sd.dataset, fit_rows=kept,
+                                        eval_rows=kept)
+        np.testing.assert_array_equal(frozen_rows[0], kept)
+        assert_matches_reference(bounds, reference)
 
     def test_degenerate_features_use_ridge(self):
         sd = synth.generate(small_config())
