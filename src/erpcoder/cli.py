@@ -22,9 +22,17 @@ scores each chunk of predictions as it is decoded. ``timecourse`` decodes
 the model and the intercept model a chunk at a time and scores both chunks
 as they are decoded, so it holds the data and no full prediction.
 
+Each training command checks its schedule and weight decay right after
+parsing its flags or reading its config, before any input is read:
+:func:`autoencoder._check_schedule`, or :func:`encoding._check_grid` at
+every decay of the grid that ``fit --wd-search`` or ``suite`` fits (exit 1,
+nothing written).
+
 Before any decode, ``evaluate``, ``timecourse`` and ``export-words`` check
 that the autoencoder decodes epochs of the dataset's channels and
-timepoints (:func:`autoencoder.check_geometry`; exit 1, nothing written).
+timepoints (:func:`autoencoder.check_geometry`), and ``timecourse`` that
+its ``--window`` is no longer than the epoch
+(:func:`metrics.check_smoothing_window`); exit 1, nothing written.
 
 :func:`build_parser` declares each flag once: ``--out`` on every
 subcommand, ``--seed``, ``--epochs``, ``--batch`` and ``--lr`` on the
@@ -158,11 +166,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
+    hyper = _hyper(vars(args))
+    autoencoder._check_schedule(**hyper)
     # autoencoders reconstruct every clean epoch, sentence-initial words included
     dataset, meta, _, inputs = _load_inputs(args.data, {}, include_first_word=True)
     spec = autoencoder.AutoencoderSpec(
         args.arch, args.intercepts, dataset.n_channels, dataset.n_timepoints)
-    hyper = _hyper(vars(args))
     _progress(f"pretraining {args.arch} autoencoder on {dataset.n_trials} trials")
     params, history = autoencoder.pretrain(spec, dataset, meta, seed=args.seed, **hyper)
     out = _out_dir(args.out)
@@ -185,8 +194,9 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_select_arch(args) -> int:
-    dataset, meta, _, inputs = _load_inputs(args.data, {}, include_first_word=True)
     hyper = _hyper(vars(args))
+    autoencoder._check_schedule(**hyper)
+    dataset, meta, _, inputs = _load_inputs(args.data, {}, include_first_word=True)
     candidates = None
     if args.intercepts:
         # cross each architecture with and without subject/electrode intercepts
@@ -222,11 +232,13 @@ def _cmd_fit(args) -> int:
         raise ValueError("--folds needs --wd-search, whose folds it sets")
     folds = 5 if args.folds is None else args.folds
     sources = _parse_sources(args.sources)
+    wd = args.wd if args.wd is not None else 0.0
+    hyper = _hyper(vars(args))
+    encoding._check_grid(encoding.WEIGHT_DECAY_GRID if args.wd_search else (wd,), **hyper)
     decoder, decoder_inputs = _load_hashed(autoencoder.load_autoencoder, args.decoder)
     dataset, meta, tables, inputs = _load_inputs(args.data, vars(args))
     fm = assemble(FeatureSpec(sources), meta, **tables)
     frozen = encoding.freeze(decoder, dataset, meta)
-    hyper = _hyper(vars(args))
 
     wd_table = None
     if args.wd_search:
@@ -234,8 +246,6 @@ def _cmd_fit(args) -> int:
         wd, wd_table = encoding.weight_decay_search(
             frozen, fm, sources, k=folds, seed=args.seed, **hyper)
         _progress(f"chosen weight decay: {wd:g}")
-    else:
-        wd = args.wd if args.wd is not None else 0.0
 
     _progress(f"fitting encoding model ({'+'.join(sources)}) on {dataset.n_trials} trials")
     model, history = encoding.train(
@@ -282,15 +292,16 @@ def _cmd_suite(args) -> int:
             encoding.check_roster(roster)
         except ValueError as e:
             raise FormatError(f"{args.config}: {e}") from None
+    k, seed, wd = config.get("folds", 5), config.get("seed", 0), config.get("weight_decay")
+    wd_grid = encoding.WEIGHT_DECAY_GRID if wd is None else (wd,)
+    hyper = _hyper(config)
+    encoding._check_grid(wd_grid, **hyper)
     decoder, decoder_inputs = _load_hashed(autoencoder.load_autoencoder, config["decoder"])
     dataset, meta, tables, inputs = _load_inputs(config["data"], config)
-    hyper = _hyper(config)
-    k, seed, wd = config.get("folds", 5), config.get("seed", 0), config.get("weight_decay")
 
     _progress(f"running model suite on {dataset.n_trials} trials, {k} folds")
     result = encoding.run_model_suite(
-        decoder, dataset, meta, roster, k=k, seed=seed,
-        wd_grid=encoding.WEIGHT_DECAY_GRID if wd is None else (wd,),
+        decoder, dataset, meta, roster, k=k, seed=seed, wd_grid=wd_grid,
         ceiling_mse=config.get("ceiling_mse"), **tables, **hyper)
 
     out = _out_dir(args.out)
@@ -363,6 +374,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_timecourse(args) -> int:
     _, dataset, meta, (model, fm), (intercept, fm_intercept), inputs = _load_analysis(args)
+    metrics.check_smoothing_window(args.window, dataset.n_timepoints)  # before any decode
     # both models decoded and scored a chunk at a time, the data's chunk centred once
     correlation = metrics.TimepointCorrelation(dataset.data)
     chunks = encoding.map_predictions(correlation.chunk, [(model, fm), (intercept, fm_intercept)],
@@ -401,14 +413,17 @@ def _cmd_export_words(args) -> int:
 
 
 def _smoothing_window(text: str) -> int:
-    """``timecourse --window``: an odd number of samples, at least 1, checked
-    as the command line is parsed, before any input is read."""
+    """``timecourse --window``: an odd number of samples, at least 1
+    (:func:`metrics.check_smoothing_window`), checked as the command line is
+    parsed, before any input is read."""
     try:
         window = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if window < 1 or window % 2 == 0:
-        raise argparse.ArgumentTypeError(f"must be odd and >= 1, got {window}")
+    try:
+        metrics.check_smoothing_window(window)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
     return window
 
 

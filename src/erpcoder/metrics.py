@@ -202,14 +202,25 @@ def timepoint_correlation_increase(model_preds: np.ndarray, intercept_preds: np.
     return correlation.increase(chunks, ms_axis)
 
 
-def moving_average_smooth(series, window: int):
-    """Centered moving average with edge truncation; window must be odd."""
+def check_smoothing_window(window: int, length: int | None = None) -> None:
+    """The one smoothing-window rule: ``ValueError`` unless ``window`` is odd,
+    at least 1 and, given the series ``length``, at most that. A wider
+    window makes every smoothed value the mean of the whole series."""
     if window < 1 or window % 2 == 0:
         raise ValueError(f"smoothing window must be odd and >= 1, got {window}")
+    if length is not None and window > length:
+        raise ValueError(f"smoothing window {window} is longer than the series "
+                         f"({length} samples)")
+
+
+def moving_average_smooth(series, window: int):
+    """Centered moving average with edge truncation; ``window`` as
+    :func:`check_smoothing_window` allows for the series' length."""
     if isinstance(series, TimecourseSeries):
         smoothed = moving_average_smooth(series.values, window)
         return TimecourseSeries(smoothed, window, series.ms_axis)
     v = np.asarray(series, dtype=np.float64)
+    check_smoothing_window(window, len(v))
     half = window // 2
     out = np.empty_like(v)
     for i in range(len(v)):

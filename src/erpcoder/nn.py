@@ -33,21 +33,18 @@ A trial's bits depend on how many trials share a matmul (the BLAS blocking
 of its columns), so a caller that needs the same bits however it splits
 its trials runs them in fixed blocks of columns.
 
-The batch-first ops (``conv1d_forward``, ``convtranspose1d_forward``,
-``maxpool1d_forward`` and their backward passes) are adapters: each swaps
-``(N, C, T)`` activations to ``(T, C, N)``, calls its time-major op, swaps
-the result back and returns that op's own context; an unbatched input
-raises ``ValueError`` naming the op and the shape. ``dense`` takes ``(N,
-D)``. Nothing in the package calls the adapters: pretraining, the encoder,
-``decode`` and the frozen-decoder fits all run time-major, and ``(N, C,
-T)`` stays at the data boundary (files and the public ``autoencoder``
-signatures). Only the first encoder convolution's kernel gradient reads
-the trials' own ``(N, C, T)`` rows, summed per kernel tap over the batch
+``(N, C, T)`` stays at the data boundary (files and the public
+``autoencoder`` signatures): pretraining, the encoder, ``decode`` and the
+frozen-decoder fits all run the time-major ops, and ``dense`` takes ``(N,
+D)``. Only the first encoder convolution's kernel gradient reads the
+trials' own ``(N, C, T)`` rows, summed per kernel tap over the batch
 (:func:`_kernel_grads`, Chellapilla, Puri & Simard, 2006): there the
 windowed form took 3.6 ms against 2.0 ms summed per tap (32 trials at
 32×200, ``beta``). Unlike a channels-last or channel-major folding of the
 batch, or one GEMM plus an overlap-add, every window here is one
-contiguous block of memory.
+contiguous block of memory. The one batch-first op left,
+:func:`conv1d_forward`, has no backward pass and no caller in the package;
+its docstring says why it stays.
 
 Gram band. For a transposed convolution ``A`` with kernel ``K`` and stride
 ``s``, inputs more than ``w = ceil(K/s) - 1`` time steps apart write no
@@ -469,7 +466,7 @@ def maxpool1d_time_major_backward(ctx: MaxPool1dTimeMajorCtx, upstream_grad) -> 
 
 
 # ---------------------------------------------------------------------------
-# Batch-first (N, C, T) adapters over the time-major ops
+# The one batch-first op
 # ---------------------------------------------------------------------------
 
 
@@ -480,48 +477,16 @@ def _to_time_major(x, what: str) -> np.ndarray:
     return _swap_layout(x)
 
 
-def _batch_first(lg: LayerGrad) -> LayerGrad:
-    """A time-major backward pass's gradients, the input gradient as ``(N, C, T)``."""
-    lg.input_grad = _swap_layout(lg.input_grad)
-    return lg
-
-
 def conv1d_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
     """Strided 1D cross-correlation of ``(N, C_in, T)`` input:
-    :func:`conv1d_time_major_forward`, its output ``(N, C_out, T_out)`` and context."""
+    :func:`conv1d_time_major_forward`, its output ``(N, C_out, T_out)`` and context.
+
+    Nothing in the package calls it, and it has no backward pass. It stays
+    only because ``perfbench/test_spans.py`` wraps ``nn.conv1d_forward`` by
+    name to test the tracer; it goes when that test moves to a time-major op.
+    """
     y, ctx = conv1d_time_major_forward(_to_time_major(x, "conv1d"), kernels, bias, stride, padding)
     return _swap_layout(y), ctx
-
-
-def conv1d_backward(ctx: Conv1dTimeMajorCtx, upstream_grad) -> LayerGrad:
-    """:func:`conv1d_time_major_backward` of an ``(N, C_out, T_out)`` gradient."""
-    return _batch_first(conv1d_time_major_backward(ctx, _swap_layout(upstream_grad)))
-
-
-def convtranspose1d_forward(x, kernels, bias, stride: int = 1, padding: int = 0):
-    """Transposed 1D convolution of ``(N, C_in, T)`` input:
-    :func:`convtranspose1d_time_major_forward`, its output ``(N, C_out, T_out)``
-    and context."""
-    y, ctx = convtranspose1d_time_major_forward(_to_time_major(x, "convtranspose1d"), kernels,
-                                                bias, stride, padding)
-    return _swap_layout(y), ctx
-
-
-def convtranspose1d_backward(ctx: ConvTranspose1dTimeMajorCtx, upstream_grad) -> LayerGrad:
-    """:func:`convtranspose1d_time_major_backward` of an ``(N, C_out, T_out)`` gradient."""
-    return _batch_first(convtranspose1d_time_major_backward(ctx, _swap_layout(upstream_grad)))
-
-
-def maxpool1d_forward(x, window: int, stride: int):
-    """Strided max pooling along the time axis of ``(N, C, T)`` input:
-    :func:`maxpool1d_time_major_forward`, its output and context."""
-    y, ctx = maxpool1d_time_major_forward(_to_time_major(x, "maxpool1d"), window, stride)
-    return _swap_layout(y), ctx
-
-
-def maxpool1d_backward(ctx: MaxPool1dTimeMajorCtx, upstream_grad) -> LayerGrad:
-    """:func:`maxpool1d_time_major_backward` of an ``(N, C, T_out)`` gradient."""
-    return _batch_first(maxpool1d_time_major_backward(ctx, _swap_layout(upstream_grad)))
 
 
 # ---------------------------------------------------------------------------

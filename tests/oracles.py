@@ -5,12 +5,20 @@ path with the library implementations it checks, except
 :func:`decoded_oracle_bounds`, which checks the Gram form of the oracle
 bounds against decoding every trial through the whole library decoder, and
 :func:`trial_correlations_per_trial`, the per-trial loop a vectorised
-library function replaced, kept to hold it to the same bits.
+library function replaced, kept to hold it to the same bits. The oracles
+take batch-first ``(N, C, T)`` arrays or one ``(C, T)`` instance of them;
+:func:`time_major` swaps such arrays to and from the ``(T, C, N)`` layout
+the kernels run in.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def time_major(a):
+    """``(N, C, T)`` <-> ``(T, C, N)``, C-contiguous."""
+    return np.ascontiguousarray(np.asarray(a).transpose(2, 1, 0))
 
 
 def conv1d_naive(x, kernels, bias, stride=1, padding=0):

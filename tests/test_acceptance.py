@@ -16,6 +16,7 @@ from erpcoder import autoencoder as ae
 from erpcoder import cli, encoding, features, metrics, nn, synth
 from erpcoder.data import filter_artifacts, keep_mask, load_erp
 from erpcoder.checkpoint import file_digest
+from oracles import time_major
 
 
 def _report(n, detail):
@@ -29,6 +30,8 @@ def _report(n, detail):
 
 def test_criterion_1_kernel_correctness():
     start = time.time()
+    # the time-major ops that pretraining, decoding and the frozen-decoder fits
+    # run, on random geometries drawn batch-first and swapped by time_major
     rng = np.random.default_rng(101)
     worst = 0.0
     n_instances = 100
@@ -40,16 +43,16 @@ def test_criterion_1_kernel_correctness():
             k = int(rng.integers(1, min(t, 4) + 1))
             stride = int(rng.integers(1, 3))
             pad = int(rng.integers(0, 2))
-            x = rng.normal(size=(1, c_in, t))
+            x = time_major(rng.normal(size=(1, c_in, t)))
             w = rng.normal(size=(c_out, c_in, k))
             b = rng.normal(size=c_out)
-            y0, _ = nn.conv1d_forward(x, w, b, stride=stride, padding=pad)
+            y0, _ = nn.conv1d_time_major_forward(x, w, b, stride=stride, padding=pad)
             target = rng.normal(size=y0.shape)
 
             def run(xx, ww, bb):
-                y, ctx = nn.conv1d_forward(xx, ww, bb, stride=stride, padding=pad)
+                y, ctx = nn.conv1d_time_major_forward(xx, ww, bb, stride=stride, padding=pad)
                 loss, gl = nn.mse_loss(y, target)
-                return loss, nn.conv1d_backward(ctx, gl)
+                return loss, nn.conv1d_time_major_backward(ctx, gl)
 
             worst = max(
                 worst,
@@ -68,16 +71,17 @@ def test_criterion_1_kernel_correctness():
             pad = int(rng.integers(0, min(2, (k + (t - 1) * stride) // 2) + 1))
             if (t - 1) * stride + k - 2 * pad < 1:
                 pad = 0
-            x = rng.normal(size=(1, c_in, t))
+            x = time_major(rng.normal(size=(1, c_in, t)))
             w = rng.normal(size=(c_in, c_out, k))
             b = rng.normal(size=c_out)
-            y0, _ = nn.convtranspose1d_forward(x, w, b, stride=stride, padding=pad)
+            y0, _ = nn.convtranspose1d_time_major_forward(x, w, b, stride=stride, padding=pad)
             target = rng.normal(size=y0.shape)
 
             def run_t(xx, ww, bb):
-                y, ctx = nn.convtranspose1d_forward(xx, ww, bb, stride=stride, padding=pad)
+                y, ctx = nn.convtranspose1d_time_major_forward(xx, ww, bb, stride=stride,
+                                                               padding=pad)
                 loss, gl = nn.mse_loss(y, target)
-                return loss, nn.convtranspose1d_backward(ctx, gl)
+                return loss, nn.convtranspose1d_time_major_backward(ctx, gl)
 
             worst = max(
                 worst,
@@ -96,16 +100,16 @@ def test_criterion_1_kernel_correctness():
             # distinct, well-separated values in a non-saturating range
             x = rng.permutation(c * t).astype(float).reshape(1, c, t)
             x = (x - x.mean()) / (c * t) * 3.0
-            x += rng.normal(scale=0.001, size=x.shape)
-            y0, _ = nn.maxpool1d_forward(x, window, stride)
+            x = time_major(x + rng.normal(scale=0.001, size=x.shape))
+            y0, _ = nn.maxpool1d_time_major_forward(x, window, stride)
             target = rng.normal(size=y0.shape)
 
             def run_p(xx):
-                y, ctx = nn.maxpool1d_forward(xx, window, stride)
+                y, ctx = nn.maxpool1d_time_major_forward(xx, window, stride)
                 a, tctx = nn.tanh_forward(y)
                 loss, gl = nn.mse_loss(a, target)
                 g = nn.tanh_backward(tctx, gl).input_grad
-                return loss, nn.maxpool1d_backward(ctx, g).input_grad
+                return loss, nn.maxpool1d_time_major_backward(ctx, g).input_grad
 
             worst = max(worst, nn.finite_difference_check(run_p, x))
         else:  # dense + tanh, all gradients
@@ -144,13 +148,14 @@ def test_criterion_1_kernel_correctness():
         t = (t_out - 1) * stride + k - 2 * pad
         if t < 1 or k > t + 2 * pad:
             continue
-        x = rng.normal(size=(1, c_in, t))
+        x = time_major(rng.normal(size=(1, c_in, t)))
         w = rng.normal(size=(c_out, c_in, k))
-        y = rng.normal(size=(1, c_out, t_out))
-        cx, _ = nn.conv1d_forward(x, w, np.zeros(c_out), stride=stride, padding=pad)
+        y = time_major(rng.normal(size=(1, c_out, t_out)))
+        cx, _ = nn.conv1d_time_major_forward(x, w, np.zeros(c_out), stride=stride, padding=pad)
         if cx.shape != y.shape:
             continue
-        ty, _ = nn.convtranspose1d_forward(y, w, np.zeros(c_in), stride=stride, padding=pad)
+        ty, _ = nn.convtranspose1d_time_major_forward(y, w, np.zeros(c_in), stride=stride,
+                                                      padding=pad)
         lhs, rhs = float((cx * y).sum()), float((x * ty).sum())
         worst_adjoint = max(worst_adjoint,
                             abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))

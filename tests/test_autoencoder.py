@@ -15,6 +15,7 @@ from erpcoder import autoencoder as ae
 from erpcoder import cli, nn, synth
 from erpcoder.checkpoint import load_checkpoint, save_checkpoint
 from erpcoder.data import ErpDataset, FormatError, TrialMeta, kfold_split
+from oracles import time_major
 
 
 def meta_rows(n, subjects=("s1", "s2"), words=5):
@@ -161,7 +162,7 @@ class TestLatentGradients:
         # the per-subject/per-electrode table is trained jointly; check its grad
         spec = ae.AutoencoderSpec("beta", True, 4, 20)
         params = ae.init_params(spec, seed=3, subjects=("a", "b"))
-        x = nn._swap_layout(rng.normal(size=(5, 4, 20)) * 0.5)  # time-major
+        x = time_major(rng.normal(size=(5, 4, 20)) * 0.5)
         subj_rows = np.array([0, 1, 0, 1, 1])
 
         def fn(table):
@@ -271,18 +272,19 @@ class TestPretrain:
             ae.pretrain(spec, ds, [], epochs=1)
 
 
-def batch_first_step(params, x, subject_ids):
+def per_op_step(params, x, subject_ids):
     """Loss and gradients of one pretraining step on the (N, C, T) epochs ``x``,
-    walked with the batch-first nn ops: the reference for the time-major shards."""
+    walked op by op with the time-major nn ops and no ``autoencoder`` walker:
+    the reference for the sharded step."""
     def walk(steps, prefix, h):
         ctxs = []
         for i, step in enumerate(steps):
             name = f"{prefix}{i}"
             if isinstance(step, ae.PoolStep):
-                h, ctx = nn.maxpool1d_forward(h, step.window, step.stride)
+                h, ctx = nn.maxpool1d_time_major_forward(h, step.window, step.stride)
             else:
-                op = (nn.conv1d_forward if isinstance(step, ae.ConvStep)
-                      else nn.convtranspose1d_forward)
+                op = (nn.conv1d_time_major_forward if isinstance(step, ae.ConvStep)
+                      else nn.convtranspose1d_time_major_forward)
                 h, ctx = op(h, params.tensors[f"{name}.kernels"], params.tensors[f"{name}.bias"],
                             step.stride, step.padding)
             ctxs.append((name, ctx))
@@ -291,19 +293,21 @@ def batch_first_step(params, x, subject_ids):
                 ctxs.append((name, ctx))
         return h, ctxs
 
+    x = time_major(x)
     z, enc_ctxs = walk(params.plan.encoder, "enc", x)
     y, dec_ctxs = walk(params.plan.decoder, "dec", z)
     grads = {}
     if params.spec.intercepts:
         subject_rows = ae._subject_rows(params, subject_ids)
-        y = y + params.tensors["intercepts"][subject_rows][:, :, None]
+        y = y + params.tensors["intercepts"][subject_rows].T  # (C, N) columns
     loss, g = nn.mse_loss(y, x)
     if params.spec.intercepts:
         grads["intercepts"] = np.zeros_like(params.tensors["intercepts"])
-        np.add.at(grads["intercepts"], subject_rows, g.sum(axis=-1))
-    backward = {nn.Conv1dTimeMajorCtx: nn.conv1d_backward,
-                nn.ConvTranspose1dTimeMajorCtx: nn.convtranspose1d_backward,
-                nn.TanhCtx: nn.tanh_backward, nn.MaxPool1dTimeMajorCtx: nn.maxpool1d_backward}
+        np.add.at(grads["intercepts"], subject_rows, g.sum(axis=0).T)
+    backward = {nn.Conv1dTimeMajorCtx: nn.conv1d_time_major_backward,
+                nn.ConvTranspose1dTimeMajorCtx: nn.convtranspose1d_time_major_backward,
+                nn.TanhCtx: nn.tanh_backward,
+                nn.MaxPool1dTimeMajorCtx: nn.maxpool1d_time_major_backward}
     for name, ctx in reversed(enc_ctxs + dec_ctxs):
         lg = backward[type(ctx)](ctx, g)
         grads.update({f"{name}.{k}": v for k, v in lg.param_grads.items()})
@@ -337,7 +341,7 @@ class TestShardedStep:
         loss, n_out, grads = ae._reconstruction_step(params, x_all, subject_ids, batch)
 
         x = x_all[batch]
-        x_tm = nn._swap_layout(x)
+        x_tm = time_major(x)
         z, enc_ctxs = ae._encoder_forward(params, x_tm)
         y, dec_ctxs = ae._decoder_forward(params, z)
         full_loss, grad_y = nn.mse_loss(ae._add_intercepts(params, y, subject_ids[batch]), x_tm)
@@ -356,16 +360,16 @@ class TestShardedStep:
 
 
 class TestTimeMajorShard:
-    """A time-major pretraining step against the batch-first nn ops."""
+    """A sharded pretraining step against the nn ops walked one by one."""
 
     @pytest.mark.parametrize("arch", ae.ARCHITECTURES)
     @pytest.mark.parametrize("intercepts", [False, True])
     @pytest.mark.parametrize("n_batch", [20, 100])  # one shard; four, the last uneven
-    def test_loss_and_gradients_match_batch_first_ops(self, rng, arch, intercepts, n_batch):
+    def test_loss_and_gradients_match_per_op_walk(self, rng, arch, intercepts, n_batch):
         params, x_all, subject_ids, batch = step_operands(rng, arch, intercepts,
                                                           n_batch=n_batch)
         loss, _, grads = ae._reconstruction_step(params, x_all, subject_ids, batch)
-        expected_loss, expected = batch_first_step(params, x_all[batch], subject_ids[batch])
+        expected_loss, expected = per_op_step(params, x_all[batch], subject_ids[batch])
         assert loss == pytest.approx(expected_loss, rel=1e-12, abs=0)
         assert_grads_close(grads, expected)
 
@@ -375,7 +379,7 @@ class TestTimeMajorShard:
         # per tap; the windowed form over the time-major input gives the same
         params, x_all, _, batch = step_operands(rng, arch, False)
         x = x_all[batch]
-        z, enc_ctxs = ae._encoder_forward(params, nn._swap_layout(x))
+        z, enc_ctxs = ae._encoder_forward(params, time_major(x))
         gz = rng.normal(size=z.shape)
         gx, from_rows = ae._stack_backward(enc_ctxs, gz, rows=x)
         assert gx is None
@@ -429,24 +433,25 @@ class TestTimeMajorDecode:
             runs.append(ae.decode(params, z).tobytes())
         assert runs[0] == runs[1]
 
-    def test_matches_batch_first_ops(self, rng):
+    def test_matches_the_nn_ops_walked_one_by_one(self, rng):
         params = ae.init_params(ae.AutoencoderSpec("alpha", False, 8, 40), seed=5)
         x = rng.normal(size=(40, 8, 40))
-        h = x
+        h = time_major(x)
         for i, step in enumerate(params.plan.encoder):
             if isinstance(step, ae.PoolStep):
-                h, _ = nn.maxpool1d_forward(h, step.window, step.stride)
+                h, _ = nn.maxpool1d_time_major_forward(h, step.window, step.stride)
             else:
-                h, _ = nn.conv1d_forward(h, params.tensors[f"enc{i}.kernels"],
-                                         params.tensors[f"enc{i}.bias"], step.stride, step.padding)
+                h, _ = nn.conv1d_time_major_forward(h, params.tensors[f"enc{i}.kernels"],
+                                                    params.tensors[f"enc{i}.bias"], step.stride,
+                                                    step.padding)
                 h = np.tanh(h) if step.activation else h
-        np.testing.assert_allclose(ae.encode(params, x), h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ae.encode(params, x), time_major(h), rtol=0, atol=1e-12)
         for i, step in enumerate(params.plan.decoder):
-            h, _ = nn.convtranspose1d_forward(h, params.tensors[f"dec{i}.kernels"],
-                                              params.tensors[f"dec{i}.bias"], step.stride,
-                                              step.padding)
+            h, _ = nn.convtranspose1d_time_major_forward(h, params.tensors[f"dec{i}.kernels"],
+                                                         params.tensors[f"dec{i}.bias"],
+                                                         step.stride, step.padding)
             h = np.tanh(h) if step.activation else h
-        np.testing.assert_allclose(ae.reconstruct(params, x), h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ae.reconstruct(params, x), time_major(h), rtol=0, atol=1e-12)
 
     def test_unbatched_epochs_rejected(self):
         params = ae.init_params(ae.AutoencoderSpec("beta", False, 8, 40), seed=5)

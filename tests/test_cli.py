@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from erpcoder import autoencoder, cli, encoding, metrics
+from erpcoder import autoencoder, cli, encoding, metrics, nn
 from erpcoder.autoencoder import AutoencoderSpec, init_params, load_autoencoder, save_autoencoder
 from erpcoder.checkpoint import load_checkpoint, save_checkpoint
 from erpcoder.data import (ErpDataset, TrialMeta, filter_artifacts, keep_mask, load_counts,
@@ -847,9 +847,41 @@ class TestExitCodes:
                     "--data", pipeline / "d" / "data", "--window", window,
                     "--out", tmp_path / "o"])
         assert code == 2
-        assert (f"argument --window: must be odd and >= 1, got {window}"
+        assert (f"argument --window: smoothing window must be odd and >= 1, got {window}"
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
+
+    def test_timecourse_window_longer_than_the_epoch_is_1(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # a wider window made every smoothed value the mean of the whole series;
+        # it is refused after the data is read, before any decode
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({**SYNTH_CONFIG, "n_sentences": 4, "n_channels": 2,
+                                      "n_timepoints": 200}))
+        assert run(["synth", "--config", config, "--out", tmp_path / "d"]) == 0
+        assert run(["pretrain", "--data", tmp_path / "d" / "data", "--epochs", 1,
+                    "--out", tmp_path / "m"]) == 0
+        assert run(["fit", "--decoder", tmp_path / "m" / "autoencoder",
+                    "--data", tmp_path / "d" / "data", "--sources", "constant",
+                    "--epochs", 1, "--out", tmp_path / "e"]) == 0
+        capsys.readouterr()
+        args = ["timecourse", "--model", tmp_path / "e" / "model",
+                "--intercept", tmp_path / "e" / "model",
+                "--autoencoder", tmp_path / "m" / "autoencoder",
+                "--data", tmp_path / "d" / "data"]
+        assert run([*args, "--window", 199, "--out", tmp_path / "t199"]) == 0
+        assert (tmp_path / "t199" / "timecourse.tsv").exists()
+        capsys.readouterr()
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("timecourse decoded a prediction")
+
+        monkeypatch.setattr(encoding, "map_predictions", no_decode)
+        assert run([*args, "--window", 201, "--out", tmp_path / "t201"]) == 1
+        assert [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("error:")] == [
+            "error: InvalidInput: smoothing window 201 is longer than the series (200 samples)"]
+        assert not (tmp_path / "t201").exists()
 
     def test_suite_roster_names_are_no_file_names(self, pipeline, tmp_path):
         # a name is a key of suite.json and a field of summary.tsv, never a file
@@ -1006,34 +1038,42 @@ class TestExitCodes:
             f"error: InvalidInput: {message}"]
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("setting, message", [
-        (None, "weight_decay must be finite and >= 0, got -5.0"),
-        ({"lr": 0.0}, "lr must be finite and > 0, got 0.0"),
-        ({"weight_decay": -1.0}, "weight_decay must be finite and >= 0, got -1.0"),
-    ], ids=["fit_wd", "suite_lr", "suite_wd"])
-    def test_bad_step_size_is_1(self, pipeline, tmp_path, capsys, monkeypatch, setting,
-                                message):
+    @pytest.mark.parametrize("command, flags, message", [
+        ("pretrain", ["--lr", 0], "lr must be finite and > 0, got 0.0"),
+        ("select-arch", ["--epochs", 0], "epochs must be >= 1, got 0"),
+        ("fit", ["--wd", -5], "weight_decay must be finite and >= 0, got -5.0"),
+        ("fit", ["--wd-search", "--batch", 0], "batch_size must be >= 1, got 0"),
+        ("suite", {"lr": 0.0}, "lr must be finite and > 0, got 0.0"),
+        ("suite", {"weight_decay": -1.0}, "weight_decay must be finite and >= 0, got -1.0"),
+    ], ids=["pretrain_lr", "select_arch_epochs", "fit_wd", "fit_wd_search_batch", "suite_lr",
+            "suite_wd"])
+    def test_bad_schedule_is_1_before_any_input_is_read(self, pipeline, tmp_path, capsys,
+                                                        monkeypatch, command, flags, message):
+        # each used to read and hash the whole ERP payload (fit and suite the
+        # decoder too, and fit froze it) before the library refused the schedule
+        calls = []
+        for module, name in ((cli, "load_erp"), (autoencoder, "load_checkpoint"),
+                             (encoding, "load_checkpoint"), (encoding, "freeze"),
+                             (encoding, "train")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, name=name, original=original, **kw:
+                                calls.append(name) or original(*a, **kw))
         decoder, data = pipeline / "m" / "autoencoder", pipeline / "d" / "data"
-        calls = []  # the suite refuses its schedule before it freezes or fits
-        if setting is None:
-            args = ["fit", "--decoder", decoder, "--data", data, "--sources", "constant",
-                    "--wd", -5]
-        else:
+        if command == "suite":
             path = tmp_path / "suite.json"
             path.write_text(json.dumps({
                 "data": str(data), "decoder": str(decoder), "folds": 2, "epochs": 1,
-                "roster": [{"name": "intercept", "sources": ["constant"]},
-                           {"name": "frequency", "sources": ["frequency"]}],
-                "counts": str(pipeline / "d" / "counts.tsv"), **setting}))
+                "roster": [{"name": "intercept", "sources": ["constant"]}], **flags}))
             args = ["suite", "--config", path]
-            for name in ("freeze", "train"):
-                monkeypatch.setattr(encoding, name, lambda *a, name=name, **kw: calls.append(name))
+        elif command == "fit":
+            args = ["fit", "--decoder", decoder, "--data", data, "--sources", "constant", *flags]
+        else:
+            args = [command, "--data", data, *flags]
         assert run([*args, "--out", tmp_path / "o"]) == 1
-        err = capsys.readouterr().err
-        assert [line for line in err.splitlines() if line.startswith("error:")] == [
-            f"error: InvalidInput: {message}"]
-        assert not (tmp_path / "o").exists()
+        assert [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("error:")] == [f"error: InvalidInput: {message}"]
         assert calls == []
+        assert not (tmp_path / "o").exists()
 
     def test_diverged_pretraining_is_a_run_failure(self, pipeline, tmp_path, capsys):
         # one step at a huge learning rate: the loss it takes is finite, the dev
@@ -1181,6 +1221,42 @@ class TestInputImmutability:
         report = json.loads((tmp_path / "ws" / "fit_report.json").read_text())
         assert report["weight_decay"] in (1e-5, 1e-3, 1e-1)
         assert len(report["wd_table"]) == 6  # grid of 3 x 2 folds
+
+
+class TestTimeMajorOnly:
+    def test_no_command_calls_the_batch_first_conv1d_forward(self, tmp_path, monkeypatch):
+        # nn.conv1d_forward stays only for the benchmark's tracer test: every
+        # command, select-arch and the suite included, runs the time-major ops
+        def refuse(*args, **kwargs):
+            raise AssertionError("nn.conv1d_forward was called")
+
+        monkeypatch.setattr(nn, "conv1d_forward", refuse)
+        config = write_config(tmp_path)
+        d, m = tmp_path / "d", tmp_path / "m"
+        data = ["--data", d / "data"]
+        tables = ["--counts", d / "counts.tsv"]
+        assert run(["synth", "--config", config, "--out", d]) == 0
+        assert run(["pretrain", *data, "--epochs", 20, "--lr", 0.003, "--seed", 1,
+                    "--out", m]) == 0
+        assert run(["select-arch", *data, "--intercepts", "--folds", 2, "--epochs", 1,
+                    "--out", tmp_path / "s"]) == 0
+        fit = ["fit", "--decoder", m / "autoencoder", *data, "--epochs", 2, "--lr", 0.005]
+        assert run([*fit, "--sources", "constant", "--out", tmp_path / "e0"]) == 0
+        assert run([*fit, "--sources", "frequency", *tables, "--wd-search", "--folds", 2,
+                    "--out", tmp_path / "e1"]) == 0
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({
+            "data": str(d / "data"), "decoder": str(m / "autoencoder"),
+            "counts": str(d / "counts.tsv"), "folds": 2, "epochs": 1, "ceiling_mse": 1e-9,
+            "roster": [{"name": "intercept", "sources": ["constant"]},
+                       {"name": "frequency", "sources": ["frequency"]}]}))
+        assert run(["suite", "--config", suite, "--out", tmp_path / "r"]) == 0
+        analysis = ["--autoencoder", m / "autoencoder", *data, *tables,
+                    "--model", tmp_path / "e1" / "model"]
+        intercept = ["--intercept", tmp_path / "e0" / "model"]
+        assert run(["evaluate", *analysis, *intercept, "--out", tmp_path / "v"]) == 0
+        assert run(["timecourse", *analysis, *intercept, "--out", tmp_path / "t"]) == 0
+        assert run(["export-words", *analysis, "--out", tmp_path / "w"]) == 0
 
 
 class TestDeterminism:

@@ -15,6 +15,7 @@ from erpcoder.autoencoder import (AutoencoderSpec, _decoder_forward, _stack_back
 from erpcoder.checkpoint import load_checkpoint, save_checkpoint
 from erpcoder.data import (ErpDataset, FormatError, TrialMeta, filter_artifacts, keep_mask,
                            kfold_split)
+from oracles import time_major
 
 
 @pytest.fixture(scope="module")
@@ -47,11 +48,6 @@ def quick_fit(sd, ds, meta, sources, decoder=None, **kw):
     fm = assemble_for(sd, meta, sources)
     model, hist = encoding.train(encoding.freeze(decoder, ds, meta), fm, sources, **kw)
     return model, hist, fm
-
-
-def time_major(a):
-    """(N, C, T) <-> (T, C, N), the frozen decoder's layout; contiguous."""
-    return np.ascontiguousarray(a.transpose(2, 1, 0))
 
 
 class TestPrediction:
@@ -339,8 +335,8 @@ GRAM_IDS = ["alpha", "alpha-intercepts", "beta", "beta-intercepts"]
 
 
 class TestGramReadout:
-    """The Gram-form output layer against the full decoder's convtranspose1d_forward,
-    intercepts, mse_loss and convtranspose1d_backward."""
+    """The Gram-form output layer against the full decoder's time-major transposed
+    convolution, intercepts, mse_loss and backward pass."""
 
     @pytest.mark.parametrize("arch, intercepts", GRAM_SETTINGS, ids=GRAM_IDS)
     def test_loss_and_gradient_match_full_decoder(self, rng, arch, intercepts):
@@ -351,18 +347,16 @@ class TestGramReadout:
         step = plan.decoder[last]
         z = rng.normal(size=(ds.n_trials, plan.latent_channels, plan.latent_timepoints))
         h_tm, _ = frozen.hidden(time_major(z))
-        h = time_major(h_tm)
         order = rng.permutation(ds.n_trials)
         for rows in (order[:64], order[64:128], order[128:]):  # the last batch is ragged
-            loss, grad_tm = frozen.mse(h_tm[:, :, rows], rows)
-            grad = time_major(grad_tm)
-            y, ctx = nn.convtranspose1d_forward(
-                h[rows], decoder.tensors[f"dec{last}.kernels"],
+            loss, grad = frozen.mse(h_tm[:, :, rows], rows)
+            y, ctx = nn.convtranspose1d_time_major_forward(
+                h_tm[:, :, rows], decoder.tensors[f"dec{last}.kernels"],
                 decoder.tensors[f"dec{last}.bias"], step.stride, step.padding)
             if intercepts:
-                y = y + decoder.tensors["intercepts"][rows % 3][:, :, None]
-            full_loss, grad_y = nn.mse_loss(y, ds.data[rows])
-            full_grad = nn.convtranspose1d_backward(ctx, grad_y)
+                y = y + decoder.tensors["intercepts"][rows % 3].T  # (C, N) columns
+            full_loss, grad_y = nn.mse_loss(y, time_major(ds.data[rows]))
+            full_grad = nn.convtranspose1d_time_major_backward(ctx, grad_y)
             assert loss == pytest.approx(full_loss, rel=1e-12, abs=0)
             assert np.abs(grad - full_grad.input_grad).max() <= \
                 1e-12 * np.abs(full_grad.input_grad).max()
@@ -397,10 +391,10 @@ class TestGramReadout:
         w = nn.gram_bandwidth(step.kernel, step.stride)
         assert w == 1
         assert frozen.band.shape == (t_hid, c_hid, 3 * c_hid)  # no dense (H, H) matrix
-        cols, _ = nn.convtranspose1d_forward(np.eye(c_hid * t_hid).reshape(-1, c_hid, t_hid),
-                                             kernels, np.zeros(kernels.shape[1]),
-                                             step.stride, step.padding)
-        a = cols.reshape(c_hid * t_hid, -1).T
+        cols, _ = nn.convtranspose1d_time_major_forward(
+            time_major(np.eye(c_hid * t_hid).reshape(-1, c_hid, t_hid)), kernels,
+            np.zeros(kernels.shape[1]), step.stride, step.padding)
+        a = time_major(cols).reshape(c_hid * t_hid, -1).T
         gram = (a.T @ a).reshape(c_hid, t_hid, c_hid, t_hid).transpose(1, 3, 0, 2)
         t = np.arange(t_hid)
         assert not np.any(gram[np.abs(t[:, None] - t[None, :]) > w])

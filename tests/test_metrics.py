@@ -178,6 +178,14 @@ class TestSmoothing:
         with pytest.raises(ValueError, match="odd"):
             metrics.moving_average_smooth(np.zeros(5), 4)
 
+    def test_window_longer_than_the_series_rejected(self):
+        # every value would be the mean of the whole series
+        np.testing.assert_array_equal(metrics.moving_average_smooth(np.full(5, 2.0), 5),
+                                      np.full(5, 2.0))
+        with pytest.raises(ValueError, match=r"^smoothing window 7 is longer than the series "
+                                             r"\(5 samples\)$"):
+            metrics.moving_average_smooth(np.zeros(5), 7)
+
     def test_series_wrapper_keeps_axis(self, rng):
         series = metrics.TimecourseSeries(rng.normal(size=5), 1, np.arange(5.0))
         smoothed = metrics.moving_average_smooth(series, 3)

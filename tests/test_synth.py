@@ -205,16 +205,16 @@ class TestTimeMajorGenerate:
                          json.dumps(synth.oracle_bounds(sd.ground_truth, sd.dataset))))
         assert runs[0] == runs[1]
 
-    def test_decoded_epochs_match_batch_first_ops(self):
+    def test_decoded_epochs_match_the_nn_ops_walked_one_by_one(self):
         sd = synth.generate(small_config(noise_sd=0.0))
         decoder = sd.ground_truth.decoder
-        h = sd.ground_truth.latents
+        h = oracles.time_major(sd.ground_truth.latents)
         for i, step in enumerate(decoder.plan.decoder):
-            h, _ = nn.convtranspose1d_forward(h, decoder.tensors[f"dec{i}.kernels"],
-                                              decoder.tensors[f"dec{i}.bias"], step.stride,
-                                              step.padding)
+            h, _ = nn.convtranspose1d_time_major_forward(h, decoder.tensors[f"dec{i}.kernels"],
+                                                         decoder.tensors[f"dec{i}.bias"],
+                                                         step.stride, step.padding)
             h = np.tanh(h) if step.activation else h
-        np.testing.assert_allclose(sd.dataset.data, h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sd.dataset.data, oracles.time_major(h), rtol=0, atol=1e-12)
 
 
 def assert_matches_reference(bounds, reference, rel=1e-12, atol=0.0):
