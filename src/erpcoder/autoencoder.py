@@ -50,6 +50,9 @@ Folds read in place. :func:`pretrain` trains on ``rows`` of the dataset it
 is given, gathering each batch and dev score at those trials, so each
 fold of :func:`select_architecture` pretrains on its training trials with
 no copy of their epochs and gets the bits of pretraining on a copy.
+:func:`reconstruction_mse` scores ``rows`` by the same rule
+(:func:`data.checked_rows`), and the fold's r² takes its held-out variance
+with :func:`metrics.pooled_variance` over them.
 
 One geometry rule, :func:`check_geometry`, holds a spec to a dataset's
 channels and timepoints for :func:`pretrain`, :func:`encoding.freeze` and
@@ -71,6 +74,7 @@ from .checkpoint import (checkpoint_files, load_checkpoint, require_tensors,
                          save_checkpoint, tensor_dict_digest)
 from .data import (CHUNK_ROWS, ErpDataset, FormatError, TrialMeta, checked_fields,
                    checked_rows, kfold_split, train_dev_split)
+from .metrics import pooled_variance
 
 ARCHITECTURES = ("alpha", "beta")
 
@@ -469,8 +473,8 @@ def _fit_epochs(params: dict[str, np.ndarray], step, score, train_idx: np.ndarra
 
     ``step(batch)`` returns (loss, n_out, grads) for trials ``batch``: their
     MSE, the number of values that weights the batch in the epoch's train
-    MSE, and the gradients of ``params``. ``score(idx)`` returns the MSE of
-    trials ``idx``. Each epoch draws one permutation of ``train_idx`` from
+    MSE, and the gradients of ``params``. ``score(rows=idx)`` returns the MSE
+    of trials ``idx``. Each epoch draws one permutation of ``train_idx`` from
     ``rng``. Without dev trials the epoch's train MSE stands in for the dev
     MSE. A schedule :func:`_check_schedule` refuses raises ``ValueError``
     before any step; a non-finite batch loss or epoch dev MSE raises
@@ -494,7 +498,7 @@ def _fit_epochs(params: dict[str, np.ndarray], step, score, train_idx: np.ndarra
             nn.adam_step(params, grads, state, weight_decay=weight_decay)
         history.train_mse.append(se_sum / n_elem)
 
-        dev_loss = score(dev_idx) if len(dev_idx) else history.train_mse[-1]
+        dev_loss = score(rows=dev_idx) if len(dev_idx) else history.train_mse[-1]
         if not np.isfinite(dev_loss):
             raise RuntimeError(f"dev MSE diverged to {dev_loss} at epoch {epoch}")
         history.dev_mse.append(dev_loss)
@@ -664,19 +668,19 @@ def _decoder_step(params: AutoencoderParams, z, x, subject_ids):
 
 
 def reconstruction_mse(params: AutoencoderParams, dataset: ErpDataset,
-                       meta: list[TrialMeta], indices=None) -> float:
-    """Mean squared reconstruction error over the given trials, their
-    :data:`CHUNK_ROWS`-trial chunks reconstructed time-major and scored as
-    pool jobs, summed in chunk order."""
-    idx = np.arange(dataset.n_trials) if indices is None else np.asarray(indices)
-    if len(idx) == 0:
-        raise ValueError("no trials to score")
+                       meta: list[TrialMeta], *, rows=None) -> float:
+    """Mean squared reconstruction error over trials ``rows`` of ``dataset``
+    (every trial when None), checked by :func:`data.checked_rows` and read
+    in place: their :data:`CHUNK_ROWS`-trial chunks are reconstructed
+    time-major and scored as pool jobs, summed in chunk order, so the result
+    has the bits of scoring ``dataset.subset(rows)`` and its meta. With
+    ``rows`` None each chunk is read through a slice, a view."""
+    idx = checked_rows(rows, dataset.n_trials)
 
     def squared_error(chunk) -> float:
-        rows = idx[chunk]
-        x = nn._swap_layout(dataset.data[rows])
+        x = nn._swap_layout(dataset.data[chunk if rows is None else idx[chunk]])
         diff = _decode(params, _encoder_forward(params, x)[0],
-                       [meta[i].subject_id for i in rows])
+                       [meta[i].subject_id for i in idx[chunk]])
         diff -= x
         return float(np.vdot(diff, diff))
 
@@ -691,7 +695,10 @@ def select_architecture(dataset: ErpDataset, meta: list[TrialMeta],
     """K-fold cross-validated reconstruction comparison of candidate specs.
 
     Returns a JSON-ready report with per-fold MSE and pooled R^2
-    (1 - MSE/variance) per candidate, and the winner by mean MSE.
+    (1 - MSE/variance) per candidate, and the winner by mean MSE. Each fold
+    pretrains on its training trials, scores its held-out trials and takes
+    their variance (:func:`metrics.pooled_variance`), all read in place, so
+    no copy of a fold's epochs forms.
     """
     if candidates is None:
         candidates = [
@@ -708,9 +715,9 @@ def select_architecture(dataset: ErpDataset, meta: list[TrialMeta],
         te = folds.test_indices(f)
         params, _ = pretrain(spec, dataset, meta, rows=tr, epochs=epochs,
                              batch_size=batch_size, lr=lr, seed=run_seed)
-        mse = reconstruction_mse(params, dataset, meta, te)
-        var = float(dataset.data[te].var())
-        return {"fold": f, "mse": mse, "r2": 1.0 - mse / var}
+        mse = reconstruction_mse(params, dataset, meta, rows=te)
+        return {"fold": f, "mse": mse,
+                "r2": 1.0 - mse / pooled_variance(dataset.data, rows=te)}
 
     results = _cross_validate(fold_result, folds, [(spec, seeds[c * k : (c + 1) * k])
                                                    for c, spec in enumerate(candidates)])

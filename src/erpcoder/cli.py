@@ -26,7 +26,10 @@ Each training command checks its schedule and weight decay right after
 parsing its flags or reading its config, before any input is read:
 :func:`autoencoder._check_schedule`, or :func:`encoding._check_grid` at
 every decay of the grid that ``fit --wd-search`` or ``suite`` fits (exit 1,
-nothing written).
+nothing written). ``select-arch``, ``fit --wd-search`` and ``suite`` hold
+their fold count to :func:`data.check_fold_count` the same way: at least
+2 before any input is read, and at most the kept trials before any freeze
+or pretraining.
 
 Before any decode, ``evaluate``, ``timecourse`` and ``export-words`` check
 that the autoencoder decodes epochs of the dataset's channels and
@@ -63,8 +66,9 @@ from pathlib import Path
 
 from . import __version__, autoencoder, encoding, metrics, synth
 from .checkpoint import checkpoint_files, file_digest
-from .data import (FormatError, checked_fields, erp_files, keep_mask, load_counts,
-                   load_embeddings, load_erp, load_token_features, read_json, write_json)
+from .data import (FormatError, check_fold_count, checked_fields, erp_files, keep_mask,
+                   load_counts, load_embeddings, load_erp, load_token_features, read_json,
+                   write_json)
 from .features import FeatureSpec, assemble, build_sentence_tokens
 
 
@@ -196,6 +200,7 @@ def _cmd_pretrain(args) -> int:
 def _cmd_select_arch(args) -> int:
     hyper = _hyper(vars(args))
     autoencoder._check_schedule(**hyper)
+    check_fold_count(args.folds)
     dataset, meta, _, inputs = _load_inputs(args.data, {}, include_first_word=True)
     candidates = None
     if args.intercepts:
@@ -235,8 +240,11 @@ def _cmd_fit(args) -> int:
     wd = args.wd if args.wd is not None else 0.0
     hyper = _hyper(vars(args))
     encoding._check_grid(encoding.WEIGHT_DECAY_GRID if args.wd_search else (wd,), **hyper)
+    check_fold_count(folds)
     decoder, decoder_inputs = _load_hashed(autoencoder.load_autoencoder, args.decoder)
     dataset, meta, tables, inputs = _load_inputs(args.data, vars(args))
+    if args.wd_search:
+        check_fold_count(folds, dataset.n_trials)
     fm = assemble(FeatureSpec(sources), meta, **tables)
     frozen = encoding.freeze(decoder, dataset, meta)
 
@@ -296,6 +304,7 @@ def _cmd_suite(args) -> int:
     wd_grid = encoding.WEIGHT_DECAY_GRID if wd is None else (wd,)
     hyper = _hyper(config)
     encoding._check_grid(wd_grid, **hyper)
+    check_fold_count(k)
     decoder, decoder_inputs = _load_hashed(autoencoder.load_autoencoder, config["decoder"])
     dataset, meta, tables, inputs = _load_inputs(config["data"], config)
 

@@ -187,8 +187,9 @@ class ErpDataset:
         step = 1000.0 / self.sampling_rate_hz
         return self.epoch_start_ms + step * np.arange(self.n_timepoints)
 
-    def subset(self, indices) -> "ErpDataset":
-        return replace(self, data=self.data[np.asarray(indices)])
+    def subset(self, rows) -> "ErpDataset":
+        """A copy of trials ``rows``."""
+        return replace(self, data=self.data[np.asarray(rows)])
 
 
 @dataclass(frozen=True)
@@ -579,12 +580,19 @@ def filter_artifacts(dataset: ErpDataset, meta: list[TrialMeta],
 # ---------------------------------------------------------------------------
 
 
-def kfold_split(n_items: int, k: int, seed: int) -> FoldAssignment:
-    """Shuffle item indices with a seeded PRNG and deal them round-robin."""
+def check_fold_count(k: int, n_items: int | None = None) -> None:
+    """The one fold-count rule: ``ValueError`` unless ``k`` is at least 2 and,
+    given the number of items, at most that."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if k > n_items:
+    if n_items is not None and k > n_items:
         raise ValueError(f"k={k} folds need at least k items, got {n_items}")
+
+
+def kfold_split(n_items: int, k: int, seed: int) -> FoldAssignment:
+    """Shuffle item indices with a seeded PRNG and deal them round-robin;
+    :func:`check_fold_count` holds ``k`` to ``n_items``."""
+    check_fold_count(k, n_items)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_items)
     fold_of = np.empty(n_items, dtype=int)
@@ -762,8 +770,10 @@ def save_token_features(path, table: TokenFeatureTable) -> None:
 
 
 def load_counts(path) -> dict[str, int]:
-    """Read a ``token<TAB>count`` frequency table; counts are integers >= 0."""
+    """Read a ``token<TAB>count`` frequency table; counts are integers >= 0 and
+    each token is listed once."""
     counts: dict[str, int] = {}
+    line_of: dict[str, int] = {}
     for i, parts in _table_rows(_text_lines(path), "\t"):
         if len(parts) != 2:
             raise FormatError(f"{path}: line {i}: expected token<TAB>count")
@@ -773,7 +783,11 @@ def load_counts(path) -> dict[str, int]:
             raise FormatError(f"{path}: line {i}: {e}") from e
         if count < 0:
             raise FormatError(f"{path}: line {i}: negative count {count}")
+        if parts[0] in line_of:
+            raise FormatError(f"{path}: line {i}: token {parts[0]!r} is listed again, "
+                              f"first at line {line_of[parts[0]]}")
         counts[parts[0]] = count
+        line_of[parts[0]] = i
     return counts
 
 

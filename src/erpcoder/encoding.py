@@ -363,14 +363,14 @@ def _backward(params: dict[str, np.ndarray], gz: np.ndarray, ctxs: dict
     return grads
 
 
-def _latents(model: EncodingModel, features: FeatureMatrix) -> np.ndarray:
-    """The model's time-major latents for raw (unstandardized) features with
-    matching columns."""
+def _latents(model: EncodingModel, features: FeatureMatrix, rows=None) -> np.ndarray:
+    """The model's time-major latents for the raw (unstandardized) features of
+    trials ``rows`` (every trial when None), with matching columns."""
     if features.names != model.feature_names:
         raise ValueError(
             f"feature columns {features.names} do not match the model's "
             f"{model.feature_names}")
-    f_std = apply_standardizer(features, model.standardizer)
+    f_std = apply_standardizer(features, model.standardizer, rows)
     embed_cols, scalar_cols = _split_columns(model.feature_names, model.sources)
     z, _ = _forward(model.params, f_std, embed_cols, scalar_cols)
     return z
@@ -461,9 +461,9 @@ def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *, rows=None,
         # batch's number of epoch values, it is proportional to its trials
         return loss, h.size, _backward(params, gz, ctxs)
 
-    def score(idx):
-        h, _ = frozen.hidden(_forward(params, f_std[idx], embed_cols, scalar_cols)[0])
-        return frozen.mse(h, idx)[0]
+    def score(rows):
+        h, _ = frozen.hidden(_forward(params, f_std[rows], embed_cols, scalar_cols)[0])
+        return frozen.mse(h, rows)[0]
 
     history = _fit_epochs(params, step, score, train_idx, dev_idx, rng, epochs=epochs,
                           batch_size=batch_size, lr=lr, weight_decay=weight_decay)
@@ -483,17 +483,21 @@ def train(frozen: FrozenDecoder, features: FeatureMatrix, sources, *, rows=None,
     return model, history
 
 
-def model_mse(model: EncodingModel, frozen: FrozenDecoder, features: FeatureMatrix,
-              indices=None) -> float:
-    """MSE of the model's predictions over the given trials of ``frozen``, in Gram
-    form, scored a chunk of trials per pool job by :meth:`FrozenDecoder.score`."""
+def model_mse(model: EncodingModel, frozen: FrozenDecoder, features: FeatureMatrix, *,
+              rows=None) -> float:
+    """MSE of the model's predictions over trials ``rows`` of ``frozen`` and
+    ``features`` (every trial when None), in Gram form, scored a chunk of
+    trials per pool job by :meth:`FrozenDecoder.score`. The rows are checked
+    by :func:`data.checked_rows` and read in place, as :func:`train` reads
+    them: their features are standardized at those rows, so the result has
+    the bits of scoring copies of those rows."""
     if model.decoder_digest != frozen.digest:
         raise ValueError(f"model fit against decoder {model.decoder_digest[:12]}..., "
                          f"not the frozen {frozen.digest[:12]}...")
-    idx = np.arange(frozen.n_trials) if indices is None else np.asarray(indices)
-    if len(idx) == 0:
-        raise ValueError("no trials to score")
-    return frozen.score(_latents(model, features.take(idx)), idx)
+    if features.n_trials != frozen.n_trials:
+        raise ValueError(f"got {frozen.n_trials} trials, {features.n_trials} feature rows")
+    idx = checked_rows(rows, frozen.n_trials)
+    return frozen.score(_latents(model, features, idx), idx)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +514,7 @@ def _fold_mses(frozen: FrozenDecoder, folds, groups, **train_kwargs) -> list[lis
     def fold_mse(features, sources, weight_decay, f, run_seed) -> float:
         model, _ = train(frozen, features, sources, rows=folds.train_indices(f),
                          weight_decay=weight_decay, seed=run_seed, **train_kwargs)
-        return model_mse(model, frozen, features, folds.test_indices(f))
+        return model_mse(model, frozen, features, rows=folds.test_indices(f))
 
     return _cross_validate(fold_mse, folds, groups)
 
@@ -617,9 +621,10 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
     every entry that lists it. An entry whose blocks cannot be built (a table
     not supplied, say) is skipped with a warning; a roster that
     :func:`check_roster` refuses, an empty grid, a schedule that
-    :func:`autoencoder._check_schedule` refuses at any decay of the grid
-    or a bad ``ceiling_mse`` raise ``ValueError`` before the decoder is
-    frozen or any fit runs. Returns a dict with per-entry
+    :func:`autoencoder._check_schedule` refuses at any decay of the grid,
+    a bad ``ceiling_mse`` or a fold count that :func:`data.check_fold_count`
+    refuses raise ``ValueError`` before the decoder is frozen or any fit
+    runs. Returns a dict with per-entry
     :class:`metrics.EvalReport` data.
     """
     roster = standard_roster() if roster is None else list(roster)
@@ -630,8 +635,8 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
     _check_grid(grid, epochs=epochs, batch_size=batch_size, lr=lr)
     if ceiling_mse is not None and not (np.isfinite(ceiling_mse) and ceiling_mse >= 0):
         raise ValueError(f"ceiling_mse must be finite and >= 0, got {ceiling_mse}")
-    frozen = freeze(decoder, dataset, meta)
     folds = kfold_split(dataset.n_trials, k, seed)
+    frozen = freeze(decoder, dataset, meta)
     fold_digest = folds.digest()
 
     def derived_seed(*parts: int) -> int:
@@ -661,7 +666,7 @@ def run_model_suite(decoder: AutoencoderParams, dataset: ErpDataset,
     # shared anchors: per-fold intercept model (group 0) and autoencoder ceiling
     groups = [group(assemble_for(("constant",)), ("constant",), 0.0, 0, 0)]
     if ceiling_mse is None:
-        ae_mse = [reconstruction_mse(decoder, dataset, meta, folds.test_indices(f))
+        ae_mse = [reconstruction_mse(decoder, dataset, meta, rows=folds.test_indices(f))
                   for f in range(k)]
     else:
         ae_mse = [float(ceiling_mse)] * k

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingTable, TokenFeatureTable, TrialMeta
+from .data import EmbeddingTable, TokenFeatureTable, TrialMeta, checked_rows
 
 SOURCES = ("frequency", "surprisal", "semantic_distance",
            "static_embedding", "contextual_embedding", "constant")
@@ -70,9 +70,6 @@ class FeatureMatrix:
     def n_trials(self) -> int:
         return self.values.shape[0]
 
-    def take(self, rows) -> "FeatureMatrix":
-        return FeatureMatrix(self.values[np.asarray(rows)], list(self.names))
-
 
 @dataclass
 class Standardizer:
@@ -82,11 +79,10 @@ class Standardizer:
     scale: np.ndarray
 
 
-def fit_standardizer(matrix: FeatureMatrix, training_rows) -> Standardizer:
-    rows = np.asarray(training_rows)
-    if rows.size == 0:
-        raise ValueError("cannot fit a standardizer on zero rows")
-    sub = matrix.values[rows]
+def fit_standardizer(matrix: FeatureMatrix, rows) -> Standardizer:
+    """The standardizer of trials ``rows`` of ``matrix``, checked by
+    :func:`data.checked_rows`."""
+    sub = matrix.values[checked_rows(rows, matrix.n_trials)]
     mean = sub.mean(axis=0)
     sd = sub.std(axis=0)
     constant = sd == 0.0
@@ -95,10 +91,12 @@ def fit_standardizer(matrix: FeatureMatrix, training_rows) -> Standardizer:
     return Standardizer(mean=mean, scale=scale)
 
 
-def apply_standardizer(matrix: FeatureMatrix, std: Standardizer) -> np.ndarray:
-    """The standardized values of ``matrix``, trials x D. The caller checks
-    that ``matrix`` has the columns ``std`` was fit on."""
-    return (matrix.values - std.mean) / std.scale
+def apply_standardizer(matrix: FeatureMatrix, std: Standardizer, rows=None) -> np.ndarray:
+    """The standardized values of trials ``rows`` of ``matrix`` (every trial
+    when None), trials x D. The caller checks ``rows`` and that ``matrix``
+    has the columns ``std`` was fit on."""
+    values = matrix.values if rows is None else matrix.values[rows]
+    return (values - std.mean) / std.scale
 
 
 # ---------------------------------------------------------------------------

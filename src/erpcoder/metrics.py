@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import CHUNK_ROWS, TrialMeta, write_json
+from .data import CHUNK_ROWS, TrialMeta, checked_rows, write_json
 from .features import SOURCES
 
 MODEL_CODING_FAMILIES = tuple(s for s in SOURCES if s != "constant")
@@ -171,19 +171,27 @@ class TimepointCorrelation:
         return TimecourseSeries(r_model - r_intercept, 1, ms_axis)
 
 
-def pooled_variance(x: np.ndarray) -> float:
-    """The variance of all values of ``x``, ``x.var()`` up to rounding: the mean,
-    then the mean squared deviation from it, each summed over blocks of
-    ``TRIAL_BLOCK`` trials (first-axis entries) in block order, so no
-    temporary is larger than a block."""
-    blocks = _trial_blocks(len(x))
-    mean = sum(float(x[b].sum()) for b in blocks) / x.size
-    squares = 0.0
+def pooled_variance(x: np.ndarray, *, rows=None) -> float:
+    """The variance of all values of trials (first-axis entries) ``rows`` of
+    ``x``, every trial when None, checked by :func:`data.checked_rows`:
+    ``x[rows].var()`` up to rounding. The mean, then the mean squared
+    deviation from it, are each summed over blocks of ``TRIAL_BLOCK`` of
+    those trials in block order, read in place: the mean from each block
+    (a slice of ``x`` when ``rows`` is None), the squares from each block
+    gathered into one reused buffer, so no temporary is larger than a
+    block."""
+    idx = checked_rows(rows, len(x))
+    blocks = _trial_blocks(len(idx))
+    n = len(idx) * x[0].size
+    mean = sum(float(x[b if rows is None else idx[b]].sum()) for b in blocks) / n
+    d, squares = np.empty((min(TRIAL_BLOCK, len(idx)), *x.shape[1:])), 0.0
     for b in blocks:
-        d = x[b] - mean
-        d *= d
-        squares += float(d.sum())
-    return squares / x.size
+        # rows are checked above; "clip" writes straight into d, unbuffered
+        block = np.take(x, idx[b], axis=0, out=d[:len(idx[b])], mode="clip")
+        block -= mean
+        block *= block
+        squares += float(block.sum())
+    return squares / n
 
 
 def timepoint_correlation_increase(model_preds: np.ndarray, intercept_preds: np.ndarray,

@@ -8,12 +8,14 @@ bounds against decoding every trial through the whole library decoder, and
 library function replaced, kept to hold it to the same bits. The oracles
 take batch-first ``(N, C, T)`` arrays or one ``(C, T)`` instance of them;
 :func:`time_major` swaps such arrays to and from the ``(T, C, N)`` layout
-the kernels run in.
+the kernels run in. :func:`sample_rows` and :func:`bad_rows` give the
+trial rows that the tests of the rows rule (``data.checked_rows``) score.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 
 def time_major(a):
@@ -197,3 +199,22 @@ def decoded_oracle_bounds(truth, dataset, fit_rows=None, eval_rows=None):
         mse["+".join(driving[:i]) or "intercept"] = running
     return {"mse_floor": decoded_mse(truth.latents[eval_rows]), "mse": mse,
             "ridge_fallback": ridge}
+
+
+def sample_rows(rng, n, m, order):
+    """``m`` trial indices into ``range(n)``: ``"sorted"``, ``"unsorted"``, or
+    ``"repeated"`` (unsorted, its first three indices listed again at the end)."""
+    rows = rng.permutation(n)[:m]
+    if order == "sorted":
+        return np.sort(rows)
+    return np.concatenate([rows[:-3], rows[:3]]) if order == "repeated" else rows
+
+
+def bad_rows(n):
+    """``(rows, message)`` pairs that ``data.checked_rows`` refuses in
+    ``range(n)``, with its message, as pytest parameters."""
+    outside = f"rows must be trial indices in range({n})"
+    empty = "rows must be a non-empty 1-D list of trial indices"
+    return [pytest.param([-1], outside, id="negative"), pytest.param([n], outside, id="above"),
+            pytest.param([0.5], outside, id="float"), pytest.param([], empty, id="empty"),
+            pytest.param([[0, 1]], empty, id="2d")]

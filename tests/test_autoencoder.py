@@ -15,7 +15,7 @@ from erpcoder import autoencoder as ae
 from erpcoder import cli, nn, synth
 from erpcoder.checkpoint import load_checkpoint, save_checkpoint
 from erpcoder.data import ErpDataset, FormatError, TrialMeta, kfold_split
-from oracles import time_major
+from oracles import bad_rows, sample_rows, time_major
 
 
 def meta_rows(n, subjects=("s1", "s2"), words=5):
@@ -134,14 +134,8 @@ class TestReconstructionMse:
         x = dataset.data[idx]
         unchunked, _ = nn.mse_loss(ae.reconstruct(params, x, [meta[i].subject_id for i in idx]),
                                    x)
-        assert ae.reconstruction_mse(params, dataset, meta, idx) == \
+        assert ae.reconstruction_mse(params, dataset, meta, rows=idx) == \
             pytest.approx(unchunked, rel=1e-12, abs=0)
-
-    def test_no_trials_rejected(self):
-        params = ae.init_params(ae.AutoencoderSpec("beta", False, 4, 20), seed=3)
-        dataset = ErpDataset(np.zeros((2, 4, 20)), 250.0, -100.0, -20.0)
-        with pytest.raises(ValueError, match="no trials to score"):
-            ae.reconstruction_mse(params, dataset, meta_rows(2), [])
 
 
 class TestLatentGradients:
@@ -253,7 +247,7 @@ class TestPretrain:
         spec = ae.AutoencoderSpec("beta", False, 8, 50)
         ds = lowrank_dataset(rng, spec, n=120)
         scores = iter([1.0, bad])
-        monkeypatch.setattr(ae, "reconstruction_mse", lambda *args: next(scores))
+        monkeypatch.setattr(ae, "reconstruction_mse", lambda *args, **kw: next(scores))
         with pytest.raises(RuntimeError, match=f"^dev MSE diverged to {bad} at epoch 1$"):
             ae.pretrain(spec, ds, meta_rows(120), epochs=2, batch_size=64, seed=3)
 
@@ -676,6 +670,42 @@ class TestFitOnRows:
         monkeypatch.setattr(nn, "adam_step", lambda *args, **kw: pytest.fail("a step ran"))
         with pytest.raises(ValueError, match=f"^{message}$"):
             ae.pretrain(spec, ds, meta_rows(40), rows=rows, epochs=1)
+
+    @pytest.mark.parametrize("order", ["sorted", "unsorted", "repeated"])
+    @pytest.mark.parametrize("intercepts", [False, True], ids=["plain", "intercepts"])
+    def test_reconstruction_mse_on_rows_equals_mse_of_subset(self, rng, order, intercepts):
+        # 2 * CHUNK_ROWS + 9 of 150 trials: two full chunks and a ragged one
+        spec = ae.AutoencoderSpec("beta", intercepts, 8, 40)
+        subjects = ("s1", "s2", "s3")
+        params = ae.init_params(spec, seed=5, subjects=subjects if intercepts else None)
+        if intercepts:
+            params.tensors["intercepts"][:] = rng.normal(size=(3, 8))
+        ds, meta = lowrank_dataset(rng, spec, n=150), meta_rows(150, subjects=subjects)
+        idx = sample_rows(rng, 150, 2 * ae.CHUNK_ROWS + 9, order)
+        assert ae.reconstruction_mse(params, ds, meta, rows=idx) == \
+            ae.reconstruction_mse(params, ds.subset(idx), [meta[i] for i in idx])
+
+    @pytest.mark.parametrize("rows, message", bad_rows(40))
+    def test_bad_rows_rejected_by_reconstruction_mse(self, rng, rows, message):
+        spec = ae.AutoencoderSpec("beta", False, 8, 50)
+        params, ds = ae.init_params(spec, seed=5), lowrank_dataset(rng, spec, n=40)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ae.reconstruction_mse(params, ds, meta_rows(40), rows=rows)
+
+    def test_select_architecture_scores_the_held_out_rows(self, rng):
+        # each fold's mse is the score of a copy of its held-out trials, and
+        # its r2 takes their variance
+        spec = ae.AutoencoderSpec("beta", True, 8, 40)
+        ds, meta = lowrank_dataset(rng, spec, n=60), meta_rows(60)
+        report = ae.select_architecture(ds, meta, [spec], k=3, seed=6, epochs=1)
+        folds = kfold_split(60, 3, 6)
+        seed = int(np.random.default_rng(6).integers(2**63))
+        tr, te = folds.train_indices(0), folds.test_indices(0)
+        params, _ = ae.pretrain(spec, ds, meta, rows=tr, epochs=1, seed=seed)
+        mse = ae.reconstruction_mse(params, ds.subset(te), [meta[i] for i in te])
+        first = report["candidates"]["beta:intercepts"]["per_fold"][0]
+        assert first["mse"] == mse
+        assert first["r2"] == pytest.approx(1.0 - mse / ds.data[te].var(), rel=1e-12, abs=0)
 
 
 class TestCheckpoint:

@@ -1101,6 +1101,54 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    def test_repeated_count_token_is_4(self, pipeline, tmp_path, capsys):
+        lines = (pipeline / "d" / "counts.tsv").read_text().splitlines()
+        token, _ = lines[0].split("\t")
+        bad = tmp_path / "counts.tsv"
+        bad.write_text("\n".join([*lines, f"{token}\t7"]) + "\n")
+        code = run(["fit", "--decoder", pipeline / "m" / "autoencoder",
+                    "--data", pipeline / "d" / "data", "--sources", "frequency",
+                    "--counts", bad, "--out", tmp_path / "o"])
+        assert code == 4
+        assert [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("error:")] == [
+            f"error: FormatViolation: {bad}: line {len(lines) + 1}: token {token!r} "
+            f"is listed again, first at line 1"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, folds", [
+        ("select-arch", 1), ("select-arch", 500), ("fit", 1), ("fit", 500), ("suite", 1),
+        ("suite", 500)])
+    def test_bad_fold_count_is_1_before_any_freeze_or_pretraining(
+            self, pipeline, tmp_path, capsys, monkeypatch, command, folds):
+        # each used to read and hash the whole ERP payload before it refused
+        # one fold, and fit --wd-search and suite froze the decoder too
+        calls = []
+        for module, name in ((cli, "load_erp"), (encoding, "freeze"), (autoencoder, "pretrain")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, name=name, original=original, **kw:
+                                calls.append(name) or original(*a, **kw))
+        decoder, data = pipeline / "m" / "autoencoder", pipeline / "d" / "data"
+        if command == "suite":
+            path = tmp_path / "suite.json"
+            path.write_text(json.dumps({
+                "data": str(data), "decoder": str(decoder), "folds": folds, "epochs": 1,
+                "roster": [{"name": "intercept", "sources": ["constant"]}]}))
+            args = ["suite", "--config", path]
+        elif command == "fit":
+            args = ["fit", "--decoder", decoder, "--data", data, "--sources", "constant",
+                    "--wd-search", "--folds", folds]
+        else:
+            args = ["select-arch", "--data", data, "--folds", folds]
+        assert run([*args, "--out", tmp_path / "o"]) == 1
+        kept = int(keep_mask(load_erp(data)[1], command == "select-arch").sum())
+        message = ("k must be >= 2, got 1" if folds == 1
+                   else f"k={folds} folds need at least k items, got {kept}")
+        assert [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("error:")] == [f"error: InvalidInput: {message}"]
+        assert calls == ([] if folds == 1 else ["load_erp"])
+        assert not (tmp_path / "o").exists()
+
     def test_failed_fit_leaves_no_out(self, pipeline, tmp_path, capsys):
         code = run(["fit", "--decoder", pipeline / "m" / "autoencoder",
                     "--data", pipeline / "d" / "data", "--sources", "constant",
@@ -1138,8 +1186,7 @@ class TestPeakMemory:
     so that the allowance does not grow with the CPU count, and pretraining
     steps a batch of one chunk. The fold loops of ``select-arch`` and
     ``suite`` read each fold's training trials in place: a copy of 80% of
-    the epochs, about 23 MiB here, would exceed the allowance; the 20% that
-    ``select-arch`` gathers for a fold's held-out variance fits in it."""
+    the epochs, about 23 MiB here, would exceed the allowance."""
 
     EPOCH_BYTES = 32 * 200 * 8
     ALLOWANCE = 10 * autoencoder.CHUNK_ROWS * EPOCH_BYTES  # 15.6 MiB

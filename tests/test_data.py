@@ -641,6 +641,13 @@ class TestCounts:
         with pytest.raises(data.FormatError, match="line 1"):
             data.load_counts(p)
 
+    def test_repeated_token_rejected_with_both_lines(self, tmp_path):
+        p = tmp_path / "counts.tsv"
+        p.write_text("the\t100\ndog\t7\nthe\t3\n")
+        with pytest.raises(data.FormatError, match="counts.tsv: line 3: token 'the' is "
+                                                   "listed again, first at line 1$"):
+            data.load_counts(p)
+
     @pytest.mark.parametrize("bad", [-5, -1])
     def test_negative_count_rejected(self, tmp_path, bad):
         p = tmp_path / "counts.tsv"

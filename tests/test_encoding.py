@@ -15,7 +15,7 @@ from erpcoder.autoencoder import (AutoencoderSpec, _decoder_forward, _stack_back
 from erpcoder.checkpoint import load_checkpoint, save_checkpoint
 from erpcoder.data import (ErpDataset, FormatError, TrialMeta, filter_artifacts, keep_mask,
                            kfold_split)
-from oracles import time_major
+from oracles import bad_rows, sample_rows, time_major
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +35,11 @@ def assemble_for(sd, meta, sources):
         features.FeatureSpec(tuple(sources)), meta, counts_table=sd.counts,
         token_features=sd.token_features, embeddings=sd.embeddings,
         sentence_tokens=sd.sentence_tokens)
+
+
+def feature_rows(fm, rows):
+    """A copy of rows ``rows`` of the feature matrix ``fm``."""
+    return features.FeatureMatrix(fm.values[rows], fm.names)
 
 
 def quick_fit(sd, ds, meta, sources, decoder=None, **kw):
@@ -98,7 +103,7 @@ class TestPrediction:
         model, fm = pairs[0]
         with pytest.raises(ValueError, match="feature matrices of"):
             encoding.map_predictions(lambda rows, *preds: None,
-                                     [(model, fm), (model, fm.take(np.arange(3)))])
+                                     [(model, fm), (model, feature_rows(fm, np.arange(3)))])
 
     def test_predict_erp_is_decode_of_the_model_latents(self, small_synth):
         sd, ds, meta = small_synth
@@ -416,10 +421,11 @@ class TestGramReadout:
             encoding.predict_erp(model, fm, list(subj) if intercepts else None), ds.data)
         rows = np.arange(5, 140)
         full_rows, _ = nn.mse_loss(
-            encoding.predict_erp(model, fm.take(rows), list(subj[rows]) if intercepts else None),
+            encoding.predict_erp(model, feature_rows(fm, rows),
+                                 list(subj[rows]) if intercepts else None),
             ds.data[rows])
         assert encoding.model_mse(model, frozen, fm) == pytest.approx(full, rel=1e-12, abs=0)
-        assert encoding.model_mse(model, frozen, fm, rows) == \
+        assert encoding.model_mse(model, frozen, fm, rows=rows) == \
             pytest.approx(full_rows, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("arch, intercepts", GRAM_SETTINGS, ids=GRAM_IDS)
@@ -433,17 +439,15 @@ class TestGramReadout:
                                   seed=2)
         rows = rng.permutation(ds.n_trials)[:101]
         for idx in (np.arange(ds.n_trials), rows):
-            one_pass, _ = frozen.mse(frozen.hidden(encoding._latents(model, fm.take(idx)))[0],
-                                     idx)
+            one_pass, _ = frozen.mse(
+                frozen.hidden(encoding._latents(model, feature_rows(fm, idx)))[0], idx)
             chunked = []
             for n in (1, 3):
                 monkeypatch.setattr(autoencoder, "_worker_count",
                                     lambda n_jobs, n=n: min(n, n_jobs))
-                chunked.append(encoding.model_mse(model, frozen, fm, idx))
+                chunked.append(encoding.model_mse(model, frozen, fm, rows=idx))
             assert chunked[0] == chunked[1]
             assert chunked[0] == pytest.approx(one_pass, rel=1e-12, abs=0)
-        with pytest.raises(ValueError, match="no trials to score"):
-            encoding.model_mse(model, frozen, fm, [])
 
     @pytest.mark.parametrize("arch", ["alpha", "beta"])
     def test_near_noiseless_cancellation_error_bounded(self, arch):
@@ -906,7 +910,7 @@ class TestFitOnRows:
         copies = dataclasses.replace(frozen, r=frozen.r[tr], c=frozen.c[tr],
                                      meta=[frozen.meta[i] for i in tr])
         assert_same_fit(encoding.train(frozen, fm, sources, rows=tr, **kw),
-                        encoding.train(copies, fm.take(tr), sources, **kw))
+                        encoding.train(copies, feature_rows(fm, tr), sources, **kw))
 
     def test_filter_check_reads_the_rows_alone(self, small_synth):
         # a sentence-initial trial outside rows does not stop the fit
@@ -935,6 +939,31 @@ class TestFitOnRows:
             encoding.train(frozen, fm, ("frequency",), rows=rows, epochs=1)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             encoding.freeze(sd.ground_truth.decoder, ds, meta, rows=rows)
+
+    @pytest.mark.parametrize("order", ["sorted", "unsorted", "repeated"])
+    @pytest.mark.parametrize("intercepts", [False, True], ids=["plain", "intercepts"])
+    def test_model_mse_on_rows_equals_model_mse_of_copies(self, rng, order, intercepts):
+        # 70 of 150 trials at 32x200: three chunks, one ragged
+        decoder, ds, meta = paper_geometry_set(rng, "beta", intercepts)
+        fm = features.FeatureMatrix(rng.normal(size=(ds.n_trials, 2)), ["frequency", "surprisal"])
+        frozen = encoding.freeze(decoder, ds, meta)
+        model, _ = encoding.train(frozen, fm, ("frequency", "surprisal"), epochs=1,
+                                  batch_size=32, lr=0.01, seed=2)
+        idx = sample_rows(rng, ds.n_trials, 70, order)
+        copies = encoding.freeze(decoder, ds.subset(idx), [meta[i] for i in idx])
+        assert encoding.model_mse(model, frozen, fm, rows=idx) == \
+            encoding.model_mse(model, copies, feature_rows(fm, idx))
+
+    @pytest.mark.parametrize("rows, message", bad_rows(40))
+    def test_bad_rows_rejected_by_model_mse_and_fit_standardizer(self, rng, rows, message):
+        decoder, ds, meta = paper_geometry_set(rng, "beta", False, n=40)
+        fm = features.FeatureMatrix(rng.normal(size=(40, 1)), ["frequency"])
+        frozen = encoding.freeze(decoder, ds, meta)
+        model, _ = encoding.train(frozen, fm, ("frequency",), epochs=1, seed=2)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            encoding.model_mse(model, frozen, fm, rows=rows)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            features.fit_standardizer(fm, rows)
 
 
 class TestCheckpoint:

@@ -1,6 +1,8 @@
 """Metric formula anchors, time-course pooling, bootstrap and word tables."""
 
+import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from erpcoder import autoencoder, metrics
 from erpcoder.data import CHUNK_ROWS, TrialMeta
-from oracles import pearson_naive, trial_correlations_per_trial
+from oracles import bad_rows, pearson_naive, sample_rows, trial_correlations_per_trial
 
 
 class TestR2Mod:
@@ -149,6 +151,31 @@ class TestTimecourse:
     def test_pooled_variance_is_var_to_rounding(self, rng, n_trials):
         x = 5.0 + 0.01 * rng.normal(size=(n_trials, 32, 200))
         assert metrics.pooled_variance(x) == pytest.approx(float(x.var()), rel=1e-12)
+
+    @pytest.mark.parametrize("order", ["sorted", "unsorted", "repeated"])
+    def test_pooled_variance_of_rows_is_var_of_the_rows(self, rng, order):
+        x = 5.0 + 0.01 * rng.normal(size=(60, 32, 200))
+        idx = sample_rows(rng, 60, 41, order)
+        assert metrics.pooled_variance(x, rows=idx) == \
+            pytest.approx(float(x[idx].var()), rel=1e-12)
+
+    def test_pooled_variance_of_rows_holds_less_than_two_blocks(self, rng):
+        # 75 of 100 trials; a copy of them would take 3.7 MiB, two blocks 1.6 MiB
+        x = rng.normal(size=(100, 32, 200))
+        idx = rng.permutation(100)[:75]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            metrics.pooled_variance(x, rows=idx)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * metrics.TRIAL_BLOCK * x[0].nbytes
+
+    @pytest.mark.parametrize("rows, message", bad_rows(40))
+    def test_pooled_variance_refuses_bad_rows(self, rng, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            metrics.pooled_variance(rng.normal(size=(40, 2, 3)), rows=rows)
 
     def test_affine_invariance_of_pooled_r(self, rng):
         preds = rng.normal(size=(40, 3, 8))
